@@ -11,9 +11,8 @@
 //! * `invariant_check` — full predicate-suite cost on a configured
 //!   network.
 //! * `snapshot_into/{n}` — zero-realloc snapshot refill at n ∈ {1k, 10k}.
-//! * `check_all_grid/{n}` vs `check_all_naive/{n}` — the spatial-indexed
-//!   invariant engine against the all-pairs reference at n ∈ {1k, 10k};
-//!   a speedup line is printed per size.
+//! * `check_all_grid/{n}` — the spatial-indexed invariant engine at
+//!   n ∈ {1k, 10k}.
 //! * `recorder_count_only/10k` vs `recorder_record_full/10k` — the
 //!   flight-recorder emission hot path: the always-on per-class counter
 //!   bump against a Full-mode structured ring write.
@@ -26,7 +25,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use gs3_core::harness::NetworkBuilder;
-use gs3_core::invariants::{check_all, check_all_with, naive, SnapshotIndex, Strictness};
+use gs3_core::invariants::{check_all, check_all_with, SnapshotIndex, Strictness};
 use gs3_core::Mode;
 use gs3_geometry::rank::best_candidate;
 use gs3_geometry::spiral::CellSpiral;
@@ -173,7 +172,7 @@ fn main() {
         });
     }
 
-    // Snapshot reuse and the indexed-vs-naive invariant engine at scale.
+    // Snapshot reuse and the indexed invariant engine at scale.
     for n in [1_000usize, 10_000] {
         let mut net = NetworkBuilder::new()
             .mode(Mode::Static)
@@ -195,16 +194,9 @@ fn main() {
         });
 
         let snap = net.snapshot();
-        let grid = bench(&format!("check_all_grid/{n}"), quick, || {
+        bench(&format!("check_all_grid/{n}"), quick, || {
             let idx = SnapshotIndex::build(&snap);
             black_box(check_all_with(&snap, Strictness::Static, &idx).len());
         });
-        let naive = bench(&format!("check_all_naive/{n}"), slow, || {
-            black_box(naive::check_all(&snap, Strictness::Static).len());
-        });
-        println!(
-            "check_all/{n:<33} speedup {:.1}x (grid over naive)",
-            naive.as_secs_f64() / grid.as_secs_f64().max(1e-9)
-        );
     }
 }

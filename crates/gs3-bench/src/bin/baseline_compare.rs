@@ -36,6 +36,7 @@ use gs3_baselines::sim::{run_baseline, Baseline, BaselineOutcome, BaselineSimCon
 use gs3_bench::runner::{run_grid, threads_from_args};
 use gs3_bench::banner;
 use gs3_core::harness::NetworkBuilder;
+use gs3_core::json::{self, JsonWriter};
 use gs3_core::{DataplaneConfig, RoleView};
 use gs3_geometry::Point;
 use gs3_sim::radio::EnergyModel;
@@ -229,19 +230,24 @@ impl ArmOutcome {
         }
     }
 
-    fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| v.map_or("-1".to_string(), |s| format!("{s:.1}"));
-        format!(
-            "{{\"arm\":\"{}\",\"reports_delivered\":{},\"energy_spent\":{:.3},\
-             \"reports_per_joule\":{:.4},\"first_death_s\":{},\"lifetime_s\":{}}}",
-            self.arm,
-            self.reports_delivered,
-            self.energy_spent,
-            self.reports_per_joule(),
-            opt(self.first_death_secs),
-            opt(self.lifetime_secs),
-        )
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("arm").str(self.arm);
+            w.key("reports_delivered").u64(self.reports_delivered);
+            w.key("energy_spent").fixed(self.energy_spent, 3);
+            w.key("reports_per_joule").fixed(self.reports_per_joule(), 4);
+            write_or_never(w.key("first_death_s"), self.first_death_secs, 1);
+            write_or_never(w.key("lifetime_s"), self.lifetime_secs, 1);
+        });
     }
+}
+
+/// `{:.decimals}`, or the artifact's `-1` sentinel for "never happened".
+fn write_or_never(w: &mut JsonWriter<'_>, v: Option<f64>, decimals: usize) {
+    match v {
+        Some(v) => w.fixed(v, decimals),
+        None => w.i64(-1),
+    };
 }
 
 fn from_baseline(arm: &'static str, out: &BaselineOutcome) -> ArmOutcome {
@@ -419,7 +425,6 @@ fn dataplane_section(scale: &Scale, smoke: bool, threads: usize) -> String {
             0.5,
         )
     });
-    let mut sweep_json = Vec::new();
     let mut st = Table::new(["n_c (mean)", "first head death (s)", "maintained (s)", "lengthening"]);
     for res in &sweep {
         let first = res.first_head_death.map(|t| t.as_secs_f64());
@@ -431,15 +436,6 @@ fn dataplane_section(scale: &Scale, smoke: bool, threads: usize) -> String {
             opt(maintained),
             res.lengthening_factor.map_or("—".to_string(), |f| format!("{f:.2}×")),
         ]);
-        let j = |v: Option<f64>| v.map_or("-1".to_string(), |s| format!("{s:.1}"));
-        sweep_json.push(format!(
-            "{{\"mean_cell_population\":{:.2},\"first_head_death_s\":{},\"maintained_s\":{},\
-             \"lengthening\":{}}}",
-            res.mean_cell_population,
-            j(first),
-            j(maintained),
-            res.lengthening_factor.map_or("-1".to_string(), |f| format!("{f:.3}")),
-        ));
     }
     println!("{}", st.render());
     println!(
@@ -452,14 +448,31 @@ fn dataplane_section(scale: &Scale, smoke: bool, threads: usize) -> String {
          factor grows with n_c — every cell member takes a turn as head (Ω(n_c))."
     );
 
-    format!(
-        "{{\"suite\":\"BENCH_dataplane\",\"smoke\":{smoke},\"nodes\":{},\
-         \"churn_per_round\":{CHURN_PER_ROUND},\"round_secs\":{ROUND_SECS},\"arms\":[{}],\
-         \"lifetime_sweep\":[{}]}}",
-        scale.nodes,
-        outcomes.iter().map(ArmOutcome::to_json).collect::<Vec<_>>().join(","),
-        sweep_json.join(","),
-    )
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("suite").str("BENCH_dataplane");
+            w.key("smoke").bool(smoke);
+            w.key("nodes").u64(scale.nodes as u64);
+            w.key("churn_per_round").u64(CHURN_PER_ROUND as u64);
+            w.key("round_secs").u64(ROUND_SECS as u64);
+            w.key("arms").array(|w| {
+                for o in &outcomes {
+                    o.write_json(w);
+                }
+            });
+            w.key("lifetime_sweep").array(|w| {
+                for res in &sweep {
+                    w.object(|w| {
+                        w.key("mean_cell_population").fixed(res.mean_cell_population, 2);
+                        let secs = |t: Option<gs3_sim::SimTime>| t.map(|t| t.as_secs_f64());
+                        write_or_never(w.key("first_head_death_s"), secs(res.first_head_death), 1);
+                        write_or_never(w.key("maintained_s"), secs(res.maintained_lifetime), 1);
+                        write_or_never(w.key("lengthening"), res.lengthening_factor, 3);
+                    });
+                }
+            });
+        });
+    })
 }
 
 /// Converts a GS³ snapshot into the baseline [`Clustering`] representation.

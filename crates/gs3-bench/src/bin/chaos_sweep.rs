@@ -23,6 +23,7 @@ use gs3_bench::runner::{run_grid, threads_from_args};
 use gs3_bench::banner;
 use gs3_core::chaos::ChaosOptions;
 use gs3_core::harness::{NetworkBuilder, RunOutcome};
+use gs3_core::json::{self, JsonWriter};
 use gs3_core::{CongestionConfig, FaultKind, FaultPlan, ReliabilityConfig};
 use gs3_sim::faults::{BurstLoss, FaultConfig};
 use gs3_sim::{ContentionConfig, SimDuration};
@@ -230,20 +231,21 @@ fn cong_aggregate(runs: &[&CongResult]) -> CongArm {
     }
 }
 
-fn cong_arm_json(a: &CongArm) -> String {
-    format!(
-        "{{\"configured\":{},\"healed\":{},\"runs\":{},\"median_heal_s\":{},\"collisions\":{},\"defers\":{},\"backoff_exhausted\":{},\"congestion_stretches\":{},\"congestion_relaxes\":{},\"suppressed_broadcasts\":{}}}",
-        a.configured_runs,
-        a.healed_runs,
-        SEEDS.len(),
-        json_num(a.median_heal),
-        a.collisions,
-        a.defers,
-        a.backoff_exhausted,
-        a.stretches,
-        a.relaxes,
-        a.suppressed,
-    )
+impl CongArm {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("configured").u64(self.configured_runs as u64);
+            w.key("healed").u64(self.healed_runs as u64);
+            w.key("runs").u64(SEEDS.len() as u64);
+            w.key("median_heal_s").fixed(self.median_heal, 6);
+            w.key("collisions").u64(self.collisions);
+            w.key("defers").u64(self.defers);
+            w.key("backoff_exhausted").u64(self.backoff_exhausted);
+            w.key("congestion_stretches").u64(self.stretches);
+            w.key("congestion_relaxes").u64(self.relaxes);
+            w.key("suppressed_broadcasts").u64(self.suppressed);
+        });
+    }
 }
 
 /// The median of `xs` (mean of the central pair for even lengths); NaN
@@ -259,15 +261,6 @@ fn median(xs: &[f64]) -> f64 {
         s[mid]
     } else {
         (s[mid - 1] + s[mid]) / 2.0
-    }
-}
-
-/// A JSON number for `x`, `null` when it is not representable.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -301,20 +294,22 @@ fn aggregate(runs: &[&CellResult]) -> Arm {
     }
 }
 
-fn arm_json(a: &Arm) -> String {
-    format!(
-        "{{\"healed\":{},\"runs\":{},\"median_heal_s\":{},\"worst_heal_s\":{},\"burst_drops\":{},\"unicast_drops\":{},\"retransmits\":{},\"give_ups\":{},\"episode_radius_m\":{},\"episode_messages\":{}}}",
-        a.healed_runs,
-        SEEDS.len(),
-        json_num(a.median_heal),
-        json_num(a.worst_heal),
-        a.burst_drops,
-        a.unicast_drops,
-        a.retransmits,
-        a.give_ups,
-        json_num(a.median_episode_radius),
-        json_num(a.median_episode_messages),
-    )
+impl Arm {
+    /// Medians over no samples are NaN, which the writer emits as `null`.
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("healed").u64(self.healed_runs as u64);
+            w.key("runs").u64(SEEDS.len() as u64);
+            w.key("median_heal_s").fixed(self.median_heal, 6);
+            w.key("worst_heal_s").fixed(self.worst_heal, 6);
+            w.key("burst_drops").u64(self.burst_drops);
+            w.key("unicast_drops").u64(self.unicast_drops);
+            w.key("retransmits").u64(self.retransmits);
+            w.key("give_ups").u64(self.give_ups);
+            w.key("episode_radius_m").fixed(self.median_episode_radius, 6);
+            w.key("episode_messages").fixed(self.median_episode_messages, 6);
+        });
+    }
 }
 
 fn main() {
@@ -352,48 +347,15 @@ fn main() {
         run_cell(&severities[si], &churns[ci], seed, reliable)
     });
 
-    let mut t = Table::new([
-        "burst",
-        "churn",
-        "healed off/on",
-        "median off (s)",
-        "median on (s)",
-        "worst on (s)",
-        "heal r (m)",
-        "retransmits",
-        "give-ups",
-    ]);
-    let mut json_cells: Vec<String> = Vec::new();
-
+    // One (off, on) pair of aggregated arms per severity × churn cell.
+    let mut rel_cells: Vec<(&str, &str, Arm, Arm)> = Vec::new();
     for (si, sev) in severities.iter().enumerate() {
         for (ci, churn) in churns.iter().enumerate() {
             let base = (si * churns.len() + ci) * SEEDS.len() * 2;
             let pairs = &results[base..base + SEEDS.len() * 2];
             let off: Vec<&CellResult> = pairs.iter().step_by(2).collect();
             let on: Vec<&CellResult> = pairs.iter().skip(1).step_by(2).collect();
-            let off = aggregate(&off);
-            let on = aggregate(&on);
-            if json {
-                json_cells.push(format!(
-                    "{{\"burst\":\"{}\",\"churn\":\"{}\",\"reliable_off\":{},\"reliable_on\":{}}}",
-                    sev.label,
-                    churn.label,
-                    arm_json(&off),
-                    arm_json(&on),
-                ));
-            } else {
-                t.row([
-                    sev.label.to_string(),
-                    churn.label.to_string(),
-                    format!("{}/{} · {}/{}", off.healed_runs, SEEDS.len(), on.healed_runs, SEEDS.len()),
-                    num(off.median_heal),
-                    num(on.median_heal),
-                    num(on.worst_heal),
-                    num(on.median_episode_radius),
-                    format!("{}", on.retransmits),
-                    format!("{}", on.give_ups),
-                ]);
-            }
+            rel_cells.push((sev.label, churn.label, aggregate(&off), aggregate(&on)));
         }
     }
 
@@ -422,6 +384,73 @@ fn main() {
         run_congestion_cell(&densities[di], &loads[li], seed, adaptive)
     });
 
+    let mut cong_arms: Vec<(&str, &str, CongArm, CongArm)> = Vec::new();
+    for (di, d) in densities.iter().enumerate() {
+        for (li, l) in loads.iter().enumerate() {
+            let base = (di * loads.len() + li) * SEEDS.len() * 2;
+            let pairs = &cong_results[base..base + SEEDS.len() * 2];
+            let off: Vec<&CongResult> = pairs.iter().step_by(2).collect();
+            let on: Vec<&CongResult> = pairs.iter().skip(1).step_by(2).collect();
+            cong_arms.push((d.label, l.label, cong_aggregate(&off), cong_aggregate(&on)));
+        }
+    }
+
+    if json {
+        let doc = json::to_string(|w| {
+            w.object(|w| {
+                w.key("experiment").str("chaos_sweep");
+                w.key("unicast_loss").f64(UNICAST_LOSS);
+                w.key("cells").array(|w| {
+                    for (burst, churn, off, on) in &rel_cells {
+                        w.object(|w| {
+                            w.key("burst").str(burst);
+                            w.key("churn").str(churn);
+                            off.write_json(w.key("reliable_off"));
+                            on.write_json(w.key("reliable_on"));
+                        });
+                    }
+                });
+                w.key("congestion_cells").array(|w| {
+                    for (density, load, off, on) in &cong_arms {
+                        w.object(|w| {
+                            w.key("density").str(density);
+                            w.key("load").str(load);
+                            off.write_json(w.key("adaptive_off"));
+                            on.write_json(w.key("adaptive_on"));
+                        });
+                    }
+                });
+            });
+        });
+        println!("{doc}");
+        return;
+    }
+
+    let runs = SEEDS.len();
+    let mut t = Table::new([
+        "burst",
+        "churn",
+        "healed off/on",
+        "median off (s)",
+        "median on (s)",
+        "worst on (s)",
+        "heal r (m)",
+        "retransmits",
+        "give-ups",
+    ]);
+    for (burst, churn, off, on) in &rel_cells {
+        t.row([
+            burst.to_string(),
+            churn.to_string(),
+            format!("{}/{runs} · {}/{runs}", off.healed_runs, on.healed_runs),
+            num(off.median_heal),
+            num(on.median_heal),
+            num(on.worst_heal),
+            num(on.median_episode_radius),
+            format!("{}", on.retransmits),
+            format!("{}", on.give_ups),
+        ]);
+    }
     let mut ct = Table::new([
         "density",
         "load",
@@ -432,45 +461,17 @@ fn main() {
         "stretches",
         "suppressed",
     ]);
-    let mut cong_json_cells: Vec<String> = Vec::new();
-    for (di, d) in densities.iter().enumerate() {
-        for (li, l) in loads.iter().enumerate() {
-            let base = (di * loads.len() + li) * SEEDS.len() * 2;
-            let pairs = &cong_results[base..base + SEEDS.len() * 2];
-            let off: Vec<&CongResult> = pairs.iter().step_by(2).collect();
-            let on: Vec<&CongResult> = pairs.iter().skip(1).step_by(2).collect();
-            let off = cong_aggregate(&off);
-            let on = cong_aggregate(&on);
-            if json {
-                cong_json_cells.push(format!(
-                    "{{\"density\":\"{}\",\"load\":\"{}\",\"adaptive_off\":{},\"adaptive_on\":{}}}",
-                    d.label,
-                    l.label,
-                    cong_arm_json(&off),
-                    cong_arm_json(&on),
-                ));
-            } else {
-                ct.row([
-                    d.label.to_string(),
-                    l.label.to_string(),
-                    format!("{}/{} · {}/{}", off.healed_runs, SEEDS.len(), on.healed_runs, SEEDS.len()),
-                    num(on.median_heal),
-                    format!("{}/{}", off.collisions, on.collisions),
-                    format!("{}/{}", off.backoff_exhausted, on.backoff_exhausted),
-                    format!("{}", on.stretches),
-                    format!("{}", on.suppressed),
-                ]);
-            }
-        }
-    }
-
-    if json {
-        println!(
-            "{{\"experiment\":\"chaos_sweep\",\"unicast_loss\":{UNICAST_LOSS},\"cells\":[{}],\"congestion_cells\":[{}]}}",
-            json_cells.join(","),
-            cong_json_cells.join(",")
-        );
-        return;
+    for (density, load, off, on) in &cong_arms {
+        ct.row([
+            density.to_string(),
+            load.to_string(),
+            format!("{}/{runs} · {}/{runs}", off.healed_runs, on.healed_runs),
+            num(on.median_heal),
+            format!("{}/{}", off.collisions, on.collisions),
+            format!("{}/{}", off.backoff_exhausted, on.backoff_exhausted),
+            format!("{}", on.stretches),
+            format!("{}", on.suppressed),
+        ]);
     }
     println!("{}", t.render());
     println!(

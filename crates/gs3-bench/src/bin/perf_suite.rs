@@ -33,6 +33,7 @@ use std::time::Instant;
 use gs3_bench::runner::{run_grid, threads_from_args};
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
 use gs3_core::invariants::{check_all_with, SnapshotIndex, Strictness};
+use gs3_core::json::{self, JsonValue};
 use gs3_core::{FaultKind, FaultPlan};
 use gs3_geometry::Point;
 use gs3_sim::faults::{BurstLoss, FaultConfig};
@@ -359,38 +360,43 @@ fn scenario_million(nodes: usize, area: f64) -> Measurement {
 }
 
 fn to_json(measurements: &[Measurement], smoke: bool, threads: usize) -> String {
-    let mut out = String::from("{\"suite\":\"BENCH_core\",");
-    out.push_str(&format!("\"smoke\":{smoke},\"threads\":{threads},\"scenarios\":["));
-    for (i, m) in measurements.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"scenario\":\"{}\",\"wall_ms\":{:.3},\"events\":{},\"events_per_sec\":{:.1},\"peak_queue_depth\":{}",
-            m.scenario,
-            m.wall_ms,
-            m.events,
-            m.events_per_sec(),
-            m.peak_queue_depth,
-        ));
-        for (k, v) in &m.extra {
-            out.push_str(&format!(",\"{k}\":{v}"));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("suite").str("BENCH_core");
+            w.key("smoke").bool(smoke);
+            w.key("threads").u64(threads as u64);
+            w.key("scenarios").array(|w| {
+                for m in measurements {
+                    w.object(|w| {
+                        w.key("scenario").str(m.scenario);
+                        w.key("wall_ms").fixed(m.wall_ms, 3);
+                        w.key("events").u64(m.events);
+                        w.key("events_per_sec").fixed(m.events_per_sec(), 1);
+                        w.key("peak_queue_depth").u64(m.peak_queue_depth as u64);
+                        for &(k, v) in &m.extra {
+                            // Counts ride as f64 beside the wall-clock
+                            // floats; the artifact shows them as integers.
+                            if v.fract() == 0.0 {
+                                w.key(k).i64(v as i64);
+                            } else {
+                                w.key(k).f64(v);
+                            }
+                        }
+                    });
+                }
+            });
+        });
+    })
 }
 
-/// Pull `"events_per_sec"` for one scenario out of a `BENCH_core.json`
-/// document (hand-rolled scan — the artifact format is ours).
-fn extract_events_per_sec(doc: &str, scenario: &str) -> Option<f64> {
-    let needle = format!("\"scenario\":\"{scenario}\"");
-    let obj = &doc[doc.find(&needle)?..];
-    let obj = &obj[..obj.find('}')?];
-    let val = &obj[obj.find("\"events_per_sec\":")? + "\"events_per_sec\":".len()..];
-    let end = val.find([',', '}']).unwrap_or(val.len());
-    val[..end].trim().parse().ok()
+/// `events_per_sec` of one scenario in a parsed `BENCH_core.json`.
+fn baseline_events_per_sec(doc: &JsonValue, scenario: &str) -> Option<f64> {
+    doc.get("scenarios")?
+        .as_arr()?
+        .iter()
+        .find(|s| s.get("scenario").and_then(JsonValue::as_str) == Some(scenario))?
+        .get("events_per_sec")?
+        .as_f64()
 }
 
 fn main() {
@@ -494,9 +500,11 @@ fn main() {
     if let Some(path) = gate_path {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
+        let baseline =
+            json::parse(&baseline).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
         let mut failed = Vec::new();
         for m in measurements.iter().filter(|m| m.scenario != "million_node_heal") {
-            let Some(base) = extract_events_per_sec(&baseline, m.scenario) else {
+            let Some(base) = baseline_events_per_sec(&baseline, m.scenario) else {
                 eprintln!("gate: baseline lacks {}; skipping", m.scenario);
                 continue;
             };

@@ -16,6 +16,7 @@
 
 use gs3_core::chaos::{FaultKind, FaultPlan};
 use gs3_core::harness::NetworkBuilder;
+use gs3_core::json;
 use gs3_geometry::Point;
 use gs3_sim::SimDuration;
 
@@ -138,26 +139,30 @@ pub fn sweep(threads: usize) -> Vec<LocalityPoint> {
 #[must_use]
 pub fn sweep_grid_json(sizes: &[usize], seeds: &[u64], threads: usize) -> String {
     let points = sweep_grid(sizes, seeds, threads);
-    let mut out = String::from("{\"experiment\":\"locality\",\"crash_radius_m\":45.0,\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"nodes\":{},\"area_m\":{:.1},\"seed\":{},\"killed\":{},\"radius_m\":{:.1},\"messages\":{},\"deliveries\":{},\"tainted\":{},\"heal_s\":{}}}",
-            p.nodes,
-            p.area,
-            p.seed,
-            p.killed,
-            p.radius_m,
-            p.messages,
-            p.deliveries,
-            p.tainted,
-            p.heal_s.map_or("null".to_string(), |h| format!("{h:.3}")),
-        ));
-    }
-    out.push_str("]}");
-    out
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("experiment").str("locality");
+            w.key("crash_radius_m").fixed(CRASH_RADIUS, 1);
+            w.key("points").array(|w| {
+                for p in &points {
+                    w.object(|w| {
+                        w.key("nodes").u64(p.nodes as u64);
+                        w.key("area_m").fixed(p.area, 1);
+                        w.key("seed").u64(p.seed);
+                        w.key("killed").u64(p.killed as u64);
+                        w.key("radius_m").fixed(p.radius_m, 1);
+                        w.key("messages").u64(p.messages);
+                        w.key("deliveries").u64(p.deliveries);
+                        w.key("tainted").u64(p.tainted);
+                        match p.heal_s {
+                            Some(h) => w.key("heal_s").fixed(h, 3),
+                            None => w.key("heal_s").null(),
+                        };
+                    });
+                }
+            });
+        });
+    })
 }
 
 /// The full sweep as a machine-readable JSON document.

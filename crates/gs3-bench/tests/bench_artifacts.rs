@@ -12,81 +12,60 @@
 
 use std::path::Path;
 
-/// Extract every integer following `"<key>":` inside `doc`.
-fn all_ints(doc: &str, key: &str) -> Vec<u64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse() {
-            out.push(v);
-        }
-    }
-    out
+use gs3_core::json::{parse, JsonValue};
+
+fn artifact(name: &str) -> JsonValue {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name);
+    let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("committed {name}: {e}"));
+    parse(&doc).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// Slice `doc` down to one arm's object (everything from the arm key to
-/// its closing brace).
-fn arm_slices<'d>(doc: &'d str, arm: &str) -> Vec<&'d str> {
-    let needle = format!("\"{arm}\":{{");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let end = rest.find('}').unwrap_or(rest.len());
-        out.push(&rest[..end]);
-    }
-    out
+fn items<'d>(v: &'d JsonValue, key: &str) -> &'d [JsonValue] {
+    v.get(key).and_then(JsonValue::as_arr).unwrap_or_else(|| panic!("missing array {key:?}"))
 }
 
-/// Extract every number (integer or decimal, `-1` sentinels included)
-/// following `"<key>":` inside `doc`.
-fn all_nums(doc: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse() {
-            out.push(v);
-        }
-    }
-    out
+fn int(v: &JsonValue, key: &str) -> u64 {
+    v.get(key).and_then(JsonValue::as_u64).unwrap_or_else(|| panic!("missing integer {key:?}"))
+}
+
+fn arm<'d>(cell: &'d JsonValue, name: &str) -> &'d JsonValue {
+    cell.get(name).unwrap_or_else(|| panic!("cell lacks arm {name:?}: {cell:?}"))
+}
+
+/// A number (integer or decimal, `-1` sentinels included).
+fn num(v: &JsonValue, key: &str) -> f64 {
+    v.get(key).and_then(JsonValue::as_f64).unwrap_or_else(|| panic!("missing number {key:?}"))
 }
 
 #[test]
 fn committed_dataplane_artifact_compares_arms_and_shows_omega_nc() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_dataplane.json");
-    let doc = std::fs::read_to_string(&path).expect("committed BENCH_dataplane.json");
+    let doc = artifact("BENCH_dataplane.json");
 
-    assert!(doc.contains("\"suite\":\"BENCH_dataplane\""));
-    assert!(doc.contains("\"smoke\":false"), "committed artifact must be the full run");
-    assert!(all_ints(&doc, "nodes")[0] >= 10_000, "the comparison must run at >=10k nodes");
+    assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("BENCH_dataplane"));
+    assert_eq!(
+        doc.get("smoke").and_then(JsonValue::as_bool),
+        Some(false),
+        "committed artifact must be the full run"
+    );
+    assert!(int(&doc, "nodes") >= 10_000, "the comparison must run at >=10k nodes");
 
     // All three arms present, each with a live workload and a real energy
     // bill (raw values drift with tuning; the shape is what's pinned).
-    for arm in ["gs3", "leach", "hop"] {
-        assert!(doc.contains(&format!("\"arm\":\"{arm}\"")), "missing arm {arm}");
+    let arms = items(&doc, "arms");
+    let names: Vec<_> = arms.iter().map(|a| a.get("arm").and_then(JsonValue::as_str)).collect();
+    assert_eq!(names, [Some("gs3"), Some("leach"), Some("hop")]);
+    for arm in arms {
+        assert!(int(arm, "reports_delivered") > 0, "every arm must deliver reports: {arm:?}");
+        assert!(num(arm, "energy_spent") > 0.0, "every arm must dissipate energy: {arm:?}");
+        assert!(num(arm, "reports_per_joule") > 0.0);
     }
-    let delivered = all_ints(&doc, "reports_delivered");
-    assert_eq!(delivered.len(), 3);
-    assert!(delivered.iter().all(|&r| r > 0), "every arm must deliver reports: {delivered:?}");
-    let energy = all_nums(&doc, "energy_spent");
-    assert_eq!(energy.len(), 3);
-    assert!(energy.iter().all(|&e| e > 0.0), "every arm must dissipate energy");
-    let rpj = all_nums(&doc, "reports_per_joule");
-    assert!(rpj.iter().all(|&r| r > 0.0));
 
     // The Ω(n_c) claim: the maintained/unmaintained lengthening factor
     // exists, exceeds 1, and does not shrink as cell population grows.
-    let sweep = &doc[doc.find("\"lifetime_sweep\":").expect("sweep missing")..];
-    let n_c = all_nums(sweep, "mean_cell_population");
-    let lengthening = all_nums(sweep, "lengthening");
+    let sweep = items(&doc, "lifetime_sweep");
+    let n_c: Vec<f64> = sweep.iter().map(|p| num(p, "mean_cell_population")).collect();
+    let lengthening: Vec<f64> = sweep.iter().map(|p| num(p, "lengthening")).collect();
     assert!(n_c.len() >= 2, "sweep needs at least two densities");
-    assert_eq!(n_c.len(), lengthening.len());
     assert!(n_c.windows(2).all(|w| w[0] < w[1]), "densities must ascend: {n_c:?}");
     assert!(
         lengthening.iter().all(|&f| f > 1.0),
@@ -100,35 +79,31 @@ fn committed_dataplane_artifact_compares_arms_and_shows_omega_nc() {
 
 #[test]
 fn committed_chaos_artifact_shows_adaptive_healing_and_a_collapse() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json");
-    let doc = std::fs::read_to_string(&path).expect("committed BENCH_chaos.json");
-    let cong = &doc[doc.find("\"congestion_cells\":").expect("congestion arm missing")..];
-
-    let on = arm_slices(cong, "adaptive_on");
-    let off = arm_slices(cong, "adaptive_off");
-    assert_eq!(on.len(), 4, "expected a 2×2 congestion grid");
-    assert_eq!(off.len(), on.len());
+    let doc = artifact("BENCH_chaos.json");
+    let cong = items(&doc, "congestion_cells");
+    assert_eq!(cong.len(), 4, "expected a 2×2 congestion grid");
 
     // Adaptive arm: every run of every cell configures and heals.
-    for cell in &on {
-        let runs = all_ints(cell, "runs")[0];
-        assert_eq!(all_ints(cell, "configured")[0], runs, "adaptive run failed to configure: {cell}");
-        assert_eq!(all_ints(cell, "healed")[0], runs, "adaptive run failed to heal: {cell}");
+    for cell in cong {
+        let on = arm(cell, "adaptive_on");
+        let runs = int(on, "runs");
+        assert_eq!(int(on, "configured"), runs, "adaptive run failed to configure: {cell:?}");
+        assert_eq!(int(on, "healed"), runs, "adaptive run failed to heal: {cell:?}");
     }
     // Non-adaptive arm: at least one cell congestion-collapses.
-    let collapsed = off
+    let collapsed = cong
         .iter()
-        .filter(|cell| all_ints(cell, "healed")[0] < all_ints(cell, "runs")[0])
+        .map(|cell| arm(cell, "adaptive_off"))
+        .filter(|off| int(off, "healed") < int(off, "runs"))
         .count();
     assert!(collapsed >= 1, "committed grid no longer demonstrates a congestion collapse");
 
     // The reliability arm's long-standing shape still holds: every cell
     // of the burst × churn grid heals in both arms.
-    let rel = &doc[..doc.find("\"congestion_cells\":").unwrap()];
-    for arm in ["reliable_off", "reliable_on"] {
-        for cell in arm_slices(rel, arm) {
-            let runs = all_ints(cell, "runs")[0];
-            assert_eq!(all_ints(cell, "healed")[0], runs, "{arm} cell no longer heals: {cell}");
+    for cell in items(&doc, "cells") {
+        for name in ["reliable_off", "reliable_on"] {
+            let a = arm(cell, name);
+            assert_eq!(int(a, "healed"), int(a, "runs"), "{name} cell no longer heals: {cell:?}");
         }
     }
 }

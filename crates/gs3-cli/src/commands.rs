@@ -7,6 +7,7 @@ use gs3_bench::runner::run_grid;
 use gs3_core::chaos::{Corruption, FaultKind, FaultPlan};
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
 use gs3_core::invariants::{check_all, Strictness};
+use gs3_core::json::{self, JsonWriter};
 use gs3_core::{CongestionConfig, DataplaneConfig, Mode, ReliabilityConfig};
 use gs3_geometry::Point;
 use gs3_mc::{Budgets, McStrategy, ModelChecker, Scenario};
@@ -330,26 +331,31 @@ pub fn watch(a: &Args) -> CliResult {
 
 /// The `data` JSON counter block: every data-plane trace counter plus
 /// the sink ledger (null until a delivery reaches the big node).
-fn data_json(net: &Network) -> String {
+fn write_data_json(net: &Network, w: &mut JsonWriter<'_>) {
     let tr = net.engine().trace();
-    format!(
-        "{{\"produced\":{},\"delivered\":{},\"batches_delivered\":{},\"queue_drops\":{},\
-         \"reports_dropped\":{},\"misrouted\":{},\"rerouted_frames\":{},\
-         \"credit_recoveries\":{},\"leaf_gaps\":{},\"leaf_dups\":{},\"flushed\":{},\
-         \"ledger\":{}}}",
-        tr.proto("data_reports_produced"),
-        tr.proto("data_reports_delivered"),
-        tr.proto("data_batches_delivered"),
-        tr.proto("data_queue_drops"),
-        tr.proto("data_reports_dropped"),
-        tr.proto("data_reports_lost_misroute"),
-        tr.proto("data_batches_rerouted"),
-        tr.proto("data_credit_recovered"),
-        tr.proto("data_leaf_gaps"),
-        tr.proto("data_leaf_dups"),
-        tr.proto("reports_flushed"),
-        net.sink_ledger().map_or_else(|| "null".to_string(), |l| l.to_json()),
-    )
+    w.object(|w| {
+        for (key, counter) in [
+            ("produced", "data_reports_produced"),
+            ("delivered", "data_reports_delivered"),
+            ("batches_delivered", "data_batches_delivered"),
+            ("queue_drops", "data_queue_drops"),
+            ("reports_dropped", "data_reports_dropped"),
+            ("misrouted", "data_reports_lost_misroute"),
+            ("rerouted_frames", "data_batches_rerouted"),
+            ("credit_recoveries", "data_credit_recovered"),
+            ("leaf_gaps", "data_leaf_gaps"),
+            ("leaf_dups", "data_leaf_dups"),
+            ("flushed", "reports_flushed"),
+        ] {
+            w.key(key).u64(tr.proto(counter));
+        }
+        match net.sink_ledger() {
+            Some(l) => l.write_json(w.key("ledger")),
+            None => {
+                w.key("ledger").null();
+            }
+        }
+    });
 }
 
 /// `gs3 dataplane` — configure with the convergecast data plane enabled,
@@ -368,7 +374,10 @@ pub fn dataplane(a: &Args) -> CliResult {
     }
     net.run_for(SimDuration::from_secs_f64(duration));
     if a.flag("json") {
-        println!("{{\"data\":{}}}", data_json(&net));
+        let doc = json::to_string(|w| {
+            w.object(|w| write_data_json(&net, w.key("data")));
+        });
+        println!("{doc}");
         return Ok(());
     }
     let tr = net.engine().trace();
@@ -438,37 +447,23 @@ pub fn chaos(a: &Args) -> CliResult {
     let jam_secs: f64 = a.num("jam-secs", 60.0)?;
     let json = a.flag("json");
 
-    for (key, p) in [
-        ("burst-enter", burst_enter),
-        ("unicast-loss", unicast_loss),
-        ("duplicate", duplicate),
-        ("delay-prob", delay_prob),
-    ] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("option --{key}: expected a probability in [0, 1], got {p}").into());
-        }
-    }
-    if unicast_loss >= 1.0 {
-        return Err("option --unicast-loss: 1.0 would sever every link".into());
-    }
-    if burst_enter > 0.0 && burst_len < 1.0 {
-        return Err(
-            format!("option --burst-len: the mean burst is at least 1 attempt, got {burst_len}")
-                .into(),
-        );
-    }
-
     let channel = FaultConfig {
-        burst: if burst_enter > 0.0 {
-            BurstLoss::bursty(burst_enter, burst_len)
-        } else {
-            BurstLoss::off()
+        burst: BurstLoss {
+            p_enter: burst_enter,
+            // A channel that never enters a burst needs no burst length.
+            p_exit: if burst_enter > 0.0 { 1.0 / burst_len } else { 1.0 },
+            loss_good: 0.0,
+            loss_bad: 1.0,
         },
         unicast_loss,
         duplicate,
         delay_prob,
         delay_max: SimDuration::from_millis(delay_max),
     };
+    channel.validate().map_err(|e| {
+        let hint = if e.starts_with("burst.p_exit") { " (p_exit is 1/--burst-len)" } else { "" };
+        format!("channel options: {e}{hint}")
+    })?;
     let corrupt_near = Point::new(0.4 * area, 0.3 * area);
     let loaded = match a.get("plan") {
         Some(path) => Some(load_plan(path)?),
@@ -616,14 +611,24 @@ fn chaos_multi(
     });
 
     if json {
-        let mut docs = Vec::with_capacity(results.len());
-        for (seed, res) in seeds.iter().zip(&results) {
-            match res {
-                Ok(rep) => docs.push(format!("{{\"seed\":{seed},\"report\":{}}}", rep.to_json())),
-                Err(e) => docs.push(format!("{{\"seed\":{seed},\"error\":{e:?}}}")),
-            }
-        }
-        println!("{{\"runs\":[{}]}}", docs.join(","));
+        let doc = json::to_string(|w| {
+            w.object(|w| {
+                w.key("runs").array(|w| {
+                    for (seed, res) in seeds.iter().zip(&results) {
+                        w.object(|w| {
+                            w.key("seed").u64(*seed);
+                            match res {
+                                Ok(rep) => rep.write_json(w.key("report")),
+                                Err(e) => {
+                                    w.key("error").str(e);
+                                }
+                            }
+                        });
+                    }
+                });
+            });
+        });
+        println!("{doc}");
     } else {
         println!("{:>8}  {:>16}  verdict", "seed", "digest");
         for (seed, res) in seeds.iter().zip(&results) {
@@ -648,62 +653,14 @@ fn chaos_multi(
 }
 
 /// Load a [`FaultPlan`] from `path`. Accepts either a standalone plan
-/// document or a gs3-mc counterexample file, whose `plan` field is a
+/// document or a gs3-mc counterexample file, whose `plan` member is a
 /// verbatim plan document — so `gs3 chaos --plan` replays a checker
 /// finding directly from the artifact the checker wrote.
 fn load_plan(path: &str) -> Result<FaultPlan, Box<dyn std::error::Error>> {
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("--plan {path}: {e}"))?;
-    match FaultPlan::from_json(&doc) {
-        Ok(plan) => Ok(plan),
-        Err(plan_err) => match extract_embedded_plan(&doc) {
-            Some(embedded) => FaultPlan::from_json(embedded)
-                .map_err(|e| format!("--plan {path}: embedded plan: {e}").into()),
-            None => Err(format!("--plan {path}: {plan_err}").into()),
-        },
-    }
-}
-
-/// Slice the balanced JSON object following `"plan":` out of a
-/// counterexample document. String-aware, so braces inside quoted text
-/// don't unbalance the scan.
-fn extract_embedded_plan(doc: &str) -> Option<&str> {
-    let start = doc.find("\"plan\":")? + "\"plan\":".len();
-    let bytes = doc.as_bytes();
-    let mut i = start;
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if bytes.get(i) != Some(&b'{') {
-        return None;
-    }
-    let obj_start = i;
-    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-        } else {
-            match b {
-                b'"' => in_str = true,
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(&doc[obj_start..=i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    None
+    let text = std::fs::read_to_string(path).map_err(|e| format!("--plan {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("--plan {path}: {e}"))?;
+    FaultPlan::from_value(doc.get("plan").unwrap_or(&doc))
+        .map_err(|e| format!("--plan {path}: {e}").into())
 }
 
 /// `gs3 mc` — bounded model checking of the protocol core on pinned
@@ -752,14 +709,16 @@ pub fn mc(a: &Args) -> CliResult {
         reports.push(ModelChecker { scenario, strategy, budgets }.run());
     }
 
-    let mut doc = String::from("{\"version\":1,\"reports\":[");
-    for (i, rep) in reports.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&rep.to_json());
-    }
-    doc.push_str("]}");
+    let doc = json::to_string(|w| {
+        w.object(|w| {
+            w.key("version").u64(1);
+            w.key("reports").array(|w| {
+                for rep in &reports {
+                    rep.write_json(w);
+                }
+            });
+        });
+    });
 
     if let Some(path) = a.get("out") {
         std::fs::write(path, &doc)?;
@@ -932,5 +891,51 @@ mod tests {
         assert_eq!(b.get("budget"), Some("500"));
         assert!(b.flag("map"));
         assert_eq!(b.get("nodes"), Some("300"));
+    }
+
+    fn plan_file(name: &str, doc: &str) -> String {
+        let path = std::env::temp_dir().join(format!("gs3cli-{}-{name}.json", std::process::id()));
+        std::fs::write(&path, doc).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    /// Both used to get past `load_plan`: the first panicked later inside
+    /// `FaultState::set_config`, the second silently loaded `hops = 1`.
+    #[test]
+    fn load_plan_rejects_out_of_range_values_with_an_error() {
+        let channel = plan_file(
+            "channel",
+            r#"{"version":1,"events":[{"after_us":0,"kind":"set_channel","config":{
+                "burst":{"p_enter":0,"p_exit":1,"loss_good":0,"loss_bad":1},
+                "unicast_loss":-3.0,"duplicate":0,"delay_prob":0,"delay_max_us":0}}]}"#,
+        );
+        let err = load_plan(&channel).unwrap_err().to_string();
+        assert!(err.starts_with("--plan ") && err.contains("event 0"), "{err}");
+        assert!(err.contains("config.unicast_loss"), "{err}");
+
+        let hops = plan_file(
+            "hops",
+            r#"{"version":1,"events":[{"after_us":0,"kind":"corrupt_state","near":[0,0],
+                "corruption":{"what":"hops","hops":4294967297}}]}"#,
+        );
+        let err = load_plan(&hops).unwrap_err().to_string();
+        assert!(err.starts_with("--plan ") && err.contains("corruption.hops"), "{err}");
+
+        for path in [channel, hops] {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn load_plan_reads_a_plan_or_a_counterexample_embedding_one() {
+        let plan = r#"{"version":1,"events":[{"after_us":5,"kind":"crash_node","id":3}]}"#;
+        let bare = plan_file("bare", plan);
+        let ce = plan_file("ce", &format!(r#"{{"version":1,"detail":"{{\"plan\":","plan":{plan}}}"#));
+        let want = FaultPlan::from_json(plan).unwrap();
+        assert_eq!(load_plan(&bare).unwrap(), want);
+        assert_eq!(load_plan(&ce).unwrap(), want);
+        for path in [bare, ce] {
+            std::fs::remove_file(path).unwrap();
+        }
     }
 }

@@ -878,10 +878,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_digest_is_pinned_across_queue_implementations() {
-        // CI runs this test once against the default radix queue and once
-        // with `--features gs3-sim/heap-queue`: the pinned constant is the
-        // executable statement that both queues pop in the exact same
+    fn trace_digest_matches_the_binary_heap_era_pin() {
+        // The pinned constant was recorded when the engine still ran on
+        // the `BinaryHeap` queue, so the radix queue reproducing it *is*
+        // the whole-run equivalence check: both pop in the exact same
         // ascending (at, seq) order. Regenerate it only with a justified
         // event-ordering change — a drift here means replay broke.
         let mut net = NetworkBuilder::new()

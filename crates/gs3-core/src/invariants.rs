@@ -818,10 +818,9 @@ fn connectivity_mask(snap: &Snapshot, idx: &SnapshotIndex) -> Vec<bool> {
 }
 
 /// Reference `O(n²)` / BTreeMap implementations of the grid-accelerated
-/// checks, retained for differential testing and the micro-benchmarks.
-/// Enable the `naive-checks` feature to use them outside this crate's
-/// tests.
-#[cfg(any(test, feature = "naive-checks"))]
+/// checks, compiled for tests only: the oracle the differential tests
+/// below compare the grid engine against.
+#[cfg(test)]
 pub mod naive {
     use super::*;
     use std::collections::VecDeque;

@@ -66,7 +66,6 @@ mod inter;
 mod intra;
 pub mod invariants;
 mod join;
-pub mod json;
 pub mod messages;
 pub mod node;
 mod reliable;
@@ -79,6 +78,7 @@ mod workload;
 pub use chaos::{ChaosOptions, ChaosReport, Corruption, FaultKind, FaultOutcome, FaultPlan};
 pub use config::{CongestionConfig, Gs3Config, Mode, ReliabilityConfig};
 pub use gs3_dataplane::DataplaneConfig;
+pub use gs3_sim::telemetry::json;
 pub use harness::{Network, NetworkBuilder, RunOutcome};
 pub use node::Gs3Node;
 pub use snapshot::{NodeView, RoleView, Snapshot};

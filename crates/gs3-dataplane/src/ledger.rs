@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use gs3_sim::NodeId;
+use gs3_telemetry::json::{self, JsonWriter};
 use gs3_telemetry::metrics::LogHistogram;
 
 /// Width of the per-origin anti-replay window, in sequence numbers.
@@ -103,13 +104,17 @@ impl SinkLedger {
     /// Serialize as one stable-keyed JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"batches\":{},\"reports\":{},\"duplicate_batches\":{},\"latency_us\":{}}}",
-            self.batches,
-            self.reports,
-            self.duplicate_batches,
-            self.latency_us.to_json()
-        )
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Writes the [`SinkLedger::to_json`] object in place.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("batches").u64(self.batches);
+            w.key("reports").u64(self.reports);
+            w.key("duplicate_batches").u64(self.duplicate_batches);
+            self.latency_us.write_json(w.key("latency_us"));
+        });
     }
 }
 
@@ -180,11 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn json_shape() {
+    fn json_golden() {
         let mut l = SinkLedger::new();
         let _ = l.consume(NodeId::new(1), 1, 4, 128);
-        let json = l.to_json();
-        assert!(json.starts_with("{\"batches\":1,\"reports\":4,"));
-        assert!(json.contains("\"latency_us\":{\"count\":1,"));
+        let _ = l.consume(NodeId::new(1), 1, 4, 128);
+        let _ = l.consume(NodeId::new(2), 1, 2, 1000);
+        // Captured before the move onto `JsonWriter`; bytes are the contract.
+        assert_eq!(
+            l.to_json(),
+            r#"{"batches":2,"reports":6,"duplicate_batches":1,"latency_us":{"count":2,"sum":1128,"mean":564.0,"p50":255,"p99":1000,"max":1000}}"#
+        );
     }
 }

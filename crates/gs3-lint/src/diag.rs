@@ -196,7 +196,8 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-fn esc(s: &str) -> String {
+/// The tool's one JSON string-escape routine (report and schema files).
+pub(crate) fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -14,7 +14,7 @@
 //! The file format is generated one variant per line so git diffs and
 //! drift findings name the exact variant that moved.
 
-use crate::diag::Finding;
+use crate::diag::{esc, Finding};
 use crate::model::EnumLayout;
 
 /// Version of the schema *file format* (not of the protocol itself);
@@ -42,10 +42,6 @@ pub fn fingerprint(layouts: &[EnumLayout]) -> u64 {
         }
     }
     h
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the canonical schema file: deterministic, one variant per

@@ -1,6 +1,7 @@
 //! Violation traces and their conversion-ready form.
 
-use gs3_core::chaos::FaultPlan;
+use gs3_core::chaos::{write_fate_fields, FaultPlan};
+use gs3_core::json::{self, JsonWriter};
 use gs3_sim::faults::Fate;
 
 use crate::properties::Property;
@@ -39,59 +40,47 @@ pub enum Choice {
 }
 
 impl Choice {
-    fn push_json(&self, out: &mut String) {
-        match self {
-            Choice::Step => out.push_str("{\"kind\":\"step\"}"),
-            Choice::Fate { offset, fate } => {
-                out.push_str(&format!("{{\"kind\":\"fate\",\"offset\":{offset},"));
-                match fate {
-                    Fate::Deliver => out.push_str("\"fate\":\"deliver\"}"),
-                    Fate::Drop => out.push_str("\"fate\":\"drop\"}"),
-                    Fate::Duplicate => out.push_str("\"fate\":\"duplicate\"}"),
-                    Fate::Delay(d) => {
-                        out.push_str(&format!(
-                            "\"fate\":\"delay\",\"delay_us\":{}}}",
-                            d.as_micros()
-                        ));
-                    }
-                    Fate::Collide => out.push_str("\"fate\":\"collide\"}"),
-                }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            Choice::Step => {
+                w.key("kind").str("step");
             }
-            Choice::Crash { id } => out.push_str(&format!("{{\"kind\":\"crash\",\"id\":{id}}}")),
-            Choice::Run => out.push_str("{\"kind\":\"run\"}"),
-        }
+            Choice::Fate { offset, fate } => {
+                w.key("kind").str("fate");
+                w.key("offset").u64(*offset);
+                write_fate_fields(w, *fate);
+            }
+            Choice::Crash { id } => {
+                w.key("kind").str("crash");
+                w.key("id").u64(*id);
+            }
+            Choice::Run => {
+                w.key("kind").str("run");
+            }
+        });
     }
 }
 
 /// Serialize a choice trace, run-length-encoding `Step` runs (a
 /// minimized trace is typically hundreds of steps, one fault, `Run`):
 /// `{"kind":"steps","n":360}`.
-fn push_choices_json(out: &mut String, choices: &[Choice]) {
-    out.push('[');
-    let mut first = true;
-    let mut i = 0;
-    while i < choices.len() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        if matches!(choices[i], Choice::Step) {
-            let mut n = 1usize;
-            while i + n < choices.len() && matches!(choices[i + n], Choice::Step) {
-                n += 1;
-            }
-            if n == 1 {
-                out.push_str("{\"kind\":\"step\"}");
+fn write_choices_json(w: &mut JsonWriter<'_>, choices: &[Choice]) {
+    w.array(|w| {
+        let mut i = 0;
+        while i < choices.len() {
+            let n = choices[i..].iter().take_while(|c| matches!(c, Choice::Step)).count();
+            if n > 1 {
+                w.object(|w| {
+                    w.key("kind").str("steps");
+                    w.key("n").u64(n as u64);
+                });
+                i += n;
             } else {
-                out.push_str(&format!("{{\"kind\":\"steps\",\"n\":{n}}}"));
+                choices[i].write_json(w);
+                i += 1;
             }
-            i += n;
-        } else {
-            choices[i].push_json(out);
-            i += 1;
         }
-    }
-    out.push(']');
+    });
 }
 
 /// A minimized, replayable property violation.
@@ -118,18 +107,20 @@ impl Counterexample {
     /// document (loadable on its own by `FaultPlan::from_json`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"version\":1");
-        out.push_str(&format!(",\"scenario\":{}", crate::report::json_string(&self.scenario)));
-        out.push_str(&format!(",\"seed\":{}", self.seed));
-        out.push_str(&format!(",\"property\":\"{}\"", self.property.name()));
-        out.push_str(&format!(",\"detail\":{}", crate::report::json_string(&self.detail)));
-        out.push_str(",\"choices\":");
-        push_choices_json(&mut out, &self.choices);
-        out.push_str(",\"plan\":");
-        out.push_str(&self.plan.to_json());
-        out.push('}');
-        out
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Writes the [`Counterexample::to_json`] object in place.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("version").u64(1);
+            w.key("scenario").str(&self.scenario);
+            w.key("seed").u64(self.seed);
+            w.key("property").str(self.property.name());
+            w.key("detail").str(&self.detail);
+            write_choices_json(w.key("choices"), &self.choices);
+            self.plan.write_json(w.key("plan"));
+        });
     }
 }
 
@@ -158,18 +149,13 @@ mod tests {
             plan: FaultPlan::new(),
         };
         let json = ce.to_json();
-        assert!(json.starts_with("{\"version\":1,\"scenario\":\"pair5\""));
-        assert!(json.contains("\"property\":\"healing_converges\""));
-        assert!(json.contains("{\"kind\":\"steps\",\"n\":3}"));
-        assert!(json.contains("{\"kind\":\"step\"},{\"kind\":\"fate\",\"offset\":0"));
-        assert!(json.contains("{\"kind\":\"fate\",\"offset\":2,\"fate\":\"drop\"}"));
-        assert!(json.contains("\"fate\":\"delay\",\"delay_us\":800000}"));
-        assert!(json.contains("{\"kind\":\"crash\",\"id\":4}"));
-        // The embedded plan must itself be a valid FaultPlan document.
-        let plan_at = json.find("\"plan\":").unwrap() + "\"plan\":".len();
-        let plan_doc = &json[plan_at..json.len() - 1];
-        assert!(FaultPlan::from_json(plan_doc).is_ok());
-        // And the whole file parses as JSON.
-        assert!(gs3_core::json::parse(&json).is_ok());
+        // Golden captured before the move onto `JsonWriter`.
+        assert_eq!(
+            json,
+            r#"{"version":1,"scenario":"pair5","seed":11,"property":"healing_converges","detail":"head 3 \"lost\"","choices":[{"kind":"steps","n":3},{"kind":"fate","offset":2,"fate":"drop"},{"kind":"step"},{"kind":"fate","offset":0,"fate":"delay","delay_us":800000},{"kind":"crash","id":4},{"kind":"run"}],"plan":{"version":1,"events":[]}}"#
+        );
+        // The embedded plan is itself a valid FaultPlan document.
+        let doc = json::parse(&json).expect("the whole file parses as JSON");
+        assert_eq!(FaultPlan::from_value(doc.get("plan").unwrap()), Ok(FaultPlan::new()));
     }
 }

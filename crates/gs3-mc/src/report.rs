@@ -2,6 +2,8 @@
 
 use std::collections::BTreeSet;
 
+use gs3_core::json::{self, JsonWriter};
+
 use crate::counterexample::Counterexample;
 use crate::properties::Property;
 use crate::strategy::McStrategy;
@@ -63,46 +65,42 @@ impl McReport {
     /// Serialize to the deterministic report document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"version\":1");
-        out.push_str(&format!(",\"scenario\":{}", json_string(&self.scenario)));
-        out.push_str(&format!(",\"seed\":{}", self.seed));
-        out.push_str(&format!(",\"strategy\":\"{}\"", self.strategy.name()));
-        out.push_str(&format!(",\"states_explored\":{}", self.states_explored));
-        out.push_str(&format!(",\"states_deduped\":{}", self.states_deduped));
-        out.push_str(&format!(",\"frontier_peak\":{}", self.frontier_peak));
-        out.push_str(&format!(",\"terminals\":{}", self.terminals));
-        out.push_str(&format!(",\"depth_capped\":{}", self.depth_capped));
-        out.push_str(&format!(",\"state_budget_exhausted\":{}", self.state_budget_exhausted));
-        out.push_str(&format!(",\"exhaustive\":{}", self.exhaustive));
-        out.push_str(",\"terminal_signatures\":[");
-        for (i, sig) in self.terminal_signatures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&sig.to_string());
-        }
-        out.push_str("],\"properties\":{");
-        for (i, stat) in self.properties.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"checked\":{},\"violations\":{}}}",
-                stat.property.name(),
-                stat.checked,
-                stat.violations
-            ));
-        }
-        out.push_str("},\"counterexamples\":[");
-        for (i, ce) in self.counterexamples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&ce.to_json());
-        }
-        out.push_str("]}");
-        out
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Writes the [`McReport::to_json`] object in place.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("version").u64(1);
+            w.key("scenario").str(&self.scenario);
+            w.key("seed").u64(self.seed);
+            w.key("strategy").str(self.strategy.name());
+            w.key("states_explored").u64(self.states_explored);
+            w.key("states_deduped").u64(self.states_deduped);
+            w.key("frontier_peak").u64(self.frontier_peak);
+            w.key("terminals").u64(self.terminals);
+            w.key("depth_capped").u64(self.depth_capped);
+            w.key("state_budget_exhausted").bool(self.state_budget_exhausted);
+            w.key("exhaustive").bool(self.exhaustive);
+            w.key("terminal_signatures").array(|w| {
+                for &sig in &self.terminal_signatures {
+                    w.u64(sig);
+                }
+            });
+            w.key("properties").object(|w| {
+                for stat in &self.properties {
+                    w.key(stat.property.name()).object(|w| {
+                        w.key("checked").u64(stat.checked);
+                        w.key("violations").u64(stat.violations);
+                    });
+                }
+            });
+            w.key("counterexamples").array(|w| {
+                for ce in &self.counterexamples {
+                    ce.write_json(w);
+                }
+            });
+        });
     }
 
     /// True when at least one property was violated.
@@ -110,25 +108,6 @@ impl McReport {
     pub fn has_violations(&self) -> bool {
         self.properties.iter().any(|p| p.violations > 0)
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -155,16 +134,11 @@ mod tests {
                 .collect(),
             counterexamples: Vec::new(),
         };
-        let json = report.to_json();
-        assert_eq!(json, report.to_json());
-        assert!(json.contains("\"healing_converges\":{\"checked\":0,\"violations\":0}"));
-        assert!(gs3_core::json::parse(&json).is_ok());
+        // Golden captured before the move onto `JsonWriter`.
+        assert_eq!(
+            report.to_json(),
+            r#"{"version":1,"scenario":"pair5","seed":11,"strategy":"bfs","states_explored":0,"states_deduped":0,"frontier_peak":1,"terminals":0,"depth_capped":0,"state_budget_exhausted":false,"exhaustive":true,"terminal_signatures":[],"properties":{"healing_converges":{"checked":0,"violations":0},"single_head_per_cell":{"checked":0,"violations":0},"quarantine_drains":{"checked":0,"violations":0},"no_dedup_readmit":{"checked":0,"violations":0}},"counterexamples":[]}"#
+        );
         assert!(!report.has_violations());
-    }
-
-    #[test]
-    fn escaping_handles_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -44,12 +44,12 @@ impl ChannelManager {
 
     /// Requests a reservation of the disk of `radius` around `center` for
     /// `owner`. Returns `true` when granted immediately; otherwise the
-    /// request queues and will be reported by a later [`release`].
+    /// request queues and will be reported by a later [`release_into`].
     ///
     /// A node may hold at most one reservation; re-requesting while holding
     /// or waiting is idempotent (returns `false` without duplicating).
     ///
-    /// [`release`]: ChannelManager::release
+    /// [`release_into`]: ChannelManager::release_into
     pub fn request(&mut self, owner: NodeId, center: Point, radius: f64) -> bool {
         if self.granted.iter().any(|c| c.owner == owner) {
             return true;
@@ -71,27 +71,10 @@ impl ChannelManager {
         }
     }
 
-    /// Releases `owner`'s reservation (or cancels its queued request), and
-    /// returns the owners of queued requests that become grantable, in FIFO
-    /// order. Releasing without holding is a no-op returning an empty list.
-    ///
-    /// Allocating convenience wrapper over [`release_into`]; the engine hot
-    /// path uses the `_into` form with a reused scratch buffer, and the
-    /// `a1` hot-path lint keeps this file allocation-clean.
-    ///
-    /// [`release_into`]: ChannelManager::release_into
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates per call; use `release_into` with a reused buffer"
-    )]
-    pub fn release(&mut self, owner: NodeId) -> Vec<NodeId> {
-        let mut newly = Vec::new();
-        self.release_into(owner, &mut newly);
-        newly
-    }
-
-    /// [`release`](ChannelManager::release), appending the newly-grantable
-    /// owners to `newly` (in FIFO order) instead of allocating a fresh list.
+    /// Releases `owner`'s reservation (or cancels its queued request),
+    /// appending the owners of queued requests that become grantable to
+    /// `newly`, in FIFO order, without clearing it (the engine reuses one
+    /// scratch buffer). Releasing without holding is a no-op.
     pub fn release_into(&mut self, owner: NodeId, newly: &mut Vec<NodeId>) {
         self.granted.retain(|c| c.owner != owner);
         self.waiting.retain(|c| c.owner != owner);
@@ -136,13 +119,16 @@ impl ChannelManager {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated allocating wrapper stays covered until it is removed.
-    #![allow(deprecated)]
-
     use super::*;
 
     fn id(n: u64) -> NodeId {
         NodeId::new(n)
+    }
+
+    fn release(ch: &mut ChannelManager, owner: NodeId) -> Vec<NodeId> {
+        let mut newly = Vec::new();
+        ch.release_into(owner, &mut newly);
+        newly
     }
 
     #[test]
@@ -159,7 +145,7 @@ mod tests {
         assert!(ch.request(id(1), Point::new(0.0, 0.0), 10.0));
         assert!(!ch.request(id(2), Point::new(5.0, 0.0), 10.0));
         assert_eq!(ch.waiting_count(), 1);
-        let granted = ch.release(id(1));
+        let granted = release(&mut ch, id(1));
         assert_eq!(granted, vec![id(2)]);
         assert!(ch.holds(id(2)));
     }
@@ -170,10 +156,10 @@ mod tests {
         assert!(ch.request(id(1), Point::ORIGIN, 10.0));
         assert!(!ch.request(id(2), Point::new(1.0, 0.0), 10.0));
         assert!(!ch.request(id(3), Point::new(2.0, 0.0), 10.0));
-        let granted = ch.release(id(1));
+        let granted = release(&mut ch, id(1));
         // Only 2 can go; 3 conflicts with 2.
         assert_eq!(granted, vec![id(2)]);
-        let granted = ch.release(id(2));
+        let granted = release(&mut ch, id(2));
         assert_eq!(granted, vec![id(3)]);
     }
 
@@ -185,7 +171,7 @@ mod tests {
         assert!(!ch.request(id(2), Point::new(5.0, 0.0), 10.0));
         // 3 does not conflict with 1 but conflicts with waiting 2 → queues.
         assert!(!ch.request(id(3), Point::new(22.0, 0.0), 10.0));
-        let granted = ch.release(id(1));
+        let granted = release(&mut ch, id(1));
         assert_eq!(granted, vec![id(2), id(3)].into_iter().filter(|n| {
             // 2 is granted; 3 conflicts with 2 (distance 17 < 20) so stays.
             *n == id(2)
@@ -207,7 +193,7 @@ mod tests {
     #[test]
     fn release_without_holding_is_noop() {
         let mut ch = ChannelManager::new();
-        assert!(ch.release(id(7)).is_empty());
+        assert!(release(&mut ch, id(7)).is_empty());
     }
 
     #[test]
@@ -216,7 +202,7 @@ mod tests {
         assert!(ch.request(id(1), Point::ORIGIN, 10.0));
         assert!(!ch.request(id(2), Point::new(5.0, 0.0), 10.0));
         // Cancelling 2's queued request leaves the queue empty.
-        let granted = ch.release(id(2));
+        let granted = release(&mut ch, id(2));
         assert!(granted.is_empty());
         assert_eq!(ch.waiting_count(), 0);
     }
@@ -239,7 +225,7 @@ mod tests {
         assert!(ch.request(id(1), Point::ORIGIN, 30.0));
         assert!(!ch.request(id(2), Point::new(-25.0, 0.0), 10.0));
         assert!(!ch.request(id(3), Point::new(25.0, 0.0), 10.0));
-        let granted = ch.release(id(1));
+        let granted = release(&mut ch, id(1));
         // 2 and 3 are 50 apart (> 20): both grantable.
         assert_eq!(granted, vec![id(2), id(3)]);
     }

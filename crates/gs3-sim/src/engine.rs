@@ -930,19 +930,15 @@ impl<N: Node> Engine<N> {
                 if !ev.tx.is_none() && self.medium.collides(ev.tx, self.arena.positions[idx]) {
                     self.trace.record_mac_collision();
                     self.arena.mac_events[idx] += 1;
-                    if self.telemetry.recorder.is_recording() {
-                        self.telemetry.recorder.record(Event {
-                            t_us: self.now.as_micros(),
-                            node: ev.to.raw(),
-                            class: EventClass::MacCollision,
-                            kind: msg.kind(),
-                            peer: from.raw(),
-                            episode: tag_episode(ev.tag),
-                            data: 0,
-                        });
-                    } else {
-                        self.telemetry.recorder.count_only(EventClass::MacCollision);
-                    }
+                    self.telemetry.recorder.record_with(EventClass::MacCollision, || Event {
+                        t_us: self.now.as_micros(),
+                        node: ev.to.raw(),
+                        class: EventClass::MacCollision,
+                        kind: msg.kind(),
+                        peer: from.raw(),
+                        episode: tag_episode(ev.tag),
+                        data: 0,
+                    });
                     // The radio still listened to the corrupted frame.
                     let rx = self.energy_model.rx;
                     self.charge(ev.to, rx);
@@ -957,19 +953,15 @@ impl<N: Node> Engine<N> {
                     let pos = self.arena.positions[idx];
                     self.telemetry.episodes.on_delivery(ev.tag, ev.to.raw(), (pos.x, pos.y), directed);
                 }
-                if self.telemetry.recorder.is_recording() {
-                    self.telemetry.recorder.record(Event {
-                        t_us: self.now.as_micros(),
-                        node: ev.to.raw(),
-                        class: EventClass::Delivery,
-                        kind: msg.kind(),
-                        peer: from.raw(),
-                        episode: tag_episode(ev.tag),
-                        data: 0,
-                    });
-                } else {
-                    self.telemetry.recorder.count_only(EventClass::Delivery);
-                }
+                self.telemetry.recorder.record_with(EventClass::Delivery, || Event {
+                    t_us: self.now.as_micros(),
+                    node: ev.to.raw(),
+                    class: EventClass::Delivery,
+                    kind: msg.kind(),
+                    peer: from.raw(),
+                    episode: tag_episode(ev.tag),
+                    data: 0,
+                });
                 let rx = self.energy_model.rx;
                 if self.charge(ev.to, rx) {
                     return;
@@ -988,19 +980,15 @@ impl<N: Node> Engine<N> {
                     Err(_) => return,
                 }
                 self.trace.record_timer();
-                if self.telemetry.recorder.is_recording() {
-                    self.telemetry.recorder.record(Event {
-                        t_us: self.now.as_micros(),
-                        node: ev.to.raw(),
-                        class: EventClass::Timer,
-                        kind: "timer",
-                        peer: NO_PEER,
-                        episode: self.telemetry.episodes.episode_of(ev.to.raw()),
-                        data: timer_id,
-                    });
-                } else {
-                    self.telemetry.recorder.count_only(EventClass::Timer);
-                }
+                self.telemetry.recorder.record_with(EventClass::Timer, || Event {
+                    t_us: self.now.as_micros(),
+                    node: ev.to.raw(),
+                    class: EventClass::Timer,
+                    kind: "timer",
+                    peer: NO_PEER,
+                    episode: self.telemetry.episodes.episode_of(ev.to.raw()),
+                    data: timer_id,
+                });
                 self.with_ctx(ev.to, |node, ctx| node.on_timer(timer, ctx));
             }
             EventKind::ChannelGrant => {
@@ -1241,36 +1229,23 @@ impl<N: Node> Engine<N> {
     /// backoff — `1..=cw` whole slots, with `cw` doubling per retry.
     fn mac_defer(&mut self, from: NodeId, resend: EventKind<N::Msg, N::Timer>, attempt: u32) {
         self.arena.mac_events[from.index()] += 1;
-        if attempt >= self.contention.max_backoffs {
+        let exhausted = attempt >= self.contention.max_backoffs;
+        if exhausted {
             self.trace.record_mac_backoff_exhausted();
-            if self.telemetry.recorder.is_recording() {
-                self.telemetry.recorder.record(Event {
-                    t_us: self.now.as_micros(),
-                    node: from.raw(),
-                    class: EventClass::MacDefer,
-                    kind: "mac_backoff_exhausted",
-                    peer: NO_PEER,
-                    episode: self.telemetry.episodes.episode_of(from.raw()),
-                    data: u64::from(attempt),
-                });
-            } else {
-                self.telemetry.recorder.count_only(EventClass::MacDefer);
-            }
-            return;
-        }
-        self.trace.record_mac_defer();
-        if self.telemetry.recorder.is_recording() {
-            self.telemetry.recorder.record(Event {
-                t_us: self.now.as_micros(),
-                node: from.raw(),
-                class: EventClass::MacDefer,
-                kind: "mac_defer",
-                peer: NO_PEER,
-                episode: self.telemetry.episodes.episode_of(from.raw()),
-                data: u64::from(attempt),
-            });
         } else {
-            self.telemetry.recorder.count_only(EventClass::MacDefer);
+            self.trace.record_mac_defer();
+        }
+        self.telemetry.recorder.record_with(EventClass::MacDefer, || Event {
+            t_us: self.now.as_micros(),
+            node: from.raw(),
+            class: EventClass::MacDefer,
+            kind: if exhausted { "mac_backoff_exhausted" } else { "mac_defer" },
+            peer: NO_PEER,
+            episode: self.telemetry.episodes.episode_of(from.raw()),
+            data: u64::from(attempt),
+        });
+        if exhausted {
+            return;
         }
         let cw = self.contention.window(attempt);
         let slots = u64::from(self.rng.gen_range(1..=cw));
@@ -1287,19 +1262,15 @@ impl<N: Node> Engine<N> {
     fn scripted_collision(&mut self, from: NodeId, to: NodeId, kind: &'static str) {
         self.trace.record_mac_collision();
         self.arena.mac_events[to.index()] += 1;
-        if self.telemetry.recorder.is_recording() {
-            self.telemetry.recorder.record(Event {
-                t_us: self.now.as_micros(),
-                node: to.raw(),
-                class: EventClass::MacCollision,
-                kind,
-                peer: from.raw(),
-                episode: self.telemetry.episodes.episode_of(to.raw()),
-                data: 0,
-            });
-        } else {
-            self.telemetry.recorder.count_only(EventClass::MacCollision);
-        }
+        self.telemetry.recorder.record_with(EventClass::MacCollision, || Event {
+            t_us: self.now.as_micros(),
+            node: to.raw(),
+            class: EventClass::MacCollision,
+            kind,
+            peer: from.raw(),
+            episode: self.telemetry.episodes.episode_of(to.raw()),
+            data: 0,
+        });
     }
 
     fn do_unicast(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
@@ -1862,14 +1833,19 @@ mod tests {
         use crate::faults::{BurstLoss, FaultConfig};
         let mut eng: Engine<Flood> = Engine::new(RadioModel::ideal(100.0), EnergyModel::disabled(), 9);
         eng.set_fault_config(FaultConfig {
-            burst: BurstLoss { p_enter: 1.0, p_exit: 0.0, loss_good: 0.0, loss_bad: 1.0 },
+            burst: BurstLoss {
+                p_enter: 1.0,
+                p_exit: f64::MIN_POSITIVE,
+                loss_good: 0.0,
+                loss_bad: 1.0,
+            },
             ..FaultConfig::none()
         });
         eng.spawn(Flood::default(), Point::ORIGIN);
         let other = eng.spawn(Flood::default(), Point::new(50.0, 0.0));
         eng.run_for(SimDuration::from_secs(10));
-        // The chain enters the (permanent) bad state before the first
-        // delivery: nothing gets through.
+        // The chain enters the (for this run, permanent) bad state before
+        // the first delivery: nothing gets through.
         assert_eq!(eng.node(other).unwrap().heard, None);
         assert!(eng.trace().dropped_by_burst() > 0);
     }

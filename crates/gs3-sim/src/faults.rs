@@ -144,15 +144,42 @@ impl FaultConfig {
             && (self.delay_prob <= 0.0 || self.delay_max.is_zero())
     }
 
-    fn validate(&self) {
+    /// The one range rule for channel knobs, shared by plan files, CLI
+    /// flags and the engine: the burst fields and the three per-message
+    /// knobs are probabilities, a burst must be able to end
+    /// (`p_exit > 0` once `p_enter > 0`), and `unicast_loss` stays below
+    /// 1 (which would sever every link).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field (`burst.`-prefixed for burst fields).
+    pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
+            ("burst.p_enter", self.burst.p_enter),
+            ("burst.p_exit", self.burst.p_exit),
+            ("burst.loss_good", self.burst.loss_good),
+            ("burst.loss_bad", self.burst.loss_bad),
             ("unicast_loss", self.unicast_loss),
             ("duplicate", self.duplicate),
             ("delay_prob", self.delay_prob),
         ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must be a probability, got {p}");
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} must be a probability in [0, 1], got {p}"));
+            }
         }
-        assert!(self.unicast_loss < 1.0, "unicast_loss 1.0 would sever every link");
+        if self.burst.p_enter > 0.0 && self.burst.p_exit <= 0.0 {
+            return Err("burst.p_exit 0 would never end a burst (mean length is 1/p_exit)".into());
+        }
+        if self.unicast_loss >= 1.0 {
+            return Err("unicast_loss 1.0 would sever every link".into());
+        }
+        Ok(())
+    }
+
+    fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid FaultConfig: {e}");
+        }
     }
 }
 
@@ -245,9 +272,15 @@ pub struct FaultState {
 impl FaultState {
     /// Fault state for `config`, starting in the good channel state with
     /// no jams.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` fails [`FaultConfig::validate`] — outside
+    /// input is validated where it enters (plan files, CLI flags), so an
+    /// invalid configuration here is a programming error.
     #[must_use]
     pub fn new(config: FaultConfig) -> Self {
-        config.validate();
+        config.assert_valid();
         FaultState {
             config,
             burst_bad: false,
@@ -267,8 +300,12 @@ impl FaultState {
     }
 
     /// Replaces the configuration (chain state and jams are kept).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` fails [`FaultConfig::validate`].
     pub fn set_config(&mut self, config: FaultConfig) {
-        config.validate();
+        config.assert_valid();
         self.config = config;
     }
 
@@ -593,6 +630,26 @@ mod tests {
     #[should_panic(expected = "sever")]
     fn total_unicast_loss_rejected() {
         let _ = FaultState::new(FaultConfig { unicast_loss: 1.0, ..FaultConfig::none() });
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let base = FaultConfig { burst: BurstLoss::bursty(0.1, 3.0), ..FaultConfig::none() };
+        assert_eq!(base.validate(), Ok(()));
+        assert_eq!(FaultConfig::none().validate(), Ok(()));
+        let burst = |f: fn(&mut BurstLoss)| {
+            let mut c = base.clone();
+            f(&mut c.burst);
+            c.validate().unwrap_err()
+        };
+        assert!(burst(|b| b.p_exit = 0.0).contains("burst.p_exit"));
+        assert!(burst(|b| b.loss_bad = 7.0).contains("burst.loss_bad"));
+        assert!(burst(|b| b.loss_good = -0.1).contains("burst.loss_good"));
+        assert!(burst(|b| b.p_enter = f64::NAN).contains("burst.p_enter"));
+        let top = |c: FaultConfig| c.validate().unwrap_err();
+        assert!(top(FaultConfig { unicast_loss: -3.0, ..base.clone() }).contains("unicast_loss"));
+        assert!(top(FaultConfig { duplicate: 1.5, ..base.clone() }).contains("duplicate"));
+        assert!(top(FaultConfig { delay_prob: 2.0, ..base.clone() }).contains("delay_prob"));
     }
 
     #[test]

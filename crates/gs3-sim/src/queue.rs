@@ -1,21 +1,24 @@
 //! The pending-event queue.
 //!
-//! Two implementations share one contract — pops come in ascending
-//! `(at, seq)` order, where `seq` is the scheduling rank, so simultaneous
-//! events process in schedule order (deterministic replay):
+//! Pops come in ascending `(at, seq)` order, where `seq` is the scheduling
+//! rank, so simultaneous events process in schedule order (deterministic
+//! replay).
 //!
-//! * [`RadixQueue`] — the default: a radix heap keyed on the discrete µs
-//!   tick clock. O(1) amortized per operation against the engine's
-//!   *monotone* schedule pattern (every event is scheduled at `now + Δ`,
-//!   never in the past), and cache-friendly — entries live in per-bucket
-//!   deques, not a pointer-chased heap.
-//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as the
-//!   differential-testing oracle. The `heap-queue` feature swaps it back in
-//!   as [`EventQueue`] so whole-network digest runs can be replayed under
-//!   either implementation and byte-compared.
+//! [`RadixQueue`] is the engine's queue: a radix heap keyed on the
+//! discrete µs tick clock. O(1) amortized per operation against the
+//! engine's *monotone* schedule pattern (every event is scheduled at
+//! `now + Δ`, never in the past), and cache-friendly — entries live in
+//! per-bucket deques, not a pointer-chased heap.
+//!
+//! `HeapQueue`, the original `BinaryHeap` implementation, is compiled for
+//! tests only, as the differential oracle the mirror property tests below
+//! drive in lockstep with the radix queue.
 
+#[cfg(test)]
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+#[cfg(test)]
+use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -28,17 +31,23 @@ struct Entry<E> {
     payload: E,
 }
 
+// Heap ordering for the `HeapQueue` test oracle; the radix queue bins by
+// tick and never compares entries.
+#[cfg(test)]
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
+#[cfg(test)]
 impl<E> Eq for Entry<E> {}
+#[cfg(test)]
 impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
+#[cfg(test)]
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first.
@@ -46,14 +55,8 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The event queue the engine runs on. `RadixQueue` by default; building
-/// with `--features heap-queue` swaps the `BinaryHeap` oracle back in (pop
-/// order — and therefore every trace digest — is identical either way).
-#[cfg(not(feature = "heap-queue"))]
+/// The event queue the engine runs on.
 pub type EventQueue<E> = RadixQueue<E>;
-/// The event queue the engine runs on (oracle build: `heap-queue` active).
-#[cfg(feature = "heap-queue")]
-pub type EventQueue<E> = HeapQueue<E>;
 
 /// One bucket per possible position of the highest bit differing from the
 /// last popped key (0 = no differing bit), for 64-bit µs tick keys.
@@ -226,9 +229,9 @@ impl<E> Default for RadixQueue<E> {
 }
 
 /// A deterministic min-heap of timed events — the original `BinaryHeap`
-/// implementation, retained as the property-test oracle for
-/// [`RadixQueue`] (and as the engine queue under the `heap-queue`
-/// feature for whole-run digest comparisons).
+/// implementation, retained verbatim as the property-test oracle for
+/// [`RadixQueue`].
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -236,6 +239,7 @@ pub struct HeapQueue<E> {
     peak: usize,
 }
 
+#[cfg(test)]
 impl<E> HeapQueue<E> {
     /// An empty queue.
     #[must_use]
@@ -288,6 +292,7 @@ impl<E> HeapQueue<E> {
     }
 }
 
+#[cfg(test)]
 impl<E> Default for HeapQueue<E> {
     fn default() -> Self {
         HeapQueue::new()

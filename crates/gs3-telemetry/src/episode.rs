@@ -26,6 +26,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{self, JsonWriter};
+
 /// Maximum causal propagation depth (hops of message causality from the
 /// perturbation site). A constant, network-size-independent bound.
 pub const MAX_CAUSAL_DEPTH: u8 = 3;
@@ -89,30 +91,22 @@ impl Episode {
     /// is byte-identical for the same run.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        s.push_str("{\"id\":");
-        s.push_str(&self.id.to_string());
-        s.push_str(",\"label\":\"");
-        s.push_str(&crate::json_escape(self.label));
-        s.push_str("\",\"opened_us\":");
-        s.push_str(&self.opened_us.to_string());
-        s.push_str(",\"heal_latency_us\":");
-        match self.heal_latency_us() {
-            Some(v) => s.push_str(&v.to_string()),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"messages\":");
-        s.push_str(&self.messages.to_string());
-        s.push_str(",\"deliveries\":");
-        s.push_str(&self.deliveries.to_string());
-        s.push_str(",\"radius_m\":");
-        s.push_str(&format!("{:.1}", self.radius_m));
-        s.push_str(",\"max_depth\":");
-        s.push_str(&self.max_depth.to_string());
-        s.push_str(",\"tainted\":");
-        s.push_str(&self.tainted.to_string());
-        s.push('}');
-        s
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Writes the [`Episode::to_json`] object in place.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("id").u64(self.id.into());
+            w.key("label").str(self.label);
+            w.key("opened_us").u64(self.opened_us);
+            w.key("heal_latency_us").opt_u64(self.heal_latency_us());
+            w.key("messages").u64(self.messages);
+            w.key("deliveries").u64(self.deliveries);
+            w.key("radius_m").fixed(self.radius_m, 1);
+            w.key("max_depth").u64(self.max_depth.into());
+            w.key("tainted").u64(self.tainted);
+        });
     }
 
     fn dist_to_nearest_origin(&self, pos: (f64, f64)) -> f64 {

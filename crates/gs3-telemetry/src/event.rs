@@ -1,5 +1,7 @@
 //! The structured event model: what one flight-recorder entry looks like.
 
+use crate::json::{self, JsonWriter};
+
 /// Sentinel for [`Event::peer`] when the event has no peer node.
 pub const NO_PEER: u64 = u64::MAX;
 
@@ -79,30 +81,31 @@ impl Event {
     /// newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t_us\":");
-        s.push_str(&self.t_us.to_string());
-        s.push_str(",\"node\":");
-        s.push_str(&self.node.to_string());
-        s.push_str(",\"class\":\"");
-        s.push_str(self.class.name());
-        s.push_str("\",\"kind\":\"");
-        s.push_str(&crate::json_escape(self.kind));
-        s.push('"');
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Writes the [`Event::to_json`] object in place.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("t_us").u64(self.t_us);
+            w.key("node").u64(self.node);
+            w.key("class").str(self.class.name());
+            w.key("kind").str(self.kind);
+            self.write_optional_fields(w);
+        });
+    }
+
+    /// Writes the `peer` / `episode` / `data` members, each only when set.
+    pub(crate) fn write_optional_fields(&self, w: &mut JsonWriter<'_>) {
         if self.peer != NO_PEER {
-            s.push_str(",\"peer\":");
-            s.push_str(&self.peer.to_string());
+            w.key("peer").u64(self.peer);
         }
         if self.episode != 0 {
-            s.push_str(",\"episode\":");
-            s.push_str(&self.episode.to_string());
+            w.key("episode").u64(self.episode.into());
         }
         if self.data != 0 {
-            s.push_str(",\"data\":");
-            s.push_str(&self.data.to_string());
+            w.key("data").u64(self.data);
         }
-        s.push('}');
-        s
     }
 }
 

@@ -2,14 +2,15 @@
 //! (Perfetto-loadable) timeline.
 
 use crate::episode::Episode;
-use crate::event::{Event, NO_PEER};
+use crate::event::Event;
+use crate::json::{self, JsonWriter};
 
 /// Export events as JSON Lines: one event object per line.
 #[must_use]
 pub fn export_jsonl<'a>(events: impl Iterator<Item = &'a Event>) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&ev.to_json());
+        ev.write_json(&mut JsonWriter::new(&mut out));
         out.push('\n');
     }
     out
@@ -28,143 +29,112 @@ pub fn export_chrome_trace<'a>(
     episodes: &[Episode],
     end_us: u64,
 ) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for ev in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":\"");
-        out.push_str(&crate::json_escape(ev.kind));
-        out.push_str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
-        out.push_str(&ev.t_us.to_string());
-        out.push_str(",\"pid\":0,\"tid\":");
-        out.push_str(&ev.node.to_string());
-        out.push_str(",\"cat\":\"");
-        out.push_str(ev.class.name());
-        out.push_str("\",\"args\":{");
-        let mut first_arg = true;
-        if ev.peer != NO_PEER {
-            out.push_str("\"peer\":");
-            out.push_str(&ev.peer.to_string());
-            first_arg = false;
-        }
-        if ev.episode != 0 {
-            if !first_arg {
-                out.push(',');
-            }
-            out.push_str("\"episode\":");
-            out.push_str(&ev.episode.to_string());
-            first_arg = false;
-        }
-        if ev.data != 0 {
-            if !first_arg {
-                out.push(',');
-            }
-            out.push_str("\"data\":");
-            out.push_str(&ev.data.to_string());
-        }
-        out.push_str("}}");
-    }
-    for ep in episodes {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let close = ep.closed_us.unwrap_or(end_us).max(ep.opened_us);
-        out.push_str("{\"name\":\"");
-        out.push_str(&crate::json_escape(ep.label));
-        out.push('#');
-        out.push_str(&ep.id.to_string());
-        out.push_str("\",\"ph\":\"X\",\"ts\":");
-        out.push_str(&ep.opened_us.to_string());
-        out.push_str(",\"dur\":");
-        out.push_str(&(close - ep.opened_us).to_string());
-        out.push_str(",\"pid\":1,\"tid\":");
-        out.push_str(&ep.id.to_string());
-        out.push_str(",\"cat\":\"episode\",\"args\":{\"messages\":");
-        out.push_str(&ep.messages.to_string());
-        out.push_str(",\"deliveries\":");
-        out.push_str(&ep.deliveries.to_string());
-        out.push_str(",\"radius_m\":");
-        out.push_str(&format!("{:.1}", ep.radius_m));
-        out.push_str(",\"max_depth\":");
-        out.push_str(&ep.max_depth.to_string());
-        out.push_str(",\"healed\":");
-        out.push_str(if ep.closed_us.is_some() { "true" } else { "false" });
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
+    json::to_string(|w| {
+        w.object(|w| {
+            w.key("traceEvents").array(|w| {
+                for ev in events {
+                    w.object(|w| {
+                        w.key("name").str(ev.kind);
+                        w.key("ph").str("i");
+                        w.key("s").str("t");
+                        w.key("ts").u64(ev.t_us);
+                        w.key("pid").u64(0);
+                        w.key("tid").u64(ev.node);
+                        w.key("cat").str(ev.class.name());
+                        w.key("args").object(|w| ev.write_optional_fields(w));
+                    });
+                }
+                for ep in episodes {
+                    let close = ep.closed_us.unwrap_or(end_us).max(ep.opened_us);
+                    w.object(|w| {
+                        w.key("name").str(&format!("{}#{}", ep.label, ep.id));
+                        w.key("ph").str("X");
+                        w.key("ts").u64(ep.opened_us);
+                        w.key("dur").u64(close - ep.opened_us);
+                        w.key("pid").u64(1);
+                        w.key("tid").u64(ep.id.into());
+                        w.key("cat").str("episode");
+                        w.key("args").object(|w| {
+                            w.key("messages").u64(ep.messages);
+                            w.key("deliveries").u64(ep.deliveries);
+                            w.key("radius_m").fixed(ep.radius_m, 1);
+                            w.key("max_depth").u64(ep.max_depth.into());
+                            w.key("healed").bool(ep.closed_us.is_some());
+                        });
+                    });
+                }
+            });
+        });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventClass;
+    use crate::event::{EventClass, NO_PEER};
 
-    fn ev() -> Event {
-        Event {
-            t_us: 10,
-            node: 3,
-            class: EventClass::Delivery,
-            kind: "join_request",
-            peer: 5,
-            episode: 1,
-            data: 0,
-        }
+    fn events() -> [Event; 3] {
+        let ev = |t_us, node, class, kind, peer, episode, data| Event {
+            t_us,
+            node,
+            class,
+            kind,
+            peer,
+            episode,
+            data,
+        };
+        [
+            ev(10, 3, EventClass::Delivery, "join_request", 5, 1, 7),
+            ev(12, 4, EventClass::Protocol, "odd\"kind\\", NO_PEER, 0, 0),
+            ev(15, 0, EventClass::MacDefer, "head_intra_alive", NO_PEER, 0, 640),
+        ]
     }
 
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let evs = [ev(), ev()];
-        let out = export_jsonl(evs.iter());
-        assert_eq!(out.lines().count(), 2);
-        assert!(out.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn chrome_trace_has_instants_and_spans() {
-        let evs = [ev()];
-        let eps = [Episode {
+    fn episode(closed_us: Option<u64>) -> Episode {
+        Episode {
             id: 1,
             label: "crash_random",
             opened_us: 5,
-            closed_us: Some(25),
+            closed_us,
             origins: vec![(0.0, 0.0)],
             messages: 4,
             deliveries: 3,
-            radius_m: 12.5,
+            radius_m: 12.25,
             max_depth: 2,
             tainted: 6,
-        }];
-        let out = export_chrome_trace(evs.iter(), &eps, 100);
-        assert!(out.starts_with("{\"traceEvents\":["));
-        assert!(out.ends_with("]}"));
-        assert!(out.contains("\"ph\":\"i\""));
-        assert!(out.contains("\"ph\":\"X\""));
-        assert!(out.contains("\"name\":\"crash_random#1\""));
-        assert!(out.contains("\"dur\":20"));
-        assert!(out.contains("\"radius_m\":12.5"));
+        }
+    }
+
+    // The literals below are goldens captured before the exporters moved
+    // onto `JsonWriter`: the bytes are the contract.
+
+    #[test]
+    fn jsonl_golden() {
+        assert_eq!(
+            export_jsonl(events().iter()),
+            "{\"t_us\":10,\"node\":3,\"class\":\"delivery\",\"kind\":\"join_request\",\"peer\":5,\"episode\":1,\"data\":7}\n\
+             {\"t_us\":12,\"node\":4,\"class\":\"protocol\",\"kind\":\"odd\\\"kind\\\\\"}\n\
+             {\"t_us\":15,\"node\":0,\"class\":\"mac_defer\",\"kind\":\"head_intra_alive\",\"data\":640}\n"
+        );
+    }
+
+    #[test]
+    fn chrome_trace_golden() {
+        assert_eq!(
+            export_chrome_trace(events().iter(), &[episode(Some(25))], 100),
+            r#"{"traceEvents":[{"name":"join_request","ph":"i","s":"t","ts":10,"pid":0,"tid":3,"cat":"delivery","args":{"peer":5,"episode":1,"data":7}},{"name":"odd\"kind\\","ph":"i","s":"t","ts":12,"pid":0,"tid":4,"cat":"protocol","args":{}},{"name":"head_intra_alive","ph":"i","s":"t","ts":15,"pid":0,"tid":0,"cat":"mac_defer","args":{"data":640}},{"name":"crash_random#1","ph":"X","ts":5,"dur":20,"pid":1,"tid":1,"cat":"episode","args":{"messages":4,"deliveries":3,"radius_m":12.2,"max_depth":2,"healed":true}}]}"#
+        );
     }
 
     #[test]
     fn open_episode_spans_to_end() {
-        let eps = [Episode {
-            id: 1,
-            label: "join",
-            opened_us: 40,
-            closed_us: None,
-            origins: vec![],
-            messages: 0,
-            deliveries: 0,
-            radius_m: 0.0,
-            max_depth: 0,
-            tainted: 0,
-        }];
-        let out = export_chrome_trace([].iter(), &eps, 90);
-        assert!(out.contains("\"dur\":50"));
-        assert!(out.contains("\"healed\":false"));
+        assert_eq!(
+            export_chrome_trace([].iter(), &[episode(None)], 90),
+            r#"{"traceEvents":[{"name":"crash_random#1","ph":"X","ts":5,"dur":85,"pid":1,"tid":1,"cat":"episode","args":{"messages":4,"deliveries":3,"radius_m":12.2,"max_depth":2,"healed":false}}]}"#
+        );
+        assert_eq!(
+            episode(None).to_json(),
+            r#"{"id":1,"label":"crash_random","opened_us":5,"heal_latency_us":null,"messages":4,"deliveries":3,"radius_m":12.2,"max_depth":2,"tainted":6}"#
+        );
     }
 }

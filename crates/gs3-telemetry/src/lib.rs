@@ -5,7 +5,9 @@
 //! episode* tracking that attributes messages / latency / spatial radius
 //! to individual injected perturbations (the empirical counterpart of the
 //! paper's locality theorems 8–13), a small registry of log-bucketed
-//! histograms, and exporters (JSONL, Chrome-trace/Perfetto).
+//! histograms, exporters (JSONL, Chrome-trace/Perfetto), and — because
+//! this is the workspace's zero-dependency leaf — the one JSON codec
+//! ([`json`]) every report above it is written and read with.
 //!
 //! ## Determinism contract
 //!
@@ -27,6 +29,7 @@
 pub mod episode;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 
@@ -59,21 +62,12 @@ impl Telemetry {
     }
 }
 
-/// Escape a string for inclusion inside a JSON string literal.
+/// Escape a string for inclusion inside a JSON string literal
+/// ([`json::escape_into`] into a fresh `String`).
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json::escape_into(&mut out, s);
     out
 }
 
@@ -91,6 +85,6 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

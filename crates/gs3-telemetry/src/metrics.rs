@@ -1,5 +1,7 @@
 //! Log-bucketed histograms and the metrics registry.
 
+use crate::json::{self, JsonWriter};
+
 /// Power-of-two bucketed histogram: value `v` lands in bucket
 /// `64 − leading_zeros(v)` (bucket 0 holds exactly `v = 0`), so bucket
 /// `i ≥ 1` spans `[2^(i−1), 2^i)`. Constant memory, O(1) record, exact
@@ -92,15 +94,19 @@ impl LogHistogram {
     /// Serialize summary statistics as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            self.count,
-            self.sum,
-            self.mean(),
-            self.percentile(50.0),
-            self.percentile(99.0),
-            self.max
-        )
+        json::to_string(|w| self.write_json(w))
+    }
+
+    /// Writes the [`LogHistogram::to_json`] object in place.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.key("count").u64(self.count);
+            w.key("sum").u64(self.sum);
+            w.key("mean").fixed(self.mean(), 1);
+            w.key("p50").u64(self.percentile(50.0));
+            w.key("p99").u64(self.percentile(99.0));
+            w.key("max").u64(self.max);
+        });
     }
 }
 
@@ -125,12 +131,13 @@ impl MetricsRegistry {
     /// Serialize every histogram as one JSON object keyed by metric name.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"delivery_latency_us\":{},\"queue_depth\":{},\"heal_latency_us\":{}}}",
-            self.delivery_latency_us.to_json(),
-            self.queue_depth.to_json(),
-            self.heal_latency_us.to_json()
-        )
+        json::to_string(|w| {
+            w.object(|w| {
+                self.delivery_latency_us.write_json(w.key("delivery_latency_us"));
+                self.queue_depth.write_json(w.key("queue_depth"));
+                self.heal_latency_us.write_json(w.key("heal_latency_us"));
+            });
+        })
     }
 }
 
@@ -167,5 +174,18 @@ mod tests {
         let h = LogHistogram::new();
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.to_json(), "{\"count\":0,\"sum\":0,\"mean\":0.0,\"p50\":0,\"p99\":0,\"max\":0}");
+    }
+
+    #[test]
+    fn registry_json_golden() {
+        let mut m = MetricsRegistry::new();
+        for v in [1u64, 2, 3, 100] {
+            m.delivery_latency_us.record(v);
+        }
+        m.queue_depth.record(17);
+        assert_eq!(
+            m.to_json(),
+            r#"{"delivery_latency_us":{"count":4,"sum":106,"mean":26.5,"p50":3,"p99":100,"max":100},"queue_depth":{"count":1,"sum":17,"mean":17.0,"p50":17,"p99":17,"max":17},"heal_latency_us":{"count":0,"sum":0,"mean":0.0,"p50":0,"p99":0,"max":0}}"#
+        );
     }
 }

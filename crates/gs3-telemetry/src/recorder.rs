@@ -82,8 +82,7 @@ impl FlightRecorder {
         }
     }
 
-    /// Is full ring capture enabled? Call sites use this to skip even
-    /// *constructing* an [`Event`] in counters-only mode.
+    /// Is full ring capture enabled?
     #[must_use]
     pub fn is_recording(&self) -> bool {
         self.recording
@@ -109,6 +108,20 @@ impl FlightRecorder {
             self.dropped += 1;
         }
         self.ring.push_back(ev);
+    }
+
+    /// Counts an event of `class` and, only when ring capture is on,
+    /// builds it with `make` and stores it — so counters-only runs never
+    /// pay for constructing an [`Event`].
+    #[inline]
+    pub fn record_with(&mut self, class: EventClass, make: impl FnOnce() -> Event) {
+        if self.recording {
+            let ev = make();
+            debug_assert_eq!(ev.class, class);
+            self.record(ev);
+        } else {
+            self.count_only(class);
+        }
     }
 
     /// Events currently held in the ring, oldest first.
