@@ -3,7 +3,12 @@
 //!
 //! * `head_select` — candidate ranking/selection cost vs `|SmallNodes|`
 //!   (the paper states `HEAD_SELECT` is `θ(|SmallNodes|)`).
-//! * `event_queue` — simulator event-queue throughput.
+//! * `event_queue` — simulator event-queue throughput: `push_pop_10k`,
+//!   and the hold model at depth 128 k with a payload as wide as the
+//!   engine's own queue entry (`hold_128k_engine_entry`) beside the 192
+//!   bytes that entry measured before transmissions got their own records
+//!   (`hold_128k_192_bytes`) — the pair attributes a change in engine
+//!   `queue.pop()` cost to entry width with the queue code held fixed.
 //! * `spatial_grid` — broadcast neighborhood queries.
 //! * `cell_spiral` — intra-cell spiral construction (cell shift setup).
 //! * `configuration` — end-to-end self-configuration wall time vs network
@@ -26,14 +31,14 @@ use std::time::{Duration, Instant};
 
 use gs3_core::harness::NetworkBuilder;
 use gs3_core::invariants::{check_all, check_all_with, SnapshotIndex, Strictness};
-use gs3_core::Mode;
+use gs3_core::{Gs3Node, Mode};
 use gs3_geometry::rank::best_candidate;
 use gs3_geometry::spiral::CellSpiral;
 use gs3_geometry::{Angle, Point};
 use gs3_sim::queue::EventQueue;
 use gs3_sim::spatial::SpatialGrid;
 use gs3_sim::telemetry::{Event, EventClass, FlightRecorder, RecorderMode, NO_PEER};
-use gs3_sim::{SimDuration, SimTime};
+use gs3_sim::{Engine, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,6 +75,28 @@ fn pts(n: usize, seed: u64) -> Vec<(u64, Point)> {
         .collect()
 }
 
+/// Classic hold model at constant `depth` over `W`-byte payloads: pop the
+/// earliest entry, schedule it again a random increment later, 10 000
+/// times per iteration. Everything pending falls within a heartbeat-like
+/// 3 s horizon, as in a configured network.
+fn queue_hold<const W: usize>(name: &str, depth: u64, budget: Duration) {
+    const HORIZON_US: u64 = 3_000_000;
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut q: EventQueue<[u8; W]> = EventQueue::new();
+    for _ in 0..depth {
+        q.schedule(SimTime::from_micros(rng.gen_range(0..HORIZON_US)), [0; W]);
+    }
+    let increments: Vec<u64> = (0..4096).map(|_| rng.gen_range(1..HORIZON_US)).collect();
+    let mut k = 0usize;
+    bench(name, budget, || {
+        for _ in 0..10_000 {
+            let (at, payload) = q.pop().expect("depth is constant");
+            k = (k + 1) & 4095;
+            q.schedule(SimTime::from_micros(at.as_micros() + increments[k]), black_box(payload));
+        }
+    });
+}
+
 fn main() {
     let quick = Duration::from_millis(300);
     let slow = Duration::from_secs(3);
@@ -90,6 +117,9 @@ fn main() {
             black_box(ev);
         }
     });
+    const ENTRY: usize = Engine::<Gs3Node>::pending_event_bytes();
+    queue_hold::<ENTRY>("event_queue/hold_128k_engine_entry", 131_072, slow);
+    queue_hold::<192>("event_queue/hold_128k_192_bytes", 131_072, slow);
 
     {
         let mut grid = SpatialGrid::new(100.0);

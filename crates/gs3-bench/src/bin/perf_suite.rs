@@ -34,10 +34,10 @@ use gs3_bench::runner::{run_grid, threads_from_args};
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
 use gs3_core::invariants::{check_all_with, SnapshotIndex, Strictness};
 use gs3_core::json::{self, JsonValue};
-use gs3_core::{FaultKind, FaultPlan};
+use gs3_core::{FaultKind, FaultPlan, Gs3Node};
 use gs3_geometry::Point;
 use gs3_sim::faults::{BurstLoss, FaultConfig};
-use gs3_sim::SimDuration;
+use gs3_sim::{Engine, SimDuration};
 
 /// One timed scenario's measurements.
 struct Measurement {
@@ -365,6 +365,10 @@ fn to_json(measurements: &[Measurement], smoke: bool, threads: usize) -> String 
             w.key("suite").str("BENCH_core");
             w.key("smoke").bool(smoke);
             w.key("threads").u64(threads as u64);
+            // Width of one event-queue entry for the protocol's types: the
+            // bytes the radix queue moves per pending event (cost ledger
+            // item (a)); gs3-core gates it at 48.
+            w.key("pending_event_bytes").u64(Engine::<Gs3Node>::pending_event_bytes() as u64);
             w.key("scenarios").array(|w| {
                 for m in measurements {
                     w.object(|w| {

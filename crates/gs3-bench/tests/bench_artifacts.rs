@@ -1,5 +1,5 @@
-//! Regression gates over the committed `BENCH_chaos.json` and
-//! `BENCH_dataplane.json` artifacts.
+//! Regression gates over the committed `BENCH_chaos.json`,
+//! `BENCH_dataplane.json` and `BENCH_core.json` artifacts.
 //!
 //! The chaos sweep's congestion arm is the headline robustness claim of
 //! the contention layer: at the committed density × offered-load grid,
@@ -105,5 +105,30 @@ fn committed_chaos_artifact_shows_adaptive_healing_and_a_collapse() {
             let a = arm(cell, name);
             assert_eq!(int(a, "healed"), int(a, "runs"), "{name} cell no longer heals: {cell:?}");
         }
+    }
+}
+
+#[test]
+fn committed_core_artifact_reports_the_queue_entry_width() {
+    let doc = artifact("BENCH_core.json");
+    assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("BENCH_core"));
+    assert_eq!(
+        doc.get("smoke").and_then(JsonValue::as_bool),
+        Some(false),
+        "committed artifact must be the full run"
+    );
+    // The throughput rows below were measured at this entry width; the
+    // width itself is gated in gs3-core (`pending_event_is_at_most_48_bytes`).
+    let width = int(&doc, "pending_event_bytes");
+    assert!((1..=48).contains(&width), "implausible queue-entry width {width}");
+
+    let scenarios = items(&doc, "scenarios");
+    let names: Vec<_> =
+        scenarios.iter().filter_map(|s| s.get("scenario").and_then(JsonValue::as_str)).collect();
+    for gated in ["configure", "steady_state_120s", "steady_state_contended_120s", "chaos_heal"] {
+        assert!(names.contains(&gated), "committed grid lacks {gated}: {names:?}");
+    }
+    for s in scenarios {
+        assert!(int(s, "events") > 0 && num(s, "events_per_sec") > 0.0, "empty row: {s:?}");
     }
 }

@@ -75,4 +75,14 @@ mod tests {
             Timer::Election { dead_head: NodeId::new(2) }
         );
     }
+
+    /// A queue entry is the receiver, this enum inline, and a handle to
+    /// the shared transmission record — no message. The width is gated
+    /// because the engine moves one such entry per pending event through
+    /// every radix redistribution (EXPERIMENTS.md "Performance").
+    #[test]
+    fn pending_event_is_at_most_48_bytes() {
+        let bytes = gs3_sim::Engine::<crate::Gs3Node>::pending_event_bytes();
+        assert!(bytes <= 48, "queue entry grew to {bytes} bytes");
+    }
 }

@@ -216,31 +216,118 @@ impl<M, T> Context<'_, M, T> {
 }
 
 #[derive(Debug, Clone)]
-enum EventKind<M, T> {
+enum EventKind<T> {
     Start,
-    Deliver { from: NodeId, msg: M, directed: bool },
+    /// One copy of the transmission `flight` arriving at the event target.
+    Deliver { flight: u32 },
     Timer { timer_id: u64, timer: T },
     ChannelGrant,
     /// A carrier-sense-deferred unicast retrying after backoff (the event
     /// target is the sender; only scheduled while contention is enabled).
-    ResendUnicast { to: NodeId, msg: M, attempt: u32 },
+    /// The frame waits in the slab under `flight`.
+    ResendUnicast { flight: u32, to: NodeId, attempt: u32 },
     /// A carrier-sense-deferred broadcast retrying after backoff.
-    ResendBroadcast { radius: f64, msg: M, attempt: u32 },
+    ResendBroadcast { flight: u32, radius: f64, attempt: u32 },
 }
 
+impl<T> EventKind<T> {
+    /// The transmission record this event holds a reference to, if any.
+    fn flight(&self) -> Option<u32> {
+        match *self {
+            EventKind::Deliver { flight }
+            | EventKind::ResendUnicast { flight, .. }
+            | EventKind::ResendBroadcast { flight, .. } => Some(flight),
+            EventKind::Start | EventKind::Timer { .. } | EventKind::ChannelGrant => None,
+        }
+    }
+}
+
+/// A queue entry: who it is for and what happens. Everything a delivery
+/// shares with the other copies of its frame lives in the
+/// [`Transmission`] it points at, so the entry the radix queue moves
+/// around stays a few words wide (see [`Engine::pending_event_bytes`]).
 #[derive(Debug, Clone)]
-struct PendingEvent<M, T> {
+struct PendingEvent<T> {
     to: NodeId,
-    kind: EventKind<M, T>,
+    kind: EventKind<T>,
+}
+
+/// One frame on the air — or parked between carrier-sense retries —
+/// shared by every queued copy of it.
+#[derive(Debug, Clone)]
+struct Transmission<M> {
+    from: NodeId,
+    msg: M,
     /// Packed healing-episode tag ([`gs3_telemetry::pack_tag`]); 0 = none.
-    /// Rides the queue so causal attribution needs no RNG and no extra
+    /// Rides the record so causal attribution needs no RNG and no extra
     /// scheduling — the digest stream is untouched by telemetry.
     tag: u64,
-    /// The airtime window of the transmission that scheduled this delivery
-    /// ([`TxWindow::NONE`] unless contention is enabled), consulted at
-    /// delivery time for receiver-side collision detection. Like `tag`,
-    /// excluded from every determinism hash.
+    /// The frame's airtime window ([`TxWindow::NONE`] unless contention is
+    /// enabled), consulted at delivery time for receiver-side collision
+    /// detection. Like `tag`, excluded from every determinism hash.
     tx: TxWindow,
+    /// Unicast (taint-propagating) rather than ambient broadcast.
+    directed: bool,
+    /// Queued events referencing this record, plus the sender's own hold
+    /// while it is still scheduling copies.
+    refs: u32,
+}
+
+/// The live [`Transmission`]s: an index slab with a LIFO free list. Slot
+/// indices are handles, not identities — they depend on release order, so
+/// no hash or digest ever folds one.
+#[derive(Debug, Clone)]
+struct Flights<M> {
+    slots: Vec<Option<Transmission<M>>>,
+    free: Vec<u32>,
+}
+
+impl<M> Flights<M> {
+    fn open(&mut self, t: Transmission<M>) -> u32 {
+        if let Some(flight) = self.free.pop() {
+            self.slots[flight as usize] = Some(t);
+            return flight;
+        }
+        let flight = u32::try_from(self.slots.len()).expect("fewer than 2^32 frames in flight");
+        self.slots.push(Some(t));
+        flight
+    }
+
+    fn get(&self, flight: u32) -> &Transmission<M> {
+        self.slots[flight as usize].as_ref().expect("a queued event references a live record")
+    }
+
+    fn retain(&mut self, flight: u32) {
+        self.slots[flight as usize].as_mut().expect("retaining a live record").refs += 1;
+    }
+
+    /// Drops one reference; hands the record back when it was the last.
+    fn release(&mut self, flight: u32) -> Option<Transmission<M>> {
+        let slot = &mut self.slots[flight as usize];
+        let t = slot.as_mut().expect("releasing a live record");
+        t.refs -= 1;
+        if t.refs > 0 {
+            return None;
+        }
+        self.free.push(flight);
+        slot.take()
+    }
+
+    /// Releases one reference and yields the message by value: moved out
+    /// when this was the last reference, cloned otherwise.
+    fn take_msg(&mut self, flight: u32) -> M
+    where
+        M: Clone,
+    {
+        match self.release(flight) {
+            Some(t) => t.msg,
+            None => self.get(flight).msg.clone(),
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Dense per-node storage in structure-of-arrays layout, indexed by
@@ -336,7 +423,8 @@ pub struct Engine<N: Node> {
     energy_model: EnergyModel,
     arena: Arena<N>,
     grid: crate::spatial::SpatialGrid,
-    queue: EventQueue<PendingEvent<N::Msg, N::Timer>>,
+    queue: EventQueue<PendingEvent<N::Timer>>,
+    flights: Flights<N::Msg>,
     channel: ChannelManager,
     faults: FaultState,
     contention: ContentionConfig,
@@ -369,12 +457,14 @@ impl<N: Node + Clone> Clone for Engine<N> {
         debug_assert!(
             self.action_buf.is_empty() && self.recv_buf.is_empty() && self.grant_buf.is_empty()
         );
+        debug_assert_eq!(self.audit_transmissions(), Ok(()));
         Engine {
             radio: self.radio.clone(),
             energy_model: self.energy_model.clone(),
             arena: self.arena.clone(),
             grid: self.grid.clone(),
             queue: self.queue.clone(),
+            flights: self.flights.clone(),
             channel: self.channel.clone(),
             faults: self.faults.clone(),
             contention: self.contention.clone(),
@@ -404,6 +494,7 @@ impl<N: Node> Engine<N> {
             arena: Arena::new(),
             grid: crate::spatial::SpatialGrid::new(cell),
             queue: EventQueue::new(),
+            flights: Flights { slots: Vec::new(), free: Vec::new() },
             channel: ChannelManager::new(),
             faults: FaultState::default(),
             contention: ContentionConfig::disabled(),
@@ -523,14 +614,16 @@ impl<N: Node> Engine<N> {
     /// nodes who will notice a crashed head's silence).
     pub fn taint_episode_near(&mut self, episode: u32, center: Point, radius: f64) {
         self.telemetry.episodes.add_origin(episode, (center.x, center.y));
-        let mut found: Vec<usize> = Vec::new();
+        let mut found = std::mem::take(&mut self.recv_buf);
         self.grid.for_each_candidate(center, radius, |h| found.push(h));
         found.sort_unstable();
-        for h in found {
+        for &h in &found {
             if self.arena.alive[h] && self.arena.positions[h].distance(center) <= radius {
                 self.telemetry.episodes.taint_node(episode, h as u64);
             }
         }
+        found.clear();
+        self.recv_buf = found;
     }
 
     /// Seed-taints a single node for `episode` (e.g. a joining node or a
@@ -580,10 +673,7 @@ impl<N: Node> Engine<N> {
         let id = NodeId::from_index(idx);
         self.grid.insert(idx, position);
         self.arena.push(node, position, energy.unwrap_or(UNLIMITED_ENERGY), self.now);
-        self.queue.schedule(
-            at,
-            PendingEvent { to: id, kind: EventKind::Start, tag: NO_TAG, tx: TxWindow::NONE },
-        );
+        self.queue.schedule(at, PendingEvent { to: id, kind: EventKind::Start });
         id
     }
 
@@ -622,15 +712,15 @@ impl<N: Node> Engine<N> {
         after: SimDuration,
     ) -> Result<(), EngineError> {
         self.check(to)?;
-        self.queue.schedule(
-            self.now + after,
-            PendingEvent {
-                to,
-                kind: EventKind::Deliver { from, msg, directed: true },
-                tag: NO_TAG,
-                tx: TxWindow::NONE,
-            },
-        );
+        let flight = self.flights.open(Transmission {
+            from,
+            msg,
+            tag: NO_TAG,
+            tx: TxWindow::NONE,
+            directed: true,
+            refs: 1,
+        });
+        self.queue.schedule(self.now + after, PendingEvent { to, kind: EventKind::Deliver { flight } });
         Ok(())
     }
 
@@ -648,15 +738,8 @@ impl<N: Node> Engine<N> {
         let timer_id = self.next_timer_id;
         self.next_timer_id += 1;
         self.arena.pending_timers[idx].push((timer_id, timer.clone()));
-        self.queue.schedule(
-            self.now + after,
-            PendingEvent {
-                to,
-                kind: EventKind::Timer { timer_id, timer },
-                tag: NO_TAG,
-                tx: TxWindow::NONE,
-            },
-        );
+        self.queue
+            .schedule(self.now + after, PendingEvent { to, kind: EventKind::Timer { timer_id, timer } });
         Ok(())
     }
 
@@ -699,22 +782,23 @@ impl<N: Node> Engine<N> {
         }
         self.arena.alive[idx] = false;
         self.grid.remove(idx, self.arena.positions[idx]);
+        self.release_channel(id);
+        Ok(())
+    }
+
+    /// Drops `id`'s channel reservation (or queued request) and schedules
+    /// the grant of every waiter that unblocks.
+    fn release_channel(&mut self, id: NodeId) {
         let mut newly = std::mem::take(&mut self.grant_buf);
         self.channel.release_into(id, &mut newly);
         for &granted in &newly {
             self.queue.schedule(
                 self.now + self.radio.base_latency,
-                PendingEvent {
-                    to: granted,
-                    kind: EventKind::ChannelGrant,
-                    tag: NO_TAG,
-                    tx: TxWindow::NONE,
-                },
+                PendingEvent { to: granted, kind: EventKind::ChannelGrant },
             );
         }
         newly.clear();
         self.grant_buf = newly;
-        Ok(())
     }
 
     /// All node ids ever spawned.
@@ -835,6 +919,49 @@ impl<N: Node> Engine<N> {
         self.queue.len()
     }
 
+    /// Width of one event-queue entry's payload in bytes: what the radix
+    /// queue stores and moves per pending event, beside its own
+    /// `(at, seq)` key.
+    #[must_use]
+    pub const fn pending_event_bytes() -> usize {
+        std::mem::size_of::<PendingEvent<N::Timer>>()
+    }
+
+    /// Number of live transmission records: frames with a delivery still
+    /// queued, or parked awaiting a carrier-sense retry.
+    #[must_use]
+    pub fn in_flight_transmissions(&self) -> usize {
+        self.flights.live()
+    }
+
+    /// Audits the transmission conservation law: the live records are
+    /// exactly the handles pending events reference, each record's
+    /// reference count equals the number of events referencing it, and
+    /// the free list accounts for every vacant slot. Holds between any
+    /// two events; `Err` names the first slot that breaks it.
+    pub fn audit_transmissions(&self) -> Result<(), String> {
+        let mut seen = vec![0u32; self.flights.slots.len()];
+        for (_, _, ev) in self.queue.entries() {
+            if let Some(flight) = ev.kind.flight() {
+                match seen.get_mut(flight as usize) {
+                    Some(n) => *n += 1,
+                    None => return Err(format!("event for {} references unknown slot {flight}", ev.to)),
+                }
+            }
+        }
+        for (slot, (t, &events)) in self.flights.slots.iter().zip(&seen).enumerate() {
+            let refs = t.as_ref().map_or(0, |t| t.refs);
+            if refs != events || t.is_some() != (events > 0) {
+                return Err(format!("slot {slot}: refs {refs}, {events} referencing events"));
+            }
+        }
+        let live = self.flights.slots.iter().flatten().count();
+        if live != self.flights.live() {
+            return Err(format!("{live} occupied slots, free list implies {}", self.flights.live()));
+        }
+        Ok(())
+    }
+
     /// The raw 256-bit RNG state, folded into the model checker's state
     /// fingerprint so two states about to draw different random streams
     /// are never merged.
@@ -855,7 +982,9 @@ impl<N: Node> Engine<N> {
     /// whether its id is still live in the owner's pending set: a
     /// cancelled (stale) entry hashes differently from a live one.
     /// Episode tags and transmission airtime windows are
-    /// observation/contention metadata and excluded.
+    /// observation/contention metadata and excluded, and a delivery folds
+    /// its transmission record's *contents*, never the slab slot it
+    /// happens to occupy.
     #[must_use]
     pub fn pending_event_hashes(&self) -> Vec<u64> {
         fn eat(h: &mut u64, bytes: &[u8]) {
@@ -876,10 +1005,11 @@ impl<N: Node> Engine<N> {
                 eat(&mut h, &ev.to.raw().to_le_bytes());
                 match &ev.kind {
                     EventKind::Start => eat(&mut h, &[0]),
-                    EventKind::Deliver { from, msg, directed } => {
-                        eat(&mut h, &[1, u8::from(*directed)]);
-                        eat(&mut h, &from.raw().to_le_bytes());
-                        eat(&mut h, format!("{msg:?}").as_bytes());
+                    EventKind::Deliver { flight } => {
+                        let t = self.flights.get(*flight);
+                        eat(&mut h, &[1, u8::from(t.directed)]);
+                        eat(&mut h, &t.from.raw().to_le_bytes());
+                        eat(&mut h, format!("{:?}", t.msg).as_bytes());
                     }
                     EventKind::Timer { timer_id, timer } => {
                         let live = self.arena.pending_timers.get(ev.to.index()).is_some_and(|t| {
@@ -889,17 +1019,17 @@ impl<N: Node> Engine<N> {
                         eat(&mut h, format!("{timer:?}").as_bytes());
                     }
                     EventKind::ChannelGrant => eat(&mut h, &[3]),
-                    EventKind::ResendUnicast { to, msg, attempt } => {
+                    EventKind::ResendUnicast { flight, to, attempt } => {
                         eat(&mut h, &[4]);
                         eat(&mut h, &to.raw().to_le_bytes());
                         eat(&mut h, &attempt.to_le_bytes());
-                        eat(&mut h, format!("{msg:?}").as_bytes());
+                        eat(&mut h, format!("{:?}", self.flights.get(*flight).msg).as_bytes());
                     }
-                    EventKind::ResendBroadcast { radius, msg, attempt } => {
+                    EventKind::ResendBroadcast { flight, radius, attempt } => {
                         eat(&mut h, &[5]);
                         eat(&mut h, &radius.to_bits().to_le_bytes());
                         eat(&mut h, &attempt.to_le_bytes());
-                        eat(&mut h, format!("{msg:?}").as_bytes());
+                        eat(&mut h, format!("{:?}", self.flights.get(*flight).msg).as_bytes());
                     }
                 }
                 h
@@ -907,38 +1037,42 @@ impl<N: Node> Engine<N> {
             .collect()
     }
 
-    fn dispatch(&mut self, ev: PendingEvent<N::Msg, N::Timer>) {
+    fn dispatch(&mut self, ev: PendingEvent<N::Timer>) {
         let idx = ev.to.index();
-        if !self.arena.alive.get(idx).copied().unwrap_or(false) {
-            return;
-        }
         // Settle the idle-listening drain accrued since this node last
         // handled an event; a node whose battery ran dry while idle dies
         // here and never sees the event. No-op (and no column touch) when
         // the model has no idle term, so idle-free runs stay byte-equal.
-        if self.settle_idle(ev.to) {
+        if !self.arena.alive.get(idx).copied().unwrap_or(false) || self.settle_idle(ev.to) {
+            // The event dies with its target; so does its hold on a frame.
+            if let Some(flight) = ev.kind.flight() {
+                self.flights.release(flight);
+            }
             return;
         }
         match ev.kind {
             EventKind::Start => self.with_ctx(ev.to, |node, ctx| node.on_start(ctx)),
-            EventKind::Deliver { from, msg, directed } => {
+            EventKind::Deliver { flight } => {
+                let t = self.flights.get(flight);
+                let (from, tag, directed) = (t.from, t.tag, t.directed);
                 // Receiver-side collision detection: a frame whose airtime
                 // window overlapped another transmission audible here was
                 // corrupted on the air — including by hidden terminals the
                 // sender's carrier sense could not hear. One branch when
                 // contention is off (tx is the NONE sentinel).
-                if !ev.tx.is_none() && self.medium.collides(ev.tx, self.arena.positions[idx]) {
+                if !t.tx.is_none() && self.medium.collides(t.tx, self.arena.positions[idx]) {
                     self.trace.record_mac_collision();
                     self.arena.mac_events[idx] += 1;
                     self.telemetry.recorder.record_with(EventClass::MacCollision, || Event {
                         t_us: self.now.as_micros(),
                         node: ev.to.raw(),
                         class: EventClass::MacCollision,
-                        kind: msg.kind(),
+                        kind: t.msg.kind(),
                         peer: from.raw(),
-                        episode: tag_episode(ev.tag),
+                        episode: tag_episode(tag),
                         data: 0,
                     });
+                    self.flights.release(flight);
                     // The radio still listened to the corrupted frame.
                     let rx = self.energy_model.rx;
                     self.charge(ev.to, rx);
@@ -949,23 +1083,27 @@ impl<N: Node> Engine<N> {
                 // taints the receiver one hop deeper into the episode —
                 // but only a *directed* (unicast) delivery propagates
                 // taint; broadcast receptions are ambient and only count.
-                if ev.tag != NO_TAG {
+                if tag != NO_TAG {
                     let pos = self.arena.positions[idx];
-                    self.telemetry.episodes.on_delivery(ev.tag, ev.to.raw(), (pos.x, pos.y), directed);
+                    self.telemetry.episodes.on_delivery(tag, ev.to.raw(), (pos.x, pos.y), directed);
                 }
                 self.telemetry.recorder.record_with(EventClass::Delivery, || Event {
                     t_us: self.now.as_micros(),
                     node: ev.to.raw(),
                     class: EventClass::Delivery,
-                    kind: msg.kind(),
+                    kind: t.msg.kind(),
                     peer: from.raw(),
-                    episode: tag_episode(ev.tag),
+                    episode: tag_episode(tag),
                     data: 0,
                 });
                 let rx = self.energy_model.rx;
                 if self.charge(ev.to, rx) {
+                    self.flights.release(flight);
                     return;
                 }
+                // Handlers take the message by value: the last copy of a
+                // frame moves it out of the record, earlier ones clone.
+                let msg = self.flights.take_msg(flight);
                 self.with_ctx(ev.to, |node, ctx| node.on_message(from, msg, ctx));
             }
             EventKind::Timer { timer_id, timer } => {
@@ -994,10 +1132,12 @@ impl<N: Node> Engine<N> {
             EventKind::ChannelGrant => {
                 self.with_ctx(ev.to, |node, ctx| node.on_channel_granted(ctx));
             }
-            EventKind::ResendUnicast { to, msg, attempt } => {
+            EventKind::ResendUnicast { flight, to, attempt } => {
+                let msg = self.flights.take_msg(flight);
                 self.try_unicast(ev.to, to, msg, attempt);
             }
-            EventKind::ResendBroadcast { radius, msg, attempt } => {
+            EventKind::ResendBroadcast { flight, radius, attempt } => {
+                let msg = self.flights.take_msg(flight);
                 self.try_broadcast(ev.to, radius, msg, attempt);
             }
         }
@@ -1083,12 +1223,7 @@ impl<N: Node> Engine<N> {
                     self.arena.pending_timers[id.index()].push((timer_id, timer.clone()));
                     self.queue.schedule(
                         self.now + after,
-                        PendingEvent {
-                            to: id,
-                            kind: EventKind::Timer { timer_id, timer },
-                            tag: NO_TAG,
-                            tx: TxWindow::NONE,
-                        },
+                        PendingEvent { to: id, kind: EventKind::Timer { timer_id, timer } },
                     );
                 }
                 Action::CancelTimers { timer } => {
@@ -1101,32 +1236,11 @@ impl<N: Node> Engine<N> {
                     if self.channel.request(id, pos, radius) {
                         self.queue.schedule(
                             self.now + self.radio.base_latency,
-                            PendingEvent {
-                                to: id,
-                                kind: EventKind::ChannelGrant,
-                                tag: NO_TAG,
-                                tx: TxWindow::NONE,
-                            },
+                            PendingEvent { to: id, kind: EventKind::ChannelGrant },
                         );
                     }
                 }
-                Action::ReleaseChannel => {
-                    let mut newly = std::mem::take(&mut self.grant_buf);
-                    self.channel.release_into(id, &mut newly);
-                    for &granted in &newly {
-                        self.queue.schedule(
-                            self.now + self.radio.base_latency,
-                            PendingEvent {
-                                to: granted,
-                                kind: EventKind::ChannelGrant,
-                                tag: NO_TAG,
-                                tx: TxWindow::NONE,
-                            },
-                        );
-                    }
-                    newly.clear();
-                    self.grant_buf = newly;
-                }
+                Action::ReleaseChannel => self.release_channel(id),
                 Action::PowerOff => {
                     let _ = self.kill(id);
                 }
@@ -1151,18 +1265,16 @@ impl<N: Node> Engine<N> {
     /// scheduled copy is folded into the trace digest. With an inert fault
     /// state this draws exactly one latency sample — bit-identical to the
     /// pre-fault engine.
-    #[allow(clippy::too_many_arguments)]
+    /// Each copy takes one more reference to the transmission `flight`.
     fn schedule_delivery(
         &mut self,
-        from: NodeId,
+        flight: u32,
         to: NodeId,
         dist: f64,
-        msg: &N::Msg,
-        tag: u64,
-        directed: bool,
+        kind: &'static str,
         fate: Option<Fate>,
-        tx: TxWindow,
     ) {
+        let from = self.flights.get(flight).from;
         let copies = match fate {
             Some(Fate::Duplicate) => {
                 self.trace.record_scripted_duplicate();
@@ -1195,16 +1307,9 @@ impl<N: Node> Engine<N> {
             }
             self.telemetry.metrics.delivery_latency_us.record(latency.as_micros());
             let at = self.now + latency;
-            self.trace.record_scheduled_delivery(at.as_micros(), from.raw(), to.raw(), msg.kind());
-            self.queue.schedule(
-                at,
-                PendingEvent {
-                    to,
-                    kind: EventKind::Deliver { from, msg: msg.clone(), directed },
-                    tag,
-                    tx,
-                },
-            );
+            self.trace.record_scheduled_delivery(at.as_micros(), from.raw(), to.raw(), kind);
+            self.flights.retain(flight);
+            self.queue.schedule(at, PendingEvent { to, kind: EventKind::Deliver { flight } });
         }
     }
 
@@ -1223,11 +1328,11 @@ impl<N: Node> Engine<N> {
         tag
     }
 
-    /// Handles a carrier-sense deferral of `resend` (contention path
-    /// only): drops the frame once the retry budget is exhausted,
-    /// otherwise schedules the resend after a seeded slotted exponential
-    /// backoff — `1..=cw` whole slots, with `cw` doubling per retry.
-    fn mac_defer(&mut self, from: NodeId, resend: EventKind<N::Msg, N::Timer>, attempt: u32) {
+    /// Handles a carrier-sense deferral (contention path only): `None`
+    /// once the retry budget is exhausted — the frame is dropped —
+    /// otherwise when to retry, after a seeded slotted exponential
+    /// backoff of `1..=cw` whole slots, with `cw` doubling per retry.
+    fn mac_defer(&mut self, from: NodeId, attempt: u32) -> Option<SimTime> {
         self.arena.mac_events[from.index()] += 1;
         let exhausted = attempt >= self.contention.max_backoffs;
         if exhausted {
@@ -1245,14 +1350,47 @@ impl<N: Node> Engine<N> {
             data: u64::from(attempt),
         });
         if exhausted {
-            return;
+            return None;
         }
         let cw = self.contention.window(attempt);
         let slots = u64::from(self.rng.gen_range(1..=cw));
-        self.queue.schedule(
-            self.now + self.contention.slot * slots,
-            PendingEvent { to: from, kind: resend, tag: NO_TAG, tx: TxWindow::NONE },
-        );
+        Some(self.now + self.contention.slot * slots)
+    }
+
+    /// Puts a frame on the air. Carrier sense comes first (contention
+    /// only): while any audible transmission is in progress the sender
+    /// defers instead — the frame parks in the slab behind the event
+    /// `resend` builds, or is dropped once the backoff budget is spent —
+    /// and `None` comes back. Skipped entirely (no RNG, no events, no
+    /// counters) while contention is disabled. Past carrier sense the
+    /// transmission record is opened and the sender's healing episode
+    /// billed, so a frame costs its episode one message however many
+    /// times it deferred. The caller holds one reference while it
+    /// schedules the copies and releases it when done.
+    fn open_transmission(
+        &mut self,
+        from: NodeId,
+        msg: N::Msg,
+        directed: bool,
+        reach: f64,
+        attempt: u32,
+        resend: impl FnOnce(u32) -> EventKind<N::Timer>,
+    ) -> Option<u32> {
+        let from_pos = self.arena.positions[from.index()];
+        let mut t = Transmission { from, msg, tag: NO_TAG, tx: TxWindow::NONE, directed, refs: 1 };
+        if self.contention.enabled {
+            if self.medium.busy(self.now.as_micros(), from_pos) {
+                if let Some(at) = self.mac_defer(from, attempt) {
+                    let flight = self.flights.open(t);
+                    self.queue.schedule(at, PendingEvent { to: from, kind: resend(flight) });
+                }
+                return None;
+            }
+            let airtime = self.contention.airtime(t.msg.wire_bits());
+            t.tx = self.medium.begin(self.now.as_micros(), airtime, from_pos, reach);
+        }
+        t.tag = self.episode_tag(from);
+        Some(self.flights.open(t))
     }
 
     /// Records a scripted [`Fate::Collide`] against the receiver: the
@@ -1274,7 +1412,6 @@ impl<N: Node> Engine<N> {
     }
 
     fn do_unicast(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
-        use crate::engine::Payload as _;
         self.trace.record_unicast(msg.kind());
         self.try_unicast(from, to, msg, 0);
     }
@@ -1283,8 +1420,6 @@ impl<N: Node> Engine<N> {
     /// higher attempts are carrier-sense backoff retries and only occur
     /// while contention is enabled).
     fn try_unicast(&mut self, from: NodeId, to: NodeId, msg: N::Msg, attempt: u32) {
-        use crate::engine::Payload as _;
-        let tag = self.episode_tag(from);
         let from_pos = self.arena.positions[from.index()];
         let Some(&target_pos) = self.arena.positions.get(to.index()) else {
             self.trace.record_unicast_failure();
@@ -1293,32 +1428,25 @@ impl<N: Node> Engine<N> {
         let dist = from_pos.distance(target_pos);
         if !self.arena.alive[to.index()] || dist > self.radio.max_range {
             self.trace.record_unicast_failure();
-            // The sender still burned transmit energy.
+            // The sender still transmitted: it burns the energy and its
+            // episode is billed the frame.
+            self.episode_tag(from);
             self.charge(from, self.energy_model.tx_cost(dist.min(self.radio.max_range)));
             return;
         }
-        // Carrier sense: while any audible transmission is on the air the
-        // sender defers instead of transmitting. Skipped entirely (no RNG,
-        // no events, no counters) while contention is disabled.
-        let tx = if self.contention.enabled {
-            if self.medium.busy(self.now.as_micros(), from_pos) {
-                let resend = EventKind::ResendUnicast { to, msg, attempt: attempt + 1 };
-                self.mac_defer(from, resend, attempt);
-                return;
-            }
-            let airtime = self.contention.airtime(msg.wire_bits());
-            self.medium.begin(self.now.as_micros(), airtime, from_pos, dist)
-        } else {
-            TxWindow::NONE
+        let kind = msg.kind();
+        let resend = |flight| EventKind::ResendUnicast { flight, to, attempt: attempt + 1 };
+        let Some(flight) = self.open_transmission(from, msg, true, dist, attempt, resend) else {
+            return;
         };
         // A scripted fate (the model checker's delivery-decision point)
         // overrides the probabilistic cascade; unscripted attempts fall
         // through to it. Jamming is geometric (RNG-free); the rest draw
         // from the engine RNG only when the knob is enabled.
-        match self.faults.next_attempt(from, to, msg.kind(), false) {
+        match self.faults.next_attempt(from, to, kind, false) {
             Some(Fate::Drop) => self.trace.record_scripted_drop(),
-            Some(Fate::Collide) => self.scripted_collision(from, to, msg.kind()),
-            Some(fate) => self.schedule_delivery(from, to, dist, &msg, tag, true, Some(fate), tx),
+            Some(Fate::Collide) => self.scripted_collision(from, to, kind),
+            Some(fate) => self.schedule_delivery(flight, to, dist, kind, Some(fate)),
             None => {
                 if self.faults.jammed(from_pos, target_pos) {
                     self.trace.record_dropped_by_jam();
@@ -1327,15 +1455,15 @@ impl<N: Node> Engine<N> {
                 } else if self.faults.unicast_dropped(&mut self.rng) {
                     self.trace.record_dropped_unicast();
                 } else {
-                    self.schedule_delivery(from, to, dist, &msg, tag, true, None, tx);
+                    self.schedule_delivery(flight, to, dist, kind, None);
                 }
             }
         }
+        self.flights.release(flight);
         self.charge(from, self.energy_model.tx_cost(dist));
     }
 
     fn do_broadcast(&mut self, from: NodeId, radius: f64, msg: N::Msg) {
-        use crate::engine::Payload as _;
         self.trace.record_broadcast(msg.kind());
         self.try_broadcast(from, radius, msg, 0);
     }
@@ -1344,20 +1472,12 @@ impl<N: Node> Engine<N> {
     /// higher attempts are carrier-sense backoff retries and only occur
     /// while contention is enabled).
     fn try_broadcast(&mut self, from: NodeId, radius: f64, msg: N::Msg, attempt: u32) {
-        use crate::engine::Payload as _;
-        let tag = self.episode_tag(from);
         let range = self.radio.effective_range(radius);
         let from_pos = self.arena.positions[from.index()];
-        let tx = if self.contention.enabled {
-            if self.medium.busy(self.now.as_micros(), from_pos) {
-                let resend = EventKind::ResendBroadcast { radius, msg, attempt: attempt + 1 };
-                self.mac_defer(from, resend, attempt);
-                return;
-            }
-            let airtime = self.contention.airtime(msg.wire_bits());
-            self.medium.begin(self.now.as_micros(), airtime, from_pos, range)
-        } else {
-            TxWindow::NONE
+        let kind = msg.kind();
+        let resend = |flight| EventKind::ResendBroadcast { flight, radius, attempt: attempt + 1 };
+        let Some(flight) = self.open_transmission(from, msg, false, range, attempt, resend) else {
+            return;
         };
         let mut receivers = std::mem::take(&mut self.recv_buf);
         debug_assert!(receivers.is_empty());
@@ -1378,17 +1498,17 @@ impl<N: Node> Engine<N> {
                 continue;
             }
             let to = NodeId::from_index(h);
-            match self.faults.next_attempt(from, to, msg.kind(), true) {
+            match self.faults.next_attempt(from, to, kind, true) {
                 Some(Fate::Drop) => {
                     self.trace.record_scripted_drop();
                     continue;
                 }
                 Some(Fate::Collide) => {
-                    self.scripted_collision(from, to, msg.kind());
+                    self.scripted_collision(from, to, kind);
                     continue;
                 }
                 Some(fate) => {
-                    self.schedule_delivery(from, to, dist, &msg, tag, false, Some(fate), tx);
+                    self.schedule_delivery(flight, to, dist, kind, Some(fate));
                     continue;
                 }
                 None => {}
@@ -1405,10 +1525,11 @@ impl<N: Node> Engine<N> {
                 self.trace.record_dropped_by_burst();
                 continue;
             }
-            self.schedule_delivery(from, to, dist, &msg, tag, false, None, tx);
+            self.schedule_delivery(flight, to, dist, kind, None);
         }
         receivers.clear();
         self.recv_buf = receivers;
+        self.flights.release(flight);
         self.charge(from, self.energy_model.tx_cost(range));
     }
 }
