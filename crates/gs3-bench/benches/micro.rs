@@ -10,6 +10,16 @@
 //!   (`hold_128k_192_bytes`) — the pair attributes a change in engine
 //!   `queue.pop()` cost to entry width with the queue code held fixed.
 //! * `spatial_grid` — broadcast neighborhood queries.
+//! * `spatial/disk_query_50k` vs `spatial/collect_sort_filter_50k` — a
+//!   broadcast's receiver selection over 50 000 nodes at the benchmark
+//!   suites' density (1 000 queries of 141 m per iteration): the grid's
+//!   exact `disk_into` beside the collect → sort → re-check `alive` and
+//!   `positions` sequence the engine ran before the grid carried points.
+//! * `trace/digest_fold` vs `trace/digest_bytewise` — the delivery digest
+//!   (10 000 records per iteration): the shortened fold beside byte-serial
+//!   FNV-1a over the same 24 + `kind.len()` bytes.
+//! * `trace/record_send` — the per-send counter bump, a string-keyed
+//!   `BTreeMap::entry` (10 000 sends per iteration over ten kinds).
 //! * `cell_spiral` — intra-cell spiral construction (cell shift setup).
 //! * `configuration` — end-to-end self-configuration wall time vs network
 //!   size.
@@ -38,6 +48,7 @@ use gs3_geometry::{Angle, Point};
 use gs3_sim::queue::EventQueue;
 use gs3_sim::spatial::SpatialGrid;
 use gs3_sim::telemetry::{Event, EventClass, FlightRecorder, RecorderMode, NO_PEER};
+use gs3_sim::trace::{fold_delivery, KindFold, Trace};
 use gs3_sim::{Engine, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +142,106 @@ fn main() {
             let mut count = 0usize;
             grid.for_each_candidate(Point::ORIGIN, 150.0, |_| count += 1);
             black_box(count);
+        });
+    }
+
+    // Receiver selection as `scale_50k` pays it: 50 000 nodes on a disk of
+    // radius 1 923 m (4.3 per 1 000 m²), grid cells one radio range wide,
+    // 141 m queries (≈270 hits) from senders visited in a cache-unfriendly
+    // stride, as event order visits them.
+    {
+        let mut rng = StdRng::seed_from_u64(5);
+        let positions: Vec<Point> = std::iter::repeat_with(|| {
+            Point::new(rng.gen_range(-1923.0f64..1923.0), rng.gen_range(-1923.0f64..1923.0))
+        })
+        .filter(|p| p.distance(Point::ORIGIN) <= 1923.0)
+        .take(50_000)
+        .collect();
+        let alive = vec![true; positions.len()];
+        let mut grid = SpatialGrid::new(gs3_geometry::coordination_radius(80.0, 18.0) * 1.05);
+        for (i, p) in positions.iter().enumerate() {
+            grid.insert(i, *p);
+        }
+        let radius = 141.0;
+        let mut next = 0usize;
+        let mut hits: Vec<(usize, f64)> = Vec::new();
+        bench("spatial/disk_query_50k", slow, || {
+            let mut total = 0usize;
+            for _ in 0..1_000 {
+                next = (next + 7_919) % positions.len();
+                hits.clear();
+                grid.disk_into(positions[next], radius, &mut hits);
+                total += hits.len();
+            }
+            black_box(total);
+        });
+        let mut candidates: Vec<usize> = Vec::new();
+        bench("spatial/collect_sort_filter_50k", slow, || {
+            let mut total = 0usize;
+            for _ in 0..1_000 {
+                next = (next + 7_919) % positions.len();
+                let center = positions[next];
+                candidates.clear();
+                grid.for_each_candidate(center, radius, |h| candidates.push(h));
+                candidates.sort_unstable();
+                for &h in &candidates {
+                    if alive[h] && black_box(center.distance(positions[h])) <= radius {
+                        total += 1;
+                    }
+                }
+            }
+            black_box(total);
+        });
+    }
+
+    // The delivery digest: one frame's copies share sender and kind, walk
+    // the receivers in ascending id order and land microseconds apart.
+    {
+        let kinds = ["head_inter_alive", "head_intra_alive"].map(KindFold::new);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        bench("trace/digest_fold", quick, || {
+            for i in 0..10_000u64 {
+                let at = 600_000_000 + i * 37;
+                digest = fold_delivery(digest, at, 20_000 + i / 271, (i * 97) % 50_000, &kinds[(i / 271 % 2) as usize]);
+            }
+            black_box(digest);
+        });
+        let labels = ["head_inter_alive", "head_intra_alive"];
+        bench("trace/digest_bytewise", quick, || {
+            for i in 0..10_000u64 {
+                let at = 600_000_000 + i * 37;
+                let words = [at, 20_000 + i / 271, (i * 97) % 50_000];
+                let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+                for b in bytes.chain(labels[(i / 271 % 2) as usize].bytes()) {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            black_box(digest);
+        });
+
+        // `scale_50k` sends ten kinds; three quarters of its sends are the
+        // associates' acks.
+        let sent = [
+            "head_intra_ack", "head_intra_ack", "head_intra_ack", "head_intra_alive",
+            "head_intra_ack", "head_intra_ack", "head_intra_ack", "head_inter_alive",
+        ];
+        let mut trace = Trace::new();
+        for kind in [
+            "org", "org_reply", "head_org_reply", "head_set", "associate_alive", "associate_retreat",
+            "new_child_head", "bootup_probe",
+        ] {
+            trace.record_unicast(kind);
+        }
+        bench("trace/record_send", quick, || {
+            for i in 0..10_000usize {
+                let kind = black_box(sent[i % sent.len()]);
+                if i % 4 == 3 {
+                    trace.record_broadcast(kind);
+                } else {
+                    trace.record_unicast(kind);
+                }
+            }
+            black_box(trace.total_sent());
         });
     }
 

@@ -369,6 +369,11 @@ fn to_json(measurements: &[Measurement], smoke: bool, threads: usize) -> String 
             // bytes the radix queue moves per pending event (cost ledger
             // item (a)); gs3-core gates it at 48.
             w.key("pending_event_bytes").u64(Engine::<Gs3Node>::pending_event_bytes() as u64);
+            // Per-node protocol state in the arena's cold column, and one
+            // message as a transmission record holds it; gs3-core gates
+            // them at 320 and 96.
+            w.key("node_bytes").u64(std::mem::size_of::<Gs3Node>() as u64);
+            w.key("msg_bytes").u64(std::mem::size_of::<gs3_core::messages::Msg>() as u64);
             w.key("scenarios").array(|w| {
                 for m in measurements {
                     w.object(|w| {

@@ -121,6 +121,11 @@ fn committed_core_artifact_reports_the_queue_entry_width() {
     // width itself is gated in gs3-core (`pending_event_is_at_most_48_bytes`).
     let width = int(&doc, "pending_event_bytes");
     assert!((1..=48).contains(&width), "implausible queue-entry width {width}");
+    // Likewise the per-node and per-message footprints
+    // (`gs3node_is_at_most_320_bytes`, `msg_is_at_most_96_bytes`).
+    let (node, msg) = (int(&doc, "node_bytes"), int(&doc, "msg_bytes"));
+    assert!((1..=320).contains(&node), "implausible node footprint {node}");
+    assert!((1..=96).contains(&msg), "implausible message width {msg}");
 
     let scenarios = items(&doc, "scenarios");
     let names: Vec<_> =

@@ -7,6 +7,8 @@
 //! node's location), and reclaims head duty the moment it stands within
 //! `R_t` of some cell's current IL.
 
+use std::sync::Arc;
+
 use gs3_sim::NodeId;
 
 use crate::messages::{CellInfo, Msg};
@@ -96,7 +98,7 @@ impl Gs3Node {
     /// Called whenever the away big node hears a cell heartbeat: resume
     /// head duty when standing within `R_t` of that cell's current IL
     /// (`BIG_SLIDE` resumption / `BIG_MOVE` reclaim).
-    pub(crate) fn big_maybe_resume(&mut self, head: NodeId, ci: CellInfo, ctx: &mut Ctx<'_>) {
+    pub(crate) fn big_maybe_resume(&mut self, head: NodeId, ci: Arc<CellInfo>, ctx: &mut Ctx<'_>) {
         debug_assert!(self.is_big);
         let pos = ctx.position();
         let Role::BigAway(b) = &self.role else {

@@ -2,6 +2,8 @@
 //! runs it to its fixpoint, injects every perturbation class of the paper's
 //! model, and extracts [`Snapshot`]s for checking and measurement.
 
+use std::sync::Arc;
+
 use gs3_geometry::{Point, Vec2};
 use gs3_sim::deploy::Deployment;
 use gs3_sim::faults::{BurstLoss, FaultConfig};
@@ -362,10 +364,11 @@ impl NetworkBuilder {
         // The big node anchors the structure; spawn it first so the
         // diffusion starts at t=0. As the gateway/access point it is
         // mains-powered: the energy budget applies to small nodes only.
-        let big = eng.spawn_at(Gs3Node::big(cfg.clone()), self.big_pos, SimTime::ZERO, None);
+        let cfg = Arc::new(cfg);
+        let big = eng.spawn_at(Gs3Node::big(Arc::clone(&cfg)), self.big_pos, SimTime::ZERO, None);
         let mut bigs = vec![big];
         for pos in &self.extra_bigs {
-            bigs.push(eng.spawn_at(Gs3Node::big(cfg.clone()), *pos, SimTime::ZERO, None));
+            bigs.push(eng.spawn_at(Gs3Node::big(Arc::clone(&cfg)), *pos, SimTime::ZERO, None));
         }
 
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -379,11 +382,11 @@ impl NetworkBuilder {
                 deploy = deploy.with_gap(*c, *g);
             }
             for pos in deploy.generate(&mut rng) {
-                eng.spawn_at(Gs3Node::small(cfg.clone()), pos, SimTime::ZERO, budget);
+                eng.spawn_at(Gs3Node::small(Arc::clone(&cfg)), pos, SimTime::ZERO, budget);
             }
         } else {
             for pos in &self.explicit_nodes {
-                eng.spawn_at(Gs3Node::small(cfg.clone()), *pos, SimTime::ZERO, budget);
+                eng.spawn_at(Gs3Node::small(Arc::clone(&cfg)), *pos, SimTime::ZERO, budget);
             }
         }
 
@@ -419,7 +422,8 @@ pub struct Network {
     eng: Engine<Gs3Node>,
     big: NodeId,
     bigs: Vec<NodeId>,
-    cfg: Gs3Config,
+    /// The one configuration every node of this network shares.
+    cfg: Arc<Gs3Config>,
     rng: StdRng,
     budget: Option<f64>,
     // Reused id scratch for the perturbation helpers (kill_disk candidate
@@ -697,7 +701,7 @@ impl Network {
     /// Spawns (joins) a new small node at `pos`.
     pub fn join_node(&mut self, pos: Point) -> NodeId {
         self.eng
-            .spawn_at(Gs3Node::small(self.cfg.clone()), pos, self.eng.now(), self.budget)
+            .spawn_at(Gs3Node::small(Arc::clone(&self.cfg)), pos, self.eng.now(), self.budget)
     }
 
     /// Moves a node to an absolute position (mobility step).
@@ -924,5 +928,67 @@ mod tests {
             net.run_for(SimDuration::from_secs(15));
             assert_eq!(net.check_invariants_incremental(), net.check_invariants());
         }
+    }
+
+    /// A cell shares one `CellInfo` per beat: after a `head_intra_alive`
+    /// has landed, every associate of the cell holds the head's own
+    /// record, and the head's next beat is a new record — what an
+    /// associate kept of the previous one is untouched.
+    #[test]
+    fn a_cell_shares_one_record_per_beat() {
+        let mut net = NetworkBuilder::new()
+            .mode(Mode::Dynamic)
+            .area_radius(150.0)
+            .expected_nodes(200)
+            .seed(5)
+            .build()
+            .unwrap();
+        net.run_for(SimDuration::from_secs(60));
+
+        // The big node's cell: the members its beat reaches (a node that
+        // joined from further out keeps the record it joined with), by
+        // what they store.
+        let head = net.big_id();
+        let members = |net: &Network| -> Vec<(NodeId, Arc<crate::messages::CellInfo>)> {
+            let eng = net.engine();
+            let (at, reach) = (eng.position(head).unwrap(), net.config().cell_radius_bound());
+            eng.alive_ids()
+                .filter_map(|id| {
+                    let a = eng.node(id).unwrap().assoc_state()?;
+                    let hears = eng.position(id).unwrap().distance(at) <= reach;
+                    (a.head == head && hears).then(|| (id, Arc::clone(&a.cell)))
+                })
+                .collect()
+        };
+        // Longer than any frame stays in the air (2 ms + 3 µs/m + 1 ms).
+        let landed = SimDuration::from_millis(20);
+        // Steps to the first delivery of the head's next beat, then lets
+        // the rest of that frame land.
+        let next_beat = |net: &mut Network| {
+            let (watch, old) = members(net).swap_remove(0);
+            while Arc::ptr_eq(&net.engine().node(watch).unwrap().assoc_state().unwrap().cell, &old) {
+                assert!(net.engine_mut().step());
+            }
+            net.run_for(landed);
+        };
+
+        next_beat(&mut net);
+        let first = members(&net);
+        assert!(first.len() >= 5, "a populated cell, got {}", first.len());
+        for (id, cell) in &first {
+            assert!(Arc::ptr_eq(cell, &first[0].1), "{id} holds its own copy of the beat");
+            assert_eq!(cell.head, head);
+        }
+        // The frame is gone: the record is owned by its associates alone.
+        assert_eq!(Arc::strong_count(&first[0].1), 2 * first.len());
+
+        let kept: crate::messages::CellInfo = (*first[0].1).clone();
+        next_beat(&mut net);
+        let second = members(&net);
+        assert!(!Arc::ptr_eq(&second[0].1, &first[0].1), "a beat is a new record");
+        for (_, cell) in &second {
+            assert!(Arc::ptr_eq(cell, &second[0].1));
+        }
+        assert_eq!(*first[0].1, kept, "the previous beat's record was not edited");
     }
 }

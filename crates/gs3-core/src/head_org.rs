@@ -9,6 +9,8 @@
 //! `IL(P(i)) → IL(i)` — never at actual node positions — so placement error
 //! does not accumulate across bands (the paper's key trick).
 
+use std::sync::Arc;
+
 use gs3_geometry::hex::{big_node_ideal_locations, child_ideal_locations};
 use gs3_geometry::rank::RankKey;
 use gs3_geometry::spiral::IccIcp;
@@ -397,8 +399,8 @@ fn provisional_cell(
     parent: NodeId,
     parent_il: Point,
     root_pos: Point,
-) -> CellInfo {
-    CellInfo {
+) -> Arc<CellInfo> {
+    Arc::new(CellInfo {
         head,
         head_pos,
         il,
@@ -409,5 +411,5 @@ fn provisional_cell(
         parent_il,
         candidates: Vec::new(),
         root_pos,
-    }
+    })
 }

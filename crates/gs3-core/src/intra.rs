@@ -3,6 +3,8 @@
 //! `STRENGTHEN_CELL` (cell shift), head shift elections, and cell
 //! abandonment.
 
+use std::sync::Arc;
+
 use gs3_geometry::spiral::CellSpiral;
 use gs3_sim::{NodeId, SimDuration};
 
@@ -167,7 +169,7 @@ impl Gs3Node {
     }
 
     /// `head_intra_alive` received.
-    pub(crate) fn on_head_intra_alive(&mut self, from: NodeId, ci: CellInfo, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_head_intra_alive(&mut self, from: NodeId, ci: Arc<CellInfo>, ctx: &mut Ctx<'_>) {
         // Feed the failure detector only for the stream that refreshes
         // `last_heard` (our own head's beats); other cells' overheard
         // intra traffic must not skew the estimator.
@@ -261,10 +263,10 @@ impl Gs3Node {
     }
 
     /// `head_retreat` received.
-    pub(crate) fn on_head_retreat(&mut self, from: NodeId, ci: CellInfo, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_head_retreat(&mut self, from: NodeId, ci: Arc<CellInfo>, ctx: &mut Ctx<'_>) {
         match &mut self.role {
             Role::Associate(a) if from == a.head || ci.il.distance(a.cell.il) <= self.cfg.r_t => {
-                a.cell = ci.clone();
+                a.cell = ci;
                 a.last_heard = ctx.now();
                 self.start_election_if_candidate(from, ctx);
             }
@@ -343,7 +345,7 @@ impl Gs3Node {
     }
 
     /// `new_head_announce` received.
-    pub(crate) fn on_new_head_announce(&mut self, from: NodeId, ci: CellInfo, ctx: &mut Ctx<'_>) {
+    pub(crate) fn on_new_head_announce(&mut self, from: NodeId, ci: Arc<CellInfo>, ctx: &mut Ctx<'_>) {
         let my_pos = ctx.position();
         match &mut self.role {
             Role::Associate(a) => {
@@ -434,7 +436,8 @@ impl Gs3Node {
             self.become_big_away(ctx, self.cfg.mode == Mode::Mobile);
         } else {
             let mut cell = ci;
-            cell.head = from;
+            // Fresh from `cell_info` and sent to nobody: edits in place.
+            Arc::make_mut(&mut cell).head = from;
             let head_pos = cell.il;
             self.become_associate(ctx, from, head_pos, cell, false, true);
         }

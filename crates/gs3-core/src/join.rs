@@ -6,6 +6,8 @@
 //! when no real head is in range. The prober joins the best (closest) head,
 //! falls back to the best associate, and otherwise retries with backoff.
 
+use std::sync::Arc;
+
 use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
 use gs3_sim::{NodeId, SimDuration};
@@ -100,7 +102,7 @@ impl Gs3Node {
                 }
             Role::Associate(a) if a.surrogate => {
                 // A real head appeared: leave the surrogate relationship.
-                let cell = CellInfo {
+                let cell = Arc::new(CellInfo {
                     head: from,
                     head_pos: pos,
                     il,
@@ -111,7 +113,7 @@ impl Gs3Node {
                     parent_il: il,
                     candidates: Vec::new(),
                     root_pos: il,
-                };
+                });
                 let _ = my_pos;
                 self.become_associate(ctx, from, pos, cell, false, true);
             }
@@ -153,7 +155,7 @@ impl Gs3Node {
             .min_by(|a, bo| my_pos.distance(a.1).total_cmp(&my_pos.distance(bo.1)))
             .copied();
         if let Some((head, pos, hops)) = best_head {
-            let cell = CellInfo {
+            let cell = Arc::new(CellInfo {
                 head,
                 head_pos: pos,
                 il: pos,
@@ -164,7 +166,7 @@ impl Gs3Node {
                 parent_il: pos,
                 candidates: Vec::new(),
                 root_pos: pos,
-            };
+            });
             ctx.event("joined_head", head.raw());
             self.become_associate(ctx, head, pos, cell, false, true);
             return;
@@ -177,7 +179,7 @@ impl Gs3Node {
             .min_by(|a, bo| my_pos.distance(a.1).total_cmp(&my_pos.distance(bo.1)))
             .copied();
         if let Some((assoc, pos)) = best_assoc {
-            let cell = CellInfo {
+            let cell = Arc::new(CellInfo {
                 head: assoc,
                 head_pos: pos,
                 il: pos,
@@ -188,7 +190,7 @@ impl Gs3Node {
                 parent_il: pos,
                 candidates: Vec::new(),
                 root_pos: pos,
-            };
+            });
             ctx.event("joined_surrogate", assoc.raw());
             self.become_associate(ctx, assoc, pos, cell, true, false);
             // Surrogates keep probing; ensure a probe is queued.

@@ -5,6 +5,8 @@
 //! `head_retreat`, `replacing_head`, `cell_abandoned`, `head_inter_alive`,
 //! `new_child_head`, `parent_seek`, `sanity_check_req`, …).
 
+use std::sync::Arc;
+
 use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
 use gs3_sim::{NodeId, Payload};
@@ -60,6 +62,11 @@ pub struct HeadAssignment {
 /// Cell state carried by intra-cell traffic (`head_intra_alive`,
 /// `head_retreat`, `new_head_announce`): everything an associate needs to
 /// know to act as candidate, elect a successor, or inherit the cell.
+///
+/// Built once per beat and shared behind an [`Arc`] by the frame, every
+/// queued copy of it and every associate that stores it — immutable once
+/// sent. (`Arc`, not `Rc`: whole networks move across `run_grid`'s worker
+/// threads.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellInfo {
     /// The current head.
@@ -140,7 +147,7 @@ pub enum Msg {
 
     // --------------------------------------------------- intra-cell maintenance
     /// `head_intra_alive`: periodic heartbeat from head to cell.
-    HeadIntraAlive(CellInfo),
+    HeadIntraAlive(Arc<CellInfo>),
     /// `head_intra_ack`: an associate confirms membership (and reports
     /// position/energy so the head can maintain the candidate set).
     HeadIntraAck {
@@ -157,13 +164,13 @@ pub enum Msg {
     /// `associate_retreat`: an associate leaves for a better cell.
     AssociateRetreat,
     /// `head_retreat`: the head steps down; candidates should elect.
-    HeadRetreat(CellInfo),
+    HeadRetreat(Arc<CellInfo>),
     /// `replacing_head`: a candidate (or the big node) takes over from the
     /// current head.
     ReplacingHead,
     /// A freshly elected or shifted head claims its cell (announced within
     /// the cell and to neighboring heads).
-    NewHeadAnnounce(CellInfo),
+    NewHeadAnnounce(Arc<CellInfo>),
     /// `cell_abandoned`: the cell dissolves; members must re-join
     /// elsewhere.
     CellAbandoned,

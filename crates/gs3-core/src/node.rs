@@ -12,6 +12,8 @@
 //! * big-node slide/move — `big.rs`
 //! * sensing workload — `workload.rs`
 
+use std::sync::Arc;
+
 use gs3_geometry::Point;
 use gs3_geometry::spiral::IccIcp;
 use gs3_sim::{Context, NodeId, SimDuration};
@@ -28,7 +30,8 @@ pub type Ctx<'a> = Context<'a, Msg, Timer>;
 /// One GS³ protocol participant (big or small node).
 #[derive(Debug, Clone)]
 pub struct Gs3Node {
-    pub(crate) cfg: Gs3Config,
+    /// One configuration per network, shared by all of its nodes.
+    pub(crate) cfg: Arc<Gs3Config>,
     pub(crate) is_big: bool,
     pub(crate) role: Role,
     /// Reliability-layer state (sequence numbers, pending sends, dedup
@@ -46,7 +49,7 @@ pub struct Gs3Node {
 impl Gs3Node {
     /// Creates a small node.
     #[must_use]
-    pub fn small(cfg: Gs3Config) -> Self {
+    pub fn small(cfg: Arc<Gs3Config>) -> Self {
         Gs3Node {
             cfg,
             is_big: false,
@@ -59,7 +62,7 @@ impl Gs3Node {
 
     /// Creates the big node (initiator and root of the head graph).
     #[must_use]
-    pub fn big(cfg: Gs3Config) -> Self {
+    pub fn big(cfg: Arc<Gs3Config>) -> Self {
         Gs3Node {
             cfg,
             is_big: true,
@@ -150,7 +153,7 @@ impl Gs3Node {
         ctx: &mut Ctx<'_>,
         head: NodeId,
         head_pos: Point,
-        cell: CellInfo,
+        cell: Arc<CellInfo>,
         surrogate: bool,
         announce: bool,
     ) {

@@ -12,6 +12,7 @@
 //! | `big_slide`/`big_move`  | [`Role::BigAway`]                         |
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
@@ -259,10 +260,11 @@ impl HeadState {
         cands.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// A [`CellInfo`] snapshot suitable for intra-cell broadcast.
+    /// A [`CellInfo`] snapshot suitable for intra-cell broadcast: one
+    /// shared record per beat.
     #[must_use]
-    pub fn cell_info(&self, head: NodeId, head_pos: Point, r_t: f64, gr: gs3_geometry::Angle) -> CellInfo {
-        CellInfo {
+    pub fn cell_info(&self, head: NodeId, head_pos: Point, r_t: f64, gr: gs3_geometry::Angle) -> Arc<CellInfo> {
+        Arc::new(CellInfo {
             head,
             head_pos,
             il: self.il,
@@ -273,7 +275,7 @@ impl HeadState {
             parent_il: self.parent_il,
             candidates: self.ranked_candidates(r_t, gr),
             root_pos: self.root_pos,
-        }
+        })
     }
 }
 
@@ -284,8 +286,9 @@ pub struct AssocState {
     pub head: NodeId,
     /// The head's last known position.
     pub head_pos: Point,
-    /// The cell this node belongs to (inherited on election).
-    pub cell: CellInfo,
+    /// The cell this node belongs to (inherited on election): the head's
+    /// own record, shared with the rest of the cell.
+    pub cell: Arc<CellInfo>,
     /// When we last heard the head.
     pub last_heard: SimTime,
     /// True when joined through an associate (no head in range) — the
@@ -410,7 +413,7 @@ mod tests {
         let a = AssocState {
             head: NodeId::new(9),
             head_pos: Point::ORIGIN,
-            cell,
+            cell: Arc::new(cell),
             last_heard: SimTime::ZERO,
             surrogate: false,
             election_pending: None,

@@ -85,4 +85,21 @@ mod tests {
         let bytes = gs3_sim::Engine::<crate::Gs3Node>::pending_event_bytes();
         assert!(bytes <= 48, "queue entry grew to {bytes} bytes");
     }
+
+    /// A node's protocol state without what its network shares (the
+    /// configuration) or its cell shares (the head's `CellInfo`): the
+    /// arena's cold column is this wide per node, 10⁶ times over.
+    #[test]
+    fn gs3node_is_at_most_320_bytes() {
+        let bytes = std::mem::size_of::<crate::Gs3Node>();
+        assert!(bytes <= 320, "Gs3Node grew to {bytes} bytes");
+    }
+
+    /// One transmission record holds one `Msg`, and a handler receives
+    /// one by value per delivery.
+    #[test]
+    fn msg_is_at_most_96_bytes() {
+        let bytes = std::mem::size_of::<crate::messages::Msg>();
+        assert!(bytes <= 96, "Msg grew to {bytes} bytes");
+    }
 }

@@ -22,7 +22,7 @@ use crate::medium::{ContentionConfig, MediumState, TxWindow};
 use crate::queue::EventQueue;
 use crate::radio::{EnergyModel, RadioModel};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
+use crate::trace::{KindFolds, Trace};
 
 /// A message payload carried by the simulated radio.
 ///
@@ -335,9 +335,11 @@ impl<M> Flights<M> {
 /// and never reindex).
 ///
 /// The split is by access temperature: `positions`/`alive`/`energy` are
-/// the *hot* columns — every delivery, broadcast candidate scan, and
-/// energy charge reads them, and packing them densely keeps those scans in
-/// cache instead of striding over the full protocol state. `nodes` is the
+/// the *hot* columns — every dispatch and energy charge reads them, one
+/// node at a time, and packing them densely keeps those reads in cache
+/// instead of striding over the full protocol state. (A broadcast picks
+/// its receivers from the spatial grid, which carries its own copy of the
+/// alive nodes' positions, and does not come here.) `nodes` is the
 /// *cold* column (the protocol state machine, by far the widest field),
 /// touched only when a callback actually runs. `pending_timers` sits in
 /// between: consulted on timer dispatch and set/cancel.
@@ -437,8 +439,10 @@ pub struct Engine<N: Node> {
     events_processed: u64,
     /// Reused across callbacks so the dispatch hot path allocates nothing.
     action_buf: Vec<Action<N::Msg, N::Timer>>,
-    /// Reused across broadcasts for candidate collection.
-    recv_buf: Vec<usize>,
+    /// Reused across broadcasts: the receivers in range, with distances.
+    recv_buf: Vec<(usize, f64)>,
+    /// The digest's per-kind fold tables, built as kinds are first sent.
+    kind_folds: KindFolds,
     /// Reused across channel releases for newly-granted owners.
     grant_buf: Vec<NodeId>,
 }
@@ -451,7 +455,8 @@ const UNLIMITED_ENERGY: f64 = f64::INFINITY;
 /// copy whose future is bit-identical to the original's until one of them
 /// is perturbed. This is the model checker's state save/restore primitive.
 /// The scratch buffers are not carried over (they are empty between
-/// callbacks, which is the only time a clone can happen).
+/// callbacks, which is the only time a clone can happen); the digest's
+/// per-kind tables are, shared, so a fork does not build them again.
 impl<N: Node + Clone> Clone for Engine<N> {
     fn clone(&self) -> Self {
         debug_assert!(
@@ -477,6 +482,7 @@ impl<N: Node + Clone> Clone for Engine<N> {
             events_processed: self.events_processed,
             action_buf: Vec::new(),
             recv_buf: Vec::new(),
+            kind_folds: self.kind_folds.clone(),
             grant_buf: Vec::new(),
         }
     }
@@ -507,6 +513,7 @@ impl<N: Node> Engine<N> {
             events_processed: 0,
             action_buf: Vec::new(),
             recv_buf: Vec::new(),
+            kind_folds: KindFolds::default(),
             grant_buf: Vec::new(),
         }
     }
@@ -615,12 +622,9 @@ impl<N: Node> Engine<N> {
     pub fn taint_episode_near(&mut self, episode: u32, center: Point, radius: f64) {
         self.telemetry.episodes.add_origin(episode, (center.x, center.y));
         let mut found = std::mem::take(&mut self.recv_buf);
-        self.grid.for_each_candidate(center, radius, |h| found.push(h));
-        found.sort_unstable();
-        for &h in &found {
-            if self.arena.alive[h] && self.arena.positions[h].distance(center) <= radius {
-                self.telemetry.episodes.taint_node(episode, h as u64);
-            }
+        self.grid.disk_into(center, radius, &mut found);
+        for &(h, _) in &found {
+            self.telemetry.episodes.taint_node(episode, h as u64);
         }
         found.clear();
         self.recv_buf = found;
@@ -748,7 +752,10 @@ impl<N: Node> Engine<N> {
     pub fn set_position(&mut self, id: NodeId, position: Point) -> Result<(), EngineError> {
         let idx = self.check(id)?;
         let old = self.arena.positions[idx];
-        self.grid.relocate(idx, old, position);
+        // The grid holds the alive nodes only (`kill` removes).
+        if self.arena.alive[idx] {
+            self.grid.relocate(idx, old, position);
+        }
         self.arena.positions[idx] = position;
         Ok(())
     }
@@ -820,15 +827,9 @@ impl<N: Node> Engine<N> {
     /// in ascending id order, via the spatial grid (touches only the cells
     /// overlapping the disk, not the whole population).
     pub fn alive_in_disk_into(&self, center: Point, radius: f64, out: &mut Vec<NodeId>) {
-        let start = out.len();
-        self.grid.for_each_candidate(center, radius, |h| {
-            if self.arena.alive[h] && self.arena.positions[h].distance(center) <= radius {
-                out.push(NodeId::from_index(h));
-            }
-        });
-        // Grid cell iteration order is hash-map dependent; sort for the
-        // deterministic order every digest-bearing caller needs.
-        out[start..].sort_unstable();
+        let mut found = Vec::new();
+        self.grid.disk_into(center, radius, &mut found);
+        out.extend(found.iter().map(|&(h, _)| NodeId::from_index(h)));
     }
 
     /// Number of alive nodes.
@@ -849,23 +850,25 @@ impl<N: Node> Engine<N> {
         let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
+        self.process(at, ev);
+        true
+    }
+
+    /// Advances the clock to a just-popped event and dispatches it.
+    fn process(&mut self, at: SimTime, ev: PendingEvent<N::Timer>) {
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.events_processed += 1;
         self.telemetry.metrics.queue_depth.record(self.queue.len() as u64);
         self.dispatch(ev);
-        true
     }
 
     /// Runs until the queue is exhausted or the clock passes `deadline`.
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
+        while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
+            self.process(at, ev);
             n += 1;
         }
         // Advance the clock to the deadline even if the queue drained early,
@@ -889,14 +892,11 @@ impl<N: Node> Engine<N> {
     /// timers never quiesce).
     pub fn run_until_quiescent(&mut self, deadline: SimTime) -> Option<SimTime> {
         let mut last = self.now;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                return None;
-            }
-            self.step();
+        while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
+            self.process(at, ev);
             last = self.now;
         }
-        Some(last)
+        self.queue.is_empty().then_some(last)
     }
 
     /// True when no events are pending.
@@ -1265,13 +1265,14 @@ impl<N: Node> Engine<N> {
     /// scheduled copy is folded into the trace digest. With an inert fault
     /// state this draws exactly one latency sample — bit-identical to the
     /// pre-fault engine.
-    /// Each copy takes one more reference to the transmission `flight`.
+    /// Each copy takes one more reference to the transmission `flight`;
+    /// `kind` is the frame's [`KindFolds`] entry.
     fn schedule_delivery(
         &mut self,
         flight: u32,
         to: NodeId,
         dist: f64,
-        kind: &'static str,
+        kind: usize,
         fate: Option<Fate>,
     ) {
         let from = self.flights.get(flight).from;
@@ -1307,6 +1308,7 @@ impl<N: Node> Engine<N> {
             }
             self.telemetry.metrics.delivery_latency_us.record(latency.as_micros());
             let at = self.now + latency;
+            let kind = self.kind_folds.at(kind);
             self.trace.record_scheduled_delivery(at.as_micros(), from.raw(), to.raw(), kind);
             self.flights.retain(flight);
             self.queue.schedule(at, PendingEvent { to, kind: EventKind::Deliver { flight } });
@@ -1439,6 +1441,7 @@ impl<N: Node> Engine<N> {
         let Some(flight) = self.open_transmission(from, msg, true, dist, attempt, resend) else {
             return;
         };
+        let fold = self.kind_folds.get(kind);
         // A scripted fate (the model checker's delivery-decision point)
         // overrides the probabilistic cascade; unscripted attempts fall
         // through to it. Jamming is geometric (RNG-free); the rest draw
@@ -1446,7 +1449,7 @@ impl<N: Node> Engine<N> {
         match self.faults.next_attempt(from, to, kind, false) {
             Some(Fate::Drop) => self.trace.record_scripted_drop(),
             Some(Fate::Collide) => self.scripted_collision(from, to, kind),
-            Some(fate) => self.schedule_delivery(flight, to, dist, kind, Some(fate)),
+            Some(fate) => self.schedule_delivery(flight, to, dist, fold, Some(fate)),
             None => {
                 if self.faults.jammed(from_pos, target_pos) {
                     self.trace.record_dropped_by_jam();
@@ -1455,7 +1458,7 @@ impl<N: Node> Engine<N> {
                 } else if self.faults.unicast_dropped(&mut self.rng) {
                     self.trace.record_dropped_unicast();
                 } else {
-                    self.schedule_delivery(flight, to, dist, kind, None);
+                    self.schedule_delivery(flight, to, dist, fold, None);
                 }
             }
         }
@@ -1479,22 +1482,14 @@ impl<N: Node> Engine<N> {
         let Some(flight) = self.open_transmission(from, msg, false, range, attempt, resend) else {
             return;
         };
+        let fold = self.kind_folds.get(kind);
+        // Every alive node in range, ascending by id, each with the
+        // distance its latency is drawn from.
         let mut receivers = std::mem::take(&mut self.recv_buf);
         debug_assert!(receivers.is_empty());
-        self.grid.for_each_candidate(from_pos, range, |h| {
-            if h != from.index() {
-                receivers.push(h);
-            }
-        });
-        // Deterministic receiver order regardless of hash-map iteration.
-        receivers.sort_unstable();
-        for &h in &receivers {
-            if !self.arena.alive[h] {
-                continue;
-            }
-            let to_pos = self.arena.positions[h];
-            let dist = from_pos.distance(to_pos);
-            if dist > range {
+        self.grid.disk_into(from_pos, range, &mut receivers);
+        for &(h, dist) in &receivers {
+            if h == from.index() {
                 continue;
             }
             let to = NodeId::from_index(h);
@@ -1508,7 +1503,7 @@ impl<N: Node> Engine<N> {
                     continue;
                 }
                 Some(fate) => {
-                    self.schedule_delivery(flight, to, dist, kind, Some(fate));
+                    self.schedule_delivery(flight, to, dist, fold, Some(fate));
                     continue;
                 }
                 None => {}
@@ -1517,7 +1512,9 @@ impl<N: Node> Engine<N> {
                 self.trace.record_broadcast_loss();
                 continue;
             }
-            if self.faults.jammed(from_pos, to_pos) {
+            // The one fault that needs the receiver's position; the column
+            // is not touched while no jam is up.
+            if !self.faults.jams().is_empty() && self.faults.jammed(from_pos, self.arena.positions[h]) {
                 self.trace.record_dropped_by_jam();
                 continue;
             }
@@ -1525,7 +1522,7 @@ impl<N: Node> Engine<N> {
                 self.trace.record_dropped_by_burst();
                 continue;
             }
-            self.schedule_delivery(flight, to, dist, kind, None);
+            self.schedule_delivery(flight, to, dist, fold, None);
         }
         receivers.clear();
         self.recv_buf = receivers;

@@ -142,15 +142,20 @@ impl<E> RadixQueue<E> {
         self.peak = self.peak.max(self.len);
     }
 
-    /// Pulls the lowest non-empty bucket forward: `last` becomes its
-    /// minimum key and its entries rebin relative to that (the minimum
-    /// itself landing in bucket 0). Caller guarantees `len > 0` and
-    /// bucket 0 empty.
-    fn redistribute(&mut self) {
+    /// The lowest non-empty bucket and the minimum key in it — the
+    /// queue's minimum. Caller guarantees `len > 0` and bucket 0 empty.
+    fn lowest(&self) -> (usize, u64) {
         let i = (1..BUCKETS)
             .find(|&i| !self.buckets[i].is_empty())
             .expect("non-empty queue with empty bucket 0 has a higher bucket");
         let min = self.buckets[i].iter().map(|e| e.at.as_micros()).min().expect("bucket non-empty");
+        (i, min)
+    }
+
+    /// Pulls bucket `i` forward: `last` becomes its minimum key `min` and
+    /// its entries rebin relative to that (the minimum itself landing in
+    /// bucket 0). `(i, min)` comes from [`Self::lowest`].
+    fn redistribute(&mut self, i: usize, min: u64) {
         self.last = min;
         let mut moved = std::mem::take(&mut self.buckets[i]);
         for e in moved.drain(..) {
@@ -162,17 +167,43 @@ impl<E> RadixQueue<E> {
         self.buckets[i] = moved;
     }
 
+    fn pop_bucket_zero(&mut self) -> (SimTime, E) {
+        let e = self.buckets[0].pop_front().expect("bucket 0 holds the minimum");
+        self.len -= 1;
+        (e.at, e.payload)
+    }
+
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
         if self.buckets[0].is_empty() {
-            self.redistribute();
+            let (i, min) = self.lowest();
+            self.redistribute(i, min);
         }
-        let e = self.buckets[0].pop_front().expect("redistribution filled bucket 0");
-        self.len -= 1;
-        Some((e.at, e.payload))
+        Some(self.pop_bucket_zero())
+    }
+
+    /// Removes and returns the earliest event unless it fires after
+    /// `deadline` — `peek_time` and `pop` in one scan of the lowest bucket.
+    /// A refusal leaves the queue as it was, `last` included, so the
+    /// caller may still schedule anywhere from its own clock onwards.
+    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        if self.len == 0 {
+            return None;
+        }
+        if self.buckets[0].is_empty() {
+            let (i, min) = self.lowest();
+            if min > deadline.as_micros() {
+                return None;
+            }
+            self.redistribute(i, min);
+        } else if self.last > deadline.as_micros() {
+            // Bucket 0 holds exactly the entries keyed `last`.
+            return None;
+        }
+        Some(self.pop_bucket_zero())
     }
 
     /// The firing time of the earliest event, if any.
@@ -416,6 +447,24 @@ mod tests {
             assert_eq!(self.radix.len(), self.oracle.len());
         }
 
+        /// `pop_at_or_before` against the oracle's peek-then-pop. A
+        /// refusal must not move the radix queue's monotone floor: the
+        /// next `schedule(self.floor + Δ)` would trip the assert if it did.
+        fn pop_at_or_before(&mut self, deadline: u64) {
+            let deadline = SimTime::from_micros(deadline);
+            let expected = match self.oracle.peek_time() {
+                Some(t) if t <= deadline => self.oracle.pop(),
+                _ => None,
+            };
+            let got = self.radix.pop_at_or_before(deadline);
+            assert_eq!(got, expected, "deadline pop diverged");
+            if let Some((at, _)) = got {
+                self.floor = at.as_micros();
+            }
+            assert_eq!(self.radix.len(), self.oracle.len());
+            assert_eq!(self.radix.peek_time(), self.oracle.peek_time());
+        }
+
         fn drain(&mut self) {
             while !self.oracle.is_empty() {
                 self.pop();
@@ -471,8 +520,13 @@ mod tests {
                     for _ in 0..burst {
                         m.schedule(m.floor + delta);
                     }
-                } else {
+                } else if rng.gen_bool(0.5) {
                     m.pop();
+                } else {
+                    // Deadlines on both sides of the minimum, the floor
+                    // itself included.
+                    let deadline = m.floor + rng.gen_range(0u64..2_000);
+                    m.pop_at_or_before(deadline);
                 }
             }
             m.drain();

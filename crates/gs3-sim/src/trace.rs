@@ -6,11 +6,102 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// FNV-1a 64-bit offset basis (the initial digest value).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`: folding `k` zero bytes is one multiply
+/// by `PRIME_POW[k]`, because a zero byte's step `h ← (h ^ 0)·P` is `h·P`.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Folds the eight little-endian bytes of `v` into `h`: the significant
+/// low bytes one FNV-1a step each, the zero bytes above them in a single
+/// multiply.
+#[inline]
+fn fold_u64(mut h: u64, mut v: u64) -> u64 {
+    let significant = 8 - (v.leading_zeros() / 8) as usize;
+    for _ in 0..significant {
+        h = (h ^ (v & 0xff)).wrapping_mul(FNV_PRIME);
+        v >>= 8;
+    }
+    h.wrapping_mul(PRIME_POW[8 - significant])
+}
+
+/// One message kind's label, pre-folded for [`fold_delivery`].
+///
+/// An FNV-1a step reads only the low byte of the running hash
+/// (`h ^ b = (h & !0xff) + ((h & 0xff) ^ b)`, and what the multiply makes
+/// of the high part stays a multiple of 256), so folding a string `s` from
+/// `h` splits into `(h & !0xff)·P^|s|` plus the fold of `s` started from
+/// the low byte alone — one of 256 values, tabulated here once per kind.
+#[derive(Debug, Clone)]
+pub struct KindFold {
+    kind: &'static str,
+    /// `FNV_PRIME^kind.len()`.
+    pow: u64,
+    /// `from_low_byte[x]`: the byte-serial fold of `kind` started at `x`.
+    /// Behind an `Arc` so a forked engine takes the tables along for a
+    /// reference bump each instead of building them again.
+    from_low_byte: Arc<[u64; 256]>,
+}
+
+impl KindFold {
+    /// Tabulates `kind`.
+    #[must_use]
+    pub fn new(kind: &'static str) -> Self {
+        let mut from_low_byte = [0u64; 256];
+        for (x, slot) in from_low_byte.iter_mut().enumerate() {
+            *slot = kind.bytes().fold(x as u64, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME));
+        }
+        let pow = kind.bytes().fold(1u64, |p, _| p.wrapping_mul(FNV_PRIME));
+        KindFold { kind, pow, from_low_byte: Arc::new(from_low_byte) }
+    }
+
+    #[inline]
+    fn fold(&self, h: u64) -> u64 {
+        (h & !0xff).wrapping_mul(self.pow).wrapping_add(self.from_low_byte[(h & 0xff) as usize])
+    }
+}
+
+/// The [`KindFold`]s of the kinds sent so far, each built on first use.
+/// Scratch the engine keeps beside its reusable buffers — derived from the
+/// kind strings alone, so it is no part of any run's state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KindFolds(Vec<KindFold>);
+
+impl KindFolds {
+    /// The table for `kind`; looked up once per frame, not per copy.
+    pub(crate) fn get(&mut self, kind: &'static str) -> usize {
+        self.0.iter().position(|k| k.kind == kind).unwrap_or_else(|| {
+            self.0.push(KindFold::new(kind));
+            self.0.len() - 1
+        })
+    }
+
+    pub(crate) fn at(&self, id: usize) -> &KindFold {
+        &self.0[id]
+    }
+}
+
+/// One scheduled delivery folded into the running digest `h`: exactly the
+/// FNV-1a hash of `at_micros`, `from` and `to` as little-endian `u64`s
+/// followed by the kind label's bytes, continued from `h`.
+#[inline]
+#[must_use]
+pub fn fold_delivery(h: u64, at_micros: u64, from: u64, to: u64, kind: &KindFold) -> u64 {
+    kind.fold(fold_u64(fold_u64(fold_u64(h, at_micros), from), to))
+}
 
 /// Counters accumulated over a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,12 +174,15 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn record_unicast(&mut self, kind: &'static str) {
+    /// Counts one unicast transmission of `kind` (the engine calls this
+    /// once per send; public so the per-send cost can be benchmarked).
+    pub fn record_unicast(&mut self, kind: &'static str) {
         self.unicasts_sent += 1;
         *self.per_kind_sent.entry(kind).or_insert(0) += 1;
     }
 
-    pub(crate) fn record_broadcast(&mut self, kind: &'static str) {
+    /// Counts one broadcast transmission of `kind`, however many receive it.
+    pub fn record_broadcast(&mut self, kind: &'static str) {
         self.broadcasts_sent += 1;
         *self.per_kind_sent.entry(kind).or_insert(0) += 1;
     }
@@ -164,8 +258,16 @@ impl Trace {
         at_micros: u64,
         from: u64,
         to: u64,
-        kind: &str,
+        kind: &KindFold,
     ) {
+        self.scheduled_deliveries += 1;
+        self.digest = fold_delivery(self.digest, at_micros, from, to, kind);
+    }
+
+    /// The digest fold as the definition reads — FNV-1a, one byte at a
+    /// time — kept as the oracle [`fold_delivery`] is tested against.
+    #[cfg(test)]
+    fn record_scheduled_delivery_bytewise(&mut self, at_micros: u64, from: u64, to: u64, kind: &str) {
         self.scheduled_deliveries += 1;
         let mut h = self.digest;
         let mut eat = |bytes: &[u8]| {
@@ -430,19 +532,66 @@ mod tests {
 
     #[test]
     fn digest_is_order_and_content_sensitive() {
+        let (org, org_reply) = (KindFold::new("org"), KindFold::new("org_reply"));
         let fresh = Trace::new().digest();
         let mut a = Trace::new();
-        a.record_scheduled_delivery(100, 1, 2, "org");
-        a.record_scheduled_delivery(200, 2, 3, "org_reply");
+        a.record_scheduled_delivery(100, 1, 2, &org);
+        a.record_scheduled_delivery(200, 2, 3, &org_reply);
         let mut b = Trace::new();
-        b.record_scheduled_delivery(200, 2, 3, "org_reply");
-        b.record_scheduled_delivery(100, 1, 2, "org");
+        b.record_scheduled_delivery(200, 2, 3, &org_reply);
+        b.record_scheduled_delivery(100, 1, 2, &org);
         let mut c = Trace::new();
-        c.record_scheduled_delivery(100, 1, 2, "org");
-        c.record_scheduled_delivery(200, 2, 3, "org_reply");
+        c.record_scheduled_delivery(100, 1, 2, &org);
+        c.record_scheduled_delivery(200, 2, 3, &org_reply);
         assert_ne!(a.digest(), fresh);
         assert_ne!(a.digest(), b.digest(), "order must matter");
         assert_eq!(a.digest(), c.digest(), "same sequence, same digest");
         assert_eq!(a.scheduled_deliveries(), 2);
+    }
+
+    /// The shortened fold against the byte-serial definition, chained:
+    /// every record starts from the digest the previous one left, so an
+    /// error confined to the low byte of one step still changes the end.
+    #[test]
+    fn shortened_fold_equals_the_bytewise_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const KINDS: [&str; 5] =
+            ["", "org", "head_intra_alive", "head_inter_alive", "a_forty_byte_kind_label_0123456789abcdef"];
+        assert_eq!(KINDS[4].len(), 40);
+        // 0, the all-ones word, single significant bytes at every
+        // position, and interior zero bytes.
+        const EDGES: [u64; 10] = [
+            0,
+            u64::MAX,
+            0xff,
+            0x100,
+            0x0100_0000_0000_0000,
+            0x00ff_0000_0000_00ff,
+            0x0000_0012_0000_3400,
+            0x1200_0000_0000_0000,
+            0x0000_0000_0001_0000,
+            0x0000_00ff_ff00_ff00,
+        ];
+        let mut folds = KindFolds::default();
+        let mut rng = StdRng::seed_from_u64(14);
+        let word = |rng: &mut StdRng| match rng.gen_range(0u32..4) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            1 => rng.gen_range(0u64..70_000),
+            2 => rng.gen::<u64>() >> rng.gen_range(0u32..64),
+            _ => rng.gen::<u64>() & rng.gen::<u64>(),
+        };
+        let (mut fast, mut slow) = (Trace::new(), Trace::new());
+        for step in 0..if cfg!(miri) { 500 } else { 20_000 } {
+            let (at, from, to) = (word(&mut rng), word(&mut rng), word(&mut rng));
+            let kind = KINDS[rng.gen_range(0..KINDS.len())];
+            let id = folds.get(kind);
+            fast.record_scheduled_delivery(at, from, to, folds.at(id));
+            slow.record_scheduled_delivery_bytewise(at, from, to, kind);
+            assert_eq!(fast.digest(), slow.digest(), "step {step}: ({at:#x}, {from:#x}, {to:#x}, {kind:?})");
+        }
+        assert_eq!(fast, slow);
+        assert_eq!(folds.0.len(), KINDS.len(), "one table per kind, reused");
     }
 }
