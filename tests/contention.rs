@@ -9,7 +9,11 @@
 //! gs3-core) keeps holding without edits.
 
 use gs3::core::harness::NetworkBuilder;
-use gs3::core::{CongestionConfig, FaultKind, FaultPlan};
+use gs3::core::{
+    CongestionConfig, Corruption, DataplaneConfig, FaultKind, FaultPlan, ReliabilityConfig,
+};
+use gs3::geometry::{Point, Vec2};
+use gs3::sim::faults::{BurstLoss, FaultConfig};
 use gs3::sim::{ContentionConfig, SimDuration};
 
 fn builder(seed: u64) -> NetworkBuilder {
@@ -112,4 +116,52 @@ fn congestion_adaptation_stretches_under_offered_load() {
         adaptive.mac_collisions(),
         plain.mac_collisions()
     );
+}
+
+/// The digest of the one scenario that runs every optional layer at once —
+/// reliable envelope, contended medium, congestion adaptation and the data
+/// plane — under the CLI's default fault plan (it is what `gs3cli chaos
+/// --nodes 400 --area 200 --seed 11 --reliable --contended --adaptive
+/// --workload` prints). Neither of the other pinned digests parks a frame
+/// behind carrier sense, so this is the pin on the engine's resend path.
+const PINNED_ALL_LAYERS_DIGEST: u64 = 0xFD4E_6006_DE5F_F157;
+
+#[test]
+fn all_layers_on_chaos_digest_is_pinned() {
+    let mut net = NetworkBuilder::new()
+        .ideal_radius(80.0)
+        .radius_tolerance(18.0)
+        .area_radius(200.0)
+        .expected_nodes(400)
+        .seed(11)
+        .traffic(SimDuration::from_secs(5))
+        .dataplane(DataplaneConfig::on())
+        .reliability(ReliabilityConfig::on())
+        .contention(ContentionConfig::on())
+        .congestion(CongestionConfig::on())
+        .build()
+        .unwrap();
+    net.run_to_fixpoint().unwrap();
+    let channel = FaultConfig {
+        burst: BurstLoss { p_enter: 0.02, p_exit: 0.25, loss_good: 0.0, loss_bad: 1.0 },
+        unicast_loss: 0.02,
+        ..FaultConfig::none()
+    };
+    let plan = FaultPlan::new()
+        .at(SimDuration::ZERO, FaultKind::SetChannel { config: channel })
+        .at(SimDuration::from_secs(5), FaultKind::StartJam {
+            label: 0,
+            center: Point::new(100.0, 0.0),
+            radius: 80.0,
+        })
+        .at(SimDuration::from_secs(10), FaultKind::CrashRandom { count: 10 })
+        .at(SimDuration::from_secs(20), FaultKind::CorruptState {
+            near: Point::new(80.0, 60.0),
+            corruption: Corruption::Il { offset: Vec2::new(150.0, 90.0) },
+        })
+        .at(SimDuration::from_secs(65), FaultKind::StopJam { label: 0 });
+    let rep = net.run_chaos(&plan);
+    assert!(rep.healed(), "the all-layers field must heal: {}", rep.to_json());
+    assert!(rep.mac.defers > 100_000, "the resend path must be exercised: {}", rep.mac.defers);
+    assert_eq!(rep.digest, PINNED_ALL_LAYERS_DIGEST, "all-layers digest drifted: {:#018x}", rep.digest);
 }
