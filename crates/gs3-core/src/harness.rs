@@ -365,10 +365,10 @@ impl NetworkBuilder {
         // diffusion starts at t=0. As the gateway/access point it is
         // mains-powered: the energy budget applies to small nodes only.
         let cfg = Arc::new(cfg);
-        let big = eng.spawn_at(Gs3Node::big(Arc::clone(&cfg)), self.big_pos, SimTime::ZERO, None);
+        let big = eng.spawn(Gs3Node::big(Arc::clone(&cfg)), self.big_pos);
         let mut bigs = vec![big];
         for pos in &self.extra_bigs {
-            bigs.push(eng.spawn_at(Gs3Node::big(Arc::clone(&cfg)), *pos, SimTime::ZERO, None));
+            bigs.push(eng.spawn(Gs3Node::big(Arc::clone(&cfg)), *pos));
         }
 
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -382,11 +382,11 @@ impl NetworkBuilder {
                 deploy = deploy.with_gap(*c, *g);
             }
             for pos in deploy.generate(&mut rng) {
-                eng.spawn_at(Gs3Node::small(Arc::clone(&cfg)), pos, SimTime::ZERO, budget);
+                eng.spawn_with_energy(Gs3Node::small(Arc::clone(&cfg)), pos, budget);
             }
         } else {
             for pos in &self.explicit_nodes {
-                eng.spawn_at(Gs3Node::small(Arc::clone(&cfg)), *pos, SimTime::ZERO, budget);
+                eng.spawn_with_energy(Gs3Node::small(Arc::clone(&cfg)), *pos, budget);
             }
         }
 
@@ -700,8 +700,7 @@ impl Network {
 
     /// Spawns (joins) a new small node at `pos`.
     pub fn join_node(&mut self, pos: Point) -> NodeId {
-        self.eng
-            .spawn_at(Gs3Node::small(Arc::clone(&self.cfg)), pos, self.eng.now(), self.budget)
+        self.eng.spawn_with_energy(Gs3Node::small(Arc::clone(&self.cfg)), pos, self.budget)
     }
 
     /// Moves a node to an absolute position (mobility step).

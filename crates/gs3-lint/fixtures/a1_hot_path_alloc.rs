@@ -1,4 +1,4 @@
-// pretend: crates/gs3-sim/src/engine.rs
+// pretend: crates/gs3-sim/src/engine/send.rs
 // A1: heap indirection in the per-event hot path.
 use std::collections::BTreeMap;
 

@@ -123,12 +123,22 @@ pub fn check_d2(rel: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
     }
 }
 
+/// The engine's module directory. Path lists name it by prefix, so a stage
+/// file added under it is in scope the day it lands.
+const ENGINE_DIR: &str = "crates/gs3-sim/src/engine/";
+
+/// Whether `rel` is one of `paths`: an entry ending in `/` covers every
+/// file under that directory, any other names one file.
+fn listed(paths: &[&str], rel: &str) -> bool {
+    paths.iter().any(|p| if p.ends_with('/') { rel.starts_with(p) } else { rel == *p })
+}
+
 /// Files forming the simulator's per-event hot path; `a1` keeps their
 /// storage dense. The data-plane pair runs once per queued batch and
 /// per drained frame, which at a 10k-node convergecast funnel is the
 /// same per-event cadence as the engine itself.
 const HOT_PATHS: [&str; 6] = [
-    "crates/gs3-sim/src/engine.rs",
+    ENGINE_DIR,
     "crates/gs3-sim/src/queue.rs",
     "crates/gs3-sim/src/spatial.rs",
     "crates/gs3-sim/src/channel.rs",
@@ -144,7 +154,7 @@ const HOT_PATHS: [&str; 6] = [
 /// grid is the deliberate exception — cell keys are sparse — and is not
 /// a std type, so it does not trip this rule.)
 pub fn check_a1(rel: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
-    if !HOT_PATHS.contains(&rel) {
+    if !listed(&HOT_PATHS, rel) {
         return;
     }
     for (i, t) in toks.iter().enumerate() {
@@ -448,7 +458,7 @@ fn gate_guards(rel: &str) -> Option<&'static [&'static str]> {
     if rel.ends_with("gs3-core/src/reliable.rs")
         || rel.ends_with("gs3-core/src/congestion.rs")
         || rel.ends_with("gs3-core/src/workload.rs")
-        || rel.ends_with("gs3-sim/src/engine.rs")
+        || rel.starts_with(ENGINE_DIR)
         || rel.ends_with("gs3-sim/src/medium.rs")
         || rel.starts_with("crates/gs3-dataplane/src/")
     {
@@ -867,7 +877,7 @@ fn mark_let_and_macro_patterns(toks: &[Tok], pattern: &mut [bool]) {
 /// Files the intra-run parallel DES roadmap item will shard across
 /// threads; `a2` keeps them free of interior mutability and globals.
 const A2_PATHS: [&str; 4] = [
-    "crates/gs3-sim/src/engine.rs",
+    ENGINE_DIR,
     "crates/gs3-sim/src/queue.rs",
     "crates/gs3-sim/src/spatial.rs",
     "crates/gs3-sim/src/medium.rs",
@@ -896,7 +906,7 @@ const A2_BANNED: [&str; 12] = [
 /// sharded engine cannot replicate per worker. All engine state must be
 /// owned fields passed explicitly.
 pub fn check_a2(rel: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
-    if !A2_PATHS.contains(&rel) {
+    if !listed(&A2_PATHS, rel) {
         return;
     }
     for (i, t) in toks.iter().enumerate() {
@@ -984,7 +994,7 @@ mod tests {
     fn a1_flags_only_hot_paths() {
         let src = "struct S { n: Vec<Box<Node>>, m: BTreeMap<u32, u64> } fn f() { Rc::new(3); }";
         let mut f = Vec::new();
-        check_a1("crates/gs3-sim/src/engine.rs", &lex(src).toks, &mut f);
+        check_a1("crates/gs3-sim/src/engine/mod.rs", &lex(src).toks, &mut f);
         assert_eq!(f.len(), 3);
         // Cold-path files in the same crate keep their ordered maps.
         let mut f = Vec::new();
@@ -1291,7 +1301,25 @@ fn f(ctx: &mut Ctx) {
         // The lexer drops lifetime tokens, so `&'static str` is invisible.
         let src = "fn name(&self) -> &'static str { \"engine\" }";
         let mut f = Vec::new();
-        check_a2("crates/gs3-sim/src/engine.rs", &lex(src).toks, &mut f);
+        check_a2("crates/gs3-sim/src/engine/mod.rs", &lex(src).toks, &mut f);
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn engine_rules_follow_the_directory() {
+        // A stage file nobody has listed by name is in scope for a1, a2
+        // and d4 because it sits under the engine directory; a sibling of
+        // the directory is not.
+        let stage = "crates/gs3-sim/src/engine/some_new_stage.rs";
+        let src = "struct S { m: BTreeMap<u32, u64>, c: RefCell<u8> }";
+        for (rel, hits) in [(stage, 1), ("crates/gs3-sim/src/engine_notes.rs", 0)] {
+            let (mut a1, mut a2) = (Vec::new(), Vec::new());
+            check_a1(rel, &lex(src).toks, &mut a1);
+            check_a2(rel, &lex(src).toks, &mut a2);
+            assert_eq!((a1.len(), a2.len()), (hits, hits), "{rel}");
+        }
+        assert_eq!(gate_guards(stage), gate_guards("crates/gs3-sim/src/medium.rs"));
+        assert!(gate_guards(stage).is_some());
+        assert!(gate_guards("crates/gs3-sim/src/engine_notes.rs").is_none());
     }
 }

@@ -30,23 +30,34 @@ use crate::time::SimDuration;
 /// opens; one second comfortably covers every committed scenario.
 const RETENTION_US: u64 = 1_000_000;
 
-/// CSMA/collision parameters of the shared medium. All off by default.
+/// Radio bitrate in bits per second; divides message wire size into frame
+/// airtime (802.15.4-flavored: 250 kbit/s).
+pub const BITRATE_BPS: u64 = 250_000;
+/// Fixed per-frame overhead (preamble, MAC header, CRC), bits.
+pub const FRAME_OVERHEAD_BITS: u64 = 128;
+/// Backoff slot length. One deferral waits `1..=cw` whole slots.
+pub const SLOT: SimDuration = SimDuration::from_micros(320);
+/// Initial contention window, in slots (doubles per retry).
+pub const CW_MIN: u32 = 4;
+/// Contention-window cap, in slots.
+pub const CW_MAX: u32 = 64;
+
+const _: () = {
+    assert!(BITRATE_BPS > 0, "bitrate must be positive");
+    assert!(!SLOT.is_zero(), "backoff slot must be positive");
+    assert!(CW_MIN > 0, "cw_min must be at least one slot");
+    assert!(CW_MAX >= CW_MIN, "cw_max must be at least cw_min");
+};
+
+/// CSMA/collision parameters of the shared medium. Off by default. What a
+/// scenario may vary is here; the radio's physical constants
+/// ([`BITRATE_BPS`], [`FRAME_OVERHEAD_BITS`], [`SLOT`], [`CW_MIN`],
+/// [`CW_MAX`]) are the module's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentionConfig {
     /// Master switch. When false the engine skips every contention hook:
     /// no RNG draws, no extra events, no counters — bit-identical digests.
     pub enabled: bool,
-    /// Radio bitrate in bits per second; divides message wire size into
-    /// frame airtime.
-    pub bitrate_bps: u64,
-    /// Fixed per-frame overhead (preamble, MAC header, CRC), bits.
-    pub frame_overhead_bits: u64,
-    /// Backoff slot length. One deferral waits `1..=cw` whole slots.
-    pub slot: SimDuration,
-    /// Initial contention window, in slots (doubles per retry).
-    pub cw_min: u32,
-    /// Contention-window cap, in slots.
-    pub cw_max: u32,
     /// Retries before a frame is dropped as backoff-exhausted.
     pub max_backoffs: u32,
 }
@@ -59,44 +70,28 @@ impl ContentionConfig {
         ContentionConfig { enabled: false, ..ContentionConfig::on() }
     }
 
-    /// Contention on with 802.15.4-flavored defaults: 250 kbit/s, 128-bit
-    /// frame overhead, 320 µs slots, contention window 4..64 slots, and
-    /// up to 6 backoffs per frame.
+    /// Contention on, with up to 6 backoffs per frame.
     #[must_use]
     pub fn on() -> Self {
-        ContentionConfig {
-            enabled: true,
-            bitrate_bps: 250_000,
-            frame_overhead_bits: 128,
-            slot: SimDuration::from_micros(320),
-            cw_min: 4,
-            cw_max: 64,
-            max_backoffs: 6,
-        }
+        ContentionConfig { enabled: true, max_backoffs: 6 }
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(self.bitrate_bps > 0, "bitrate must be positive");
-        assert!(!self.slot.is_zero(), "backoff slot must be positive");
-        assert!(self.cw_min > 0, "cw_min must be at least one slot");
-        assert!(self.cw_max >= self.cw_min, "cw_max must be at least cw_min");
-    }
-
-    /// Airtime of a frame carrying `wire_bits` payload bits, at this
-    /// bitrate and overhead. At least one microsecond.
+    /// Airtime of a frame carrying `wire_bits` payload bits, at
+    /// [`BITRATE_BPS`] with [`FRAME_OVERHEAD_BITS`] of overhead. At least
+    /// one microsecond.
     #[must_use]
     pub fn airtime(&self, wire_bits: u64) -> SimDuration {
-        let bits = self.frame_overhead_bits.saturating_add(wire_bits);
-        let us = bits.saturating_mul(1_000_000).div_ceil(self.bitrate_bps.max(1));
+        let bits = FRAME_OVERHEAD_BITS.saturating_add(wire_bits);
+        let us = bits.saturating_mul(1_000_000).div_ceil(BITRATE_BPS);
         SimDuration::from_micros(us.max(1))
     }
 
     /// Contention window (slots) for retry number `attempt` (0-based):
-    /// `cw_min` doubled per retry, capped at `cw_max`.
+    /// [`CW_MIN`] doubled per retry, capped at [`CW_MAX`].
     #[must_use]
     pub fn window(&self, attempt: u32) -> u32 {
-        let doubled = u64::from(self.cw_min) << attempt.min(31);
-        doubled.min(u64::from(self.cw_max)).max(1) as u32
+        let doubled = u64::from(CW_MIN) << attempt.min(31);
+        doubled.min(u64::from(CW_MAX)) as u32
     }
 }
 
@@ -228,11 +223,9 @@ mod tests {
         // (128 + 512) bits at 250 kbit/s = 2560 µs.
         assert_eq!(cfg.airtime(512), SimDuration::from_micros(2560));
         assert!(cfg.airtime(2048) > cfg.airtime(512));
-        let slow = ContentionConfig { bitrate_bps: 125_000, ..ContentionConfig::on() };
-        assert_eq!(slow.airtime(512), SimDuration::from_micros(5120));
-        // Never zero, even for tiny frames at absurd bitrates.
-        let fast = ContentionConfig { bitrate_bps: u64::MAX, ..ContentionConfig::on() };
-        assert!(!fast.airtime(0).is_zero());
+        // Rounded up to whole microseconds, and saturating, never zero.
+        assert_eq!(cfg.airtime(1), SimDuration::from_micros(516));
+        assert!(cfg.airtime(u64::MAX) > cfg.airtime(2048));
     }
 
     #[test]
@@ -301,14 +294,7 @@ mod tests {
     fn disabled_config_round_trips() {
         let off = ContentionConfig::disabled();
         assert!(!off.enabled);
-        off.validate();
-        ContentionConfig::on().validate();
         assert_eq!(ContentionConfig::default(), off);
-    }
-
-    #[test]
-    #[should_panic(expected = "cw_max")]
-    fn validate_rejects_inverted_window() {
-        ContentionConfig { cw_max: 2, cw_min: 8, ..ContentionConfig::on() }.validate();
+        assert_eq!(ContentionConfig { enabled: true, ..off }, ContentionConfig::on());
     }
 }

@@ -11,17 +11,17 @@ use rand::Rng;
 
 use crate::time::SimDuration;
 
+/// Fixed per-message latency (MAC/processing), applied to every delivery.
+pub const BASE_LATENCY: SimDuration = SimDuration::from_millis(2);
+/// Additional latency per whole meter of sender–receiver distance.
+pub const LATENCY_PER_METER: SimDuration = SimDuration::from_micros(3);
+
 /// Parameters of the wireless channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioModel {
     /// Hardware maximum transmission range, meters. Sends beyond this are
     /// silently truncated to it (and unicasts beyond it fail).
     pub max_range: f64,
-    /// Fixed per-message latency (MAC/processing), applied to every
-    /// delivery.
-    pub base_latency: SimDuration,
-    /// Additional latency per meter of sender–receiver distance.
-    pub latency_per_meter: SimDuration,
     /// Upper bound of the uniform random jitter added per delivery.
     pub jitter: SimDuration,
     /// Probability that any given receiver misses a *broadcast* message.
@@ -35,13 +35,7 @@ impl RadioModel {
     /// sub-second local exchanges, lossless broadcast by default.
     #[must_use]
     pub fn ideal(max_range: f64) -> Self {
-        RadioModel {
-            max_range,
-            base_latency: SimDuration::from_millis(2),
-            latency_per_meter: SimDuration::from_micros(3),
-            jitter: SimDuration::from_millis(1),
-            broadcast_loss: 0.0,
-        }
+        RadioModel { max_range, jitter: SimDuration::from_millis(1), broadcast_loss: 0.0 }
     }
 
     /// Same as [`RadioModel::ideal`] but with lossy broadcasts. `loss ==
@@ -61,13 +55,13 @@ impl RadioModel {
     /// The delivery latency for a message traveling `distance` meters,
     /// including a random jitter drawn from `rng`.
     pub fn latency<R: Rng + ?Sized>(&self, distance: f64, rng: &mut R) -> SimDuration {
-        let dist_term = self.latency_per_meter * (distance.max(0.0) as u64);
+        let dist_term = LATENCY_PER_METER * (distance.max(0.0) as u64);
         let jitter = if self.jitter.is_zero() {
             SimDuration::ZERO
         } else {
             SimDuration::from_micros(rng.gen_range(0..=self.jitter.as_micros()))
         };
-        self.base_latency + dist_term + jitter
+        BASE_LATENCY + dist_term + jitter
     }
 
     /// Whether a broadcast copy to one receiver is lost.
@@ -162,10 +156,7 @@ mod tests {
         let near = model.latency(10.0, &mut rng);
         let far = model.latency(400.0, &mut rng);
         assert!(far > near);
-        assert_eq!(
-            far,
-            model.base_latency + model.latency_per_meter * 400
-        );
+        assert_eq!(far, BASE_LATENCY + LATENCY_PER_METER * 400);
     }
 
     #[test]
@@ -174,7 +165,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
             let lat = model.latency(100.0, &mut rng);
-            let min = model.base_latency + model.latency_per_meter * 100;
+            let min = BASE_LATENCY + LATENCY_PER_METER * 100;
             assert!(lat >= min);
             assert!(lat <= min + model.jitter);
         }

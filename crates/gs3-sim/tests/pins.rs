@@ -130,7 +130,7 @@ impl Node for Babbler {
 /// loss, duplication and extra delay, with two nodes killed on the way.
 fn babble(contention: ContentionConfig) -> String {
     const POPULATION: u64 = 30;
-    let mut place = StdRng::seed_from_u64(0xca5c_ade);
+    let mut place = StdRng::seed_from_u64(0x0ca5_cade);
     let mut eng: Engine<Babbler> = Engine::new(RadioModel::lossy(150.0, 0.3), EnergyModel::disabled(), 17);
     eng.set_contention(contention);
     eng.set_fault_config(FaultConfig {

@@ -112,7 +112,7 @@ fn transmission_records_are_conserved_on_every_discard_path() {
         for _ in 0..POPULATION {
             let at = Point::new(drive.gen_range(0.0f64..200.0), drive.gen_range(0.0f64..200.0));
             let budget = drive.gen_range(0.5f64..6.0);
-            eng.spawn_at(Babbler { population: POPULATION }, at, eng.now(), Some(budget));
+            eng.spawn_with_energy(Babbler { population: POPULATION }, at, Some(budget));
         }
         let mut steps = 0u32;
         while eng.alive_count() > 0 && steps < 60_000 {
