@@ -5,6 +5,7 @@
 //! dynamic networks (heartbeats never stop) convergence is detected by
 //! structural-signature stability.
 
+use gs3_core::config::COLLECT_WINDOW;
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
 use gs3_core::Mode;
 use gs3_sim::{SimDuration, SimTime};
@@ -38,7 +39,6 @@ pub struct ConvergenceResult {
 pub fn measure_configuration(builder: NetworkBuilder, deadline: SimDuration) -> ConvergenceResult {
     let mut net = builder.build().expect("builder parameters must be valid");
     let mode = net.config().mode;
-    let poll = net.config().collect_window;
     let d_b = max_distance_from_big(&net);
     let nodes = net.engine().alive_count();
 
@@ -47,7 +47,7 @@ pub fn measure_configuration(builder: NetworkBuilder, deadline: SimDuration) -> 
             Some(t) => (true, t.since(SimTime::ZERO)),
             None => (false, deadline),
         },
-        _ => match settle_time(&mut net, poll * 2, SimTime::ZERO + deadline) {
+        _ => match settle_time(&mut net, COLLECT_WINDOW * 2, SimTime::ZERO + deadline) {
             Some(t) => (true, t),
             None => (false, deadline),
         },

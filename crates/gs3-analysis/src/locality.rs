@@ -2,6 +2,7 @@
 //! how long healing takes (the paper's §4.3.5.2 scalable self-healing
 //! claims and Theorem 11's `√3·d/2` containment bound for big-node moves).
 
+use gs3_core::config::{SANITY_PERIOD, SANITY_WINDOW};
 use gs3_core::snapshot::{RoleView, Snapshot};
 use gs3_core::harness::Network;
 use gs3_geometry::Point;
@@ -105,11 +106,7 @@ where
     let before = net.snapshot();
     let start = net.now();
     perturb(net);
-    let cfg = net.config();
-    let quiet_needed = (cfg.intra_timeout() * 2)
-        + (cfg.inter_timeout() * 2)
-        + cfg.sanity_period
-        + cfg.sanity_window;
+    let quiet_needed = net.config().detection_window() + SANITY_PERIOD + SANITY_WINDOW;
     let hard_deadline = start + deadline;
     let mut last_sig = net.snapshot().structural_signature();
     let mut last_change: Option<SimTime> = if last_sig == before.structural_signature() {

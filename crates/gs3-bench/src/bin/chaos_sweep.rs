@@ -22,6 +22,7 @@ use gs3_analysis::report::{num, Table};
 use gs3_bench::runner::{run_grid, threads_from_args};
 use gs3_bench::banner;
 use gs3_core::chaos::ChaosOptions;
+use gs3_core::config::MAX_STRETCH_EXP;
 use gs3_core::harness::{NetworkBuilder, RunOutcome};
 use gs3_core::json::{self, JsonWriter};
 use gs3_core::{CongestionConfig, FaultKind, FaultPlan, ReliabilityConfig};
@@ -166,13 +167,13 @@ fn run_congestion_cell(d: &Density, l: &Load, seed: u64, adaptive: bool) -> Cong
     }
     let mut net = b.build().expect("valid parameters");
 
-    // Stretched timers move 2^max_stretch_exp slower, so both the
+    // Stretched timers move 2^MAX_STRETCH_EXP slower, so both the
     // stability window and the deadline get the same factor — applied to
     // both arms so the harness treats them identically.
     let cfg = net.config().clone();
-    let factor = u64::from(1u32 << cfg.congestion.max_stretch_exp);
+    let factor = 1u64 << MAX_STRETCH_EXP;
     let poll = cfg.intra_heartbeat;
-    let detect = (cfg.intra_timeout() * 2 + cfg.inter_timeout() * 2) * factor;
+    let detect = cfg.detection_window() * factor;
     let polls = (detect.as_micros() / poll.as_micros().max(1)) as u32 + 2;
     let deadline = net.now() + SimDuration::from_secs(600 * factor);
     let configured =

@@ -315,7 +315,7 @@ fn scenario_million(nodes: usize, area: f64) -> Measurement {
     let mut net = build(nodes, area, 77);
     let poll = net.config().intra_heartbeat;
     // Same stability window as `run_to_fixpoint`...
-    let detect = (net.config().intra_timeout() * 2) + (net.config().inter_timeout() * 2);
+    let detect = net.config().detection_window();
     let polls = (detect.as_micros() / poll.as_micros().max(1)) as u32 + 2;
     // ...but a deadline sized to the deployment: diffusion reaches one
     // more ring of cells (~R) per HEAD_ORG round, so the default 600 s

@@ -12,7 +12,7 @@
 //! columns.
 //!
 //! Everything is seeded; [`sweep_json`] is byte-identical at any thread
-//! count (cells run via [`run_grid`](crate::runner::run_grid)).
+//! count (cells run via [`crate::runner::run_grid`]).
 
 use gs3_core::chaos::{FaultKind, FaultPlan};
 use gs3_core::harness::NetworkBuilder;

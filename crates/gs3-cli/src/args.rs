@@ -28,6 +28,8 @@ pub enum ArgError {
     },
     /// A required option was not supplied.
     Missing(String),
+    /// A value-taking option was the last token.
+    MissingValue(String),
     /// A positional argument appeared after the subcommand.
     UnexpectedPositional(String),
 }
@@ -40,6 +42,7 @@ impl std::fmt::Display for ArgError {
                 write!(f, "option --{key}: expected {expected}, got {value:?}")
             }
             ArgError::Missing(k) => write!(f, "required option --{k} is missing"),
+            ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument {p:?}"),
         }
     }
@@ -58,7 +61,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on duplicates or stray positionals.
+    /// Returns [`ArgError`] on duplicates, stray positionals, or a trailing
+    /// option with no value.
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
         let mut out = Args::default();
         let mut it = tokens.into_iter().peekable();
@@ -71,7 +75,7 @@ impl Args {
                     }
                     out.flags.push(key);
                 } else {
-                    let value = it.next().unwrap_or_default();
+                    let value = it.next().ok_or_else(|| ArgError::MissingValue(key.clone()))?;
                     if out.options.insert(key.clone(), value).is_some() {
                         return Err(ArgError::Duplicate(key));
                     }
@@ -79,7 +83,7 @@ impl Args {
             } else if let Some(rest) = tok.strip_prefix("-j") {
                 // `-j N` / `-jN`: alias for `--threads N`.
                 let value = if rest.is_empty() {
-                    it.next().unwrap_or_default()
+                    it.next().ok_or_else(|| ArgError::MissingValue("threads".to_string()))?
                 } else {
                     rest.to_string()
                 };
@@ -206,6 +210,18 @@ mod tests {
         assert!(matches!(a.point("missing"), Err(ArgError::Missing(_))));
         let b = parse("perturb --kill-disk nope").unwrap();
         assert!(matches!(b.point("kill-disk"), Err(ArgError::BadValue { .. })));
+    }
+
+    #[test]
+    fn rejects_trailing_option_without_value() {
+        for (line, key) in [
+            ("chaos --plan", "plan"),
+            ("chaos --json --out", "out"),
+            ("chaos --seed 3 --timeline", "timeline"),
+            ("chaos -j", "threads"),
+        ] {
+            assert_eq!(parse(line), Err(ArgError::MissingValue(key.to_string())), "{line}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use gs3_sim::NodeId;
 
+use crate::config::{PROXY_REFRESH, PROXY_TTL};
 use crate::messages::{CellInfo, Msg};
 use crate::node::{Ctx, Gs3Node};
 use crate::state::Role;
@@ -22,14 +23,12 @@ impl Gs3Node {
     pub(crate) fn on_big_check(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let pos = ctx.position();
-        let ttl = self.cfg.proxy_ttl;
-        let refresh = self.cfg.proxy_refresh;
         let mobile_mode = self.cfg.mode == crate::config::Mode::Mobile;
 
         let Role::BigAway(b) = &mut self.role else {
             return;
         };
-        b.known_heads.retain(|_, (_, _, heard)| now.saturating_since(*heard) <= ttl);
+        b.known_heads.retain(|_, (_, _, heard)| now.saturating_since(*heard) <= PROXY_TTL);
 
         // Self-stabilization backstop. Two ways the away big node must
         // re-anchor itself as root and re-run HEAD_ORG:
@@ -44,7 +43,7 @@ impl Gs3Node {
             .values()
             .any(|(_, il, _)| il.distance(pos) <= self.cfg.r);
         let must_reanchor = b.known_heads.is_empty() || (!b.mobile && !central_claimed);
-        if must_reanchor && now.saturating_since(b.since) > ttl * 2 {
+        if must_reanchor && now.saturating_since(b.since) > PROXY_TTL * 2 {
             let me = ctx.id();
             let hs = self.become_head(ctx, pos, pos, gs3_geometry::spiral::IccIcp::ORIGIN, me, pos, pos, 0);
             let _ = hs;
@@ -92,7 +91,7 @@ impl Gs3Node {
         if let Some(best) = refresh_to {
             ctx.unicast(best, Msg::ProxyAssign);
         }
-        ctx.set_timer(refresh, Timer::BigCheck);
+        ctx.set_timer(PROXY_REFRESH, Timer::BigCheck);
     }
 
     /// Called whenever the away big node hears a cell heartbeat: resume
@@ -194,9 +193,8 @@ impl Gs3Node {
     /// A proxy's expiry timer (scheduled defensively; the inter heartbeat
     /// also expires stale proxies).
     pub(crate) fn on_proxy_expire(&mut self, ctx: &mut Ctx<'_>) {
-        let ttl = self.cfg.proxy_ttl;
         if let Role::Head(h) = &mut self.role {
-            if h.is_proxy && ctx.now().saturating_since(h.proxy_refreshed) > ttl {
+            if h.is_proxy && ctx.now().saturating_since(h.proxy_refreshed) > PROXY_TTL {
                 h.is_proxy = false;
             }
         }

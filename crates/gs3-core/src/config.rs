@@ -23,12 +23,21 @@
 //! nothing, so runs stay bit-reproducible and an inert channel is
 //! byte-identical to a fault-free one.
 //!
-//! These interact with the timing knobs below: failure detection needs
-//! `failure_misses` consecutive heartbeats lost, so a mean burst shorter
-//! than `failure_misses × intra_heartbeat` worth of attempts only *delays*
+//! These interact with failure detection, which needs [`FAILURE_MISSES`]
+//! consecutive heartbeats lost: a mean burst shorter than
+//! `FAILURE_MISSES × intra_heartbeat` worth of attempts only *delays*
 //! detection — the chaos experiments (`EXPERIMENTS.md § Chaos testing`)
 //! measure healing latency growing by whole heartbeat periods, never
 //! diverging.
+//!
+//! # Fixed protocol parameters
+//!
+//! The paper parameterises GS³ by `R`, `R_t` and the reference direction
+//! and leaves the heartbeat frequency open; those are the fields of
+//! [`Gs3Config`]. Every other timing, retry and threshold value is a
+//! `pub const` of this module (tabulated in DESIGN.md § Fixed protocol
+//! parameters) and becomes a field again when two callers need different
+//! values.
 
 use gs3_dataplane::DataplaneConfig;
 use gs3_geometry::{angular_slack, coordination_radius, head_spacing, Angle};
@@ -52,12 +61,79 @@ pub enum Mode {
     Mobile,
 }
 
+/// How long a head listens for `org_reply`s in `HEAD_ORG`.
+pub const COLLECT_WINDOW: SimDuration = SimDuration::from_millis(300);
+/// Heartbeats missed before a peer is declared failed.
+pub const FAILURE_MISSES: u64 = 3;
+/// Stagger between successive candidates' self-promotion attempts during
+/// head-shift elections.
+pub const ELECTION_STAGGER: SimDuration = SimDuration::from_millis(250);
+/// Period of the low-frequency `SANITY_CHECK`.
+pub const SANITY_PERIOD: SimDuration = SimDuration::from_secs(30);
+/// How long a sanity round waits for neighbor verdicts.
+pub const SANITY_WINDOW: SimDuration = SimDuration::from_secs(1);
+/// Period at which boundary heads re-run `HEAD_ORG` toward empty
+/// directions.
+pub const BOUNDARY_CHECK_PERIOD: SimDuration = SimDuration::from_secs(20);
+/// Delay before a freshly booted node begins join probing (lets the
+/// initial diffusing computation claim it first).
+pub const JOIN_INITIAL_DELAY: SimDuration = SimDuration::from_secs(30);
+/// Retry period for join probing.
+pub const JOIN_RETRY: SimDuration = SimDuration::from_secs(10);
+/// How long a join probe collects offers before deciding.
+pub const JOIN_WINDOW: SimDuration = SimDuration::from_millis(500);
 /// Attempts saturate at this factor when join probing backs off; the total
 /// backoff (factor × retry period + jitter) is capped at
 /// [`Gs3Config::max_join_backoff`].
 pub const MAX_JOIN_BACKOFF_FACTOR: u64 = 6;
+/// Proxy refresh period (GS³-M big node).
+pub const PROXY_REFRESH: SimDuration = SimDuration::from_secs(2);
+/// Proxy role expires after this long without refresh.
+pub const PROXY_TTL: SimDuration = SimDuration::from_secs(7);
 
-/// Knobs for the control-plane reliability layer (acked retransmission,
+/// Retransmissions attempted before the give-up hook fires (so a reliable
+/// message is sent at most `1 + MAX_RETRIES` times).
+pub const MAX_RETRIES: u32 = 4;
+/// Base retransmission timeout; attempt `n` waits `BASE_RTO × 2ⁿ + jitter`,
+/// with jitter uniform in `[0, BASE_RTO/2)` drawn from the seeded engine
+/// RNG.
+pub const BASE_RTO: SimDuration = SimDuration::from_millis(500);
+/// Per-sender dedup window: how many recently seen sequence numbers a
+/// receiver remembers to make redelivery idempotent.
+pub const DEDUP_WINDOW: usize = 16;
+/// Smoothing factor numerator for the heartbeat inter-arrival EWMA
+/// (`alpha = EWMA_ALPHA_NUM / 16`).
+pub const EWMA_ALPHA_NUM: u64 = 2;
+/// Deviation multiplier `k` in the adaptive threshold `2·mean + k·dev`.
+pub const PHI_K: u64 = 4;
+/// Consecutive failed parent-seek rounds before a head enters quarantine.
+pub const QUARANTINE_SEEK_LIMIT: u32 = 3;
+
+/// MAC contention events observed since the last check (one check per
+/// periodic-timer firing) at or above which a node stretches one more
+/// step.
+pub const STRETCH_THRESHOLD: u64 = 4;
+/// Delta strictly below which an observation counts as *quiet*; the gap
+/// up to [`STRETCH_THRESHOLD`] is hysteresis.
+pub const CLEAR_THRESHOLD: u64 = 1;
+/// Consecutive quiet observations required before a stretched node relaxes
+/// one step. A single quiet interval is usually just the lull the stretch
+/// itself bought — relaxing on it re-ignites the storm and the exponent
+/// flaps instead of settling.
+pub const RELAX_AFTER: u32 = 3;
+/// Cap on the stretch exponent: periods stretch at most
+/// `2^MAX_STRETCH_EXP` ×.
+pub const MAX_STRETCH_EXP: u32 = 3;
+
+const _: () = {
+    assert!(PROXY_TTL.as_micros() > PROXY_REFRESH.as_micros());
+    assert!(DEDUP_WINDOW >= 2);
+    assert!(EWMA_ALPHA_NUM <= 16);
+    assert!(CLEAR_THRESHOLD <= STRETCH_THRESHOLD);
+    assert!(MAX_STRETCH_EXP < 64);
+};
+
+/// Switches for the control-plane reliability layer (acked retransmission,
 /// adaptive failure detection, quarantine-mode degradation).
 ///
 /// Follows the repo's RNG-inertness convention: with `enabled == false`
@@ -71,34 +147,17 @@ pub struct ReliabilityConfig {
     /// `proxy_assign`/`proxy_release`, `parent_seek`) in acked
     /// retransmission envelopes.
     pub enabled: bool,
-    /// Retransmissions attempted before the give-up hook fires (so a
-    /// message is sent at most `1 + max_retries` times).
-    pub max_retries: u32,
-    /// Base retransmission timeout; attempt `n` waits
-    /// `base_rto × 2ⁿ + jitter`, with jitter uniform in `[0, base_rto/2)`
-    /// drawn from the seeded engine RNG.
-    pub base_rto: SimDuration,
-    /// Per-sender dedup window: how many recently seen sequence numbers a
-    /// receiver remembers to make redelivery idempotent.
-    pub dedup_window: usize,
     /// Adaptive failure detection: replace fixed `heartbeat ×
-    /// failure_misses` timeouts with a per-neighbor EWMA of heartbeat
+    /// FAILURE_MISSES` timeouts with a per-neighbor EWMA of heartbeat
     /// inter-arrival (phi-accrual style `2·mean + k·dev`, the doubled
     /// mean granting one interval of grace), clamped so detection is
     /// never slower than the legacy timeout.
     pub adaptive_detection: bool,
-    /// Smoothing factor numerator for the inter-arrival EWMA
-    /// (`alpha = ewma_alpha_num / 16`).
-    pub ewma_alpha_num: u64,
-    /// Deviation multiplier `k` in the adaptive threshold `2·mean + k·dev`.
-    pub phi_k: u64,
     /// Quarantine-mode graceful degradation: a head that exhausts
-    /// `quarantine_seek_limit` consecutive `PARENT_SEEK` rounds without
+    /// [`QUARANTINE_SEEK_LIMIT`] consecutive `PARENT_SEEK` rounds without
     /// re-attaching keeps serving its cell but buffers upward aggregates
     /// instead of abandoning, draining the buffer on re-attach.
     pub quarantine: bool,
-    /// Consecutive failed parent-seek rounds before entering quarantine.
-    pub quarantine_seek_limit: u32,
     /// Bounded quarantine buffer length (oldest entries dropped, and the
     /// drops counted, once full).
     pub quarantine_buffer: usize,
@@ -117,20 +176,14 @@ impl ReliabilityConfig {
     pub fn disabled() -> Self {
         ReliabilityConfig {
             enabled: false,
-            max_retries: 4,
-            base_rto: SimDuration::from_millis(500),
-            dedup_window: 16,
             adaptive_detection: false,
-            ewma_alpha_num: 2,
-            phi_k: 4,
             quarantine: false,
-            quarantine_seek_limit: 3,
             quarantine_buffer: 32,
         }
     }
 
     /// The full layer: acked retransmission, adaptive detection, and
-    /// quarantine all on, with default tuning.
+    /// quarantine all on.
     #[must_use]
     pub fn on() -> Self {
         ReliabilityConfig {
@@ -142,19 +195,20 @@ impl ReliabilityConfig {
     }
 }
 
-/// Knobs for congestion-adaptive graceful degradation.
+/// Switch for congestion-adaptive graceful degradation.
 ///
 /// Each node watches its own MAC contention counter (carrier-sense
 /// deferrals, backoff-exhausted drops, and corrupted frames observed
 /// locally — [`gs3_sim::engine::Context::mac_events`]) and, when the
-/// per-observation delta crosses `stretch_threshold`, multiplicatively
+/// per-observation delta crosses [`STRETCH_THRESHOLD`], multiplicatively
 /// stretches its periodic timers (heartbeats, reports) by `2^stretch_exp`
 /// and suppresses optional periodic broadcasts (sanity rounds, boundary
-/// probing). When the delta falls back below `clear_threshold` the stretch
-/// relaxes one step per quiet observation. This trades detection latency
-/// for offered load, defusing the broadcast-storm feedback loop where
-/// collisions kill heartbeats, false failure detections trigger election
-/// broadcasts, and the extra broadcasts cause more collisions.
+/// probing). When the delta falls back below [`CLEAR_THRESHOLD`] the
+/// stretch relaxes one step per [`RELAX_AFTER`] quiet observations. This
+/// trades detection latency for offered load, defusing the
+/// broadcast-storm feedback loop where collisions kill heartbeats, false
+/// failure detections trigger election broadcasts, and the extra
+/// broadcasts cause more collisions.
 ///
 /// Follows the repo's RNG-inertness convention: with `enabled == false`
 /// (the default) no counters are read, no state changes, every timer keeps
@@ -164,24 +218,6 @@ impl ReliabilityConfig {
 pub struct CongestionConfig {
     /// Master switch for congestion adaptation.
     pub enabled: bool,
-    /// MAC contention events observed since the last check (one check per
-    /// periodic-timer firing) at or above which the node stretches one
-    /// more step.
-    pub stretch_threshold: u64,
-    /// Delta strictly below which an observation counts as *quiet*.
-    /// Must be ≤ `stretch_threshold`; the gap is hysteresis.
-    pub clear_threshold: u64,
-    /// Consecutive quiet observations required before a stretched node
-    /// relaxes one step. A single quiet interval is usually just the lull
-    /// the stretch itself bought — relaxing on it re-ignites the storm and
-    /// the exponent flaps instead of settling.
-    pub relax_after: u32,
-    /// Cap on the stretch exponent: periods stretch at most
-    /// `2^max_stretch_exp` ×.
-    pub max_stretch_exp: u32,
-    /// Also skip optional periodic broadcasts (sanity-check rounds,
-    /// boundary re-probing) while stretched.
-    pub suppress_broadcasts: bool,
 }
 
 impl Default for CongestionConfig {
@@ -195,32 +231,23 @@ impl CongestionConfig {
     /// runs to a build without the layer.
     #[must_use]
     pub fn disabled() -> Self {
-        CongestionConfig {
-            enabled: false,
-            stretch_threshold: 4,
-            clear_threshold: 1,
-            relax_after: 3,
-            max_stretch_exp: 3,
-            suppress_broadcasts: true,
-        }
+        CongestionConfig { enabled: false }
     }
 
-    /// Adaptation on with default tuning: stretch at ≥4 contention events
-    /// per observation, relax one step after 3 consecutive quiet
-    /// observations, up to 8× period stretch, optional broadcasts
-    /// suppressed while stretched.
+    /// Adaptation on: periodic timers stretch under contention and
+    /// optional broadcasts are suppressed while stretched.
     #[must_use]
     pub fn on() -> Self {
-        CongestionConfig { enabled: true, ..CongestionConfig::disabled() }
+        CongestionConfig { enabled: true }
     }
 }
 
 /// Tunable parameters of the GS³ protocol.
 ///
 /// `r` and `r_t` are the paper's `R` (ideal cell radius) and `R_t` (radius
-/// tolerance). The timing knobs control heartbeat cadence and
-/// failure-detection windows; the paper leaves these open ("the frequency of
-/// heartbeat exchanges can be tuned").
+/// tolerance). The heartbeat periods are fields because the paper leaves
+/// them open ("the frequency of heartbeat exchanges can be tuned"); the
+/// windows and retry periods derived around them are module constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gs3Config {
     /// Ideal cell radius `R`.
@@ -234,41 +261,13 @@ pub struct Gs3Config {
     pub gr: Angle,
     /// Protocol variant.
     pub mode: Mode,
-    /// How long a head listens for `org_reply`s in `HEAD_ORG`.
-    pub collect_window: SimDuration,
     /// Period of intra-cell heartbeats (`head_intra_alive`).
     pub intra_heartbeat: SimDuration,
     /// Period of inter-cell heartbeats (`head_inter_alive`).
     pub inter_heartbeat: SimDuration,
-    /// Heartbeats missed before a peer is declared failed.
-    pub failure_misses: u32,
-    /// Stagger between successive candidates' self-promotion attempts
-    /// during head-shift elections.
-    pub election_stagger: SimDuration,
-    /// Period of the low-frequency `SANITY_CHECK`.
-    pub sanity_period: SimDuration,
-    /// How long a sanity round waits for neighbor verdicts.
-    pub sanity_window: SimDuration,
-    /// Period at which boundary heads re-run `HEAD_ORG` toward empty
-    /// directions.
-    pub boundary_check_period: SimDuration,
-    /// Delay before a freshly booted node begins join probing (lets the
-    /// initial diffusing computation claim it first).
-    pub join_initial_delay: SimDuration,
-    /// Retry period for join probing.
-    pub join_retry: SimDuration,
-    /// How long a join probe collects offers before deciding.
-    pub join_window: SimDuration,
     /// Head retreats (head shift) when its energy falls below this and a
     /// candidate is available.
     pub head_retreat_energy: f64,
-    /// Abandon the cell when the current IL's distance to a neighboring
-    /// cell's IL exceeds this (paper: deviation beyond `2·√3·R`).
-    pub abandon_il_distance: f64,
-    /// Proxy refresh period (GS³-M big node).
-    pub proxy_refresh: SimDuration,
-    /// Proxy role expires after this long without refresh.
-    pub proxy_ttl: SimDuration,
     /// Period of the sensing workload: associates report to their head,
     /// heads aggregate and relay one message per period up the head graph
     /// (the paper's data-aggregation traffic model, §4.1). Zero disables
@@ -323,8 +322,8 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl Gs3Config {
-    /// A configuration with paper-faithful geometry and sane timing
-    /// defaults.
+    /// A configuration with paper-faithful geometry and default heartbeat
+    /// periods.
     ///
     /// # Errors
     ///
@@ -341,21 +340,9 @@ impl Gs3Config {
             r_t,
             gr: Angle::ZERO,
             mode: Mode::Dynamic,
-            collect_window: SimDuration::from_millis(300),
             intra_heartbeat: SimDuration::from_secs(2),
             inter_heartbeat: SimDuration::from_secs(3),
-            failure_misses: 3,
-            election_stagger: SimDuration::from_millis(250),
-            sanity_period: SimDuration::from_secs(30),
-            sanity_window: SimDuration::from_secs(1),
-            boundary_check_period: SimDuration::from_secs(20),
-            join_initial_delay: SimDuration::from_secs(30),
-            join_retry: SimDuration::from_secs(10),
-            join_window: SimDuration::from_millis(500),
             head_retreat_energy: 0.0,
-            abandon_il_distance: 2.0 * head_spacing(r),
-            proxy_refresh: SimDuration::from_secs(2),
-            proxy_ttl: SimDuration::from_secs(7),
             report_period: SimDuration::ZERO,
             anchor_ils: true,
             channel_reservation: true,
@@ -378,6 +365,13 @@ impl Gs3Config {
         head_spacing(self.r)
     }
 
+    /// Abandon the cell when the current IL's distance to every neighboring
+    /// cell's IL exceeds this (paper: deviation beyond `2·√3·R`).
+    #[must_use]
+    pub fn abandon_il_distance(&self) -> f64 {
+        2.0 * self.spacing()
+    }
+
     /// The angular slack `α = asin(R_t/(√3·R))`.
     #[must_use]
     pub fn alpha(&self) -> Angle {
@@ -395,20 +389,29 @@ impl Gs3Config {
     /// The intra-cell failure-detection timeout.
     #[must_use]
     pub fn intra_timeout(&self) -> SimDuration {
-        self.intra_heartbeat * u64::from(self.failure_misses)
+        self.intra_heartbeat * FAILURE_MISSES
     }
 
     /// The inter-cell failure-detection timeout.
     #[must_use]
     pub fn inter_timeout(&self) -> SimDuration {
-        self.inter_heartbeat * u64::from(self.failure_misses)
+        self.inter_heartbeat * FAILURE_MISSES
     }
 
     /// The hard cap on join-probe backoff: the saturated factor times the
     /// retry period, plus one full retry of jitter headroom.
     #[must_use]
     pub fn max_join_backoff(&self) -> SimDuration {
-        self.join_retry * (MAX_JOIN_BACKOFF_FACTOR + 1)
+        JOIN_RETRY * (MAX_JOIN_BACKOFF_FACTOR + 1)
+    }
+
+    /// Two intra-cell plus two inter-cell failure-detection timeouts: how
+    /// long the structure must stay unchanged before a run counts as
+    /// settled — any shorter and a perturbation still inside its silent
+    /// detection phase would read as stable.
+    #[must_use]
+    pub fn detection_window(&self) -> SimDuration {
+        self.intra_timeout() * 2 + self.inter_timeout() * 2
     }
 
     /// Sets the protocol variant.
@@ -459,6 +462,17 @@ mod tests {
             .with_gr(Angle::from_degrees(30.0));
         assert_eq!(c.mode, Mode::Mobile);
         assert!((c.gr.degrees() - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn derived_values_equal_the_expressions_they_replaced() {
+        for (r, r_t) in [(100.0, 10.0), (40.0, 14.0), (7.5, 7.5)] {
+            let c = Gs3Config::new(r, r_t).unwrap();
+            assert_eq!(c.abandon_il_distance(), 2.0 * head_spacing(r));
+            assert_eq!(c.detection_window(), (c.intra_timeout() * 2) + (c.inter_timeout() * 2));
+            assert_eq!(c.detection_window(), SimDuration::from_secs(30));
+            assert_eq!(c.max_join_backoff(), SimDuration::from_secs(10) * 7);
+        }
     }
 
     #[test]

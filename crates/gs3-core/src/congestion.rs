@@ -21,6 +21,7 @@
 
 use gs3_sim::SimDuration;
 
+use crate::config::{CLEAR_THRESHOLD, MAX_STRETCH_EXP, RELAX_AFTER, STRETCH_THRESHOLD};
 use crate::node::{Ctx, Gs3Node};
 
 /// Per-node congestion-adaptation state. Lives outside [`crate::state::Role`]
@@ -40,27 +41,26 @@ impl Gs3Node {
     /// Samples the node's MAC contention counter and adjusts the stretch
     /// exponent: a delta since the last observation at or above the
     /// stretch threshold stretches one step immediately; relaxing one step
-    /// takes `relax_after` *consecutive* deltas below the clear threshold
+    /// takes [`RELAX_AFTER`] *consecutive* deltas below the clear threshold
     /// (a single quiet interval is usually just the lull the stretch
     /// itself bought). Call once per periodic-timer firing.
     pub(crate) fn cong_observe(&mut self, ctx: &mut Ctx<'_>) {
-        let cfg = &self.cfg.congestion;
-        if !cfg.enabled {
+        if !self.cfg.congestion.enabled {
             return;
         }
         let total = ctx.mac_events();
         let delta = total - self.cong.last_seen;
         self.cong.last_seen = total;
-        if delta >= cfg.stretch_threshold {
+        if delta >= STRETCH_THRESHOLD {
             self.cong.quiet = 0;
-            if self.cong.stretch_exp < cfg.max_stretch_exp {
+            if self.cong.stretch_exp < MAX_STRETCH_EXP {
                 self.cong.stretch_exp += 1;
                 ctx.count("congestion_stretch");
             }
-        } else if delta < cfg.clear_threshold {
+        } else if delta < CLEAR_THRESHOLD {
             if self.cong.stretch_exp > 0 {
                 self.cong.quiet += 1;
-                if self.cong.quiet >= cfg.relax_after {
+                if self.cong.quiet >= RELAX_AFTER {
                     self.cong.quiet = 0;
                     self.cong.stretch_exp -= 1;
                     ctx.count("congestion_relax");
@@ -76,15 +76,13 @@ impl Gs3Node {
     /// while unstretched (in particular, always while adaptation is
     /// disabled — the exponent never leaves zero).
     pub(crate) fn cong_stretch(&self, d: SimDuration) -> SimDuration {
-        d * (1u64 << self.cong.stretch_exp.min(31))
+        d * (1u64 << self.cong.stretch_exp)
     }
 
     /// Whether an optional periodic broadcast should be skipped this round
-    /// (counted per suppression). False whenever unstretched or the
-    /// suppression knob is off.
+    /// (counted per suppression). False whenever unstretched.
     pub(crate) fn cong_suppress(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        let cfg = &self.cfg.congestion;
-        if cfg.enabled && cfg.suppress_broadcasts && self.cong.stretch_exp > 0 {
+        if self.cfg.congestion.enabled && self.cong.stretch_exp > 0 {
             ctx.count("suppressed_broadcast");
             true
         } else {

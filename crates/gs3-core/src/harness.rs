@@ -523,7 +523,7 @@ impl Network {
         // The stability window must exceed the failure-detection windows
         // (intra and inter timeouts, twice over), or a perturbation still
         // inside its silent detection phase would read as "stable".
-        let detect = (self.cfg.intra_timeout() * 2) + (self.cfg.inter_timeout() * 2);
+        let detect = self.cfg.detection_window();
         let polls = (detect.as_micros() / poll.as_micros().max(1)) as u32 + 2;
         let deadline = self.eng.now() + SimDuration::from_secs(600);
         Ok(self.run_to_fixpoint_with(poll, polls, deadline))

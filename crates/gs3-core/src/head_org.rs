@@ -17,7 +17,7 @@ use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
 use gs3_sim::{NodeId, SimDuration};
 
-use crate::config::Mode;
+use crate::config::{Mode, COLLECT_WINDOW};
 use crate::messages::{CellInfo, HeadAssignment, Msg, OrgInfo};
 use crate::node::{Ctx, Gs3Node};
 use crate::state::{NeighborInfo, OrgRound, Role};
@@ -50,7 +50,6 @@ impl Gs3Node {
         let me = ctx.id();
         let pos = ctx.position();
         let coord = self.cfg.coord_radius();
-        let window = self.cfg.collect_window;
         let Role::Head(h) = &mut self.role else {
             // Stale grant from a role we already left.
             ctx.release_channel();
@@ -75,7 +74,7 @@ impl Gs3Node {
             root_pos,
         };
         ctx.broadcast(coord, Msg::Org(info));
-        ctx.set_timer(window, Timer::CollectDeadline { round });
+        ctx.set_timer(COLLECT_WINDOW, Timer::CollectDeadline { round });
     }
 
     /// `org` received: respond per role (`HEAD_ORG_RESP` for heads,
@@ -116,8 +115,7 @@ impl Gs3Node {
             Role::Bootup(b) => {
                 b.awaiting_decision = Some(from);
                 ctx.unicast(from, Msg::OrgReply { pos: ctx.position(), current_head: None });
-                let timeout = self.cfg.collect_window * 3;
-                ctx.set_timer(timeout, Timer::AwaitDecision { org_head: from });
+                ctx.set_timer(COLLECT_WINDOW * 3, Timer::AwaitDecision { org_head: from });
             }
             Role::BigAway(b) => {
                 b.known_heads.insert(from, (info.pos, info.il, ctx.now()));

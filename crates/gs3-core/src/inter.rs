@@ -6,6 +6,7 @@ use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
 use gs3_sim::NodeId;
 
+use crate::config::{BOUNDARY_CHECK_PERIOD, PROXY_TTL};
 use crate::messages::{HeadInfo, Msg};
 use crate::node::{Ctx, Gs3Node};
 use crate::reliable::{head_reattached, mark_suspected, note_seek_failed, suspect_after};
@@ -23,7 +24,6 @@ impl Gs3Node {
         let timeout = self.cong_stretch(self.cfg.inter_timeout());
         let coord = self.cfg.coord_radius();
         let period = self.cong_stretch(self.cfg.inter_heartbeat);
-        let proxy_ttl = self.cfg.proxy_ttl;
         let am_big = self.is_big();
 
         let Role::Head(h) = &mut self.role else {
@@ -31,7 +31,7 @@ impl Gs3Node {
         };
 
         // Expire the proxy role when the big node stopped refreshing it.
-        if h.is_proxy && now.saturating_since(h.proxy_refreshed) > proxy_ttl {
+        if h.is_proxy && now.saturating_since(h.proxy_refreshed) > PROXY_TTL {
             h.is_proxy = false;
             self.rehang_after_proxy(ctx);
         }
@@ -602,7 +602,6 @@ impl Gs3Node {
     /// newly appeared nodes get organized (GS³-D Section 4.2).
     pub(crate) fn on_boundary_tick(&mut self, ctx: &mut Ctx<'_>) {
         let me = ctx.id();
-        let period = self.cfg.boundary_check_period;
         let spacing = self.cfg.spacing();
         let r = self.cfg.r;
         let gr = self.cfg.gr;
@@ -634,8 +633,8 @@ impl Gs3Node {
         if needs_reorg {
             self.start_head_org(ctx);
         }
-        let jitter = self.phase_jitter(ctx, period);
-        let period = self.cong_stretch(period);
+        let jitter = self.phase_jitter(ctx, BOUNDARY_CHECK_PERIOD);
+        let period = self.cong_stretch(BOUNDARY_CHECK_PERIOD);
         ctx.set_timer(period + jitter, Timer::BoundaryTick);
     }
 }

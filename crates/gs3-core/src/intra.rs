@@ -8,7 +8,7 @@ use std::sync::Arc;
 use gs3_geometry::spiral::CellSpiral;
 use gs3_sim::{NodeId, SimDuration};
 
-use crate::config::Mode;
+use crate::config::{Mode, ELECTION_STAGGER};
 use crate::messages::{CellInfo, Msg};
 use crate::node::{Ctx, Gs3Node};
 use crate::state::{AssociateInfo, Role};
@@ -67,7 +67,7 @@ impl Gs3Node {
             && h.neighbors
                 .values()
                 .filter(|n| now.saturating_since(n.last_heard) <= self.cfg.inter_timeout() * 2)
-                .all(|n| n.il.distance(h.il) > self.cfg.abandon_il_distance)
+                .all(|n| n.il.distance(h.il) > self.cfg.abandon_il_distance())
             && h.neighbors
                 .values()
                 .any(|n| now.saturating_since(n.last_heard) <= self.cfg.inter_timeout() * 2);
@@ -288,7 +288,6 @@ impl Gs3Node {
     pub(crate) fn start_election_if_candidate(&mut self, dead_head: NodeId, ctx: &mut Ctx<'_>) {
         let my_pos = ctx.position();
         let me = ctx.id();
-        let stagger = self.cfg.election_stagger;
         let r_t = self.cfg.r_t;
         let Role::Associate(a) = &mut self.role else {
             return;
@@ -303,7 +302,7 @@ impl Gs3Node {
         // candidate absent from the list (recent arrival) goes last.
         let idx = a.cell.candidates.iter().position(|c| *c == me).unwrap_or(a.cell.candidates.len());
         a.election_pending = Some(dead_head);
-        let delay = stagger * (idx as u64) + SimDuration::from_millis(50);
+        let delay = ELECTION_STAGGER * (idx as u64) + SimDuration::from_millis(50);
         ctx.set_timer(delay, Timer::Election { dead_head });
     }
 

@@ -106,8 +106,9 @@ impl Fact {
 /// Long-lived callers (fixpoint polls, chaos oracles, the perf suite)
 /// keep one index alive and [`update`](SnapshotIndex::update) it against
 /// each new snapshot of the same network: the cost is then proportional
-/// to the churn since the last poll, not the population. [`build`] stays
-/// the from-scratch path and the equality oracle for the incremental one.
+/// to the churn since the last poll, not the population.
+/// [`build`](SnapshotIndex::build) stays the from-scratch path and the
+/// equality oracle for the incremental one.
 #[derive(Debug, Clone)]
 pub struct SnapshotIndex {
     /// Indices of alive heads, ascending (snapshot order).

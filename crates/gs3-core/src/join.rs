@@ -12,7 +12,7 @@ use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
 use gs3_sim::{NodeId, SimDuration};
 
-use crate::config::MAX_JOIN_BACKOFF_FACTOR;
+use crate::config::{JOIN_RETRY, JOIN_WINDOW, MAX_JOIN_BACKOFF_FACTOR};
 use crate::messages::{CellInfo, Msg};
 use crate::node::{Ctx, Gs3Node};
 use crate::state::Role;
@@ -22,8 +22,6 @@ impl Gs3Node {
     /// The periodic join probe while in bootup (or surrogate) state.
     pub(crate) fn on_join_probe(&mut self, ctx: &mut Ctx<'_>) {
         let coord = self.cfg.coord_radius();
-        let window = self.cfg.join_window;
-        let retry = self.cfg.join_retry;
         // Uncovered nodes are the densest broadcast source in a young or
         // damaged network; their probe cadence must shed load under
         // contention or the join storm starves the very HEAD_ORG rounds
@@ -33,7 +31,7 @@ impl Gs3Node {
             Role::Bootup(b) => {
                 if b.awaiting_decision.is_some() {
                     // An organizing head may claim us — don't probe over it.
-                    ctx.set_timer(retry, Timer::JoinProbe);
+                    ctx.set_timer(JOIN_RETRY, Timer::JoinProbe);
                     return;
                 }
                 b.attempts += 1;
@@ -45,7 +43,7 @@ impl Gs3Node {
                 let backoff_factor = u64::from(b.attempts).min(MAX_JOIN_BACKOFF_FACTOR);
                 ctx.event("join_probe", round);
                 ctx.broadcast(coord, Msg::BootupProbe { pos: ctx.position() });
-                ctx.set_timer(window, Timer::JoinDecision { round });
+                ctx.set_timer(JOIN_WINDOW, Timer::JoinDecision { round });
                 // Jitter must scale WITH the backoff: a fixed ±retry/2
                 // spread shrinks relative to the growing base delay, so
                 // nodes that collided once re-probe in near-lockstep at
@@ -53,15 +51,15 @@ impl Gs3Node {
                 // attempt over half its own base, capped at the named
                 // config bound.
                 use rand::Rng as _;
-                let jitter_max = (retry.as_micros() * backoff_factor / 2).max(1);
+                let jitter_max = (JOIN_RETRY.as_micros() * backoff_factor / 2).max(1);
                 let jitter = SimDuration::from_micros(ctx.rng().gen_range(0..jitter_max));
-                let delay = (retry * backoff_factor + jitter).min(self.cfg.max_join_backoff());
+                let delay = (JOIN_RETRY * backoff_factor + jitter).min(self.cfg.max_join_backoff());
                 ctx.set_timer(self.cong_stretch(delay), Timer::JoinProbe);
             }
             Role::Associate(a) if a.surrogate => {
                 // A surrogate keeps looking for a real head.
                 ctx.broadcast(coord, Msg::BootupProbe { pos: ctx.position() });
-                let delay = self.cong_stretch(retry);
+                let delay = self.cong_stretch(JOIN_RETRY);
                 ctx.set_timer(delay, Timer::JoinProbe);
             }
             _ => {}
@@ -194,7 +192,7 @@ impl Gs3Node {
             ctx.event("joined_surrogate", assoc.raw());
             self.become_associate(ctx, assoc, pos, cell, true, false);
             // Surrogates keep probing; ensure a probe is queued.
-            ctx.set_timer(self.cfg.join_retry + SimDuration::from_millis(1), Timer::JoinProbe);
+            ctx.set_timer(JOIN_RETRY + SimDuration::from_millis(1), Timer::JoinProbe);
         }
         // Neither: the standing JoinProbe timer retries with backoff.
     }

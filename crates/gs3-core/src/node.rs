@@ -18,7 +18,10 @@ use gs3_geometry::Point;
 use gs3_geometry::spiral::IccIcp;
 use gs3_sim::{Context, NodeId, SimDuration};
 
-use crate::config::{Gs3Config, Mode};
+use crate::config::{
+    Gs3Config, Mode, BOUNDARY_CHECK_PERIOD, JOIN_INITIAL_DELAY, JOIN_RETRY, PROXY_REFRESH,
+    SANITY_PERIOD,
+};
 use crate::messages::{CellInfo, Msg};
 use crate::reliable::ReliableState;
 use crate::state::{AssocState, BigAwayState, DataState, HeadState, Role};
@@ -178,7 +181,7 @@ impl Gs3Node {
             ctx.set_timer(self.cfg.intra_heartbeat, Timer::AssocWatch);
             if surrogate {
                 // Surrogates keep probing for a real head.
-                ctx.set_timer(self.cfg.join_retry, Timer::JoinProbe);
+                ctx.set_timer(JOIN_RETRY, Timer::JoinProbe);
             }
         }
     }
@@ -190,11 +193,8 @@ impl Gs3Node {
         self.cancel_role_timers(ctx);
         self.role = Role::bootup();
         if self.cfg.mode != Mode::Static {
-            let base = if rejoin_quickly {
-                SimDuration::from_millis(500)
-            } else {
-                self.cfg.join_initial_delay
-            };
+            let base =
+                if rejoin_quickly { SimDuration::from_millis(500) } else { JOIN_INITIAL_DELAY };
             let jitter = self.join_jitter(ctx);
             ctx.set_timer(base + jitter, Timer::JoinProbe);
         }
@@ -205,7 +205,7 @@ impl Gs3Node {
         debug_assert!(self.is_big);
         self.cancel_role_timers(ctx);
         self.role = Role::BigAway(BigAwayState::new(mobile, ctx.now()));
-        ctx.set_timer(self.cfg.proxy_refresh, Timer::BigCheck);
+        ctx.set_timer(PROXY_REFRESH, Timer::BigCheck);
     }
 
     /// Schedules the recurring head timers (heartbeats, sanity, boundary
@@ -215,10 +215,10 @@ impl Gs3Node {
         ctx.set_timer(j1, Timer::IntraHeartbeat);
         let j2 = self.phase_jitter(ctx, self.cfg.inter_heartbeat);
         ctx.set_timer(j2, Timer::InterHeartbeat);
-        let j3 = self.phase_jitter(ctx, self.cfg.sanity_period);
-        ctx.set_timer(self.cfg.sanity_period + j3, Timer::SanityTick);
-        let j4 = self.phase_jitter(ctx, self.cfg.boundary_check_period);
-        ctx.set_timer(self.cfg.boundary_check_period + j4, Timer::BoundaryTick);
+        let j3 = self.phase_jitter(ctx, SANITY_PERIOD);
+        ctx.set_timer(SANITY_PERIOD + j3, Timer::SanityTick);
+        let j4 = self.phase_jitter(ctx, BOUNDARY_CHECK_PERIOD);
+        ctx.set_timer(BOUNDARY_CHECK_PERIOD + j4, Timer::BoundaryTick);
     }
 
     /// Cancels every timer tied to the current role (on role exit).
@@ -260,7 +260,7 @@ impl Gs3Node {
     /// Jitter for join probing (avoids probe storms after mass failures).
     pub(crate) fn join_jitter(&self, ctx: &mut Ctx<'_>) -> SimDuration {
         use rand::Rng as _;
-        let max = self.cfg.join_retry.as_micros().max(2) / 2;
+        let max = JOIN_RETRY.as_micros() / 2;
         SimDuration::from_micros(ctx.rng().gen_range(0..max))
     }
 }
@@ -284,11 +284,10 @@ impl gs3_sim::Node for Gs3Node {
                 // Nodes present at deployment time hold off probing so the
                 // initial diffusing computation claims them; late joiners
                 // (spawned after that window) probe promptly.
-                let initial_window = self.cfg.join_initial_delay;
-                let delay = if ctx.now() >= gs3_sim::SimTime::ZERO + initial_window {
+                let delay = if ctx.now() >= gs3_sim::SimTime::ZERO + JOIN_INITIAL_DELAY {
                     SimDuration::from_secs(1) + self.join_jitter(ctx)
                 } else {
-                    initial_window + self.join_jitter(ctx)
+                    JOIN_INITIAL_DELAY + self.join_jitter(ctx)
                 };
                 ctx.set_timer(delay, Timer::JoinProbe);
             }

@@ -10,14 +10,14 @@
 //!   [`Msg::Reliable`] envelopes carrying a sender-local sequence number.
 //!   The receiver acks every copy and dedups through a bounded per-sender
 //!   window, so redelivery is idempotent. The sender retransmits with
-//!   exponential backoff plus seeded jitter and, after `max_retries`
+//!   exponential backoff plus seeded jitter and, after [`MAX_RETRIES`]
 //!   attempts, fires a protocol-level give-up hook instead of retrying
 //!   forever.
 //! * **Adaptive failure detection** — a per-neighbor EWMA of heartbeat
 //!   inter-arrival times (phi-accrual style). The suspicion threshold
 //!   `2·mean + k·dev` (the doubled mean grants one interval of grace) is
 //!   clamped so detection is never *slower* than the legacy fixed
-//!   `heartbeat × failure_misses` timeout; on calm channels it is faster.
+//!   `heartbeat × FAILURE_MISSES` timeout; on calm channels it is faster.
 //! * **Quarantine-mode graceful degradation** — a head that exhausts
 //!   consecutive `PARENT_SEEK` rounds under persistent partition keeps
 //!   serving its cell instead of abandoning it, buffers upward aggregate
@@ -31,7 +31,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use gs3_sim::{NodeId, SimDuration, SimTime};
 
-use crate::config::ReliabilityConfig;
+use crate::config::{
+    ReliabilityConfig, BASE_RTO, DEDUP_WINDOW, EWMA_ALPHA_NUM, MAX_RETRIES, PHI_K,
+    QUARANTINE_SEEK_LIMIT,
+};
 use crate::messages::Msg;
 use crate::node::{Ctx, Gs3Node};
 use crate::state::{HeadState, Role};
@@ -140,7 +143,7 @@ pub(crate) fn suspect_after(
     }
     match rel.detectors.get(&peer) {
         Some(d) if d.samples >= 4 => {
-            let adaptive_us = (2 * d.mean_us).saturating_add(cfg.phi_k.saturating_mul(d.dev_us));
+            let adaptive_us = (2 * d.mean_us).saturating_add(PHI_K.saturating_mul(d.dev_us));
             legacy.min(SimDuration::from_micros(adaptive_us.max(1)))
         }
         _ => legacy,
@@ -160,10 +163,10 @@ pub(crate) fn mark_suspected(rel: &mut ReliableState, peer: NodeId, legacy_deadl
 }
 
 /// Bumps the failed-seek counter of a partitioned head and enters
-/// quarantine once the configured limit is reached.
+/// quarantine once [`QUARANTINE_SEEK_LIMIT`] is reached.
 pub(crate) fn note_seek_failed(h: &mut HeadState, cfg: &ReliabilityConfig, ctx: &mut Ctx<'_>) {
     h.failed_seeks = h.failed_seeks.saturating_add(1);
-    if cfg.quarantine && !h.quarantined && h.failed_seeks >= cfg.quarantine_seek_limit {
+    if cfg.quarantine && !h.quarantined && h.failed_seeks >= QUARANTINE_SEEK_LIMIT {
         h.quarantined = true;
         ctx.count("quarantine_entries");
         ctx.event("quarantine_enter", u64::from(h.failed_seeks));
@@ -219,15 +222,13 @@ impl Gs3Node {
     }
 
     /// The backoff delay before the next retransmission of an attempt:
-    /// `base_rto × 2^attempt` plus jitter uniform in `[0, base_rto/2)`
+    /// `BASE_RTO × 2^attempt` plus jitter uniform in `[0, BASE_RTO/2)`
     /// drawn from the seeded engine RNG.
     fn retransmit_after(&self, ctx: &mut Ctx<'_>, attempt: u32) -> SimDuration {
         use rand::Rng as _;
-        let base = self.cfg.reliability.base_rto;
         let mult = 1u64 << attempt.min(10);
-        let jitter_max = (base.as_micros() / 2).max(1);
-        let jitter = SimDuration::from_micros(ctx.rng().gen_range(0..jitter_max));
-        base * mult + jitter
+        let jitter = SimDuration::from_micros(ctx.rng().gen_range(0..BASE_RTO.as_micros() / 2));
+        BASE_RTO * mult + jitter
     }
 
     /// Handles an incoming [`Msg::Reliable`]: ack every copy, dedup through
@@ -241,9 +242,8 @@ impl Gs3Node {
         ctx: &mut Ctx<'_>,
     ) {
         ctx.unicast(from, Msg::DeliveryAck { seq });
-        let window = self.cfg.reliability.dedup_window.max(1) as u64;
         let seen = self.rel.seen.entry(from).or_default();
-        if !seen.admit(seq, window) {
+        if !seen.admit(seq, DEDUP_WINDOW as u64) {
             ctx.count("reliable_dedup_hits");
             return;
         }
@@ -265,7 +265,7 @@ impl Gs3Node {
     }
 
     /// A retransmission deadline fired: resend with deeper backoff, or —
-    /// past `max_retries` — give up and run the protocol-level fallback
+    /// past [`MAX_RETRIES`] — give up and run the protocol-level fallback
     /// for the abandoned message.
     pub(crate) fn on_retransmit(&mut self, seq: u64, ctx: &mut Ctx<'_>) {
         // Retransmit timers are only armed on enabled-layer paths, but the
@@ -275,10 +275,9 @@ impl Gs3Node {
         if !self.cfg.reliability.enabled {
             return;
         }
-        let max_retries = self.cfg.reliability.max_retries;
         let Some(p) = self.rel.pending.get_mut(&seq) else { return };
         p.attempt += 1;
-        if p.attempt > max_retries {
+        if p.attempt > MAX_RETRIES {
             let p = self.rel.pending.remove(&seq).expect("pending send present");
             ctx.count("reliable_give_ups");
             ctx.event("reliable_give_up", p.to.raw());
@@ -352,7 +351,7 @@ impl Gs3Node {
                 ctx.count("detector_false_suspicions");
             }
         }
-        let alpha = self.cfg.reliability.ewma_alpha_num.min(16);
+        let alpha = EWMA_ALPHA_NUM;
         match self.rel.detectors.get_mut(&from) {
             None => {
                 self.rel

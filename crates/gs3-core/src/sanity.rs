@@ -10,6 +10,7 @@
 
 use gs3_sim::NodeId;
 
+use crate::config::{SANITY_PERIOD, SANITY_WINDOW};
 use crate::messages::Msg;
 use crate::node::{Ctx, Gs3Node};
 use crate::state::{Role, SanityRound};
@@ -73,8 +74,6 @@ impl Gs3Node {
 
     /// The periodic sanity tick.
     pub(crate) fn on_sanity_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let period = self.cfg.sanity_period;
-        let window = self.cfg.sanity_window;
         let coord = self.cfg.coord_radius();
         if !matches!(self.role, Role::Head(_)) {
             return;
@@ -93,10 +92,10 @@ impl Gs3Node {
             h.sanity = Some(SanityRound { round, asked, valid: Vec::new() });
             ctx.event("sanity_round_opened", round);
             ctx.broadcast(coord, Msg::SanityCheckReq);
-            ctx.set_timer(window, Timer::SanityDeadline { round });
+            ctx.set_timer(SANITY_WINDOW, Timer::SanityDeadline { round });
         }
-        let jitter = self.phase_jitter(ctx, period);
-        ctx.set_timer(period + jitter, Timer::SanityTick);
+        let jitter = self.phase_jitter(ctx, SANITY_PERIOD);
+        ctx.set_timer(SANITY_PERIOD + jitter, Timer::SanityTick);
     }
 
     /// `sanity_check_req` received: self-check and answer only when our own

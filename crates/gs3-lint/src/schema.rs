@@ -45,7 +45,7 @@ pub fn fingerprint(layouts: &[EnumLayout]) -> u64 {
 }
 
 /// Renders the canonical schema file: deterministic, one variant per
-/// line, enums in [`WIRE_ENUMS`] pin order.
+/// line, enums in [`WIRE_ENUMS`](crate::model::WIRE_ENUMS) pin order.
 #[must_use]
 pub fn render(layouts: &[EnumLayout]) -> String {
     let mut out = String::new();

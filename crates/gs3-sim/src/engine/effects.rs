@@ -60,7 +60,6 @@ pub(super) enum Action<M, T> {
     CancelTimers { timer: T },
     ReserveChannel { radius: f64 },
     ReleaseChannel,
-    PowerOff,
     Count { name: &'static str, by: u64 },
     Event { kind: &'static str, data: u64 },
 }
@@ -164,12 +163,6 @@ impl<M, T> Context<'_, M, T> {
         self.actions.push(Action::ReleaseChannel);
     }
 
-    /// Powers this node off (fail-stop). Remaining actions from this
-    /// callback are discarded.
-    pub fn power_off(&mut self) {
-        self.actions.push(Action::PowerOff);
-    }
-
     /// Bumps the named protocol counter in the engine [`Trace`] by
     /// one. Counters let protocol layers (e.g. reliable delivery) surface
     /// run statistics without holding engine state.
@@ -228,7 +221,7 @@ impl<N: Node> Engine<N> {
 
     fn apply_actions(&mut self, id: NodeId, actions: &mut Vec<Action<N::Msg, N::Timer>>) {
         for action in actions.drain(..) {
-            // A node that powered itself off performs nothing further.
+            // A node whose send drained its last energy performs nothing further.
             if !self.arena.alive[id.index()] {
                 break;
             }
@@ -247,9 +240,6 @@ impl<N: Node> Engine<N> {
                     }
                 }
                 Action::ReleaseChannel => self.release_channel(id),
-                Action::PowerOff => {
-                    let _ = self.kill(id);
-                }
                 Action::Count { name, by } => self.trace.record_proto(name, by),
                 Action::Event { kind, data } => {
                     self.record_event(EventClass::Protocol, id, kind, NO_PEER, None, data);

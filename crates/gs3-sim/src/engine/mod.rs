@@ -5,7 +5,7 @@
 //! channel-reservation arbiter. Protocol code never touches the engine
 //! directly: callbacks receive a [`Context`] through which they read local
 //! state (time, own id/position/energy) and request actions (send, set
-//! timers, reserve the channel, power off). This enforces the paper's
+//! timers, reserve the channel). This enforces the paper's
 //! *local-knowledge* discipline — a node can only learn about the network
 //! through messages.
 //!
@@ -255,11 +255,6 @@ impl<N: Node> Engine<N> {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Mutable access to the telemetry bundle.
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// Switches the flight-recorder mode (counters-only vs full ring
@@ -536,12 +531,6 @@ impl<N: Node> Engine<N> {
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn pending_event_count(&self) -> usize {
-        self.queue.len()
     }
 
     /// Width of one event-queue entry's payload in bytes: what the radix

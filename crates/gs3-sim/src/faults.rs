@@ -414,17 +414,6 @@ impl FaultState {
         self.script.extend(ops);
     }
 
-    /// Removes every scripted fate that has not yet been consumed.
-    pub fn clear_script(&mut self) {
-        self.script.clear();
-    }
-
-    /// Number of scripted fates not yet consumed.
-    #[must_use]
-    pub fn script_len(&self) -> usize {
-        self.script.len()
-    }
-
     /// Total delivery attempts made so far (the index the *next* attempt
     /// will get).
     #[must_use]

@@ -76,7 +76,7 @@ const BUCKETS: usize = 65;
 /// # Determinism contract
 ///
 /// Pop order is exactly ascending `(at, seq)` — bit-identical to
-/// [`HeapQueue`]. The argument: the radix invariant keeps every live entry
+/// `HeapQueue`. The argument: the radix invariant keeps every live entry
 /// in bucket `b(key, last)`, a function of the key and the last popped key
 /// only, so two entries with equal keys always share a bucket, where FIFO
 /// appends keep them in `seq` order; and the lowest non-empty bucket always

@@ -146,12 +146,6 @@ impl SpatialGrid {
         self.cell
     }
 
-    /// The coordinate of the cell containing `p`.
-    #[must_use]
-    pub fn cell_key(&self, p: Point) -> (i64, i64) {
-        self.key(p)
-    }
-
     /// The handles stored in the cell at `key`, if any.
     #[must_use]
     pub fn cell(&self, key: (i64, i64)) -> Option<&[usize]> {

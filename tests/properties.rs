@@ -156,13 +156,13 @@ fn gaps_never_break_coverage() {
 #[test]
 fn dedup_window_makes_redelivery_idempotent() {
     use gs3::core::messages::Msg;
+    use gs3::core::config::DEDUP_WINDOW;
     use gs3::core::{ReliabilityConfig, RoleView};
 
     let mut rng = StdRng::seed_from_u64(0x5747_4104);
     for _ in 0..6 {
         let seed = rng.gen_range(0u64..10_000);
-        let window = ReliabilityConfig::on().dedup_window;
-        let k = rng.gen_range(2usize..=window);
+        let k = rng.gen_range(2usize..=DEDUP_WINDOW);
         let run = |copies: usize| {
             let mut net = NetworkBuilder::new()
                 .ideal_radius(40.0)
