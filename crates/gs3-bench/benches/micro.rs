@@ -9,6 +9,11 @@
 //!   bytes that entry measured before transmissions got their own records
 //!   (`hold_128k_192_bytes`) — the pair attributes a change in engine
 //!   `queue.pop()` cost to entry width with the queue code held fixed.
+//!   Those rows draw increments uniformly from 1 µs–3 s, so nearly every
+//!   entry goes through the far tier; `hold_trace_mix_{4k,128k}` draws
+//!   them the way the engine's logged schedule trace does (88 % a
+//!   delivery 2.0–3.6 ms ahead, 12 % a timer 1–30 s ahead), on
+//!   `EventQueue` and (`…_radix`) on the bare `RadixQueue` behind it.
 //! * `spatial_grid` — broadcast neighborhood queries.
 //! * `spatial/disk_query_50k` vs `spatial/collect_sort_filter_50k` — a
 //!   broadcast's receiver selection over 50 000 nodes at the benchmark
@@ -45,7 +50,7 @@ use gs3_core::{Gs3Node, Mode};
 use gs3_geometry::rank::best_candidate;
 use gs3_geometry::spiral::CellSpiral;
 use gs3_geometry::{Angle, Point};
-use gs3_sim::queue::EventQueue;
+use gs3_sim::queue::{EventQueue, RadixQueue};
 use gs3_sim::spatial::SpatialGrid;
 use gs3_sim::telemetry::{Event, EventClass, FlightRecorder, RecorderMode, NO_PEER};
 use gs3_sim::trace::{fold_delivery, KindFold, Trace};
@@ -86,26 +91,43 @@ fn pts(n: usize, seed: u64) -> Vec<(u64, Point)> {
         .collect()
 }
 
-/// Classic hold model at constant `depth` over `W`-byte payloads: pop the
-/// earliest entry, schedule it again a random increment later, 10 000
-/// times per iteration. Everything pending falls within a heartbeat-like
-/// 3 s horizon, as in a configured network.
-fn queue_hold<const W: usize>(name: &str, depth: u64, budget: Duration) {
-    const HORIZON_US: u64 = 3_000_000;
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut q: EventQueue<[u8; W]> = EventQueue::new();
-    for _ in 0..depth {
-        q.schedule(SimTime::from_micros(rng.gen_range(0..HORIZON_US)), [0; W]);
-    }
-    let increments: Vec<u64> = (0..4096).map(|_| rng.gen_range(1..HORIZON_US)).collect();
-    let mut k = 0usize;
-    bench(name, budget, || {
-        for _ in 0..10_000 {
-            let (at, payload) = q.pop().expect("depth is constant");
-            k = (k + 1) & 4095;
-            q.schedule(SimTime::from_micros(at.as_micros() + increments[k]), black_box(payload));
+/// Classic hold model at constant `depth` over `$width`-byte payloads on
+/// queue type `$queue`: pop the earliest entry, schedule it again
+/// `$draw(&mut rng)` µs later, 10 000 times per iteration; the queue is
+/// filled with `depth` such draws from time zero. A macro because the
+/// two queues share method names, not a trait.
+macro_rules! queue_hold {
+    ($queue:ident, $width:expr, $name:expr, $depth:expr, $budget:expr, $draw:expr) => {{
+        let mut rng = StdRng::seed_from_u64(3);
+        let draw = $draw;
+        let mut q: $queue<[u8; $width]> = $queue::new();
+        for _ in 0..$depth {
+            q.schedule(SimTime::from_micros(draw(&mut rng)), [0; $width]);
         }
-    });
+        let increments: Vec<u64> = (0..4096).map(|_| draw(&mut rng)).collect();
+        let mut k = 0usize;
+        bench($name, $budget, || {
+            for _ in 0..10_000 {
+                let (at, payload) = q.pop().expect("depth is constant");
+                k = (k + 1) & 4095;
+                q.schedule(SimTime::from_micros(at.as_micros() + increments[k]), black_box(payload));
+            }
+        });
+    }};
+}
+
+/// Everything pending falls within a heartbeat-like 3 s horizon.
+fn uniform_3s(rng: &mut StdRng) -> u64 {
+    rng.gen_range(1u64..3_000_000)
+}
+
+/// The engine's measured increment mix (DESIGN.md §6.2): 88 % a delivery
+/// 2 000–3 600 µs ahead, 12 % a timer 1–30 s ahead.
+fn trace_mix(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0u32..100) {
+        0..=87 => rng.gen_range(2_000u64..3_600),
+        _ => rng.gen_range(1_000_000u64..30_000_000),
+    }
 }
 
 fn main() {
@@ -129,8 +151,12 @@ fn main() {
         }
     });
     const ENTRY: usize = Engine::<Gs3Node>::pending_event_bytes();
-    queue_hold::<ENTRY>("event_queue/hold_128k_engine_entry", 131_072, slow);
-    queue_hold::<192>("event_queue/hold_128k_192_bytes", 131_072, slow);
+    queue_hold!(EventQueue, ENTRY, "event_queue/hold_128k_engine_entry", 131_072, slow, uniform_3s);
+    queue_hold!(EventQueue, 192, "event_queue/hold_128k_192_bytes", 131_072, slow, uniform_3s);
+    queue_hold!(EventQueue, ENTRY, "event_queue/hold_trace_mix_4k", 4_096, slow, trace_mix);
+    queue_hold!(RadixQueue, ENTRY, "event_queue/hold_trace_mix_4k_radix", 4_096, slow, trace_mix);
+    queue_hold!(EventQueue, ENTRY, "event_queue/hold_trace_mix_128k", 131_072, slow, trace_mix);
+    queue_hold!(RadixQueue, ENTRY, "event_queue/hold_trace_mix_128k_radix", 131_072, slow, trace_mix);
 
     {
         let mut grid = SpatialGrid::new(100.0);

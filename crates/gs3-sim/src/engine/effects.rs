@@ -71,7 +71,6 @@ pub struct Context<'a, M, T> {
     id: NodeId,
     position: Point,
     energy: f64,
-    holds_channel: bool,
     record_events: bool,
     mac_events: u64,
     rng: &'a mut StdRng,
@@ -103,12 +102,6 @@ impl<M, T> Context<'_, M, T> {
     #[must_use]
     pub fn energy(&self) -> f64 {
         self.energy
-    }
-
-    /// True when this node currently holds a channel reservation.
-    #[must_use]
-    pub fn holds_channel(&self) -> bool {
-        self.holds_channel
     }
 
     /// Cumulative MAC contention events observed at this node:
@@ -207,7 +200,6 @@ impl<N: Node> Engine<N> {
             id,
             position,
             energy,
-            holds_channel: self.channel.holds(id),
             record_events: self.telemetry.recorder.is_recording(),
             mac_events: self.arena.mac_events[idx],
             rng: &mut self.rng,

@@ -69,8 +69,9 @@ impl<T> EventKind<T> {
 
 /// A queue entry: who it is for and what happens. Everything a delivery
 /// shares with the other copies of its frame lives in the
-/// [`Transmission`] it points at, so the entry the radix queue moves
-/// around stays a few words wide (see [`Engine::pending_event_bytes`]).
+/// [`Transmission`] it points at, so the entry the queue stores (and its
+/// far tier moves around) stays a few words wide (see
+/// [`Engine::pending_event_bytes`]).
 #[derive(Debug, Clone)]
 struct PendingEvent<T> {
     to: NodeId,
@@ -533,9 +534,8 @@ impl<N: Node> Engine<N> {
         self.queue.peek_time()
     }
 
-    /// Width of one event-queue entry's payload in bytes: what the radix
-    /// queue stores and moves per pending event, beside its own
-    /// `(at, seq)` key.
+    /// Width of one event-queue entry's payload in bytes: what the queue
+    /// stores per pending event, beside its own `(at, seq)` key.
     #[must_use]
     pub const fn pending_event_bytes() -> usize {
         std::mem::size_of::<PendingEvent<N::Timer>>()

@@ -4,7 +4,11 @@
 //! rank, so simultaneous events process in schedule order (deterministic
 //! replay).
 //!
-//! [`RadixQueue`] is the engine's queue: a radix heap keyed on the
+//! [`EventQueue`] is the engine's queue: a timing wheel of 1 µs slots for
+//! the next [`WINDOW`] ticks, where every message delivery lands, in front
+//! of [`RadixQueue`] for everything later (DESIGN.md §6.2).
+//!
+//! [`RadixQueue`] is a radix heap keyed on the
 //! discrete µs tick clock. O(1) amortized per operation against the
 //! engine's *monotone* schedule pattern (every event is scheduled at
 //! `now + Δ`, never in the past), and cache-friendly — entries live in
@@ -12,7 +16,7 @@
 //!
 //! `HeapQueue`, the original `BinaryHeap` implementation, is compiled for
 //! tests only, as the differential oracle the mirror property tests below
-//! drive in lockstep with the radix queue.
+//! drive in lockstep with the engine's queue.
 
 #[cfg(test)]
 use std::cmp::Ordering;
@@ -55,9 +59,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The event queue the engine runs on.
-pub type EventQueue<E> = RadixQueue<E>;
-
 /// One bucket per possible position of the highest bit differing from the
 /// last popped key (0 = no differing bit), for 64-bit µs tick keys.
 const BUCKETS: usize = 65;
@@ -98,7 +99,6 @@ pub struct RadixQueue<E> {
     last: u64,
     next_seq: u64,
     len: usize,
-    peak: usize,
 }
 
 impl<E> RadixQueue<E> {
@@ -110,7 +110,6 @@ impl<E> RadixQueue<E> {
             last: 0,
             next_seq: 0,
             len: 0,
-            peak: 0,
         }
     }
 
@@ -136,10 +135,14 @@ impl<E> RadixQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let b = self.bucket_of(key);
-        self.buckets[b].push_back(Entry { at, seq, payload });
+        self.push(Entry { at, seq, payload });
+    }
+
+    /// Files an entry that already carries its scheduling rank.
+    fn push(&mut self, e: Entry<E>) {
+        let b = self.bucket_of(e.at.as_micros());
+        self.buckets[b].push_back(e);
         self.len += 1;
-        self.peak = self.peak.max(self.len);
     }
 
     /// The lowest non-empty bucket and the minimum key in it — the
@@ -167,62 +170,230 @@ impl<E> RadixQueue<E> {
         self.buckets[i] = moved;
     }
 
-    fn pop_bucket_zero(&mut self) -> (SimTime, E) {
-        let e = self.buckets[0].pop_front().expect("bucket 0 holds the minimum");
+    /// Removes the earliest entry unless its key exceeds `deadline`; a
+    /// refusal reports the minimum key (`None` when empty) and leaves the
+    /// queue as it was, `last` included.
+    fn pop_entry(&mut self, deadline: u64) -> Result<Entry<E>, Option<u64>> {
+        if self.len == 0 {
+            return Err(None);
+        }
+        if self.buckets[0].is_empty() {
+            let (i, min) = self.lowest();
+            if min > deadline {
+                return Err(Some(min));
+            }
+            self.redistribute(i, min);
+        } else if self.last > deadline {
+            // Bucket 0 holds exactly the entries keyed `last`.
+            return Err(Some(self.last));
+        }
         self.len -= 1;
-        (e.at, e.payload)
+        Ok(self.buckets[0].pop_front().expect("bucket 0 holds the minimum"))
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
+        self.pop_entry(u64::MAX).ok().map(|e| (e.at, e.payload))
+    }
+
+    /// Number of pending events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no events are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Visits every pending entry as `(fire time, scheduling seq, payload)`.
+    /// Iteration order is the bucket layout's internal order — unspecified —
+    /// so callers that need a canonical view (the model checker's state
+    /// fingerprint) must sort by `(at, seq)` themselves.
+    pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+        self.buckets.iter().flatten().map(|e| (e.at, e.seq, &e.payload))
+    }
+}
+
+impl<E> Default for RadixQueue<E> {
+    fn default() -> Self {
+        RadixQueue::new()
+    }
+}
+
+/// Ticks the near tier covers: `[last, last + WINDOW)`. A delivery fires
+/// `BASE_LATENCY + 3 µs·⌊d⌋ + jitter` ≈ 2.0–3.6 ms after its send, so
+/// 4096 is the smallest power of two that takes them all, and the one
+/// that keeps what an engine fork copies at 16.5 KiB (DESIGN.md §6.2).
+pub const WINDOW: u64 = 4096;
+const SLOTS: usize = WINDOW as usize;
+const MASK: u64 = WINDOW - 1;
+const NIL: u32 = u32::MAX; // end of the free list
+
+/// One slab element: a queued entry linked into its slot's circular list,
+/// or a vacant element linked into the free list.
+#[derive(Debug, Clone)]
+struct Link<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
+/// The event queue the engine runs on: a timing wheel of 1 µs slots (the
+/// *near* tier, ticks `[last, last + WINDOW)`), each a FIFO list threaded
+/// through one index slab, in front of a [`RadixQueue`] (the *far* tier).
+///
+/// Pop order is exactly ascending `(at, seq)`, as for [`RadixQueue`]: a
+/// window tick maps to one slot, and a slot's list is in `seq` order,
+/// because whenever a pop advances `last` the far entries whose tick
+/// entered the window move to their slots, in the heap's order, before a
+/// direct insert for such a tick can happen.
+#[derive(Debug, Clone)]
+pub struct EventQueue<E> {
+    /// Per slot, the element at the tail of its circular list (whose
+    /// `next` is the head); meaningful only where `occupied` says so.
+    tails: Vec<u32>,
+    /// Bit `s` set ⇔ slot `s` holds an entry.
+    occupied: [u64; SLOTS / 64],
+    /// Bit `w` set ⇔ `occupied[w] != 0`.
+    summary: u64,
+    links: Vec<Link<E>>,
+    /// Head of the LIFO list of vacant elements.
+    free: u32,
+    far: RadixQueue<E>,
+    /// The far tier's minimum key (`u64::MAX` when empty), ≥ `last + WINDOW`.
+    far_min: u64,
+    /// The last popped key (µs ticks); all live keys are ≥ this.
+    last: u64,
+    next_seq: u64,
+    len: usize,
+    peak: usize,
+}
+
+impl<E> EventQueue<E> {
+    /// An empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        EventQueue {
+            tails: vec![NIL; SLOTS],
+            occupied: [0; SLOTS / 64],
+            summary: 0,
+            links: Vec::new(),
+            free: NIL,
+            far: RadixQueue::new(),
+            far_min: u64::MAX,
+            last: 0,
+            next_seq: 0,
+            len: 0,
+            peak: 0,
         }
-        if self.buckets[0].is_empty() {
-            let (i, min) = self.lowest();
-            self.redistribute(i, min);
+    }
+
+    /// Schedules `payload` to fire at `at`. Events scheduled for the same
+    /// instant fire in scheduling order. Panics when `at` precedes the last
+    /// popped time, like [`RadixQueue::schedule`].
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
+        let key = at.as_micros();
+        assert!(key >= self.last, "monotone schedules only: {key} µs precedes the last pop at {} µs", self.last);
+        let e = Entry { at, seq: self.next_seq, payload };
+        self.next_seq += 1;
+        if key - self.last < WINDOW {
+            self.link(e);
+        } else {
+            self.far_min = self.far_min.min(key);
+            self.far.push(e);
         }
-        Some(self.pop_bucket_zero())
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// Appends an entry inside the window to its slot's list.
+    fn link(&mut self, e: Entry<E>) {
+        let slot = (e.at.as_micros() & MASK) as usize;
+        if self.free == NIL {
+            self.links.push(Link { entry: None, next: NIL });
+            self.free = self.links.len() as u32 - 1;
+        }
+        let i = self.free as usize;
+        self.free = self.links[i].next;
+        self.links[i].entry = Some(e);
+        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[w] & bit == 0 {
+            self.occupied[w] |= bit;
+            self.summary |= 1 << w;
+            self.links[i].next = i as u32;
+        } else {
+            let tail = self.tails[slot] as usize;
+            self.links[i].next = std::mem::replace(&mut self.links[tail].next, i as u32);
+        }
+        self.tails[slot] = i as u32;
+    }
+
+    /// Moves every far entry inside the window to its slot, in the heap's
+    /// `(at, seq)` order.
+    fn migrate(&mut self) {
+        let horizon = self.last.saturating_add(MASK);
+        loop {
+            match self.far.pop_entry(horizon) {
+                Ok(e) => self.link(e),
+                Err(min) => return self.far_min = min.unwrap_or(u64::MAX),
+            }
+        }
+    }
+
+    /// Removes and returns the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Removes and returns the earliest event unless it fires after
-    /// `deadline` — `peek_time` and `pop` in one scan of the lowest bucket.
-    /// A refusal leaves the queue as it was, `last` included, so the
-    /// caller may still schedule anywhere from its own clock onwards.
+    /// `deadline`. A refusal leaves the queue as it was, `last` included, so
+    /// the caller may still schedule anywhere from its own clock onwards.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets[0].is_empty() {
-            let (i, min) = self.lowest();
-            if min > deadline.as_micros() {
-                return None;
+        let key = self.peek_time().filter(|&at| at <= deadline)?.as_micros();
+        if key != self.last {
+            self.last = key;
+            if self.far_min - key < WINDOW {
+                self.migrate();
             }
-            self.redistribute(i, min);
-        } else if self.last > deadline.as_micros() {
-            // Bucket 0 holds exactly the entries keyed `last`.
-            return None;
         }
-        Some(self.pop_bucket_zero())
+        let slot = (key & MASK) as usize;
+        let tail = self.tails[slot] as usize;
+        let head = self.links[tail].next as usize;
+        if head == tail {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            if self.occupied[slot / 64] == 0 {
+                self.summary &= !(1 << (slot / 64));
+            }
+        } else {
+            self.links[tail].next = self.links[head].next;
+        }
+        let e = self.links[head].entry.take().expect("an occupied slot's head holds an entry");
+        self.links[head].next = std::mem::replace(&mut self.free, head as u32);
+        self.len -= 1;
+        Some((e.at, e.payload))
     }
 
-    /// The firing time of the earliest event, if any.
-    ///
-    /// O(1) while bucket 0 is populated (the common case between
-    /// redistributions); otherwise a scan of the lowest non-empty bucket —
-    /// work the next `pop` would do anyway.
+    /// The firing time of the earliest event, if any. O(1): the first
+    /// occupied slot at or after `last`'s, wrapping round the wheel, else
+    /// the far tier's minimum.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(e) = self.buckets[0].front() {
-            return Some(e.at);
-        }
-        self.buckets
-            .iter()
-            .find(|b| !b.is_empty())
-            .and_then(|b| b.iter().map(|e| e.at).min())
+        let at = (self.last & MASK) as usize;
+        let (w, rest) = (at / 64, self.occupied[at / 64] & (!0 << (at % 64)));
+        let slot = if rest != 0 {
+            w * 64 + rest.trailing_zeros() as usize
+        } else if self.summary != 0 {
+            // Later words first, then the wrap — which can end in word `w`'s
+            // bits below `last`'s.
+            let later = self.summary & (!0 << w << 1);
+            let w = (if later != 0 { later } else { self.summary }).trailing_zeros() as usize;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        } else {
+            return (!self.far.is_empty()).then_some(SimTime::from_micros(self.far_min));
+        };
+        Some(SimTime::from_micros(self.last + ((slot as u64).wrapping_sub(self.last) & MASK)))
     }
 
     /// Number of pending events.
@@ -244,18 +415,18 @@ impl<E> RadixQueue<E> {
         self.peak
     }
 
-    /// Visits every pending entry as `(fire time, scheduling seq, payload)`.
-    /// Iteration order is the bucket layout's internal order — unspecified —
-    /// so callers that need a canonical view (the model checker's state
-    /// fingerprint) must sort by `(at, seq)` themselves.
+    /// Visits every pending entry as `(fire time, scheduling seq, payload)`
+    /// in unspecified order: callers that need a canonical view (the model
+    /// checker's state fingerprint) sort by `(at, seq)` themselves.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.buckets.iter().flatten().map(|e| (e.at, e.seq, &e.payload))
+        let near = self.links.iter().filter_map(|l| l.entry.as_ref());
+        near.map(|e| (e.at, e.seq, &e.payload)).chain(self.far.entries())
     }
 }
 
-impl<E> Default for RadixQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        RadixQueue::new()
+        EventQueue::new()
     }
 }
 
@@ -391,6 +562,15 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "monotone")]
+    fn rejects_schedule_before_last_pop() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_micros(100), ());
+        let _ = q.pop();
+        q.schedule(SimTime::from_micros(99), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone")]
     fn radix_rejects_schedule_before_last_pop() {
         let mut q = RadixQueue::new();
         q.schedule(SimTime::from_micros(100), ());
@@ -410,110 +590,98 @@ mod tests {
         assert_eq!(seen, vec![(3, 3), (7, 7), (12, 12), (1 << 40, 1 << 40)]);
     }
 
-    /// Drives a [`RadixQueue`] and the [`HeapQueue`] oracle through the
+    /// Drives an [`EventQueue`] and the [`HeapQueue`] oracle through the
     /// same operation sequence, asserting identical observable behavior at
     /// every step.
+    #[derive(Clone)]
     struct Mirror {
-        radix: RadixQueue<u64>,
+        queue: EventQueue<u64>,
         oracle: HeapQueue<u64>,
-        /// Lower bound for new schedules (the radix monotone contract —
-        /// exactly what the engine guarantees via its `now` clock).
+        /// Lower bound for new schedules (the monotone contract — exactly
+        /// what the engine guarantees via its `now` clock).
         floor: u64,
         tag: u64,
     }
 
     impl Mirror {
         fn new() -> Self {
-            Mirror { radix: RadixQueue::new(), oracle: HeapQueue::new(), floor: 0, tag: 0 }
+            Mirror { queue: EventQueue::new(), oracle: HeapQueue::new(), floor: 0, tag: 0 }
         }
 
         fn schedule(&mut self, at: u64) {
             assert!(at >= self.floor);
             self.tag += 1;
-            self.radix.schedule(SimTime::from_micros(at), self.tag);
+            self.queue.schedule(SimTime::from_micros(at), self.tag);
             self.oracle.schedule(SimTime::from_micros(at), self.tag);
-            assert_eq!(self.radix.len(), self.oracle.len());
-            assert_eq!(self.radix.peak_len(), self.oracle.peak_len());
+            assert_eq!(self.queue.len(), self.oracle.len());
+            assert_eq!(self.queue.peak_len(), self.oracle.peak_len());
         }
 
         fn pop(&mut self) {
-            assert_eq!(self.radix.peek_time(), self.oracle.peek_time());
-            let a = self.radix.pop();
+            assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
+            let a = self.queue.pop();
             let b = self.oracle.pop();
             assert_eq!(a, b, "pop order diverged");
             if let Some((at, _)) = a {
                 self.floor = at.as_micros();
             }
-            assert_eq!(self.radix.len(), self.oracle.len());
+            assert_eq!(self.queue.len(), self.oracle.len());
         }
 
         /// `pop_at_or_before` against the oracle's peek-then-pop. A
-        /// refusal must not move the radix queue's monotone floor: the
-        /// next `schedule(self.floor + Δ)` would trip the assert if it did.
+        /// refusal must not move the queue's monotone floor: the next
+        /// `schedule(self.floor + Δ)` would trip the assert if it did.
         fn pop_at_or_before(&mut self, deadline: u64) {
             let deadline = SimTime::from_micros(deadline);
             let expected = match self.oracle.peek_time() {
                 Some(t) if t <= deadline => self.oracle.pop(),
                 _ => None,
             };
-            let got = self.radix.pop_at_or_before(deadline);
+            let got = self.queue.pop_at_or_before(deadline);
             assert_eq!(got, expected, "deadline pop diverged");
             if let Some((at, _)) = got {
                 self.floor = at.as_micros();
             }
-            assert_eq!(self.radix.len(), self.oracle.len());
-            assert_eq!(self.radix.peek_time(), self.oracle.peek_time());
+            assert_eq!(self.queue.len(), self.oracle.len());
+            assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
+        }
+
+        /// `entries()` order is unspecified for both; canonicalized by
+        /// (at, seq) they must agree exactly (the model checker relies on
+        /// this for fingerprints).
+        fn assert_same_entries(&self) {
+            let canon = |it: Vec<(SimTime, u64, &u64)>| {
+                let mut v: Vec<(u64, u64, u64)> =
+                    it.into_iter().map(|(at, seq, &p)| (at.as_micros(), seq, p)).collect();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(canon(self.queue.entries().collect()), canon(self.oracle.entries().collect()));
         }
 
         fn drain(&mut self) {
             while !self.oracle.is_empty() {
                 self.pop();
             }
-            assert!(self.radix.is_empty());
-            assert_eq!(self.radix.pop(), None);
+            assert_eq!(self.queue.len(), 0);
+            assert_eq!(self.queue.pop(), None);
         }
-    }
 
-    #[test]
-    fn radix_matches_oracle_on_same_instant_ties() {
-        let mut m = Mirror::new();
-        for round in 0..5u64 {
-            let t = m.floor + round * 17;
-            for _ in 0..50 {
-                m.schedule(t);
-            }
-            for _ in 0..30 {
-                m.pop();
-            }
-        }
-        m.drain();
-    }
-
-    #[test]
-    fn radix_matches_oracle_on_far_future_events() {
-        let mut m = Mirror::new();
-        // A mix of near ticks and keys with high bits set (decades of
-        // simulated time), exercising the top radix buckets.
-        for at in [5u64, 1 << 62, 6, u64::MAX / 3, 5, 1 << 40, 7, (1 << 40) + 1] {
-            m.schedule(at);
-        }
-        m.drain();
-    }
-
-    #[test]
-    fn radix_matches_oracle_on_randomized_interleaving() {
-        for seed in 0..20u64 {
+        /// A seeded interleaving of schedules, pops and deadline pops.
+        /// Schedules are relative to the monotone floor the way the
+        /// engine's are (`now + Δ`): same-instant bursts, the delivery
+        /// band, both sides of the window edge, timers, far-future jumps.
+        fn randomized(seed: u64, ops: usize) -> Self {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut m = Mirror::new();
-            for _ in 0..400 {
+            let mut m = Self::new();
+            for _ in 0..ops {
                 if rng.gen_bool(0.6) || m.oracle.is_empty() {
-                    // Schedule relative to the monotone floor the way the
-                    // engine does (`now + Δ`), with occasional same-instant
-                    // bursts and far-future jumps.
-                    let delta = match rng.gen_range(0u32..10) {
+                    let delta = match rng.gen_range(0u32..12) {
                         0 => 0,
-                        1..=6 => rng.gen_range(0u64..1_000),
-                        7 | 8 => rng.gen_range(0u64..10_000_000),
+                        1..=3 => rng.gen_range(0u64..1_000),
+                        4..=6 => rng.gen_range(2_000u64..3_600),
+                        7 => rng.gen_range(WINDOW - 2..WINDOW + 2),
+                        8 | 9 => rng.gen_range(0u64..10_000_000),
                         _ => rng.gen_range(0u64..(1 << 45)),
                     };
                     let burst = if rng.gen_bool(0.2) { rng.gen_range(2usize..6) } else { 1 };
@@ -529,30 +697,138 @@ mod tests {
                     m.pop_at_or_before(deadline);
                 }
             }
-            m.drain();
+            m
         }
     }
 
     #[test]
-    fn radix_entries_match_oracle_as_sets() {
-        let mut rng = StdRng::seed_from_u64(11);
+    fn matches_oracle_on_same_instant_ties() {
         let mut m = Mirror::new();
-        for _ in 0..200 {
-            if rng.gen_bool(0.7) || m.oracle.is_empty() {
-                m.schedule(m.floor + rng.gen_range(0u64..50_000));
-            } else {
+        for round in 0..5u64 {
+            let t = m.floor + round * 17;
+            for _ in 0..50 {
+                m.schedule(t);
+            }
+            for _ in 0..30 {
                 m.pop();
             }
         }
-        // `entries()` order is unspecified for both; canonicalized by
-        // (at, seq) they must agree exactly (the model checker relies on
-        // this for fingerprints).
-        let canon = |it: Vec<(SimTime, u64, &u64)>| {
-            let mut v: Vec<(u64, u64, u64)> =
-                it.into_iter().map(|(at, seq, &p)| (at.as_micros(), seq, p)).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(canon(m.radix.entries().collect()), canon(m.oracle.entries().collect()));
+        m.drain();
+    }
+
+    #[test]
+    fn matches_oracle_on_far_future_events() {
+        let mut m = Mirror::new();
+        // A mix of near ticks and keys with high bits set (decades of
+        // simulated time), exercising the top radix buckets.
+        for at in [5u64, 1 << 62, 6, u64::MAX / 3, 5, 1 << 40, 7, (1 << 40) + 1, u64::MAX] {
+            m.schedule(at);
+        }
+        m.drain();
+    }
+
+    #[test]
+    fn matches_oracle_on_randomized_interleaving() {
+        for seed in 0..20u64 {
+            Mirror::randomized(seed, 400).drain();
+        }
+    }
+
+    /// How many of the composed queue's entries sit in the wheel.
+    fn near(m: &Mirror) -> usize {
+        m.queue.len() - m.queue.far.len()
+    }
+
+    #[test]
+    fn entries_match_oracle_as_sets_after_migrations() {
+        let mut m = Mirror::randomized(11, 300);
+        assert!(near(&m) > 0 && !m.queue.far.is_empty(), "both tiers populated");
+        m.assert_same_entries();
+        // Walk far enough that timers have migrated into the wheel.
+        for _ in 0..m.oracle.len() / 2 {
+            m.pop();
+            m.assert_same_entries();
+        }
+    }
+
+    #[test]
+    fn window_edge_keys_land_in_their_tiers() {
+        let mut m = Mirror::new();
+        m.schedule(WINDOW - 1);
+        m.schedule(WINDOW);
+        assert_eq!((near(&m), m.queue.far.len()), (1, 1));
+        // The same two offsets from a non-zero `last` that is not a
+        // multiple of the wheel size, so the slots wrap.
+        m.schedule(1_000);
+        m.pop();
+        m.schedule(1_000 + WINDOW - 1);
+        m.schedule(1_000 + WINDOW);
+        assert_eq!((near(&m), m.queue.far.len()), (3, 1), "tick 4096 migrated at the pop");
+        m.drain();
+    }
+
+    #[test]
+    fn one_tick_fed_from_both_tiers_pops_far_entries_first() {
+        let mut m = Mirror::new();
+        let t = 2 * WINDOW - 5;
+        m.schedule(t);
+        m.schedule(t);
+        m.schedule(WINDOW);
+        assert_eq!(m.queue.far.len(), 3);
+        m.schedule(10);
+        m.pop();
+        m.pop(); // `last` = WINDOW: the window now reaches past `t`
+        assert_eq!(m.queue.far.len(), 0);
+        m.schedule(t);
+        m.schedule(t - 1);
+        m.schedule(t);
+        m.drain(); // tags 1, 2 before 5, 7 at `t`, checked against the oracle
+    }
+
+    #[test]
+    fn refused_deadline_pop_leaves_both_tiers_and_the_floor_alone() {
+        let mut m = Mirror::new();
+        m.schedule(50);
+        m.pop();
+        m.schedule(2_500);
+        m.schedule(60_000);
+        let before = format!("{:?}", m.queue);
+        m.pop_at_or_before(2_499);
+        assert_eq!(format!("{:?}", m.queue), before);
+        m.pop_at_or_before(2_500);
+        // Only the far tier holds anything now, and a refusal there must
+        // not pull `last` (or the heap's own) up to tick 60 000.
+        let before = format!("{:?}", m.queue);
+        m.pop_at_or_before(59_999);
+        assert_eq!(format!("{:?}", m.queue), before);
+        m.schedule(m.floor);
+        m.schedule(m.floor + WINDOW);
+        m.drain();
+    }
+
+    #[test]
+    fn idle_jump_far_beyond_the_window_with_only_far_entries() {
+        let mut m = Mirror::new();
+        let base = 1_000 * WINDOW + 123;
+        for delta in [0, 0, 1, WINDOW - 1, WINDOW, 5 * WINDOW, 5 * WINDOW] {
+            m.schedule(base + delta);
+        }
+        assert_eq!(near(&m), 0);
+        m.pop();
+        assert_eq!((near(&m), m.queue.far.len()), (3, 3), "one jump fills the window");
+        m.drain();
+    }
+
+    #[test]
+    fn clone_mid_run_pops_in_lock_step() {
+        let mut a = Mirror::randomized(5, 300);
+        let mut b = a.clone();
+        a.schedule(a.floor + 3); // the copies share nothing
+        b.schedule(b.floor + 3);
+        while let Some(ev) = a.queue.pop() {
+            assert_eq!(Some(ev), b.queue.pop());
+            assert_eq!(Some(ev), a.oracle.pop());
+        }
+        assert_eq!(b.queue.pop(), None);
     }
 }
