@@ -37,7 +37,7 @@ use gs3_bench::runner::{run_grid, threads_from_args};
 use gs3_bench::banner;
 use gs3_core::harness::NetworkBuilder;
 use gs3_core::json::{self, JsonWriter};
-use gs3_core::{DataplaneConfig, RoleView};
+use gs3_core::RoleView;
 use gs3_geometry::Point;
 use gs3_sim::radio::EnergyModel;
 use gs3_sim::SimDuration;
@@ -280,7 +280,6 @@ fn run_gs3(scale: &Scale) -> ArmOutcome {
         .expected_nodes(scale.nodes)
         .seed(29)
         .traffic(SimDuration::from_secs(REPORT_PERIOD_SECS))
-        .dataplane(DataplaneConfig::on())
         // Configuration runs on an effectively bottomless battery: the
         // round model hands the baselines their construction for free, so
         // GS³'s one-off self-configuration spend is likewise excluded.

@@ -178,7 +178,6 @@ fn scenario_steady_state_dataplane(scale: &Scale) -> Measurement {
         .expected_nodes(scale.nodes_mid)
         .seed(42)
         .traffic(SimDuration::from_secs(2))
-        .dataplane(gs3_core::DataplaneConfig::on())
         .build()
         .expect("valid parameters");
     let _ = net.run_to_fixpoint();

@@ -1,14 +1,15 @@
 //! Regression gates over the committed `BENCH_chaos.json`,
 //! `BENCH_dataplane.json` and `BENCH_core.json` artifacts.
 //!
-//! The chaos sweep's congestion arm is the headline robustness claim of
-//! the contention layer: at the committed density × offered-load grid,
-//! congestion-adaptive degradation heals every run while the non-adaptive
-//! protocol congestion-collapses in at least one cell. This test pins
-//! that *shape* (not the raw counter values, which may drift with tuning)
-//! so a regression in either direction — adaptation stops healing, or the
-//! grid stops demonstrating a collapse — fails CI without re-running the
-//! 10-minute sweep.
+//! `BENCH_chaos.json` is byte-compared against a fresh `chaos_sweep
+//! --json` in CI, so it is what HEAD emits; the test here checks that it
+//! still says what EXPERIMENTS.md "Congestion collapse" says about it —
+//! 30 runs per cell and arm; congestion adaptation lowers mean collisions
+//! in every cell; the non-adaptive arm configures and heals every run;
+//! the adaptive arm never configures in more runs than the non-adaptive
+//! one; every run that configures heals — and never pins a raw count, so
+//! a regenerated file fails `cargo test` only when the text has become
+//! false.
 
 use std::path::Path;
 
@@ -78,32 +79,38 @@ fn committed_dataplane_artifact_compares_arms_and_shows_omega_nc() {
 }
 
 #[test]
-fn committed_chaos_artifact_shows_adaptive_healing_and_a_collapse() {
+fn committed_chaos_artifact_says_what_experiments_md_says() {
     let doc = artifact("BENCH_chaos.json");
     let cong = items(&doc, "congestion_cells");
     assert_eq!(cong.len(), 4, "expected a 2×2 congestion grid");
 
-    // Adaptive arm: every run of every cell configures and heals.
     for cell in cong {
-        let on = arm(cell, "adaptive_on");
-        let runs = int(on, "runs");
-        assert_eq!(int(on, "configured"), runs, "adaptive run failed to configure: {cell:?}");
-        assert_eq!(int(on, "healed"), runs, "adaptive run failed to heal: {cell:?}");
+        let (off, on) = (arm(cell, "adaptive_off"), arm(cell, "adaptive_on"));
+        for a in [off, on] {
+            assert_eq!(int(a, "runs"), 30, "a cell is 30 seeds per arm: {cell:?}");
+            assert_eq!(int(a, "healed"), int(a, "configured"), "a configured run must heal: {cell:?}");
+        }
+        assert!(
+            int(on, "collisions") < int(off, "collisions"),
+            "adaptation no longer sheds collisions: {cell:?}"
+        );
+        assert_eq!(int(off, "configured"), 30, "non-adaptive run failed to configure: {cell:?}");
+        assert!(
+            int(on, "configured") <= int(off, "configured"),
+            "the adaptive arm out-configures the non-adaptive one — rewrite EXPERIMENTS.md: {cell:?}"
+        );
     }
-    // Non-adaptive arm: at least one cell congestion-collapses.
-    let collapsed = cong
-        .iter()
-        .map(|cell| arm(cell, "adaptive_off"))
-        .filter(|off| int(off, "healed") < int(off, "runs"))
-        .count();
-    assert!(collapsed >= 1, "committed grid no longer demonstrates a congestion collapse");
 
-    // The reliability arm's long-standing shape still holds: every cell
-    // of the burst × churn grid heals in both arms.
+    // The burst × churn grid: every calm and steady cell heals every run
+    // in both arms; a storm cell may lose at most one (seed 181's dead
+    // ancestor).
     for cell in items(&doc, "cells") {
+        let storm = cell.get("churn").and_then(JsonValue::as_str) == Some("storm");
         for name in ["reliable_off", "reliable_on"] {
             let a = arm(cell, name);
-            assert_eq!(int(a, "healed"), int(a, "runs"), "{name} cell no longer heals: {cell:?}");
+            assert_eq!(int(a, "runs"), 30, "a cell is 30 seeds per arm: {cell:?}");
+            let lost = int(a, "runs") - int(a, "healed");
+            assert!(lost <= u64::from(storm), "{name} cell lost {lost} runs: {cell:?}");
         }
     }
 }

@@ -8,7 +8,7 @@ use gs3_core::chaos::{Corruption, FaultKind, FaultPlan};
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
 use gs3_core::invariants::{check_all, Strictness};
 use gs3_core::json::{self, JsonWriter};
-use gs3_core::{CongestionConfig, DataplaneConfig, Mode, ReliabilityConfig};
+use gs3_core::{CongestionConfig, Mode, ReliabilityConfig};
 use gs3_geometry::Point;
 use gs3_mc::{Budgets, McStrategy, ModelChecker, Scenario};
 use gs3_sim::faults::{BurstLoss, FaultConfig};
@@ -35,9 +35,9 @@ pub fn help() {
          \x20 mc     exhaustively model-check a pinned small field against a\n\
          \x20        bounded adversary and report verified properties /\n\
          \x20        minimized counterexamples\n\
-         \x20 dataplane  configure with the convergecast data plane on, run\n\
-         \x20        the workload, and report end-to-end delivery (sink\n\
-         \x20        ledger, latency percentiles, queue/credit counters)\n\
+         \x20 dataplane  configure, run the convergecast workload, and report\n\
+         \x20        end-to-end delivery (sink ledger, latency percentiles,\n\
+         \x20        queue/credit counters)\n\
          \x20 trace  configure, record the flight recorder for a while, and\n\
          \x20        export the event stream (JSONL or Chrome trace)\n\
          \x20 help   this text\n\
@@ -52,11 +52,11 @@ pub fn help() {
          \x20 --mobile         run GS3-M (big-node mobility handling)\n\
          \x20 --loss P         broadcast loss probability (0)\n\
          \x20 --noise SIGMA    localization noise sigma in meters (0)\n\
-         \x20 --traffic SECS   enable the sensing workload at this period\n\
-         \x20 --workload       enable the convergecast data plane (sequenced\n\
-         \x20                  reports, bounded aggregation queues, credit\n\
-         \x20                  backpressure, sink delivery ledger; implies\n\
-         \x20                  --traffic 5 unless given)\n\
+         \x20 --traffic SECS   run the convergecast workload at this report\n\
+         \x20                  period (sequenced reports, bounded aggregation\n\
+         \x20                  queues, credit backpressure, sink delivery\n\
+         \x20                  ledger); without it no data is sent\n\
+         \x20 --workload       --traffic 5 unless --traffic is given\n\
          \x20 --reliable       enable the control-plane reliability layer\n\
          \x20                  (acked retransmission, adaptive failure\n\
          \x20                  detection, quarantine mode)\n\
@@ -161,6 +161,8 @@ fn build_seeded(a: &Args, seed: u64) -> Result<Network, Box<dyn std::error::Erro
             expected: "seconds",
         })?;
         b = b.traffic(SimDuration::from_secs_f64(secs));
+    } else if a.flag("workload") {
+        b = b.traffic(SimDuration::from_secs(5));
     }
     if let Some(budget) = a.get("budget") {
         let e: f64 = budget.parse().map_err(|_| ArgError::BadValue {
@@ -169,14 +171,6 @@ fn build_seeded(a: &Args, seed: u64) -> Result<Network, Box<dyn std::error::Erro
             expected: "energy units",
         })?;
         b = b.energy(EnergyModel::normalized(2.0 * radius), e);
-    }
-    if a.flag("workload") {
-        // The data plane needs traffic to carry; default the report
-        // period when --traffic wasn't given explicitly.
-        if a.get("traffic").is_none() {
-            b = b.traffic(SimDuration::from_secs(5));
-        }
-        b = b.dataplane(DataplaneConfig::on());
     }
     if a.flag("reliable") {
         b = b.reliability(ReliabilityConfig::on());
@@ -358,8 +352,8 @@ fn write_data_json(net: &Network, w: &mut JsonWriter<'_>) {
     });
 }
 
-/// `gs3 dataplane` — configure with the convergecast data plane enabled,
-/// run the sensing workload for `--duration`, and report end-to-end
+/// `gs3 dataplane` — configure, run the convergecast workload for
+/// `--duration`, and report end-to-end
 /// delivery: the sink ledger (reports, latency percentiles, dedup) plus
 /// the queue/credit/provenance counters.
 pub fn dataplane(a: &Args) -> CliResult {
@@ -554,11 +548,11 @@ pub fn chaos(a: &Args) -> CliResult {
             r.retransmits, r.dedup_hits, r.give_ups
         );
         println!(
-            "detector/quar:   {} false suspicions, {} quarantine entries, {} exits, {} drops",
-            r.false_suspicions, r.quarantine_entries, r.quarantine_exits, r.quarantine_drops
+            "detector/quar:   {} false suspicions, {} quarantine entries, {} exits",
+            r.false_suspicions, r.quarantine_entries, r.quarantine_exits
         );
     }
-    if a.flag("workload") {
+    if !net.config().report_period.is_zero() {
         let d = &rep.data;
         println!(
             "data plane:      {}/{} reports delivered, {} queue-dropped, {} misrouted",

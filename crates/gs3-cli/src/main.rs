@@ -16,7 +16,7 @@
 //!            [--heal-window SECS] [--json] [--out FILE] [--ce-dir DIR]
 //!                    (bounded model checking of the protocol core against a
 //!                     bounded adversary, with replayable counterexamples)
-//! gs3 dataplane ... [--workload] [--duration SECS] [--json]
+//! gs3 dataplane ... [--traffic SECS] [--duration SECS] [--json]
 //!                  (convergecast workload: sink delivery ledger, latency
 //!                   percentiles, queue/credit/provenance counters)
 //! gs3 trace  ... [--duration SECS] [--capacity N] [--format jsonl|chrome]

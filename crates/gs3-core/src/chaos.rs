@@ -579,8 +579,6 @@ pub struct ReliabilityCounters {
     pub quarantine_entries: u64,
     /// Heads that left quarantine mode (re-attached).
     pub quarantine_exits: u64,
-    /// Buffered aggregates dropped because a quarantine buffer overflowed.
-    pub quarantine_drops: u64,
 }
 
 /// Shared-medium contention counters accumulated during a chaos run
@@ -730,7 +728,6 @@ impl ChaosReport {
                     ("false_suspicions", r.false_suspicions),
                     ("quarantine_entries", r.quarantine_entries),
                     ("quarantine_exits", r.quarantine_exits),
-                    ("quarantine_drops", r.quarantine_drops),
                 ]);
             });
             w.key("mac").object(|w| {
@@ -935,7 +932,6 @@ impl Network {
                 false_suspicions: delta("detector_false_suspicions"),
                 quarantine_entries: delta("quarantine_entries"),
                 quarantine_exits: delta("quarantine_exits"),
-                quarantine_drops: delta("quarantine_drops"),
             },
             mac: ContentionCounters {
                 collisions: trace.mac_collisions() - trace0.mac_collisions(),
@@ -1365,7 +1361,7 @@ mod tests {
         // escaped detail string, an empty episode list).
         assert_eq!(
             report.to_json(),
-            r#"{"started_us":5,"finished_us":10,"healed":false,"final_violations":1,"max_violations":2,"polls":3,"digest":"0000000000000abc","dropped_by_burst":0,"dropped_by_jam":0,"dropped_unicast":0,"duplicated":0,"delayed":0,"reliability":{"retransmits":4,"dedup_hits":0,"give_ups":0,"false_suspicions":0,"quarantine_entries":0,"quarantine_exits":0,"quarantine_drops":0},"mac":{"collisions":6,"defers":0,"backoff_exhausted":0,"congestion_stretches":0,"congestion_relaxes":0,"suppressed_broadcasts":0},"data":{"reports_produced":0,"reports_delivered":9,"batches_delivered":0,"queue_drops":0,"reports_dropped":0,"reports_misrouted":0,"credit_recoveries":0,"leaf_gaps":0,"leaf_dups":0},"sent_by_kind":{"org":12,"org_reply":3},"faults":[{"kind":"join","detail":"say \"hi\"","injected_at_us":7,"killed":0,"heal_latency_us":null,"episode":null}],"episodes":[]}"#
+            r#"{"started_us":5,"finished_us":10,"healed":false,"final_violations":1,"max_violations":2,"polls":3,"digest":"0000000000000abc","dropped_by_burst":0,"dropped_by_jam":0,"dropped_unicast":0,"duplicated":0,"delayed":0,"reliability":{"retransmits":4,"dedup_hits":0,"give_ups":0,"false_suspicions":0,"quarantine_entries":0,"quarantine_exits":0},"mac":{"collisions":6,"defers":0,"backoff_exhausted":0,"congestion_stretches":0,"congestion_relaxes":0,"suppressed_broadcasts":0},"data":{"reports_produced":0,"reports_delivered":9,"batches_delivered":0,"queue_drops":0,"reports_dropped":0,"reports_misrouted":0,"credit_recoveries":0,"leaf_gaps":0,"leaf_dups":0},"sent_by_kind":{"org":12,"org_reply":3},"faults":[{"kind":"join","detail":"say \"hi\"","injected_at_us":7,"killed":0,"heal_latency_us":null,"episode":null}],"episodes":[]}"#
         );
         assert!(!report.healed());
         assert_eq!(report.max_heal_latency(), None);

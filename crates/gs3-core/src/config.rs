@@ -155,12 +155,10 @@ pub struct ReliabilityConfig {
     pub adaptive_detection: bool,
     /// Quarantine-mode graceful degradation: a head that exhausts
     /// [`QUARANTINE_SEEK_LIMIT`] consecutive `PARENT_SEEK` rounds without
-    /// re-attaching keeps serving its cell but buffers upward aggregates
-    /// instead of abandoning, draining the buffer on re-attach.
+    /// re-attaching keeps serving its cell instead of abandoning: its
+    /// aggregation queue keeps filling (bounded, oldest dropped first)
+    /// but stops draining, and replays upstream on re-attach.
     pub quarantine: bool,
-    /// Bounded quarantine buffer length (oldest entries dropped, and the
-    /// drops counted, once full).
-    pub quarantine_buffer: usize,
 }
 
 impl Default for ReliabilityConfig {
@@ -174,24 +172,14 @@ impl ReliabilityConfig {
     /// Byte-identical runs to a build without the layer.
     #[must_use]
     pub fn disabled() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            adaptive_detection: false,
-            quarantine: false,
-            quarantine_buffer: 32,
-        }
+        ReliabilityConfig { enabled: false, adaptive_detection: false, quarantine: false }
     }
 
     /// The full layer: acked retransmission, adaptive detection, and
     /// quarantine all on.
     #[must_use]
     pub fn on() -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            adaptive_detection: true,
-            quarantine: true,
-            ..ReliabilityConfig::disabled()
-        }
+        ReliabilityConfig { enabled: true, adaptive_detection: true, quarantine: true }
     }
 }
 
@@ -269,9 +257,10 @@ pub struct Gs3Config {
     /// candidate is available.
     pub head_retreat_energy: f64,
     /// Period of the sensing workload: associates report to their head,
-    /// heads aggregate and relay one message per period up the head graph
-    /// (the paper's data-aggregation traffic model, §4.1). Zero disables
-    /// the workload.
+    /// heads fold each period's reports into one batch and relay batches
+    /// up the head graph under [`Gs3Config::dataplane`]'s credit window
+    /// (the paper's data-aggregation traffic model, §4.1). Zero means no
+    /// traffic.
     pub report_period: SimDuration,
     /// ABLATION KNOB (default true = paper-faithful): anchor `HEAD_SELECT`
     /// at the cell's *ideal location* rather than the head's actual
@@ -288,9 +277,8 @@ pub struct Gs3Config {
     /// Congestion-adaptive graceful degradation (default: disabled /
     /// RNG-inert).
     pub congestion: CongestionConfig,
-    /// Convergecast data plane (default: disabled / inert — see
-    /// [`DataplaneConfig`]). Requires a non-zero [`Gs3Config::report_period`]
-    /// to actually move traffic.
+    /// Tuning of the convergecast data plane the workload runs on; read
+    /// only when [`Gs3Config::report_period`] is non-zero.
     pub dataplane: DataplaneConfig,
 }
 
@@ -348,7 +336,7 @@ impl Gs3Config {
             channel_reservation: true,
             reliability: ReliabilityConfig::disabled(),
             congestion: CongestionConfig::disabled(),
-            dataplane: DataplaneConfig::disabled(),
+            dataplane: DataplaneConfig::on(),
         })
     }
 

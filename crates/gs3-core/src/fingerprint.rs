@@ -260,10 +260,6 @@ fn fold_head(h: &mut Fnv128, now: SimTime, s: &HeadState) {
     }
     h.u64(u64::from(s.failed_seeks));
     h.bool(s.quarantined);
-    h.u64(s.quarantine_buf.len() as u64);
-    for v in &s.quarantine_buf {
-        h.u64(u64::from(*v));
-    }
 }
 
 fn fold_assoc(h: &mut Fnv128, now: SimTime, a: &AssocState) {

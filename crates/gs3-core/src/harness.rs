@@ -238,9 +238,11 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables the sensing workload: associates report to their head and
-    /// heads aggregate-and-relay up the head graph every `period` (the
-    /// paper's data-aggregation traffic model).
+    /// Gives the scenario traffic: every `period` associates report to
+    /// their head and heads batch-and-relay up the head graph to the big
+    /// node's sink ledger — sequenced, queued and credit-gated (the
+    /// paper's data-aggregation traffic model, §4.1). Without it no data
+    /// frame is sent.
     #[must_use]
     pub fn traffic(mut self, period: SimDuration) -> Self {
         self.traffic_period = Some(period);
@@ -277,12 +279,11 @@ impl NetworkBuilder {
         self
     }
 
-    /// Configures the convergecast data plane (sequenced batches, bounded
-    /// per-head queues, credit-based backpressure, sink-side delivery
-    /// ledger) riding on the sensing workload — requires `traffic` to
-    /// produce anything. Applied on top of `config` overrides; the
-    /// default is the inert [`gs3_dataplane::DataplaneConfig::disabled`],
-    /// under which runs are byte-identical to a build without the layer.
+    /// Tunes the convergecast data plane `traffic` runs on (queue bound,
+    /// credit window, stall recovery, frame MTU). Applied on top of
+    /// `config` overrides; the default is
+    /// [`gs3_dataplane::DataplaneConfig::on`]. Sets no traffic going by
+    /// itself.
     #[must_use]
     pub fn dataplane(mut self, dc: gs3_dataplane::DataplaneConfig) -> Self {
         self.dataplane = Some(dc);
@@ -768,7 +769,7 @@ impl Network {
     }
 
     /// The sink-side data-plane delivery ledger on the primary big node
-    /// (None until the first delivery, or when the data plane is off).
+    /// (None until the first delivery).
     #[must_use]
     pub fn sink_ledger(&self) -> Option<&gs3_dataplane::SinkLedger> {
         self.eng.node(self.big).ok().and_then(|n| n.sink_ledger())

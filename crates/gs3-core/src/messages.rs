@@ -244,15 +244,10 @@ pub enum Msg {
     /// A sensor report from an associate to its cell head.
     SensorReport {
         /// The reporting leaf's report sequence number (provenance; the
-        /// head tallies gaps and duplicates per associate). Zero in the
-        /// legacy workload (data plane disabled).
+        /// head tallies gaps and duplicates per associate). Starts at 1;
+        /// zero marks a report a demoted head passed along to its
+        /// successor, whose provenance did not survive the detour.
         seq: u64,
-    },
-    /// An aggregated report a head relays to its parent (carries how many
-    /// raw reports it folds together, for accounting).
-    AggregateReport {
-        /// Raw reports aggregated into this message.
-        count: u32,
     },
     /// A data-plane frame relayed hop-by-hop up the head tree toward the
     /// sink (credit-gated; see `gs3-dataplane`). Carries one or more
@@ -322,7 +317,6 @@ impl Payload for Msg {
             Msg::HeadJoinResp { .. } => "head_join_resp",
             Msg::AssociateJoinResp { .. } => "associate_join_resp",
             Msg::SensorReport { .. } => "sensor_report",
-            Msg::AggregateReport { .. } => "aggregate_report",
             Msg::DataBatch { .. } => "data_batch",
             Msg::DataCredit { .. } => "data_credit",
             Msg::ProxyAssign => "proxy_assign",
@@ -362,7 +356,6 @@ impl Payload for Msg {
             Msg::ParentSeekAck { .. } => 4 * WORD,
             Msg::HeadJoinResp { .. } => 3 * WORD,
             Msg::AssociateJoinResp { .. } => 2 * WORD,
-            Msg::AggregateReport { .. } => WORD,
             Msg::SensorReport { .. } => 2 * WORD,
             // Frame header, plus seq + count + born_us + origin per item.
             Msg::DataBatch { items } => WORD + 4 * WORD * items.len() as u64,
@@ -414,6 +407,77 @@ mod tests {
         ];
         let kinds: std::collections::BTreeSet<_> = msgs.iter().map(|m| m.kind()).collect();
         assert_eq!(kinds.len(), msgs.len());
+    }
+
+    /// Airtime on the contended medium is `wire_bits`; a silent change to
+    /// one arm moved a headline experiment once (`sensor_report`, one
+    /// word → two). One row per variant, in 64-bit words.
+    #[test]
+    fn wire_bits_table() {
+        let o = Point::ORIGIN;
+        let id = NodeId::new(1);
+        let org =
+            OrgInfo { head: id, pos: o, il: o, parent_il: o, hops: 0, root_pos: o };
+        let cell = Arc::new(CellInfo {
+            head: id,
+            head_pos: o,
+            il: o,
+            oil: o,
+            icc_icp: IccIcp::ORIGIN,
+            hops: 1,
+            parent: id,
+            parent_il: o,
+            candidates: vec![id, id, id],
+            root_pos: o,
+        });
+        let head = HeadInfo {
+            head: id,
+            pos: o,
+            il: o,
+            icc_icp: IccIcp::ORIGIN,
+            hops: 1,
+            parent: id,
+            root_pos: o,
+        };
+        let item = DataItem { seq: 1, count: 1, born_us: 0, origin: id };
+        let assignment = HeadAssignment { node: id, pos: o, il: o };
+        let table = [
+            (Msg::Org(org.clone()), 6),
+            (Msg::OrgReply { pos: o, current_head: None }, 3),
+            (Msg::HeadOrgReply { pos: o, il: o, icc_icp: IccIcp::ORIGIN, hops: 1 }, 4),
+            (Msg::HeadSet { org: org.clone(), assignments: vec![] }, 6),
+            (Msg::HeadSet { org, assignments: vec![assignment.clone(), assignment] }, 12),
+            (Msg::HeadIntraAlive(cell.clone()), 12),
+            (Msg::HeadIntraAck { pos: o, energy: 1.0 }, 2),
+            (Msg::AssociateAlive { pos: o }, 1),
+            (Msg::AssociateRetreat, 1),
+            (Msg::HeadRetreat(cell.clone()), 12),
+            (Msg::ReplacingHead, 1),
+            (Msg::NewHeadAnnounce(cell), 12),
+            (Msg::CellAbandoned, 1),
+            (Msg::HeadInterAlive(head), 7),
+            (Msg::NewChildHead { pos: o, il: o }, 2),
+            (Msg::ChildRetire, 1),
+            (Msg::ParentSeek { il: o, round: 1 }, 2),
+            (Msg::ParentSeekAck { hops: 1, il: o, pos: o, round: 1 }, 4),
+            (Msg::SanityCheckReq, 1),
+            (Msg::SanityCheckValid, 1),
+            (Msg::HeadRetreatCorrupted, 1),
+            (Msg::BootupProbe { pos: o }, 1),
+            (Msg::HeadJoinResp { pos: o, il: o, hops: 1 }, 3),
+            (Msg::AssociateJoinResp { pos: o, head: id }, 2),
+            (Msg::SensorReport { seq: 1 }, 2),
+            (Msg::DataBatch { items: vec![item] }, 5),
+            (Msg::DataBatch { items: vec![item; 32] }, 129),
+            (Msg::DataCredit { grant: 1 }, 1),
+            (Msg::ProxyAssign, 1),
+            (Msg::ProxyRelease, 1),
+            (Msg::Reliable { seq: 1, inner: Box::new(Msg::ParentSeek { il: o, round: 1 }) }, 3),
+            (Msg::DeliveryAck { seq: 1 }, 1),
+        ];
+        for (msg, words) in table {
+            assert_eq!(msg.wire_bits(), 64 * words, "{}", msg.kind());
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct Gs3Node {
     /// exponent) — also role-independent.
     pub(crate) cong: crate::congestion::CongestionState,
     /// Convergecast data-plane state (queues, credits, sequence spaces) —
-    /// role-independent and inert while `cfg.dataplane` is disabled.
+    /// role-independent and untouched in a run with no traffic.
     pub(crate) data: DataState,
 }
 
@@ -332,7 +332,6 @@ impl gs3_sim::Node for Gs3Node {
             }
             // sensing workload
             Msg::SensorReport { seq } => self.on_sensor_report(from, seq, ctx),
-            Msg::AggregateReport { count } => self.on_aggregate_report(from, count, ctx),
             Msg::DataBatch { items } => self.on_data_batch(from, items, ctx),
             Msg::DataCredit { grant } => self.on_data_credit(from, grant, ctx),
             // big-node mobility

@@ -175,14 +175,10 @@ pub(crate) fn note_seek_failed(h: &mut HeadState, cfg: &ReliabilityConfig, ctx: 
 
 /// A head re-attached to the head graph (accepted a `parent_seek_ack`,
 /// adopted a better parent, or heard its silent parent again): reset the
-/// seek bookkeeping and, when leaving quarantine, drain the buffered
-/// aggregates to the new parent as one summed report.
-///
-/// With the data plane enabled the quarantine buffer is the head's
-/// aggregation queue instead (`quarantine_buf` stays empty, so the summed
-/// drain below is a no-op): the queued batches replay through the
-/// ordinary credit-gated drain at the next report tick, and the sink's
-/// `(origin, seq)` dedup keeps any overlap from double-counting.
+/// seek bookkeeping and leave quarantine. The quarantine buffer is the
+/// head's aggregation queue: the batches queued meanwhile replay through
+/// the ordinary credit-gated drain at the next report tick, and the
+/// sink's `(origin, seq)` dedup keeps any overlap from double-counting.
 pub(crate) fn head_reattached(h: &mut HeadState, ctx: &mut Ctx<'_>) {
     h.failed_seeks = 0;
     h.pending_seek = None;
@@ -191,15 +187,6 @@ pub(crate) fn head_reattached(h: &mut HeadState, ctx: &mut Ctx<'_>) {
         h.quarantined = false;
         ctx.count("quarantine_exits");
         ctx.event("quarantine_exit", 0);
-        let total: u64 = h.quarantine_buf.iter().map(|&c| u64::from(c)).sum();
-        h.quarantine_buf.clear();
-        if total > 0 {
-            let count = u32::try_from(total).unwrap_or(u32::MAX);
-            if h.parent != ctx.id() {
-                ctx.unicast(h.parent, Msg::AggregateReport { count });
-            }
-            ctx.count_by("quarantine_drained", u64::from(count));
-        }
     }
 }
 

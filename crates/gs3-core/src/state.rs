@@ -191,11 +191,9 @@ pub struct HeadState {
     /// re-attach; drives quarantine entry).
     pub failed_seeks: u32,
     /// True while in quarantine: disconnected from the head graph but
-    /// still serving the cell and buffering upward reports.
+    /// still serving the cell; the aggregation queue fills but does not
+    /// drain.
     pub quarantined: bool,
-    /// Aggregate-report counts buffered while quarantined (bounded;
-    /// oldest entries drop first).
-    pub quarantine_buf: std::collections::VecDeque<u32>,
 }
 
 impl HeadState {
@@ -240,7 +238,6 @@ impl HeadState {
             pending_seek: None,
             failed_seeks: 0,
             quarantined: false,
-            quarantine_buf: std::collections::VecDeque::new(),
         }
     }
 
@@ -333,8 +330,8 @@ impl BigAwayState {
 ///
 /// Lives *outside* [`Role`] so it survives role transitions (a head that
 /// retreats and is re-elected keeps its batch sequence space, which the
-/// sink's dedup depends on). Default-empty and untouched while the data
-/// plane is disabled, so the legacy workload stays byte-identical.
+/// sink's dedup depends on). Default-empty and untouched in a run with
+/// no traffic.
 #[derive(Debug, Clone, Default)]
 pub struct DataState {
     /// As a leaf: sequence of the last sensor report sent.

@@ -3,38 +3,36 @@
 //! The paper's lifetime analysis rests on "network traffic flows from
 //! children to parents along the head graph until reaching the big node"
 //! with in-network aggregation (§4.1, §2 footnote 2). This module supplies
-//! exactly that, at two fidelities:
+//! exactly that, once: a scenario with a non-zero `report_period` runs the
+//! convergecast data plane of `gs3-dataplane`, and there is no other
+//! traffic model.
 //!
-//! * **Legacy** (`cfg.dataplane` disabled): every `report_period`, each
-//!   associate unicasts an un-sequenced `sensor_report` to its head; each
-//!   head folds whatever it received into one `aggregate_report` to its
-//!   parent. One message per period, no queues, no flow control.
-//!
-//! * **Data plane** (`cfg.dataplane` enabled): reports carry per-leaf
-//!   sequence numbers (the head books gaps and duplicates per associate);
-//!   each head folds its cell's reports into a sequenced [`BatchEntry`]
-//!   on a bounded drop-oldest [`AggQueue`](gs3_dataplane::AggQueue), and
-//!   drains the queue up the head tree under credit-based backpressure
-//!   (one credit per batch in flight toward the parent, granted back as
-//!   the parent dequeues or the sink consumes). Draining is event-driven:
-//!   it runs on the periodic tick, after every relayed-batch enqueue, and
-//!   on every credit return — so relay throughput is bounded by the
-//!   credit window per round-trip, not per tick (a per-tick drain would
-//!   cap the convergecast funnel at `credit_window / report_period` and
-//!   drop most of the outer rings' traffic). A starved head doubles its
-//!   tick period — backpressure propagating toward the leaves — and the
-//!   big node books every delivery in a [`SinkLedger`] with end-to-end
-//!   latency and `(origin, seq)` dedup. Quarantine composes for free: a
-//!   quarantined head keeps enqueueing but stops draining, so the queue
-//!   *is* the quarantine buffer, and re-attachment replays it through the
-//!   ordinary credit-gated path.
+//! Every period each associate unicasts a `sensor_report` carrying its
+//! per-leaf sequence number (the head books gaps and duplicates per
+//! associate); each head folds its cell's reports into a sequenced
+//! [`BatchEntry`] on a bounded drop-oldest
+//! [`AggQueue`](gs3_dataplane::AggQueue), and drains the queue up the head
+//! tree as `data_batch` frames under credit-based backpressure (one credit
+//! per frame in flight toward the parent, granted back as `data_credit`
+//! when the parent dequeues or the sink consumes). Draining is
+//! event-driven: it runs on the periodic tick, after every relayed-batch
+//! enqueue, and on every credit return — so relay throughput is bounded
+//! by the credit window per round-trip, not per tick (a per-tick drain
+//! would cap the convergecast funnel at `credit_window / report_period`
+//! and drop most of the outer rings' traffic). A starved head doubles its
+//! tick period — backpressure propagating toward the leaves — and the big
+//! node books every delivery in a [`SinkLedger`](gs3_dataplane::SinkLedger)
+//! with end-to-end latency and `(origin, seq)` dedup. Quarantine composes
+//! for free: a quarantined head keeps enqueueing but stops draining, so
+//! the queue *is* the quarantine buffer, and re-attachment replays it
+//! through the ordinary credit-gated path.
 //!
 //! The energy model charges heads for all relaying — the head-dominated
 //! dissipation gradient that head shift and cell shift are designed
 //! around, and (with the idle term) what drives nodes to actual death in
 //! lifetime studies.
 
-use gs3_dataplane::{BatchEntry, Enqueue};
+use gs3_dataplane::{BatchEntry, DataplaneConfig, Enqueue};
 use gs3_sim::{NodeId, SimTime};
 
 use crate::messages::{DataItem, Msg};
@@ -43,7 +41,7 @@ use crate::state::{DataState, Role};
 use crate::timers::Timer;
 
 impl Gs3Node {
-    /// Arms the workload tick at boot when the workload is enabled.
+    /// Arms the workload tick at boot when the scenario has traffic.
     pub(crate) fn arm_report_tick(&mut self, ctx: &mut Ctx<'_>) {
         if self.cfg.report_period.is_zero() {
             return;
@@ -59,25 +57,18 @@ impl Gs3Node {
         }
         self.cong_observe(ctx);
         let mut period = self.cong_stretch(self.cfg.report_period);
-        let dataplane = self.cfg.dataplane.enabled;
         match &mut self.role {
             Role::Associate(a) if !a.surrogate => {
-                let head = a.head;
-                let seq = if dataplane {
-                    self.data.leaf_seq += 1;
-                    ctx.count("data_reports_produced");
-                    self.data.leaf_seq
-                } else {
-                    0
-                };
-                ctx.unicast(head, Msg::SensorReport { seq });
+                self.data.leaf_seq += 1;
+                ctx.count("data_reports_produced");
+                ctx.unicast(a.head, Msg::SensorReport { seq: self.data.leaf_seq });
             }
-            Role::Head(h) if dataplane => {
+            Role::Head(h) => {
                 // Fold the cell's accumulation (plus this cell's own
                 // observation) into one sequenced batch, then drain the
                 // queue upstream under the credit window.
                 let me = ctx.id();
-                let dp = self.cfg.dataplane.clone();
+                let dp = self.cfg.dataplane;
                 let count = h.pending_reports.saturating_add(1);
                 h.pending_reports = 0;
                 ctx.count("data_reports_produced");
@@ -98,7 +89,7 @@ impl Gs3Node {
                     let parent = h.parent;
                     if !h.quarantined
                         && parent != me
-                        && Self::data_drain(&mut self.data, parent, &dp, me, true, ctx)
+                        && Self::data_drain(&mut self.data, parent, dp, me, true, ctx)
                     {
                         // Starved: stretch the tick so production slows
                         // while the upstream path is saturated —
@@ -106,30 +97,6 @@ impl Gs3Node {
                         period = period * 2;
                     }
                 }
-            }
-            Role::Head(h) => {
-                // Legacy aggregate-and-relay: one upstream message per
-                // period, whatever arrived (in-network aggregation). This
-                // cell's own observation counts as one report.
-                let count = h.pending_reports.saturating_add(1);
-                h.pending_reports = 0;
-                let parent = h.parent;
-                if h.quarantined {
-                    // Partitioned from the head graph: buffer the
-                    // aggregate (bounded — oldest drop first) instead of
-                    // sending into the void; drained on re-attach.
-                    let cap = self.cfg.reliability.quarantine_buffer.max(1);
-                    h.quarantine_buf.push_back(count);
-                    ctx.count("quarantine_buffered");
-                    while h.quarantine_buf.len() > cap {
-                        h.quarantine_buf.pop_front();
-                        ctx.count("quarantine_drops");
-                    }
-                } else if parent != ctx.id() {
-                    ctx.unicast(parent, Msg::AggregateReport { count });
-                }
-                // The big node / root swallows the aggregate (it is the
-                // interface to the external network).
             }
             _ => {}
         }
@@ -156,9 +123,45 @@ impl Gs3Node {
         }
     }
 
-    /// Drains the head's queue toward `parent` while credits last,
-    /// granting one credit back to each relayed batch's child. Returns
-    /// true when the head ends the drain starved (work queued, no
+    /// Pops up to `mtu` queued batches into one `data_batch` frame to
+    /// `parent`, then grants each relayed batch's credit back to the child
+    /// it came from (one `data_credit` per child). Returns the reports
+    /// the frame carries.
+    fn send_frame(
+        data: &mut DataState,
+        parent: NodeId,
+        mtu: usize,
+        me: NodeId,
+        ctx: &mut Ctx<'_>,
+    ) -> u64 {
+        let mut items = Vec::with_capacity(mtu.min(data.queue.len()));
+        let mut credits: Vec<(NodeId, u32)> = Vec::new();
+        let mut reports = 0u64;
+        while items.len() < mtu {
+            let Some(b) = data.queue.pop() else { break };
+            reports += u64::from(b.count);
+            items.push(DataItem {
+                seq: b.seq,
+                count: b.count,
+                born_us: b.born.as_micros(),
+                origin: b.origin,
+            });
+            if b.from != me {
+                match credits.iter_mut().find(|(c, _)| *c == b.from) {
+                    Some((_, g)) => *g += 1,
+                    None => credits.push((b.from, 1)),
+                }
+            }
+        }
+        ctx.unicast(parent, Msg::DataBatch { items });
+        for (child, grant) in credits {
+            ctx.unicast(child, Msg::DataCredit { grant });
+        }
+        reports
+    }
+
+    /// Drains the head's queue toward `parent` while credits last.
+    /// Returns true when the head ends the drain starved (work queued, no
     /// credits). `tick` distinguishes the periodic drain from the
     /// event-driven ones (batch arrival, credit return):
     ///
@@ -175,7 +178,7 @@ impl Gs3Node {
     fn data_drain(
         data: &mut DataState,
         parent: NodeId,
-        dp: &gs3_dataplane::DataplaneConfig,
+        dp: DataplaneConfig,
         me: NodeId,
         tick: bool,
         ctx: &mut Ctx<'_>,
@@ -193,27 +196,7 @@ impl Gs3Node {
         while (if tick { !data.queue.is_empty() } else { data.queue.len() >= mtu })
             && data.gate.try_consume()
         {
-            let mut items = Vec::with_capacity(mtu.min(data.queue.len()));
-            let mut credits: Vec<(NodeId, u32)> = Vec::new();
-            while items.len() < mtu {
-                let Some(b) = data.queue.pop() else { break };
-                items.push(DataItem {
-                    seq: b.seq,
-                    count: b.count,
-                    born_us: b.born.as_micros(),
-                    origin: b.origin,
-                });
-                if b.from != me {
-                    match credits.iter_mut().find(|(c, _)| *c == b.from) {
-                        Some((_, g)) => *g += 1,
-                        None => credits.push((b.from, 1)),
-                    }
-                }
-            }
-            ctx.unicast(parent, Msg::DataBatch { items });
-            for (child, grant) in credits {
-                ctx.unicast(child, Msg::DataCredit { grant });
-            }
+            Self::send_frame(data, parent, mtu, me, ctx);
         }
         let starved = !data.queue.is_empty();
         if tick && data.gate.note_tick(starved, dp.stall_recovery_ticks) {
@@ -226,38 +209,14 @@ impl Gs3Node {
     /// the role transition destroys its head state. Without this, every
     /// `replacing_head` / cell abandonment / retreat silently dropped the
     /// reports aggregated since the last tick (plus anything parked in the
-    /// quarantine buffer or aggregation queue) — data loss invisible to
-    /// the delivery counters. Legacy sends one final `aggregate_report`;
-    /// the data plane flushes its queue as sequenced batches (ignoring
-    /// credits — a dying head's window is moot, and the sink's
-    /// `(origin, seq)` dedup keeps replays harmless).
+    /// aggregation queue) — data loss invisible to the delivery counters.
+    /// Whatever accumulated becomes one last batch, then the whole queue
+    /// goes upstream ignoring credits — a dying head's window is moot,
+    /// and the sink's `(origin, seq)` dedup keeps replays harmless.
     pub(crate) fn flush_pending_reports(&mut self, ctx: &mut Ctx<'_>) {
         if self.cfg.report_period.is_zero() {
             return;
         }
-        if self.cfg.dataplane.enabled {
-            self.flush_dataplane(ctx);
-            return;
-        }
-        let Role::Head(h) = &mut self.role else {
-            return;
-        };
-        let mut count = h.pending_reports;
-        h.pending_reports = 0;
-        while let Some(buffered) = h.quarantine_buf.pop_front() {
-            count = count.saturating_add(buffered);
-        }
-        let parent = h.parent;
-        if count > 0 && parent != ctx.id() {
-            ctx.count("reports_flushed");
-            ctx.event("reports_flushed", u64::from(count));
-            ctx.unicast(parent, Msg::AggregateReport { count });
-        }
-    }
-
-    /// The data-plane half of [`flush_pending_reports`]: batch whatever
-    /// accumulated, then push the whole queue upstream uncredited.
-    fn flush_dataplane(&mut self, ctx: &mut Ctx<'_>) {
         let Role::Head(h) = &mut self.role else {
             return;
         };
@@ -287,28 +246,7 @@ impl Gs3Node {
         let mut flushed = 0u64;
         let mtu = self.cfg.dataplane.max_frame_items.max(1);
         while !self.data.queue.is_empty() {
-            let mut items = Vec::with_capacity(mtu.min(self.data.queue.len()));
-            let mut credits: Vec<(NodeId, u32)> = Vec::new();
-            while items.len() < mtu {
-                let Some(b) = self.data.queue.pop() else { break };
-                flushed += u64::from(b.count);
-                items.push(DataItem {
-                    seq: b.seq,
-                    count: b.count,
-                    born_us: b.born.as_micros(),
-                    origin: b.origin,
-                });
-                if b.from != me {
-                    match credits.iter_mut().find(|(c, _)| *c == b.from) {
-                        Some((_, g)) => *g += 1,
-                        None => credits.push((b.from, 1)),
-                    }
-                }
-            }
-            ctx.unicast(parent, Msg::DataBatch { items });
-            for (child, grant) in credits {
-                ctx.unicast(child, Msg::DataCredit { grant });
-            }
+            flushed += Self::send_frame(&mut self.data, parent, mtu, me, ctx);
         }
         if flushed > 0 {
             ctx.count("reports_flushed");
@@ -316,50 +254,40 @@ impl Gs3Node {
         }
     }
 
-    /// `sensor_report` received by a head.
+    /// `sensor_report` received.
     pub(crate) fn on_sensor_report(&mut self, from: NodeId, seq: u64, ctx: &mut Ctx<'_>) {
-        if self.cfg.dataplane.enabled {
-            if let Role::Associate(a) = &self.role {
-                // A demoted head keeps receiving its old members' reports
-                // until the successor announcement lands. Pass them along
-                // to the cell's current head (re-sequenced as 0 — the
-                // per-leaf provenance chain doesn't survive the detour,
-                // but the report does).
-                if a.head != ctx.id() && a.head != from {
-                    ctx.count("data_reports_rerouted");
-                    ctx.unicast(a.head, Msg::SensorReport { seq: 0 });
-                }
-                return;
+        match &mut self.role {
+            // A demoted head keeps receiving its old members' reports
+            // until the successor announcement lands. Pass them along to
+            // the cell's current head (re-sequenced as 0 — the per-leaf
+            // provenance chain doesn't survive the detour, but the report
+            // does).
+            Role::Associate(a) if a.head != ctx.id() && a.head != from => {
+                ctx.count("data_reports_rerouted");
+                ctx.unicast(a.head, Msg::SensorReport { seq: 0 });
             }
-        }
-        if let Role::Head(h) = &mut self.role {
-            h.pending_reports = h.pending_reports.saturating_add(1);
-            if self.cfg.dataplane.enabled {
+            Role::Head(h) => {
+                h.pending_reports = h.pending_reports.saturating_add(1);
                 if self.data.accum_born.is_none() {
                     self.data.accum_born = Some(ctx.now());
                 }
-                if seq != 0 {
-                    if let Some(info) = h.associates.get_mut(&from) {
-                        if seq <= info.last_report_seq {
-                            ctx.count("data_leaf_dups");
-                        } else {
-                            if info.last_report_seq != 0 {
-                                // A fresh association starts at 0; gaps
-                                // only count against a seen baseline.
-                                ctx.count_by("data_leaf_gaps", seq - info.last_report_seq - 1);
-                            }
-                            info.last_report_seq = seq;
+                if seq == 0 {
+                    return;
+                }
+                if let Some(info) = h.associates.get_mut(&from) {
+                    if seq <= info.last_report_seq {
+                        ctx.count("data_leaf_dups");
+                    } else {
+                        if info.last_report_seq != 0 {
+                            // A fresh association starts at 0; gaps
+                            // only count against a seen baseline.
+                            ctx.count_by("data_leaf_gaps", seq - info.last_report_seq - 1);
                         }
+                        info.last_report_seq = seq;
                     }
                 }
             }
-        }
-    }
-
-    /// `aggregate_report` received by a head (or by the big node).
-    pub(crate) fn on_aggregate_report(&mut self, _from: NodeId, count: u32, _ctx: &mut Ctx<'_>) {
-        if let Role::Head(h) = &mut self.role {
-            h.pending_reports = h.pending_reports.saturating_add(count);
+            _ => {}
         }
     }
 
@@ -368,9 +296,6 @@ impl Gs3Node {
     /// allowing), anything else is a misroute (stale parent pointer)
     /// whose reports are lost but whose credit is returned.
     pub(crate) fn on_data_batch(&mut self, from: NodeId, items: Vec<DataItem>, ctx: &mut Ctx<'_>) {
-        if !self.cfg.dataplane.enabled {
-            return;
-        }
         let me = ctx.id();
         if !matches!(self.role, Role::Head(_)) {
             // Stale parent pointers are endemic under head shift: the
@@ -429,8 +354,8 @@ impl Gs3Node {
             if let Role::Head(h) = &self.role {
                 let (parent, quarantined) = (h.parent, h.quarantined);
                 if !quarantined && parent != me {
-                    let dp = self.cfg.dataplane.clone();
-                    let _ = Self::data_drain(&mut self.data, parent, &dp, me, false, ctx);
+                    let _ =
+                        Self::data_drain(&mut self.data, parent, self.cfg.dataplane, me, false, ctx);
                 }
             }
         }
@@ -438,9 +363,6 @@ impl Gs3Node {
 
     /// `data_credit` received by a head from its current parent.
     pub(crate) fn on_data_credit(&mut self, from: NodeId, grant: u32, ctx: &mut Ctx<'_>) {
-        if !self.cfg.dataplane.enabled {
-            return;
-        }
         if let Role::Head(h) = &self.role {
             // Credits from a former parent (or any non-parent) are void —
             // the gate resets to a full window on re-parent anyway.
@@ -451,15 +373,22 @@ impl Gs3Node {
                 let (parent, quarantined) = (h.parent, h.quarantined);
                 if !quarantined {
                     let me = ctx.id();
-                    let dp = self.cfg.dataplane.clone();
-                    let _ = Self::data_drain(&mut self.data, parent, &dp, me, false, ctx);
+                    let _ =
+                        Self::data_drain(&mut self.data, parent, self.cfg.dataplane, me, false, ctx);
                 }
             }
         }
     }
 
+    /// Batches waiting in this node's aggregation queue (what a
+    /// quarantined head is holding back).
+    #[must_use]
+    pub fn queued_batches(&self) -> usize {
+        self.data.queue.len()
+    }
+
     /// The sink-side delivery ledger (big node only; None until the first
-    /// delivery or when the data plane is off).
+    /// delivery, so always None in a run with no traffic).
     #[must_use]
     pub fn sink_ledger(&self) -> Option<&gs3_dataplane::SinkLedger> {
         self.data.ledger.as_deref()
@@ -468,30 +397,21 @@ impl Gs3Node {
 
 #[cfg(test)]
 mod tests {
-    use gs3_dataplane::DataplaneConfig;
     use gs3_sim::SimDuration;
 
     use crate::config::{Gs3Config, Mode, ReliabilityConfig};
-    use crate::harness::{Network, NetworkBuilder};
+    use crate::harness::NetworkBuilder;
     use crate::state::Role;
 
-    fn traffic_net(dataplane: bool, seed: u64) -> Network {
-        // Area 250 with R=100 puts a full ring of small-head cells around
-        // the big node, so batches actually travel the wire.
-        let mut b = NetworkBuilder::new()
-            .area_radius(250.0)
-            .expected_nodes(400)
-            .seed(seed)
-            .traffic(SimDuration::from_millis(500));
-        if dataplane {
-            b = b.dataplane(DataplaneConfig::on());
-        }
-        b.build().unwrap()
+    /// Area 250 with R=100 puts a full ring of small-head cells around
+    /// the big node, so batches actually travel the wire.
+    fn field(seed: u64) -> NetworkBuilder {
+        NetworkBuilder::new().area_radius(250.0).expected_nodes(400).seed(seed)
     }
 
     #[test]
     fn dataplane_delivers_reports_to_sink() {
-        let mut net = traffic_net(true, 5);
+        let mut net = field(5).traffic(SimDuration::from_millis(500)).build().unwrap();
         net.run_for(SimDuration::from_secs(90));
         let ledger = net.sink_ledger().expect("sink consumed batches");
         assert!(ledger.batches > 50, "batches: {}", ledger.batches);
@@ -507,16 +427,17 @@ mod tests {
     }
 
     #[test]
-    fn dataplane_off_is_counter_and_wire_inert() {
-        let mut net = traffic_net(false, 5);
+    fn no_traffic_is_counter_and_wire_inert() {
+        let mut net = field(5).build().unwrap();
         net.run_for(SimDuration::from_secs(60));
         let trace = net.engine().trace();
-        assert_eq!(trace.proto("data_reports_produced"), 0);
-        assert_eq!(trace.sent_of_kind("data_batch"), 0);
-        assert_eq!(trace.sent_of_kind("data_credit"), 0);
+        for kind in ["sensor_report", "data_batch", "data_credit"] {
+            assert_eq!(trace.sent_of_kind(kind), 0, "{kind} sent without .traffic()");
+        }
+        let data_counters: Vec<_> =
+            trace.proto_counters().keys().filter(|name| name.starts_with("data_")).collect();
+        assert!(data_counters.is_empty(), "data_* counters bumped: {data_counters:?}");
         assert!(net.sink_ledger().is_none());
-        // The legacy workload still flows.
-        assert!(trace.sent_of_kind("aggregate_report") > 0);
     }
 
     #[test]
@@ -527,7 +448,6 @@ mod tests {
         // long enough for a real backlog to form.
         cfg.inter_heartbeat = SimDuration::from_secs(30);
         cfg.reliability = ReliabilityConfig::on();
-        cfg.dataplane = DataplaneConfig::on();
         let mut net = NetworkBuilder::new()
             .area_radius(250.0)
             .expected_nodes(400)
@@ -560,7 +480,6 @@ mod tests {
             let n = net.engine().node(victim).unwrap();
             let Role::Head(h) = &n.role else { panic!("victim kept head role") };
             assert!(h.quarantined, "no parent beat within the window (seeded)");
-            assert!(h.quarantine_buf.is_empty(), "data plane never uses the legacy buffer");
             assert!(!n.data.queue.is_empty(), "backlog accumulated while partitioned");
         }
         // The alive parent's next inter-cell beat re-attaches the head;

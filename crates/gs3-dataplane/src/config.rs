@@ -1,16 +1,14 @@
 //! Data-plane configuration.
 
-/// Parameters of the convergecast data plane.
+/// Tuning of the convergecast data plane.
 ///
-/// Disabled by default: the protocol falls back to the legacy one-line
-/// report tick (un-sequenced `SensorReport`s, instant `AggregateReport`
-/// relay, no queues, no credits, no ledger) and the layer is *inert* — no
-/// extra state, messages, timers, RNG draws, or counters, so runs are
-/// byte-identical to a build without the layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// There is no switch here: a scenario has traffic when its
+/// `report_period` is non-zero, and traffic *is* this data plane —
+/// sequenced reports, per-head aggregation queues, credit-gated relay,
+/// a sink ledger. With no traffic the layer is *inert* — no messages,
+/// timers, RNG draws or counters, and no ledger is ever allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataplaneConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Bound of each head's aggregation queue, in batches. Overflow drops
     /// the oldest batch (with its reports accounted as lost).
     pub queue_capacity: usize,
@@ -33,42 +31,14 @@ pub struct DataplaneConfig {
 }
 
 impl DataplaneConfig {
-    /// The inert default (see the type docs).
+    /// The default tuning.
     #[must_use]
-    pub fn disabled() -> Self {
+    pub fn on() -> Self {
         DataplaneConfig {
-            enabled: false,
             queue_capacity: 32,
             credit_window: 4,
             stall_recovery_ticks: 4,
             max_frame_items: 32,
         }
-    }
-
-    /// The data plane with default tuning.
-    #[must_use]
-    pub fn on() -> Self {
-        DataplaneConfig { enabled: true, ..DataplaneConfig::disabled() }
-    }
-}
-
-impl Default for DataplaneConfig {
-    fn default() -> Self {
-        DataplaneConfig::disabled()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_by_default() {
-        assert!(!DataplaneConfig::default().enabled);
-        assert!(DataplaneConfig::on().enabled);
-        assert_eq!(
-            DataplaneConfig { enabled: true, ..DataplaneConfig::disabled() },
-            DataplaneConfig::on()
-        );
     }
 }

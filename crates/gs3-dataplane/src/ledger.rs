@@ -90,8 +90,7 @@ impl SinkLedger {
     /// `seq` — the sink-side half of the no-double-counting guarantee for
     /// quarantine replays.
     pub fn consume(&mut self, origin: NodeId, seq: u64, count: u32, latency_us: u64) -> bool {
-        // seq 0 marks an unsequenced legacy batch — always consumed.
-        if seq != 0 && !self.seen.entry(origin).or_default().admit(seq) {
+        if !self.seen.entry(origin).or_default().admit(seq) {
             self.duplicate_batches += 1;
             return false;
         }

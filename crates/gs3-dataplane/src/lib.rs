@@ -29,8 +29,8 @@
 //!
 //! Everything here is allocation-light and deterministic: no clocks, no
 //! randomness, no hashing — state advances only when the protocol calls
-//! in, so a build with the data plane disabled is byte-identical to one
-//! without it.
+//! in, so a run with no traffic is byte-identical to a build without the
+//! crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

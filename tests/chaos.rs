@@ -5,7 +5,7 @@
 use gs3::core::harness::NetworkBuilder;
 use gs3::core::invariants::{self, Strictness};
 use gs3::core::state::Role;
-use gs3::core::{ChaosOptions, Corruption, FaultKind, FaultPlan, ReliabilityConfig};
+use gs3::core::{ChaosOptions, Corruption, DataplaneConfig, FaultKind, FaultPlan, ReliabilityConfig};
 use gs3::geometry::{Point, Vec2};
 use gs3::sim::faults::{BurstLoss, FaultConfig};
 use gs3::sim::{NodeId, SimDuration};
@@ -213,16 +213,17 @@ fn disabled_reliability_layer_is_rng_inert() {
 
 /// Quarantine-mode graceful degradation under a 100%-loss partition: a
 /// head cut off from every other head keeps serving its cell (intra-cell
-/// invariants stay green), buffers upward aggregates behind a bounded
-/// buffer, and drains the buffer once the partition heals and it
-/// re-attaches.
+/// invariants stay green), holds its batches back in its bounded
+/// aggregation queue, and replays the queue to the sink — each batch once
+/// — after the partition heals and it re-attaches.
 #[test]
 fn quarantined_head_serves_its_cell_and_drains_after_heal() {
-    let mut rc = ReliabilityConfig::on();
-    rc.quarantine_buffer = 4; // small cap so boundedness is observable
+    // A small queue so boundedness is observable.
+    let dp = DataplaneConfig { queue_capacity: 4, ..DataplaneConfig::on() };
     let mut net = builder(31)
         .traffic(SimDuration::from_secs(5))
-        .reliability(rc)
+        .dataplane(dp)
+        .reliability(ReliabilityConfig::on())
         .build()
         .unwrap();
     net.run_to_fixpoint().unwrap();
@@ -277,15 +278,15 @@ fn quarantined_head_serves_its_cell_and_drains_after_heal() {
     net.run_for(SimDuration::from_secs(240));
     let trace = net.engine().trace();
     assert!(trace.proto("quarantine_entries") >= 1, "the victim never quarantined");
-    assert!(trace.proto("quarantine_buffered") > 4, "quarantine never buffered aggregates");
-    assert!(trace.proto("quarantine_drops") >= 1, "the bounded buffer never dropped");
+    assert!(trace.proto("data_queue_drops") >= 1, "the bounded queue never dropped");
     {
         let node = net.engine().node(victim).unwrap();
         let Role::Head(h) = node.role() else {
             panic!("the quarantined victim must keep its head role");
         };
         assert!(h.quarantined, "victim head must be in quarantine");
-        assert!(h.quarantine_buf.len() <= 4, "buffer exceeded its bound");
+        let queued = node.queued_batches();
+        assert!(queued > 0 && queued <= 4, "quarantined queue holds {queued} batches, bound is 4");
         assert!(!h.associates.is_empty(), "quarantined head stopped serving its cell");
     }
     // Intra-cell invariants stay green: members still attached, within
@@ -343,12 +344,13 @@ fn quarantined_head_serves_its_cell_and_drains_after_heal() {
 
     let trace = net.engine().trace();
     assert!(trace.proto("quarantine_exits") >= 1, "the victim never left quarantine");
-    assert!(trace.proto("quarantine_drained") >= 1, "the buffer never drained upward");
     let node = net.engine().node(victim).unwrap();
     if let Role::Head(h) = node.role() {
         assert!(!h.quarantined, "victim still quarantined after the partition healed");
-        assert!(h.quarantine_buf.is_empty(), "drained buffer must be empty");
     }
+    assert!(node.queued_batches() <= 1, "backlog never replayed: {}", node.queued_batches());
+    let ledger = net.sink_ledger().expect("the sink consumed batches");
+    assert_eq!(ledger.duplicate_batches, 0, "the replay double-counted at the sink");
 }
 
 /// Satellite regression: 5% honest unicast loss (acks, org replies, and

@@ -20,16 +20,13 @@ fn reports_flow_and_aggregate_up_the_tree() {
     let _ = net.run_to_fixpoint().unwrap();
     let trace = net.engine().trace();
     let reports = trace.sent_of_kind("sensor_report");
-    let aggregates = trace.sent_of_kind("aggregate_report");
+    let batches = trace.sent_of_kind("data_batch");
     assert!(reports > 1000, "associates must report ({reports})");
-    assert!(aggregates > 50, "heads must relay aggregates ({aggregates})");
-    // Aggregation compresses: far fewer upstream messages than raw
-    // reports (the in-network processing the paper's uniform-load argument
-    // relies on).
-    assert!(
-        aggregates * 5 < reports,
-        "aggregation must compress traffic ({aggregates} vs {reports})"
-    );
+    assert!(batches > 50, "heads must relay batches ({batches})");
+    // Aggregation compresses: far fewer upstream frames than raw reports
+    // (the in-network processing the paper's uniform-load argument relies
+    // on).
+    assert!(batches * 5 < reports, "aggregation must compress traffic ({batches} vs {reports})");
 }
 
 #[test]
@@ -116,7 +113,7 @@ fn workload_survives_head_rotation() {
     let _ = net.run_to_fixpoint().unwrap();
     net.run_for(SimDuration::from_secs(600));
     let trace = net.engine().trace();
-    let reports = trace.sent_of_kind("sensor_report") + trace.sent_of_kind("aggregate_report");
+    let reports = trace.sent_of_kind("sensor_report") + trace.sent_of_kind("data_batch");
     let failures = trace.unicast_failures();
     assert!(reports > 5_000, "stream must be substantial ({reports})");
     // Failures happen (heads die mid-period; that's the point), but the
