@@ -15,13 +15,18 @@
 //! | `sliding` | §4.3.5.1 — coherent sliding under uniform depletion |
 //! | `chaos_sweep` | robustness — healing latency vs burst loss × churn |
 //! | `locality` | Theorems 8–13 — episode healing radius vs network size |
-//! | `perf_suite` | engine performance — `BENCH_core.json` |
+//! | `scale_probe` | scale headroom — 10⁶ nodes configure, lose a disk and heal: `BENCH_core.json` |
 //!
-//! Every experiment accepts `--threads N` / `-j N`: the (seed × parameter)
-//! grid fans out over OS threads via [`runner::run_grid`] with cell-order
-//! results, so output artifacts are byte-identical at any thread count.
-//! Hand-rolled micro-benchmarks (no external harness) live under
-//! `benches/`.
+//! Every grid experiment (all but `scale_probe`, a single run) accepts
+//! `--threads N` / `-j N`: the (seed × parameter) grid fans out over OS
+//! threads via [`runner::run_grid`] with cell-order results, so output
+//! artifacts are byte-identical at any thread count.
+//!
+//! Host time is not measured here. Events per second, set-up time, RSS
+//! and every isolated per-layer cost come from the repository benchmark
+//! (`BENCHMARK.json`, `benchmark/`); `scale_probe` is the one run too
+//! large for it, and `benches/micro.rs` (hand-rolled, no external
+//! harness) keeps the six rows that have no driver there yet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

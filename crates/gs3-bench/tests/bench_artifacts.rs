@@ -1,6 +1,11 @@
 //! Regression gates over the committed `BENCH_chaos.json`,
 //! `BENCH_dataplane.json` and `BENCH_core.json` artifacts.
 //!
+//! The first two are byte-compared against fresh output in CI; the third
+//! is a 15-minute run, so it is held to HEAD where a test can: the type
+//! widths exactly, the row's shape, and the binary that writes it driven
+//! at 3 000 nodes.
+//!
 //! `BENCH_chaos.json` is byte-compared against a fresh `chaos_sweep
 //! --json` in CI, so it is what HEAD emits; the test here checks that it
 //! still says what EXPERIMENTS.md "Congestion collapse" says about it —
@@ -12,8 +17,12 @@
 //! false.
 
 use std::path::Path;
+use std::process::Command;
 
 use gs3_core::json::{parse, JsonValue};
+use gs3_core::messages::Msg;
+use gs3_core::Gs3Node;
+use gs3_sim::Engine;
 
 fn artifact(name: &str) -> JsonValue {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name);
@@ -115,32 +124,49 @@ fn committed_chaos_artifact_says_what_experiments_md_says() {
     }
 }
 
-#[test]
-fn committed_core_artifact_reports_the_queue_entry_width() {
-    let doc = artifact("BENCH_core.json");
+/// The one row of a `scale_probe` document.
+fn probe_row(doc: &JsonValue) -> &JsonValue {
     assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("BENCH_core"));
-    assert_eq!(
-        doc.get("smoke").and_then(JsonValue::as_bool),
-        Some(false),
-        "committed artifact must be the full run"
-    );
-    // The throughput rows below were measured at this entry width; the
-    // width itself is gated in gs3-core (`pending_event_is_at_most_48_bytes`).
-    let width = int(&doc, "pending_event_bytes");
-    assert!((1..=48).contains(&width), "implausible queue-entry width {width}");
-    // Likewise the per-node and per-message footprints
-    // (`gs3node_is_at_most_320_bytes`, `msg_is_at_most_96_bytes`).
-    let (node, msg) = (int(&doc, "node_bytes"), int(&doc, "msg_bytes"));
-    assert!((1..=320).contains(&node), "implausible node footprint {node}");
-    assert!((1..=96).contains(&msg), "implausible message width {msg}");
+    let rows = items(doc, "scenarios");
+    assert_eq!(rows.len(), 1, "BENCH_core is the scale probe's one row");
+    &rows[0]
+}
 
-    let scenarios = items(&doc, "scenarios");
-    let names: Vec<_> =
-        scenarios.iter().filter_map(|s| s.get("scenario").and_then(JsonValue::as_str)).collect();
-    for gated in ["configure", "steady_state_120s", "steady_state_contended_120s", "chaos_heal"] {
-        assert!(names.contains(&gated), "committed grid lacks {gated}: {names:?}");
-    }
-    for s in scenarios {
-        assert!(int(s, "events") > 0 && num(s, "events_per_sec") > 0.0, "empty row: {s:?}");
+#[test]
+fn committed_core_artifact_is_the_million_node_probe_at_heads_type_widths() {
+    let doc = artifact("BENCH_core.json");
+    // The row was measured at these widths; a PR that moves one
+    // re-runs the probe (the bounds themselves are gated in gs3-core).
+    assert_eq!(int(&doc, "pending_event_bytes"), Engine::<Gs3Node>::pending_event_bytes() as u64);
+    assert_eq!(int(&doc, "node_bytes"), std::mem::size_of::<Gs3Node>() as u64);
+    assert_eq!(int(&doc, "msg_bytes"), std::mem::size_of::<Msg>() as u64);
+
+    let row = probe_row(&doc);
+    assert_eq!(int(row, "nodes"), 1_000_000, "committed artifact must be the full run");
+    assert_eq!((int(row, "configured"), int(row, "healed")), (1, 1), "{row:?}");
+    assert!(num(row, "peak_rss_mb") > 0.0, "{row:?}");
+}
+
+#[test]
+fn scale_probe_configures_crashes_heals_and_repeats_exactly() {
+    // The binary itself, at a size a debug build finishes in seconds.
+    let run = |name: &str| {
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        let probe = Command::new(env!("CARGO_BIN_EXE_scale_probe"))
+            .args(["--nodes", "3000", "--out"])
+            .arg(&out)
+            .output()
+            .expect("spawn scale_probe");
+        let stderr = String::from_utf8_lossy(&probe.stderr);
+        assert!(probe.status.success(), "a 3 000-node field must configure and heal: {stderr}");
+        parse(&std::fs::read_to_string(&out).expect("probe artifact")).expect("probe JSON")
+    };
+    let (a, b) = (run("probe-a.json"), run("probe-b.json"));
+    let (a, b) = (probe_row(&a), probe_row(&b));
+    assert_eq!(int(a, "nodes"), 3000);
+    assert_eq!((int(a, "configured"), int(a, "healed")), (1, 1), "{a:?}");
+    assert!(int(a, "killed") > 0 && int(a, "events") > 0, "{a:?}");
+    for exact in ["events", "peak_queue_depth", "killed"] {
+        assert_eq!(int(a, exact), int(b, exact), "{exact} differs between two runs");
     }
 }

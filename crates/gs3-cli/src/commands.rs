@@ -819,11 +819,10 @@ pub fn trace(a: &Args) -> CliResult {
             std::fs::write(path, doc)?;
             if !a.flag("quiet") {
                 eprintln!(
-                    "wrote {path}: {} events in ring ({} observed, {} evicted); metrics {}",
+                    "wrote {path}: {} events in ring ({} observed, {} evicted)",
                     tel.recorder.len(),
                     tel.recorder.total(),
-                    tel.recorder.dropped(),
-                    tel.metrics.to_json()
+                    tel.recorder.dropped()
                 );
             }
         }

@@ -133,8 +133,7 @@ const _: () = {
     assert!(MAX_STRETCH_EXP < 64);
 };
 
-/// Switches for the control-plane reliability layer (acked retransmission,
-/// adaptive failure detection, quarantine-mode degradation).
+/// Switch for the control-plane reliability layer.
 ///
 /// Follows the repo's RNG-inertness convention: with `enabled == false`
 /// (the default) the layer draws nothing from the engine RNG, sends no
@@ -142,23 +141,24 @@ const _: () = {
 /// a build without the layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityConfig {
-    /// Master switch: wrap one-shot control messages (`head_set`
-    /// assignments, `new_child_head`, `child_retire`, `replacing_head`,
-    /// `proxy_assign`/`proxy_release`, `parent_seek`) in acked
-    /// retransmission envelopes.
+    /// Master switch for the layer's three mechanisms, which only ever run
+    /// together:
+    ///
+    /// * acked retransmission — one-shot control messages (`head_set`
+    ///   assignments, `new_child_head`, `child_retire`, `replacing_head`,
+    ///   `proxy_assign`/`proxy_release`, `parent_seek`) ride in acked
+    ///   retransmission envelopes;
+    /// * adaptive failure detection — fixed `heartbeat × FAILURE_MISSES`
+    ///   timeouts give way to a per-neighbor EWMA of heartbeat
+    ///   inter-arrival (phi-accrual style `2·mean + k·dev`, the doubled
+    ///   mean granting one interval of grace), clamped so detection is
+    ///   never slower than the legacy timeout;
+    /// * quarantine-mode graceful degradation — a head that exhausts
+    ///   [`QUARANTINE_SEEK_LIMIT`] consecutive `PARENT_SEEK` rounds without
+    ///   re-attaching keeps serving its cell instead of abandoning: its
+    ///   aggregation queue keeps filling (bounded, oldest dropped first)
+    ///   but stops draining, and replays upstream on re-attach.
     pub enabled: bool,
-    /// Adaptive failure detection: replace fixed `heartbeat ×
-    /// FAILURE_MISSES` timeouts with a per-neighbor EWMA of heartbeat
-    /// inter-arrival (phi-accrual style `2·mean + k·dev`, the doubled
-    /// mean granting one interval of grace), clamped so detection is
-    /// never slower than the legacy timeout.
-    pub adaptive_detection: bool,
-    /// Quarantine-mode graceful degradation: a head that exhausts
-    /// [`QUARANTINE_SEEK_LIMIT`] consecutive `PARENT_SEEK` rounds without
-    /// re-attaching keeps serving its cell instead of abandoning: its
-    /// aggregation queue keeps filling (bounded, oldest dropped first)
-    /// but stops draining, and replays upstream on re-attach.
-    pub quarantine: bool,
 }
 
 impl Default for ReliabilityConfig {
@@ -172,14 +172,14 @@ impl ReliabilityConfig {
     /// Byte-identical runs to a build without the layer.
     #[must_use]
     pub fn disabled() -> Self {
-        ReliabilityConfig { enabled: false, adaptive_detection: false, quarantine: false }
+        ReliabilityConfig { enabled: false }
     }
 
     /// The full layer: acked retransmission, adaptive detection, and
     /// quarantine all on.
     #[must_use]
     pub fn on() -> Self {
-        ReliabilityConfig { enabled: true, adaptive_detection: true, quarantine: true }
+        ReliabilityConfig { enabled: true }
     }
 }
 

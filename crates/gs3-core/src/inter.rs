@@ -129,12 +129,12 @@ impl Gs3Node {
                 None => {
                     // No neighbor to probe: the round fails outright.
                     note_seek_failed(h, &rel_cfg, ctx);
-                    if !rel_cfg.quarantine && h.children.is_empty() {
+                    if !rel_cfg.enabled && h.children.is_empty() {
                         // Fully disconnected head: dissolve (the paper's
-                        // head_disconnected path). With quarantine on, the
-                        // head degrades gracefully instead: it keeps
-                        // serving its cell and buffers upward reports
-                        // until the partition heals.
+                        // head_disconnected path). With the reliability
+                        // layer on, the head degrades gracefully instead:
+                        // it keeps serving its cell and buffers upward
+                        // reports until the partition heals.
                         abandon = true;
                     } else {
                         // Refresh and wait — for a child to re-parent us

@@ -130,7 +130,7 @@ pub(crate) struct ReliableState {
 
 /// The adaptive per-peer suspicion timeout: `2·mean + k·dev` once the
 /// estimator is warm (≥ 4 samples), clamped to never exceed `legacy`.
-/// Falls back to `legacy` when adaptive detection is off or the peer is
+/// Falls back to `legacy` when the reliability layer is off or the peer is
 /// still unknown.
 pub(crate) fn suspect_after(
     rel: &ReliableState,
@@ -138,7 +138,7 @@ pub(crate) fn suspect_after(
     peer: NodeId,
     legacy: SimDuration,
 ) -> SimDuration {
-    if !cfg.adaptive_detection {
+    if !cfg.enabled {
         return legacy;
     }
     match rel.detectors.get(&peer) {
@@ -166,7 +166,7 @@ pub(crate) fn mark_suspected(rel: &mut ReliableState, peer: NodeId, legacy_deadl
 /// quarantine once [`QUARANTINE_SEEK_LIMIT`] is reached.
 pub(crate) fn note_seek_failed(h: &mut HeadState, cfg: &ReliabilityConfig, ctx: &mut Ctx<'_>) {
     h.failed_seeks = h.failed_seeks.saturating_add(1);
-    if cfg.quarantine && !h.quarantined && h.failed_seeks >= QUARANTINE_SEEK_LIMIT {
+    if cfg.enabled && !h.quarantined && h.failed_seeks >= QUARANTINE_SEEK_LIMIT {
         h.quarantined = true;
         ctx.count("quarantine_entries");
         ctx.event("quarantine_enter", u64::from(h.failed_seeks));
@@ -327,9 +327,9 @@ impl Gs3Node {
 
     /// Feeds a heartbeat sighting of `from` into its inter-arrival
     /// estimator and clears (and tallies) any suspicion the sighting
-    /// proves false. No-op unless adaptive detection is on.
+    /// proves false. No-op unless the reliability layer is on.
     pub(crate) fn detector_observe(&mut self, from: NodeId, ctx: &mut Ctx<'_>) {
-        if !self.cfg.reliability.adaptive_detection {
+        if !self.cfg.reliability.enabled {
             return;
         }
         let now = ctx.now();
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn suspect_after_clamps_to_legacy() {
-        let cfg = ReliabilityConfig { adaptive_detection: true, ..ReliabilityConfig::disabled() };
+        let cfg = ReliabilityConfig::on();
         let legacy = SimDuration::from_secs(9);
         // Warm detector with a huge mean: clamp wins.
         let rel = warm_detector(100_000_000, 0);
@@ -408,7 +408,7 @@ mod tests {
         let legacy = SimDuration::from_secs(9);
         let mut rel = warm_detector(1_000_000, 0);
         rel.detectors.get_mut(&NodeId::new(7)).unwrap().samples = 2;
-        let on = ReliabilityConfig { adaptive_detection: true, ..ReliabilityConfig::disabled() };
+        let on = ReliabilityConfig::on();
         assert_eq!(suspect_after(&rel, &on, NodeId::new(7), legacy), legacy, "cold detector");
         let rel = warm_detector(1_000_000, 0);
         let off = ReliabilityConfig::disabled();

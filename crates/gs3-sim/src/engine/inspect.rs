@@ -116,18 +116,9 @@ impl<N: Node> Engine<N> {
     }
 
     /// Closes every open episode at the current time (the harness calls
-    /// this when it observes the network healed), recording each healing
-    /// latency into the metrics registry.
+    /// this when it observes the network healed).
     pub fn close_episodes(&mut self) {
-        if !self.telemetry.episodes.any_open() {
-            return;
-        }
-        let t = self.now.as_micros();
-        let Telemetry { episodes, metrics, .. } = &mut self.telemetry;
-        for e in episodes.episodes().iter().filter(|e| e.closed_us.is_none()) {
-            metrics.heal_latency_us.record(t.saturating_sub(e.opened_us));
-        }
-        episodes.close_all(t);
+        self.telemetry.episodes.close_all(self.now.as_micros());
     }
 }
 
@@ -165,6 +156,5 @@ mod tests {
         assert!(e.tainted >= 2, "receiver tainted at depth 1");
         assert!((e.radius_m - 50.0).abs() < 1e-9, "radius reaches node 1");
         assert_eq!(e.heal_latency_us(), Some(eng.now().as_micros()));
-        assert_eq!(eng.telemetry().metrics.heal_latency_us.count(), 1);
     }
 }

@@ -252,7 +252,7 @@ impl<N: Node> Engine<N> {
         &self.trace
     }
 
-    /// The telemetry bundle: flight recorder, episode tracker, metrics.
+    /// The telemetry bundle: flight recorder and episode tracker.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -461,7 +461,6 @@ impl<N: Node> Engine<N> {
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.events_processed += 1;
-        self.telemetry.metrics.queue_depth.record(self.queue.len() as u64);
         self.dispatch(ev);
     }
 

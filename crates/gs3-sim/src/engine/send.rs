@@ -209,7 +209,6 @@ impl<N: Node> Engine<N> {
                 }
                 latency = latency + extra;
             }
-            self.telemetry.metrics.delivery_latency_us.record(latency.as_micros());
             let at = self.now + latency;
             let kind = self.kind_folds.at(f.fold);
             self.trace.record_scheduled_delivery(at.as_micros(), f.from.raw(), to.raw(), kind);

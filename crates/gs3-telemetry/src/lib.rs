@@ -4,20 +4,20 @@
 //! flight recorder for structured simulation events, causal *healing
 //! episode* tracking that attributes messages / latency / spatial radius
 //! to individual injected perturbations (the empirical counterpart of the
-//! paper's locality theorems 8–13), a small registry of log-bucketed
-//! histograms, exporters (JSONL, Chrome-trace/Perfetto), and — because
+//! paper's locality theorems 8–13), a log-bucketed histogram
+//! ([`LogHistogram`]), exporters (JSONL, Chrome-trace/Perfetto), and — because
 //! this is the workspace's zero-dependency leaf — the one JSON codec
 //! ([`json`]) every report above it is written and read with.
 //!
 //! ## Determinism contract
 //!
-//! Everything in this crate is *pure observation*: recording an event,
-//! tagging a message with an episode, or bumping a histogram never draws
-//! randomness, never schedules work, and never changes any simulation
-//! decision. The engine's scheduled-delivery digest is bit-identical
-//! whether the recorder runs in cheap [`RecorderMode::Counters`] mode
-//! (the always-on default), full ring-buffer mode, or with episodes open
-//! — the workspace asserts this in tests.
+//! Everything in this crate is *pure observation*: recording an event or
+//! tagging a message with an episode never draws randomness, never
+//! schedules work, and never changes any simulation decision. The
+//! engine's scheduled-delivery digest is bit-identical whether the
+//! recorder runs in cheap [`RecorderMode::Counters`] mode (the always-on
+//! default), full ring-buffer mode, or with episodes open — the workspace
+//! asserts this in tests.
 //!
 //! All state lives in plain deterministic containers (`Vec`, `VecDeque`,
 //! `BTreeMap`), so two runs of the same seed produce byte-identical
@@ -38,24 +38,21 @@ pub use episode::{
 };
 pub use event::{Event, EventClass, NO_PEER};
 pub use export::{export_chrome_trace, export_jsonl};
-pub use metrics::{LogHistogram, MetricsRegistry};
+pub use metrics::LogHistogram;
 pub use recorder::{FlightRecorder, RecorderMode};
 
-/// The full telemetry bundle a simulation engine embeds: flight recorder,
-/// episode tracker, and metrics registry, advanced together.
+/// The telemetry bundle a simulation engine embeds: flight recorder and
+/// episode tracker, advanced together.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Structured event recorder (always-on counters, opt-in full ring).
     pub recorder: FlightRecorder,
     /// Causal healing-episode tracker.
     pub episodes: EpisodeTracker,
-    /// Log-bucketed histograms (delivery latency, queue depth, …).
-    pub metrics: MetricsRegistry,
 }
 
 impl Telemetry {
-    /// A fresh bundle: counters-only recording, no episodes, empty
-    /// histograms.
+    /// A fresh bundle: counters-only recording, no episodes.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -80,7 +77,6 @@ mod tests {
         let t = Telemetry::new();
         assert!(!t.recorder.is_recording());
         assert!(!t.episodes.any_open());
-        assert_eq!(t.metrics.delivery_latency_us.count(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms and the metrics registry.
+//! Log-bucketed histograms.
 
 use crate::json::{self, JsonWriter};
 
@@ -110,37 +110,6 @@ impl LogHistogram {
     }
 }
 
-/// The fixed set of engine-level histograms.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    /// Scheduled radio propagation latency per delivered copy (µs).
-    pub delivery_latency_us: LogHistogram,
-    /// Event-queue depth sampled once per processed event.
-    pub queue_depth: LogHistogram,
-    /// Per-episode healing latency (µs), recorded at episode close.
-    pub heal_latency_us: LogHistogram,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Serialize every histogram as one JSON object keyed by metric name.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        json::to_string(|w| {
-            w.object(|w| {
-                self.delivery_latency_us.write_json(w.key("delivery_latency_us"));
-                self.queue_depth.write_json(w.key("queue_depth"));
-                self.heal_latency_us.write_json(w.key("heal_latency_us"));
-            });
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,18 +143,5 @@ mod tests {
         let h = LogHistogram::new();
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.to_json(), "{\"count\":0,\"sum\":0,\"mean\":0.0,\"p50\":0,\"p99\":0,\"max\":0}");
-    }
-
-    #[test]
-    fn registry_json_golden() {
-        let mut m = MetricsRegistry::new();
-        for v in [1u64, 2, 3, 100] {
-            m.delivery_latency_us.record(v);
-        }
-        m.queue_depth.record(17);
-        assert_eq!(
-            m.to_json(),
-            r#"{"delivery_latency_us":{"count":4,"sum":106,"mean":26.5,"p50":3,"p99":100,"max":100},"queue_depth":{"count":1,"sum":17,"mean":17.0,"p50":17,"p99":17,"max":17},"heal_latency_us":{"count":0,"sum":0,"mean":0.0,"p50":0,"p99":0,"max":0}}"#
-        );
     }
 }
