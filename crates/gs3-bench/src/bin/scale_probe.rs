@@ -4,7 +4,7 @@
 //! A deployment at the benchmark suites' density configures from boot,
 //! loses a ~2-cell disk halfway out from the big node, and heals — the
 //! shape of `BENCHMARK.json`'s `scale_50k`, at `--nodes` (default 10⁶,
-//! ≈ 13–16 min and 1.4 GiB; a 20-second benchmark run cannot hold that).
+//! ≈ 13–16 min and 1.0 GiB; a 20-second benchmark run cannot hold that).
 //! The row reports headroom, not regressions: exact event and queue-depth
 //! counts, whether the structure configured and healed, wall time per
 //! phase and peak RSS. Every other host-time number in the repository

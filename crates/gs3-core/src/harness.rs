@@ -630,17 +630,17 @@ impl Network {
             Mode::Static => crate::invariants::Strictness::Static,
             _ => crate::invariants::Strictness::Dynamic,
         };
-        let (mut snap, prev_idx) = match self.inv.take() {
-            Some((snap, idx)) => (snap, Some(idx)),
-            None => (self.snapshot(), None),
-        };
-        self.snapshot_into(&mut snap);
-        let idx = match prev_idx {
-            Some(mut idx) => {
+        let (snap, idx) = match self.inv.take() {
+            Some((mut snap, mut idx)) => {
+                self.snapshot_into(&mut snap);
                 idx.update(&snap);
-                idx
+                (snap, idx)
             }
-            None => crate::invariants::SnapshotIndex::build(&snap),
+            None => {
+                let snap = self.snapshot();
+                let idx = crate::invariants::SnapshotIndex::build(&snap);
+                (snap, idx)
+            }
         };
         let out = crate::invariants::check_all_with(&snap, strictness, &idx);
         self.inv = Some((snap, idx));

@@ -11,8 +11,9 @@
 //! [`RadixQueue`] is a radix heap keyed on the
 //! discrete µs tick clock. O(1) amortized per operation against the
 //! engine's *monotone* schedule pattern (every event is scheduled at
-//! `now + Δ`, never in the past), and cache-friendly — entries live in
-//! per-bucket deques, not a pointer-chased heap.
+//! `now + Δ`, never in the past), and cache-friendly — a bucket is a list of
+//! 64-entry chunks drawn from one recycled pool, not a pointer-chased heap,
+//! and not a ring per bucket that keeps its high-water mark for good.
 //!
 //! `HeapQueue`, the original `BinaryHeap` implementation, is compiled for
 //! tests only, as the differential oracle the mirror property tests below
@@ -63,16 +64,63 @@ impl<E> Ord for Entry<E> {
 /// last popped key (0 = no differing bit), for 64-bit µs tick keys.
 const BUCKETS: usize = 65;
 
+/// Entries per chunk (3 KiB of engine entries): the most room one bucket
+/// holds beyond what is in it.
+const CHUNK: usize = 64;
+
+const NIL: u32 = u32::MAX; // end of an index-linked list
+
+/// A run of one bucket's entries — or, on the free list, an empty buffer
+/// waiting for the next bucket that needs one.
+#[derive(Debug)]
+struct Chunk<E> {
+    /// At most `CHUNK` entries in FIFO order: a ring that is allocated
+    /// once and never grows. Empty exactly when the chunk is free.
+    items: VecDeque<Entry<E>>,
+    /// The next chunk of the same bucket, or of the free list.
+    next: u32,
+}
+
+impl<E: Clone> Clone for Chunk<E> {
+    fn clone(&self) -> Self {
+        // A free chunk's buffer is scratch, not state: the copy allocates
+        // its own if it ever opens the chunk.
+        let mut items = VecDeque::new();
+        if !self.items.is_empty() {
+            items.reserve_exact(CHUNK);
+            items.extend(self.items.iter().cloned());
+        }
+        Chunk { items, next: self.next }
+    }
+}
+
 /// A deterministic monotone min-queue of timed events: a radix heap over
 /// the µs tick clock.
 ///
 /// Entries are binned by the highest bit in which their firing tick
 /// differs from the last popped tick (`bucket 0` ⇔ equal ticks). Each
-/// bucket is an append-only FIFO deque; a pop finding bucket 0 empty
+/// bucket is an append-only FIFO; a pop finding bucket 0 empty
 /// redistributes the lowest non-empty bucket relative to its minimum key.
 /// Classic radix-heap bounds apply: every entry is redistributed at most
-/// 64 times, so scheduling and popping are O(1) amortized (plus the O(64)
-/// bucket scan), independent of queue depth.
+/// 64 times, so scheduling and popping are O(1) amortized, independent of
+/// queue depth. Which bucket that is, and its minimum, are kept as entries
+/// arrive (a word of non-empty bits, a least key per bucket — exact,
+/// because a bucket above 0 only ever loses all its entries at once), so
+/// finding the queue's minimum reads two words and scans nothing.
+///
+/// # Storage
+///
+/// A bucket is a linked list of 64-entry chunks, and all 65 draw them from —
+/// and return them to — one arena with a LIFO free list. Whenever `last`
+/// is about to cross an odd multiple of 2^k, everything due in the next
+/// 2^k µs sits in bucket k + 1, so a growable ring per bucket would leave
+/// each high bucket holding room for most of the population for good
+/// (DESIGN.md §6.2); here redistribution frees each
+/// chunk as it drains it, the destination buckets take it straight back,
+/// and the slots linked into buckets never exceed `len + 65·CHUNK`: a
+/// non-empty bucket wastes less than one chunk at its tail, and bucket 0,
+/// the only one popped from, less than one more at its head (66 × 63
+/// slots in all).
 ///
 /// # Determinism contract
 ///
@@ -92,9 +140,18 @@ const BUCKETS: usize = 65;
 /// causality violation loud instead of silently reordering replay.
 #[derive(Debug, Clone)]
 pub struct RadixQueue<E> {
-    /// `buckets[b]` holds entries whose key differs from `last` first at
-    /// bit `b − 1` (bucket 0: key == `last`), each in FIFO `seq` order.
-    buckets: Vec<VecDeque<Entry<E>>>,
+    /// Every chunk ever allocated, linked into a bucket or the free list.
+    chunks: Vec<Chunk<E>>,
+    /// Head of the LIFO list of free chunks.
+    free: u32,
+    /// `ends[b]` is bucket `b`'s first and last chunk (`NIL` when empty).
+    /// The bucket holds the entries whose key differs from `last` first at
+    /// bit `b − 1` (bucket 0: key == `last`), in FIFO `seq` order.
+    ends: [(u32, u32); BUCKETS],
+    /// Bit `b − 1` set ⇔ bucket `b` ≥ 1 holds an entry.
+    nonempty: u64,
+    /// `mins[b]` is the least key in bucket `b`; `u64::MAX` when empty.
+    mins: [u64; BUCKETS],
     /// The last popped key (µs ticks); all live keys are ≥ this.
     last: u64,
     next_seq: u64,
@@ -106,7 +163,11 @@ impl<E> RadixQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         RadixQueue {
-            buckets: (0..BUCKETS).map(|_| VecDeque::new()).collect(),
+            chunks: Vec::new(),
+            free: NIL,
+            ends: [(NIL, NIL); BUCKETS],
+            nonempty: 0,
+            mins: [u64::MAX; BUCKETS],
             last: 0,
             next_seq: 0,
             len: 0,
@@ -117,6 +178,11 @@ impl<E> RadixQueue<E> {
     fn bucket_of(&self, key: u64) -> usize {
         let diff = key ^ self.last;
         (64 - diff.leading_zeros()) as usize
+    }
+
+    /// Bucket `b`'s bit in `nonempty`; bucket 0 has none.
+    fn bit(b: usize) -> u64 {
+        if b == 0 { 0 } else { 1 << (b - 1) }
     }
 
     /// Schedules `payload` to fire at `at`. Events scheduled for the same
@@ -140,19 +206,69 @@ impl<E> RadixQueue<E> {
 
     /// Files an entry that already carries its scheduling rank.
     fn push(&mut self, e: Entry<E>) {
-        let b = self.bucket_of(e.at.as_micros());
-        self.buckets[b].push_back(e);
+        self.file(e);
         self.len += 1;
+    }
+
+    /// Appends an entry to the bucket its key selects.
+    fn file(&mut self, e: Entry<E>) {
+        let key = e.at.as_micros();
+        let b = self.bucket_of(key);
+        self.mins[b] = self.mins[b].min(key);
+        let tail = self.ends[b].1;
+        // `NIL` indexes no chunk, so one lookup covers the empty bucket too.
+        match self.chunks.get_mut(tail as usize) {
+            Some(chunk) if chunk.items.len() < CHUNK => chunk.items.push_back(e),
+            _ => self.file_in_new_chunk(b, e),
+        }
+    }
+
+    /// [`Self::file`] when bucket `b` is empty or its last chunk is full:
+    /// the entry opens a chunk, the last one freed if there is one. Out of
+    /// line even though a sparse queue takes it often: inlined, the
+    /// redistribution loop measured 4–9 % slower.
+    #[cold]
+    fn file_in_new_chunk(&mut self, b: usize, e: Entry<E>) {
+        if self.free == NIL {
+            self.chunks.push(Chunk { items: VecDeque::new(), next: NIL });
+            self.free = self.chunks.len() as u32 - 1;
+        }
+        let c = self.free;
+        let chunk = &mut self.chunks[c as usize];
+        self.free = std::mem::replace(&mut chunk.next, NIL);
+        chunk.items.reserve_exact(CHUNK); // a new chunk's, or a clone's, first use
+        chunk.items.push_back(e);
+        let tail = std::mem::replace(&mut self.ends[b].1, c);
+        if tail == NIL {
+            self.ends[b].0 = c;
+            self.nonempty |= Self::bit(b);
+        } else {
+            self.chunks[tail as usize].next = c;
+        }
+    }
+
+    /// Unlinks bucket `b`'s first chunk, which the caller has emptied, and
+    /// puts it on the free list.
+    fn release_head(&mut self, b: usize) {
+        let c = self.ends[b].0;
+        debug_assert!(self.chunks[c as usize].items.is_empty());
+        let next = std::mem::replace(&mut self.chunks[c as usize].next, self.free);
+        self.free = c;
+        if next == NIL {
+            self.ends[b] = (NIL, NIL);
+            self.nonempty &= !Self::bit(b);
+            self.mins[b] = u64::MAX;
+        } else {
+            self.ends[b].0 = next;
+        }
     }
 
     /// The lowest non-empty bucket and the minimum key in it — the
     /// queue's minimum. Caller guarantees `len > 0` and bucket 0 empty.
     fn lowest(&self) -> (usize, u64) {
-        let i = (1..BUCKETS)
-            .find(|&i| !self.buckets[i].is_empty())
-            .expect("non-empty queue with empty bucket 0 has a higher bucket");
-        let min = self.buckets[i].iter().map(|e| e.at.as_micros()).min().expect("bucket non-empty");
-        (i, min)
+        debug_assert!(self.nonempty != 0, "non-empty queue with empty bucket 0 has a higher bucket");
+        let i = self.nonempty.trailing_zeros() as usize + 1;
+        (i, self.mins[i])
     }
 
     /// Pulls bucket `i` forward: `last` becomes its minimum key `min` and
@@ -160,14 +276,18 @@ impl<E> RadixQueue<E> {
     /// bucket 0). `(i, min)` comes from [`Self::lowest`].
     fn redistribute(&mut self, i: usize, min: u64) {
         self.last = min;
-        let mut moved = std::mem::take(&mut self.buckets[i]);
-        for e in moved.drain(..) {
-            let b = self.bucket_of(e.at.as_micros());
-            debug_assert!(b < i, "redistribution strictly lowers bucket indices");
-            self.buckets[b].push_back(e);
+        while self.ends[i].0 != NIL {
+            // One chunk at a time, freed before the next is touched, so
+            // the buckets it drains into reuse it.
+            let c = self.ends[i].0 as usize;
+            let mut items = std::mem::take(&mut self.chunks[c].items);
+            while let Some(e) = items.pop_front() {
+                debug_assert!(self.bucket_of(e.at.as_micros()) < i, "redistribution strictly lowers bucket indices");
+                self.file(e);
+            }
+            self.chunks[c].items = items;
+            self.release_head(i);
         }
-        // Hand the (now empty) deque back so its capacity is reused.
-        self.buckets[i] = moved;
     }
 
     /// Removes the earliest entry unless its key exceeds `deadline`; a
@@ -177,7 +297,7 @@ impl<E> RadixQueue<E> {
         if self.len == 0 {
             return Err(None);
         }
-        if self.buckets[0].is_empty() {
+        if self.ends[0].0 == NIL {
             let (i, min) = self.lowest();
             if min > deadline {
                 return Err(Some(min));
@@ -188,7 +308,12 @@ impl<E> RadixQueue<E> {
             return Err(Some(self.last));
         }
         self.len -= 1;
-        Ok(self.buckets[0].pop_front().expect("bucket 0 holds the minimum"))
+        let items = &mut self.chunks[self.ends[0].0 as usize].items;
+        let e = items.pop_front().expect("bucket 0 holds the minimum");
+        if items.is_empty() {
+            self.release_head(0);
+        }
+        Ok(e)
     }
 
     /// Removes and returns the earliest event, if any.
@@ -209,11 +334,11 @@ impl<E> RadixQueue<E> {
     }
 
     /// Visits every pending entry as `(fire time, scheduling seq, payload)`.
-    /// Iteration order is the bucket layout's internal order — unspecified —
+    /// Iteration order is the arena's internal order — unspecified —
     /// so callers that need a canonical view (the model checker's state
     /// fingerprint) must sort by `(at, seq)` themselves.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.buckets.iter().flatten().map(|e| (e.at, e.seq, &e.payload))
+        self.chunks.iter().flat_map(|c| &c.items).map(|e| (e.at, e.seq, &e.payload))
     }
 }
 
@@ -230,7 +355,6 @@ impl<E> Default for RadixQueue<E> {
 pub const WINDOW: u64 = 4096;
 const SLOTS: usize = WINDOW as usize;
 const MASK: u64 = WINDOW - 1;
-const NIL: u32 = u32::MAX; // end of the free list
 
 /// One slab element: a queued entry linked into its slot's circular list,
 /// or a vacant element linked into the free list.
@@ -590,6 +714,22 @@ mod tests {
         assert_eq!(seen, vec![(3, 3), (7, 7), (12, 12), (1 << 40, 1 << 40)]);
     }
 
+    /// The far tier's storage bound: the slots of the chunks linked into
+    /// buckets (a free chunk is empty, a linked one never is) exceed what
+    /// is pending by less than a chunk per bucket.
+    fn assert_reserved_bound<E>(far: &RadixQueue<E>) {
+        let linked = far.chunks.iter().filter(|c| !c.items.is_empty());
+        let reserved: usize = linked.map(|c| c.items.capacity()).sum();
+        assert!(reserved <= far.len + BUCKETS * CHUNK, "{reserved} slots reserved for {} entries", far.len);
+    }
+
+    /// The position of `last`'s highest set bit: it moves exactly when
+    /// `last` crosses a 2^k boundary, the pop that finds every pending
+    /// entry in one high bucket.
+    fn top_bit<E>(far: &RadixQueue<E>) -> u32 {
+        64 - far.last.leading_zeros()
+    }
+
     /// Drives an [`EventQueue`] and the [`HeapQueue`] oracle through the
     /// same operation sequence, asserting identical observable behavior at
     /// every step.
@@ -615,6 +755,7 @@ mod tests {
             self.oracle.schedule(SimTime::from_micros(at), self.tag);
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_eq!(self.queue.peak_len(), self.oracle.peak_len());
+            assert_reserved_bound(&self.queue.far);
         }
 
         fn pop(&mut self) {
@@ -626,6 +767,7 @@ mod tests {
                 self.floor = at.as_micros();
             }
             assert_eq!(self.queue.len(), self.oracle.len());
+            assert_reserved_bound(&self.queue.far);
         }
 
         /// `pop_at_or_before` against the oracle's peek-then-pop. A
@@ -644,6 +786,7 @@ mod tests {
             }
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
+            assert_reserved_bound(&self.queue.far);
         }
 
         /// `entries()` order is unspecified for both; canonicalized by
@@ -744,11 +887,33 @@ mod tests {
         let mut m = Mirror::randomized(11, 300);
         assert!(near(&m) > 0 && !m.queue.far.is_empty(), "both tiers populated");
         m.assert_same_entries();
-        // Walk far enough that timers have migrated into the wheel.
+        // Walk far enough that timers have migrated into the wheel, and
+        // that the far tier has rebinned everything it holds.
+        let top = top_bit(&m.queue.far);
         for _ in 0..m.oracle.len() / 2 {
             m.pop();
             m.assert_same_entries();
         }
+        assert!(top_bit(&m.queue.far) > top && !m.queue.far.is_empty(), "crossed a 2^k boundary");
+    }
+
+    #[test]
+    fn far_tier_reserves_what_is_pending() {
+        let (n, keep) = if cfg!(miri) { (2_000, 20) } else { (100_000, 1_000) };
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            q.schedule(SimTime::from_micros(rng.gen_range(1_000_000u64..30_000_000)), i);
+        }
+        assert_eq!(q.far.len(), n);
+        let (mut top, mut crossings) = (top_bit(&q.far), 0);
+        while q.len() > keep {
+            q.pop();
+            assert_reserved_bound(&q.far);
+            crossings += u32::from(top_bit(&q.far) > top);
+            top = top_bit(&q.far);
+        }
+        assert!(crossings >= 3, "timers 1–30 s out span 2^20 … 2^24 µs");
     }
 
     #[test]
@@ -822,7 +987,12 @@ mod tests {
     #[test]
     fn clone_mid_run_pops_in_lock_step() {
         let mut a = Mirror::randomized(5, 300);
+        let far = &a.queue.far;
+        let partly = |&(_, tail): &(u32, u32)| tail != NIL && far.chunks[tail as usize].items.len() < CHUNK;
+        assert!(far.ends.iter().filter(|e| partly(e)).count() >= 3, "partly filled chunks in three buckets");
+        assert!(far.free != NIL, "a chunk on the free list");
         let mut b = a.clone();
+        assert_eq!(b.queue.far.chunks[far.free as usize].items.capacity(), 0, "free chunks are not copied");
         a.schedule(a.floor + 3); // the copies share nothing
         b.schedule(b.floor + 3);
         while let Some(ev) = a.queue.pop() {
