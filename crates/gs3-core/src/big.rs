@@ -189,14 +189,4 @@ impl Gs3Node {
             self.send_ctrl(ctx, id, Msg::NewChildHead { pos: ctx.position(), il: my_il });
         }
     }
-
-    /// A proxy's expiry timer (scheduled defensively; the inter heartbeat
-    /// also expires stale proxies).
-    pub(crate) fn on_proxy_expire(&mut self, ctx: &mut Ctx<'_>) {
-        if let Role::Head(h) = &mut self.role {
-            if h.is_proxy && ctx.now().saturating_since(h.proxy_refreshed) > PROXY_TTL {
-                h.is_proxy = false;
-            }
-        }
-    }
 }

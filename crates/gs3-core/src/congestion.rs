@@ -30,11 +30,11 @@ use crate::node::{Ctx, Gs3Node};
 pub(crate) struct CongestionState {
     /// The node's cumulative MAC contention counter at the last
     /// observation.
-    last_seen: u64,
+    pub(crate) last_seen: u64,
     /// Current stretch exponent: periods are multiplied by `2^stretch_exp`.
-    stretch_exp: u32,
+    pub(crate) stretch_exp: u32,
     /// Consecutive quiet observations since the last contended one.
-    quiet: u32,
+    pub(crate) quiet: u32,
 }
 
 impl Gs3Node {

@@ -10,6 +10,10 @@
 //!   full [`Role`] state,
 //! * each node's reliability-layer state (outstanding sends, anti-replay
 //!   windows, failure-detector estimators),
+//! * each node's congestion-adaptation state (observation baseline,
+//!   stretch exponent, quiet streak) and data-plane state (sequence
+//!   numbers, the oldest unsent report's age, the aggregation queue, the
+//!   credit gate and the parent it was issued by),
 //! * the pending event queue, in canonical `(fire time, seq)` order,
 //! * the channel-reservation arbiter,
 //! * the adversarial-channel state (configuration, Gilbert–Elliott chain
@@ -31,7 +35,10 @@
 //! * the global delivery-attempt counter and the attempt log — the
 //!   checker re-probes attempt indices from whichever representative
 //!   state it resumes, so the counter is bookkeeping, not behavior,
-//! * traces, counters, and telemetry — observational by construction.
+//! * traces, counters, and telemetry — observational by construction,
+//! * the big node's sink ledger — a handler reads only its admit/duplicate
+//!   verdict, which picks a counter to bump (the credit goes back either
+//!   way), so its windows and histogram never change a future event.
 //!
 //! Two states with equal fingerprints are treated as interchangeable
 //! futures; a collision of the 128-bit hash is possible in principle but
@@ -42,11 +49,12 @@ use std::fmt::Write as _;
 
 use gs3_sim::{NodeId, SimTime};
 
+use crate::congestion::CongestionState;
 use crate::harness::Network;
 use crate::node::Gs3Node;
 use crate::reliable::ReliableState;
 use crate::state::{
-    AssocState, BigAwayState, BootupState, HeadState, NeighborInfo, Role, SanityRound,
+    AssocState, BigAwayState, BootupState, DataState, HeadState, NeighborInfo, Role, SanityRound,
 };
 
 /// 128-bit FNV-1a, folded byte-by-byte.
@@ -355,10 +363,41 @@ fn fold_reliable(h: &mut Fnv128, now: SimTime, rel: &ReliableState) {
     }
 }
 
+fn fold_cong(h: &mut Fnv128, c: &CongestionState) {
+    h.u64(c.last_seen);
+    h.u64(u64::from(c.stretch_exp));
+    h.u64(u64::from(c.quiet));
+}
+
+fn fold_data(h: &mut Fnv128, now: SimTime, d: &DataState) {
+    h.u64(d.leaf_seq);
+    h.u64(d.next_seq);
+    match d.accum_born {
+        None => h.bytes(&[0]),
+        Some(t) => {
+            h.bytes(&[1]);
+            h.age(now, t);
+        }
+    }
+    h.u64(d.queue.len() as u64);
+    for e in d.queue.iter() {
+        h.id(e.from);
+        h.id(e.origin);
+        h.u64(e.seq);
+        h.u64(u64::from(e.count));
+        h.age(now, e.born);
+    }
+    h.u64(u64::from(d.gate.credits()));
+    h.u64(u64::from(d.gate.starved_ticks()));
+    h.opt_id(d.gate_parent);
+}
+
 fn fold_node(h: &mut Fnv128, now: SimTime, node: &Gs3Node) {
     h.bool(node.is_big);
     fold_role(h, now, node.role());
     fold_reliable(h, now, &node.rel);
+    fold_cong(h, &node.cong);
+    fold_data(h, now, &node.data);
 }
 
 impl Network {
@@ -491,6 +530,20 @@ mod tests {
             .expect("a small node exists");
         crashed.engine_mut().kill(victim).unwrap();
         assert_ne!(crashed.fingerprint(), net.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_folds_congestion_and_data_plane_state() {
+        let mut net = pinned_net(11);
+        net.run_to_fixpoint().unwrap();
+        let base = net.fingerprint();
+        let victim = net.engine().alive_ids().find(|id| *id != net.big_id()).unwrap();
+        let mut stretched = net.clone();
+        stretched.engine_mut().node_mut(victim).unwrap().cong.stretch_exp += 1;
+        assert_ne!(stretched.fingerprint(), base, "stretch exponent");
+        let mut sequenced = net.clone();
+        sequenced.engine_mut().node_mut(victim).unwrap().data.leaf_seq += 1;
+        assert_ne!(sequenced.fingerprint(), base, "leaf sequence number");
     }
 
     #[test]

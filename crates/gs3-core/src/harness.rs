@@ -435,6 +435,13 @@ pub struct Network {
     inv: Option<(Snapshot, crate::invariants::SnapshotIndex)>,
 }
 
+// A network crosses threads whole (`run_grid`'s workers build and hand
+// them back): a field that is not `Send + Sync` fails here, at compile time.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Network>()
+};
+
 impl Network {
     /// The underlying simulator.
     #[must_use]

@@ -357,7 +357,6 @@ impl gs3_sim::Node for Gs3Node {
             Timer::JoinDecision { round } => self.on_join_decision(round, ctx),
             Timer::Election { dead_head } => self.on_election(dead_head, ctx),
             Timer::BigCheck => self.on_big_check(ctx),
-            Timer::ProxyExpire => self.on_proxy_expire(ctx),
             Timer::ReportTick => self.on_report_tick(ctx),
             Timer::Retransmit { seq } => self.on_retransmit(seq, ctx),
         }

@@ -49,9 +49,6 @@ pub enum Timer {
     /// The big node's periodic check while away from head duty
     /// (`BIG_SLIDE` / `BIG_MOVE`).
     BigCheck,
-    /// A proxy head's grace period expires without a refresh from the big
-    /// node.
-    ProxyExpire,
     /// The periodic sensing-workload tick (report / aggregate-and-relay).
     ReportTick,
     /// A reliable-delivery retransmission deadline for the pending send

@@ -132,6 +132,12 @@ impl CreditGate {
         self.credits
     }
 
+    /// Consecutive starved ticks so far (see [`CreditGate::note_tick`]).
+    #[must_use]
+    pub fn starved_ticks(&self) -> u32 {
+        self.starved_ticks
+    }
+
     /// Consumes one credit for an upstream send. Returns false (and
     /// consumes nothing) when starved.
     pub fn try_consume(&mut self) -> bool {

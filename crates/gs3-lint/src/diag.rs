@@ -3,10 +3,8 @@
 use crate::lexer::{Lexed, RawDirective};
 
 /// Rule identifiers accepted by `allow(...)` directives.
-pub const RULES: [&str; 13] = [
-    "d1", "d2", "d3", "d4", "d5", "t1", "t2", "t3", "w1", "a1", "a2", "allow-syntax",
-    "allow-unused",
-];
+pub const RULES: [&str; 11] =
+    ["d1", "d2", "d3", "d4", "d5", "t1", "t3", "w1", "a1", "allow-syntax", "allow-unused"];
 
 /// Version of the `--json` report format. Bumped to 2 when the report
 /// gained this field, rule-major ordering, and the `schema_version` key.
@@ -15,7 +13,7 @@ pub const JSON_SCHEMA_VERSION: u32 = 2;
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`d1`…`t2`, or the allowlist meta-rules).
+    /// Rule id (one of [`RULES`]: the nine rules or the allowlist meta-rules).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub rel: String,

@@ -41,11 +41,11 @@ fn main() -> ExitCode {
     if write_schema {
         // The only sanctioned way to change the pinned wire schema: an
         // explicit regeneration whose diff gets reviewed and committed.
-        let model = gs3_lint::model::ProtocolModel::extract(
+        let layouts = gs3_lint::model::wire_layouts(
             files.iter().map(|f| (f.rel.as_str(), f.lexed.toks.as_slice())),
         );
         let path = root.join(gs3_lint::SCHEMA_REL);
-        let text = gs3_lint::schema::render(&model.layouts);
+        let text = gs3_lint::schema::render(&layouts);
         if let Err(e) = std::fs::write(&path, &text) {
             eprintln!("gs3-lint: failed to write {}: {e}", path.display());
             return ExitCode::from(2);
@@ -53,8 +53,8 @@ fn main() -> ExitCode {
         println!(
             "gs3-lint: wrote {} ({} enums, fingerprint {:#018x})",
             path.display(),
-            model.layouts.len(),
-            gs3_lint::schema::fingerprint(&model.layouts)
+            layouts.len(),
+            gs3_lint::schema::fingerprint(&layouts)
         );
         return ExitCode::SUCCESS;
     }

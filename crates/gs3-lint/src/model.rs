@@ -1,9 +1,6 @@
-//! The protocol model lint rules check against: the `Msg` and `Timer`
-//! enum variant sets, full enum *layouts* (ordered variants with payload
-//! shapes, pinned by the `w1` wire-schema rule), and a bracket-aware
-//! `match` expression parser.
-
-use std::collections::BTreeSet;
+//! The protocol model lint rules check against: the wire enums' *layouts*
+//! (ordered variants with payload shapes, pinned by the `w1` wire-schema
+//! rule) and a bracket-aware `match` expression parser.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -28,18 +25,6 @@ pub struct EnumLayout {
     pub variants: Vec<VariantLayout>,
 }
 
-/// Variant sets extracted from `gs3-core/src/messages.rs` and
-/// `gs3-core/src/timers.rs`, plus the pinned wire-enum layouts
-/// (`Msg`, `Timer`, `FaultKind`).
-#[derive(Debug, Default)]
-pub struct ProtocolModel {
-    pub msg_variants: BTreeSet<String>,
-    pub timer_variants: BTreeSet<String>,
-    /// Layouts of the wire enums, in pin order (Msg, Timer, FaultKind);
-    /// an enum whose source file is absent is simply missing here.
-    pub layouts: Vec<EnumLayout>,
-}
-
 /// `(enum name, defining file suffix)` of every wire enum `w1` pins.
 pub const WIRE_ENUMS: [(&str, &str); 3] = [
     ("Msg", "gs3-core/src/messages.rs"),
@@ -47,33 +32,25 @@ pub const WIRE_ENUMS: [(&str, &str); 3] = [
     ("FaultKind", "gs3-core/src/chaos.rs"),
 ];
 
-impl ProtocolModel {
-    /// Extracts variant sets from the lexed workspace files.
-    /// `files` yields `(relative_path, tokens)`.
-    #[must_use]
-    pub fn extract<'a, I>(files: I) -> Self
-    where
-        I: IntoIterator<Item = (&'a str, &'a [Tok])>,
-    {
-        let mut model = ProtocolModel::default();
-        let mut found: Vec<Option<EnumLayout>> = vec![None; WIRE_ENUMS.len()];
-        for (rel, toks) in files {
-            if rel.ends_with("gs3-core/src/messages.rs") {
-                model.msg_variants = enum_variants(toks, "Msg");
-            } else if rel.ends_with("gs3-core/src/timers.rs") {
-                model.timer_variants = enum_variants(toks, "Timer");
-            }
-            for (slot, (name, suffix)) in WIRE_ENUMS.iter().enumerate() {
-                if rel.ends_with(suffix) {
-                    if let Some(l) = enum_layout(rel, toks, name) {
-                        found[slot] = Some(l);
-                    }
+/// The layouts of the wire enums found in `files` (`(relative_path,
+/// tokens)` pairs), in [`WIRE_ENUMS`] pin order; an enum whose source file
+/// is absent is simply missing.
+#[must_use]
+pub fn wire_layouts<'a, I>(files: I) -> Vec<EnumLayout>
+where
+    I: IntoIterator<Item = (&'a str, &'a [Tok])>,
+{
+    let mut found: Vec<Option<EnumLayout>> = vec![None; WIRE_ENUMS.len()];
+    for (rel, toks) in files {
+        for (slot, (name, suffix)) in WIRE_ENUMS.iter().enumerate() {
+            if rel.ends_with(suffix) {
+                if let Some(l) = enum_layout(rel, toks, name) {
+                    found[slot] = Some(l);
                 }
             }
         }
-        model.layouts = found.into_iter().flatten().collect();
-        model
     }
+    found.into_iter().flatten().collect()
 }
 
 /// Extracts the source-order layout of `enum <name>` from a token stream,
@@ -143,43 +120,9 @@ pub fn enum_layout(rel: &str, toks: &[Tok], name: &str) -> Option<EnumLayout> {
     None
 }
 
-/// Collects the variant names of `enum <name> { … }` from a token stream.
-#[must_use]
-pub fn enum_variants(toks: &[Tok], name: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].text == "enum" && toks[i + 1].text == name && toks[i + 2].text == "{" {
-            let mut depth = 1u32;
-            let mut j = i + 3;
-            let mut at_variant_start = true;
-            while j < toks.len() && depth > 0 {
-                let t = &toks[j];
-                match t.text.as_str() {
-                    "{" | "(" | "[" => depth += 1,
-                    "}" | ")" | "]" => depth -= 1,
-                    "," if depth == 1 => at_variant_start = true,
-                    "#" => {} // attribute on the next variant
-                    _ if depth == 1 && at_variant_start && t.kind == TokKind::Ident => {
-                        out.insert(t.text.clone());
-                        at_variant_start = false;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            return out;
-        }
-        i += 1;
-    }
-    out
-}
-
 /// One parsed `match` expression.
 #[derive(Debug)]
 pub struct MatchExpr {
-    /// Line of the `match` keyword.
-    pub line: u32,
     /// Token index of the `match` keyword.
     pub idx: usize,
     /// `Enum::Variant` pairs found in arm *patterns* (never bodies).
@@ -187,8 +130,9 @@ pub struct MatchExpr {
     /// Token ranges `[start, end)` of every arm pattern (guard included),
     /// so construction-site scans can exclude pattern positions.
     pub pattern_ranges: Vec<(usize, usize)>,
-    /// Line of a top-level `_ =>` wildcard arm, if present.
-    pub wildcard: Option<u32>,
+    /// Line of a catch-all arm — an unguarded lone `_` or binding — if
+    /// present. (A guarded arm leaves rustc's exhaustiveness check intact.)
+    pub catch_all: Option<u32>,
 }
 
 /// Parses every `match` expression in a token stream.
@@ -229,11 +173,10 @@ pub fn find_matches(toks: &[Tok]) -> Vec<MatchExpr> {
 /// Parses one match body whose `{` is at index `open`.
 fn parse_match_body(toks: &[Tok], match_idx: usize, open: usize) -> MatchExpr {
     let mut m = MatchExpr {
-        line: toks[match_idx].line,
         idx: match_idx,
         pattern_variants: Vec::new(),
         pattern_ranges: Vec::new(),
-        wildcard: None,
+        catch_all: None,
     };
     let mut depth = 1i32;
     let mut j = open + 1;
@@ -269,7 +212,7 @@ fn parse_match_body(toks: &[Tok], match_idx: usize, open: usize) -> MatchExpr {
 }
 
 /// Scans one arm pattern `toks[start..end]` for `Enum::Variant` pairs and
-/// top-level wildcards (`end` is the `=>` index).
+/// a catch-all (`end` is the `=>` index).
 fn scan_pattern(toks: &[Tok], start: usize, end: usize, m: &mut MatchExpr) {
     m.pattern_ranges.push((start, end));
     // Guards (`if …`) can mention enum paths without matching them; stop
@@ -287,8 +230,16 @@ fn scan_pattern(toks: &[Tok], start: usize, end: usize, m: &mut MatchExpr) {
             _ => {}
         }
     }
-    if limit == start + 1 && toks[start].text == "_" {
-        m.wildcard = Some(toks[start].line);
+    // One lowercase identifier is a binding; `true`/`false` are literals
+    // and capitalised names are unit variants or constants.
+    let lone = &toks[start];
+    if end == start + 1
+        && lone.kind == TokKind::Ident
+        && lone.text.starts_with(|c: char| c == '_' || c.is_ascii_lowercase())
+        && lone.text != "true"
+        && lone.text != "false"
+    {
+        m.catch_all = Some(lone.line);
     }
     for k in start..limit.saturating_sub(2) {
         if toks[k].kind == TokKind::Ident
@@ -320,9 +271,9 @@ pub enum Msg {
     #[cfg(feature = \"x\")]
     C,
 }\n";
-        let l = lex(src);
-        let v = enum_variants(&l.toks, "Msg");
-        assert_eq!(v.into_iter().collect::<Vec<_>>(), ["A", "B", "C"]);
+        let l = enum_layout("m.rs", &lex(src).toks, "Msg").unwrap();
+        let names: Vec<_> = l.variants.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["A", "B", "C"]);
     }
 
     #[test]
@@ -339,23 +290,23 @@ fn f(m: Msg) {
         assert_eq!(ms.len(), 1);
         let names: Vec<_> = ms[0].pattern_variants.iter().map(|(_, v, _)| v.as_str()).collect();
         assert_eq!(names, ["A", "B"], "Msg::C in the body must not count");
-        assert!(ms[0].wildcard.is_none());
+        assert!(ms[0].catch_all.is_none());
     }
 
     #[test]
-    fn wildcard_detection_is_top_level_only() {
-        let src = "\
-match m {
-    Msg::A(_) => 1,
-    _ => 0,
-}\n";
-        let l = lex(src);
-        let ms = find_matches(&l.toks);
-        assert!(ms[0].wildcard.is_some());
-
-        let src2 = "match m { Msg::A(_) => 1, Msg::B { .. } => 0, }";
-        let ms2 = find_matches(&lex(src2).toks);
-        assert!(ms2[0].wildcard.is_none(), "`_` inside a payload is not a wildcard arm");
+    fn catch_all_detection_is_top_level_only() {
+        for arm in ["_", "other"] {
+            let src = format!("match m {{\n    Msg::A(_) => 1,\n    {arm} => 0,\n}}\n");
+            assert_eq!(find_matches(&lex(&src).toks)[0].catch_all, Some(3), "{arm}");
+        }
+        for src in [
+            "match m { Msg::A(_) => 1, Msg::B { .. } => 0, }",
+            "match m { Msg::A(x) => x, None => 0, true => 1, }",
+            "match m { x if x.is_urgent() => 1, Msg::A(_) => 0, _ if y => 2, }",
+        ] {
+            let ms = find_matches(&lex(src).toks);
+            assert!(ms[0].catch_all.is_none(), "payloads, variants, literals, guards: {src}");
+        }
     }
 
     #[test]

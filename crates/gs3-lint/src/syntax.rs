@@ -161,7 +161,7 @@ fn has_test_attr(toks: &[Tok], fn_idx: usize) -> bool {
     }
     while end > 0 && toks[end - 1].text == "]" {
         let close = end - 1;
-        let Some(open) = matching_open_bracket(toks, close) else { return false };
+        let Some(open) = matching_open(toks, close) else { return false };
         if open == 0 || toks[open - 1].text != "#" {
             return false;
         }
@@ -310,7 +310,9 @@ pub fn matching_close(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-fn matching_open_bracket(toks: &[Tok], close: usize) -> Option<usize> {
+/// Index of the opener matching the closer at `close` (`)`/`]`/`}`).
+#[must_use]
+pub fn matching_open(toks: &[Tok], close: usize) -> Option<usize> {
     let mut depth = 0i32;
     for j in (0..=close).rev() {
         match toks[j].text.as_str() {

@@ -6,225 +6,63 @@
 //! Fixtures declare the workspace-relative path they pretend to live at
 //! via a `// pretend: <path>` first line, since every rule scopes by path.
 //! The harness always adds the `_model_*.rs` mini enums as
-//! `gs3-core/src/{messages,timers}.rs` stand-ins so totality rules have a
-//! variant universe.
+//! `gs3-core/src/{messages,timers}.rs` stand-ins and pins the wire schema
+//! to them, so a fixture redefining a wire enum differently trips `w1`.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use gs3_lint::model::ProtocolModel;
-use gs3_lint::{analyze_with, SchemaCheck, SourceFile};
-
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
-}
-
-fn pretend_path(src: &str) -> String {
-    src.lines()
-        .next()
-        .and_then(|l| l.strip_prefix("// pretend:"))
-        .map(str::trim)
-        .expect("fixture must start with `// pretend: <path>`")
-        .to_string()
-}
-
-fn model_files() -> Vec<SourceFile> {
-    let dir = fixtures_dir();
-    let msgs = std::fs::read_to_string(dir.join("_model_messages.rs")).unwrap();
-    let timers = std::fs::read_to_string(dir.join("_model_timers.rs")).unwrap();
-    vec![
-        SourceFile::new("crates/gs3-core/src/messages.rs", &msgs),
-        SourceFile::new("crates/gs3-core/src/timers.rs", &timers),
-    ]
-}
-
-/// The wire schema pinned to the `_model_*.rs` stand-ins: a fixture that
-/// redefines a wire enum differently drifts from this and trips `w1`.
-fn model_schema() -> String {
-    let files = model_files();
-    let model = ProtocolModel::extract(
-        files.iter().map(|f| (f.rel.as_str(), f.lexed.toks.as_slice())),
-    );
-    gs3_lint::schema::render(&model.layouts)
-}
-
-/// Runs one fixture and returns the actual diagnostic set on its path.
-fn run_fixture(name: &str) -> BTreeSet<String> {
-    let dir = fixtures_dir();
-    let src = std::fs::read_to_string(dir.join(name)).unwrap();
-    let rel = pretend_path(&src);
-    let mut files = model_files();
-    files.push(SourceFile::new(&rel, &src));
-    let schema = model_schema();
-    analyze_with(&files, SchemaCheck::Committed(Some(&schema)))
-        .into_iter()
-        .filter(|f| f.rel == rel)
-        .map(|f| {
-            if f.allowed.is_some() {
-                format!("allowed:{}:{}", f.rule, f.line)
-            } else {
-                format!("{}:{}", f.rule, f.line)
-            }
-        })
-        .collect()
-}
-
-fn expected(name: &str) -> BTreeSet<String> {
-    let path = fixtures_dir().join(name);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()))
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-fn check(stem: &str) {
-    let actual = run_fixture(&format!("{stem}.rs"));
-    let want = expected(&format!("{stem}.expect"));
-    assert_eq!(actual, want, "fixture {stem} diagnostics diverge");
-}
+use gs3_lint::{analyze_with, model, schema, SchemaCheck, SourceFile};
 
 #[test]
-fn d1_std_hash() {
-    check("d1_std_hash");
-}
+fn every_fixture_matches_its_expect_file() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let read = |name: &str| {
+        std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("fixtures/{name}: {e}"))
+    };
+    let model_files = || {
+        [("messages", "_model_messages.rs"), ("timers", "_model_timers.rs")]
+            .map(|(stem, name)| SourceFile::new(&format!("crates/gs3-core/src/{stem}.rs"), &read(name)))
+    };
+    let layouts =
+        model::wire_layouts(model_files().iter().map(|f| (f.rel.as_str(), f.lexed.toks.as_slice())));
+    let pinned = schema::render(&layouts);
 
-#[test]
-fn d2_wall_clock() {
-    check("d2_wall_clock");
-}
-
-#[test]
-fn d3_float_eq() {
-    check("d3_float_eq");
-}
-
-#[test]
-fn a1_hot_path_alloc() {
-    check("a1_hot_path_alloc");
-}
-
-#[test]
-fn t1_wildcard_dispatch() {
-    check("t1_wildcard_dispatch");
-}
-
-#[test]
-fn t2_unhandled_timer() {
-    check("t2_unhandled_timer");
-}
-
-#[test]
-fn d4_unguarded_draw() {
-    check("d4_unguarded_draw");
-}
-
-#[test]
-fn d4_guarded_draw() {
-    check("d4_guarded_draw");
-}
-
-#[test]
-fn d5_hash_iteration() {
-    check("d5_hash_iteration");
-}
-
-#[test]
-fn d5_sorted_iteration() {
-    check("d5_sorted_iteration");
-}
-
-#[test]
-fn w1_schema_drift() {
-    check("w1_schema_drift");
-}
-
-#[test]
-fn w1_schema_match() {
-    check("w1_schema_match");
-}
-
-#[test]
-fn t3_dead_arm() {
-    check("t3_dead_arm");
-}
-
-#[test]
-fn t3_roundtrip() {
-    check("t3_roundtrip");
-}
-
-#[test]
-fn a2_shared_state() {
-    check("a2_shared_state");
-}
-
-#[test]
-fn a2_owned_state() {
-    check("a2_owned_state");
-}
-
-#[test]
-fn allow_justified_is_green() {
-    check("allow_justified");
-    // The allowlisted finding must carry its justification text.
-    let dir = fixtures_dir();
-    let src = std::fs::read_to_string(dir.join("allow_justified.rs")).unwrap();
-    let rel = pretend_path(&src);
-    let mut files = model_files();
-    files.push(SourceFile::new(&rel, &src));
-    let schema = model_schema();
-    let findings = analyze_with(&files, SchemaCheck::Committed(Some(&schema)));
-    let f = findings.iter().find(|f| f.rel == rel).unwrap();
-    assert!(f.allowed.as_deref().unwrap().contains("wall-clock measurement"));
-}
-
-#[test]
-fn allow_without_justification_still_fails() {
-    check("allow_missing_justification");
-}
-
-#[test]
-fn allow_unused_is_flagged() {
-    check("allow_unused");
-}
-
-#[test]
-fn every_fixture_has_a_test() {
-    // Guards against adding a fixture and forgetting to wire it up.
-    let mut stems: Vec<String> = std::fs::read_dir(fixtures_dir())
+    let mut stems: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| {
-            let p = e.unwrap().path();
-            let name = p.file_name()?.to_str()?.to_string();
-            name.strip_suffix(".rs")
-                .filter(|s| !s.starts_with('_'))
-                .map(str::to_string)
+            let name = e.unwrap().file_name().into_string().ok()?;
+            name.strip_suffix(".rs").filter(|s| !s.starts_with('_')).map(str::to_string)
         })
         .collect();
     stems.sort();
-    let wired = [
-        "a1_hot_path_alloc",
-        "a2_owned_state",
-        "a2_shared_state",
-        "allow_justified",
-        "allow_missing_justification",
-        "allow_unused",
-        "d1_std_hash",
-        "d2_wall_clock",
-        "d3_float_eq",
-        "d4_guarded_draw",
-        "d4_unguarded_draw",
-        "d5_hash_iteration",
-        "d5_sorted_iteration",
-        "t1_wildcard_dispatch",
-        "t2_unhandled_timer",
-        "t3_dead_arm",
-        "t3_roundtrip",
-        "w1_schema_drift",
-        "w1_schema_match",
-    ];
-    assert_eq!(stems, wired, "update tests/fixtures.rs for new fixtures");
+    assert!(stems.len() >= 15, "fixture walk looks truncated: {stems:?}");
+
+    let mut diverged = Vec::new();
+    for stem in &stems {
+        let src = read(&format!("{stem}.rs"));
+        let rel = src
+            .lines()
+            .next()
+            .and_then(|l| l.strip_prefix("// pretend:"))
+            .map(str::trim)
+            .unwrap_or_else(|| panic!("{stem}.rs must start with `// pretend: <path>`"));
+        let mut files = Vec::from(model_files());
+        files.push(SourceFile::new(rel, &src));
+        let actual: BTreeSet<String> = analyze_with(&files, SchemaCheck::Committed(Some(&pinned)))
+            .into_iter()
+            .filter(|f| f.rel == rel)
+            .map(|f| match f.allowed {
+                Some(_) => format!("allowed:{}:{}", f.rule, f.line),
+                None => format!("{}:{}", f.rule, f.line),
+            })
+            .collect();
+        let expect = read(&format!("{stem}.expect"));
+        let want: BTreeSet<String> =
+            expect.lines().map(str::trim).filter(|l| !l.is_empty()).map(str::to_string).collect();
+        if actual != want {
+            diverged.push(format!("{stem}: expected {want:?}, got {actual:?}"));
+        }
+    }
+    assert!(diverged.is_empty(), "fixtures diverge from their .expect files:\n{}", diverged.join("\n"));
 }

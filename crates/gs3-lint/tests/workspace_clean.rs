@@ -29,39 +29,25 @@ fn workspace_has_no_unjustified_findings() {
 }
 
 #[test]
-fn protocol_model_is_extracted_from_real_sources() {
-    let root = gs3_lint::find_workspace_root();
-    let files = load_workspace(&root).expect("workspace readable");
-    let model = gs3_lint::model::ProtocolModel::extract(
-        files.iter().map(|f| (f.rel.as_str(), f.lexed.toks.as_slice())),
-    );
-    // The real enums are large; an extraction regression would silently
-    // disable the totality rules.
-    assert!(model.msg_variants.len() >= 25, "Msg variants: {:?}", model.msg_variants);
-    assert!(model.timer_variants.len() >= 12, "Timer variants: {:?}", model.timer_variants);
-    assert!(model.msg_variants.contains("HeadInterAlive"));
-    assert!(model.timer_variants.contains("Retransmit"));
-}
-
-#[test]
 fn committed_wire_schema_matches_sources() {
     // The byte-level drift gate: regenerating the schema from today's
-    // sources must reproduce the committed file exactly. CI enforces the
-    // same property via `--write-schema` + `git diff --exit-code`; this
-    // test catches it at `cargo test` time with a pointable message.
+    // sources must reproduce the committed file exactly (which also
+    // proves every wire enum's variants were extracted). The workspace
+    // lint reports the same drift as `w1`; this test catches it at
+    // `cargo test` time with a pointable message.
     let root = gs3_lint::find_workspace_root();
     let files = load_workspace(&root).expect("workspace readable");
-    let model = gs3_lint::model::ProtocolModel::extract(
+    let layouts = gs3_lint::model::wire_layouts(
         files.iter().map(|f| (f.rel.as_str(), f.lexed.toks.as_slice())),
     );
     assert_eq!(
-        model.layouts.len(),
+        layouts.len(),
         gs3_lint::model::WIRE_ENUMS.len(),
         "a pinned wire enum was not found in its source file"
     );
     let committed = gs3_lint::load_committed_schema(&root)
         .expect("protocol.schema.json missing — run `cargo run -p gs3-lint -- --write-schema`");
-    let generated = gs3_lint::schema::render(&model.layouts);
+    let generated = gs3_lint::schema::render(&layouts);
     assert!(
         committed == generated,
         "wire schema drifted from crates/gs3-lint/protocol.schema.json — if the \

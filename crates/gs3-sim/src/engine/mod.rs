@@ -123,6 +123,23 @@ pub struct Engine<N: Node> {
     grant_buf: Vec<NodeId>,
 }
 
+// Everything the engine owns is `Send + Sync` whenever the protocol's node,
+// message and timer types are: `run_grid` builds networks on worker
+// threads and moves them across, and the sharded engine on the roadmap
+// shares them. A `Cell`, `RefCell` or `Rc` anywhere under `Engine` — grid,
+// queue, arena, medium, telemetry — fails this at compile time.
+const _: () = {
+    fn send_sync<T: Send + Sync>() {}
+    #[allow(dead_code)] // never called: type-checking the body is the check
+    fn engine<N: Node + Send + Sync>()
+    where
+        N::Msg: Send + Sync,
+        N::Timer: Send + Sync,
+    {
+        send_sync::<Engine<N>>();
+    }
+};
+
 /// Energy assigned when accounting is disabled.
 const UNLIMITED_ENERGY: f64 = f64::INFINITY;
 

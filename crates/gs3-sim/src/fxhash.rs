@@ -123,6 +123,7 @@ mod tests {
 
     #[test]
     fn map_works_with_tuple_keys() {
+        // gs3-lint: allow(d1) -- the alias's own test: it reads len and keyed lookups, never the order
         let mut m: FxHashMap<(i64, i64), u32> = FxHashMap::default();
         for x in -10..10 {
             for y in -10..10 {

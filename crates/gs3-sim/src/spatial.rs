@@ -3,7 +3,6 @@
 //! Broadcast delivery must find every node within a radius; a hash-grid
 //! keeps that `O(candidates)` instead of `O(n)` per transmission.
 
-use crate::fxhash::FxHashMap;
 use gs3_geometry::Point;
 
 /// One grid cell: handles and the point each was stored at, in two
@@ -27,13 +26,16 @@ const BUCKET_CAPACITY: usize = 32;
 
 /// A uniform hash-grid over the plane holding `usize` handles.
 ///
-/// Buckets live in an integer-keyed [`FxHashMap`] (multiply-rotate hash):
-/// grid lookups sit on the broadcast hot path where SipHash's per-lookup
-/// cost is measurable.
+/// Buckets live in an integer-keyed [`FxHashMap`](crate::fxhash::FxHashMap)
+/// (multiply-rotate hash): grid lookups sit on the broadcast hot path where
+/// SipHash's per-lookup cost is measurable. Lookups go by key; the one
+/// view that walks the map, and so exposes its order, is
+/// [`SpatialGrid::for_each_cell`].
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell: f64,
-    cells: FxHashMap<(i64, i64), Bucket>,
+    // gs3-lint: allow(d1) -- only for_each_cell iterates it, and each of its call sites is a d5 finding that argues order independence; every other access is a keyed lookup
+    cells: crate::fxhash::FxHashMap<(i64, i64), Bucket>,
     len: usize,
 }
 
@@ -47,7 +49,7 @@ impl SpatialGrid {
     #[must_use]
     pub fn new(cell: f64) -> Self {
         assert!(cell.is_finite() && cell > 0.0, "grid cell size must be positive");
-        SpatialGrid { cell, cells: FxHashMap::default(), len: 0 }
+        SpatialGrid { cell, cells: Default::default(), len: 0 }
     }
 
     fn key(&self, p: Point) -> (i64, i64) {
@@ -105,7 +107,9 @@ impl SpatialGrid {
     /// Appends `(handle, distance)` for every stored point within `radius`
     /// of `center` — exactly the handles with `!(distance > radius)`, each
     /// distance computed as `center.distance(point)` — in ascending handle
-    /// order (cell iteration is hash order; only the hits are sorted).
+    /// order. Cells are visited by coordinate, not hash order; the sort
+    /// (of the hits only) erases the order members were inserted in, which
+    /// depends on history.
     pub fn disk_into(&self, center: Point, radius: f64, out: &mut Vec<(usize, f64)>) {
         let start = out.len();
         // A point this far out cannot round into the disk; skipping it
@@ -154,9 +158,9 @@ impl SpatialGrid {
 
     /// Calls `f` with every non-empty cell's coordinate and handles.
     /// Iteration order is arbitrary (hash order) — callers needing
-    /// determinism must not let order leak into their result.
+    /// determinism must not let order leak into their result, and lint
+    /// `d5` reports every call site until it says why it doesn't.
     pub fn for_each_cell<F: FnMut((i64, i64), &[usize])>(&self, mut f: F) {
-        // gs3-lint: allow(d5) -- this is the forwarding point, not a consumer: the doc contract above pushes the order burden to callers, and every call site is itself audited by d5
         for (k, b) in &self.cells {
             f(*k, &b.handles);
         }
