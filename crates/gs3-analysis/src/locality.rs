@@ -104,20 +104,17 @@ where
     F: FnOnce(&mut Network),
 {
     let before = net.snapshot();
+    let before_sig = net.structural_signature();
     let start = net.now();
     perturb(net);
     let quiet_needed = net.config().detection_window() + SANITY_PERIOD + SANITY_WINDOW;
     let hard_deadline = start + deadline;
-    let mut last_sig = net.snapshot().structural_signature();
-    let mut last_change: Option<SimTime> = if last_sig == before.structural_signature() {
-        None
-    } else {
-        Some(start)
-    };
+    let mut last_sig = net.structural_signature();
+    let mut last_change: Option<SimTime> = if last_sig == before_sig { None } else { Some(start) };
     let mut timed_out = true;
     while net.now() < hard_deadline {
         net.run_for(settle_poll);
-        let sig = net.snapshot().structural_signature();
+        let sig = net.structural_signature();
         if sig != last_sig {
             last_sig = sig;
             last_change = Some(net.now());

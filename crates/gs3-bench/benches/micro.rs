@@ -101,7 +101,7 @@ fn main() {
     // the receivers in ascending id order and land microseconds apart.
     {
         let kinds = ["head_inter_alive", "head_intra_alive"].map(KindFold::new);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = Trace::new().digest();
         bench("trace/digest_fold", quick, || {
             for i in 0..10_000u64 {
                 let at = 600_000_000 + i * 37;

@@ -4,400 +4,217 @@
 //! forked simulations and must recognize when two different histories have
 //! reached *the same* protocol state, or the search degenerates into pure
 //! tree enumeration. [`Network::fingerprint`] folds everything that can
-//! influence future behavior into one 128-bit FNV-1a hash:
+//! influence future behavior into one 128-bit FNV-1a hash
+//! ([`gs3_sim::fnv`]): this module folds the network and each node's
+//! protocol state, [`Engine::fold_state`](gs3_sim::Engine::fold_state) the
+//! engine's half (node columns, pending events, channel arbiter, faults,
+//! medium, RNG).
 //!
-//! * every node's liveness, position, energy, channel-arbiter view, and
-//!   full [`Role`] state,
-//! * each node's reliability-layer state (outstanding sends, anti-replay
-//!   windows, failure-detector estimators),
-//! * each node's congestion-adaptation state (observation baseline,
-//!   stretch exponent, quiet streak) and data-plane state (sequence
-//!   numbers, the oldest unsent report's age, the aggregation queue, the
-//!   credit gate and the parent it was issued by),
-//! * the pending event queue, in canonical `(fire time, seq)` order,
-//! * the channel-reservation arbiter,
-//! * the adversarial-channel state (configuration, Gilbert–Elliott chain
-//!   phase, jams, and any unconsumed delivery script),
-//! * the RNG state words — two states with equal protocol state but
-//!   diverged random streams schedule different jitter and must **not**
-//!   merge.
+//! **Total by construction.** Both halves destructure every struct they
+//! read without `..`, so a field added to any of them does not compile
+//! (E0027) until it is folded or bound to `_` with its reason. Every
+//! stored instant folds as an age (`now − t`) or a signed offset from
+//! `now`, and every queued event as a delay (`at − now`), so states that
+//! differ only by a rigid time shift dedup together — the checker's main
+//! source of merging, since jittered heartbeats otherwise make every state
+//! unique.
 //!
-//! What is deliberately **excluded**:
+//! The `_` bindings are the whole exclusion list:
 //!
-//! * the absolute simulation clock — every stored [`SimTime`] is folded
-//!   as an age (`now − t`) and every queued event as a delay
-//!   (`at − now`), so states that differ only by a rigid time shift
-//!   dedup together (the checker's main source of merging, since jittered
-//!   heartbeats otherwise make every state unique),
-//! * event-queue sequence numbers and timer ids — they encode *history*
-//!   (how many events were ever scheduled), not future behavior; only
-//!   the canonical ordering and each timer's liveness are folded,
-//! * the global delivery-attempt counter and the attempt log — the
-//!   checker re-probes attempt indices from whichever representative
-//!   state it resumes, so the counter is bookkeeping, not behavior,
-//! * traces, counters, and telemetry — observational by construction,
-//! * the big node's sink ledger — a handler reads only its admit/duplicate
-//!   verdict, which picks a counter to bump (the credit goes back either
-//!   way), so its windows and histogram never change a future event.
+//! * folded by another fold — `Engine::queue`, `Engine::flights` and
+//!   `Arena::pending_timers` through `pending_event_hashes` (each event's
+//!   rank, delay, target and payload, and a timer's liveness);
+//!   `Engine::grid`, an index over the alive nodes' positions;
+//!   `Gs3Node::cfg`, the network's one shared configuration, folded as
+//!   `Network::cfg`;
+//! * history, not behavior — `Arena::next_timer_id`,
+//!   `FaultState::next_jam_id`, `MediumState::next_id` and `Tx::id`
+//!   (matched only against the window an in-flight frame carries, which no
+//!   hash folds);
+//! * bookkeeping no handler reads back — `Engine::trace`,
+//!   `Engine::telemetry`, `Engine::events_processed`, `Engine::kind_folds`;
+//!   `FaultState::log_attempts` and `FaultState::attempt_log` (the
+//!   checker's probe); `MediumState::max_airtime_us` (a scan cutoff: how
+//!   far a scan walks, never its answer); `AssociateInfo::last_report_seq`
+//!   (it only picks a gap or duplicate counter); `DataState::ledger` (the
+//!   sink ledger: a handler reads only its admit/duplicate verdict, which
+//!   picks a counter to bump — the credit goes back either way — so its
+//!   windows and histogram never change a future event); `Network::inv`
+//!   (the incremental checker's cached snapshot and index, whose verdicts
+//!   equal a rebuild's);
+//! * scratch, empty between calls — `Network::scratch`,
+//!   `Engine::action_buf`, `Engine::recv_buf`, `Engine::grant_buf`.
 //!
 //! Two states with equal fingerprints are treated as interchangeable
 //! futures; a collision of the 128-bit hash is possible in principle but
 //! vanishingly unlikely at model-checking scale (billions of states would
 //! be needed before birthday effects matter).
 
-use std::fmt::Write as _;
-
-use gs3_sim::{NodeId, SimTime};
+use gs3_dataplane::BatchEntry;
+use gs3_geometry::spiral::IccIcp;
+use gs3_sim::fnv::Fnv128;
+use gs3_sim::SimTime;
 
 use crate::congestion::CongestionState;
 use crate::harness::Network;
+use crate::messages::CellInfo;
 use crate::node::Gs3Node;
-use crate::reliable::ReliableState;
+use crate::reliable::{Detector, PendingSend, ReliableState, SeenWindow};
 use crate::state::{
-    AssocState, BigAwayState, BootupState, DataState, HeadState, NeighborInfo, Role, SanityRound,
+    AssocState, AssociateInfo, BigAwayState, BootupState, DataState, HeadState, NeighborInfo, OrgRound,
+    Role, SanityRound,
 };
 
-/// 128-bit FNV-1a, folded byte-by-byte.
-///
-/// FNV is not cryptographic — fine here: fingerprints defend against
-/// accidental collision between explored states, not an adversary.
-#[derive(Debug, Clone)]
-pub struct Fnv128(u128);
-
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-impl Default for Fnv128 {
-    fn default() -> Self {
-        Fnv128::new()
-    }
-}
-
-impl Fnv128 {
-    /// A hasher at the FNV-1a offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv128(FNV128_OFFSET)
-    }
-
-    /// The digest so far.
-    #[must_use]
-    pub fn digest(&self) -> u128 {
-        self.0
-    }
-
-    /// Folds raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
-    }
-
-    /// Folds a `u64` (little-endian).
-    pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Folds an `i64` (little-endian).
-    pub fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Folds a boolean as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.bytes(&[u8::from(v)]);
-    }
-
-    /// Folds an `f64` by its bit pattern (`-0.0` and `0.0` differ; all
-    /// state floats are produced deterministically, so bitwise equality
-    /// is the right notion).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Folds a string, length-prefixed so concatenations can't alias.
-    pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn id(&mut self, id: NodeId) {
-        self.u64(id.raw());
-    }
-
-    fn opt_id(&mut self, id: Option<NodeId>) {
-        match id {
-            None => self.bytes(&[0]),
-            Some(id) => {
-                self.bytes(&[1]);
-                self.id(id);
-            }
-        }
-    }
-
-    fn point(&mut self, p: gs3_geometry::Point) {
-        self.f64(p.x);
-        self.f64(p.y);
-    }
-
-    /// A stored past timestamp, normalized to an age relative to `now`.
-    fn age(&mut self, now: SimTime, t: SimTime) {
-        self.u64(now.saturating_since(t).as_micros());
-    }
-
-    /// A stored timestamp that may lie in the future (deadlines),
-    /// normalized to a signed offset from `now`.
-    fn offset(&mut self, now: SimTime, t: SimTime) {
-        self.i64(t.as_micros() as i64 - now.as_micros() as i64);
-    }
-}
-
-fn fold_neighbor(h: &mut Fnv128, now: SimTime, info: &NeighborInfo) {
-    h.point(info.pos);
-    h.point(info.il);
-    h.u64(u64::from(info.icc_icp.icc));
-    h.u64(u64::from(info.icc_icp.icp));
-    h.u64(u64::from(info.hops));
-    h.age(now, info.last_heard);
-}
-
-fn fold_sanity(h: &mut Fnv128, round: &SanityRound) {
-    h.u64(round.round);
-    h.u64(round.asked.len() as u64);
-    for id in &round.asked {
-        h.id(*id);
-    }
-    h.u64(round.valid.len() as u64);
-    for id in &round.valid {
-        h.id(*id);
-    }
+fn fold_neighbor<'h>(h: &'h mut Fnv128, now: SimTime, info: &NeighborInfo) -> &'h mut Fnv128 {
+    let NeighborInfo { pos, il, icc_icp: IccIcp { icc, icp }, hops, last_heard } = info;
+    h.point(*pos).point(*il).u64(u64::from(*icc)).u64(u64::from(*icp)).u64(u64::from(*hops));
+    h.age(now, *last_heard)
 }
 
 fn fold_bootup(h: &mut Fnv128, b: &BootupState) {
-    h.opt_id(b.awaiting_decision);
-    h.u64(b.probe_round);
-    h.bool(b.collecting);
-    h.u64(b.head_offers.len() as u64);
-    for (id, pos, hops) in &b.head_offers {
-        h.id(*id);
-        h.point(*pos);
-        h.u64(u64::from(*hops));
-    }
-    h.u64(b.assoc_offers.len() as u64);
-    for (id, pos) in &b.assoc_offers {
-        h.id(*id);
-        h.point(*pos);
-    }
-    h.u64(u64::from(b.attempts));
+    let BootupState { awaiting_decision, probe_round, collecting, head_offers, assoc_offers, attempts } = b;
+    h.opt(*awaiting_decision, Fnv128::id).u64(*probe_round).bool(*collecting);
+    h.each(head_offers, |h, (id, pos, hops)| h.id(*id).point(*pos).u64(u64::from(*hops)));
+    h.each(assoc_offers, |h, (id, pos)| h.id(*id).point(*pos)).u64(u64::from(*attempts));
 }
 
 fn fold_head(h: &mut Fnv128, now: SimTime, s: &HeadState) {
-    h.point(s.il);
-    h.point(s.oil);
-    h.u64(u64::from(s.icc_icp.icc));
-    h.u64(u64::from(s.icc_icp.icp));
-    h.id(s.parent);
-    h.point(s.parent_il);
-    h.point(s.parent_pos);
-    h.point(s.root_pos);
-    h.u64(u64::from(s.hops));
-    h.age(now, s.parent_last_heard);
-    for (label, map) in [("children", &s.children), ("neighbors", &s.neighbors)] {
-        h.str(label);
-        h.u64(map.len() as u64);
-        for (id, info) in map {
-            h.id(*id);
-            fold_neighbor(h, now, info);
-        }
+    let HeadState {
+        il,
+        oil,
+        icc_icp: IccIcp { icc, icp },
+        parent,
+        parent_il,
+        parent_pos,
+        root_pos,
+        hops,
+        parent_last_heard,
+        children,
+        neighbors,
+        associates,
+        org,
+        org_rounds,
+        organized_once,
+        sanity,
+        sanity_rounds,
+        is_proxy,
+        proxy_refreshed,
+        pending_reports,
+        seek_rounds,
+        pending_seek,
+        failed_seeks,
+        quarantined,
+    } = s;
+    h.point(*il).point(*oil).u64(u64::from(*icc)).u64(u64::from(*icp)).id(*parent).point(*parent_il);
+    h.point(*parent_pos).point(*root_pos).u64(u64::from(*hops)).age(now, *parent_last_heard);
+    for map in [children, neighbors] {
+        h.each(map, |h, (id, info)| fold_neighbor(h.id(*id), now, info));
     }
-    h.u64(s.associates.len() as u64);
-    for (id, info) in &s.associates {
-        h.id(*id);
-        h.point(info.pos);
-        h.f64(info.energy);
-        h.age(now, info.last_heard);
-    }
-    match &s.org {
-        None => h.bytes(&[0]),
-        Some(org) => {
-            h.bytes(&[1]);
-            h.u64(org.round);
-            h.bool(org.soliciting);
-            h.u64(org.small.len() as u64);
-            for (id, pos, current) in &org.small {
-                h.id(*id);
-                h.point(*pos);
-                match current {
-                    None => h.bytes(&[0]),
-                    Some((head, d)) => {
-                        h.bytes(&[1]);
-                        h.id(*head);
-                        h.f64(*d);
-                    }
-                }
-            }
-            h.u64(org.heads.len() as u64);
-            for (id, pos, il) in &org.heads {
-                h.id(*id);
-                h.point(*pos);
-                h.point(*il);
-            }
-        }
-    }
-    h.u64(s.org_rounds);
-    h.bool(s.organized_once);
-    match &s.sanity {
-        None => h.bytes(&[0]),
-        Some(round) => {
-            h.bytes(&[1]);
-            fold_sanity(h, round);
-        }
-    }
-    h.u64(s.sanity_rounds);
-    h.bool(s.is_proxy);
-    h.age(now, s.proxy_refreshed);
-    h.u64(u64::from(s.pending_reports));
-    h.u64(s.seek_rounds);
-    match s.pending_seek {
-        None => h.bytes(&[0]),
-        Some(round) => {
-            h.bytes(&[1]);
-            h.u64(round);
-        }
-    }
-    h.u64(u64::from(s.failed_seeks));
-    h.bool(s.quarantined);
+    h.each(associates, |h, (id, info)| {
+        // `last_report_seq` only picks a gap or duplicate counter (workload.rs).
+        let AssociateInfo { pos, energy, last_heard, last_report_seq: _ } = info;
+        h.id(*id).point(*pos).f64(*energy).age(now, *last_heard)
+    });
+    h.opt(org.as_ref(), |h, OrgRound { round, soliciting, small, heads }| {
+        h.u64(*round).bool(*soliciting);
+        h.each(small, |h, (id, pos, current)| {
+            h.id(*id).point(*pos).opt(*current, |h, (head, d)| h.id(head).f64(d))
+        });
+        h.each(heads, |h, (id, pos, il)| h.id(*id).point(*pos).point(*il))
+    });
+    h.u64(*org_rounds).bool(*organized_once);
+    h.opt(sanity.as_ref(), |h, SanityRound { round, asked, valid }| {
+        h.u64(*round).each(asked, |h, id| h.id(*id)).each(valid, |h, id| h.id(*id))
+    });
+    h.u64(*sanity_rounds).bool(*is_proxy).age(now, *proxy_refreshed).u64(u64::from(*pending_reports));
+    h.u64(*seek_rounds).opt(*pending_seek, Fnv128::u64).u64(u64::from(*failed_seeks)).bool(*quarantined);
 }
 
 fn fold_assoc(h: &mut Fnv128, now: SimTime, a: &AssocState) {
-    h.id(a.head);
-    h.point(a.head_pos);
-    let c = &a.cell;
-    h.id(c.head);
-    h.point(c.head_pos);
-    h.point(c.il);
-    h.point(c.oil);
-    h.u64(u64::from(c.icc_icp.icc));
-    h.u64(u64::from(c.icc_icp.icp));
-    h.u64(u64::from(c.hops));
-    h.id(c.parent);
-    h.point(c.parent_il);
-    h.u64(c.candidates.len() as u64);
-    for id in &c.candidates {
-        h.id(*id);
-    }
-    h.point(c.root_pos);
-    h.age(now, a.last_heard);
-    h.bool(a.surrogate);
-    h.opt_id(a.election_pending);
+    let AssocState { head, head_pos, cell, last_heard, surrogate, election_pending } = a;
+    let CellInfo {
+        head: cell_head,
+        head_pos: cell_head_pos,
+        il,
+        oil,
+        icc_icp: IccIcp { icc, icp },
+        hops,
+        parent,
+        parent_il,
+        candidates,
+        root_pos,
+    } = &**cell;
+    h.id(*head).point(*head_pos).id(*cell_head).point(*cell_head_pos).point(*il).point(*oil);
+    h.u64(u64::from(*icc)).u64(u64::from(*icp)).u64(u64::from(*hops)).id(*parent).point(*parent_il);
+    h.each(candidates, |h, id| h.id(*id)).point(*root_pos);
+    h.age(now, *last_heard).bool(*surrogate).opt(*election_pending, Fnv128::id);
 }
 
 fn fold_big_away(h: &mut Fnv128, now: SimTime, b: &BigAwayState) {
-    h.bool(b.mobile);
-    h.opt_id(b.proxy);
-    h.u64(b.known_heads.len() as u64);
-    for (id, (pos, il, when)) in &b.known_heads {
-        h.id(*id);
-        h.point(*pos);
-        h.point(*il);
-        h.age(now, *when);
-    }
-    h.age(now, b.since);
+    let BigAwayState { mobile, proxy, known_heads, since } = b;
+    h.bool(*mobile).opt(*proxy, Fnv128::id);
+    h.each(known_heads, |h, (id, (pos, il, when))| h.id(*id).point(*pos).point(*il).age(now, *when));
+    h.age(now, *since);
 }
 
 fn fold_role(h: &mut Fnv128, now: SimTime, role: &Role) {
     match role {
-        Role::Bootup(b) => {
-            h.bytes(&[0]);
-            fold_bootup(h, b);
-        }
-        Role::Head(s) => {
-            h.bytes(&[1]);
-            fold_head(h, now, s);
-        }
-        Role::Associate(a) => {
-            h.bytes(&[2]);
-            fold_assoc(h, now, a);
-        }
-        Role::BigAway(b) => {
-            h.bytes(&[3]);
-            fold_big_away(h, now, b);
-        }
+        Role::Bootup(b) => fold_bootup(h.bytes(&[0]), b),
+        Role::Head(s) => fold_head(h.bytes(&[1]), now, s),
+        Role::Associate(a) => fold_assoc(h.bytes(&[2]), now, a),
+        Role::BigAway(b) => fold_big_away(h.bytes(&[3]), now, b),
     }
 }
 
 fn fold_reliable(h: &mut Fnv128, now: SimTime, rel: &ReliableState) {
-    h.u64(rel.next_seq);
-    h.u64(rel.pending.len() as u64);
-    let mut scratch = String::new();
-    for (seq, send) in &rel.pending {
-        h.u64(*seq);
-        h.id(send.to);
-        scratch.clear();
-        let _ = write!(scratch, "{:?}", send.msg);
-        h.str(&scratch);
-        h.u64(u64::from(send.attempt));
-    }
-    h.u64(rel.seen.len() as u64);
-    for (id, win) in &rel.seen {
-        h.id(*id);
-        h.u64(win.hi);
-        h.u64(win.recent.len() as u64);
-        for seq in &win.recent {
-            h.u64(*seq);
-        }
-    }
-    h.u64(rel.detectors.len() as u64);
-    for (id, det) in &rel.detectors {
-        h.id(*id);
-        h.age(now, det.last);
-        h.u64(det.mean_us);
-        h.u64(det.dev_us);
-        h.u64(u64::from(det.samples));
-    }
-    h.u64(rel.suspected.len() as u64);
-    for (id, deadline) in &rel.suspected {
-        h.id(*id);
-        h.offset(now, *deadline);
-    }
+    let ReliableState { next_seq, pending, seen, detectors, suspected } = rel;
+    h.u64(*next_seq);
+    h.each(pending, |h, (seq, PendingSend { to, msg, attempt })| {
+        h.u64(*seq).id(*to).debug(msg).u64(u64::from(*attempt))
+    });
+    h.each(seen, |h, (id, SeenWindow { hi, recent })| h.id(*id).u64(*hi).each(recent, |h, seq| h.u64(*seq)));
+    h.each(detectors, |h, (id, Detector { last, mean_us, dev_us, samples })| {
+        h.id(*id).age(now, *last).u64(*mean_us).u64(*dev_us).u64(u64::from(*samples))
+    });
+    h.each(suspected, |h, (id, deadline)| h.id(*id).offset(now, *deadline));
 }
 
 fn fold_cong(h: &mut Fnv128, c: &CongestionState) {
-    h.u64(c.last_seen);
-    h.u64(u64::from(c.stretch_exp));
-    h.u64(u64::from(c.quiet));
+    let CongestionState { last_seen, stretch_exp, quiet } = c;
+    h.u64(*last_seen).u64(u64::from(*stretch_exp)).u64(u64::from(*quiet));
 }
 
 fn fold_data(h: &mut Fnv128, now: SimTime, d: &DataState) {
-    h.u64(d.leaf_seq);
-    h.u64(d.next_seq);
-    match d.accum_born {
-        None => h.bytes(&[0]),
-        Some(t) => {
-            h.bytes(&[1]);
-            h.age(now, t);
-        }
-    }
-    h.u64(d.queue.len() as u64);
-    for e in d.queue.iter() {
-        h.id(e.from);
-        h.id(e.origin);
-        h.u64(e.seq);
-        h.u64(u64::from(e.count));
-        h.age(now, e.born);
-    }
-    h.u64(u64::from(d.gate.credits()));
-    h.u64(u64::from(d.gate.starved_ticks()));
-    h.opt_id(d.gate_parent);
+    let DataState {
+        leaf_seq,
+        next_seq,
+        accum_born,
+        queue,
+        gate,
+        gate_parent,
+        ledger: _, // the sink ledger: its verdict only picks a counter (module docs)
+    } = d;
+    h.u64(*leaf_seq).u64(*next_seq).opt(*accum_born, |h, t| h.age(now, t));
+    h.each(queue.iter(), |h, BatchEntry { from, origin, seq, count, born }| {
+        h.id(*from).id(*origin).u64(*seq).u64(u64::from(*count)).age(now, *born)
+    });
+    h.u64(u64::from(gate.credits())).u64(u64::from(gate.starved_ticks())).opt(*gate_parent, Fnv128::id);
 }
 
 fn fold_node(h: &mut Fnv128, now: SimTime, node: &Gs3Node) {
-    h.bool(node.is_big);
-    fold_role(h, now, node.role());
-    fold_reliable(h, now, &node.rel);
-    fold_cong(h, &node.cong);
-    fold_data(h, now, &node.data);
+    let Gs3Node {
+        cfg: _, // the network's one shared configuration, folded once as `Network::cfg`
+        is_big,
+        role,
+        rel,
+        cong,
+        data,
+    } = node;
+    h.bool(*is_big);
+    fold_role(h, now, role);
+    fold_reliable(h, now, rel);
+    fold_cong(h, cong);
+    fold_data(h, now, data);
 }
 
 impl Network {
@@ -410,63 +227,24 @@ impl Network {
     /// (in particular, it draws no RNG).
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        let eng = self.engine();
+        let Network {
+            eng,
+            big,
+            bigs,
+            cfg,
+            rng,
+            budget,
+            scratch: _, // scratch, empty between calls
+            inv: _,     // cached snapshot and index; their verdicts equal a rebuild's
+        } = self;
         let now = eng.now();
         let mut h = Fnv128::new();
-
-        // Per-node physical + protocol state, in id order.
-        let ids: Vec<NodeId> = eng.ids().collect();
-        h.u64(ids.len() as u64);
-        for id in ids {
-            h.id(id);
-            let alive = eng.is_alive(id).expect("id came from the engine");
-            h.bool(alive);
-            if !alive {
-                // A dead node's residual state can't influence anything.
-                continue;
-            }
-            h.point(eng.position(id).expect("alive node has a position"));
-            h.f64(eng.energy(id).expect("alive node has an energy"));
-            fold_node(&mut h, now, eng.node(id).expect("alive node exists"));
-        }
-
-        // Pending events, canonically ordered and time-normalized by the
-        // engine (queue seq and timer ids are masked there).
-        let pending = eng.pending_event_hashes();
-        h.u64(pending.len() as u64);
-        for ev in pending {
-            h.u64(ev);
-        }
-
-        // Channel arbiter: granted claims + waiting queue. The Debug
-        // form is deterministic and time-free (claims hold no SimTime).
-        h.str(&format!("{:?}", eng.channel_state()));
-
-        // Adversarial channel: configuration, chain phase, jams, and any
-        // unconsumed script ops (the attempt counter and log are
-        // bookkeeping, not behavior — see module docs).
-        let faults = eng.faults();
-        h.str(&format!("{:?}", faults.config()));
-        h.bool(faults.burst_in_bad_state());
-        h.u64(faults.jams().len() as u64);
-        for jam in faults.jams() {
-            h.u64(jam.id);
-            h.point(jam.center);
-            h.f64(jam.radius);
-        }
-        h.u64(faults.script().len() as u64);
-        for (attempt, fate) in faults.script() {
-            h.u64(*attempt);
-            h.str(&format!("{fate:?}"));
-        }
-
-        // The random stream: protocol jitter draws from it, so states
-        // with diverged streams must not merge.
-        for word in eng.rng_state() {
+        h.id(*big).each(bigs, |h, id| h.id(*id)).debug(&**cfg).opt(*budget, Fnv128::f64);
+        for word in rng.state_words() {
             h.u64(word);
         }
-
-        h.digest()
+        eng.fold_state(&mut h, |h, node| fold_node(h, now, node));
+        h.finish()
     }
 }
 
@@ -544,6 +322,19 @@ mod tests {
         let mut sequenced = net.clone();
         sequenced.engine_mut().node_mut(victim).unwrap().data.leaf_seq += 1;
         assert_ne!(sequenced.fingerprint(), base, "leaf sequence number");
+    }
+
+    #[test]
+    fn fingerprint_folds_the_engine_outside_the_nodes() {
+        let mut net = pinned_net(11);
+        net.run_to_fixpoint().unwrap();
+        let base = net.fingerprint();
+        let mut jammed = net.clone();
+        jammed.start_jam(Point::new(900.0, 900.0), 1.0);
+        assert_ne!(jammed.fingerprint(), base, "a jam far from every node");
+        let mut contended = net.clone();
+        contended.engine_mut().set_contention(gs3_sim::ContentionConfig::on());
+        assert_ne!(contended.fingerprint(), base, "the contention configuration");
     }
 
     #[test]

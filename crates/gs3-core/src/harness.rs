@@ -7,6 +7,7 @@ use std::sync::Arc;
 use gs3_geometry::{Point, Vec2};
 use gs3_sim::deploy::Deployment;
 use gs3_sim::faults::{BurstLoss, FaultConfig};
+use gs3_sim::fnv::Fnv64;
 use gs3_sim::radio::{EnergyModel, RadioModel};
 use gs3_sim::{Engine, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -420,19 +421,19 @@ pub enum RunOutcome {
 /// independent copy — the model checker's state save/restore primitive.
 #[derive(Debug, Clone)]
 pub struct Network {
-    eng: Engine<Gs3Node>,
-    big: NodeId,
-    bigs: Vec<NodeId>,
+    pub(crate) eng: Engine<Gs3Node>,
+    pub(crate) big: NodeId,
+    pub(crate) bigs: Vec<NodeId>,
     /// The one configuration every node of this network shares.
-    cfg: Arc<Gs3Config>,
-    rng: StdRng,
-    budget: Option<f64>,
+    pub(crate) cfg: Arc<Gs3Config>,
+    pub(crate) rng: StdRng,
+    pub(crate) budget: Option<f64>,
     // Reused id scratch for the perturbation helpers (kill_disk candidate
     // collection, kill_random's alive census) — empty between calls.
-    scratch: Vec<NodeId>,
+    pub(crate) scratch: Vec<NodeId>,
     // Snapshot buffer + incrementally-maintained index for
     // check_invariants_incremental; populated lazily on first use.
-    inv: Option<(Snapshot, crate::invariants::SnapshotIndex)>,
+    pub(crate) inv: Option<(Snapshot, crate::invariants::SnapshotIndex)>,
 }
 
 // A network crosses threads whole (`run_grid`'s workers build and hand
@@ -576,44 +577,33 @@ impl Network {
         }
     }
 
-    /// The structural signature of the current state, computed straight
-    /// from engine state with no allocation — bit-identical to
-    /// `self.snapshot().structural_signature()`. The fixpoint detector
-    /// polls this every tick; none of the hashed fields require the
-    /// collection clones a full snapshot makes.
+    /// A 64-bit FNV-1a hash of the *structural* state — roles, head and
+    /// parent pointers, ILs (to the millimeter). Two states with equal
+    /// signatures have the same cell structure and head graph. The
+    /// fixpoint detector polls this every tick, straight from engine state
+    /// with no allocation.
     #[must_use]
     pub fn structural_signature(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut hasher = DefaultHasher::new();
+        let mm = |v: f64| (v * 1000.0).round() as i64;
+        let mut h = Fnv64::new();
         for id in self.eng.ids() {
             let node = self.eng.node(id).expect("ids() yields valid ids");
-            id.raw().hash(&mut hasher);
-            self.eng.is_alive(id).expect("valid id").hash(&mut hasher);
+            h.id(id).bool(self.eng.is_alive(id).expect("valid id"));
             match &node.role {
-                Role::Bootup(_) => 0u8.hash(&mut hasher),
-                Role::Head(h) => {
-                    1u8.hash(&mut hasher);
-                    h.parent.raw().hash(&mut hasher);
-                    h.hops.hash(&mut hasher);
-                    h.icc_icp.icc.hash(&mut hasher);
-                    h.icc_icp.icp.hash(&mut hasher);
-                    ((h.il.x * 1000.0).round() as i64).hash(&mut hasher);
-                    ((h.il.y * 1000.0).round() as i64).hash(&mut hasher);
-                }
-                Role::Associate(a) => {
-                    2u8.hash(&mut hasher);
-                    a.head.raw().hash(&mut hasher);
-                    a.surrogate.hash(&mut hasher);
-                }
-                Role::BigAway(b) => {
-                    3u8.hash(&mut hasher);
-                    b.proxy.map(NodeId::raw).hash(&mut hasher);
-                    b.mobile.hash(&mut hasher);
-                }
-            }
+                Role::Bootup(_) => h.bytes(&[0]),
+                Role::Head(s) => h
+                    .bytes(&[1])
+                    .id(s.parent)
+                    .u64(u64::from(s.hops))
+                    .u64(u64::from(s.icc_icp.icc))
+                    .u64(u64::from(s.icc_icp.icp))
+                    .i64(mm(s.il.x))
+                    .i64(mm(s.il.y)),
+                Role::Associate(a) => h.bytes(&[2]).id(a.head).bool(a.surrogate),
+                Role::BigAway(b) => h.bytes(&[3]).opt(b.proxy, Fnv64::id).bool(b.mobile),
+            };
         }
-        hasher.finish()
+        h.finish()
     }
 
     /// Runs the full invariant suite against the current state.
@@ -833,22 +823,6 @@ mod tests {
     #[test]
     fn builder_rejects_bad_geometry() {
         assert!(NetworkBuilder::new().ideal_radius(-1.0).build().is_err());
-    }
-
-    #[test]
-    fn direct_signature_matches_snapshot_signature() {
-        let mut net = NetworkBuilder::new()
-            .area_radius(150.0)
-            .expected_nodes(200)
-            .seed(7)
-            .build()
-            .unwrap();
-        assert_eq!(net.structural_signature(), net.snapshot().structural_signature());
-        net.run_for(SimDuration::from_secs(30));
-        assert_eq!(net.structural_signature(), net.snapshot().structural_signature());
-        net.kill_random(5);
-        net.run_for(SimDuration::from_secs(10));
-        assert_eq!(net.structural_signature(), net.snapshot().structural_signature());
     }
 
     #[test]

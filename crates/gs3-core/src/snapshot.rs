@@ -1,13 +1,10 @@
 //! Point-in-time views of a whole GS³ network.
 //!
 //! A [`Snapshot`] is extracted from the engine by the harness and is the
-//! input to the invariant checker, the structure metrics, and the
-//! fixpoint-stability detector. It carries only *observable* protocol
-//! state — positions, roles, and the relationships each node maintains —
-//! mirroring what the paper's predicates quantify over.
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+//! input to the invariant checker and the structure metrics. It carries
+//! only *observable* protocol state — positions, roles, and the
+//! relationships each node maintains — mirroring what the paper's
+//! predicates quantify over.
 
 use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
@@ -196,42 +193,6 @@ impl Snapshot {
         self.heads().any(|n| matches!(n.role, RoleView::Head { organizing: true, .. }))
     }
 
-    /// A hash of the *structural* state — roles, head/parent pointers,
-    /// ILs (to the millimeter). Two snapshots with equal signatures have
-    /// the same cell structure and head graph; the fixpoint detector polls
-    /// this.
-    #[must_use]
-    pub fn structural_signature(&self) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        for n in &self.nodes {
-            n.id.raw().hash(&mut hasher);
-            n.alive.hash(&mut hasher);
-            match &n.role {
-                RoleView::Bootup => 0u8.hash(&mut hasher),
-                RoleView::Head { il, parent, hops, icc_icp, .. } => {
-                    1u8.hash(&mut hasher);
-                    parent.raw().hash(&mut hasher);
-                    hops.hash(&mut hasher);
-                    icc_icp.icc.hash(&mut hasher);
-                    icc_icp.icp.hash(&mut hasher);
-                    ((il.x * 1000.0).round() as i64).hash(&mut hasher);
-                    ((il.y * 1000.0).round() as i64).hash(&mut hasher);
-                }
-                RoleView::Associate { head, surrogate, .. } => {
-                    2u8.hash(&mut hasher);
-                    head.raw().hash(&mut hasher);
-                    surrogate.hash(&mut hasher);
-                }
-                RoleView::BigAway { proxy, mobile } => {
-                    3u8.hash(&mut hasher);
-                    proxy.map(NodeId::raw).hash(&mut hasher);
-                    mobile.hash(&mut hasher);
-                }
-            }
-        }
-        hasher.finish()
-    }
-
     /// Groups alive members by cell head: `(head id, member ids including
     /// the head)`.
     #[must_use]
@@ -304,15 +265,6 @@ mod tests {
         let cells = s.cells();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].1.len(), 3);
-    }
-
-    #[test]
-    fn signature_stable_and_sensitive() {
-        let a = snap(vec![head_view(0, Point::ORIGIN), assoc_view(1, 0)]);
-        let b = snap(vec![head_view(0, Point::ORIGIN), assoc_view(1, 0)]);
-        assert_eq!(a.structural_signature(), b.structural_signature());
-        let c = snap(vec![head_view(0, Point::new(5.0, 0.0)), assoc_view(1, 0)]);
-        assert_ne!(a.structural_signature(), c.structural_signature());
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl AggQueue {
     }
 
     /// Iterates the queued batches oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &BatchEntry> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &BatchEntry> {
         self.entries.iter()
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `d1` | no hash containers (`HashMap`, `HashSet`, `FxHashMap`, `FxHashSet`) in `gs3-core`, `gs3-sim` or `gs3-dataplane` `src` — iteration order would leak into traces and digests; use `BTreeMap`/`BTreeSet` or a dense column |
+//! | `d1` | no hash containers (`HashMap`, `HashSet`, `FxHashMap`, `FxHashSet`) in `gs3-core`, `gs3-sim` or `gs3-dataplane` `src` — iteration order would leak into traces and digests; use `BTreeMap`/`BTreeSet` or a dense column — and no std default hasher there either: its algorithm is unspecified across releases, so hash with `gs3_sim::fnv` |
 //! | `d2` | no `Instant::now`, `SystemTime`, or `std::time` import beyond `Duration` outside `gs3-sim/src/time.rs` — all time must flow from the simulation clock |
 //! | `d3` | no direct `f64 ==`/`!=` against float literals on geometry values, and no `partial_cmp(…).unwrap()` — use the NaN-total `total_cmp` comparators |
 //! | `d4` | RNG inertness (cross-procedural): every seeded-RNG draw in a config-gated subsystem file that is reachable from protocol entry points must be dominated by that subsystem's config guard, either in its own function or on every reachable call path — a disabled subsystem must not shift the shared RNG stream |
@@ -85,7 +85,7 @@ struct Ban {
 }
 
 /// The banned-token table: `d1`, `d2`, `d5` and `a1`.
-const BANS: [Ban; 8] = [
+const BANS: [Ban; 9] = [
     Ban {
         rule: "d1",
         scope: protocol_src,
@@ -93,6 +93,14 @@ const BANS: [Ban; 8] = [
         pattern: &["HashMap|HashSet|FxHashMap|FxHashSet"],
         why: "is a hash container in a protocol path: its iteration order would leak into \
               traces and digests — use BTreeMap/BTreeSet or a dense column",
+    },
+    Ban {
+        rule: "d1",
+        scope: protocol_src,
+        skip_tests: false,
+        pattern: &["DefaultHasher|RandomState"],
+        why: "is std's default hasher: its algorithm is unspecified across Rust releases, so a \
+              pinned value can move with the toolchain — fold with gs3_sim::fnv",
     },
     Ban {
         rule: "d2",

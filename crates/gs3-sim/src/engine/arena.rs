@@ -33,7 +33,7 @@ pub(super) struct Arena<N: Node> {
     /// queue entry identifies itself by absence when it fires.
     pub(super) pending_timers: Vec<Vec<(u64, N::Timer)>>,
     /// The id the next armed timer gets; engine-wide and increasing.
-    next_timer_id: u64,
+    pub(super) next_timer_id: u64,
     /// Warm: per-node MAC contention events (deferrals, backoff-exhausted
     /// drops, corrupted frames) — the local congestion signal surfaced via
     /// [`Context::mac_events`](super::Context::mac_events). All zero while

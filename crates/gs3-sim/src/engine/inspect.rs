@@ -1,18 +1,15 @@
-//! For the model checker and harnesses: pending-state hashes, episodes.
+//! For the model checker and harnesses: state hashes, episodes.
+
+use std::fmt::Write as _;
 
 use super::*;
+use crate::faults::Jam;
+use crate::fnv::{Fnv128, Fnv64};
+use crate::medium::Tx;
 
 impl<N: Node> Engine<N> {
-    /// The channel-reservation arbiter's live state (granted claims and
-    /// the waiting queue) — read-only, for canonical state fingerprints.
-    #[must_use]
-    pub fn channel_state(&self) -> &ChannelManager {
-        &self.channel
-    }
-
-    /// The raw 256-bit RNG state, folded into the model checker's state
-    /// fingerprint so two states about to draw different random streams
-    /// are never merged.
+    /// The raw 256-bit RNG state: equal in two runs exactly when they have
+    /// drawn the same stream (what RNG-inertness tests compare).
     #[must_use]
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state_words()
@@ -35,57 +32,134 @@ impl<N: Node> Engine<N> {
     /// happens to occupy.
     #[must_use]
     pub fn pending_event_hashes(&self) -> Vec<u64> {
-        fn eat(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
         let mut entries: Vec<_> = self.queue.entries().collect();
         entries.sort_by_key(|&(at, seq, _)| (at, seq));
         entries
             .iter()
             .enumerate()
             .map(|(rank, &(at, _seq, ev))| {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                eat(&mut h, &(rank as u64).to_le_bytes());
-                eat(&mut h, &at.saturating_since(self.now).as_micros().to_le_bytes());
-                eat(&mut h, &ev.to.raw().to_le_bytes());
+                let mut h = Fnv64::new();
+                h.u64(rank as u64).u64(at.saturating_since(self.now).as_micros()).id(ev.to);
                 match &ev.kind {
-                    EventKind::Start => eat(&mut h, &[0]),
+                    EventKind::Start => {
+                        h.bytes(&[0]);
+                    }
                     EventKind::Deliver { flight } => {
                         let t = self.flights.get(*flight);
-                        eat(&mut h, &[1, u8::from(t.dest.is_directed())]);
-                        eat(&mut h, &t.from.raw().to_le_bytes());
-                        eat(&mut h, format!("{:?}", t.msg).as_bytes());
+                        h.bytes(&[1, u8::from(t.dest.is_directed())]).id(t.from);
+                        let _ = write!(h, "{:?}", t.msg);
                     }
                     EventKind::Timer { timer_id, timer } => {
                         let live = self.arena.pending_timers.get(ev.to.index()).is_some_and(|t| {
                             t.binary_search_by_key(timer_id, |(tid, _)| *tid).is_ok()
                         });
-                        eat(&mut h, &[2, u8::from(live)]);
-                        eat(&mut h, format!("{timer:?}").as_bytes());
+                        h.bytes(&[2, u8::from(live)]);
+                        let _ = write!(h, "{timer:?}");
                     }
-                    EventKind::ChannelGrant => eat(&mut h, &[3]),
+                    EventKind::ChannelGrant => {
+                        h.bytes(&[3]);
+                    }
                     EventKind::Resend { flight, attempt } => {
                         let t = self.flights.get(*flight);
                         match t.dest {
-                            Dest::Node(to) => {
-                                eat(&mut h, &[4]);
-                                eat(&mut h, &to.raw().to_le_bytes());
-                            }
-                            Dest::Disk(radius) => {
-                                eat(&mut h, &[5]);
-                                eat(&mut h, &radius.to_bits().to_le_bytes());
-                            }
-                        }
-                        eat(&mut h, &attempt.to_le_bytes());
-                        eat(&mut h, format!("{:?}", t.msg).as_bytes());
+                            Dest::Node(to) => h.bytes(&[4]).id(to),
+                            Dest::Disk(radius) => h.bytes(&[5]).f64(radius),
+                        };
+                        h.bytes(&attempt.to_le_bytes());
+                        let _ = write!(h, "{:?}", t.msg);
                     }
                 }
-                h
+                h.finish()
             })
             .collect()
+    }
+
+    /// Folds the engine's half of the model checker's canonical state
+    /// fingerprint into `h`; `fold_node` folds each alive node's protocol
+    /// state. Every struct is destructured without `..`, so a new field
+    /// does not compile until it is folded here or bound to `_` with its
+    /// reason. Stored instants fold as offsets from `now`, so states that
+    /// differ only by a rigid time shift fold equal.
+    pub fn fold_state(&self, h: &mut Fnv128, mut fold_node: impl FnMut(&mut Fnv128, &N)) {
+        let Engine {
+            radio,
+            energy_model,
+            arena:
+                Arena {
+                    nodes,
+                    positions,
+                    alive,
+                    energy,
+                    pending_timers: _, // each queued timer folds its liveness (pending_event_hashes)
+                    next_timer_id: _,  // history: timer ids are never folded
+                    mac_events,
+                    energy_settled,
+                },
+            grid: _,    // an index over the alive nodes' positions, which are folded
+            queue: _,   // pending_event_hashes folds each event's rank, delay, target and payload
+            flights: _, // reached only through the queue entries pending_event_hashes folds
+            channel,
+            faults:
+                FaultState {
+                    config,
+                    burst_bad,
+                    jams,
+                    next_jam_id: _, // history: the handle the next jam gets
+                    script,
+                    attempts,
+                    log_attempts: _, // the checker's probe: never changes a fate
+                    attempt_log: _,  // the checker's probe
+                },
+            contention,
+            medium:
+                MediumState {
+                    txs,
+                    next_id: _,        // history: the id the next transmission gets
+                    max_airtime_us: _, // a scan cutoff: how far a scan walks, never its answer
+                },
+            rng,
+            trace: _,            // observational
+            telemetry: _,        // observational
+            now,
+            events_processed: _, // observational
+            action_buf: _,       // scratch, empty between callbacks
+            recv_buf: _,         // scratch, empty between callbacks
+            kind_folds: _,       // the digest's tables, derived from the kind labels alone
+            grant_buf: _,        // scratch, empty between callbacks
+        } = self;
+        let now = *now;
+        h.debug(radio).debug(energy_model).debug(contention);
+        // Per node in id order; a dead node's residual state can't
+        // influence anything.
+        h.u64(nodes.len() as u64);
+        for (i, node) in nodes.iter().enumerate() {
+            h.bool(alive[i]);
+            if alive[i] {
+                h.point(positions[i]).f64(energy[i]).u64(mac_events[i]);
+                // The idle drain's settlement clock is read only while
+                // idle drain is on (`settle_idle`).
+                if energy_model.idle != 0.0 {
+                    h.age(now, energy_settled[i]);
+                }
+                fold_node(h, node);
+            }
+        }
+        h.each(self.pending_event_hashes(), Fnv128::u64);
+        h.debug(channel).debug(config).bool(*burst_bad);
+        h.each(jams, |h, Jam { id, center, radius }| h.u64(*id).point(*center).f64(*radius));
+        // Script ops key on global attempt indices: fold them relative to
+        // the counter, which is history.
+        h.each(script, |h, (attempt, fate)| h.u64(attempt.wrapping_sub(*attempts)).debug(fate));
+        // The medium's on-air transmissions, their windows as offsets.
+        // `id: _`: matched only against the window an in-flight frame
+        // carries, which no hash folds.
+        h.each(txs, |h, Tx { id: _, start_us, end_us, origin, range }| {
+            let at = |us: &u64| SimTime::from_micros(*us);
+            h.offset(now, at(start_us)).offset(now, at(end_us)).point(*origin).f64(*range)
+        });
+        for word in rng.state_words() {
+            h.u64(word);
+        }
     }
 
     /// Opens a healing episode at the current time; returns its id.

@@ -464,7 +464,7 @@ mod tests {
             eng.node(NodeId::new(1)).unwrap().received < sent,
             "the collided frame (attempt 0) never arrived"
         );
-        assert!(eng.faults().script().is_empty(), "script entry consumed");
+        assert!(eng.faults.script.is_empty(), "script entry consumed");
     }
 
     #[test]

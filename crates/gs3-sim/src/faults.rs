@@ -251,22 +251,22 @@ pub struct Jam {
 /// active jamming disks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
-    config: FaultConfig,
+    pub(crate) config: FaultConfig,
     /// Gilbert–Elliott chain state: true while in the lossy bad state.
-    burst_bad: bool,
-    jams: Vec<Jam>,
-    next_jam_id: u64,
+    pub(crate) burst_bad: bool,
+    pub(crate) jams: Vec<Jam>,
+    pub(crate) next_jam_id: u64,
     /// Scripted fates by global attempt index. Consulted before every
     /// probabilistic knob; an entry is consumed when its attempt happens.
-    script: BTreeMap<u64, Fate>,
+    pub(crate) script: BTreeMap<u64, Fate>,
     /// Global delivery-attempt counter (every in-range unicast and every
     /// per-receiver broadcast copy, scripted or not). Deterministic for a
     /// given seed, which is what lets a script recorded in one run replay
     /// in another.
-    attempts: u64,
+    pub(crate) attempts: u64,
     /// When set, every attempt is appended to `attempt_log`.
-    log_attempts: bool,
-    attempt_log: Vec<AttemptRecord>,
+    pub(crate) log_attempts: bool,
+    pub(crate) attempt_log: Vec<AttemptRecord>,
 }
 
 impl FaultState {
@@ -291,12 +291,6 @@ impl FaultState {
             log_attempts: false,
             attempt_log: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// Replaces the configuration (chain state and jams are kept).
@@ -337,21 +331,6 @@ impl FaultState {
     #[must_use]
     pub fn jams(&self) -> &[Jam] {
         &self.jams
-    }
-
-    /// True while the Gilbert–Elliott chain is in the lossy bad state
-    /// (part of the canonical state fingerprint: two states that differ
-    /// only in chain phase behave differently under burst loss).
-    #[must_use]
-    pub fn burst_in_bad_state(&self) -> bool {
-        self.burst_bad
-    }
-
-    /// The currently installed (not yet consumed) script, by attempt
-    /// index.
-    #[must_use]
-    pub fn script(&self) -> &BTreeMap<u64, Fate> {
-        &self.script
     }
 
     /// Whether a transmission from `from` to `to` is blocked by a jamming
@@ -400,12 +379,6 @@ impl FaultState {
             return SimDuration::ZERO;
         }
         SimDuration::from_micros(rng.gen_range(1..=self.config.delay_max.as_micros()))
-    }
-
-    /// True while the Gilbert–Elliott chain is in the bad state.
-    #[must_use]
-    pub fn in_burst(&self) -> bool {
-        self.burst_bad
     }
 
     /// Installs scripted fates keyed by global attempt index. Merges with
@@ -474,8 +447,8 @@ mod tests {
     fn default_state_is_inert() {
         let fs = FaultState::default();
         assert!(fs.is_inert());
-        assert!(fs.config().is_none());
-        assert!(!fs.in_burst());
+        assert!(fs.config.is_none());
+        assert!(!fs.burst_bad);
     }
 
     #[test]
@@ -518,7 +491,7 @@ mod tests {
         }
         let mean_run = runs.iter().map(|&r| f64::from(r)).sum::<f64>() / runs.len() as f64;
         assert!(mean_run > 3.0, "mean burst length {mean_run} not bursty");
-        assert!((fs.config().burst.mean_burst() - 5.0).abs() < 1e-12);
+        assert!((fs.config.burst.mean_burst() - 5.0).abs() < 1e-12);
     }
 
     #[test]

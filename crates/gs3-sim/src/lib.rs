@@ -25,6 +25,8 @@
 //! * [`telemetry`] (re-exported [`gs3_telemetry`]) — deterministic flight
 //!   recorder, causal healing-episode tracking, log-bucketed histograms,
 //!   and JSONL / Chrome-trace exporters, embedded in every [`engine::Engine`].
+//! * [`fnv`] — FNV-1a in 64 and 128 bits, the one hasher behind every
+//!   digest, fingerprint and signature.
 //! * [`time`], [`queue`], [`spatial`], [`trace`], [`rng`] — supporting
 //!   machinery.
 //!
@@ -75,6 +77,7 @@ pub mod channel;
 pub mod deploy;
 pub mod engine;
 pub mod faults;
+pub mod fnv;
 pub mod fxhash;
 mod ids;
 pub mod medium;

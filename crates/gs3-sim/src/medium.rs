@@ -127,12 +127,12 @@ impl TxWindow {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Tx {
-    id: u64,
-    start_us: u64,
-    end_us: u64,
-    origin: Point,
-    range: f64,
+pub(crate) struct Tx {
+    pub(crate) id: u64,
+    pub(crate) start_us: u64,
+    pub(crate) end_us: u64,
+    pub(crate) origin: Point,
+    pub(crate) range: f64,
 }
 
 /// Live medium occupancy: the recent transmissions, ordered by start time.
@@ -142,10 +142,10 @@ struct Tx {
 /// the number of *concurrent* transmissions, not retained history.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MediumState {
-    txs: VecDeque<Tx>,
-    next_id: u64,
+    pub(crate) txs: VecDeque<Tx>,
+    pub(crate) next_id: u64,
     /// Largest airtime seen so far, µs — the backward-scan cutoff bound.
-    max_airtime_us: u64,
+    pub(crate) max_airtime_us: u64,
 }
 
 impl MediumState {

@@ -47,7 +47,7 @@ fn chaos_run(seed: u64) -> (gs3::core::ChaosReport, u64) {
     let mut net = builder(seed).build().unwrap();
     net.run_to_fixpoint().unwrap();
     let report = net.run_chaos(&combined_plan());
-    let signature = net.snapshot().structural_signature();
+    let signature = net.structural_signature();
     (report, signature)
 }
 

@@ -104,7 +104,7 @@ fn maintained_structure_outlives_first_head_death() {
 fn energy_disabled_structure_is_immortal() {
     let mut net = energy_builder(304).build().unwrap();
     let _ = net.run_to_fixpoint().unwrap();
-    let sig = net.snapshot().structural_signature();
+    let sig = net.structural_signature();
     net.run_for(SimDuration::from_secs(600));
-    assert_eq!(net.snapshot().structural_signature(), sig, "no energy ⇒ no churn");
+    assert_eq!(net.structural_signature(), sig, "no energy ⇒ no churn");
 }

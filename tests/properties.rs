@@ -202,7 +202,7 @@ fn dedup_window_makes_redelivery_idempotent() {
             }
             net.run_for(SimDuration::from_secs(120));
             let dedups = net.engine().trace().proto("reliable_dedup_hits");
-            (net.snapshot().structural_signature(), dedups)
+            (net.structural_signature(), dedups)
         };
         let (sig_once, dedup_once) = run(1);
         let (sig_k, dedup_k) = run(k);

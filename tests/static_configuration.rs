@@ -44,7 +44,7 @@ fn configuration_is_deterministic_per_seed() {
     let run = || {
         let mut net = static_builder(42).build().unwrap();
         net.engine_mut().run_until_quiescent(DEADLINE).unwrap();
-        net.snapshot().structural_signature()
+        net.structural_signature()
     };
     assert_eq!(run(), run());
 }
@@ -54,7 +54,7 @@ fn different_seeds_differ() {
     let run = |seed| {
         let mut net = static_builder(seed).build().unwrap();
         net.engine_mut().run_until_quiescent(DEADLINE).unwrap();
-        net.snapshot().structural_signature()
+        net.structural_signature()
     };
     assert_ne!(run(10), run(11));
 }
