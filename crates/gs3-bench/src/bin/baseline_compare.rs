@@ -34,7 +34,6 @@ use gs3_baselines::hop::{cluster as hop_cluster, HopConfig};
 use gs3_baselines::leach::{Leach, LeachConfig};
 use gs3_baselines::sim::{run_baseline, Baseline, BaselineOutcome, BaselineSimConfig};
 use gs3_bench::runner::{run_grid, threads_from_args};
-use gs3_bench::banner;
 use gs3_core::harness::NetworkBuilder;
 use gs3_core::json::{self, JsonWriter};
 use gs3_core::RoleView;
@@ -93,7 +92,6 @@ fn main() {
     let threads = threads_from_args();
     let scale = if smoke { &SMOKE } else { &FULL };
 
-    banner("SEC6", "Related-work claims — GS3 vs LEACH vs hop-based clustering");
     static_quality_section();
 
     println!("\n--- workload lifetime: convergecast under churn ({} nodes) ---\n", scale.nodes);
@@ -190,7 +188,7 @@ fn static_quality_section() {
     ]);
     t.row([
         "healing scope (nodes)".into(),
-        "O(cell) — see table_a1 row 3".into(),
+        "O(cell) — see TBL-A1 row 3".into(),
         format!("{churn} (global re-election/round)"),
         "global re-run".into(),
         "local".into(),

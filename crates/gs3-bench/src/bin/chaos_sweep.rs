@@ -20,7 +20,6 @@
 
 use gs3_analysis::report::{num, Table};
 use gs3_bench::runner::{run_grid, threads_from_args};
-use gs3_bench::banner;
 use gs3_core::chaos::ChaosOptions;
 use gs3_core::config::MAX_STRETCH_EXP;
 use gs3_core::harness::{NetworkBuilder, RunOutcome};
@@ -322,9 +321,6 @@ impl Arm {
 fn main() {
     let json = std::env::args().skip(1).any(|a| a == "--json");
     let threads = threads_from_args();
-    if !json {
-        banner("CHAOS", "robustness — healing latency, reliability layer off vs on");
-    }
 
     let severities = [
         Severity { label: "clean", burst: BurstLoss::off() },

@@ -2,19 +2,13 @@
 //!
 //! The experiment harness regenerating every data-bearing table and figure
 //! of the GS³ paper, plus the derived-claim experiments indexed in
-//! `DESIGN.md §4`. Each experiment is a binary:
+//! `DESIGN.md §4`. Four binaries:
 //!
-//! | binary | paper artifact |
+//! | binary | artifact |
 //! |---|---|
-//! | `fig7` | Figure 7 — expected ratio of non-ideal cells |
-//! | `fig8` | Figure 8 — expected diameter of `R_t`-gap perturbed regions |
-//! | `table_a1` | Appendix 1 — complexity & convergence table (5 rows) |
-//! | `thm11` | Theorem 11 — big-node move containment |
-//! | `structure_quality` | Corollaries 1–2 — realized structure bounds |
-//! | `baseline_compare` | Section 6 — GS³ vs LEACH vs hop clustering |
-//! | `sliding` | §4.3.5.1 — coherent sliding under uniform depletion |
-//! | `chaos_sweep` | robustness — healing latency vs burst loss × churn |
-//! | `locality` | Theorems 8–13 — episode healing radius vs network size |
+//! | `paper` | the paper's own tables, one [`paper`] section each: FIG7, FIG8, TBL-A1, THM11, COR1-2, SLIDE, ABLATION, LOCALITY — `BENCH_paper.json` |
+//! | `baseline_compare` | Section 6 — GS³ vs LEACH vs hop clustering: `BENCH_dataplane.json` |
+//! | `chaos_sweep` | robustness — healing latency vs burst loss × churn: `BENCH_chaos.json` |
 //! | `scale_probe` | scale headroom — 10⁶ nodes configure, lose a disk and heal: `BENCH_core.json` |
 //!
 //! Every grid experiment (all but `scale_probe`, a single run) accepts
@@ -32,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod locality;
+pub mod paper;
 pub mod runner;
 
 use gs3_core::harness::NetworkBuilder;
@@ -49,14 +44,6 @@ pub fn standard_builder(seed: u64) -> NetworkBuilder {
         .area_radius(320.0)
         .expected_nodes(1400)
         .seed(seed)
-}
-
-/// Prints the standard experiment header.
-pub fn banner(id: &str, artifact: &str) {
-    println!("================================================================");
-    println!("GS3 reproduction — experiment {id}");
-    println!("paper artifact: {artifact}");
-    println!("================================================================\n");
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The healing-locality sweep shared by the `locality` binary and the
+//! The healing-locality sweep behind `paper`'s LOCALITY section and the
 //! determinism tests.
 //!
 //! The paper's locality theorems (8–13) say the repair of a perturbation
@@ -11,12 +11,11 @@
 //! and message cost are read back. Size-independence shows up as flat
 //! columns.
 //!
-//! Everything is seeded; [`sweep_json`] is byte-identical at any thread
-//! count (cells run via [`crate::runner::run_grid`]).
+//! Everything is seeded; [`sweep_grid`] returns the same points at any
+//! thread count (cells run via [`crate::runner::run_grid`]).
 
 use gs3_core::chaos::{FaultKind, FaultPlan};
 use gs3_core::harness::NetworkBuilder;
-use gs3_core::json;
 use gs3_geometry::Point;
 use gs3_sim::SimDuration;
 
@@ -53,7 +52,7 @@ pub const CRASH_CENTER: Point = Point { x: 90.0, y: 0.0 };
 pub const CRASH_RADIUS: f64 = 45.0;
 
 /// One (size, seed) cell's measurements, read from the episode reducer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalityPoint {
     /// Expected node count of the deployment.
     pub nodes: usize,
@@ -68,8 +67,6 @@ pub struct LocalityPoint {
     pub radius_m: f64,
     /// Messages attributed to the episode (its healing cost).
     pub messages: u64,
-    /// Deliveries attributed to the episode.
-    pub deliveries: u64,
     /// Nodes tainted by the episode's causal closure.
     pub tainted: u64,
     /// Healing latency in seconds (`None` when the settle window passed
@@ -109,7 +106,6 @@ pub fn run_cell(nodes: usize, seed: u64) -> LocalityPoint {
         killed: outcome.killed,
         radius_m: ep.radius_m,
         messages: ep.messages,
-        deliveries: ep.deliveries,
         tainted: ep.tainted,
         heal_s: outcome.heal_latency.map(|l| l.as_secs_f64()),
     }
@@ -132,41 +128,4 @@ pub fn sweep_grid(sizes: &[usize], seeds: &[u64], threads: usize) -> Vec<Localit
 #[must_use]
 pub fn sweep(threads: usize) -> Vec<LocalityPoint> {
     sweep_grid(&SIZES, &SEEDS, threads)
-}
-
-/// An arbitrary grid as a machine-readable JSON document —
-/// byte-identical at any `threads` (the determinism tests assert this).
-#[must_use]
-pub fn sweep_grid_json(sizes: &[usize], seeds: &[u64], threads: usize) -> String {
-    let points = sweep_grid(sizes, seeds, threads);
-    json::to_string(|w| {
-        w.object(|w| {
-            w.key("experiment").str("locality");
-            w.key("crash_radius_m").fixed(CRASH_RADIUS, 1);
-            w.key("points").array(|w| {
-                for p in &points {
-                    w.object(|w| {
-                        w.key("nodes").u64(p.nodes as u64);
-                        w.key("area_m").fixed(p.area, 1);
-                        w.key("seed").u64(p.seed);
-                        w.key("killed").u64(p.killed as u64);
-                        w.key("radius_m").fixed(p.radius_m, 1);
-                        w.key("messages").u64(p.messages);
-                        w.key("deliveries").u64(p.deliveries);
-                        w.key("tainted").u64(p.tainted);
-                        match p.heal_s {
-                            Some(h) => w.key("heal_s").fixed(h, 3),
-                            None => w.key("heal_s").null(),
-                        };
-                    });
-                }
-            });
-        });
-    })
-}
-
-/// The full sweep as a machine-readable JSON document.
-#[must_use]
-pub fn sweep_json(threads: usize) -> String {
-    sweep_grid_json(&SIZES, &SEEDS, threads)
 }

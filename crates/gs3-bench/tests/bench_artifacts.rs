@@ -1,10 +1,17 @@
 //! Regression gates over the committed `BENCH_chaos.json`,
-//! `BENCH_dataplane.json` and `BENCH_core.json` artifacts.
+//! `BENCH_dataplane.json`, `BENCH_paper.json` and `BENCH_core.json`
+//! artifacts.
 //!
-//! The first two are byte-compared against fresh output in CI; the third
+//! The first three are byte-compared against fresh output in CI; the last
 //! is a 15-minute run, so it is held to HEAD where a test can: the type
 //! widths exactly, the row's shape, and the binary that writes it driven
 //! at 3 000 nodes.
+//!
+//! `BENCH_paper.json` is gated on each claim EXPERIMENTS.md makes from
+//! it, never on a raw number: FIG7's measured ratio falls with α, COR1-2
+//! and TBL-A1 row 5 leave no violation, TBL-A1 row 3 does not heal slower
+//! when n doubles, THM11's control changes no edge, and the IL-anchored
+//! ablation arm stays within `R_t` at every band.
 //!
 //! `BENCH_chaos.json` is byte-compared against a fresh `chaos_sweep
 //! --json` in CI, so it is what HEAD emits; the test here checks that it
@@ -121,6 +128,64 @@ fn committed_chaos_artifact_says_what_experiments_md_says() {
             let lost = int(a, "runs") - int(a, "healed");
             assert!(lost <= u64::from(storm), "{name} cell lost {lost} runs: {cell:?}");
         }
+    }
+}
+
+/// The rows of table `name` in section `id` of `BENCH_paper.json`.
+fn paper_table<'d>(doc: &'d JsonValue, id: &str, name: &str) -> &'d [JsonValue] {
+    let section = items(doc, "sections")
+        .iter()
+        .find(|s| s.get("id").and_then(JsonValue::as_str) == Some(id))
+        .unwrap_or_else(|| panic!("no section {id:?}"));
+    let tables = section.get("tables").unwrap_or_else(|| panic!("{id} has no tables"));
+    items(tables, name)
+}
+
+#[test]
+fn committed_paper_artifact_says_what_experiments_md_says() {
+    let doc = artifact("BENCH_paper.json");
+    assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("BENCH_paper"));
+
+    // FIG7: rows run from the largest target α down; fewer gaps are
+    // expected as the matched density rises, never more.
+    let fig7 = paper_table(&doc, "FIG7", "empirical");
+    let alpha: Vec<f64> = fig7.iter().map(|r| num(r, "target alpha")).collect();
+    let ratio: Vec<f64> = fig7.iter().map(|r| num(r, "measured ratio")).collect();
+    assert!(alpha.windows(2).all(|w| w[1] < w[0]), "α must descend: {alpha:?}");
+    assert!(ratio.windows(2).all(|w| w[1] <= w[0]), "the non-ideal ratio rose as α fell: {ratio:?}");
+
+    for (id, name, column) in
+        [("COR1-2", "runs", "violations"), ("TBL-A1", "row5_arbitrary_state", "violations left")]
+    {
+        for row in paper_table(&doc, id, name) {
+            assert_eq!(int(row, column), 0, "{id} leaves invariant violations: {row:?}");
+        }
+    }
+
+    // TBL-A1 row 3: local healing — doubling n at a fixed D_p must not
+    // slow the heal. (The impact radius is not gated: it widens with the
+    // field once D_p spans several cells.)
+    let row3 = paper_table(&doc, "TBL-A1", "row3_perturbation");
+    let heal = |n: u64, dp: f64| {
+        let row = row3
+            .iter()
+            .find(|r| int(r, "n") == n && num(r, "D_p (kill diam, m)") == dp)
+            .unwrap_or_else(|| panic!("no row n={n} D_p={dp}"));
+        num(row, "heal time (s)")
+    };
+    for dp in [120.0, 240.0, 360.0] {
+        assert!(heal(3000, dp) <= heal(1500, dp), "heal time grew with n at D_p = {dp}");
+    }
+
+    // THM11: the no-move control is the first row and flips no edge, so
+    // every changed edge in the move rows is caused by the move.
+    let control = &paper_table(&doc, "THM11", "moves")[0];
+    assert_eq!(num(control, "d (move, m)"), 0.0, "the first THM11 row is the control: {control:?}");
+    assert_eq!(int(control, "edges changed (all seeds)"), 0, "background churn: {control:?}");
+
+    // ABLATION part 1: with IL anchoring, no band drifts past R_t = 14 m.
+    for row in paper_table(&doc, "ABLATION", "anchoring") {
+        assert!(num(row, "anchored: max") < 14.0, "anchored deviation reached R_t: {row:?}");
     }
 }
 

@@ -266,7 +266,7 @@ pub struct Gs3Config {
     /// at the cell's *ideal location* rather than the head's actual
     /// position. The paper's key trick for stopping placement error from
     /// accumulating across bands; turning it off demonstrates the
-    /// accumulation (`gs3-bench --bin ablation`).
+    /// accumulation (the ABLATION section of `gs3-bench`'s `paper`).
     pub anchor_ils: bool,
     /// ABLATION KNOB (default true = paper-faithful): serialize
     /// neighboring `HEAD_ORG` rounds through the channel-reservation

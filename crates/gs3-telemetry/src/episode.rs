@@ -16,7 +16,7 @@
 //! attribution *local by construction*, matching the form of the
 //! paper's locality claims (Theorems 8–13) — if healing really is
 //! local, the measured radius is flat in network size, which the
-//! `locality` bench demonstrates.
+//! LOCALITY section of the `paper` bench demonstrates.
 //!
 //! Per episode the reducer accumulates: message cost (transmissions by
 //! tainted nodes), deliveries, spatial radius in meters (farthest
@@ -86,9 +86,8 @@ impl Episode {
         self.closed_us.map(|c| c.saturating_sub(self.opened_us))
     }
 
-    /// Serialize as one JSON object. Shared by `gs3 chaos --json`,
-    /// `chaos_sweep`, and the `locality` bench so their episode output
-    /// is byte-identical for the same run.
+    /// Serialize as one JSON object, the form every chaos report's
+    /// `episodes` array takes.
     #[must_use]
     pub fn to_json(&self) -> String {
         json::to_string(|w| self.write_json(w))
