@@ -27,6 +27,12 @@ impl Cell {
         x.map_or(Cell::Missing, Cell::Num)
     }
 
+    /// A number with exactly `decimals` decimals, or [`Cell::Missing`].
+    #[must_use]
+    pub fn opt_fixed(x: Option<f64>, decimals: usize) -> Cell {
+        x.map_or(Cell::Missing, |x| Cell::Fixed(x, decimals))
+    }
+
     fn text(&self) -> String {
         match self {
             Cell::Int(v) => v.to_string(),

@@ -9,7 +9,7 @@
 //! nearest head. As the GS³ paper observes, this "guarantees neither the
 //! placement nor the number of clusters", and every perturbation is
 //! handled by *globally* re-running the election — the comparison the
-//! `baseline_compare` experiment quantifies.
+//! `artifact dataplane` suite's SEC6 section quantifies.
 
 use gs3_geometry::Point;
 use rand::Rng;

@@ -11,7 +11,7 @@
 //!   geographic radius, geographic interleaving of clusters.
 //! * [`cluster`] — shared clustering types and the quality metrics
 //!   (radius bounds, head spacing, misassignment, load balance) used by
-//!   the `baseline_compare` experiment.
+//!   the `artifact dataplane` suite's SEC6 section.
 //! * [`sim`] — a round-driven workload/energy simulator that drives the
 //!   baselines through the same convergecast traffic and energy model the
 //!   GS³ data plane runs under, for the reports-per-joule and lifetime

@@ -2,19 +2,20 @@
 //!
 //! The experiment harness regenerating every data-bearing table and figure
 //! of the GS³ paper, plus the derived-claim experiments indexed in
-//! `DESIGN.md §4`. Four binaries:
+//! `DESIGN.md §4`. Two binaries:
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `paper` | the paper's own tables, one [`paper`] section each: FIG7, FIG8, TBL-A1, THM11, COR1-2, SLIDE, ABLATION, LOCALITY — `BENCH_paper.json` |
-//! | `baseline_compare` | Section 6 — GS³ vs LEACH vs hop clustering: `BENCH_dataplane.json` |
-//! | `chaos_sweep` | robustness — healing latency vs burst loss × churn: `BENCH_chaos.json` |
+//! | `artifact paper` | the paper's own tables, one [`paper`] section each: FIG7, FIG8, TBL-A1, THM11, COR1-2, SLIDE, ABLATION, LOCALITY — `BENCH_paper.json` |
+//! | `artifact chaos` | robustness, [`chaos`]: CHAOS (healing vs burst loss × churn) and CONGESTION — `BENCH_chaos.json` |
+//! | `artifact dataplane` | Section 6, [`dataplane`]: SEC6 (GS³ vs LEACH vs hop clustering) and DATA (reports per joule, Ω(n_c)) — `BENCH_dataplane.json` |
 //! | `scale_probe` | scale headroom — 10⁶ nodes configure, lose a disk and heal: `BENCH_core.json` |
 //!
-//! Every grid experiment (all but `scale_probe`, a single run) accepts
-//! `--threads N` / `-j N`: the (seed × parameter) grid fans out over OS
-//! threads via [`runner::run_grid`] with cell-order results, so output
-//! artifacts are byte-identical at any thread count.
+//! Every suite in [`SUITES`] is a list of [`section::Section`]s, printed as
+//! text or written as its JSON document by [`section::to_json`]. Its
+//! (seed × parameter) grids fan out over `-j N` OS threads via
+//! [`runner::run_grid`] with cell-order results, so the documents are
+//! byte-identical at any thread count.
 //!
 //! Host time is not measured here. Events per second, set-up time, RSS
 //! and every isolated per-layer cost come from the repository benchmark
@@ -25,11 +26,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos;
+pub mod dataplane;
 pub mod locality;
 pub mod paper;
 pub mod runner;
+pub mod section;
 
 use gs3_core::harness::NetworkBuilder;
+
+use section::Section;
+
+/// A committed suite: its name and the function that runs its sections
+/// over a number of worker threads. `BENCH_<name>.json` is its document.
+pub type Suite = (&'static str, fn(usize) -> Vec<Section>);
+
+/// Every committed suite.
+pub const SUITES: [Suite; 3] =
+    [("paper", paper::sections), ("chaos", chaos::sections), ("dataplane", dataplane::sections)];
 
 /// Seeds used when an experiment averages over deployments.
 pub const SEEDS: [u64; 5] = [11, 23, 37, 51, 73];

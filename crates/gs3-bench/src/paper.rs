@@ -1,11 +1,8 @@
-//! The paper's experiments, one function per artifact, behind the `paper`
-//! binary.
+//! The `paper` suite: the paper's experiments, one function per artifact,
+//! written as `BENCH_paper.json`.
 //!
 //! Each function runs its grid through [`run_grid`] and returns a
-//! [`Section`]: prose and typed [`Table`]s in print order. The text report
-//! ([`Section::render`]) and the `BENCH_paper.json` document ([`to_json`])
-//! are two views of the same rows; the JSON carries the tables only, and
-//! no host-time field, so it is byte-identical at any thread count.
+//! [`Section`] of typed [`Table`]s.
 
 use gs3_analysis::convergence::{max_distance_from_big, measure_configuration};
 use gs3_analysis::lifetime::run_lifetime;
@@ -16,7 +13,6 @@ use gs3_analysis::report::{Cell, Table};
 use gs3_analysis::stats::{quantile, Summary};
 use gs3_core::harness::NetworkBuilder;
 use gs3_core::invariants::{check_all, inner_heads, Strictness};
-use gs3_core::json::{self, JsonWriter};
 use gs3_core::{Gs3Config, Mode, RoleView};
 use gs3_geometry::hex::{Axial, HexLayout};
 use gs3_geometry::spiral::IccIcp;
@@ -26,73 +22,14 @@ use gs3_sim::{SimDuration, SimTime};
 
 use crate::locality::{self, LocalityPoint, CRASH_RADIUS, SIZES};
 use crate::runner::run_grid;
+use crate::section::Section;
 use crate::SEEDS;
 
-use Cell::{Fixed, Int, Num, Text};
-
-/// One experiment's output: prose and named tables, in print order.
-#[derive(Debug)]
-pub struct Section {
-    /// Short experiment id (`FIG7`, `TBL-A1`, …).
-    id: &'static str,
-    /// The paper artifact the experiment reproduces.
-    artifact: &'static str,
-    blocks: Vec<Block>,
-}
-
-#[derive(Debug)]
-enum Block {
-    /// Printed as one `println!`.
-    Text(String),
-    /// A named table; its name keys it in the JSON section.
-    Table(&'static str, Table),
-}
-
-impl Section {
-    fn new(id: &'static str, artifact: &'static str) -> Self {
-        Section { id, artifact, blocks: Vec::new() }
-    }
-
-    fn text(&mut self, s: impl Into<String>) {
-        self.blocks.push(Block::Text(s.into()));
-    }
-
-    fn table(&mut self, name: &'static str, t: Table) {
-        self.blocks.push(Block::Table(name, t));
-    }
-
-    /// The human report: a heading, then every block in order.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = format!("=== {} — {} ===\n\n", self.id, self.artifact);
-        for block in &self.blocks {
-            match block {
-                Block::Text(s) => out.push_str(s),
-                Block::Table(_, t) => out.push_str(&t.render()),
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    fn write_json(&self, w: &mut JsonWriter<'_>) {
-        w.object(|w| {
-            w.key("id").str(self.id);
-            w.key("artifact").str(self.artifact);
-            w.key("tables").object(|w| {
-                for block in &self.blocks {
-                    if let Block::Table(name, t) = block {
-                        t.write_json(w.key(name));
-                    }
-                }
-            });
-        });
-    }
-}
+use Cell::{Fixed, Int, Missing, Num, Text};
 
 /// Runs every experiment, each grid over `threads` workers.
 #[must_use]
-pub fn run(threads: usize) -> Vec<Section> {
+pub fn sections(threads: usize) -> Vec<Section> {
     let gaps = gap_grid(threads);
     vec![
         fig7(&gaps),
@@ -104,21 +41,6 @@ pub fn run(threads: usize) -> Vec<Section> {
         ablation(threads),
         healing_locality(threads),
     ]
-}
-
-/// The `BENCH_paper.json` document: every section's tables.
-#[must_use]
-pub fn to_json(sections: &[Section]) -> String {
-    json::to_string(|w| {
-        w.object(|w| {
-            w.key("suite").str("BENCH_paper");
-            w.key("sections").array(|w| {
-                for s in sections {
-                    s.write_json(w);
-                }
-            });
-        });
-    })
 }
 
 /// Target gap probabilities of the matched-α deployments FIG7 and FIG8
@@ -750,6 +672,10 @@ fn sliding() -> Section {
         .expect("valid parameters");
     let _ = net.run_to_fixpoint();
 
+    s.text(
+        "min/max ⟨ICC,ICP⟩ range over the drainable cells: the big node's\n\
+         mains-powered head never drains, so its cell never shifts.\n",
+    );
     let mut t = Table::new([
         "t (s)",
         "heads",
@@ -764,10 +690,11 @@ fn sliding() -> Section {
         net.run_for(SimDuration::from_secs(60));
         let snap = net.snapshot();
         let m = measure(&snap);
-        let spirals: Vec<IccIcp> = snap
+        // (is the big node, spiral position) per head.
+        let spirals: Vec<(bool, IccIcp)> = snap
             .heads()
             .filter_map(|h| match &h.role {
-                RoleView::Head { icc_icp, .. } => Some(*icc_icp),
+                RoleView::Head { icc_icp, .. } => Some((h.is_big, *icc_icp)),
                 _ => None,
             })
             .collect();
@@ -775,16 +702,16 @@ fn sliding() -> Section {
             s.text(format!("structure exhausted at {}", net.now()));
             break;
         }
-        let shifted = spirals.iter().filter(|k| **k != IccIcp::ORIGIN).count();
-        let min = spirals.iter().min().copied().unwrap_or(IccIcp::ORIGIN);
-        let max = spirals.iter().max().copied().unwrap_or(IccIcp::ORIGIN);
+        let shifted = spirals.iter().filter(|(_, k)| *k != IccIcp::ORIGIN).count();
+        let drainable = spirals.iter().filter(|(big, _)| !big).map(|&(_, k)| k);
+        let spiral = |k: Option<IccIcp>| k.map_or(Missing, |k| Text(k.to_string()));
         t.row([
             Fixed(net.now().as_secs_f64(), 0),
             Int(m.heads as u64),
             Int(net.engine().alive_count() as u64),
             Text(format!("{shifted}/{}", spirals.len())),
-            Text(min.to_string()),
-            Text(max.to_string()),
+            spiral(drainable.clone().min()),
+            spiral(drainable.max()),
             Num(m.neighbor_head_distance.mean),
             Num(m.neighbor_head_distance.std_dev),
         ]);

@@ -59,30 +59,6 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Thread count requested on the command line: `--threads N`, `-j N`, or
-/// `-jN`. Defaults to the machine's available parallelism.
-#[must_use]
-pub fn threads_from_args() -> usize {
-    threads_from(std::env::args().skip(1))
-}
-
-fn threads_from<I: Iterator<Item = String>>(args: I) -> usize {
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let value = if a == "--threads" || a == "-j" {
-            args.next()
-        } else if let Some(rest) = a.strip_prefix("-j") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        if let Some(n) = value.and_then(|v| v.parse::<usize>().ok()) {
-            return n.max(1);
-        }
-    }
-    default_threads()
-}
-
 /// The machine's available parallelism (1 when undetectable).
 #[must_use]
 pub fn default_threads() -> usize {
@@ -137,16 +113,5 @@ mod tests {
         };
         let serial = run_grid(&seeds, 1, f);
         assert_eq!(run_grid(&seeds, 4, f), serial);
-    }
-
-    #[test]
-    fn thread_flag_parsing() {
-        let parse = |s: &[&str]| threads_from(s.iter().map(ToString::to_string));
-        assert_eq!(parse(&["--threads", "3"]), 3);
-        assert_eq!(parse(&["-j", "5"]), 5);
-        assert_eq!(parse(&["-j7"]), 7);
-        assert_eq!(parse(&["--threads", "0"]), 1, "clamped to at least one");
-        assert_eq!(parse(&["--other", "2"]), default_threads());
-        assert_eq!(parse(&[]), default_threads());
     }
 }

@@ -1,27 +1,30 @@
 //! Regression gates over the committed `BENCH_chaos.json`,
 //! `BENCH_dataplane.json`, `BENCH_paper.json` and `BENCH_core.json`
-//! artifacts.
+//! artifacts, and the command line of the binary that writes the first
+//! three.
 //!
-//! The first three are byte-compared against fresh output in CI; the last
-//! is a 15-minute run, so it is held to HEAD where a test can: the type
-//! widths exactly, the row's shape, and the binary that writes it driven
-//! at 3 000 nodes.
+//! The first three are suites of sections, byte-compared against a fresh
+//! `artifact <suite> --json` in CI; the last is a 15-minute run, so it is
+//! held to HEAD where a test can: the type widths exactly, the row's
+//! shape, and the binary that writes it driven at 3 000 nodes.
 //!
-//! `BENCH_paper.json` is gated on each claim EXPERIMENTS.md makes from
-//! it, never on a raw number: FIG7's measured ratio falls with α, COR1-2
-//! and TBL-A1 row 5 leave no violation, TBL-A1 row 3 does not heal slower
-//! when n doubles, THM11's control changes no edge, and the IL-anchored
-//! ablation arm stays within `R_t` at every band.
+//! Each suite is gated on the claims EXPERIMENTS.md makes from it, never
+//! on a raw number, so a regenerated file fails `cargo test` only when the
+//! text has become false:
 //!
-//! `BENCH_chaos.json` is byte-compared against a fresh `chaos_sweep
-//! --json` in CI, so it is what HEAD emits; the test here checks that it
-//! still says what EXPERIMENTS.md "Congestion collapse" says about it —
-//! 30 runs per cell and arm; congestion adaptation lowers mean collisions
-//! in every cell; the non-adaptive arm configures and heals every run;
-//! the adaptive arm never configures in more runs than the non-adaptive
-//! one; every run that configures heals — and never pins a raw count, so
-//! a regenerated file fails `cargo test` only when the text has become
-//! false.
+//! - `paper`: FIG7's measured ratio falls with α, COR1-2 and TBL-A1 row 5
+//!   leave no violation, TBL-A1 row 3 does not heal slower when n doubles,
+//!   THM11's control changes no edge, and the IL-anchored ablation arm
+//!   stays within `R_t` at every band.
+//! - `chaos` ("Congestion collapse"): 30 runs per cell and arm; congestion
+//!   adaptation lowers mean collisions in every cell; the non-adaptive arm
+//!   configures and heals every run; the adaptive arm never configures in
+//!   more runs than the non-adaptive one; every run that configures heals;
+//!   burst × churn cells lose no run outside storm churn, at most one in it.
+//! - `dataplane`: GS³'s min head spacing respects √3R − 2R_t and LEACH's
+//!   does not; GS³ misassigns no node and hop clustering does; all three
+//!   arms deliver at ≥ 10k nodes; the Ω(n_c) lengthening exceeds 1 and
+//!   grows with n_c.
 
 use std::path::Path;
 use std::process::Command;
@@ -42,45 +45,78 @@ fn items<'d>(v: &'d JsonValue, key: &str) -> &'d [JsonValue] {
 }
 
 fn int(v: &JsonValue, key: &str) -> u64 {
-    v.get(key).and_then(JsonValue::as_u64).unwrap_or_else(|| panic!("missing integer {key:?}"))
+    v.get(key).and_then(JsonValue::as_u64).unwrap_or_else(|| panic!("missing integer {key:?} in {v:?}"))
 }
 
-fn arm<'d>(cell: &'d JsonValue, name: &str) -> &'d JsonValue {
-    cell.get(name).unwrap_or_else(|| panic!("cell lacks arm {name:?}: {cell:?}"))
-}
-
-/// A number (integer or decimal, `-1` sentinels included).
+/// A number, integer or decimal (a `null` cell panics).
 fn num(v: &JsonValue, key: &str) -> f64 {
-    v.get(key).and_then(JsonValue::as_f64).unwrap_or_else(|| panic!("missing number {key:?}"))
+    v.get(key).and_then(JsonValue::as_f64).unwrap_or_else(|| panic!("missing number {key:?} in {v:?}"))
+}
+
+fn text<'d>(v: &'d JsonValue, key: &str) -> &'d str {
+    v.get(key).and_then(JsonValue::as_str).unwrap_or_else(|| panic!("missing text {key:?} in {v:?}"))
+}
+
+/// The rows of table `name` in section `id` of a suite document.
+fn table<'d>(doc: &'d JsonValue, id: &str, name: &str) -> &'d [JsonValue] {
+    let section = items(doc, "sections")
+        .iter()
+        .find(|s| s.get("id").and_then(JsonValue::as_str) == Some(id))
+        .unwrap_or_else(|| panic!("no section {id:?}"));
+    let tables = section.get("tables").unwrap_or_else(|| panic!("{id} has no tables"));
+    items(tables, name)
+}
+
+/// The row of `rows` whose `column` reads `value`.
+fn row<'d>(rows: &'d [JsonValue], column: &str, value: &str) -> &'d JsonValue {
+    rows.iter().find(|r| text(r, column) == value).unwrap_or_else(|| panic!("no row {column} = {value:?}"))
+}
+
+/// The (off, on) row pairs of a table with one row per cell and arm.
+fn arm_pairs<'d>(rows: &'d [JsonValue], arm: &str) -> Vec<(&'d JsonValue, &'d JsonValue)> {
+    assert_eq!(rows.len() % 2, 0, "one row per cell and arm");
+    rows.chunks(2)
+        .map(|pair| {
+            assert_eq!((text(&pair[0], arm), text(&pair[1], arm)), ("off", "on"), "{pair:?}");
+            (&pair[0], &pair[1])
+        })
+        .collect()
 }
 
 #[test]
-fn committed_dataplane_artifact_compares_arms_and_shows_omega_nc() {
+fn committed_dataplane_artifact_says_what_experiments_md_says() {
     let doc = artifact("BENCH_dataplane.json");
-
     assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("BENCH_dataplane"));
-    assert_eq!(
-        doc.get("smoke").and_then(JsonValue::as_bool),
-        Some(false),
-        "committed artifact must be the full run"
-    );
-    assert!(int(&doc, "nodes") >= 10_000, "the comparison must run at >=10k nodes");
 
-    // All three arms present, each with a live workload and a real energy
-    // bill (raw values drift with tuning; the shape is what's pinned).
-    let arms = items(&doc, "arms");
-    let names: Vec<_> = arms.iter().map(|a| a.get("arm").and_then(JsonValue::as_str)).collect();
-    assert_eq!(names, [Some("gs3"), Some("leach"), Some("hop")]);
+    // SEC6 over one shared deployment: GS³'s head spacing respects
+    // Corollary 1 and LEACH's placement does not; GS³ assigns every node
+    // to its best head and hop clustering interleaves geographically.
+    let sec6 = table(&doc, "SEC6", "quality");
+    let spacing = row(sec6, "metric", "min head spacing (m)");
+    let bound = num(spacing, "GS3 bound");
+    assert!(num(spacing, "GS3") >= bound, "GS³ head spacing below √3R − 2R_t: {spacing:?}");
+    assert!(num(spacing, "LEACH") < bound, "LEACH placement now respects the bound: {spacing:?}");
+    let misassigned = row(sec6, "metric", "misassigned fraction");
+    assert_eq!(num(misassigned, "GS3"), 0.0, "GS³ misassigned a node: {misassigned:?}");
+    assert!(num(misassigned, "hop-based") > 0.0, "hop clustering no longer interleaves: {misassigned:?}");
+
+    // DATA: all three arms present, each with a live workload and a real
+    // energy bill (raw values drift with tuning; the shape is what's
+    // pinned).
+    let arms = table(&doc, "DATA", "arms");
+    let names: Vec<&str> = arms.iter().map(|a| text(a, "arm")).collect();
+    assert_eq!(names, ["gs3", "leach", "hop"]);
     for arm in arms {
-        assert!(int(arm, "reports_delivered") > 0, "every arm must deliver reports: {arm:?}");
-        assert!(num(arm, "energy_spent") > 0.0, "every arm must dissipate energy: {arm:?}");
-        assert!(num(arm, "reports_per_joule") > 0.0);
+        assert!(int(arm, "nodes") >= 10_000, "the comparison must run at >=10k nodes: {arm:?}");
+        assert!(int(arm, "reports") > 0, "every arm must deliver reports: {arm:?}");
+        assert!(num(arm, "energy") > 0.0, "every arm must dissipate energy: {arm:?}");
+        assert!(num(arm, "reports/J") > 0.0);
     }
 
     // The Ω(n_c) claim: the maintained/unmaintained lengthening factor
     // exists, exceeds 1, and does not shrink as cell population grows.
-    let sweep = items(&doc, "lifetime_sweep");
-    let n_c: Vec<f64> = sweep.iter().map(|p| num(p, "mean_cell_population")).collect();
+    let sweep = table(&doc, "DATA", "lifetime_sweep");
+    let n_c: Vec<f64> = sweep.iter().map(|p| num(p, "n_c (mean)")).collect();
     let lengthening: Vec<f64> = sweep.iter().map(|p| num(p, "lengthening")).collect();
     assert!(n_c.len() >= 2, "sweep needs at least two densities");
     assert!(n_c.windows(2).all(|w| w[0] < w[1]), "densities must ascend: {n_c:?}");
@@ -97,48 +133,37 @@ fn committed_dataplane_artifact_compares_arms_and_shows_omega_nc() {
 #[test]
 fn committed_chaos_artifact_says_what_experiments_md_says() {
     let doc = artifact("BENCH_chaos.json");
-    let cong = items(&doc, "congestion_cells");
+    assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("BENCH_chaos"));
+    let cong = arm_pairs(table(&doc, "CONGESTION", "cells"), "adaptive");
     assert_eq!(cong.len(), 4, "expected a 2×2 congestion grid");
 
-    for cell in cong {
-        let (off, on) = (arm(cell, "adaptive_off"), arm(cell, "adaptive_on"));
+    for (off, on) in cong {
         for a in [off, on] {
-            assert_eq!(int(a, "runs"), 30, "a cell is 30 seeds per arm: {cell:?}");
-            assert_eq!(int(a, "healed"), int(a, "configured"), "a configured run must heal: {cell:?}");
+            assert_eq!(int(a, "runs"), 30, "a cell is 30 seeds per arm: {a:?}");
+            assert_eq!(int(a, "healed"), int(a, "configured"), "a configured run must heal: {a:?}");
         }
         assert!(
             int(on, "collisions") < int(off, "collisions"),
-            "adaptation no longer sheds collisions: {cell:?}"
+            "adaptation no longer sheds collisions: {off:?} vs {on:?}"
         );
-        assert_eq!(int(off, "configured"), 30, "non-adaptive run failed to configure: {cell:?}");
+        assert_eq!(int(off, "configured"), 30, "non-adaptive run failed to configure: {off:?}");
         assert!(
             int(on, "configured") <= int(off, "configured"),
-            "the adaptive arm out-configures the non-adaptive one — rewrite EXPERIMENTS.md: {cell:?}"
+            "the adaptive arm out-configures the non-adaptive one — rewrite EXPERIMENTS.md: {on:?}"
         );
     }
 
     // The burst × churn grid: every calm and steady cell heals every run
     // in both arms; a storm cell may lose at most one (seed 181's dead
     // ancestor).
-    for cell in items(&doc, "cells") {
-        let storm = cell.get("churn").and_then(JsonValue::as_str) == Some("storm");
-        for name in ["reliable_off", "reliable_on"] {
-            let a = arm(cell, name);
-            assert_eq!(int(a, "runs"), 30, "a cell is 30 seeds per arm: {cell:?}");
-            let lost = int(a, "runs") - int(a, "healed");
-            assert!(lost <= u64::from(storm), "{name} cell lost {lost} runs: {cell:?}");
-        }
+    let cells = arm_pairs(table(&doc, "CHAOS", "cells"), "reliable");
+    assert_eq!(cells.len(), 12, "expected a 4×3 burst × churn grid");
+    for a in cells.into_iter().flat_map(|(off, on)| [off, on]) {
+        assert_eq!(int(a, "runs"), 30, "a cell is 30 seeds per arm: {a:?}");
+        let lost = int(a, "runs") - int(a, "healed");
+        let storm = text(a, "churn") == "storm";
+        assert!(lost <= u64::from(storm), "cell lost {lost} runs: {a:?}");
     }
-}
-
-/// The rows of table `name` in section `id` of `BENCH_paper.json`.
-fn paper_table<'d>(doc: &'d JsonValue, id: &str, name: &str) -> &'d [JsonValue] {
-    let section = items(doc, "sections")
-        .iter()
-        .find(|s| s.get("id").and_then(JsonValue::as_str) == Some(id))
-        .unwrap_or_else(|| panic!("no section {id:?}"));
-    let tables = section.get("tables").unwrap_or_else(|| panic!("{id} has no tables"));
-    items(tables, name)
 }
 
 #[test]
@@ -148,7 +173,7 @@ fn committed_paper_artifact_says_what_experiments_md_says() {
 
     // FIG7: rows run from the largest target α down; fewer gaps are
     // expected as the matched density rises, never more.
-    let fig7 = paper_table(&doc, "FIG7", "empirical");
+    let fig7 = table(&doc, "FIG7", "empirical");
     let alpha: Vec<f64> = fig7.iter().map(|r| num(r, "target alpha")).collect();
     let ratio: Vec<f64> = fig7.iter().map(|r| num(r, "measured ratio")).collect();
     assert!(alpha.windows(2).all(|w| w[1] < w[0]), "α must descend: {alpha:?}");
@@ -157,7 +182,7 @@ fn committed_paper_artifact_says_what_experiments_md_says() {
     for (id, name, column) in
         [("COR1-2", "runs", "violations"), ("TBL-A1", "row5_arbitrary_state", "violations left")]
     {
-        for row in paper_table(&doc, id, name) {
+        for row in table(&doc, id, name) {
             assert_eq!(int(row, column), 0, "{id} leaves invariant violations: {row:?}");
         }
     }
@@ -165,7 +190,7 @@ fn committed_paper_artifact_says_what_experiments_md_says() {
     // TBL-A1 row 3: local healing — doubling n at a fixed D_p must not
     // slow the heal. (The impact radius is not gated: it widens with the
     // field once D_p spans several cells.)
-    let row3 = paper_table(&doc, "TBL-A1", "row3_perturbation");
+    let row3 = table(&doc, "TBL-A1", "row3_perturbation");
     let heal = |n: u64, dp: f64| {
         let row = row3
             .iter()
@@ -179,13 +204,25 @@ fn committed_paper_artifact_says_what_experiments_md_says() {
 
     // THM11: the no-move control is the first row and flips no edge, so
     // every changed edge in the move rows is caused by the move.
-    let control = &paper_table(&doc, "THM11", "moves")[0];
+    let control = &table(&doc, "THM11", "moves")[0];
     assert_eq!(num(control, "d (move, m)"), 0.0, "the first THM11 row is the control: {control:?}");
     assert_eq!(int(control, "edges changed (all seeds)"), 0, "background churn: {control:?}");
 
     // ABLATION part 1: with IL anchoring, no band drifts past R_t = 14 m.
-    for row in paper_table(&doc, "ABLATION", "anchoring") {
+    for row in table(&doc, "ABLATION", "anchoring") {
         assert!(num(row, "anchored: max") < 14.0, "anchored deviation reached R_t: {row:?}");
+    }
+}
+
+#[test]
+fn artifact_rejects_a_bad_command_line_with_one_error_line() {
+    let cases: [&[&str]; 4] = [&[], &["fig7"], &["chaos", "--jsno"], &["paper", "-j", "x"]];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_artifact")).args(args).output().expect("spawn artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a suite");
+        assert!(stderr.starts_with("error: ") && stderr.lines().count() == 1, "{args:?}: {stderr}");
     }
 }
 
