@@ -25,6 +25,7 @@ use gs3_core::config::MAX_STRETCH_EXP;
 use gs3_core::harness::{NetworkBuilder, RunOutcome};
 use gs3_core::{CongestionConfig, FaultKind, FaultPlan, ReliabilityConfig};
 use gs3_sim::faults::{BurstLoss, FaultConfig};
+use gs3_sim::trace::Trace;
 use gs3_sim::{ContentionConfig, SimDuration};
 
 use crate::runner::run_grid;
@@ -117,10 +118,8 @@ const UNICAST_LOSS: f64 = 0.05;
 struct ChaosRun {
     healed: bool,
     latencies: Vec<f64>,
-    burst_drops: u64,
-    unicast_drops: u64,
-    retransmits: u64,
-    give_ups: u64,
+    /// The run's counters over the chaos window.
+    counters: Trace,
     /// Per-episode spatial healing radius (meters) — one per crash wave.
     episode_radii: Vec<f64>,
     /// Per-episode message cost (sends attributed to the episode).
@@ -165,12 +164,9 @@ fn run_chaos(sev: &Severity, churn: &Churn, seed: u64, reliable: bool) -> ChaosR
     ChaosRun {
         healed: rep.healed(),
         latencies,
-        burst_drops: rep.dropped_by_burst,
-        unicast_drops: rep.dropped_unicast,
-        retransmits: rep.reliability.retransmits,
-        give_ups: rep.reliability.give_ups,
         episode_radii: rep.episodes.iter().map(|e| e.radius_m).collect(),
         episode_messages: rep.episodes.iter().map(|e| e.messages as f64).collect(),
+        counters: rep.counters,
     }
 }
 
@@ -227,10 +223,10 @@ fn chaos(threads: usize) -> Section {
             Int(SEEDS.len() as u64),
             Cell::opt_fixed(median(&latencies), 6),
             Fixed(latencies.iter().copied().fold(0.0f64, f64::max), 6),
-            mean(&runs, |r| r.burst_drops),
-            mean(&runs, |r| r.unicast_drops),
-            mean(&runs, |r| r.retransmits),
-            mean(&runs, |r| r.give_ups),
+            mean(&runs, |r| r.counters.dropped_by_burst()),
+            mean(&runs, |r| r.counters.dropped_unicast()),
+            mean(&runs, |r| r.counters.proto("reliable_retransmits")),
+            mean(&runs, |r| r.counters.proto("reliable_give_ups")),
             Cell::opt_fixed(median(&pooled(|r| &r.episode_radii)), 6),
             Cell::opt_fixed(median(&pooled(|r| &r.episode_messages)), 6),
         ]);
@@ -275,12 +271,8 @@ struct CongestionRun {
     healed: bool,
     /// Healing latency of the crash wave, seconds.
     latency: Option<f64>,
-    collisions: u64,
-    defers: u64,
-    backoff_exhausted: u64,
-    stretches: u64,
-    relaxes: u64,
-    suppressed: u64,
+    /// The run's counters over the chaos window.
+    counters: Trace,
 }
 
 /// Runs one congestion cell: a dense deployment configuring and then
@@ -328,12 +320,7 @@ fn run_congestion(d: &Density, l: &Load, seed: u64, adaptive: bool) -> Congestio
         configured,
         healed: configured && rep.healed(),
         latency,
-        collisions: rep.mac.collisions,
-        defers: rep.mac.defers,
-        backoff_exhausted: rep.mac.backoff_exhausted,
-        stretches: rep.mac.congestion_stretches,
-        relaxes: rep.mac.congestion_relaxes,
-        suppressed: rep.mac.suppressed_broadcasts,
+        counters: rep.counters,
     }
 }
 
@@ -378,12 +365,12 @@ fn congestion(threads: usize) -> Section {
             Int(runs.iter().filter(|r| r.healed).count() as u64),
             Int(SEEDS.len() as u64),
             Cell::opt_fixed(median(&latencies), 6),
-            mean(&runs, |r| r.collisions),
-            mean(&runs, |r| r.defers),
-            mean(&runs, |r| r.backoff_exhausted),
-            mean(&runs, |r| r.stretches),
-            mean(&runs, |r| r.relaxes),
-            mean(&runs, |r| r.suppressed),
+            mean(&runs, |r| r.counters.mac_collisions()),
+            mean(&runs, |r| r.counters.mac_defers()),
+            mean(&runs, |r| r.counters.mac_backoff_exhausted()),
+            mean(&runs, |r| r.counters.proto("congestion_stretch")),
+            mean(&runs, |r| r.counters.proto("congestion_relax")),
+            mean(&runs, |r| r.counters.proto("suppressed_broadcast")),
         ]);
     }
     s.table("cells", t);

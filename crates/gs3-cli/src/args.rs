@@ -2,12 +2,9 @@
 
 use std::collections::BTreeMap;
 
-/// Parsed command line: a subcommand plus `--key value` / `--flag`
-/// options.
+/// The options of one command line: `--key value` and `--flag`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Args {
-    /// The subcommand (first non-flag token).
-    pub command: Option<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
 }
@@ -32,6 +29,8 @@ pub enum ArgError {
     MissingValue(String),
     /// A positional argument appeared after the subcommand.
     UnexpectedPositional(String),
+    /// An option the command does not read, as spelled.
+    Unknown(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -44,6 +43,7 @@ impl std::fmt::Display for ArgError {
             ArgError::Missing(k) => write!(f, "required option --{k} is missing"),
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument {p:?}"),
+            ArgError::Unknown(o) => write!(f, "unknown option {o}"),
         }
     }
 }
@@ -57,17 +57,23 @@ const FLAG_KEYS: &[&str] = &[
 ];
 
 impl Args {
-    /// Parses a token stream (`args[0]` must already be stripped).
+    /// Parses the tokens after the command name. `keys` are the options
+    /// the command reads, flags and value-taking ones alike; `-j` spells
+    /// `--threads`.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on duplicates, stray positionals, or a trailing
-    /// option with no value.
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
+    /// Returns [`ArgError`] on an option outside `keys`, duplicates, stray
+    /// positionals, or a trailing option with no value.
+    pub fn parse<I: IntoIterator<Item = String>>(tokens: I, keys: &[&[&str]]) -> Result<Args, ArgError> {
+        let reads = |key: &str| keys.iter().any(|group| group.contains(&key));
         let mut out = Args::default();
-        let mut it = tokens.into_iter().peekable();
+        let mut it = tokens.into_iter();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
+                if !reads(key) {
+                    return Err(ArgError::Unknown(tok));
+                }
                 let key = key.to_string();
                 if FLAG_KEYS.contains(&key.as_str()) {
                     if out.flags.contains(&key) {
@@ -80,7 +86,7 @@ impl Args {
                         return Err(ArgError::Duplicate(key));
                     }
                 }
-            } else if let Some(rest) = tok.strip_prefix("-j") {
+            } else if let Some(rest) = tok.strip_prefix("-j").filter(|_| reads("threads")) {
                 // `-j N` / `-jN`: alias for `--threads N`.
                 let value = if rest.is_empty() {
                     it.next().ok_or_else(|| ArgError::MissingValue("threads".to_string()))?
@@ -90,8 +96,8 @@ impl Args {
                 if out.options.insert("threads".to_string(), value).is_some() {
                     return Err(ArgError::Duplicate("threads".to_string()));
                 }
-            } else if out.command.is_none() {
-                out.command = Some(tok);
+            } else if tok.starts_with('-') {
+                return Err(ArgError::Unknown(tok));
             } else {
                 return Err(ArgError::UnexpectedPositional(tok));
             }
@@ -105,18 +111,26 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Force-sets a boolean flag (for subcommands that imply one, e.g.
-    /// `gs3 dataplane` implying `--workload`). Idempotent.
-    pub fn set_flag(&mut self, key: &str) {
-        if !self.flag(key) {
-            self.flags.push(key.to_string());
-        }
-    }
-
     /// The raw value of `--key`, if present.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
+    }
+
+    /// A parsed option, `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] when the value does not parse.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        let parse = |v: &String| {
+            v.parse().map_err(|_| ArgError::BadValue {
+                key: key.to_string(),
+                value: v.clone(),
+                expected: std::any::type_name::<T>(),
+            })
+        };
+        self.options.get(key).map(parse).transpose()
     }
 
     /// A parsed numeric option with a default.
@@ -125,14 +139,7 @@ impl Args {
     ///
     /// Returns [`ArgError::BadValue`] when the value does not parse.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// The worker-thread count: `--threads N` or `-j N` / `-jN`,
@@ -170,14 +177,17 @@ impl Args {
 mod tests {
     use super::*;
 
+    /// The keys these tests' command reads.
+    const KEYS: &[&[&str]] =
+        &[&["nodes", "seed", "map", "static", "kill-disk", "plan", "json", "out", "timeline", "threads"]];
+
     fn parse(s: &str) -> Result<Args, ArgError> {
-        Args::parse(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from), KEYS)
     }
 
     #[test]
-    fn parses_command_options_and_flags() {
-        let a = parse("run --nodes 500 --seed 7 --map").unwrap();
-        assert_eq!(a.command.as_deref(), Some("run"));
+    fn parses_options_and_flags() {
+        let a = parse("--nodes 500 --seed 7 --map").unwrap();
         assert_eq!(a.num("nodes", 0usize).unwrap(), 500);
         assert_eq!(a.num("seed", 0u64).unwrap(), 7);
         assert!(a.flag("map"));
@@ -186,47 +196,58 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let a = parse("run").unwrap();
+        let a = parse("").unwrap();
         assert_eq!(a.num("nodes", 42usize).unwrap(), 42);
+        assert_eq!(a.parsed::<f64>("seed").unwrap(), None);
     }
 
     #[test]
     fn rejects_duplicates() {
-        assert!(matches!(parse("run --seed 1 --seed 2"), Err(ArgError::Duplicate(_))));
-        assert!(matches!(parse("run --map --map"), Err(ArgError::Duplicate(_))));
+        assert!(matches!(parse("--seed 1 --seed 2"), Err(ArgError::Duplicate(_))));
+        assert!(matches!(parse("--map --map"), Err(ArgError::Duplicate(_))));
     }
 
     #[test]
     fn rejects_bad_numbers() {
-        let a = parse("run --nodes banana").unwrap();
+        let a = parse("--nodes banana").unwrap();
         assert!(matches!(a.num("nodes", 0usize), Err(ArgError::BadValue { .. })));
     }
 
     #[test]
     fn parses_points() {
-        let a = parse("perturb --kill-disk 10,-20.5").unwrap();
+        let a = parse("--kill-disk 10,-20.5").unwrap();
         let p = a.point("kill-disk").unwrap();
         assert_eq!(p, gs3_geometry::Point::new(10.0, -20.5));
         assert!(matches!(a.point("missing"), Err(ArgError::Missing(_))));
-        let b = parse("perturb --kill-disk nope").unwrap();
+        let b = parse("--kill-disk nope").unwrap();
         assert!(matches!(b.point("kill-disk"), Err(ArgError::BadValue { .. })));
     }
 
     #[test]
     fn rejects_trailing_option_without_value() {
-        for (line, key) in [
-            ("chaos --plan", "plan"),
-            ("chaos --json --out", "out"),
-            ("chaos --seed 3 --timeline", "timeline"),
-            ("chaos -j", "threads"),
-        ] {
+        for (line, key) in
+            [("--plan", "plan"), ("--json --out", "out"), ("--seed 3 --timeline", "timeline"), ("-j", "threads")]
+        {
             assert_eq!(parse(line), Err(ArgError::MissingValue(key.to_string())), "{line}");
         }
     }
 
+    /// An option the command does not read is refused as spelled, before
+    /// it can swallow the next token as its value.
+    #[test]
+    fn rejects_options_the_command_does_not_read() {
+        for (line, spelled) in [("--nodse 300 --seed 1", "--nodse"), ("--qiet", "--qiet"), ("--seed 1 -x", "-x")] {
+            assert_eq!(parse(line), Err(ArgError::Unknown(spelled.to_string())), "{line}");
+        }
+        let no_threads: &[&[&str]] = &[&["seed"]];
+        let err = Args::parse(["-j2".to_string()], no_threads);
+        assert_eq!(err, Err(ArgError::Unknown("-j2".to_string())));
+        assert_eq!(ArgError::Unknown("--qiet".into()).to_string(), "unknown option --qiet");
+    }
+
     #[test]
     fn rejects_extra_positionals() {
-        assert!(matches!(parse("run extra"), Err(ArgError::UnexpectedPositional(_))));
+        assert!(matches!(parse("extra"), Err(ArgError::UnexpectedPositional(_))));
     }
 
     #[test]

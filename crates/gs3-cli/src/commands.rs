@@ -7,19 +7,71 @@ use gs3_bench::runner::run_grid;
 use gs3_core::chaos::{Corruption, FaultKind, FaultPlan};
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
 use gs3_core::invariants::{check_all, Strictness};
-use gs3_core::json::{self, JsonWriter};
+use gs3_core::json;
 use gs3_core::{CongestionConfig, Mode, ReliabilityConfig};
 use gs3_geometry::Point;
 use gs3_mc::{Budgets, McStrategy, ModelChecker, Scenario};
 use gs3_sim::faults::{BurstLoss, FaultConfig};
 use gs3_sim::radio::EnergyModel;
 use gs3_sim::telemetry::{export_chrome_trace, export_jsonl, RecorderMode};
+use gs3_sim::trace::Trace;
 use gs3_sim::ContentionConfig;
 use gs3_sim::SimDuration;
 
-use crate::args::{ArgError, Args};
+use crate::args::Args;
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
+
+/// A command: its name, every option key it reads, and what runs it.
+pub struct Command {
+    /// The name it is invoked by.
+    pub name: &'static str,
+    /// The keys it reads, flags and value-taking options alike.
+    pub keys: &'static [&'static [&'static str]],
+    /// Runs it.
+    pub run: fn(&Args) -> CliResult,
+}
+
+/// The keys [`build_seeded`] reads.
+const BUILD: &[&str] = &[
+    "nodes", "radius", "tolerance", "area", "seed", "loss", "noise", "traffic", "budget", "static", "mobile",
+    "workload", "reliable", "contended", "adaptive",
+];
+/// The keys [`report`] reads.
+const REPORT: &[&str] = &["quiet", "map"];
+
+/// Every command.
+pub const COMMANDS: [Command; 8] = [
+    Command { name: "run", keys: &[BUILD, REPORT], run },
+    Command { name: "heal", keys: &[BUILD, REPORT, &["kill-disk", "kill-radius"]], run: heal },
+    Command { name: "watch", keys: &[BUILD, REPORT, &["duration", "sample"]], run: watch },
+    Command {
+        name: "chaos",
+        keys: &[BUILD, REPORT, &[
+            "burst-enter", "burst-len", "unicast-loss", "duplicate", "delay-prob", "delay-max", "crash", "jam",
+            "jam-radius", "jam-secs", "json", "timeline", "runs", "threads", "plan",
+        ]],
+        run: chaos,
+    },
+    Command {
+        name: "mc",
+        keys: &[&[
+            "scenario", "strategy", "max-states", "max-depth", "max-fates", "max-crashes", "max-path-faults",
+            "horizon", "heal-window", "json", "out", "ce-dir", "quiet",
+        ]],
+        run: mc,
+    },
+    Command { name: "dataplane", keys: &[BUILD, REPORT, &["duration", "json"]], run: dataplane },
+    Command { name: "trace", keys: &[BUILD, &["duration", "capacity", "format", "out", "quiet"]], run: trace },
+    Command {
+        name: "help",
+        keys: &[&["help"]],
+        run: |_| {
+            help();
+            Ok(())
+        },
+    },
+];
 
 /// Prints usage.
 pub fn help() {
@@ -114,9 +166,9 @@ pub fn help() {
          \x20 --ce-dir DIR     write each counterexample (and its standalone\n\
          \x20                  FaultPlan) into DIR for artifact upload\n\
          \n\
-         dataplane options (implies --workload):\n\
+         dataplane options (--traffic 5 unless --traffic is given):\n\
          \x20 --duration SECS  how long to run the workload (120)\n\
-         \x20 --json           print the data counter block as JSON only\n\
+         \x20 --json           print the run's counters and sink ledger as JSON only\n\
          \n\
          trace options:\n\
          \x20 --duration SECS  how long to record after configuration (60)\n\
@@ -126,12 +178,20 @@ pub fn help() {
     );
 }
 
-fn build(a: &Args) -> Result<Network, Box<dyn std::error::Error>> {
-    let seed: u64 = a.num("seed", 2002)?;
-    build_seeded(a, seed)
+/// What a command's network runs with when the command line sets no
+/// `--budget` or traffic: `None` is energy off, no traffic.
+#[derive(Debug, Clone, Copy, Default)]
+struct Defaults {
+    budget: Option<f64>,
+    traffic_secs: Option<f64>,
 }
 
-fn build_seeded(a: &Args, seed: u64) -> Result<Network, Box<dyn std::error::Error>> {
+fn build(a: &Args, defaults: Defaults) -> Result<Network, Box<dyn std::error::Error>> {
+    let seed: u64 = a.num("seed", 2002)?;
+    build_seeded(a, seed, defaults)
+}
+
+fn build_seeded(a: &Args, seed: u64, defaults: Defaults) -> Result<Network, Box<dyn std::error::Error>> {
     let nodes: usize = a.num("nodes", 1400)?;
     let radius: f64 = a.num("radius", 80.0)?;
     let tolerance: f64 = a.num("tolerance", 18.0)?;
@@ -154,22 +214,11 @@ fn build_seeded(a: &Args, seed: u64) -> Result<Network, Box<dyn std::error::Erro
         .mode(mode)
         .broadcast_loss(loss)
         .position_noise(noise);
-    if let Some(t) = a.get("traffic") {
-        let secs: f64 = t.parse().map_err(|_| ArgError::BadValue {
-            key: "traffic".into(),
-            value: t.into(),
-            expected: "seconds",
-        })?;
+    let workload = a.flag("workload").then_some(5.0);
+    if let Some(secs) = a.parsed("traffic")?.or(workload).or(defaults.traffic_secs) {
         b = b.traffic(SimDuration::from_secs_f64(secs));
-    } else if a.flag("workload") {
-        b = b.traffic(SimDuration::from_secs(5));
     }
-    if let Some(budget) = a.get("budget") {
-        let e: f64 = budget.parse().map_err(|_| ArgError::BadValue {
-            key: "budget".into(),
-            value: budget.into(),
-            expected: "energy units",
-        })?;
+    if let Some(e) = a.parsed("budget")?.or(defaults.budget) {
         b = b.energy(EnergyModel::normalized(2.0 * radius), e);
     }
     if a.flag("reliable") {
@@ -239,7 +288,7 @@ fn report(net: &Network, a: &Args) {
 
 /// `gs3 run`.
 pub fn run(a: &Args) -> CliResult {
-    let mut net = build(a)?;
+    let mut net = build(a, Defaults::default())?;
     configure(&mut net)?;
     println!("configured at {}", net.now());
     report(&net, a);
@@ -250,7 +299,7 @@ pub fn run(a: &Args) -> CliResult {
 pub fn heal(a: &Args) -> CliResult {
     let center = a.point("kill-disk")?;
     let radius: f64 = a.num("kill-radius", 60.0)?;
-    let mut net = build(a)?;
+    let mut net = build(a, Defaults::default())?;
     configure(&mut net)?;
     println!("configured at {}; killing disk r={radius} at {center}", net.now());
 
@@ -280,14 +329,7 @@ pub fn watch(a: &Args) -> CliResult {
     let duration: f64 = a.num("duration", 1200.0)?;
     let sample: f64 = a.num("sample", 60.0)?;
     // Watch implies energy accounting.
-    let defaulted;
-    let a = if a.get("budget").is_none() {
-        defaulted = with_budget(a, "500");
-        &defaulted
-    } else {
-        a
-    };
-    let mut net = build(a)?;
+    let mut net = build(a, Defaults { budget: Some(500.0), ..Defaults::default() })?;
     configure(&mut net)?;
     println!("configured; draining for {duration} s\n");
     println!("{:>7}  {:>5}  {:>6}  {:>9}  {:>8}", "t(s)", "heads", "alive", "coverage", "shifted");
@@ -323,62 +365,43 @@ pub fn watch(a: &Args) -> CliResult {
     Ok(())
 }
 
-/// The `data` JSON counter block: every data-plane trace counter plus
-/// the sink ledger (null until a delivery reaches the big node).
-fn write_data_json(net: &Network, w: &mut JsonWriter<'_>) {
-    let tr = net.engine().trace();
-    w.object(|w| {
-        for (key, counter) in [
-            ("produced", "data_reports_produced"),
-            ("delivered", "data_reports_delivered"),
-            ("batches_delivered", "data_batches_delivered"),
-            ("queue_drops", "data_queue_drops"),
-            ("reports_dropped", "data_reports_dropped"),
-            ("misrouted", "data_reports_lost_misroute"),
-            ("rerouted_frames", "data_batches_rerouted"),
-            ("credit_recoveries", "data_credit_recovered"),
-            ("leaf_gaps", "data_leaf_gaps"),
-            ("leaf_dups", "data_leaf_dups"),
-            ("flushed", "reports_flushed"),
-        ] {
-            w.key(key).u64(tr.proto(counter));
-        }
-        match net.sink_ledger() {
-            Some(l) => l.write_json(w.key("ledger")),
-            None => {
-                w.key("ledger").null();
-            }
-        }
-    });
+/// Prints every counter of `t` that is not zero, one per line.
+fn print_counters(t: &Trace) {
+    for (name, n) in t.named().filter(|&(_, n)| n > 0) {
+        println!("  {name:<27} {n}");
+    }
 }
 
 /// `gs3 dataplane` — configure, run the convergecast workload for
-/// `--duration`, and report end-to-end
-/// delivery: the sink ledger (reports, latency percentiles, dedup) plus
-/// the queue/credit/provenance counters.
+/// `--duration`, and report end-to-end delivery: the sink ledger (reports,
+/// latency percentiles, dedup) and the run's counters.
 pub fn dataplane(a: &Args) -> CliResult {
     let duration: f64 = a.num("duration", 120.0)?;
-    let mut forced = a.clone();
-    forced.set_flag("workload");
-    let a = &forced;
-    let mut net = build(a)?;
+    let mut net = build(a, Defaults { traffic_secs: Some(5.0), ..Defaults::default() })?;
     configure(&mut net)?;
     if !a.flag("json") {
         println!("configured at {}; running the workload for {duration} s", net.now());
     }
     net.run_for(SimDuration::from_secs_f64(duration));
+    let tr = net.engine().trace();
     if a.flag("json") {
         let doc = json::to_string(|w| {
-            w.object(|w| write_data_json(&net, w.key("data")));
+            w.object(|w| {
+                tr.write_json(w.key("counters"));
+                match net.sink_ledger() {
+                    Some(l) => l.write_json(w.key("ledger")),
+                    None => {
+                        w.key("ledger").null();
+                    }
+                }
+            });
         });
         println!("{doc}");
         return Ok(());
     }
-    let tr = net.engine().trace();
     let produced = tr.proto("data_reports_produced");
     println!();
     println!("data plane (convergecast over the head tree):");
-    println!("  produced:          {produced} reports");
     match net.sink_ledger() {
         Some(l) => {
             let pct = if produced > 0 {
@@ -387,7 +410,7 @@ pub fn dataplane(a: &Args) -> CliResult {
                 0.0
             };
             println!(
-                "  delivered:         {} reports in {} sub-batches ({pct:.1}%)",
+                "  delivered:         {} of {produced} reports in {} sub-batches ({pct:.1}%)",
                 l.reports, l.batches
             );
             println!(
@@ -400,22 +423,8 @@ pub fn dataplane(a: &Args) -> CliResult {
         }
         None => println!("  delivered:         nothing reached the sink"),
     }
-    println!(
-        "  queue drops:       {} batches ({} reports lost)",
-        tr.proto("data_queue_drops"),
-        tr.proto("data_reports_dropped")
-    );
-    println!(
-        "  misrouted:         {} reports lost, {} sub-batches rerouted via successors",
-        tr.proto("data_reports_lost_misroute"),
-        tr.proto("data_batches_rerouted")
-    );
-    println!("  credit recoveries: {}", tr.proto("data_credit_recovered"));
-    println!(
-        "  leaf provenance:   {} gaps, {} duplicates",
-        tr.proto("data_leaf_gaps"),
-        tr.proto("data_leaf_dups")
-    );
+    println!("counters:");
+    print_counters(tr);
     report(&net, a);
     Ok(())
 }
@@ -488,7 +497,7 @@ pub fn chaos(a: &Args) -> CliResult {
     }
 
     let timeline = a.get("timeline").map(str::to_string);
-    let mut net = build(a)?;
+    let mut net = build(a, Defaults::default())?;
     if timeline.is_some() {
         // Recording is pure observation: the digest printed below is
         // bit-identical with or without the timeline.
@@ -535,41 +544,8 @@ pub fn chaos(a: &Args) -> CliResult {
         );
     }
     println!();
-    println!(
-        "channel drops:   {} burst, {} jam, {} unicast",
-        rep.dropped_by_burst, rep.dropped_by_jam, rep.dropped_unicast
-    );
-    println!("duplicated:      {}", rep.duplicated);
-    println!("delayed:         {}", rep.delayed);
-    if a.flag("reliable") {
-        let r = &rep.reliability;
-        println!(
-            "reliability:     {} retransmits, {} dedup hits, {} give-ups",
-            r.retransmits, r.dedup_hits, r.give_ups
-        );
-        println!(
-            "detector/quar:   {} false suspicions, {} quarantine entries, {} exits",
-            r.false_suspicions, r.quarantine_entries, r.quarantine_exits
-        );
-    }
-    if !net.config().report_period.is_zero() {
-        let d = &rep.data;
-        println!(
-            "data plane:      {}/{} reports delivered, {} queue-dropped, {} misrouted",
-            d.reports_delivered, d.reports_produced, d.reports_dropped, d.reports_misrouted
-        );
-    }
-    if a.flag("contended") {
-        let m = &rep.mac;
-        println!(
-            "medium:          {} collisions, {} defers, {} backoff exhausted",
-            m.collisions, m.defers, m.backoff_exhausted
-        );
-        println!(
-            "congestion:      {} stretches, {} relaxes, {} suppressed broadcasts",
-            m.congestion_stretches, m.congestion_relaxes, m.suppressed_broadcasts
-        );
-    }
+    println!("counters over the run:");
+    print_counters(&rep.counters);
     println!("polls:           {} (max {} violations)", rep.polls, rep.max_violations);
     println!("digest:          {:016x}", rep.digest);
     println!(
@@ -599,7 +575,7 @@ fn chaos_multi(
     let base_seed: u64 = a.num("seed", 2002)?;
     let seeds: Vec<u64> = (0..runs as u64).map(|i| base_seed.wrapping_add(i)).collect();
     let results = run_grid(&seeds, a.threads()?, |&seed| -> Result<_, String> {
-        let mut net = build_seeded(a, seed).map_err(|e| e.to_string())?;
+        let mut net = build_seeded(a, seed, Defaults::default()).map_err(|e| e.to_string())?;
         configure(&mut net).map_err(|e| e.to_string())?;
         Ok(net.run_chaos(&make_plan()))
     });
@@ -800,7 +776,7 @@ pub fn trace(a: &Args) -> CliResult {
         return Err(format!("option --format: expected jsonl or chrome, got {format:?}").into());
     }
 
-    let mut net = build(a)?;
+    let mut net = build(a, Defaults::default())?;
     net.engine_mut().set_recording(RecorderMode::Full { capacity });
     configure(&mut net)?;
     net.run_for(SimDuration::from_secs_f64(duration));
@@ -831,32 +807,16 @@ pub fn trace(a: &Args) -> CliResult {
     Ok(())
 }
 
-/// Clones the parsed args with a default `--budget` injected (watch mode).
-fn with_budget(a: &Args, budget: &str) -> Args {
-    // Round-trip through the parser to keep a single construction path.
-    let mut tokens = vec![a.command.clone().unwrap_or_default()];
-    for key in ["nodes", "radius", "tolerance", "area", "seed", "loss", "noise", "traffic", "duration", "sample"] {
-        if let Some(v) = a.get(key) {
-            tokens.push(format!("--{key}"));
-            tokens.push(v.to_string());
-        }
-    }
-    for flag in ["map", "static", "mobile", "quiet", "reliable", "contended", "adaptive", "workload"] {
-        if a.flag(flag) {
-            tokens.push(format!("--{flag}"));
-        }
-    }
-    tokens.push("--budget".into());
-    tokens.push(budget.into());
-    Args::parse(tokens).expect("re-serialized arguments always parse")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    /// Parses `line`, whose first word names the command.
+    fn parse(line: &str) -> Args {
+        let mut words = line.split_whitespace().map(String::from);
+        let name = words.next().unwrap();
+        let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        Args::parse(words, command.keys).unwrap()
     }
 
     #[test]
@@ -877,13 +837,24 @@ mod tests {
         assert!(heal(&a).is_err());
     }
 
+    /// A command's defaults fill only what its command line leaves unset:
+    /// `watch` drains a 500-unit budget, `dataplane` reports every 5 s.
     #[test]
-    fn with_budget_injects_default() {
-        let a = parse("watch --nodes 300 --map");
-        let b = with_budget(&a, "500");
-        assert_eq!(b.get("budget"), Some("500"));
-        assert!(b.flag("map"));
-        assert_eq!(b.get("nodes"), Some("300"));
+    fn command_defaults_fill_unset_knobs_only() {
+        let built = |line: &str, defaults| {
+            let net = build_seeded(&parse(line), 4, defaults).unwrap();
+            let small = net.engine().ids().find(|&id| id != net.big_id()).unwrap();
+            (net.engine().energy(small).unwrap(), net.config().report_period.as_micros())
+        };
+        let watch = Defaults { budget: Some(500.0), ..Defaults::default() };
+        let dataplane = Defaults { traffic_secs: Some(5.0), ..Defaults::default() };
+        let none = Defaults::default();
+        assert_eq!(built("watch --nodes 60 --area 60", watch), (500.0, 0));
+        assert_eq!(built("watch --nodes 60 --area 60 --budget 70", watch), (70.0, 0));
+        assert_eq!(built("dataplane --nodes 60 --area 60", dataplane).1, 5_000_000);
+        assert_eq!(built("dataplane --nodes 60 --area 60 --traffic 2", dataplane).1, 2_000_000);
+        assert_eq!(built("run --nodes 60 --area 60 --workload", none).1, 5_000_000);
+        assert_eq!(built("run --nodes 60 --area 60", none), (f64::INFINITY, 0));
     }
 
     fn plan_file(name: &str, doc: &str) -> String {

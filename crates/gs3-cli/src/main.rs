@@ -23,6 +23,10 @@
 //!                [--out FILE]      (flight-recorder event-stream export)
 //! gs3 help
 //! ```
+//!
+//! The command comes first. A malformed command line prints one
+//! `error: …` line and exits 2 — an option the command does not read is
+//! `error: unknown option --x` — and an unknown command adds the help.
 
 mod args;
 mod commands;
@@ -30,34 +34,18 @@ mod commands;
 use args::Args;
 
 fn main() {
-    let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(tokens) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("try: gs3 help");
-            std::process::exit(2);
-        }
+    let mut tokens = std::env::args().skip(1).peekable();
+    let name = tokens.next_if(|t| !t.starts_with('-')).unwrap_or_else(|| "help".to_string());
+    let Some(command) = commands::COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("error: unknown command {name:?}");
+        commands::help();
+        std::process::exit(2);
     };
-    let code = match parsed.command.as_deref() {
-        Some("run") => commands::run(&parsed),
-        Some("heal") => commands::heal(&parsed),
-        Some("watch") => commands::watch(&parsed),
-        Some("chaos") => commands::chaos(&parsed),
-        Some("mc") => commands::mc(&parsed),
-        Some("dataplane") => commands::dataplane(&parsed),
-        Some("trace") => commands::trace(&parsed),
-        Some("help") | None => {
-            commands::help();
-            Ok(())
-        }
-        Some(other) => {
-            eprintln!("error: unknown command {other:?}");
-            commands::help();
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = code {
+    let args = Args::parse(tokens, command.keys).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    if let Err(e) = (command.run)(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -8,8 +8,8 @@
 //! [`Network::run_chaos`] executes at the right simulation times while
 //! polling the invariant suite. The result is a [`ChaosReport`] carrying
 //! per-fault *healing latency* (time from injection until the invariants
-//! are clean again), the adversarial-channel drop counters, and the run's
-//! [`Trace`](gs3_sim::trace::Trace) digest for bit-reproducibility checks.
+//! are clean again), every run counter over the run window, and the run's
+//! [`Trace`] digest for bit-reproducibility checks.
 //!
 //! Everything is deterministic: the same builder seed and the same plan
 //! produce the same digest and the same report, delivery for delivery.
@@ -40,6 +40,7 @@ use gs3_geometry::{Point, Vec2};
 use gs3_sim::faults::{BurstLoss, Fate, FaultConfig};
 use gs3_sim::telemetry::json::{self, JsonValue, JsonWriter};
 use gs3_sim::telemetry::Episode;
+use gs3_sim::trace::Trace;
 use gs3_sim::{NodeId, SimDuration, SimTime};
 
 use std::collections::BTreeMap;
@@ -558,80 +559,6 @@ pub struct FaultOutcome {
     pub episode: Option<u32>,
 }
 
-/// Control-plane reliability counters accumulated during a chaos run
-/// (deltas over the run window, taken from the trace's protocol counters).
-///
-/// All zero when the reliability layer is disabled — the layer is
-/// RNG-inert and counter-inert off.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReliabilityCounters {
-    /// Reliable envelopes re-sent after an ack timeout.
-    pub retransmits: u64,
-    /// Duplicate deliveries suppressed by the receiver dedup window.
-    pub dedup_hits: u64,
-    /// Reliable sends abandoned after the retry budget (fallback paths
-    /// triggered).
-    pub give_ups: u64,
-    /// Adaptive-detector suspicions retracted because the peer spoke up
-    /// before the legacy deadline.
-    pub false_suspicions: u64,
-    /// Heads that entered quarantine mode.
-    pub quarantine_entries: u64,
-    /// Heads that left quarantine mode (re-attached).
-    pub quarantine_exits: u64,
-}
-
-/// Shared-medium contention counters accumulated during a chaos run
-/// (deltas over the run window, taken from the trace's MAC counters and
-/// the congestion-adaptation protocol counters).
-///
-/// All zero when medium contention is disabled — the contention layer is
-/// RNG-inert and counter-inert off.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ContentionCounters {
-    /// Frames corrupted by an overlapping transmission at the receiver.
-    pub collisions: u64,
-    /// Send attempts deferred by carrier sense (backoff scheduled).
-    pub defers: u64,
-    /// Frames dropped after exhausting the backoff retry budget.
-    pub backoff_exhausted: u64,
-    /// Times a node stretched its timer periods under observed congestion.
-    pub congestion_stretches: u64,
-    /// Times a node relaxed a previous stretch after the medium cleared.
-    pub congestion_relaxes: u64,
-    /// Periodic broadcasts suppressed while congested.
-    pub suppressed_broadcasts: u64,
-}
-
-/// Convergecast data-plane counters accumulated during a chaos run
-/// (deltas over the run window, taken from the trace's protocol counters).
-///
-/// All zero when the data plane is disabled — the layer is RNG-inert and
-/// counter-inert off.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DataCounters {
-    /// Leaf reports produced (one per sequenced `sensor_report`, plus one
-    /// per head tick for the cell's own observation).
-    pub reports_produced: u64,
-    /// Leaf reports inside batches the sink consumed.
-    pub reports_delivered: u64,
-    /// Batches the sink consumed.
-    pub batches_delivered: u64,
-    /// Aggregation-queue overflows (each evicting one oldest batch).
-    pub queue_drops: u64,
-    /// Leaf reports inside evicted batches.
-    pub reports_dropped: u64,
-    /// Leaf reports inside batches that arrived at a non-head (stale
-    /// parent pointer) and were lost.
-    pub reports_misrouted: u64,
-    /// Stall-recovery firings (a starved head self-restoring one credit).
-    pub credit_recoveries: u64,
-    /// Per-leaf sequence gaps observed by heads (reports lost leaf→head).
-    pub leaf_gaps: u64,
-    /// Per-leaf duplicate reports observed by heads.
-    pub leaf_dups: u64,
-}
-
 /// The structured result of a chaos run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosReport {
@@ -647,28 +574,13 @@ pub struct ChaosReport {
     pub max_violations: usize,
     /// How many oracle polls ran.
     pub polls: u32,
-    /// The engine's [`Trace`](gs3_sim::trace::Trace) digest at finish —
+    /// The engine's [`Trace`] digest at finish —
     /// compare across runs to assert bit-reproducibility.
     pub digest: u64,
-    /// Delivery attempts lost to burst loss during the run.
-    pub dropped_by_burst: u64,
-    /// Delivery attempts blocked by jamming during the run.
-    pub dropped_by_jam: u64,
-    /// Unicast deliveries lost to the unicast-loss knob during the run.
-    pub dropped_unicast: u64,
-    /// Deliveries duplicated during the run.
-    pub duplicated: u64,
-    /// Deliveries held back by extra delay during the run.
-    pub delayed: u64,
-    /// Reliability-layer counters accumulated during the run.
-    pub reliability: ReliabilityCounters,
-    /// Medium-contention counters accumulated during the run.
-    pub mac: ContentionCounters,
-    /// Convergecast data-plane counters accumulated during the run.
-    pub data: DataCounters,
-    /// Per-message-kind send counts over the run window (deltas vs the
-    /// start-of-run trace), sorted by kind; zero-delta kinds are omitted.
-    pub sent_by_kind: Vec<(&'static str, u64)>,
+    /// Every run counter over the run window: the engine trace at the
+    /// finish [`since`](Trace::since) the one at the start, so message
+    /// kinds and protocol counters that did not move are absent.
+    pub counters: Trace,
     /// Healing episodes opened during the run (per-perturbation healing
     /// latency, message cost, and spatial radius — the empirical side of
     /// the paper's locality theorems). Episodes still open at the finish
@@ -699,12 +611,6 @@ impl ChaosReport {
 
     /// Writes the [`ChaosReport::to_json`] object in place.
     pub fn write_json(&self, w: &mut JsonWriter<'_>) {
-        fn counters<const N: usize>(w: &mut JsonWriter<'_>, fields: [(&str, u64); N]) {
-            for (key, v) in fields {
-                w.key(key).u64(v);
-            }
-        }
-        let (r, m, d) = (&self.reliability, &self.mac, &self.data);
         w.object(|w| {
             w.key("started_us").u64(self.started.as_micros());
             w.key("finished_us").u64(self.finished.as_micros());
@@ -713,51 +619,7 @@ impl ChaosReport {
             w.key("max_violations").u64(self.max_violations as u64);
             w.key("polls").u64(self.polls.into());
             w.key("digest").str(&format!("{:016x}", self.digest));
-            counters(w, [
-                ("dropped_by_burst", self.dropped_by_burst),
-                ("dropped_by_jam", self.dropped_by_jam),
-                ("dropped_unicast", self.dropped_unicast),
-                ("duplicated", self.duplicated),
-                ("delayed", self.delayed),
-            ]);
-            w.key("reliability").object(|w| {
-                counters(w, [
-                    ("retransmits", r.retransmits),
-                    ("dedup_hits", r.dedup_hits),
-                    ("give_ups", r.give_ups),
-                    ("false_suspicions", r.false_suspicions),
-                    ("quarantine_entries", r.quarantine_entries),
-                    ("quarantine_exits", r.quarantine_exits),
-                ]);
-            });
-            w.key("mac").object(|w| {
-                counters(w, [
-                    ("collisions", m.collisions),
-                    ("defers", m.defers),
-                    ("backoff_exhausted", m.backoff_exhausted),
-                    ("congestion_stretches", m.congestion_stretches),
-                    ("congestion_relaxes", m.congestion_relaxes),
-                    ("suppressed_broadcasts", m.suppressed_broadcasts),
-                ]);
-            });
-            w.key("data").object(|w| {
-                counters(w, [
-                    ("reports_produced", d.reports_produced),
-                    ("reports_delivered", d.reports_delivered),
-                    ("batches_delivered", d.batches_delivered),
-                    ("queue_drops", d.queue_drops),
-                    ("reports_dropped", d.reports_dropped),
-                    ("reports_misrouted", d.reports_misrouted),
-                    ("credit_recoveries", d.credit_recoveries),
-                    ("leaf_gaps", d.leaf_gaps),
-                    ("leaf_dups", d.leaf_dups),
-                ]);
-            });
-            w.key("sent_by_kind").object(|w| {
-                for &(kind, count) in &self.sent_by_kind {
-                    w.key(kind).u64(count);
-                }
-            });
+            self.counters.write_json(w.key("counters"));
             w.key("faults").array(|w| {
                 for o in &self.outcomes {
                     w.object(|w| {
@@ -893,15 +755,6 @@ impl Network {
         }
 
         let trace = self.engine().trace();
-        let delta = |name: &str| trace.proto(name).saturating_sub(trace0.proto(name));
-        let sent_by_kind: Vec<(&'static str, u64)> = trace
-            .sent_by_kind()
-            .iter()
-            .filter_map(|(kind, &count)| {
-                let d = count.saturating_sub(trace0.sent_of_kind(kind));
-                (d > 0).then_some((*kind, d))
-            })
-            .collect();
         let started_us = start.as_micros();
         let episodes: Vec<Episode> = self
             .engine()
@@ -920,40 +773,7 @@ impl Network {
             max_violations,
             polls,
             digest: trace.digest(),
-            dropped_by_burst: trace.dropped_by_burst() - trace0.dropped_by_burst(),
-            dropped_by_jam: trace.dropped_by_jam() - trace0.dropped_by_jam(),
-            dropped_unicast: trace.dropped_unicast() - trace0.dropped_unicast(),
-            duplicated: trace.duplicated() - trace0.duplicated(),
-            delayed: trace.delayed() - trace0.delayed(),
-            reliability: ReliabilityCounters {
-                retransmits: delta("reliable_retransmits"),
-                dedup_hits: delta("reliable_dedup_hits"),
-                give_ups: delta("reliable_give_ups"),
-                false_suspicions: delta("detector_false_suspicions"),
-                quarantine_entries: delta("quarantine_entries"),
-                quarantine_exits: delta("quarantine_exits"),
-            },
-            mac: ContentionCounters {
-                collisions: trace.mac_collisions() - trace0.mac_collisions(),
-                defers: trace.mac_defers() - trace0.mac_defers(),
-                backoff_exhausted: trace.mac_backoff_exhausted()
-                    - trace0.mac_backoff_exhausted(),
-                congestion_stretches: delta("congestion_stretch"),
-                congestion_relaxes: delta("congestion_relax"),
-                suppressed_broadcasts: delta("suppressed_broadcast"),
-            },
-            data: DataCounters {
-                reports_produced: delta("data_reports_produced"),
-                reports_delivered: delta("data_reports_delivered"),
-                batches_delivered: delta("data_batches_delivered"),
-                queue_drops: delta("data_queue_drops"),
-                reports_dropped: delta("data_reports_dropped"),
-                reports_misrouted: delta("data_reports_lost_misroute"),
-                credit_recoveries: delta("data_credit_recovered"),
-                leaf_gaps: delta("data_leaf_gaps"),
-                leaf_dups: delta("data_leaf_dups"),
-            },
-            sent_by_kind,
+            counters: trace.since(&trace0),
             episodes,
         }
     }
@@ -1326,11 +1146,14 @@ mod tests {
         assert_eq!(report.outcomes[1].detail, "stopped jam 7");
         assert!(report.outcomes[2].detail.contains("never started"));
         assert!(net.engine().faults().jams().is_empty(), "jam must be lifted");
-        assert!(report.dropped_by_jam > 0, "the jam must have blocked traffic");
+        assert!(report.counters.dropped_by_jam() > 0, "the jam must have blocked traffic");
     }
 
     #[test]
     fn report_json_shape() {
+        let mut counters = Trace::new();
+        counters.record_broadcast("org");
+        counters.record_unicast("org_reply");
         let report = ChaosReport {
             started: SimTime::from_micros(5),
             finished: SimTime::from_micros(10),
@@ -1346,22 +1169,17 @@ mod tests {
             max_violations: 2,
             polls: 3,
             digest: 0xabc,
-            dropped_by_burst: 0,
-            dropped_by_jam: 0,
-            dropped_unicast: 0,
-            duplicated: 0,
-            delayed: 0,
-            reliability: ReliabilityCounters { retransmits: 4, ..ReliabilityCounters::default() },
-            mac: ContentionCounters { collisions: 6, ..ContentionCounters::default() },
-            data: DataCounters { reports_delivered: 9, ..DataCounters::default() },
-            sent_by_kind: vec![("org", 12), ("org_reply", 3)],
+            counters: counters.clone(),
             episodes: Vec::new(),
         };
-        // Golden captured before the move onto `JsonWriter` (nulls, an
-        // escaped detail string, an empty episode list).
+        // Nulls, an escaped detail string, an empty episode list, and the
+        // counters as the trace writes them.
+        let counters = json::to_string(|w| counters.write_json(w));
         assert_eq!(
             report.to_json(),
-            r#"{"started_us":5,"finished_us":10,"healed":false,"final_violations":1,"max_violations":2,"polls":3,"digest":"0000000000000abc","dropped_by_burst":0,"dropped_by_jam":0,"dropped_unicast":0,"duplicated":0,"delayed":0,"reliability":{"retransmits":4,"dedup_hits":0,"give_ups":0,"false_suspicions":0,"quarantine_entries":0,"quarantine_exits":0},"mac":{"collisions":6,"defers":0,"backoff_exhausted":0,"congestion_stretches":0,"congestion_relaxes":0,"suppressed_broadcasts":0},"data":{"reports_produced":0,"reports_delivered":9,"batches_delivered":0,"queue_drops":0,"reports_dropped":0,"reports_misrouted":0,"credit_recoveries":0,"leaf_gaps":0,"leaf_dups":0},"sent_by_kind":{"org":12,"org_reply":3},"faults":[{"kind":"join","detail":"say \"hi\"","injected_at_us":7,"killed":0,"heal_latency_us":null,"episode":null}],"episodes":[]}"#
+            format!(
+                r#"{{"started_us":5,"finished_us":10,"healed":false,"final_violations":1,"max_violations":2,"polls":3,"digest":"0000000000000abc","counters":{counters},"faults":[{{"kind":"join","detail":"say \"hi\"","injected_at_us":7,"killed":0,"heal_latency_us":null,"episode":null}}],"episodes":[]}}"#
+            )
         );
         assert!(!report.healed());
         assert_eq!(report.max_heal_latency(), None);

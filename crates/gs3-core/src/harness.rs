@@ -20,6 +20,15 @@ use crate::node::Gs3Node;
 use crate::snapshot::{view_role, NodeView, RoleView, Snapshot};
 use crate::state::Role;
 
+/// How a [`NetworkBuilder`] was given its deployment density.
+#[derive(Debug, Clone, Copy)]
+enum Density {
+    /// The paper's λ, directly.
+    Lambda(f64),
+    /// An expected node count over the deployment disk.
+    Nodes(usize),
+}
+
 /// Builder for a deployed GS³ [`Network`].
 ///
 /// ```rust
@@ -42,7 +51,7 @@ pub struct NetworkBuilder {
     r: f64,
     r_t: f64,
     area_radius: f64,
-    lambda: f64,
+    density: Density,
     seed: u64,
     mode: Mode,
     gaps: Vec<(Point, f64)>,
@@ -69,7 +78,7 @@ impl Default for NetworkBuilder {
             r: 100.0,
             r_t: 15.0,
             area_radius: 300.0,
-            lambda: 0.02,
+            density: Density::Lambda(0.02),
             seed: 0,
             mode: Mode::Dynamic,
             gaps: Vec::new(),
@@ -122,17 +131,19 @@ impl NetworkBuilder {
     }
 
     /// Sets the paper's density λ (expected nodes per unit-radius disk).
+    /// Of this and [`Self::expected_nodes`], the last call wins.
     #[must_use]
     pub fn density(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
+        self.density = Density::Lambda(lambda);
         self
     }
 
     /// Sets the density via a target expected node count over the
-    /// deployment area.
+    /// deployment area, whatever area radius the builder ends with. Of
+    /// this and [`Self::density`], the last call wins.
     #[must_use]
     pub fn expected_nodes(mut self, n: usize) -> Self {
-        self.lambda = n as f64 / (self.area_radius * self.area_radius);
+        self.density = Density::Nodes(n);
         self
     }
 
@@ -378,7 +389,11 @@ impl NetworkBuilder {
             // `lambda` is the paper's λ (expected nodes per unit-radius
             // disk), which Deployment::disk takes directly: expected
             // count = λ·r².
-            let mut deploy = Deployment::disk(self.area_radius, self.lambda)
+            let lambda = match self.density {
+                Density::Lambda(lambda) => lambda,
+                Density::Nodes(n) => n as f64 / (self.area_radius * self.area_radius),
+            };
+            let mut deploy = Deployment::disk(self.area_radius, lambda)
                 .with_position_noise(self.position_noise);
             for (c, g) in &self.gaps {
                 deploy = deploy.with_gap(*c, *g);
@@ -814,10 +829,20 @@ mod tests {
         assert_eq!(snap.nodes.len(), net.engine().node_count());
     }
 
+    /// The count is spread over the final area, whichever of the two
+    /// setters comes first; `density` and `expected_nodes` override each
+    /// other in call order.
     #[test]
-    fn expected_nodes_sets_lambda() {
-        let b = NetworkBuilder::new().area_radius(100.0).expected_nodes(500);
-        assert!((b.lambda - 0.05).abs() < 1e-12);
+    fn expected_nodes_is_resolved_against_the_final_area() {
+        let nodes = |b: NetworkBuilder| b.seed(5).build().unwrap().engine().node_count();
+        let area_first = nodes(NetworkBuilder::new().area_radius(100.0).expected_nodes(500));
+        let count_first = nodes(NetworkBuilder::new().expected_nodes(500).area_radius(100.0));
+        assert_eq!(count_first, area_first);
+        assert!((450..=550).contains(&area_first), "{area_first} nodes for an expected 500");
+        let by_density = nodes(NetworkBuilder::new().area_radius(100.0).expected_nodes(9).density(0.05));
+        assert_eq!(by_density, area_first, "the later density call wins");
+        let by_count = nodes(NetworkBuilder::new().area_radius(100.0).density(0.9).expected_nodes(500));
+        assert_eq!(by_count, area_first, "the later count wins");
     }
 
     #[test]

@@ -435,7 +435,7 @@ mod tests {
             assert_eq!(trace.sent_of_kind(kind), 0, "{kind} sent without .traffic()");
         }
         let data_counters: Vec<_> =
-            trace.proto_counters().keys().filter(|name| name.starts_with("data_")).collect();
+            trace.named().filter(|(name, _)| name.starts_with("data_")).collect();
         assert!(data_counters.is_empty(), "data_* counters bumped: {data_counters:?}");
         assert!(net.sink_ledger().is_none());
     }

@@ -100,7 +100,7 @@ impl<N: Node> Engine<N> {
         };
         // Vec::remove (not swap_remove) keeps the sort.
         timers.remove(pos);
-        self.trace.record_timer();
+        self.trace.bump(Counter::TimersFired);
         self.record_event(EventClass::Timer, to, "timer", NO_PEER, None, timer_id);
         self.with_ctx(to, |node, ctx| node.on_timer(timer, ctx));
     }

@@ -27,7 +27,7 @@ use crate::medium::{ContentionConfig, MediumState, TxWindow};
 use crate::queue::EventQueue;
 use crate::radio::{EnergyModel, RadioModel};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{KindFolds, Trace};
+use crate::trace::{Counter, KindFolds, Trace};
 
 mod arena;
 mod effects;

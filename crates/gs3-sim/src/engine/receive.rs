@@ -44,7 +44,7 @@ impl<N: Node> Engine<N> {
     /// Records a frame corrupted on the air at `to`, by a medium-detected
     /// overlap (`tag`: the frame's episode) or a scripted collision (`None`).
     pub(super) fn record_corrupted(&mut self, to: NodeId, from: NodeId, kind: &'static str, tag: Option<u64>) {
-        self.trace.record_mac_collision();
+        self.trace.bump(Counter::MacCollisions);
         self.arena.mac_events[to.index()] += 1;
         self.record_event(EventClass::MacCollision, to, kind, from.raw(), tag, 0);
     }
@@ -64,7 +64,7 @@ impl<N: Node> Engine<N> {
             self.charge(to, self.energy_model.rx);
             return;
         }
-        self.trace.record_delivery();
+        self.trace.bump(Counter::Deliveries);
         // Causal attribution: a delivery of a tagged message taints the
         // receiver one hop deeper into the episode — but only a *directed*
         // (unicast) delivery propagates taint; broadcast receptions are
@@ -169,7 +169,7 @@ mod tests {
         assert_eq!(t.mac_defers(), 0, "out of carrier-sense range: no deferrals");
         assert_eq!(eng.node(b).unwrap().received, 0, "every overlapped frame corrupts");
         assert!(
-            t.deliveries() < t.scheduled_deliveries(),
+            t.deliveries() < t.get(Counter::ScheduledDeliveries),
             "corrupted frames are scheduled but never delivered"
         );
     }

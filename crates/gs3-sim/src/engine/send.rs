@@ -45,12 +45,12 @@ impl<N: Node> Engine<N> {
         let reach = match dest {
             Dest::Node(to) => {
                 let Some(&target_pos) = self.arena.positions.get(to.index()) else {
-                    self.trace.record_unicast_failure();
+                    self.trace.bump(Counter::UnicastFailures);
                     return;
                 };
                 let dist = from_pos.distance(target_pos);
                 if !self.arena.alive[to.index()] || dist > self.radio.max_range {
-                    self.trace.record_unicast_failure();
+                    self.trace.bump(Counter::UnicastFailures);
                     // The sender still transmitted: it burns the energy
                     // and its episode is billed the frame.
                     self.episode_tag(from);
@@ -127,10 +127,10 @@ impl<N: Node> Engine<N> {
         self.arena.mac_events[from.index()] += 1;
         let exhausted = attempt >= self.contention.max_backoffs;
         let kind = if exhausted {
-            self.trace.record_mac_backoff_exhausted();
+            self.trace.bump(Counter::MacBackoffExhausted);
             "mac_backoff_exhausted"
         } else {
-            self.trace.record_mac_defer();
+            self.trace.bump(Counter::MacDefers);
             "mac_defer"
         };
         self.record_event(EventClass::MacDefer, from, kind, NO_PEER, None, u64::from(attempt));
@@ -149,24 +149,24 @@ impl<N: Node> Engine<N> {
     fn attempt_delivery(&mut self, f: &Frame, to: NodeId, dist: f64) {
         let fate = self.faults.next_attempt(f.from, to, f.kind, !f.directed);
         match fate {
-            Some(Fate::Drop) => return self.trace.record_scripted_drop(),
+            Some(Fate::Drop) => return self.trace.bump(Counter::ScriptedDrops),
             // Works with contention off: the model checker's collision schedules.
             Some(Fate::Collide) => return self.record_corrupted(to, f.from, f.kind, None),
             Some(_) => {}
             None => {
                 if !f.directed && self.radio.broadcast_dropped(&mut self.rng) {
-                    return self.trace.record_broadcast_loss();
+                    return self.trace.bump(Counter::BroadcastLosses);
                 }
                 if !self.faults.jams().is_empty()
                     && self.faults.jammed(f.from_pos, self.arena.positions[to.index()])
                 {
-                    return self.trace.record_dropped_by_jam();
+                    return self.trace.bump(Counter::DroppedByJam);
                 }
                 if self.faults.burst_dropped(&mut self.rng) {
-                    return self.trace.record_dropped_by_burst();
+                    return self.trace.bump(Counter::DroppedByBurst);
                 }
                 if f.directed && self.faults.unicast_dropped(&mut self.rng) {
-                    return self.trace.record_dropped_unicast();
+                    return self.trace.bump(Counter::DroppedUnicast);
                 }
             }
         }
@@ -181,13 +181,13 @@ impl<N: Node> Engine<N> {
     fn schedule_delivery(&mut self, f: &Frame, to: NodeId, dist: f64, fate: Option<Fate>) {
         let copies = match fate {
             Some(Fate::Duplicate) => {
-                self.trace.record_scripted_duplicate();
+                self.trace.bump(Counter::ScriptedDuplicates);
                 2
             }
             Some(_) => 1,
             None => {
                 if self.faults.duplicated(&mut self.rng) {
-                    self.trace.record_duplicated();
+                    self.trace.bump(Counter::Duplicated);
                     2
                 } else {
                     1
@@ -203,9 +203,9 @@ impl<N: Node> Engine<N> {
             };
             if !extra.is_zero() {
                 if fate.is_some() {
-                    self.trace.record_scripted_delay();
+                    self.trace.bump(Counter::ScriptedDelays);
                 } else {
-                    self.trace.record_delayed();
+                    self.trace.bump(Counter::Delayed);
                 }
                 latency = latency + extra;
             }
@@ -259,16 +259,16 @@ mod tests {
     #[test]
     fn unicast_out_of_range_fails() {
         let eng = cast_to(1);
-        assert_eq!(eng.trace().unicast_failures(), 1);
+        assert_eq!(eng.trace().get(Counter::UnicastFailures), 1);
         assert_eq!(eng.node(NodeId::new(1)).unwrap().heard, 0);
-        assert_eq!(eng.trace().scheduled_deliveries(), 0);
+        assert_eq!(eng.trace().get(Counter::ScheduledDeliveries), 0);
     }
 
     #[test]
     fn unicast_to_self_is_delivered() {
         // Only a broadcast skips its sender.
         let eng = cast_to(0);
-        assert_eq!(eng.trace().unicast_failures(), 0);
+        assert_eq!(eng.trace().get(Counter::UnicastFailures), 0);
         assert_eq!(eng.node(NodeId::new(0)).unwrap().heard, 1);
     }
 
@@ -281,7 +281,7 @@ mod tests {
         let sent = eng.node(NodeId::new(0)).unwrap().sent + eng.node(NodeId::new(1)).unwrap().sent;
         let rate = t.dropped_unicast() as f64 / f64::from(sent);
         assert!((rate - 0.3).abs() < 0.05, "drop rate {rate}");
-        assert_eq!(t.unicast_failures(), 0, "loss is not a range failure");
+        assert_eq!(t.get(Counter::UnicastFailures), 0, "loss is not a range failure");
     }
 
     #[test]
@@ -339,7 +339,7 @@ mod tests {
         let run = |config: FaultConfig| {
             let mut eng = chatter_pair(config);
             eng.run_for(SimDuration::from_secs(20));
-            (eng.trace().delayed(), eng.node(NodeId::new(1)).unwrap().received)
+            (eng.trace().get(Counter::Delayed), eng.node(NodeId::new(1)).unwrap().received)
         };
         let (delayed, _) = run(FaultConfig {
             delay_prob: 1.0,

@@ -1,12 +1,16 @@
 //! Run statistics.
 //!
-//! The trace counts channel activity by message kind. It is the basis for
-//! the paper's message-complexity observations (local coordination ⇒
-//! per-perturbation message counts independent of network size).
+//! The trace counts a run: one table of engine counters ([`Counter`]),
+//! transmissions by message kind, and protocol counters bumped by name.
+//! It is the basis for the paper's message-complexity observations (local
+//! coordination ⇒ per-perturbation message counts independent of network
+//! size), and every report of counts is a view of it
+//! ([`Trace::write_json`], [`Trace::since`]).
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
+
+use gs3_telemetry::json::JsonWriter;
 
 use crate::fnv::Fnv64;
 
@@ -79,37 +83,86 @@ pub fn fold_delivery(h: u64, at_micros: u64, from: u64, to: u64, kind: &KindFold
     kind.fold(Fnv64::resume(h).u64(at_micros).u64(from).u64(to).finish())
 }
 
+/// Declares [`Counter`] from one table: each row is a variant, its doc
+/// line and the name every report keys it by.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $variant:ident => $name:literal,)*) => {
+        /// One of the engine's run counters: a slot of [`Trace`]'s table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Every counter, in table order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant,)*];
+            /// How many counters there are.
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// The counter's key in every report.
+            #[must_use]
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Unicast transmissions.
+    UnicastsSent => "unicasts_sent",
+    /// Broadcast transmissions, each counted once however many receive it.
+    BroadcastsSent => "broadcasts_sent",
+    /// Message deliveries, one per receiver.
+    Deliveries => "deliveries",
+    /// Broadcast copies dropped by the channel.
+    BroadcastLosses => "broadcast_losses",
+    /// Unicasts that failed: destination dead, unknown or out of range.
+    UnicastFailures => "unicast_failures",
+    /// Timer events fired.
+    TimersFired => "timers_fired",
+    /// Delivery attempts lost to Gilbert–Elliott burst loss.
+    DroppedByBurst => "dropped_by_burst",
+    /// Delivery attempts blocked by a jamming disk.
+    DroppedByJam => "dropped_by_jam",
+    /// Unicast deliveries lost to the unicast-loss fault (a dead or
+    /// out-of-range destination is a [`Counter::UnicastFailures`]).
+    DroppedUnicast => "dropped_unicast",
+    /// Deliveries duplicated by the duplication fault.
+    Duplicated => "duplicated",
+    /// Deliveries held back by the extra-delay fault.
+    Delayed => "delayed",
+    /// Attempts dropped by a scripted [`crate::faults::Fate::Drop`].
+    ScriptedDrops => "scripted_drops",
+    /// Attempts duplicated by a scripted [`crate::faults::Fate::Duplicate`].
+    ScriptedDuplicates => "scripted_duplicates",
+    /// Attempts delayed by a scripted [`crate::faults::Fate::Delay`].
+    ScriptedDelays => "scripted_delays",
+    /// Frames corrupted by an overlapping transmission audible at the
+    /// receiver (or a scripted [`crate::faults::Fate::Collide`]).
+    MacCollisions => "mac_collisions",
+    /// Send attempts deferred by carrier sense, one per backoff round.
+    MacDefers => "mac_defers",
+    /// Frames dropped after exhausting the backoff retry budget.
+    MacBackoffExhausted => "mac_backoff_exhausted",
+    /// Deliveries scheduled onto the wire after all fault filtering;
+    /// duplicates count per copy.
+    ScheduledDeliveries => "scheduled_deliveries",
+}
+
 /// Counters accumulated over a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
-    unicasts_sent: u64,
-    broadcasts_sent: u64,
-    deliveries: u64,
-    broadcast_losses: u64,
-    unicast_failures: u64,
+    /// The [`Counter`] table, indexed by variant.
+    counts: [u64; Counter::COUNT],
+    /// Transmissions (unicast + broadcast) by message kind.
     per_kind_sent: BTreeMap<&'static str, u64>,
-    timers_fired: u64,
-    // Fault-injection accounting (all zero when faults are off).
-    dropped_by_burst: u64,
-    dropped_by_jam: u64,
-    dropped_unicast: u64,
-    duplicated: u64,
-    delayed: u64,
-    // Scripted-fate accounting (all zero unless a channel script is
-    // installed — the model checker's decision point).
-    scripted_drops: u64,
-    scripted_duplicates: u64,
-    scripted_delays: u64,
-    // Shared-medium contention accounting (all zero while contention is
-    // disabled and no `Fate::Collide` is scripted).
-    mac_collisions: u64,
-    mac_defers: u64,
-    mac_backoff_exhausted: u64,
-    scheduled_deliveries: u64,
     /// Protocol-level named counters bumped via [`crate::Context::count`]
     /// (e.g. the reliability layer's retransmit/dedup/give-up tallies).
-    /// Empty when no node records any.
-    proto_counters: BTreeMap<&'static str, u64>,
+    /// Empty when no node records any; never holds a zero.
+    proto: BTreeMap<&'static str, u64>,
     /// Running FNV-1a hash of every scheduled delivery
     /// (time, sender, receiver, kind).
     digest: u64,
@@ -118,26 +171,9 @@ pub struct Trace {
 impl Default for Trace {
     fn default() -> Self {
         Trace {
-            unicasts_sent: 0,
-            broadcasts_sent: 0,
-            deliveries: 0,
-            broadcast_losses: 0,
-            unicast_failures: 0,
+            counts: [0; Counter::COUNT],
             per_kind_sent: BTreeMap::new(),
-            timers_fired: 0,
-            dropped_by_burst: 0,
-            dropped_by_jam: 0,
-            dropped_unicast: 0,
-            duplicated: 0,
-            delayed: 0,
-            scripted_drops: 0,
-            scripted_duplicates: 0,
-            scripted_delays: 0,
-            mac_collisions: 0,
-            mac_defers: 0,
-            mac_backoff_exhausted: 0,
-            scheduled_deliveries: 0,
-            proto_counters: BTreeMap::new(),
+            proto: BTreeMap::new(),
             digest: Fnv64::new().finish(),
         }
     }
@@ -153,78 +189,24 @@ impl Trace {
     /// Counts one unicast transmission of `kind` (the engine calls this
     /// once per send; public so the per-send cost can be benchmarked).
     pub fn record_unicast(&mut self, kind: &'static str) {
-        self.unicasts_sent += 1;
+        self.bump(Counter::UnicastsSent);
         *self.per_kind_sent.entry(kind).or_insert(0) += 1;
     }
 
     /// Counts one broadcast transmission of `kind`, however many receive it.
     pub fn record_broadcast(&mut self, kind: &'static str) {
-        self.broadcasts_sent += 1;
+        self.bump(Counter::BroadcastsSent);
         *self.per_kind_sent.entry(kind).or_insert(0) += 1;
     }
 
-    pub(crate) fn record_delivery(&mut self) {
-        self.deliveries += 1;
-    }
-
-    pub(crate) fn record_broadcast_loss(&mut self) {
-        self.broadcast_losses += 1;
-    }
-
-    pub(crate) fn record_unicast_failure(&mut self) {
-        self.unicast_failures += 1;
-    }
-
-    pub(crate) fn record_timer(&mut self) {
-        self.timers_fired += 1;
-    }
-
-    pub(crate) fn record_dropped_by_burst(&mut self) {
-        self.dropped_by_burst += 1;
-    }
-
-    pub(crate) fn record_dropped_by_jam(&mut self) {
-        self.dropped_by_jam += 1;
-    }
-
-    pub(crate) fn record_dropped_unicast(&mut self) {
-        self.dropped_unicast += 1;
-    }
-
-    pub(crate) fn record_duplicated(&mut self) {
-        self.duplicated += 1;
-    }
-
-    pub(crate) fn record_delayed(&mut self) {
-        self.delayed += 1;
-    }
-
-    pub(crate) fn record_scripted_drop(&mut self) {
-        self.scripted_drops += 1;
-    }
-
-    pub(crate) fn record_scripted_duplicate(&mut self) {
-        self.scripted_duplicates += 1;
-    }
-
-    pub(crate) fn record_scripted_delay(&mut self) {
-        self.scripted_delays += 1;
-    }
-
-    pub(crate) fn record_mac_collision(&mut self) {
-        self.mac_collisions += 1;
-    }
-
-    pub(crate) fn record_mac_defer(&mut self) {
-        self.mac_defers += 1;
-    }
-
-    pub(crate) fn record_mac_backoff_exhausted(&mut self) {
-        self.mac_backoff_exhausted += 1;
+    /// Adds one to `counter`.
+    #[inline]
+    pub(crate) fn bump(&mut self, counter: Counter) {
+        self.counts[counter as usize] += 1;
     }
 
     pub(crate) fn record_proto(&mut self, name: &'static str, by: u64) {
-        *self.proto_counters.entry(name).or_insert(0) += by;
+        *self.proto.entry(name).or_insert(0) += by;
     }
 
     /// Folds one scheduled delivery into the digest: delivery time in
@@ -236,7 +218,7 @@ impl Trace {
         to: u64,
         kind: &KindFold,
     ) {
-        self.scheduled_deliveries += 1;
+        self.bump(Counter::ScheduledDeliveries);
         self.digest = fold_delivery(self.digest, at_micros, from, to, kind);
     }
 
@@ -244,47 +226,90 @@ impl Trace {
     /// time — kept as the oracle [`fold_delivery`] is tested against.
     #[cfg(test)]
     fn record_scheduled_delivery_bytewise(&mut self, at_micros: u64, from: u64, to: u64, kind: &str) {
-        self.scheduled_deliveries += 1;
+        self.bump(Counter::ScheduledDeliveries);
         let mut h = Fnv64::resume(self.digest);
         h.bytes(&at_micros.to_le_bytes()).bytes(&from.to_le_bytes()).bytes(&to.to_le_bytes());
         self.digest = h.bytes(kind.as_bytes()).finish();
     }
 
-    /// Total unicast transmissions.
+    /// The value of `counter`.
+    #[must_use]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize]
+    }
+
+    /// What happened between `earlier`, a trace of the same run, and this
+    /// one: every counter subtracted, and of the per-kind and protocol
+    /// counts only those that moved. The digest is this trace's — a hash
+    /// chain has no difference.
+    #[must_use]
+    pub fn since(&self, earlier: &Trace) -> Trace {
+        fn moved(
+            now: &BTreeMap<&'static str, u64>,
+            then: &BTreeMap<&'static str, u64>,
+        ) -> BTreeMap<&'static str, u64> {
+            now.iter()
+                .filter_map(|(&name, &n)| {
+                    let d = n.saturating_sub(then.get(name).copied().unwrap_or(0));
+                    (d > 0).then_some((name, d))
+                })
+                .collect()
+        }
+        Trace {
+            counts: std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i])),
+            per_kind_sent: moved(&self.per_kind_sent, &earlier.per_kind_sent),
+            proto: moved(&self.proto, &earlier.proto),
+            digest: self.digest,
+        }
+    }
+
+    /// Every counter by name: the [`Counter`] table in order, then the
+    /// protocol counters in name order.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let table = Counter::ALL.into_iter().map(|c| (c.name(), self.get(c)));
+        table.chain(self.proto.iter().map(|(&name, &n)| (name, n)))
+    }
+
+    /// Writes the trace as one JSON object: every [`Counter`] by name in
+    /// table order, then `sent_by_kind` and `proto` as objects. The digest
+    /// is not part of it; reports carry it in a field of its own.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            for c in Counter::ALL {
+                w.key(c.name()).u64(self.get(c));
+            }
+            for (key, map) in [("sent_by_kind", &self.per_kind_sent), ("proto", &self.proto)] {
+                w.key(key).object(|w| {
+                    for (name, &n) in map {
+                        w.key(name).u64(n);
+                    }
+                });
+            }
+        });
+    }
+
+    /// [`Counter::UnicastsSent`].
     #[must_use]
     pub fn unicasts_sent(&self) -> u64 {
-        self.unicasts_sent
+        self.get(Counter::UnicastsSent)
     }
 
-    /// Total broadcast transmissions (each counted once regardless of
-    /// receiver count).
+    /// [`Counter::BroadcastsSent`].
     #[must_use]
     pub fn broadcasts_sent(&self) -> u64 {
-        self.broadcasts_sent
+        self.get(Counter::BroadcastsSent)
     }
 
-    /// Total message deliveries (per receiver).
+    /// [`Counter::Deliveries`].
     #[must_use]
     pub fn deliveries(&self) -> u64 {
-        self.deliveries
+        self.get(Counter::Deliveries)
     }
 
-    /// Broadcast copies dropped by the channel.
-    #[must_use]
-    pub fn broadcast_losses(&self) -> u64 {
-        self.broadcast_losses
-    }
-
-    /// Unicasts that failed (destination dead or out of range).
-    #[must_use]
-    pub fn unicast_failures(&self) -> u64 {
-        self.unicast_failures
-    }
-
-    /// Timer events fired.
+    /// [`Counter::TimersFired`].
     #[must_use]
     pub fn timers_fired(&self) -> u64 {
-        self.timers_fired
+        self.get(Counter::TimersFired)
     }
 
     /// Transmissions (unicast + broadcast) by message kind.
@@ -302,96 +327,55 @@ impl Trace {
     /// Total transmissions (unicast + broadcast).
     #[must_use]
     pub fn total_sent(&self) -> u64 {
-        self.unicasts_sent + self.broadcasts_sent
+        self.unicasts_sent() + self.broadcasts_sent()
     }
 
-    /// Delivery attempts lost to Gilbert–Elliott burst loss.
+    /// [`Counter::DroppedByBurst`].
     #[must_use]
     pub fn dropped_by_burst(&self) -> u64 {
-        self.dropped_by_burst
+        self.get(Counter::DroppedByBurst)
     }
 
-    /// Delivery attempts blocked by a jamming disk.
+    /// [`Counter::DroppedByJam`].
     #[must_use]
     pub fn dropped_by_jam(&self) -> u64 {
-        self.dropped_by_jam
+        self.get(Counter::DroppedByJam)
     }
 
-    /// Unicast deliveries lost to the unicast-loss fault (distinct from
-    /// [`Trace::unicast_failures`], which counts dead/out-of-range
-    /// destinations).
+    /// [`Counter::DroppedUnicast`].
     #[must_use]
     pub fn dropped_unicast(&self) -> u64 {
-        self.dropped_unicast
+        self.get(Counter::DroppedUnicast)
     }
 
-    /// Deliveries duplicated by the duplication fault.
+    /// [`Counter::Duplicated`].
     #[must_use]
     pub fn duplicated(&self) -> u64 {
-        self.duplicated
+        self.get(Counter::Duplicated)
     }
 
-    /// Deliveries held back by the extra-delay fault.
-    #[must_use]
-    pub fn delayed(&self) -> u64 {
-        self.delayed
-    }
-
-    /// Attempts dropped by a scripted [`crate::faults::Fate::Drop`].
-    #[must_use]
-    pub fn scripted_drops(&self) -> u64 {
-        self.scripted_drops
-    }
-
-    /// Attempts duplicated by a scripted [`crate::faults::Fate::Duplicate`].
-    #[must_use]
-    pub fn scripted_duplicates(&self) -> u64 {
-        self.scripted_duplicates
-    }
-
-    /// Attempts delayed by a scripted [`crate::faults::Fate::Delay`].
-    #[must_use]
-    pub fn scripted_delays(&self) -> u64 {
-        self.scripted_delays
-    }
-
-    /// Frames corrupted by an overlapping transmission audible at the
-    /// receiver (or a scripted [`crate::faults::Fate::Collide`]).
+    /// [`Counter::MacCollisions`].
     #[must_use]
     pub fn mac_collisions(&self) -> u64 {
-        self.mac_collisions
+        self.get(Counter::MacCollisions)
     }
 
-    /// Send attempts deferred by carrier sense (each backoff round counts
-    /// once).
+    /// [`Counter::MacDefers`].
     #[must_use]
     pub fn mac_defers(&self) -> u64 {
-        self.mac_defers
+        self.get(Counter::MacDefers)
     }
 
-    /// Frames dropped after exhausting the backoff retry budget.
+    /// [`Counter::MacBackoffExhausted`].
     #[must_use]
     pub fn mac_backoff_exhausted(&self) -> u64 {
-        self.mac_backoff_exhausted
-    }
-
-    /// Deliveries actually scheduled onto the wire (after all fault
-    /// filtering; duplicates count per copy).
-    #[must_use]
-    pub fn scheduled_deliveries(&self) -> u64 {
-        self.scheduled_deliveries
+        self.get(Counter::MacBackoffExhausted)
     }
 
     /// Value of the named protocol counter (0 when never bumped).
     #[must_use]
     pub fn proto(&self, name: &str) -> u64 {
-        self.proto_counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All protocol counters recorded via [`crate::Context::count`].
-    #[must_use]
-    pub fn proto_counters(&self) -> &BTreeMap<&'static str, u64> {
-        &self.proto_counters
+        self.proto.get(name).copied().unwrap_or(0)
     }
 
     /// A stable FNV-1a hash of the full delivery sequence — every
@@ -401,46 +385,6 @@ impl Trace {
     #[must_use]
     pub fn digest(&self) -> u64 {
         self.digest
-    }
-}
-
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trace: {} unicasts, {} broadcasts, {} deliveries, {} bcast losses, {} unicast failures, {} timers",
-            self.unicasts_sent,
-            self.broadcasts_sent,
-            self.deliveries,
-            self.broadcast_losses,
-            self.unicast_failures,
-            self.timers_fired
-        )?;
-        if self.dropped_by_burst + self.dropped_by_jam + self.dropped_unicast + self.duplicated
-            + self.delayed
-            > 0
-        {
-            writeln!(
-                f,
-                "faults: {} burst drops, {} jam drops, {} unicast drops, {} duplicated, {} delayed",
-                self.dropped_by_burst,
-                self.dropped_by_jam,
-                self.dropped_unicast,
-                self.duplicated,
-                self.delayed
-            )?;
-        }
-        if self.mac_collisions + self.mac_defers + self.mac_backoff_exhausted > 0 {
-            writeln!(
-                f,
-                "medium: {} collisions, {} defers, {} backoff exhausted",
-                self.mac_collisions, self.mac_defers, self.mac_backoff_exhausted
-            )?;
-        }
-        for (kind, count) in &self.per_kind_sent {
-            writeln!(f, "  {kind}: {count}")?;
-        }
-        Ok(())
     }
 }
 
@@ -454,47 +398,62 @@ mod tests {
         t.record_unicast("org_reply");
         t.record_unicast("org_reply");
         t.record_broadcast("org");
-        t.record_delivery();
-        t.record_broadcast_loss();
-        t.record_unicast_failure();
-        t.record_timer();
+        t.bump(Counter::DroppedByBurst);
+        t.bump(Counter::DroppedByBurst);
+        t.bump(Counter::Delayed);
         assert_eq!(t.unicasts_sent(), 2);
         assert_eq!(t.broadcasts_sent(), 1);
         assert_eq!(t.total_sent(), 3);
-        assert_eq!(t.deliveries(), 1);
-        assert_eq!(t.broadcast_losses(), 1);
-        assert_eq!(t.unicast_failures(), 1);
-        assert_eq!(t.timers_fired(), 1);
+        assert_eq!(t.dropped_by_burst(), 2);
+        assert_eq!(t.get(Counter::Delayed), 1);
+        assert_eq!(t.get(Counter::Deliveries), 0);
         assert_eq!(t.sent_of_kind("org_reply"), 2);
         assert_eq!(t.sent_of_kind("org"), 1);
         assert_eq!(t.sent_of_kind("nothing"), 0);
     }
 
     #[test]
-    fn display_lists_kinds() {
-        let mut t = Trace::new();
-        t.record_broadcast("org");
-        let s = format!("{t}");
-        assert!(s.contains("org: 1"));
-        assert!(!s.contains("faults:"), "fault line only appears when faults fired");
-        t.record_dropped_by_jam();
-        assert!(format!("{t}").contains("1 jam drops"));
+    fn counter_names_are_distinct_and_in_table_order() {
+        let names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), Counter::COUNT);
+        assert_eq!(names.iter().collect::<std::collections::BTreeSet<_>>().len(), Counter::COUNT);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} indexes the table at its position");
+        }
     }
 
     #[test]
-    fn fault_counters_accumulate() {
+    fn json_names_every_counter_then_the_maps_and_no_digest() {
         let mut t = Trace::new();
-        t.record_dropped_by_burst();
-        t.record_dropped_by_burst();
-        t.record_dropped_by_jam();
-        t.record_dropped_unicast();
-        t.record_duplicated();
-        t.record_delayed();
-        assert_eq!(t.dropped_by_burst(), 2);
-        assert_eq!(t.dropped_by_jam(), 1);
-        assert_eq!(t.dropped_unicast(), 1);
-        assert_eq!(t.duplicated(), 1);
-        assert_eq!(t.delayed(), 1);
+        t.record_broadcast("org");
+        t.bump(Counter::DroppedByJam);
+        t.record_proto("reliable_sent", 3);
+        let doc = gs3_telemetry::json::to_string(|w| t.write_json(w));
+        let table: String = Counter::ALL
+            .iter()
+            .map(|c| format!("\"{}\":{},", c.name(), t.get(*c)))
+            .collect();
+        assert_eq!(doc, format!("{{{table}\"sent_by_kind\":{{\"org\":1}},\"proto\":{{\"reliable_sent\":3}}}}"));
+        assert!(!doc.contains("digest"));
+    }
+
+    #[test]
+    fn since_keeps_the_table_and_drops_unmoved_names() {
+        let mut start = Trace::new();
+        start.record_unicast("org");
+        start.record_proto("reliable_sent", 2);
+        let mut end = start.clone();
+        end.record_broadcast("head_set");
+        end.record_proto("reliable_acked", 1);
+        let d = end.since(&start);
+        assert_eq!((d.unicasts_sent(), d.broadcasts_sent()), (0, 1));
+        assert_eq!(d.sent_by_kind().iter().collect::<Vec<_>>(), [(&"head_set", &1)]);
+        assert_eq!(d.named().filter(|(name, _)| name.starts_with("reliable")).collect::<Vec<_>>(), [(
+            "reliable_acked",
+            1
+        )]);
+        assert_eq!(d.named().count(), Counter::COUNT + 1, "every table counter stays, at zero or not");
+        assert_eq!(d.digest(), end.digest());
     }
 
     #[test]
@@ -513,7 +472,7 @@ mod tests {
         assert_ne!(a.digest(), fresh);
         assert_ne!(a.digest(), b.digest(), "order must matter");
         assert_eq!(a.digest(), c.digest(), "same sequence, same digest");
-        assert_eq!(a.scheduled_deliveries(), 2);
+        assert_eq!(a.get(Counter::ScheduledDeliveries), 2);
     }
 
     /// A delivery's fold — shortened words, then the kind's table —

@@ -8,6 +8,7 @@
 use gs3_geometry::Point;
 use gs3_sim::faults::{BurstLoss, FaultConfig};
 use gs3_sim::radio::{EnergyModel, RadioModel};
+use gs3_sim::trace::Counter;
 use gs3_sim::{ContentionConfig, Context, Engine, Node, NodeId, Payload, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,7 +75,7 @@ fn parked_unicast_and_broadcast_hash_as_at_the_parent() {
     eng.spawn(OneShot { target: Some(NodeId::new(99)) }, Point::new(12.0, 0.0));
     eng.run_for(SimDuration::from_millis(100));
     assert_eq!(eng.trace().mac_defers(), 2, "one unicast and one broadcast parked");
-    assert_eq!(eng.trace().unicast_failures(), 1, "an unknown target fails before carrier sense");
+    assert_eq!(eng.trace().get(Counter::UnicastFailures), 1, "an unknown target fails before carrier sense");
     assert_eq!(eng.in_flight_transmissions(), 3, "one frame on the air, two parked");
     let hashes = eng.pending_event_hashes();
     assert_eq!(hashes, PINNED_PARKED_HASHES, "{hashes:#018x?}");
@@ -128,7 +129,7 @@ impl Node for Babbler {
 /// Thirty babblers under every probabilistic fault at once: lossy
 /// broadcast, a jam disk over a corner of the field, burst loss, unicast
 /// loss, duplication and extra delay, with two nodes killed on the way.
-fn babble(contention: ContentionConfig) -> String {
+fn babble(contention: ContentionConfig) -> (String, u64) {
     const POPULATION: u64 = 30;
     let mut place = StdRng::seed_from_u64(0x0ca5_cade);
     let mut eng: Engine<Babbler> = Engine::new(RadioModel::lossy(150.0, 0.3), EnergyModel::disabled(), 17);
@@ -151,42 +152,46 @@ fn babble(contention: ContentionConfig) -> String {
     eng.run_for(SimDuration::from_secs(5));
     let t = eng.trace();
     for (what, n) in [
-        ("broadcast loss", t.broadcast_losses()),
+        ("broadcast loss", t.get(Counter::BroadcastLosses)),
         ("jam", t.dropped_by_jam()),
         ("burst", t.dropped_by_burst()),
         ("unicast loss", t.dropped_unicast()),
         ("duplicate", t.duplicated()),
-        ("delay", t.delayed()),
-        ("unicast failure", t.unicast_failures()),
+        ("delay", t.get(Counter::Delayed)),
+        ("unicast failure", t.get(Counter::UnicastFailures)),
     ] {
         assert!(n > 0, "the run never took the {what} branch");
     }
-    format!("{t:?}")
+    (gs3_sim::telemetry::json::to_string(|w| t.write_json(w)), t.digest())
 }
 
-/// [`babble`] over the ideal medium, as the parent commit traces it.
-const PINNED_CASCADE_TRACE: &str = "\
-    Trace { unicasts_sent: 19418, broadcasts_sent: 7279, deliveries: 48480, \
-    broadcast_losses: 26908, unicast_failures: 1331, per_kind_sent: {\"frame\": 26697}, \
-    timers_fired: 14439, dropped_by_burst: 9109, dropped_by_jam: 23276, \
-    dropped_unicast: 1349, duplicated: 2277, delayed: 4871, scripted_drops: 0, \
-    scripted_duplicates: 0, scripted_delays: 0, mac_collisions: 0, mac_defers: 0, \
-    mac_backoff_exhausted: 0, scheduled_deliveries: 48502, proto_counters: {}, \
-    digest: 14964728304641504574 }";
+/// [`babble`] over the ideal medium, as the parent commit traces it: the
+/// whole counter view, and the digest.
+const PINNED_CASCADE_TRACE: (&str, u64) = (
+    "{\"unicasts_sent\":19418,\"broadcasts_sent\":7279,\"deliveries\":48480,\
+    \"broadcast_losses\":26908,\"unicast_failures\":1331,\"timers_fired\":14439,\
+    \"dropped_by_burst\":9109,\"dropped_by_jam\":23276,\"dropped_unicast\":1349,\
+    \"duplicated\":2277,\"delayed\":4871,\"scripted_drops\":0,\"scripted_duplicates\":0,\
+    \"scripted_delays\":0,\"mac_collisions\":0,\"mac_defers\":0,\"mac_backoff_exhausted\":0,\
+    \"scheduled_deliveries\":48502,\"sent_by_kind\":{\"frame\":26697},\"proto\":{}}",
+    14964728304641504574,
+);
 /// [`babble`] over the contended medium.
-const PINNED_CONTENDED_CASCADE_TRACE: &str = "\
-    Trace { unicasts_sent: 9308, broadcasts_sent: 7232, deliveries: 8356, \
-    broadcast_losses: 16861, unicast_failures: 1373, per_kind_sent: {\"frame\": 16540}, \
-    timers_fired: 14471, dropped_by_burst: 4623, dropped_by_jam: 15395, \
-    dropped_unicast: 299, duplicated: 1235, delayed: 2582, scripted_drops: 0, \
-    scripted_duplicates: 0, scripted_delays: 0, mac_collisions: 16927, \
-    mac_defers: 52757, mac_backoff_exhausted: 4993, scheduled_deliveries: 25288, \
-    proto_counters: {}, digest: 13231623064226471193 }";
+const PINNED_CONTENDED_CASCADE_TRACE: (&str, u64) = (
+    "{\"unicasts_sent\":9308,\"broadcasts_sent\":7232,\"deliveries\":8356,\
+    \"broadcast_losses\":16861,\"unicast_failures\":1373,\"timers_fired\":14471,\
+    \"dropped_by_burst\":4623,\"dropped_by_jam\":15395,\"dropped_unicast\":299,\
+    \"duplicated\":1235,\"delayed\":2582,\"scripted_drops\":0,\"scripted_duplicates\":0,\
+    \"scripted_delays\":0,\"mac_collisions\":16927,\"mac_defers\":52757,\
+    \"mac_backoff_exhausted\":4993,\"scheduled_deliveries\":25288,\
+    \"sent_by_kind\":{\"frame\":16540},\"proto\":{}}",
+    13231623064226471193,
+);
 
 #[test]
 fn loss_cascade_order_is_pinned_by_the_whole_trace() {
-    assert_eq!(babble(ContentionConfig::disabled()), PINNED_CASCADE_TRACE);
+    let plain = babble(ContentionConfig::disabled());
+    assert_eq!((plain.0.as_str(), plain.1), PINNED_CASCADE_TRACE);
     let contended = babble(ContentionConfig::on());
-    assert!(contended.contains("mac_defers: ") && !contended.contains("mac_defers: 0,"));
-    assert_eq!(contended, PINNED_CONTENDED_CASCADE_TRACE);
+    assert_eq!((contended.0.as_str(), contended.1), PINNED_CONTENDED_CASCADE_TRACE);
 }

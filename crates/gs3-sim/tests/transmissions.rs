@@ -5,6 +5,7 @@
 
 use gs3_geometry::Point;
 use gs3_sim::radio::{EnergyModel, RadioModel};
+use gs3_sim::trace::Counter;
 use gs3_sim::{ContentionConfig, Context, Engine, Fate, Node, NodeId, Payload, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,7 +149,7 @@ fn transmission_records_are_conserved_on_every_discard_path() {
         let t = eng.trace();
         assert!(t.mac_defers() > 0 && t.mac_backoff_exhausted() > 0, "seed {seed}: no contention");
         assert!(t.mac_collisions() > 0, "seed {seed}: no collision");
-        assert!(t.scripted_duplicates() > 0 && t.scripted_delays() > 0, "seed {seed}: script unused");
+        assert!(t.get(Counter::ScriptedDuplicates) > 0 && t.get(Counter::ScriptedDelays) > 0, "seed {seed}: script unused");
         // Whatever is still queued targets the dead; draining it must hand
         // every record back.
         for id in eng.ids().collect::<Vec<_>>() {

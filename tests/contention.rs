@@ -14,6 +14,7 @@ use gs3::core::{
 };
 use gs3::geometry::{Point, Vec2};
 use gs3::sim::faults::{BurstLoss, FaultConfig};
+use gs3::sim::trace::Counter;
 use gs3::sim::{ContentionConfig, SimDuration};
 
 fn builder(seed: u64) -> NetworkBuilder {
@@ -55,14 +56,13 @@ fn disabled_contention_and_congestion_are_rng_inert() {
         "explicitly disabled contention/congestion must not shift the RNG stream"
     );
     assert_eq!(default_rep.to_json(), off_rep.to_json());
-    for t in [&default_trace, &off_trace] {
+    for t in [&default_trace, &off_trace, &off_rep.counters] {
         assert_eq!(t.mac_collisions(), 0, "disabled contention moved a MAC counter");
         assert_eq!(t.mac_defers(), 0);
         assert_eq!(t.mac_backoff_exhausted(), 0);
         assert_eq!(t.proto("congestion_stretch"), 0, "disabled congestion layer stretched");
         assert_eq!(t.proto("suppressed_broadcast"), 0);
     }
-    assert_eq!(off_rep.mac, Default::default(), "disabled layers moved a report counter");
     assert_eq!(
         default_rep.digest, PINNED_CONTENTION_OFF_DIGEST,
         "contention-off digest drifted from the pinned pre-contention value"
@@ -74,15 +74,15 @@ fn contended_medium_collides_defers_and_still_heals() {
     let mut net = builder(11).contention(ContentionConfig::on()).build().unwrap();
     net.run_to_fixpoint().unwrap();
     let rep = net.run_chaos(&crash_plan());
-    assert!(rep.mac.collisions > 0, "a dense contended field must see collisions");
-    assert!(rep.mac.defers > 0, "carrier sense must defer some transmissions");
+    assert!(rep.counters.mac_collisions() > 0, "a dense contended field must see collisions");
+    assert!(rep.counters.mac_defers() > 0, "carrier sense must defer some transmissions");
     assert!(rep.healed(), "moderate contention must not break healing: {}", rep.to_json());
-    // The JSON report carries the MAC block (mirrors the reliability
-    // block) with the same numbers the report struct holds.
+    // The JSON report carries the MAC counters with the same numbers the
+    // report struct holds.
     let doc = rep.to_json();
     assert!(
-        doc.contains(&format!("\"mac\":{{\"collisions\":{},", rep.mac.collisions)),
-        "mac block missing from report JSON: {doc}"
+        doc.contains(&format!("\"mac_collisions\":{},", rep.counters.mac_collisions())),
+        "mac_collisions missing from report JSON: {doc}"
     );
 }
 
@@ -162,6 +162,44 @@ fn all_layers_on_chaos_digest_is_pinned() {
         .at(SimDuration::from_secs(65), FaultKind::StopJam { label: 0 });
     let rep = net.run_chaos(&plan);
     assert!(rep.healed(), "the all-layers field must heal: {}", rep.to_json());
-    assert!(rep.mac.defers > 100_000, "the resend path must be exercised: {}", rep.mac.defers);
+    let defers = rep.counters.mac_defers();
+    assert!(defers > 100_000, "the resend path must be exercised: {defers}");
     assert_eq!(rep.digest, PINNED_ALL_LAYERS_DIGEST, "all-layers digest drifted: {:#018x}", rep.digest);
+}
+
+/// `Trace::since` against plain subtraction, name by name, over a chaos
+/// window that runs every layer; and the report's counters are that view.
+#[test]
+fn trace_since_is_end_minus_start_name_by_name() {
+    let mut net = builder(11)
+        .traffic(SimDuration::from_secs(5))
+        .reliability(ReliabilityConfig::on())
+        .contention(ContentionConfig::on())
+        .congestion(CongestionConfig::on())
+        .build()
+        .unwrap();
+    net.run_to_fixpoint().unwrap();
+    let start = net.engine().trace().clone();
+    let rep = net.run_chaos(&crash_plan());
+    let end = net.engine().trace();
+    let delta = end.since(&start);
+    assert_eq!(delta, rep.counters);
+    for c in Counter::ALL {
+        assert_eq!(delta.get(c), end.get(c) - start.get(c), "{c:?}");
+    }
+    let mut unmoved = 0;
+    for (kind, &n) in end.sent_by_kind() {
+        let d = n - start.sent_of_kind(kind);
+        assert_eq!(delta.sent_by_kind().get(kind).copied(), (d > 0).then_some(d), "kind {kind}");
+        unmoved += usize::from(d == 0);
+    }
+    // `named` lists the table first, then the protocol counters.
+    for (name, n) in end.named().skip(Counter::COUNT) {
+        let d = n - start.proto(name);
+        assert_eq!(delta.named().find(|&(k, _)| k == name).map(|(_, v)| v), (d > 0).then_some(d), "{name}");
+        unmoved += usize::from(d == 0);
+    }
+    assert!(unmoved > 0, "the window leaves some name unmoved, so dropping one is tested");
+    assert!(delta.sent_by_kind().keys().all(|k| end.sent_by_kind().contains_key(k)), "a kind from nowhere");
+    assert!(delta.named().skip(Counter::COUNT).all(|(name, _)| end.proto(name) > 0), "a name from nowhere");
 }

@@ -1,19 +1,23 @@
 //! Byte-identity golden for the largest JSON document the workspace
 //! emits: a `ChaosReport` from a seeded run with every optional layer on,
-//! so each counter block, the per-fault outcomes and the episode list are
-//! populated. The fixture was captured before the emitters moved onto the
-//! shared `gs3_telemetry::json` writer; output bytes are the contract.
+//! so every layer's counters, the per-fault outcomes and the episode list
+//! are populated. The fixture was captured before the emitters moved onto
+//! the shared `gs3_telemetry::json` writer and regenerated once, when the
+//! counters became one `counters` view of the trace; output bytes are the
+//! contract.
 
-use gs3::core::harness::NetworkBuilder;
-use gs3::core::{Corruption, DataplaneConfig, FaultKind, FaultPlan, ReliabilityConfig};
+use gs3::core::harness::{Network, NetworkBuilder};
+use gs3::core::{ChaosReport, Corruption, DataplaneConfig, FaultKind, FaultPlan, ReliabilityConfig};
 use gs3::geometry::Point;
 use gs3::sim::faults::{BurstLoss, FaultConfig};
+use gs3::sim::trace::{Counter, Trace};
 use gs3::sim::{ContentionConfig, SimDuration};
 
 const CHAOS_REPORT: &str = include_str!("fixtures/json/chaos_report.json");
 
-#[test]
-fn chaos_report_json_is_byte_identical_to_the_golden() {
+/// The golden's run: its trace when the chaos starts, the network after,
+/// and the report.
+fn golden_run() -> (Trace, Network, ChaosReport) {
     let mut net = NetworkBuilder::new()
         .ideal_radius(40.0)
         .radius_tolerance(14.0)
@@ -49,15 +53,43 @@ fn chaos_report_json_is_byte_identical_to_the_golden() {
         )
         .at(SimDuration::from_secs(20), FaultKind::StopJam { label: 3 })
         .at(SimDuration::from_secs(21), FaultKind::StopJam { label: 9 });
+    let start = net.engine().trace().clone();
     let report = net.run_chaos(&plan);
+    (start, net, report)
+}
 
+#[test]
+fn chaos_report_json_is_byte_identical_to_the_golden() {
+    let (_, _, report) = golden_run();
     let json = report.to_json();
-    // The golden is only worth pinning if the run populated every block.
-    for block in ["reliability", "mac", "data"] {
-        let at = json.find(&format!("\"{block}\":{{")).expect("block present");
-        let body = &json[at..at + json[at..].find('}').unwrap()];
-        assert!(body.bytes().any(|b| (b'1'..=b'9').contains(&b)), "{block} block is all zeros");
+    // The golden is only worth pinning if the run moved every layer's counters.
+    let c = &report.counters;
+    for name in ["reliable_retransmits", "data_reports_delivered"] {
+        assert!(c.proto(name) > 0, "{name} never moved");
     }
-    assert!(!report.episodes.is_empty() && !report.sent_by_kind.is_empty());
+    assert!(c.mac_collisions() > 0 && c.dropped_by_burst() > 0, "medium or channel never dropped");
+    assert!(!report.episodes.is_empty() && !c.sent_by_kind().is_empty());
     assert_eq!(json, CHAOS_REPORT.trim_end());
+}
+
+/// Every protocol counter the chaos window moved is in the report's JSON
+/// with its window value — the reliability layer's `reliable_sent`
+/// included, which a hand-kept copy of the counters once left out.
+#[test]
+fn every_protocol_counter_reaches_chaos_json() {
+    let (start, net, report) = golden_run();
+    let doc = report.to_json();
+    // `named` lists the counter table first, then the protocol counters.
+    let moved: Vec<(&str, u64)> = net
+        .engine()
+        .trace()
+        .named()
+        .skip(Counter::COUNT)
+        .map(|(name, n)| (name, n - start.proto(name)))
+        .filter(|&(_, d)| d > 0)
+        .collect();
+    assert!(moved.iter().any(|&(name, _)| name == "reliable_sent"), "{moved:?}");
+    for (name, d) in moved {
+        assert!(doc.contains(&format!("\"{name}\":{d}")), "{name} = {d} missing from {doc}");
+    }
 }

@@ -4,6 +4,7 @@
 
 use gs3::core::harness::NetworkBuilder;
 use gs3::sim::radio::EnergyModel;
+use gs3::sim::trace::Counter;
 use gs3::sim::SimDuration;
 
 #[test]
@@ -114,7 +115,7 @@ fn workload_survives_head_rotation() {
     net.run_for(SimDuration::from_secs(600));
     let trace = net.engine().trace();
     let reports = trace.sent_of_kind("sensor_report") + trace.sent_of_kind("data_batch");
-    let failures = trace.unicast_failures();
+    let failures = trace.get(Counter::UnicastFailures);
     assert!(reports > 5_000, "stream must be substantial ({reports})");
     // Failures happen (heads die mid-period; that's the point), but the
     // structure repairs fast enough that they stay rare.
