@@ -1,12 +1,11 @@
 //! Convergence-time measurement (Theorems 4, 7, 8; Appendix-1 rows 4–5).
 //!
 //! For static networks the diffusing computation quiesces completely, so
-//! convergence time is the exact instant the event queue drains. For
-//! dynamic networks (heartbeats never stop) convergence is detected by
-//! structural-signature stability.
+//! convergence time is the exact instant the event queue drains. Dynamic
+//! networks (heartbeats never stop) never quiesce: their one settle
+//! detector is [`Network::run_to_fixpoint_with`].
 
-use gs3_core::config::COLLECT_WINDOW;
-use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
+use gs3_core::harness::{Network, NetworkBuilder};
 use gs3_core::Mode;
 use gs3_sim::{SimDuration, SimTime};
 
@@ -30,27 +29,23 @@ pub struct ConvergenceResult {
     pub nodes: usize,
 }
 
-/// Builds and configures a network, measuring its convergence.
+/// Builds and configures a static-mode network, measuring its
+/// convergence by exact quiescence.
 ///
-/// Static-mode networks are measured by exact quiescence; dynamic ones by
-/// signature stability (the reported time subtracts the stability window,
-/// since the structure settled before detection).
+/// # Panics
+///
+/// Panics unless the builder is in [`Mode::Static`]: a dynamic network
+/// never quiesces.
 #[must_use]
 pub fn measure_configuration(builder: NetworkBuilder, deadline: SimDuration) -> ConvergenceResult {
     let mut net = builder.build().expect("builder parameters must be valid");
-    let mode = net.config().mode;
+    assert!(matches!(net.config().mode, Mode::Static), "only a static network quiesces");
     let d_b = max_distance_from_big(&net);
     let nodes = net.engine().alive_count();
 
-    let (converged, time) = match mode {
-        Mode::Static => match net.engine_mut().run_until_quiescent(SimTime::ZERO + deadline) {
-            Some(t) => (true, t.since(SimTime::ZERO)),
-            None => (false, deadline),
-        },
-        _ => match settle_time(&mut net, COLLECT_WINDOW * 2, SimTime::ZERO + deadline) {
-            Some(t) => (true, t),
-            None => (false, deadline),
-        },
+    let (converged, time) = match net.engine_mut().run_until_quiescent(SimTime::ZERO + deadline) {
+        Some(t) => (true, t.since(SimTime::ZERO)),
+        None => (false, deadline),
     };
 
     let snap = net.snapshot();
@@ -62,20 +57,6 @@ pub fn measure_configuration(builder: NetworkBuilder, deadline: SimDuration) -> 
         d_b,
         heads: snap.heads().count(),
         nodes,
-    }
-}
-
-/// Measures convergence of an already-built (possibly perturbed) dynamic
-/// network by signature stability. Returns the settle time (stability
-/// window subtracted) or `None` on timeout.
-pub fn settle_time(net: &mut Network, poll: SimDuration, deadline: SimTime) -> Option<SimDuration> {
-    let start = net.now();
-    let stable_polls = 4;
-    match net.run_to_fixpoint_with(poll, stable_polls, deadline) {
-        RunOutcome::Fixpoint { at, .. } => {
-            Some(at.since(start) - poll * u64::from(stable_polls))
-        }
-        RunOutcome::TimedOut { .. } => None,
     }
 }
 
@@ -109,23 +90,5 @@ mod tests {
         assert!(res.heads >= 5, "heads = {}", res.heads);
         assert!(res.d_b > 100.0);
         assert!(res.messages > 0);
-    }
-
-    #[test]
-    fn settle_time_on_dynamic_network() {
-        let mut net = NetworkBuilder::new()
-            .ideal_radius(80.0)
-            .radius_tolerance(16.0)
-            .area_radius(150.0)
-            .expected_nodes(300)
-            .seed(12)
-            .build()
-            .unwrap();
-        let t = settle_time(
-            &mut net,
-            SimDuration::from_millis(500),
-            SimTime::ZERO + SimDuration::from_secs(300),
-        );
-        assert!(t.is_some(), "dynamic network must settle");
     }
 }

@@ -4,9 +4,9 @@
 
 use gs3_core::config::{SANITY_PERIOD, SANITY_WINDOW};
 use gs3_core::snapshot::{RoleView, Snapshot};
-use gs3_core::harness::Network;
+use gs3_core::harness::{Network, RunOutcome};
 use gs3_geometry::Point;
-use gs3_sim::{NodeId, SimDuration, SimTime};
+use gs3_sim::{NodeId, SimDuration};
 
 
 /// The observable impact of one perturbation.
@@ -104,31 +104,14 @@ where
     F: FnOnce(&mut Network),
 {
     let before = net.snapshot();
-    let before_sig = net.structural_signature();
     let start = net.now();
     perturb(net);
-    let quiet_needed = net.config().detection_window() + SANITY_PERIOD + SANITY_WINDOW;
-    let hard_deadline = start + deadline;
-    let mut last_sig = net.structural_signature();
-    let mut last_change: Option<SimTime> = if last_sig == before_sig { None } else { Some(start) };
-    let mut timed_out = true;
-    while net.now() < hard_deadline {
-        net.run_for(settle_poll);
-        let sig = net.structural_signature();
-        if sig != last_sig {
-            last_sig = sig;
-            last_change = Some(net.now());
-        }
-        let quiet_since = last_change.unwrap_or(start);
-        if net.now().saturating_since(quiet_since) >= quiet_needed {
-            timed_out = false;
-            break;
-        }
-    }
-    let heal_time = match (last_change, timed_out) {
-        (_, true) => None,
-        (Some(t), false) => Some(t.since(start)),
-        (None, false) => Some(SimDuration::ZERO),
+    let quiet = net.config().detection_window() + SANITY_PERIOD + SANITY_WINDOW;
+    let quiet_polls = quiet.as_micros().div_ceil(settle_poll.as_micros()) as u32;
+    // The fixpoint is detected `quiet_polls` polls after the last change.
+    let heal_time = match net.run_to_fixpoint_with(settle_poll, quiet_polls, start + deadline) {
+        RunOutcome::Fixpoint { at, .. } => Some(at.since(start) - settle_poll * u64::from(quiet_polls)),
+        RunOutcome::TimedOut { .. } => None,
     };
     let after = net.snapshot();
 

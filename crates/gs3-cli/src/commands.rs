@@ -493,6 +493,12 @@ pub fn chaos(a: &Args) -> CliResult {
 
     let runs: usize = a.num("runs", 1)?;
     if runs > 1 {
+        // Both describe one network; a multi-seed run has `runs` of them.
+        for (key, given) in [("timeline", a.get("timeline").is_some()), ("map", a.flag("map"))] {
+            if given {
+                return Err(format!("option --{key} describes a single run; it needs --runs 1").into());
+            }
+        }
         return chaos_multi(a, runs, json, &*make_plan);
     }
 

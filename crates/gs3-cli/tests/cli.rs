@@ -19,3 +19,19 @@ fn a_misspelled_option_is_one_error_line_and_exit_2() {
     assert_eq!(good.status.code(), Some(0), "{}", String::from_utf8_lossy(&good.stderr));
     assert!(String::from_utf8_lossy(&good.stdout).starts_with("configured at "));
 }
+
+#[test]
+fn a_multi_seed_chaos_run_refuses_single_run_outputs() {
+    for (extra, key) in [("--timeline tl.json", "--timeline"), ("--map", "--map")] {
+        let line = format!("chaos --nodes 300 --area 160 --runs 2 -j2 {extra}");
+        let out = gs3cli(&line);
+        assert_eq!(out.status.code(), Some(1), "{line}");
+        assert!(out.stdout.is_empty(), "{line}: no network was built");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: option {key} describes a single run; it needs --runs 1\n"),
+            "{line}"
+        );
+    }
+    assert!(!std::path::Path::new("tl.json").exists(), "no timeline was written");
+}

@@ -33,8 +33,7 @@
 //!   hash folds);
 //! * bookkeeping no handler reads back — `Engine::trace`,
 //!   `Engine::telemetry`, `Engine::events_processed`, `Engine::kind_folds`;
-//!   `FaultState::log_attempts` and `FaultState::attempt_log` (the
-//!   checker's probe); `MediumState::max_airtime_us` (a scan cutoff: how
+//!   `MediumState::max_airtime_us` (a scan cutoff: how
 //!   far a scan walks, never its answer); `AssociateInfo::last_report_seq`
 //!   (it only picks a gap or duplicate counter); `DataState::ledger` (the
 //!   sink ledger: a handler reads only its admit/duplicate verdict, which

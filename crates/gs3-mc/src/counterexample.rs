@@ -12,7 +12,7 @@ use crate::properties::Property;
 /// root state; replaying the same sequence reproduces the same final
 /// state bit-for-bit (the simulation is deterministic once fates are
 /// scripted).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Choice {
     /// Execute the next pending engine event with no interference.
     Step,

@@ -17,11 +17,17 @@
 //!
 //! Attempts inside a `Fate` choice are addressed *relative* to the live
 //! global attempt counter (`attempt_count() + offset`), so a choice
-//! trace stays valid when minimization removes other choices.
+//! trace stays valid when minimization removes other choices. The
+//! attempts one event makes are numbered consecutively, so the Step
+//! child's counter advance is the set of offsets to branch on.
 //!
 //! Once a path has spent its fault budget it no longer branches: the
 //! remaining schedule is deterministic, and the path leaps to the
-//! horizon in one expansion. Visited-state dedup keys on everything that
+//! horizon in one `Run`. Every one of these changes — expansion, the
+//! leap, and a counterexample's replay from the root — goes through the
+//! one choice interpreter, `PathState::apply`.
+//!
+//! Visited-state dedup keys on everything that
 //! decides a path's future (`dedup_key`): the canonical
 //! time-shift-invariant [`Network::fingerprint`], the healing deadline as
 //! an offset from now, and the fault budget spent. The search is
@@ -73,6 +79,81 @@ struct PathState {
     applied: BTreeSet<(u64, u64)>,
 }
 
+/// What one [`PathState::apply`] fed the `NoDedupReadmit` oracle.
+#[derive(Debug, Default)]
+struct OracleFeed {
+    /// `rel_apply` pairs seen.
+    checked: u64,
+    /// The pairs among them this path had already applied, in order.
+    readmitted: Vec<(u64, u64)>,
+}
+
+impl PathState {
+    /// The unbranched path at `net`, terminal at `deadline`.
+    fn root(net: Network, deadline: SimTime) -> Self {
+        PathState {
+            net,
+            depth: 0,
+            fates_used: 0,
+            crashes_used: 0,
+            choices: Vec::new(),
+            deadline,
+            applied: BTreeSet::new(),
+        }
+    }
+
+    /// The one way a choice changes a path: act on the network, extend
+    /// the healing deadline past a fault, spend its budget, and record it.
+    /// `Run` steps to the terminal instant and is not counted in `depth`.
+    fn apply(&mut self, choice: Choice, budgets: &Budgets) -> OracleFeed {
+        let mut feed = OracleFeed::default();
+        match choice {
+            Choice::Step => self.step(&mut feed),
+            Choice::Fate { offset, fate } => {
+                let index = attempt_count(&self.net) + offset;
+                self.net.engine_mut().faults_mut().install_script([(index, fate)]);
+                self.step(&mut feed);
+                self.fates_used += 1;
+            }
+            Choice::Crash { id } => {
+                self.net.kill(NodeId::new(id));
+                self.crashes_used += 1;
+            }
+            Choice::Run => {
+                while !self.is_terminal() {
+                    self.step(&mut feed);
+                }
+            }
+        }
+        if matches!(choice, Choice::Fate { .. } | Choice::Crash { .. }) {
+            self.deadline = self.deadline.max(self.net.now() + budgets.heal_window);
+        }
+        if choice != Choice::Run {
+            self.depth += 1;
+        }
+        self.choices.push(choice);
+        feed
+    }
+
+    /// Has this path reached its terminal instant (nothing pending, or the
+    /// next event is past its deadline)?
+    fn is_terminal(&self) -> bool {
+        self.net.engine().next_event_time().is_none_or(|t| t > self.deadline)
+    }
+
+    /// Process the next engine event and feed its `rel_apply` pairs to
+    /// this path's `applied` set.
+    fn step(&mut self, feed: &mut OracleFeed) {
+        self.net.engine_mut().step();
+        for pair in drain_oracle(&mut self.net) {
+            feed.checked += 1;
+            if !self.applied.insert(pair) {
+                feed.readmitted.push(pair);
+            }
+        }
+    }
+}
+
 /// What the visited set stores per state: the fingerprint, the deadline's
 /// offset from now (µs), and the fates and crashes spent.
 type Key = (u128, u64, u32, u32);
@@ -92,20 +173,17 @@ fn dedup_key(path: &PathState) -> Key {
         deadline,
         // The `no_dedup_readmit` oracle's history; the reliability layer's
         // windows, which decide what it can re-apply, are in the
-        // fingerprint. Measured: none of the 1 820 merges of a two-fault
-        // `rel7` run (`--max-path-faults 2 --max-fates 2`) differ in it.
+        // fingerprint. Measured: none of the 1 668 402 merges of a
+        // two-fault `rel7` run (`--max-path-faults 2 --max-fates 2
+        // --max-states 3000000`) differ in it.
         applied: _,
     } = path;
     (net.fingerprint(), deadline.saturating_since(net.now()).as_micros(), *fates_used, *crashes_used)
 }
 
-/// Has this path reached its terminal instant (nothing pending, or the
-/// next event is past its deadline)?
-fn is_terminal(net: &Network, deadline: SimTime) -> bool {
-    match net.engine().next_event_time() {
-        None => true,
-        Some(t) => t > deadline,
-    }
+/// Delivery attempts `net` has made so far: the index its next one gets.
+fn attempt_count(net: &Network) -> u64 {
+    net.engine().faults().attempt_count()
 }
 
 /// Drain the flight-recorder ring, returning the `rel_apply` oracle
@@ -133,14 +211,14 @@ impl ModelChecker {
     pub fn run(&self) -> McReport {
         let root = self.scenario.build();
         let deadline = root.now() + self.budgets.horizon;
-        Explorer::new(self, root, deadline).run()
+        Explorer::new(self, PathState::root(root, deadline)).run()
     }
 }
 
 struct Explorer<'a> {
     mc: &'a ModelChecker,
-    root: Network,
-    base_deadline: SimTime,
+    /// Where every path, and every replay, starts.
+    root: PathState,
     visited: BTreeSet<Key>,
     frontier: VecDeque<PathState>,
     states_explored: u64,
@@ -156,22 +234,12 @@ struct Explorer<'a> {
 }
 
 impl<'a> Explorer<'a> {
-    fn new(mc: &'a ModelChecker, root: Network, deadline: SimTime) -> Self {
-        let path = PathState {
-            net: root.clone(),
-            depth: 0,
-            fates_used: 0,
-            crashes_used: 0,
-            choices: Vec::new(),
-            deadline,
-            applied: BTreeSet::new(),
-        };
-        let visited = BTreeSet::from([dedup_key(&path)]);
-        let frontier = VecDeque::from([path]);
+    fn new(mc: &'a ModelChecker, root: PathState) -> Self {
+        let visited = BTreeSet::from([dedup_key(&root)]);
+        let frontier = VecDeque::from([root.clone()]);
         Explorer {
             mc,
             root,
-            base_deadline: deadline,
             visited,
             frontier,
             states_explored: 0,
@@ -206,8 +274,8 @@ impl<'a> Explorer<'a> {
             }
             self.states_explored += 1;
 
-            if is_terminal(&path.net, path.deadline) {
-                self.on_terminal(&mut path);
+            if path.is_terminal() {
+                self.on_terminal(&path);
                 continue;
             }
             let faults_used = path.fates_used + path.crashes_used;
@@ -215,12 +283,13 @@ impl<'a> Explorer<'a> {
                 path.fates_used < budgets.max_fates && faults_used < budgets.max_path_faults;
             let can_crash =
                 path.crashes_used < budgets.max_crashes && faults_used < budgets.max_path_faults;
-            if path.depth >= budgets.max_depth || (!can_fate && !can_crash) {
-                if path.depth >= budgets.max_depth {
-                    self.depth_capped += 1;
-                }
-                self.leap_to_horizon(&mut path);
-                self.on_terminal(&mut path);
+            let capped = path.depth >= budgets.max_depth;
+            if capped || !(can_fate || can_crash) {
+                self.depth_capped += u64::from(capped);
+                // The remaining schedule is deterministic: one leap.
+                let feed = path.apply(Choice::Run, &budgets);
+                self.file_readmits(feed, &path.choices, usize::MAX);
+                self.on_terminal(&path);
                 continue;
             }
             self.expand(path, can_fate, can_crash);
@@ -245,33 +314,22 @@ impl<'a> Explorer<'a> {
 
     /// Expand one live state into its Step, Fate and Crash children.
     fn expand(&mut self, path: PathState, can_fate: bool, can_crash: bool) {
-        // Probe: step a fork with attempt logging on to learn which
-        // delivery attempts the next event makes. With no script
-        // installed every attempt gets its natural fate, so the probe
-        // *is* the baseline Step child.
+        let budgets = self.mc.budgets;
+        // Probe: the Step child. With no script installed every attempt
+        // gets its natural fate, and the attempts one event makes are
+        // numbered consecutively, so the counter's advance names every
+        // attempt a Fate child can script.
         let mut probe = path.clone();
-        probe.net.engine_mut().faults_mut().set_attempt_logging(true);
-        probe.net.engine_mut().step();
-        probe.net.engine_mut().faults_mut().set_attempt_logging(false);
-        let attempts = probe.net.engine_mut().faults_mut().take_attempt_log();
-        let count0 = path.net.engine().faults().attempt_count();
-        probe.depth += 1;
-        probe.choices.push(Choice::Step);
-        self.push_child(probe);
+        let feed = probe.apply(Choice::Step, &budgets);
+        let attempts = attempt_count(&probe.net) - attempt_count(&path.net);
+        self.push_child(probe, feed);
 
         if can_fate {
-            for att in &attempts {
-                let offset = att.index - count0;
-                for fate in [Fate::Drop, Fate::Duplicate, Fate::Delay(self.mc.budgets.delay)] {
+            for offset in 0..attempts {
+                for fate in [Fate::Drop, Fate::Duplicate, Fate::Delay(budgets.delay)] {
                     let mut child = path.clone();
-                    child.net.engine_mut().faults_mut().install_script([(att.index, fate)]);
-                    child.net.engine_mut().step();
-                    child.depth += 1;
-                    child.fates_used += 1;
-                    child.deadline =
-                        child.deadline.max(child.net.now() + self.mc.budgets.heal_window);
-                    child.choices.push(Choice::Fate { offset, fate });
-                    self.push_child(child);
+                    let feed = child.apply(Choice::Fate { offset, fate }, &budgets);
+                    self.push_child(child, feed);
                 }
             }
         }
@@ -290,36 +348,18 @@ impl<'a> Explorer<'a> {
                     .collect();
                 for id in victims {
                     let mut child = path.clone();
-                    child.deadline =
-                        child.deadline.max(child.net.now() + self.mc.budgets.heal_window);
-                    child.net.kill(id);
-                    child.depth += 1;
-                    child.crashes_used += 1;
-                    child.choices.push(Choice::Crash { id: id.raw() });
-                    self.push_child(child);
+                    let feed = child.apply(Choice::Crash { id: id.raw() }, &budgets);
+                    self.push_child(child, feed);
                 }
             }
         }
     }
 
-    /// Oracle-check a freshly stepped child, dedup it, and enqueue it.
-    fn push_child(&mut self, mut child: PathState) {
-        // Crash children consume no event and record none; draining is a
-        // no-op for them.
-        let pairs = drain_oracle(&mut child.net);
-        if !pairs.is_empty() {
-            self.stat_mut(Property::NoDedupReadmit).checked += pairs.len() as u64;
-            for pair in pairs {
-                if !child.applied.insert(pair) {
-                    self.stat_mut(Property::NoDedupReadmit).violations += 1;
-                    let detail = format!(
-                        "node {} re-applied sender/seq key {:#x}",
-                        pair.0, pair.1
-                    );
-                    self.record_counterexample(Property::NoDedupReadmit, detail, &child.choices);
-                    return; // a violating path is not explored further
-                }
-            }
+    /// File a freshly applied child's oracle feed, then dedup and enqueue
+    /// it; a child that re-applied a pair is not explored further.
+    fn push_child(&mut self, child: PathState, feed: OracleFeed) {
+        if self.file_readmits(feed, &child.choices, 1) {
+            return;
         }
         if !self.visited.insert(dedup_key(&child)) {
             self.states_deduped += 1;
@@ -329,39 +369,28 @@ impl<'a> Explorer<'a> {
         self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
     }
 
-    /// Deterministically run a budget-spent path to the horizon,
-    /// oracle-checking every step on the way.
-    fn leap_to_horizon(&mut self, path: &mut PathState) {
-        path.choices.push(Choice::Run);
-        while !is_terminal(&path.net, path.deadline) {
-            path.net.engine_mut().step();
-            let pairs = drain_oracle(&mut path.net);
-            if pairs.is_empty() {
-                continue;
-            }
-            self.stat_mut(Property::NoDedupReadmit).checked += pairs.len() as u64;
-            for pair in pairs {
-                if !path.applied.insert(pair) {
-                    self.stat_mut(Property::NoDedupReadmit).violations += 1;
-                    let detail =
-                        format!("node {} re-applied sender/seq key {:#x}", pair.0, pair.1);
-                    let choices = path.choices.clone();
-                    self.record_counterexample(Property::NoDedupReadmit, detail, &choices);
-                }
-            }
+    /// Count `feed` against `NoDedupReadmit` and file its first `limit`
+    /// readmits as violations of the path `choices`. Returns whether there
+    /// was any.
+    fn file_readmits(&mut self, feed: OracleFeed, choices: &[Choice], limit: usize) -> bool {
+        self.stat_mut(Property::NoDedupReadmit).checked += feed.checked;
+        for &(node, key) in feed.readmitted.iter().take(limit) {
+            self.stat_mut(Property::NoDedupReadmit).violations += 1;
+            let detail = format!("node {node} re-applied sender/seq key {key:#x}");
+            self.record_counterexample(Property::NoDedupReadmit, detail, choices);
         }
+        !feed.readmitted.is_empty()
     }
 
     /// Check all terminal properties against a horizon-terminal state.
-    fn on_terminal(&mut self, path: &mut PathState) {
+    fn on_terminal(&mut self, path: &PathState) {
         self.terminals += 1;
         self.terminal_signatures.insert(path.net.structural_signature());
         for p in Property::all().iter().copied().filter(|p| p.is_terminal()) {
             self.stat_mut(p).checked += 1;
             if let Some(detail) = p.check_terminal(&path.net) {
                 self.stat_mut(p).violations += 1;
-                let choices = path.choices.clone();
-                self.record_counterexample(p, detail, &choices);
+                self.record_counterexample(p, detail, &path.choices);
             }
         }
     }
@@ -376,7 +405,7 @@ impl<'a> Explorer<'a> {
             return;
         }
         let minimized = self.minimize(property, choices.to_vec());
-        let plan = self.choices_to_plan(&minimized);
+        let (_, _, plan) = self.replay(&minimized);
         self.counterexamples.push(Counterexample {
             property,
             detail,
@@ -396,17 +425,9 @@ impl<'a> Explorer<'a> {
         loop {
             let mut changed = false;
             for i in 0..choices.len() {
-                let candidate: Vec<Choice> = match choices[i] {
-                    Choice::Fate { .. } => {
-                        let mut c = choices.clone();
-                        c[i] = Choice::Step;
-                        c
-                    }
-                    Choice::Crash { .. } => {
-                        let mut c = choices.clone();
-                        c.remove(i);
-                        c
-                    }
+                let candidate = match choices[i] {
+                    Choice::Fate { .. } => [&choices[..i], &[Choice::Step], &choices[i + 1..]].concat(),
+                    Choice::Crash { .. } => [&choices[..i], &choices[i + 1..]].concat(),
                     Choice::Step | Choice::Run => continue,
                 };
                 if self.replay_violates(property, &candidate) {
@@ -425,8 +446,7 @@ impl<'a> Explorer<'a> {
             .rposition(|c| matches!(c, Choice::Fate { .. } | Choice::Crash { .. }));
         if let Some(i) = last_fault {
             if choices[i + 1..].iter().any(|c| matches!(c, Choice::Step)) {
-                let mut collapsed: Vec<Choice> = choices[..=i].to_vec();
-                collapsed.push(Choice::Run);
+                let collapsed = [&choices[..=i], &[Choice::Run]].concat();
                 if self.replay_violates(property, &collapsed) {
                     choices = collapsed;
                 }
@@ -437,94 +457,49 @@ impl<'a> Explorer<'a> {
 
     /// Replay a choice trace from the root and re-evaluate the property.
     fn replay_violates(&self, property: Property, choices: &[Choice]) -> bool {
-        let (net, dedup_violated) = self.replay(choices);
+        let (net, readmitted, _) = self.replay(choices);
         match property {
-            Property::NoDedupReadmit => dedup_violated,
+            Property::NoDedupReadmit => readmitted,
             p => p.check_terminal(&net).is_some(),
         }
     }
 
     /// Deterministically re-execute a choice trace from the root state.
-    /// Returns the final network and whether the dedup oracle fired.
-    fn replay(&self, choices: &[Choice]) -> (Network, bool) {
-        let mut net = self.root.clone();
-        let mut deadline = self.base_deadline;
-        let mut applied: BTreeSet<(u64, u64)> = BTreeSet::new();
-        let mut dup = false;
-        let check = |net: &mut Network, applied: &mut BTreeSet<(u64, u64)>, dup: &mut bool| {
-            for pair in drain_oracle(net) {
-                if !applied.insert(pair) {
-                    *dup = true;
-                }
-            }
-        };
-        for choice in choices {
-            match choice {
-                Choice::Step => {
-                    net.engine_mut().step();
-                    check(&mut net, &mut applied, &mut dup);
-                }
-                Choice::Fate { offset, fate } => {
-                    let abs = net.engine().faults().attempt_count() + offset;
-                    net.engine_mut().faults_mut().install_script([(abs, *fate)]);
-                    net.engine_mut().step();
-                    deadline = deadline.max(net.now() + self.mc.budgets.heal_window);
-                    check(&mut net, &mut applied, &mut dup);
-                }
-                Choice::Crash { id } => {
-                    deadline = deadline.max(net.now() + self.mc.budgets.heal_window);
-                    net.kill(NodeId::new(*id));
-                }
-                Choice::Run => {
-                    while !is_terminal(&net, deadline) {
-                        net.engine_mut().step();
-                        check(&mut net, &mut applied, &mut dup);
-                    }
-                }
-            }
-        }
-        (net, dup)
-    }
-
-    /// Convert a (minimized) trace into a standalone [`FaultPlan`]:
-    /// scripted fates become one `SetScript` of *absolute* attempt
-    /// indices at offset zero, crashes become `CrashNode` events at
-    /// their exact simulated offsets. The conversion replays the trace
-    /// to resolve relative attempt offsets and crash times.
-    fn choices_to_plan(&self, choices: &[Choice]) -> FaultPlan {
-        let mut net = self.root.clone();
-        let start = net.now();
+    /// Returns the final network, whether the dedup oracle fired, and the
+    /// trace as a standalone [`FaultPlan`] in time order: scripted fates
+    /// become one `SetScript` of *absolute* attempt indices at offset
+    /// zero, crashes `CrashNode` events at their offsets from the root's
+    /// instant.
+    fn replay(&self, choices: &[Choice]) -> (Network, bool, FaultPlan) {
+        let mut path = self.root.clone();
+        let start = path.net.now();
+        let mut readmitted = false;
         let mut ops: Vec<(u64, Fate)> = Vec::new();
-        let mut plan = FaultPlan::new();
-        for choice in choices {
+        let mut crashes = Vec::new();
+        for &choice in choices {
             match choice {
-                Choice::Step => {
-                    net.engine_mut().step();
-                }
-                Choice::Fate { offset, fate } => {
-                    let abs = net.engine().faults().attempt_count() + offset;
-                    ops.push((abs, *fate));
-                    net.engine_mut().faults_mut().install_script([(abs, *fate)]);
-                    net.engine_mut().step();
-                }
-                Choice::Crash { id } => {
-                    let after = net.now().saturating_since(start);
-                    plan = plan.at(after, FaultKind::CrashNode { id: NodeId::new(*id) });
-                    net.kill(NodeId::new(*id));
-                }
-                Choice::Run => break,
+                Choice::Fate { offset, fate } => ops.push((attempt_count(&path.net) + offset, fate)),
+                Choice::Crash { id } => crashes.push((path.net.now().saturating_since(start), id)),
+                Choice::Step | Choice::Run => {}
             }
+            readmitted |= !path.apply(choice, &self.mc.budgets).readmitted.is_empty();
         }
+        let mut plan = FaultPlan::new();
         if !ops.is_empty() {
             plan = plan.at(SimDuration::ZERO, FaultKind::SetScript { ops });
         }
-        plan
+        for (after, id) in crashes {
+            plan = plan.at(after, FaultKind::CrashNode { id: NodeId::new(id) });
+        }
+        (path.net, readmitted, plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs3_sim::trace::Counter;
+    use std::collections::BTreeMap;
 
     fn tiny(strategy: McStrategy, max_fates: u32, max_crashes: u32, max_states: u64) -> McReport {
         let budgets = Budgets {
@@ -535,6 +510,12 @@ mod tests {
             ..Budgets::default()
         };
         ModelChecker { scenario: Scenario::pair5(), strategy, budgets }.run()
+    }
+
+    fn explorer(mc: &ModelChecker) -> Explorer<'_> {
+        let root = mc.scenario.build();
+        let deadline = root.now() + mc.budgets.horizon;
+        Explorer::new(mc, PathState::root(root, deadline))
     }
 
     #[test]
@@ -567,15 +548,13 @@ mod tests {
     fn paths_differing_only_in_deadline_are_both_enqueued() {
         let budgets = Budgets::default();
         let mc = ModelChecker { scenario: Scenario::pair5(), strategy: McStrategy::Bfs, budgets };
-        let root = mc.scenario.build();
-        let deadline = root.now() + mc.budgets.horizon;
-        let mut explorer = Explorer::new(&mc, root, deadline);
+        let mut explorer = explorer(&mc);
         let mut early = explorer.frontier.pop_front().expect("the root");
         early.net.engine_mut().step();
         let mut late = early.clone();
         late.deadline += mc.budgets.heal_window;
-        explorer.push_child(early);
-        explorer.push_child(late);
+        explorer.push_child(early, OracleFeed::default());
+        explorer.push_child(late, OracleFeed::default());
         let enqueued = (explorer.frontier.len(), explorer.states_deduped);
         assert_eq!(enqueued, (2, 0), "a later healing deadline is a different future");
     }
@@ -595,5 +574,43 @@ mod tests {
             "single crash must always heal on pair5: {:?}",
             report.counterexamples.iter().map(|c| &c.detail).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn fate_children_cover_every_attempt_of_the_fault_free_path() {
+        // One fault per path and no merges: the fault-free path, plus one
+        // terminal per (attempt, non-deliver fate) along it.
+        let report = tiny(McStrategy::Bfs, 1, 0, 20_000);
+        assert!(report.exhaustive);
+        let mut plain = Scenario::pair5().build();
+        let start = attempt_count(&plain);
+        plain.run_for(SimDuration::from_secs(12));
+        let attempts = attempt_count(&plain) - start;
+        assert!(attempts > 0, "the fault-free path delivers something");
+        assert_eq!(report.terminals, 1 + 3 * attempts);
+    }
+
+    #[test]
+    fn a_fate_trace_replays_as_its_fault_plan() {
+        for (scenario, fate) in [(Scenario::rel7(), Fate::Duplicate), (Scenario::pair5(), Fate::Drop)] {
+            let mc = ModelChecker { scenario, strategy: McStrategy::Bfs, budgets: Budgets::default() };
+            let mut trace = vec![Choice::Step; 40];
+            trace.extend([Choice::Fate { offset: 0, fate }, Choice::Run]);
+            let (net, _, plan) = explorer(&mc).replay(&trace);
+            let counts = net.engine().trace();
+            let scripted = counts.get(Counter::ScriptedDrops) + counts.get(Counter::ScriptedDuplicates);
+            assert_eq!(scripted, 1, "{}: the fate bit", mc.scenario.name);
+
+            let mut plain = mc.scenario.build();
+            let start = plain.now();
+            let mut jams = BTreeMap::new();
+            for ev in plan.events() {
+                plain.engine_mut().run_until(start + ev.after);
+                plain.apply_fault(&ev.kind, &mut jams);
+            }
+            plain.engine_mut().run_until(net.now());
+            let digest = |n: &Network| (n.engine().trace().digest(), n.structural_signature());
+            assert_eq!(digest(&plain), digest(&net), "{}", mc.scenario.name);
+        }
     }
 }

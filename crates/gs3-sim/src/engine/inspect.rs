@@ -107,8 +107,6 @@ impl<N: Node> Engine<N> {
                     next_jam_id: _, // history: the handle the next jam gets
                     script,
                     attempts,
-                    log_attempts: _, // the checker's probe: never changes a fate
-                    attempt_log: _,  // the checker's probe
                 },
             contention,
             medium:

@@ -147,7 +147,7 @@ impl<N: Node> Engine<N> {
     /// cascade. Jamming is geometric (RNG-free; the receiver's position is
     /// read only while a jam is up); the rest draw only when their knob is on.
     fn attempt_delivery(&mut self, f: &Frame, to: NodeId, dist: f64) {
-        let fate = self.faults.next_attempt(f.from, to, f.kind, !f.directed);
+        let fate = self.faults.next_attempt();
         match fate {
             Some(Fate::Drop) => return self.trace.bump(Counter::ScriptedDrops),
             // Works with contention off: the model checker's collision schedules.

@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 use gs3_geometry::Point;
 use rand::Rng;
 
-use crate::ids::NodeId;
 use crate::time::SimDuration;
 
 /// Gilbert–Elliott two-state burst-loss parameters.
@@ -217,23 +216,6 @@ pub enum Fate {
     Collide,
 }
 
-/// One delivery attempt observed while attempt logging is on (the model
-/// checker probes a step with logging enabled to learn which attempts it
-/// can branch on).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttemptRecord {
-    /// Global attempt index (what a script op keys on).
-    pub index: u64,
-    /// Sender.
-    pub from: NodeId,
-    /// Receiver (for a broadcast, one per in-range receiver copy).
-    pub to: NodeId,
-    /// Message kind label ([`crate::Payload::kind`]).
-    pub kind: &'static str,
-    /// True for a per-receiver broadcast copy, false for a unicast.
-    pub broadcast: bool,
-}
-
 /// An active jamming (or partition) disk: no message can be sent from or
 /// delivered to any node inside it.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,9 +246,6 @@ pub struct FaultState {
     /// given seed, which is what lets a script recorded in one run replay
     /// in another.
     pub(crate) attempts: u64,
-    /// When set, every attempt is appended to `attempt_log`.
-    pub(crate) log_attempts: bool,
-    pub(crate) attempt_log: Vec<AttemptRecord>,
 }
 
 impl FaultState {
@@ -288,8 +267,6 @@ impl FaultState {
             next_jam_id: 0,
             script: BTreeMap::new(),
             attempts: 0,
-            log_attempts: false,
-            attempt_log: Vec::new(),
         }
     }
 
@@ -388,42 +365,19 @@ impl FaultState {
     }
 
     /// Total delivery attempts made so far (the index the *next* attempt
-    /// will get).
+    /// will get). The attempts one event makes take consecutive indices,
+    /// so the counter's advance across a step names every one of them.
     #[must_use]
     pub fn attempt_count(&self) -> u64 {
         self.attempts
     }
 
-    /// Turns per-attempt logging on or off. Logging is a model-checker
-    /// probe aid; it never affects fates, the RNG, or the trace digest.
-    pub fn set_attempt_logging(&mut self, on: bool) {
-        self.log_attempts = on;
-        if !on {
-            self.attempt_log.clear();
-        }
-    }
-
-    /// Drains and returns the attempts logged since logging was enabled
-    /// (or last drained).
-    pub fn take_attempt_log(&mut self) -> Vec<AttemptRecord> {
-        std::mem::take(&mut self.attempt_log)
-    }
-
-    /// Registers one delivery attempt: assigns it the next global index,
-    /// logs it when logging is on, and returns its scripted fate, if any
-    /// (consuming the script entry). Draws no RNG.
-    pub(crate) fn next_attempt(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        kind: &'static str,
-        broadcast: bool,
-    ) -> Option<Fate> {
+    /// Registers one delivery attempt: assigns it the next global index
+    /// and returns its scripted fate, if any (consuming the script entry).
+    /// Draws no RNG.
+    pub(crate) fn next_attempt(&mut self) -> Option<Fate> {
         let index = self.attempts;
         self.attempts += 1;
-        if self.log_attempts {
-            self.attempt_log.push(AttemptRecord { index, from, to, kind, broadcast });
-        }
         if self.script.is_empty() {
             return None;
         }

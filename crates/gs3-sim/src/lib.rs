@@ -93,7 +93,7 @@ pub mod trace;
 pub use gs3_telemetry as telemetry;
 
 pub use engine::{Context, Engine, EngineError, Node, Payload};
-pub use faults::{AttemptRecord, BurstLoss, Fate, FaultConfig, FaultState, Jam};
+pub use faults::{BurstLoss, Fate, FaultConfig, FaultState, Jam};
 pub use ids::NodeId;
 pub use medium::ContentionConfig;
 pub use time::{SimDuration, SimTime};

@@ -14,8 +14,10 @@
 //! reproduce exactly that window: violated at +17 s (where the checker's
 //! horizon caught it), healed by +25 s (the default `heal_window`).
 
+use std::collections::BTreeMap;
+
 use gs3::core::harness::Network;
-use gs3::core::{FaultKind, FaultPlan};
+use gs3::core::FaultPlan;
 use gs3::mc::{Budgets, McStrategy, ModelChecker, Scenario};
 use gs3::sim::SimDuration;
 
@@ -24,21 +26,16 @@ const PLAN_SPARSE7: &str = include_str!("fixtures/mc/ce-sparse7-healing_converge
 const CERT_PAIR5: &str = include_str!("fixtures/mc/cert-pair5.json");
 const CERT_SPARSE7: &str = include_str!("fixtures/mc/cert-sparse7.json");
 
-/// Apply a model-checker plan to a converged scenario network: fault
-/// offsets are relative to the moment replay starts, exactly as
-/// `choices_to_plan` recorded them relative to the converged root.
+/// Apply a model-checker plan to a converged scenario network through the
+/// interpreter `gs3 chaos --plan` uses: fault offsets are relative to the
+/// moment replay starts, exactly as the checker recorded them relative to
+/// its converged root.
 fn replay_plan(net: &mut Network, plan: &FaultPlan) {
     let start = net.now();
+    let mut jams = BTreeMap::new();
     for ev in plan.events() {
-        let target = start + ev.after;
-        net.run_for(target.saturating_since(net.now()));
-        match &ev.kind {
-            FaultKind::CrashNode { id } => net.kill(*id),
-            FaultKind::SetScript { ops } => {
-                net.engine_mut().faults_mut().install_script(ops.iter().cloned());
-            }
-            other => panic!("unexpected fault kind in an mc fixture: {}", other.name()),
-        }
+        net.engine_mut().run_until(start + ev.after);
+        net.apply_fault(&ev.kind, &mut jams);
     }
 }
 
