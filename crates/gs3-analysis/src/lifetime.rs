@@ -11,13 +11,12 @@
 use std::collections::BTreeMap;
 
 use gs3_core::harness::NetworkBuilder;
-use gs3_core::invariants::SnapshotIndex;
 use gs3_core::snapshot::RoleView;
 use gs3_geometry::Point;
 use gs3_sim::radio::EnergyModel;
 use gs3_sim::{NodeId, SimDuration, SimTime};
 
-use crate::metrics::{coverage_ratio_with, measure};
+use crate::metrics::{coverage_ratio, measure};
 
 /// Outcome of one lifetime run.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,13 +56,11 @@ pub fn run_lifetime(
     let mut net = builder.energy(energy, budget).build().expect("valid builder");
     let _ = net.run_to_fixpoint();
 
-    // One snapshot buffer refilled in place each sample, and one
-    // incrementally-maintained index: each poll costs the churn since the
-    // last one, not an O(n) connectivity rebuild.
-    let mut snap = net.snapshot();
-    let mut idx = SnapshotIndex::build(&snap);
+    // Every sample reads the network's view: each costs the churn since
+    // the last one, not an O(n) connectivity rebuild.
+    let (snap, idx) = net.view();
     let initial_heads: Vec<NodeId> = snap.heads().map(|n| n.id).collect();
-    let m0 = measure(&snap);
+    let m0 = measure(snap, idx);
     let mean_cell_population = if m0.heads == 0 {
         0.0
     } else {
@@ -91,8 +88,7 @@ pub fn run_lifetime(
                 first_head_death = Some(net.now());
             }
         }
-        net.snapshot_into(&mut snap);
-        idx.update(&snap);
+        let (snap, idx) = net.view();
         for h in snap.heads() {
             if let RoleView::Head { oil, icc_icp, .. } = &h.role {
                 let key = quantize(*oil, snap.r);
@@ -105,8 +101,7 @@ pub fn run_lifetime(
                 }
             }
         }
-        let coverage = coverage_ratio_with(&snap, &idx);
-        if maintained_lifetime.is_none() && coverage < coverage_floor {
+        if maintained_lifetime.is_none() && coverage_ratio(snap, idx) < coverage_floor {
             maintained_lifetime = Some(net.now());
             break;
         }

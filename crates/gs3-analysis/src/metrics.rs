@@ -8,9 +8,7 @@
 use std::collections::BTreeMap;
 
 use gs3_core::snapshot::{RoleView, Snapshot};
-use gs3_core::invariants::{
-    physically_connected_to_big, physically_connected_to_big_with, SnapshotIndex,
-};
+use gs3_core::invariants::{physically_connected_to_big_with, SnapshotIndex};
 use gs3_geometry::hex::{Axial, HexLayout};
 use gs3_geometry::{head_spacing, Point};
 use gs3_sim::NodeId;
@@ -71,18 +69,11 @@ impl StructureMetrics {
     }
 }
 
-/// The coverage ratio alone, reusing a caller-maintained
-/// [`SnapshotIndex`] so tight sampling loops (lifetime experiments poll
-/// every few simulated seconds) pay for the churn since the last sample
-/// instead of an `O(n)` connectivity rebuild. The index must already
-/// reflect `snap` (call [`SnapshotIndex::update`] first).
+/// Fraction of big-connected alive nodes that are in a cell. `idx` must
+/// index `snap` (`Network::view` hands out the pair).
 #[must_use]
-pub fn coverage_ratio_with(snap: &Snapshot, idx: &SnapshotIndex) -> f64 {
-    coverage_of(snap, &physically_connected_to_big_with(snap, idx))
-}
-
-/// Fraction of big-connected alive nodes that are in a cell.
-fn coverage_of(snap: &Snapshot, reachable: &std::collections::BTreeSet<NodeId>) -> f64 {
+pub fn coverage_ratio(snap: &Snapshot, idx: &SnapshotIndex) -> f64 {
+    let reachable = physically_connected_to_big_with(snap, idx);
     let covered = snap
         .nodes
         .iter()
@@ -101,9 +92,10 @@ fn coverage_of(snap: &Snapshot, reachable: &std::collections::BTreeSet<NodeId>) 
     }
 }
 
-/// Measures a snapshot.
+/// Measures a snapshot through its index (`Network::view` hands out the
+/// pair).
 #[must_use]
-pub fn measure(snap: &Snapshot) -> StructureMetrics {
+pub fn measure(snap: &Snapshot, idx: &SnapshotIndex) -> StructureMetrics {
     let heads: Vec<(NodeId, Point, Point)> = snap
         .heads()
         .filter_map(|n| match &n.role {
@@ -152,52 +144,12 @@ pub fn measure(snap: &Snapshot) -> StructureMetrics {
 
     let il_dev: Vec<f64> = heads.iter().map(|(_, p, il)| p.distance(*il)).collect();
 
-    // Coverage.
-    let coverage_ratio = coverage_of(snap, &physically_connected_to_big(snap));
-
-    // Lattice occupancy: anchor the ideal lattice at the big node's OIL
-    // (its original cell center) and classify each populated site.
-    let origin = snap
-        .nodes
-        .get(snap.big.raw() as usize)
-        .and_then(|b| match &b.role {
-            RoleView::Head { oil, .. } => Some(*oil),
-            _ => None,
-        })
-        .unwrap_or_else(|| {
-            snap.nodes.get(snap.big.raw() as usize).map(|b| b.pos).unwrap_or(Point::ORIGIN)
-        });
-    let layout = HexLayout::new(origin, snap.r, snap.gr);
-    let mut populated: BTreeMap<Axial, bool> = BTreeMap::new(); // site → has a head
-    for n in &snap.nodes {
-        if n.alive {
-            populated.entry(layout.cell_at(n.pos)).or_insert(false);
-        }
-    }
-    for (_, _, il) in &heads {
-        // A head claims the site its *IL* falls in (positions may straddle
-        // borders).
-        if let Some(flag) = populated.get_mut(&layout.cell_at(*il)) {
-            *flag = true;
-        }
-    }
-    let nonideal: Vec<Axial> =
-        populated.iter().filter(|(_, has)| !**has).map(|(ax, _)| *ax).collect();
-
-    // Contiguous gap regions: connected components of non-ideal sites;
-    // diameter = (max pairwise site distance + 1) lattice steps × √3R,
-    // matching the paper's cell-diameter units (2R per cell ≈ one step).
-    let gap_region_diameters = gap_regions(&nonideal)
-        .into_iter()
-        .map(|comp| {
-            let max_steps = comp
-                .iter()
-                .flat_map(|a| comp.iter().map(move |b| a.distance(*b)))
-                .max()
-                .unwrap_or(0);
-            (max_steps as f64 + 1.0) * 2.0 * snap.r
-        })
-        .collect();
+    let occupancy = lattice_occupancy(snap);
+    let nonideal: Vec<Axial> = occupancy.iter().filter(|s| !s.has_head).map(|s| s.site).collect();
+    // Gap-region diameters in the paper's cell-diameter units (2R per
+    // cell ≈ one lattice step).
+    let gap_region_diameters =
+        gap_region_spans(&nonideal).into_iter().map(|span| f64::from(span) * 2.0 * snap.r).collect();
 
     StructureMetrics {
         heads: heads.len(),
@@ -208,9 +160,9 @@ pub fn measure(snap: &Snapshot) -> StructureMetrics {
         neighbor_head_distance: Summary::of(&neighbor_d),
         children_counts: Summary::of(&children),
         head_il_deviation: Summary::of(&il_dev),
-        coverage_ratio,
+        coverage_ratio: coverage_ratio(snap, idx),
         nonideal_cells: nonideal.len(),
-        populated_cells: populated.len(),
+        populated_cells: occupancy.len(),
         gap_region_diameters,
     }
 }
@@ -269,8 +221,11 @@ pub fn lattice_occupancy(snap: &Snapshot) -> Vec<SiteOccupancy> {
         .collect()
 }
 
-/// Connected components (6-neighbor adjacency) of a set of lattice sites.
-fn gap_regions(sites: &[Axial]) -> Vec<Vec<Axial>> {
+/// The span of each contiguous region (6-neighbor adjacency) of a set of
+/// lattice sites: its largest hex distance + 1, in cells. Regions come in
+/// the order of their smallest site.
+#[must_use]
+pub fn gap_region_spans(sites: &[Axial]) -> Vec<u32> {
     use std::collections::BTreeSet;
     let set: BTreeSet<Axial> = sites.iter().copied().collect();
     let mut seen: BTreeSet<Axial> = BTreeSet::new();
@@ -290,7 +245,8 @@ fn gap_regions(sites: &[Axial]) -> Vec<Vec<Axial>> {
                 }
             }
         }
-        out.push(comp);
+        let span = comp.iter().flat_map(|a| comp.iter().map(move |b| a.distance(*b))).max().unwrap_or(0);
+        out.push(span + 1);
     }
     out
 }
@@ -315,9 +271,7 @@ mod tests {
                 parent: NodeId::new(0),
                 hops: u32::from(id != 0),
                 children: children.into_iter().map(NodeId::new).collect(),
-                neighbors: vec![],
                 associates: vec![],
-                organizing: false,
                 is_proxy: false,
             },
             ids_stored: 1,
@@ -360,7 +314,7 @@ mod tests {
             assoc(2, Point::new(50.0, 0.0), 0),
             assoc(3, Point::new(-40.0, 0.0), 0),
         ]);
-        let m = measure(&s);
+        let m = measure(&s, &SnapshotIndex::build(&s));
         assert_eq!(m.heads, 2);
         assert_eq!(m.associates, 2);
         assert_eq!(m.cell_radius.n, 2);
@@ -380,7 +334,7 @@ mod tests {
         let mut lone = assoc(1, far, 0);
         lone.role = RoleView::Bootup;
         let s = snap(vec![head(0, Point::ORIGIN, Point::ORIGIN, vec![]), lone]);
-        let m = measure(&s);
+        let m = measure(&s, &SnapshotIndex::build(&s));
         assert_eq!(m.nonideal_cells, 1);
         assert!(m.nonideal_ratio() > 0.0);
         assert_eq!(m.gap_region_diameters.len(), 1);
@@ -389,20 +343,14 @@ mod tests {
 
     #[test]
     fn gap_regions_merge_adjacent() {
-        let comps = gap_regions(&[Axial::new(0, 0), Axial::new(1, 0), Axial::new(5, 5)]);
-        assert_eq!(comps.len(), 2);
-        let sizes: Vec<usize> = {
-            let mut v: Vec<usize> = comps.iter().map(Vec::len).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(sizes, vec![1, 2]);
+        let spans = gap_region_spans(&[Axial::new(1, 0), Axial::new(-3, 0), Axial::new(0, 0)]);
+        assert_eq!(spans, vec![1, 2]);
     }
 
     #[test]
     fn empty_snapshot() {
         let s = snap(vec![]);
-        let m = measure(&s);
+        let m = measure(&s, &SnapshotIndex::build(&s));
         assert_eq!(m.heads, 0);
         assert_eq!(m.nonideal_ratio(), 0.0);
         assert_eq!(m.mean_gap_region_diameter(), 0.0);

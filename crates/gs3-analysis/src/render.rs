@@ -128,9 +128,7 @@ mod tests {
                 parent: NodeId::new(0),
                 hops: 0,
                 children: vec![],
-                neighbors: vec![],
                 associates: vec![],
-                organizing: false,
                 is_proxy: false,
             },
             ids_stored: 0,

@@ -56,13 +56,13 @@ fn static_quality() -> Section {
         .build()
         .expect("valid parameters");
     let _ = net.run_to_fixpoint();
-    let snap = net.snapshot();
+    let (snap, idx) = net.view();
     let points: Vec<Point> = snap.nodes.iter().map(|n| n.pos).collect();
     let alive: Vec<bool> = snap.nodes.iter().map(|n| n.alive).collect();
 
     // GS³'s structure as a Clustering over the same points.
-    let gs3_q = quality(&points, &clustering_from_snapshot(&snap));
-    let gs3_m = measure(&snap);
+    let gs3_q = quality(&points, &clustering_from_snapshot(snap));
+    let gs3_m = measure(snap, idx);
 
     // LEACH with P chosen to produce about as many clusters as GS³.
     let p = (gs3_q.clusters as f64 / points.len() as f64).clamp(0.005, 0.3);

@@ -7,12 +7,12 @@
 use gs3_analysis::convergence::{max_distance_from_big, measure_configuration};
 use gs3_analysis::lifetime::run_lifetime;
 use gs3_analysis::locality::{changed_head_edges, measure_impact};
-use gs3_analysis::metrics::{lattice_occupancy, measure};
+use gs3_analysis::metrics::{gap_region_spans, lattice_occupancy, measure};
 use gs3_analysis::poisson::{expected_gap_region_diameter, expected_nonideal_ratio, figure7_8_sweep};
 use gs3_analysis::report::{Cell, Table};
 use gs3_analysis::stats::{quantile, Summary};
 use gs3_core::harness::NetworkBuilder;
-use gs3_core::invariants::{check_all, inner_heads, Strictness};
+use gs3_core::invariants::{check_all_with, Strictness};
 use gs3_core::{Gs3Config, Mode, RoleView};
 use gs3_geometry::hex::{Axial, HexLayout};
 use gs3_geometry::spiral::IccIcp;
@@ -60,7 +60,7 @@ struct GapCell {
     /// Interior sites without a head.
     gaps: usize,
     /// Spans of the connected regions of gap sites (cells).
-    spans: Vec<f64>,
+    spans: Vec<u32>,
 }
 
 /// The deployment density whose gap probability `e^{−λ·R_t²}` is `alpha`.
@@ -88,7 +88,7 @@ fn gap_grid(threads: usize) -> Vec<GapCell> {
             .filter(|s| s.center.distance(Point::ORIGIN) <= GAP_AREA - GAP_R && s.nodes > 0)
             .collect();
         let gaps: Vec<Axial> = interior.iter().filter(|s| !s.has_head).map(|s| s.site).collect();
-        GapCell { nodes, interior: interior.len(), gaps: gaps.len(), spans: component_spans(&gaps) }
+        GapCell { nodes, interior: interior.len(), gaps: gaps.len(), spans: gap_region_spans(&gaps) }
     })
 }
 
@@ -180,7 +180,7 @@ fn fig8(grid: &[GapCell]) -> Section {
     ]);
     for (i, &alpha) in ALPHAS[..4].iter().enumerate() {
         let runs = runs_of(grid, i);
-        let spans: Vec<f64> = runs.iter().flat_map(|r| r.spans.iter().copied()).collect();
+        let spans: Vec<f64> = runs.iter().flat_map(|r| r.spans.iter().map(|&c| f64::from(c))).collect();
         let interior: usize = runs.iter().map(|r| r.interior).sum();
         let gaps: usize = runs.iter().map(|r| r.gaps).sum();
         t.row([
@@ -197,34 +197,6 @@ fn fig8(grid: &[GapCell]) -> Section {
          disappear as α falls — the collapse Figure 8 plots.",
     );
     s
-}
-
-/// Spans (max hex distance + 1, in cells) of the connected components of a
-/// set of lattice sites.
-fn component_spans(sites: &[Axial]) -> Vec<f64> {
-    use std::collections::BTreeSet;
-    let set: BTreeSet<Axial> = sites.iter().copied().collect();
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for &start in &set {
-        if seen.contains(&start) {
-            continue;
-        }
-        let mut comp = Vec::new();
-        let mut stack = vec![start];
-        seen.insert(start);
-        while let Some(cur) = stack.pop() {
-            comp.push(cur);
-            for n in cur.neighbors() {
-                if set.contains(&n) && seen.insert(n) {
-                    stack.push(n);
-                }
-            }
-        }
-        let span = comp.iter().flat_map(|a| comp.iter().map(move |b| a.distance(*b))).max().unwrap_or(0);
-        out.push(f64::from(span) + 1.0);
-    }
-    out
 }
 
 /// **TBL-A1** — Appendix 1: the complexity and convergence properties of
@@ -472,7 +444,7 @@ fn a1_arbitrary_state_convergence(s: &mut Section, threads: usize) {
             Num(2.0 * max_distance_from_big(&net)),
             Int(heads.len() as u64),
             Cell::opt(report.heal_time.map(|x| x.as_secs_f64())),
-            Int(check_all(&net.snapshot(), Strictness::Dynamic).len() as u64),
+            Int(net.check_invariants().len() as u64),
         ]
     }) {
         t.row(row);
@@ -614,11 +586,11 @@ fn structure_quality(threads: usize) -> Section {
             .build()
             .expect("valid parameters");
         let _ = net.run_to_fixpoint();
-        let snap = net.snapshot();
-        let m = measure(&snap);
+        let (snap, idx) = net.view();
+        let m = measure(snap, idx);
         // Cell radii of non-surrogate associates; the Corollary-2 bound
         // is for inner cells (boundary cells get the relaxed bound).
-        let inner = inner_heads(&snap);
+        let inner = idx.inner_heads();
         let mut all_radii = Vec::new();
         let mut inner_max = 0.0f64;
         for a in snap.associates() {
@@ -641,7 +613,7 @@ fn structure_quality(threads: usize) -> Section {
             Num(quantile(&all_radii, 0.95)),
             Num(inner_max),
             Num(m.head_il_deviation.max),
-            Int(check_all(&snap, Strictness::Dynamic).len() as u64),
+            Int(check_all_with(snap, Strictness::Dynamic, idx).len() as u64),
         ]
     }) {
         t.row(row);
@@ -688,8 +660,8 @@ fn sliding() -> Section {
     ]);
     for _ in 0..24 {
         net.run_for(SimDuration::from_secs(60));
-        let snap = net.snapshot();
-        let m = measure(&snap);
+        let (snap, idx) = net.view();
+        let m = measure(snap, idx);
         // (is the big node, spiral position) per head.
         let spirals: Vec<(bool, IccIcp)> = snap
             .heads()

@@ -6,7 +6,6 @@ use gs3_analysis::report::num;
 use gs3_bench::runner::run_grid;
 use gs3_core::chaos::{Corruption, FaultKind, FaultPlan};
 use gs3_core::harness::{Network, NetworkBuilder, RunOutcome};
-use gs3_core::invariants::{check_all, Strictness};
 use gs3_core::json;
 use gs3_core::{CongestionConfig, Mode, ReliabilityConfig};
 use gs3_geometry::Point;
@@ -249,10 +248,10 @@ fn configure(net: &mut Network) -> CliResult {
     Ok(())
 }
 
-fn report(net: &Network, a: &Args) {
-    let snap = net.snapshot();
+fn report(net: &mut Network, a: &Args) {
     if !a.flag("quiet") {
-        let m = measure(&snap);
+        let (snap, idx) = net.view();
+        let m = measure(snap, idx);
         println!("nodes:                {}", net.engine().node_count());
         println!("cells (heads):        {}", m.heads);
         println!("coverage:             {:.1}%", m.coverage_ratio * 100.0);
@@ -271,18 +270,14 @@ fn report(net: &Network, a: &Args) {
             num(m.head_il_deviation.max),
             num(net.config().r_t)
         );
-        let strictness = match net.config().mode {
-            Mode::Static => Strictness::Static,
-            _ => Strictness::Dynamic,
-        };
-        let violations = check_all(&snap, strictness);
+        let violations = net.check_invariants_incremental();
         match violations.first() {
             None => println!("invariants:           all hold"),
             Some(v) => println!("invariants:           {} VIOLATED, first: {v}", violations.len()),
         }
     }
     if a.flag("map") {
-        println!("{}", render(&snap, RenderOptions::default()));
+        println!("{}", render(net.view().0, RenderOptions::default()));
     }
 }
 
@@ -291,7 +286,7 @@ pub fn run(a: &Args) -> CliResult {
     let mut net = build(a, Defaults::default())?;
     configure(&mut net)?;
     println!("configured at {}", net.now());
-    report(&net, a);
+    report(&mut net, a);
     Ok(())
 }
 
@@ -320,7 +315,7 @@ pub fn heal(a: &Args) -> CliResult {
     }
     println!("nodes affected:  {}", impact.changed.len());
     println!("impact radius:   {} m", num(impact.impact_radius));
-    report(&net, a);
+    report(&mut net, a);
     Ok(())
 }
 
@@ -328,6 +323,10 @@ pub fn heal(a: &Args) -> CliResult {
 pub fn watch(a: &Args) -> CliResult {
     let duration: f64 = a.num("duration", 1200.0)?;
     let sample: f64 = a.num("sample", 60.0)?;
+    let period = SimDuration::from_secs_f64(sample);
+    if period.is_zero() {
+        return Err(format!("option --sample needs a period of at least 1 µs, got {sample}").into());
+    }
     // Watch implies energy accounting.
     let mut net = build(a, Defaults { budget: Some(500.0), ..Defaults::default() })?;
     configure(&mut net)?;
@@ -335,9 +334,9 @@ pub fn watch(a: &Args) -> CliResult {
     println!("{:>7}  {:>5}  {:>6}  {:>9}  {:>8}", "t(s)", "heads", "alive", "coverage", "shifted");
     let end = net.now() + SimDuration::from_secs_f64(duration);
     while net.now() < end {
-        net.run_for(SimDuration::from_secs_f64(sample));
-        let snap = net.snapshot();
-        let m = measure(&snap);
+        net.run_for(period);
+        let (snap, idx) = net.view();
+        let m = measure(snap, idx);
         let shifted = snap
             .heads()
             .filter(|h| match &h.role {
@@ -361,7 +360,7 @@ pub fn watch(a: &Args) -> CliResult {
             break;
         }
     }
-    report(&net, a);
+    report(&mut net, a);
     Ok(())
 }
 
@@ -425,7 +424,7 @@ pub fn dataplane(a: &Args) -> CliResult {
     }
     println!("counters:");
     print_counters(tr);
-    report(&net, a);
+    report(&mut net, a);
     Ok(())
 }
 
@@ -562,7 +561,7 @@ pub fn chaos(a: &Args) -> CliResult {
             "NOT HEALED within the settle window"
         }
     );
-    report(&net, a);
+    report(&mut net, a);
     if !rep.healed() {
         return Err("structure did not heal".into());
     }

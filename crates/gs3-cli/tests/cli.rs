@@ -35,3 +35,36 @@ fn a_multi_seed_chaos_run_refuses_single_run_outputs() {
     }
     assert!(!std::path::Path::new("tl.json").exists(), "no timeline was written");
 }
+
+#[test]
+fn watch_refuses_a_sample_period_that_rounds_to_zero() {
+    for sample in ["0", "-1", "nan", "0.0000004"] {
+        let line = format!("watch --nodes 60 --area 60 --duration 5 --sample {sample}");
+        // A zero period never advances the clock: bound the wait so a
+        // regression fails here instead of hanging the suite.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gs3cli"))
+            .args(line.split_whitespace())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut naps = 0;
+        while child.try_wait().unwrap().is_none() {
+            if naps == 250 {
+                child.kill().unwrap();
+                let _ = child.wait();
+                panic!("{line}: still running after 250 naps of 20 ms");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            naps += 1;
+        }
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{line}");
+        assert!(out.stdout.is_empty(), "{line}: no network was built");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: option --sample needs a period of at least 1 µs, got {}\n", sample.parse::<f64>().unwrap()),
+            "{line}"
+        );
+    }
+}

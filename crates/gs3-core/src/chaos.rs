@@ -46,7 +46,7 @@ use gs3_sim::{NodeId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 use crate::harness::Network;
-use crate::invariants::{self, Strictness};
+use crate::invariants::{check_all_with, SnapshotIndex, Strictness};
 use crate::snapshot::Snapshot;
 
 /// Which head field a [`FaultKind::CorruptState`] event scrambles.
@@ -657,25 +657,13 @@ impl Network {
     /// invariant oracle — for runs whose settle window must outlast the
     /// default (congestion-stretched timers heal correctly but slowly).
     pub fn run_chaos_opts(&mut self, plan: &FaultPlan, opts: ChaosOptions) -> ChaosReport {
-        // One SnapshotIndex for the whole run, incrementally brought up to
-        // date each poll — the oracle's cost tracks the churn between
-        // polls, not the population.
-        let mut idx: Option<invariants::SnapshotIndex> = None;
-        self.run_chaos_with(plan, opts, move |snap| {
-            let idx = match &mut idx {
-                Some(idx) => {
-                    idx.update(snap);
-                    idx
-                }
-                slot => slot.insert(invariants::SnapshotIndex::build(snap)),
-            };
-            invariants::check_all_with(snap, Strictness::Dynamic, idx).len()
-        })
+        self.run_chaos_with(plan, opts, |snap, idx| check_all_with(snap, Strictness::Dynamic, idx).len())
     }
 
     /// [`Network::run_chaos`] with explicit pacing and a custom oracle.
     ///
-    /// The oracle maps a snapshot to a violation count; zero means the
+    /// The oracle maps the network's [`view`](Network::view) — the polled
+    /// snapshot and its index — to a violation count; zero means the
     /// structure is currently sound. Every fault injected since the last
     /// clean poll is credited with a healing latency at the next clean
     /// poll.
@@ -686,7 +674,7 @@ impl Network {
         mut oracle: F,
     ) -> ChaosReport
     where
-        F: FnMut(&Snapshot) -> usize,
+        F: FnMut(&Snapshot, &SnapshotIndex) -> usize,
     {
         assert!(!opts.poll.is_zero(), "the oracle poll period must be positive");
         let start = self.now();
@@ -706,9 +694,6 @@ impl Network {
         // Every loop exit is dominated by a poll, so this is always
         // assigned before the report is built.
         let mut final_violations;
-        // One snapshot buffer for the whole run; each poll refills it
-        // in place instead of allocating a fresh node list.
-        let mut snap = self.snapshot();
 
         loop {
             let event_at = events.get(next_event).map(|e| start + e.after);
@@ -734,8 +719,8 @@ impl Network {
                 continue;
             }
             polls += 1;
-            self.snapshot_into(&mut snap);
-            let violations = oracle(&snap);
+            let (snap, idx) = self.view();
+            let violations = oracle(snap, idx);
             max_violations = max_violations.max(violations);
             final_violations = violations;
             if violations == 0 {

@@ -234,7 +234,7 @@ impl Network {
             rng,
             budget,
             scratch: _, // scratch, empty between calls
-            inv: _,     // cached snapshot and index; their verdicts equal a rebuild's
+            view: _,    // cached snapshot and index; their verdicts equal a rebuild's
         } = self;
         let now = eng.now();
         let mut h = Fnv128::new();

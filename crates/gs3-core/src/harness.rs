@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use gs3_sim::ContentionConfig;
 
 use crate::config::{CongestionConfig, ConfigError, Gs3Config, Mode, ReliabilityConfig};
+use crate::invariants::{check_all_with, SnapshotIndex, Strictness, Violation};
 use crate::node::Gs3Node;
 use crate::snapshot::{view_role, NodeView, RoleView, Snapshot};
 use crate::state::Role;
@@ -407,7 +408,7 @@ impl NetworkBuilder {
             }
         }
 
-        Ok(Network { eng, big, bigs, cfg, rng, budget, scratch: Vec::new(), inv: None })
+        Ok(Network { eng, big, bigs, cfg, rng, budget, scratch: Vec::new(), view: None })
     }
 }
 
@@ -446,9 +447,8 @@ pub struct Network {
     // Reused id scratch for the perturbation helpers (kill_disk candidate
     // collection, kill_random's alive census) — empty between calls.
     pub(crate) scratch: Vec<NodeId>,
-    // Snapshot buffer + incrementally-maintained index for
-    // check_invariants_incremental; populated lazily on first use.
-    pub(crate) inv: Option<(Snapshot, crate::invariants::SnapshotIndex)>,
+    // The one (snapshot, index) pair behind `view`; built on first use.
+    pub(crate) view: Option<(Snapshot, SnapshotIndex)>,
 }
 
 // A network crosses threads whole (`run_grid`'s workers build and hand
@@ -621,28 +621,13 @@ impl Network {
         h.finish()
     }
 
-    /// Runs the full invariant suite against the current state.
-    #[must_use]
-    pub fn check_invariants(&self) -> Vec<crate::invariants::Violation> {
-        let strictness = match self.cfg.mode {
-            Mode::Static => crate::invariants::Strictness::Static,
-            _ => crate::invariants::Strictness::Dynamic,
-        };
-        crate::invariants::check_all(&self.snapshot(), strictness)
-    }
-
-    /// [`check_invariants`](Network::check_invariants) against a cached
-    /// snapshot buffer and an incrementally-maintained
-    /// [`SnapshotIndex`](crate::invariants::SnapshotIndex): each call
-    /// refills the buffer and applies only the deltas since the previous
-    /// call to the index, so a polling loop pays for churn, not
-    /// population. Results are identical to `check_invariants`.
-    pub fn check_invariants_incremental(&mut self) -> Vec<crate::invariants::Violation> {
-        let strictness = match self.cfg.mode {
-            Mode::Static => crate::invariants::Strictness::Static,
-            _ => crate::invariants::Strictness::Dynamic,
-        };
-        let (snap, idx) = match self.inv.take() {
+    /// The current structure and its [`SnapshotIndex`]: the network's one
+    /// cached snapshot, refilled in place, and its index brought up to
+    /// date by [`SnapshotIndex::update`] (built on first use). A polling
+    /// loop therefore pays for the churn since its previous poll, not
+    /// for the population.
+    pub fn view(&mut self) -> (&Snapshot, &SnapshotIndex) {
+        let fresh = match self.view.take() {
             Some((mut snap, mut idx)) => {
                 self.snapshot_into(&mut snap);
                 idx.update(&snap);
@@ -650,13 +635,38 @@ impl Network {
             }
             None => {
                 let snap = self.snapshot();
-                let idx = crate::invariants::SnapshotIndex::build(&snap);
+                let idx = SnapshotIndex::build(&snap);
                 (snap, idx)
             }
         };
-        let out = crate::invariants::check_all_with(&snap, strictness, &idx);
-        self.inv = Some((snap, idx));
-        out
+        let (snap, idx) = self.view.insert(fresh);
+        (snap, idx)
+    }
+
+    /// The bound set this network's mode is held to.
+    fn strictness(&self) -> Strictness {
+        match self.cfg.mode {
+            Mode::Static => Strictness::Static,
+            _ => Strictness::Dynamic,
+        }
+    }
+
+    /// Runs the full invariant suite against the current state, indexing a
+    /// fresh snapshot from scratch: the reference
+    /// [`check_invariants_incremental`](Network::check_invariants_incremental)
+    /// is compared against.
+    #[must_use]
+    pub fn check_invariants(&self) -> Vec<Violation> {
+        let snap = self.snapshot();
+        check_all_with(&snap, self.strictness(), &SnapshotIndex::build(&snap))
+    }
+
+    /// [`check_invariants`](Network::check_invariants) over
+    /// [`view`](Network::view). Results are identical.
+    pub fn check_invariants_incremental(&mut self) -> Vec<Violation> {
+        let strictness = self.strictness();
+        let (snap, idx) = self.view();
+        check_all_with(snap, strictness, idx)
     }
 
     // ------------------------------------------------------------------
@@ -934,6 +944,22 @@ mod tests {
             net.run_for(SimDuration::from_secs(15));
             assert_eq!(net.check_invariants_incremental(), net.check_invariants());
         }
+        // A displaced IL, then a big-node move: each relocates entries of
+        // the view's head grids and redoes the inner-cell classification
+        // around them.
+        let polls = |net: &mut Network| {
+            for _ in 0..3 {
+                assert_eq!(net.check_invariants_incremental(), net.check_invariants());
+                let (snap, idx) = net.view();
+                assert_eq!(idx.inner_heads(), SnapshotIndex::build(snap).inner_heads());
+                net.run_for(SimDuration::from_secs(15));
+            }
+        };
+        let head = net.snapshot().heads().map(|h| h.id).find(|&id| id != net.big_id()).unwrap();
+        assert!(net.corrupt_head_il(head, Vec2::new(60.0, -35.0)));
+        polls(&mut net);
+        net.move_big(Point::new(70.0, 20.0));
+        polls(&mut net);
     }
 
     /// A cell shares one `CellInfo` per beat: after a `head_intra_alive`

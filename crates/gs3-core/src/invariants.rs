@@ -1,8 +1,10 @@
 //! The paper's invariant and fixpoint predicates as executable checks.
 //!
 //! Each function verifies one family of predicates from Sections 3.3 / 4.3
-//! against a [`Snapshot`] and reports violations. [`check_all`] bundles the
-//! full suite. The checks implement the *dynamic* relaxations (I₂ with
+//! against a [`Snapshot`] and reports violations. [`check_all_with`]
+//! bundles the full suite. The geometric checks read a [`SnapshotIndex`]
+//! of the same snapshot; `Network::view` keeps one up to date per
+//! network. The checks implement the *dynamic* relaxations (I₂ with
 //! `⟨ICC, ICP⟩`-dependent distances, ≤5 children) when `strictness` is
 //! [`Strictness::Dynamic`], and the tight static bounds when
 //! [`Strictness::Static`].
@@ -98,15 +100,15 @@ impl Fact {
 /// A per-snapshot spatial index shared by all geometric checks.
 ///
 /// Built once in `O(n)`, it replaces the all-pairs scans inside the
-/// distance predicates with hash-grid range queries, making [`check_all`]
-/// near-linear in network size. Grid handles are indices into
-/// `Snapshot::nodes`, so every query resolves to a `NodeView` without a
-/// map lookup.
+/// distance predicates with hash-grid range queries, making
+/// [`check_all_with`] near-linear in network size. Grid handles are
+/// indices into `Snapshot::nodes`, so every query resolves to a
+/// `NodeView` without a map lookup.
 ///
-/// Long-lived callers (fixpoint polls, chaos oracles, the perf suite)
-/// keep one index alive and [`update`](SnapshotIndex::update) it against
-/// each new snapshot of the same network: the cost is then proportional
-/// to the churn since the last poll, not the population.
+/// `Network::view` keeps one index alive per network and
+/// [`update`](SnapshotIndex::update)s it against each new snapshot: the
+/// cost of a poll is then proportional to the churn since the last one,
+/// not the population.
 /// [`build`](SnapshotIndex::build) stays the from-scratch path and the
 /// equality oracle for the incremental one.
 #[derive(Debug, Clone)]
@@ -265,7 +267,9 @@ impl SnapshotIndex {
         }
     }
 
-    /// The inner-cell heads of the indexed snapshot (see [`inner_heads`]).
+    /// Heads whose six lattice-neighbor ILs are all occupied by other
+    /// heads — the paper's *inner* cells. Everything else is a boundary
+    /// cell.
     #[must_use]
     pub fn inner_heads(&self) -> &BTreeSet<NodeId> {
         &self.inner
@@ -436,14 +440,8 @@ pub fn check_head_graph_physical(snap: &Snapshot) -> Vec<Violation> {
 /// I₂.₁/I₂.₂: distances between *neighboring* heads stay within
 /// `dist(IL_i, IL_j) ± 2R_t` (which reduces to `√3R ± 2R_t` when both
 /// cells are at the same `⟨ICC, ICP⟩`). Two heads are treated as
-/// neighbors when their ILs are within 1.25 lattice spacings.
-#[must_use]
-pub fn check_neighbor_distances(snap: &Snapshot) -> Vec<Violation> {
-    check_neighbor_distances_with(snap, &SnapshotIndex::build(snap))
-}
-
-/// [`check_neighbor_distances`] against a prebuilt index: each head range-
-/// queries the IL grid for lattice neighbors instead of scanning all pairs.
+/// neighbors when their ILs are within 1.25 lattice spacings; each head
+/// range-queries the IL grid for them instead of scanning all pairs.
 #[must_use]
 pub fn check_neighbor_distances_with(snap: &Snapshot, idx: &SnapshotIndex) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -514,14 +512,8 @@ pub fn check_children_counts(snap: &Snapshot, strictness: Strictness) -> Vec<Vio
 /// I₂.₄: every associate is within the cell-radius bound of its head:
 /// `R + 2R_t/√3` for inner cells, `√3R + 2R_t` for boundary cells (the
 /// dynamic relaxation with `d_p = 0`; gap-adjacent cells can exceed this
-/// and are excluded by the caller supplying `boundary_slack`).
-#[must_use]
-pub fn check_cell_radius(snap: &Snapshot, boundary_slack: f64) -> Vec<Violation> {
-    check_cell_radius_with(snap, boundary_slack, &SnapshotIndex::build(snap))
-}
-
-/// [`check_cell_radius`] against a prebuilt index (reuses the inner-cell
-/// classification instead of recomputing it).
+/// and are excluded by the caller supplying `boundary_slack`). Inner cells
+/// are the index's classification.
 #[must_use]
 pub fn check_cell_radius_with(
     snap: &Snapshot,
@@ -559,12 +551,6 @@ pub fn check_cell_radius_with(
 /// F₃/I₃: each (inner-cell) associate is with the closest head. A
 /// tolerance of `2·R_t` absorbs heads displaced within their candidate
 /// areas while the associate's choice was made against an earlier position.
-#[must_use]
-pub fn check_best_head(snap: &Snapshot, inner_only: bool) -> Vec<Violation> {
-    check_best_head_with(snap, inner_only, &SnapshotIndex::build(snap))
-}
-
-/// [`check_best_head`] against a prebuilt index.
 ///
 /// The associate's own head lies at distance `mine`, so the minimum over
 /// heads the grid reports within radius `mine` *is* the global minimum —
@@ -620,14 +606,7 @@ pub fn check_best_head_with(snap: &Snapshot, inner_only: bool, idx: &SnapshotInd
 }
 
 /// F₄: every alive node physically connected to the big node is in a cell
-/// (head or associate).
-#[must_use]
-pub fn check_coverage(snap: &Snapshot) -> Vec<Violation> {
-    check_coverage_with(snap, &SnapshotIndex::build(snap))
-}
-
-/// [`check_coverage`] against a prebuilt index (the BFS reuses the
-/// index's alive-node grid).
+/// (head or associate). Connectivity reuses the index's alive-node grid.
 #[must_use]
 pub fn check_coverage_with(snap: &Snapshot, idx: &SnapshotIndex) -> Vec<Violation> {
     let reachable = connectivity_mask(snap, idx);
@@ -664,15 +643,7 @@ pub fn check_heads_on_ideal(snap: &Snapshot) -> Vec<Violation> {
     out
 }
 
-/// The full predicate suite. Builds one [`SnapshotIndex`] and shares it
-/// across every geometric check.
-#[must_use]
-pub fn check_all(snap: &Snapshot, strictness: Strictness) -> Vec<Violation> {
-    check_all_with(snap, strictness, &SnapshotIndex::build(snap))
-}
-
-/// [`check_all`] against a caller-supplied index (for callers that keep
-/// the index alive across several checks of the same snapshot).
+/// The full predicate suite, every geometric check sharing `idx`.
 #[must_use]
 pub fn check_all_with(snap: &Snapshot, strictness: Strictness, idx: &SnapshotIndex) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -687,22 +658,8 @@ pub fn check_all_with(snap: &Snapshot, strictness: Strictness, idx: &SnapshotInd
     out
 }
 
-/// Heads whose six lattice-neighbor ILs are all occupied by other heads —
-/// the paper's *inner* cells. Everything else is a boundary cell.
-#[must_use]
-pub fn inner_heads(snap: &Snapshot) -> BTreeSet<NodeId> {
-    SnapshotIndex::build(snap).inner
-}
-
 /// The set of alive nodes physically connected (multi-hop, links =
-/// `max_range`) to the big node. BFS over the index's alive-node grid to
-/// stay near-linear.
-#[must_use]
-pub fn physically_connected_to_big(snap: &Snapshot) -> BTreeSet<NodeId> {
-    physically_connected_to_big_with(snap, &SnapshotIndex::build(snap))
-}
-
-/// [`physically_connected_to_big`] against a prebuilt index.
+/// `max_range`) to the big node.
 ///
 /// Connectivity is computed as union-find over the alive-node grid's
 /// cells rather than a per-node BFS: nodes sharing a cell are within
@@ -826,7 +783,7 @@ pub mod naive {
     use super::*;
     use std::collections::VecDeque;
 
-    /// All-pairs version of [`check_neighbor_distances`](super::check_neighbor_distances).
+    /// All-pairs version of [`check_neighbor_distances_with`](super::check_neighbor_distances_with).
     #[must_use]
     pub fn check_neighbor_distances(snap: &Snapshot) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -857,7 +814,7 @@ pub mod naive {
         out
     }
 
-    /// Full-scan version of [`check_best_head`](super::check_best_head).
+    /// Full-scan version of [`check_best_head_with`](super::check_best_head_with).
     #[must_use]
     pub fn check_best_head(snap: &Snapshot, inner_only: bool) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -893,7 +850,7 @@ pub mod naive {
         out
     }
 
-    /// All-pairs version of [`inner_heads`](super::inner_heads).
+    /// All-pairs version of [`SnapshotIndex::inner_heads`].
     #[must_use]
     pub fn inner_heads(snap: &Snapshot) -> BTreeSet<NodeId> {
         let spacing = head_spacing(snap.r);
@@ -917,7 +874,7 @@ pub mod naive {
     }
 
     /// BTreeMap-bucketed version of
-    /// [`physically_connected_to_big`](super::physically_connected_to_big).
+    /// [`physically_connected_to_big_with`](super::physically_connected_to_big_with).
     #[must_use]
     pub fn physically_connected_to_big(snap: &Snapshot) -> BTreeSet<NodeId> {
         let alive: Vec<&NodeView> = snap.nodes.iter().filter(|n| n.alive).collect();
@@ -960,7 +917,7 @@ pub mod naive {
         reachable
     }
 
-    /// [`check_all`](super::check_all) wired entirely through the naive
+    /// [`check_all_with`](super::check_all_with) wired entirely through the naive
     /// geometric checks (the non-geometric checks are shared).
     #[must_use]
     pub fn check_all(snap: &Snapshot, strictness: Strictness) -> Vec<Violation> {
@@ -976,7 +933,7 @@ pub mod naive {
         out
     }
 
-    /// [`check_cell_radius`](super::check_cell_radius) over the naive
+    /// [`check_cell_radius_with`](super::check_cell_radius_with) over the naive
     /// inner-cell classification.
     #[must_use]
     pub fn check_cell_radius(snap: &Snapshot, boundary_slack: f64) -> Vec<Violation> {
@@ -1010,7 +967,7 @@ pub mod naive {
         out
     }
 
-    /// [`check_coverage`](super::check_coverage) over the naive BFS.
+    /// [`check_coverage_with`](super::check_coverage_with) over the naive BFS.
     #[must_use]
     pub fn check_coverage(snap: &Snapshot) -> Vec<Violation> {
         let reachable = physically_connected_to_big(snap);
@@ -1048,9 +1005,7 @@ mod tests {
                 parent: NodeId::new(parent),
                 hops,
                 children: children.into_iter().map(NodeId::new).collect(),
-                neighbors: vec![],
                 associates: vec![],
-                organizing: false,
                 is_proxy: false,
             },
             ids_stored: 1,
@@ -1077,6 +1032,10 @@ mod tests {
         Snapshot { r: 100.0, r_t: 10.0, big: NodeId::new(0), max_range: 400.0, gr: gs3_geometry::Angle::ZERO, nodes }
     }
 
+    fn idx(s: &Snapshot) -> SnapshotIndex {
+        SnapshotIndex::build(s)
+    }
+
     #[test]
     fn healthy_pair_passes() {
         let spacing = head_spacing(100.0);
@@ -1085,7 +1044,7 @@ mod tests {
             head(1, Point::new(spacing, 0.0), Point::new(spacing, 0.0), 0, 1, vec![]),
             assoc(2, Point::new(40.0, 0.0), 0),
         ]);
-        assert!(check_all(&s, Strictness::Dynamic).is_empty());
+        assert!(check_all_with(&s, Strictness::Dynamic, &idx(&s)).is_empty());
     }
 
     #[test]
@@ -1117,7 +1076,7 @@ mod tests {
             head(0, Point::ORIGIN, Point::ORIGIN, 0, 0, vec![]),
             head(1, Point::new(spacing + 50.0, 0.0), Point::new(spacing, 0.0), 0, 1, vec![]),
         ]);
-        let v = check_neighbor_distances(&s);
+        let v = check_neighbor_distances_with(&s, &idx(&s));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::NeighborDistance);
     }
@@ -1139,7 +1098,7 @@ mod tests {
             head(0, Point::ORIGIN, Point::ORIGIN, 0, 0, vec![]),
             assoc(1, Point::new(399.0, 0.0), 0),
         ]);
-        let v = check_cell_radius(&s, 0.0);
+        let v = check_cell_radius_with(&s, 0.0, &idx(&s));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::CellRadius);
     }
@@ -1158,7 +1117,7 @@ mod tests {
             children.push(NodeId::new(2));
         }
         let s = snap(vec![h0, h1, a]);
-        let v = check_best_head(&s, false);
+        let v = check_best_head_with(&s, false, &idx(&s));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::NotBestHead);
     }
@@ -1168,7 +1127,7 @@ mod tests {
         let mut b = assoc(1, Point::new(50.0, 0.0), 0);
         b.role = RoleView::Bootup;
         let s = snap(vec![head(0, Point::ORIGIN, Point::ORIGIN, 0, 0, vec![]), b]);
-        let v = check_coverage(&s);
+        let v = check_coverage_with(&s, &idx(&s));
         assert_eq!(v.len(), 1);
     }
 
@@ -1177,7 +1136,7 @@ mod tests {
         let mut b = assoc(1, Point::new(5000.0, 0.0), 0);
         b.role = RoleView::Bootup;
         let s = snap(vec![head(0, Point::ORIGIN, Point::ORIGIN, 0, 0, vec![]), b]);
-        assert!(check_coverage(&s).is_empty());
+        assert!(check_coverage_with(&s, &idx(&s)).is_empty());
     }
 
     #[test]
@@ -1198,7 +1157,7 @@ mod tests {
             nodes.push(head(k as u64 + 1, p, p, 0, 1, vec![]));
         }
         let s = snap(nodes);
-        let inner = inner_heads(&s);
+        let inner = idx(&s).inner_heads().clone();
         assert!(inner.contains(&NodeId::new(0)));
         assert_eq!(inner.len(), 1, "ring heads are boundary");
     }
@@ -1211,7 +1170,7 @@ mod tests {
             assoc(2, Point::new(600.0, 0.0), 0),
             assoc(3, Point::new(5000.0, 0.0), 0),
         ]);
-        let r = physically_connected_to_big(&s);
+        let r = physically_connected_to_big_with(&s, &idx(&s));
         assert!(r.contains(&NodeId::new(1)));
         assert!(r.contains(&NodeId::new(2)), "two-hop reachability");
         assert!(!r.contains(&NodeId::new(3)));
@@ -1253,7 +1212,7 @@ mod tests {
             }
             let mut s = snap(nodes);
             s.big = NodeId::new(order.iter().position(|&l| l == 0).unwrap() as u64);
-            physically_connected_to_big(&s)
+            physically_connected_to_big_with(&s, &idx(&s))
                 .into_iter()
                 .map(|id| order[id.raw() as usize])
                 .collect()
@@ -1290,8 +1249,9 @@ mod tests {
             head(1, p, Point::new(spacing, 0.0), 0, 1, vec![]),
             assoc(2, p, 0), // belongs to head 0, 5.0 away; head 1 is at 0.0
         ]);
-        assert!(check_best_head(&s, false).is_empty());
-        assert_eq!(check_best_head(&s, false), naive::check_best_head(&s, false));
+        let v = check_best_head_with(&s, false, &idx(&s));
+        assert!(v.is_empty());
+        assert_eq!(v, naive::check_best_head(&s, false));
     }
 
     /// A randomized snapshot exercising the index: lattice-ish ILs,

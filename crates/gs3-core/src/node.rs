@@ -94,15 +94,6 @@ impl Gs3Node {
         &self.cfg
     }
 
-    /// Head state accessor (None unless currently a head).
-    #[must_use]
-    pub fn head_state(&self) -> Option<&HeadState> {
-        match &self.role {
-            Role::Head(h) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Associate state accessor (None unless currently an associate).
     #[must_use]
     pub fn assoc_state(&self) -> Option<&AssocState> {

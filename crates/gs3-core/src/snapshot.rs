@@ -31,12 +31,8 @@ pub enum RoleView {
         hops: u32,
         /// Children heads.
         children: Vec<NodeId>,
-        /// Known neighboring heads.
-        neighbors: Vec<NodeId>,
         /// Cell members (associates).
         associates: Vec<NodeId>,
-        /// True while a `HEAD_ORG` round is open.
-        organizing: bool,
         /// True while serving as the big node's proxy.
         is_proxy: bool,
     },
@@ -128,9 +124,7 @@ pub(crate) fn view_role(role: &Role) -> (RoleView, usize) {
                 parent: h.parent,
                 hops: h.hops,
                 children: h.children.keys().copied().collect(),
-                neighbors: h.neighbors.keys().copied().collect(),
                 associates: h.associates.keys().copied().collect(),
-                organizing: h.org.is_some(),
                 is_proxy: h.is_proxy,
             };
             // Parent + neighbors (children are a subset of neighbors by
@@ -187,12 +181,6 @@ impl Snapshot {
         self.nodes.get(id.raw() as usize).filter(|n| n.id == id)
     }
 
-    /// True when any head currently has a `HEAD_ORG` round open.
-    #[must_use]
-    pub fn any_organizing(&self) -> bool {
-        self.heads().any(|n| matches!(n.role, RoleView::Head { organizing: true, .. }))
-    }
-
     /// Groups alive members by cell head: `(head id, member ids including
     /// the head)`.
     #[must_use]
@@ -228,9 +216,7 @@ mod tests {
                 parent: NodeId::new(0),
                 hops: u32::from(id != 0),
                 children: vec![],
-                neighbors: vec![],
                 associates: vec![],
-                organizing: false,
                 is_proxy: false,
             },
             ids_stored: 1,

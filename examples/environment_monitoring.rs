@@ -34,9 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let _ = net.run_to_fixpoint()?;
 
-    let snap0 = net.snapshot();
+    let (snap0, idx0) = net.view();
     let initial_heads: Vec<_> = snap0.heads().map(|h| h.id).collect();
-    let m0 = metrics::measure(&snap0);
+    let m0 = metrics::measure(snap0, idx0);
     println!(
         "configured: {} cells, {} sensors, mean cell population {:.1}",
         m0.heads,
@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n  t(s)  heads  alive  coverage  max⟨ICC,ICP⟩  headship-changes");
     for tick in 1..=40 {
         net.run_for(SimDuration::from_secs(60));
-        let snap = net.snapshot();
-        let m = metrics::measure(&snap);
+        let (snap, idx) = net.view();
+        let m = metrics::measure(snap, idx);
         for h in snap.heads() {
             if !initial_heads.contains(&h.id) {
                 turnovers.insert(h.id);

@@ -36,8 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // What got built.
-    let snap = net.snapshot();
-    let m = metrics::measure(&snap);
+    let (spacing, r_t) = (net.config().spacing(), net.config().r_t);
+    let (snap, idx) = net.view();
+    let m = metrics::measure(snap, idx);
     println!("\ncellular hexagonal structure:");
     println!("  heads (cells):          {}", m.heads);
     println!("  associates:             {}", m.associates);
@@ -46,10 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  neighbor head spacing:  {} (ideal √3·R = {:.1} ± 2·R_t = {:.1})",
         m.neighbor_head_distance,
-        net.config().spacing(),
-        2.0 * net.config().r_t
+        spacing,
+        2.0 * r_t
     );
-    println!("  head-to-IL deviation:   {} (bound R_t = {})", m.head_il_deviation, net.config().r_t);
+    println!("  head-to-IL deviation:   {} (bound R_t = {})", m.head_il_deviation, r_t);
 
     // The head graph, band by band.
     println!("\nhead graph (hops → heads):");
@@ -64,10 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A picture is worth a thousand invariants.
-    println!("\nfield map:\n{}", render(&snap, RenderOptions::default()));
+    println!("\nfield map:\n{}", render(snap, RenderOptions::default()));
 
     // Verify the paper's invariants hold.
-    let violations = invariants::check_all(&snap, Strictness::Dynamic);
+    let violations = invariants::check_all_with(snap, Strictness::Dynamic, idx);
     if violations.is_empty() {
         println!("\nall GS³ invariants hold (I₁ connectivity, I₂ hexagonal structure, I₃ optimality, F₄ coverage)");
     } else {

@@ -15,7 +15,6 @@
 
 use gs3::analysis::locality::{changed_nodes, measure_impact};
 use gs3::core::harness::{NetworkBuilder, RunOutcome};
-use gs3::core::invariants::{self, Strictness};
 use gs3::core::RoleView;
 use gs3::geometry::{Point, Vec2};
 use gs3::sim::SimDuration;
@@ -34,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("configured {} cells at {at}\n", net.snapshot().heads().count());
 
     // -- 1. join ---------------------------------------------------------
-    let snap = net.snapshot();
-    let inner = invariants::inner_heads(&snap);
+    let (snap, idx) = net.view();
+    let inner = idx.inner_heads();
     let (head_id, il) = snap
         .heads()
         .filter(|h| !h.is_big && inner.contains(&h.id))
@@ -104,8 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // -- 5. state corruption ---------------------------------------------------
-    let snap = net.snapshot();
-    let inner = invariants::inner_heads(&snap);
+    let (snap, idx) = net.view();
+    let inner = idx.inner_heads();
     let (victim, v_il) = snap
         .heads()
         .filter(|h| !h.is_big && inner.contains(&h.id))
@@ -128,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Final verdict.
     let _ = net.run_to_fixpoint()?;
-    let violations = invariants::check_all(&net.snapshot(), Strictness::Dynamic);
+    let violations = net.check_invariants();
     match violations.first() {
         None => println!("\nfinal state: all invariants hold — every perturbation healed locally"),
         Some(v) => println!("\nfinal state: VIOLATION {v}"),

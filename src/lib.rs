@@ -32,6 +32,11 @@
 //! # }
 //! ```
 
+// The README's library example compiles and runs as a doctest.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
+
 pub use gs3_analysis as analysis;
 pub use gs3_baselines as baselines;
 pub use gs3_core as core;

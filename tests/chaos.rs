@@ -3,9 +3,9 @@
 //! honest unicast loss.
 
 use gs3::core::harness::NetworkBuilder;
-use gs3::core::invariants::{self, Strictness};
+use gs3::core::invariants::{self, SnapshotIndex, Strictness};
 use gs3::core::state::Role;
-use gs3::core::{ChaosOptions, Corruption, DataplaneConfig, FaultKind, FaultPlan, ReliabilityConfig};
+use gs3::core::{ChaosOptions, Corruption, DataplaneConfig, FaultKind, FaultPlan, Mode, ReliabilityConfig};
 use gs3::geometry::{Point, Vec2};
 use gs3::sim::faults::{BurstLoss, FaultConfig};
 use gs3::sim::{NodeId, SimDuration};
@@ -96,6 +96,32 @@ fn combined_adversity_heals_clean() {
     assert!(c.dropped_unicast() > 0, "unicast loss never fired");
 }
 
+/// The chaos oracle reads the network's incrementally kept view. At every
+/// poll, through crashes, corruption, a join and a big-node move, it must
+/// judge exactly what a fresh index of the same snapshot judges.
+#[test]
+fn the_chaos_oracle_agrees_with_a_fresh_index_at_every_poll() {
+    let mut net = builder(7).mode(Mode::Mobile).build().unwrap();
+    net.run_to_fixpoint().unwrap();
+    let plan = combined_plan()
+        .at(SimDuration::from_secs(15), FaultKind::CrashDisk { center: Point::new(-40.0, -60.0), radius: 35.0 })
+        .at(SimDuration::from_secs(25), FaultKind::Join { pos: Point::new(30.0, 30.0) })
+        .at(SimDuration::from_secs(30), FaultKind::MoveBig { to: Point::new(45.0, 0.0) });
+    let opts = ChaosOptions::for_config(net.config());
+    let (mut polls, mut dirty) = (0u32, 0u32);
+    let rep = net.run_chaos_with(&plan, opts, |snap, idx| {
+        let fresh = SnapshotIndex::build(snap);
+        let seen = invariants::check_all_with(snap, Strictness::Dynamic, idx);
+        assert_eq!(seen, invariants::check_all_with(snap, Strictness::Dynamic, &fresh), "poll {polls}");
+        assert_eq!(idx.inner_heads(), fresh.inner_heads(), "poll {polls}");
+        polls += 1;
+        dirty += u32::from(!seen.is_empty());
+        seen.len()
+    });
+    assert_eq!(polls, rep.polls);
+    assert!(0 < dirty && dirty < polls, "{dirty} of {polls} polls dirty: the comparison saw both verdicts");
+}
+
 /// Oracle polling is observation only: running the same plan with a
 /// different poll period must not change the delivery schedule.
 #[test]
@@ -111,8 +137,8 @@ fn oracle_polling_does_not_perturb_the_run() {
             poll: SimDuration::from_millis(poll_ms),
             settle: SimDuration::from_secs(300),
         };
-        let rep = net.run_chaos_with(&combined_plan(), opts, |snap| {
-            invariants::check_all(snap, Strictness::Dynamic).len()
+        let rep = net.run_chaos_with(&combined_plan(), opts, |snap, _| {
+            invariants::check_all_with(snap, Strictness::Dynamic, &SnapshotIndex::build(snap)).len()
         });
         let elapsed = net.now().since(gs3::sim::SimTime::ZERO);
         net.run_for(horizon - elapsed);
@@ -364,7 +390,7 @@ fn five_percent_unicast_loss_still_converges() {
     net.run_for(SimDuration::from_secs(240));
     let snap = net.snapshot();
     assert!(snap.heads().count() >= 7, "only {} heads formed", snap.heads().count());
-    let violations = invariants::check_all(&snap, Strictness::Static);
+    let violations = invariants::check_all_with(&snap, Strictness::Static, &SnapshotIndex::build(&snap));
     assert!(
         violations.is_empty(),
         "unicast loss left {} violations: {}",

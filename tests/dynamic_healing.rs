@@ -3,7 +3,7 @@
 
 use gs3::analysis::locality::{changed_nodes, measure_impact};
 use gs3::core::harness::{Network, NetworkBuilder, RunOutcome};
-use gs3::core::invariants::{self, Strictness};
+use gs3::core::invariants::{self, SnapshotIndex};
 use gs3::core::{FaultKind, FaultPlan, RoleView};
 use gs3::geometry::{Point, Vec2};
 use gs3::sim::{NodeId, SimDuration};
@@ -26,15 +26,15 @@ fn settled(seed: u64) -> Network {
 }
 
 fn assert_clean(net: &Network, context: &str) {
-    let snap = net.snapshot();
-    let violations = invariants::check_all(&snap, Strictness::Dynamic);
+    let violations = net.check_invariants();
     assert!(violations.is_empty(), "{context}: first violation: {}", violations[0]);
 }
 
 /// A non-big head together with its IL, away from the deployment edge.
 fn pick_inner_head(net: &Network) -> (NodeId, Point) {
     let snap = net.snapshot();
-    let inner = invariants::inner_heads(&snap);
+    let idx = SnapshotIndex::build(&snap);
+    let inner = idx.inner_heads();
     let found = snap
         .heads()
         .filter(|h| !h.is_big && inner.contains(&h.id))
@@ -103,7 +103,7 @@ fn disk_kill_heals_and_recovers_coverage() {
 
     let snap = net.snapshot();
     // Every surviving connected node is re-covered.
-    let cov = invariants::check_coverage(&snap);
+    let cov = invariants::check_coverage_with(&snap, &SnapshotIndex::build(&snap));
     assert!(cov.is_empty(), "coverage after disk kill: {:?}", cov.first());
     // The head graph is still a tree.
     let tree = invariants::check_head_graph_tree(&snap);
@@ -239,7 +239,7 @@ fn random_churn_keeps_structure_stable() {
     let snap = net.snapshot();
     let tree = invariants::check_head_graph_tree(&snap);
     assert!(tree.is_empty(), "after churn: {:?}", tree.first());
-    let cov = invariants::check_coverage(&snap);
+    let cov = invariants::check_coverage_with(&snap, &SnapshotIndex::build(&snap));
     assert!(cov.is_empty(), "after churn: {:?}", cov.first());
 }
 

@@ -6,7 +6,7 @@
 //! and the head graphs form a forest with one tree per gateway.
 
 use gs3::core::harness::{NetworkBuilder, RunOutcome};
-use gs3::core::invariants::{self, head_roots};
+use gs3::core::invariants::{self, head_roots, SnapshotIndex};
 use gs3::core::RoleView;
 use gs3::geometry::Point;
 use gs3::sim::NodeId;
@@ -53,7 +53,7 @@ fn two_gateways_partition_the_field() {
     }
 
     // Coverage: every connected node is in some cell.
-    let cov = invariants::check_coverage(&snap);
+    let cov = invariants::check_coverage_with(&snap, &SnapshotIndex::build(&snap));
     assert!(cov.is_empty(), "first: {:?}", cov.first());
 
     // Frontier sanity: heads of *different* structures never stack on top

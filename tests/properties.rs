@@ -8,7 +8,7 @@
 //! check).
 
 use gs3::core::harness::NetworkBuilder;
-use gs3::core::invariants::{self, Strictness};
+use gs3::core::invariants::{self, SnapshotIndex, Strictness};
 use gs3::core::Mode;
 use gs3::geometry::Point;
 use gs3::sim::{SimDuration, SimTime};
@@ -44,12 +44,13 @@ fn static_invariants_hold_for_random_deployments() {
         // unconfigured. Check every geometric invariant, and coverage
         // only for nodes within coordination reach of some head (those
         // the diffusion could possibly claim).
+        let idx = SnapshotIndex::build(&snap);
         let mut violations = invariants::check_head_graph_tree(&snap);
         violations.extend(invariants::check_head_graph_physical(&snap));
-        violations.extend(invariants::check_neighbor_distances(&snap));
+        violations.extend(invariants::check_neighbor_distances_with(&snap, &idx));
         violations.extend(invariants::check_children_counts(&snap, Strictness::Static));
-        violations.extend(invariants::check_cell_radius(&snap, 0.0));
-        violations.extend(invariants::check_best_head(&snap, true));
+        violations.extend(invariants::check_cell_radius_with(&snap, 0.0, &idx));
+        violations.extend(invariants::check_best_head_with(&snap, true, &idx));
         violations.extend(invariants::check_heads_on_ideal(&snap));
         assert!(
             violations.is_empty(),
@@ -101,9 +102,10 @@ fn dynamic_invariants_hold_under_random_churn() {
         let snap = net.snapshot();
         let tree = invariants::check_head_graph_tree(&snap);
         assert!(tree.is_empty(), "seed {seed}: {}", tree[0]);
-        let cov = invariants::check_coverage(&snap);
+        let idx = SnapshotIndex::build(&snap);
+        let cov = invariants::check_coverage_with(&snap, &idx);
         assert!(cov.is_empty(), "seed {seed}: {}", cov[0]);
-        let radius = invariants::check_cell_radius(&snap, 0.0);
+        let radius = invariants::check_cell_radius_with(&snap, 0.0, &idx);
         assert!(radius.is_empty(), "seed {seed}: {}", radius[0]);
     }
 }
@@ -140,7 +142,7 @@ fn gaps_never_break_coverage() {
             .run_until_quiescent(SimTime::ZERO + SimDuration::from_secs(600));
         assert!(quiesced.is_some());
         let snap = net.snapshot();
-        let cov = invariants::check_coverage(&snap);
+        let cov = invariants::check_coverage_with(&snap, &SnapshotIndex::build(&snap));
         assert!(
             cov.is_empty(),
             "seed {seed} gap ({gap_x:.0},{gap_y:.0})r{gap_r:.0}: {}",

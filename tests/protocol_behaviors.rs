@@ -157,8 +157,8 @@ fn cell_abandonment_when_candidate_area_dies_out() {
     // failure windows; nodes near the IL were all killed so no successor
     // can appear at it immediately.
     let mut net = settled(404);
-    let snap = net.snapshot();
-    let inner = gs3::core::invariants::inner_heads(&snap);
+    let (snap, idx) = net.view();
+    let inner = idx.inner_heads();
     let (il, _) = snap
         .heads()
         .filter(|h| !h.is_big && inner.contains(&h.id))
@@ -171,17 +171,18 @@ fn cell_abandonment_when_candidate_area_dies_out() {
     assert!(!killed.is_empty());
 
     net.run_for(SimDuration::from_secs(90));
-    let snap = net.snapshot();
+    let r_t = net.config().r_t;
+    let (snap, idx) = net.view();
     // Every surviving ex-member found a home (associate of some alive
     // head) — the cell dissolved into its neighbors or re-formed via
     // boundary re-organization with newly moved-in... (static positions:
     // re-formation requires a node within R_t of the IL, all of which are
     // dead, so dissolution is the only path).
-    let cov = gs3::core::invariants::check_coverage(&snap);
+    let cov = gs3::core::invariants::check_coverage_with(snap, idx);
     assert!(cov.is_empty(), "survivors must re-home: {:?}", cov.first());
     let near_il_heads = snap
         .heads()
-        .filter(|h| h.pos.distance(il) <= net.config().r_t)
+        .filter(|h| h.pos.distance(il) <= r_t)
         .count();
     assert_eq!(near_il_heads, 0, "nobody left to head the dead candidate area");
 }
@@ -219,8 +220,8 @@ fn associate_switches_to_closer_head_after_reorganization() {
     // re-form, then verify every nearby associate ends at its closest
     // head again.
     let mut net = settled(407);
-    let snap = net.snapshot();
-    let inner = gs3::core::invariants::inner_heads(&snap);
+    let (snap, idx) = net.view();
+    let inner = idx.inner_heads();
     let victim = snap
         .heads()
         .find(|h| !h.is_big && inner.contains(&h.id))
@@ -228,8 +229,8 @@ fn associate_switches_to_closer_head_after_reorganization() {
         .unwrap();
     net.kill(victim);
     let _ = net.run_to_fixpoint().unwrap();
-    let snap = net.snapshot();
-    let best = gs3::core::invariants::check_best_head(&snap, true);
+    let (snap, idx) = net.view();
+    let best = gs3::core::invariants::check_best_head_with(snap, true, idx);
     assert!(best.is_empty(), "F3 must be restored: {:?}", best.first());
 }
 

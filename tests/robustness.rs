@@ -4,7 +4,7 @@
 //! positions carry error).
 
 use gs3::core::harness::{NetworkBuilder, RunOutcome};
-use gs3::core::invariants::{self, Strictness};
+use gs3::core::invariants::{self, SnapshotIndex};
 use gs3::core::{ChaosOptions, FaultKind, FaultPlan};
 use gs3::sim::SimDuration;
 
@@ -33,7 +33,7 @@ fn configuration_survives_lossy_broadcasts() {
             "loss {loss}: only {} heads formed",
             snap.heads().count()
         );
-        let cov = invariants::check_coverage(&snap);
+        let cov = invariants::check_coverage_with(&snap, &SnapshotIndex::build(&snap));
         // Allow stragglers still joining under heavy loss, but the bulk
         // must be covered.
         let alive = snap.nodes.iter().filter(|n| n.alive).count();
@@ -75,7 +75,7 @@ fn lossless_structure_also_heals_with_loss_enabled() {
         poll: SimDuration::from_secs(2),
         settle: SimDuration::from_secs(120),
     };
-    let report = net.run_chaos_with(&plan, opts, |snap| {
+    let report = net.run_chaos_with(&plan, opts, |snap, _| {
         invariants::check_head_graph_tree(snap).len()
     });
     assert_eq!(report.outcomes[0].killed, 1, "the pinpoint disk kills exactly the head");
@@ -103,6 +103,6 @@ fn moderate_localization_noise_is_absorbed_by_the_tolerance() {
     // Geometry checks still hold: the noise is folded into the node
     // positions themselves (the protocol never sees "true" positions), so
     // all bounds apply to what the nodes believe.
-    let violations = invariants::check_all(&snap, Strictness::Dynamic);
+    let violations = net.check_invariants();
     assert!(violations.is_empty(), "first: {}", violations[0]);
 }

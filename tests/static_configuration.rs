@@ -2,7 +2,7 @@
 //! static networks (paper Section 3, Theorems 1–4).
 
 use gs3::core::harness::NetworkBuilder;
-use gs3::core::invariants::{self, Strictness};
+use gs3::core::invariants::{self, SnapshotIndex};
 use gs3::core::{Mode, RoleView};
 use gs3::geometry::Point;
 use gs3::sim::SimTime;
@@ -26,14 +26,14 @@ fn diffusion_terminates_and_invariants_hold() {
         let quiesced = net.engine_mut().run_until_quiescent(DEADLINE);
         assert!(quiesced.is_some(), "seed {seed}: static diffusion must terminate");
 
-        let snap = net.snapshot();
-        let violations = invariants::check_all(&snap, Strictness::Static);
+        let violations = net.check_invariants();
         assert!(
             violations.is_empty(),
             "seed {seed}: {} violations, first: {}",
             violations.len(),
             violations[0]
         );
+        let snap = net.snapshot();
         assert!(snap.heads().count() >= 7, "seed {seed}: central cell + first band");
         assert_eq!(snap.bootup_count(), 0, "seed {seed}: full coverage");
     }
@@ -103,7 +103,7 @@ fn deployment_gap_is_absorbed_by_neighbors() {
         assert!(h.pos.distance(gap_center) > 25.0, "no head can exist inside the gap");
     }
     // Coverage invariant holds even with the gap (boundary-cell slack).
-    let violations = invariants::check_coverage(&snap);
+    let violations = invariants::check_coverage_with(&snap, &SnapshotIndex::build(&snap));
     assert!(violations.is_empty(), "first: {:?}", violations.first());
 }
 
