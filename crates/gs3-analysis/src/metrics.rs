@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use gs3_core::snapshot::{RoleView, Snapshot};
-use gs3_core::invariants::{physically_connected_to_big_with, SnapshotIndex};
+use gs3_core::invariants::SnapshotIndex;
 use gs3_geometry::hex::{Axial, HexLayout};
 use gs3_geometry::{head_spacing, Point};
 use gs3_sim::NodeId;
@@ -70,25 +70,22 @@ impl StructureMetrics {
 }
 
 /// Fraction of big-connected alive nodes that are in a cell. `idx` must
-/// index `snap` (`Network::view` hands out the pair).
+/// index `snap` (`Network::view` hands out the pair); connectivity is its
+/// [`connected_to_big`](SnapshotIndex::connected_to_big) mask.
 #[must_use]
 pub fn coverage_ratio(snap: &Snapshot, idx: &SnapshotIndex) -> f64 {
-    let reachable = physically_connected_to_big_with(snap, idx);
-    let covered = snap
-        .nodes
-        .iter()
-        .filter(|n| {
-            n.alive
-                && reachable.contains(&n.id)
-                && !matches!(n.role, RoleView::Bootup | RoleView::BigAway { .. })
-        })
-        .count();
-    if reachable.is_empty() {
+    let mask = idx.connected_to_big(snap);
+    let (mut reachable, mut covered) = (0usize, 0usize);
+    for (n, _) in snap.nodes.iter().zip(mask).filter(|(_, &reached)| reached) {
+        reachable += 1;
+        covered += usize::from(!matches!(n.role, RoleView::Bootup | RoleView::BigAway { .. }));
+    }
+    if reachable == 0 {
         0.0
     } else {
         // The big node itself is counted covered whatever its role.
-        (covered + usize::from(reachable.contains(&snap.big))).min(reachable.len()) as f64
-            / reachable.len() as f64
+        let big_reached = mask.get(snap.big.raw() as usize).copied().unwrap_or(false);
+        (covered + usize::from(big_reached)).min(reachable) as f64 / reachable as f64
     }
 }
 

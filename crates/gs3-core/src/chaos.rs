@@ -46,7 +46,7 @@ use gs3_sim::{NodeId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 use crate::harness::Network;
-use crate::invariants::{check_all_with, SnapshotIndex, Strictness};
+use crate::invariants::{SnapshotIndex, Strictness};
 use crate::snapshot::Snapshot;
 
 /// Which head field a [`FaultKind::CorruptState`] event scrambles.
@@ -656,8 +656,11 @@ impl Network {
     /// [`Network::run_chaos`] with explicit pacing but the standard
     /// invariant oracle — for runs whose settle window must outlast the
     /// default (congestion-stretched timers heal correctly but slowly).
+    ///
+    /// The oracle reads the network's cached verdict, so a poll that finds
+    /// the structure unchanged since the previous one re-runs no check.
     pub fn run_chaos_opts(&mut self, plan: &FaultPlan, opts: ChaosOptions) -> ChaosReport {
-        self.run_chaos_with(plan, opts, |snap, idx| check_all_with(snap, Strictness::Dynamic, idx).len())
+        self.chaos_loop(plan, opts, |net| net.verdict(Strictness::Dynamic).len())
     }
 
     /// [`Network::run_chaos`] with explicit pacing and a custom oracle.
@@ -676,6 +679,20 @@ impl Network {
     where
         F: FnMut(&Snapshot, &SnapshotIndex) -> usize,
     {
+        self.chaos_loop(plan, opts, |net| {
+            let (snap, idx) = net.view();
+            oracle(snap, idx)
+        })
+    }
+
+    /// The one chaos loop: runs `plan`, calling `poll` for the violation
+    /// count at every oracle tick.
+    fn chaos_loop(
+        &mut self,
+        plan: &FaultPlan,
+        opts: ChaosOptions,
+        mut poll: impl FnMut(&mut Network) -> usize,
+    ) -> ChaosReport {
         assert!(!opts.poll.is_zero(), "the oracle poll period must be positive");
         let start = self.now();
         let trace0 = self.engine().trace().clone();
@@ -719,8 +736,7 @@ impl Network {
                 continue;
             }
             polls += 1;
-            let (snap, idx) = self.view();
-            let violations = oracle(snap, idx);
+            let violations = poll(self);
             max_violations = max_violations.max(violations);
             final_violations = violations;
             if violations == 0 {
@@ -1079,6 +1095,66 @@ mod tests {
         let err =
             channel("\"p_enter\":0.1,\"p_exit\":0.5,\"loss_good\":0,\"loss_bad\":7", "0").unwrap_err();
         assert!(err.contains("config.burst.loss_bad"), "{err}");
+    }
+
+    /// `tests/chaos.rs`'s Mobile field and plan (every fault class): the
+    /// standard oracle reuses the cached verdict on the polls that find
+    /// the view unchanged and recomputes it on the others. Both happen,
+    /// so that test's field-for-field comparison with a fresh index is
+    /// not vacuous; counting them does not change the run.
+    #[test]
+    fn the_standard_oracle_both_reuses_and_recomputes_verdicts() {
+        let configured = || {
+            let mut net = NetworkBuilder::new()
+                .mode(crate::config::Mode::Mobile)
+                .ideal_radius(40.0)
+                .radius_tolerance(14.0)
+                .area_radius(200.0)
+                .expected_nodes(400)
+                .seed(7)
+                .build()
+                .unwrap();
+            net.run_to_fixpoint().unwrap();
+            net
+        };
+        let channel = FaultConfig { burst: BurstLoss::bursty(0.02, 4.0), unicast_loss: 0.02, ..FaultConfig::none() };
+        let plan = FaultPlan::new()
+            .at(SimDuration::ZERO, FaultKind::SetChannel { config: channel })
+            .at(
+                SimDuration::from_secs(5),
+                FaultKind::StartJam { label: 0, center: Point::new(100.0, 0.0), radius: 70.0 },
+            )
+            .at(SimDuration::from_secs(10), FaultKind::CrashRandom { count: 10 })
+            .at(
+                SimDuration::from_secs(20),
+                FaultKind::CorruptState {
+                    near: Point::new(-60.0, 50.0),
+                    corruption: Corruption::Il { offset: Vec2::new(150.0, 90.0) },
+                },
+            )
+            .at(SimDuration::from_secs(45), FaultKind::StopJam { label: 0 })
+            .at(SimDuration::from_secs(15), FaultKind::CrashDisk { center: Point::new(-40.0, -60.0), radius: 35.0 })
+            .at(SimDuration::from_secs(25), FaultKind::Join { pos: Point::new(30.0, 30.0) })
+            .at(SimDuration::from_secs(30), FaultKind::MoveBig { to: Point::new(45.0, 0.0) })
+            .at(
+                SimDuration::from_secs(35),
+                FaultKind::CorruptState { near: Point::new(60.0, -40.0), corruption: Corruption::Parent },
+            );
+        let mut net = configured();
+        let opts = ChaosOptions::for_config(net.config());
+        let (mut reused, mut recomputed) = (0u32, 0u32);
+        let rep = net.chaos_loop(&plan, opts.clone(), |net| {
+            net.view();
+            if net.verdict.as_ref().is_some_and(|(s, _)| *s == Strictness::Dynamic) {
+                reused += 1;
+            } else {
+                recomputed += 1;
+            }
+            net.verdict(Strictness::Dynamic).len()
+        });
+        assert!(reused > 0 && recomputed > 0, "{reused} reused and {recomputed} recomputed verdicts");
+        assert_eq!(reused + recomputed, rep.polls);
+        assert_eq!(rep, configured().run_chaos_opts(&plan, opts));
     }
 
     #[test]

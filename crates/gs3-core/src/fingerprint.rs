@@ -235,6 +235,7 @@ impl Network {
             budget,
             scratch: _, // scratch, empty between calls
             view: _,    // cached snapshot and index; their verdicts equal a rebuild's
+            verdict: _, // cached verdict on `view`: a function of the state folded above
         } = self;
         let now = eng.now();
         let mut h = Fnv128::new();

@@ -18,7 +18,7 @@ use gs3_sim::ContentionConfig;
 use crate::config::{CongestionConfig, ConfigError, Gs3Config, Mode, ReliabilityConfig};
 use crate::invariants::{check_all_with, SnapshotIndex, Strictness, Violation};
 use crate::node::Gs3Node;
-use crate::snapshot::{view_role, NodeView, RoleView, Snapshot};
+use crate::snapshot::{put, NodeView, RoleView, Snapshot};
 use crate::state::Role;
 
 /// How a [`NetworkBuilder`] was given its deployment density.
@@ -408,7 +408,7 @@ impl NetworkBuilder {
             }
         }
 
-        Ok(Network { eng, big, bigs, cfg, rng, budget, scratch: Vec::new(), view: None })
+        Ok(Network { eng, big, bigs, cfg, rng, budget, scratch: Vec::new(), view: None, verdict: None })
     }
 }
 
@@ -449,6 +449,9 @@ pub struct Network {
     pub(crate) scratch: Vec<NodeId>,
     // The one (snapshot, index) pair behind `view`; built on first use.
     pub(crate) view: Option<(Snapshot, SnapshotIndex)>,
+    // The full suite's verdict on `view` and the strictness it was judged
+    // at; dropped whenever `view` changes or is built.
+    pub(crate) verdict: Option<(Strictness, Vec<Violation>)>,
 }
 
 // A network crosses threads whole (`run_grid`'s workers build and hand
@@ -568,28 +571,40 @@ impl Network {
         out
     }
 
-    /// Extracts a snapshot into `out`, reusing its `nodes` buffer. Polling
-    /// loops (fixpoint detection, chaos oracles) call this once per tick;
-    /// reuse keeps the outer allocation out of the hot path.
+    /// Extracts a snapshot into `out`, overwriting it in place: the
+    /// `nodes` buffer is truncated to this network's size and each view
+    /// (including a head's `children` / `associates`) is rewritten where it
+    /// stands, so a poll of an unchanged structure allocates nothing.
     pub fn snapshot_into(&self, out: &mut Snapshot) {
+        self.refill(out);
+    }
+
+    /// [`snapshot_into`](Network::snapshot_into), reporting whether any
+    /// field of `out` differs from what it held before.
+    pub(crate) fn refill(&self, out: &mut Snapshot) -> bool {
         let r_t = self.cfg.r_t;
-        out.r = self.cfg.r;
-        out.r_t = r_t;
-        out.big = self.big;
-        out.max_range = self.eng.radio().max_range;
-        out.gr = self.cfg.gr;
-        out.nodes.clear();
-        out.nodes.reserve(self.eng.node_count());
+        let mut changed = put(&mut out.r, self.cfg.r)
+            | put(&mut out.r_t, r_t)
+            | put(&mut out.big, self.big)
+            | put(&mut out.max_range, self.eng.radio().max_range)
+            | put(&mut out.gr, self.cfg.gr);
+        let n = self.eng.node_count();
+        if out.nodes.len() != n {
+            changed = true;
+            out.nodes.truncate(n);
+            out.nodes.reserve(n - out.nodes.len());
+        }
         for id in self.eng.ids() {
             let node = self.eng.node(id).expect("ids() yields valid ids");
             let pos = self.eng.position(id).expect("valid id");
             let alive = self.eng.is_alive(id).expect("valid id");
-            let (mut role, ids_stored) = view_role(&node.role);
-            if let RoleView::Associate { cell_il, is_candidate, surrogate, .. } = &mut role {
-                *is_candidate = !*surrogate && pos.distance(*cell_il) <= r_t;
+            if id.index() == out.nodes.len() {
+                // A placeholder the refill below overwrites field by field.
+                out.nodes.push(NodeView { id, pos, alive, is_big: false, role: RoleView::Bootup, ids_stored: 0 });
             }
-            out.nodes.push(NodeView { id, pos, alive, is_big: node.is_big(), role, ids_stored });
+            changed |= out.nodes[id.index()].refill(id, pos, alive, node.is_big(), &node.role, r_t);
         }
+        changed
     }
 
     /// A 64-bit FNV-1a hash of the *structural* state — roles, head and
@@ -623,24 +638,47 @@ impl Network {
 
     /// The current structure and its [`SnapshotIndex`]: the network's one
     /// cached snapshot, refilled in place, and its index brought up to
-    /// date by [`SnapshotIndex::update`] (built on first use). A polling
-    /// loop therefore pays for the churn since its previous poll, not
-    /// for the population.
+    /// date by [`SnapshotIndex::update`] (built on first use; not touched
+    /// when the refill changed nothing). A polling loop therefore pays for
+    /// the churn since its previous poll, not for the population.
     pub fn view(&mut self) -> (&Snapshot, &SnapshotIndex) {
+        self.refresh_view();
+        let (snap, idx) = self.view.as_ref().expect("refreshed above");
+        (snap, idx)
+    }
+
+    /// Brings `view` up to date, dropping the cached verdict whenever the
+    /// view moves or is built.
+    fn refresh_view(&mut self) {
         let fresh = match self.view.take() {
             Some((mut snap, mut idx)) => {
-                self.snapshot_into(&mut snap);
-                idx.update(&snap);
+                if self.refill(&mut snap) {
+                    idx.update(&snap);
+                    self.verdict = None;
+                }
                 (snap, idx)
             }
             None => {
                 let snap = self.snapshot();
                 let idx = SnapshotIndex::build(&snap);
+                self.verdict = None;
                 (snap, idx)
             }
         };
-        let (snap, idx) = self.view.insert(fresh);
-        (snap, idx)
+        self.view = Some(fresh);
+    }
+
+    /// The full suite's verdict at `strictness` on the current
+    /// [`view`](Network::view). It is computed once per view and kept
+    /// until the view changes, so polls of an unchanged structure re-run
+    /// no check.
+    pub(crate) fn verdict(&mut self, strictness: Strictness) -> &[Violation] {
+        self.refresh_view();
+        if self.verdict.as_ref().is_none_or(|(s, _)| *s != strictness) {
+            let (snap, idx) = self.view.as_ref().expect("refreshed above");
+            self.verdict = Some((strictness, check_all_with(snap, strictness, idx)));
+        }
+        &self.verdict.as_ref().expect("filled above").1
     }
 
     /// The bound set this network's mode is held to.
@@ -662,11 +700,11 @@ impl Network {
     }
 
     /// [`check_invariants`](Network::check_invariants) over
-    /// [`view`](Network::view). Results are identical.
+    /// [`view`](Network::view), reusing the last verdict while the view has
+    /// not changed. Results are identical.
     pub fn check_invariants_incremental(&mut self) -> Vec<Violation> {
         let strictness = self.strictness();
-        let (snap, idx) = self.view();
-        check_all_with(snap, strictness, idx)
+        self.verdict(strictness).to_vec()
     }
 
     // ------------------------------------------------------------------
@@ -860,28 +898,53 @@ mod tests {
         assert!(NetworkBuilder::new().ideal_radius(-1.0).build().is_err());
     }
 
+    /// The in-place refill through churn: after every step the buffer
+    /// equals a fresh `snapshot()`, and the change flag is false exactly
+    /// when the buffer's contents did not change — a head flipped to an
+    /// associate and back, a spawn, a kill, a big-node move and a
+    /// corrupted IL each set it, a repeated refill does not.
     #[test]
-    fn snapshot_into_reuses_buffer_and_matches() {
-        let mut net = NetworkBuilder::new()
-            .area_radius(150.0)
-            .expected_nodes(200)
-            .seed(9)
-            .build()
-            .unwrap();
-        net.run_for(SimDuration::from_secs(20));
-        let mut buf = Snapshot {
-            r: 0.0,
-            r_t: 0.0,
-            big: NodeId::new(0),
-            max_range: 0.0,
-            gr: gs3_geometry::Angle::ZERO,
-            nodes: Vec::new(),
+    fn refill_matches_a_fresh_snapshot_and_flags_exactly_the_changes() {
+        let builder = |nodes| {
+            NetworkBuilder::new().ideal_radius(40.0).radius_tolerance(14.0).area_radius(150.0).expected_nodes(nodes).seed(9)
         };
-        net.snapshot_into(&mut buf);
-        assert_eq!(buf, net.snapshot());
-        net.run_for(SimDuration::from_secs(10));
-        net.snapshot_into(&mut buf);
-        assert_eq!(buf, net.snapshot(), "refill after state change");
+        let mut net = builder(200).build().unwrap();
+        net.run_to_fixpoint().unwrap();
+        // Taken from a larger network first: the refill truncates.
+        let mut buf = builder(400).build().unwrap().snapshot();
+        assert!(buf.nodes.len() > net.engine().node_count());
+        let mut step = |net: &mut Network, what: &str, expect_change: bool| {
+            let before = buf.clone();
+            let changed = net.refill(&mut buf);
+            assert_eq!(buf, net.snapshot(), "refill after {what}");
+            assert_eq!(changed, buf != before, "change flag after {what}");
+            assert_eq!(changed, expect_change, "change flag after {what}");
+        };
+        step(&mut net, "a larger network's buffer", true);
+        step(&mut net, "nothing", false);
+
+        let snap = net.snapshot();
+        let head = snap.heads().map(|h| h.id).find(|&id| id != net.big_id()).unwrap();
+        let assoc = snap.associates().next().unwrap().id;
+        let head_role = net.engine().node(head).unwrap().role.clone();
+        let assoc_role = net.engine().node(assoc).unwrap().role.clone();
+        net.engine_mut().node_mut(head).unwrap().role = assoc_role;
+        step(&mut net, "a head turned associate", true);
+        net.engine_mut().node_mut(head).unwrap().role = head_role;
+        step(&mut net, "the associate turned back", true);
+        step(&mut net, "nothing", false);
+
+        net.join_node(Point::new(20.0, -30.0));
+        step(&mut net, "a spawn", true);
+        net.kill(assoc);
+        step(&mut net, "a kill", true);
+        net.move_big(Point::new(35.0, 10.0));
+        step(&mut net, "a big-node move", true);
+        assert!(net.corrupt_head_il(head, Vec2::new(40.0, -25.0)));
+        step(&mut net, "a corrupted IL", true);
+        step(&mut net, "nothing", false);
+        net.run_for(SimDuration::from_secs(20));
+        step(&mut net, "twenty seconds of healing", true);
     }
 
     #[test]

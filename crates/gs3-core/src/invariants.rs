@@ -10,6 +10,7 @@
 //! [`Strictness::Static`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use gs3_geometry::{head_spacing, Point, SQRT_3};
 use gs3_sim::spatial::SpatialGrid;
@@ -108,7 +109,9 @@ impl Fact {
 /// `Network::view` keeps one index alive per network and
 /// [`update`](SnapshotIndex::update)s it against each new snapshot: the
 /// cost of a poll is then proportional to the churn since the last one,
-/// not the population.
+/// not the population. The big node's reachability mask lives here too,
+/// computed on first read and kept until an alive bit or an alive node's
+/// position changes.
 /// [`build`](SnapshotIndex::build) stays the from-scratch path and the
 /// equality oracle for the incremental one.
 #[derive(Debug, Clone)]
@@ -123,12 +126,20 @@ pub struct SnapshotIndex {
     alive: SpatialGrid,
     /// The lattice spacing `√3·R` the head grids quantize by.
     spacing: f64,
+    /// The snapshot fields the index is fixed to (`update`'s reuse
+    /// contract): `R`, the radio range and the big node.
+    r: f64,
+    max_range: f64,
+    big: NodeId,
     /// Heads whose six lattice-neighbor ILs are all occupied (inner cells).
     inner: BTreeSet<NodeId>,
     /// `inner` as a by-node-index mask for O(1) lookups on hot paths.
     inner_mask: Vec<bool>,
     /// The facts the grids currently reflect, for delta detection.
     facts: Vec<Fact>,
+    /// `reach[i]` = node `i` is alive and physically connected to the big
+    /// node; filled on first read, emptied by any change it depends on.
+    reach: OnceLock<Vec<bool>>,
 }
 
 impl SnapshotIndex {
@@ -167,7 +178,20 @@ impl SnapshotIndex {
                 inner_mask[i] = true;
             }
         }
-        SnapshotIndex { heads, head_pos, head_il, alive, spacing, inner, inner_mask, facts }
+        SnapshotIndex {
+            heads,
+            head_pos,
+            head_il,
+            alive,
+            spacing,
+            r: snap.r,
+            max_range: snap.max_range,
+            big: snap.big,
+            inner,
+            inner_mask,
+            facts,
+            reach: OnceLock::new(),
+        }
     }
 
     /// Brings the index up to date with `snap` by applying the deltas
@@ -179,21 +203,28 @@ impl SnapshotIndex {
     /// churn tests compare against), at a cost proportional to the churn.
     ///
     /// `snap` must be a later snapshot of the *same network*: same `r` and
-    /// `max_range` (the grid geometry is fixed at build time) and node
-    /// indices never reused — snapshots only grow.
+    /// `max_range` (the grid geometry is fixed at build time), same big
+    /// node (the reachability mask is rooted there) and node indices never
+    /// reused — snapshots only grow.
     ///
     /// # Panics
     ///
     /// Panics if `snap` has fewer nodes than the previously-indexed
-    /// snapshot.
+    /// snapshot, or a different `r`, `max_range` or `big`.
     pub fn update(&mut self, snap: &Snapshot) {
-        debug_assert_eq!(
-            self.spacing,
-            head_spacing(snap.r),
-            "index reuse requires a constant R"
+        assert!(self.r == snap.r, "index reuse needs the same `r`: indexed {}, got {}", self.r, snap.r);
+        assert!(
+            self.max_range == snap.max_range,
+            "index reuse needs the same `max_range`: indexed {}, got {}",
+            self.max_range,
+            snap.max_range
         );
+        assert!(self.big == snap.big, "index reuse needs the same `big`: indexed {}, got {}", self.big, snap.big);
         let n = snap.nodes.len();
         assert!(n >= self.facts.len(), "snapshots only grow: ids are never reused");
+        // Connectivity hangs on alive bits and alive positions only: a new
+        // node, a flip or an alive node's move empties the mask.
+        let mut reach_stale = n > self.facts.len();
         self.facts.resize(n, Fact::ABSENT);
         self.inner_mask.resize(n, false);
         // ILs that appeared, vanished, or moved; only heads within one
@@ -211,6 +242,7 @@ impl SnapshotIndex {
                 (true, true) => self.alive.relocate(i, old.pos, new.pos),
                 (false, false) => {}
             }
+            reach_stale |= old.alive != new.alive || (new.alive && old.pos != new.pos);
             match (old.il, new.il) {
                 (None, Some(il)) => {
                     self.head_pos.insert(i, new.pos);
@@ -242,6 +274,9 @@ impl SnapshotIndex {
                 (None, None) => {}
             }
             self.facts[i] = new;
+        }
+        if reach_stale {
+            self.reach.take();
         }
         if dirty_ils.is_empty() {
             return;
@@ -280,6 +315,17 @@ impl SnapshotIndex {
     pub fn is_inner(&self, id: NodeId) -> bool {
         self.inner_mask.get(id.raw() as usize).copied().unwrap_or(false)
     }
+
+    /// `mask[i]` = node `i` of `snap` is alive and physically connected
+    /// (multi-hop, links = `max_range`) to the big node; all-false when the
+    /// big node is dead or out of range of the snapshot. `snap` must be the
+    /// snapshot this index reflects. Computed on the first read after a
+    /// change to an alive bit or an alive node's position, and reused
+    /// until the next one.
+    #[must_use]
+    pub fn connected_to_big(&self, snap: &Snapshot) -> &[bool] {
+        self.reach.get_or_init(|| connectivity_mask(snap, self))
+    }
 }
 
 /// How many of head `i`'s six lattice-neighbor ILs are occupied by other
@@ -305,21 +351,81 @@ fn lattice_neighbor_count(
     count
 }
 
+/// The alive head `id`, looked up by snapshot index.
+fn alive_head(snap: &Snapshot, id: NodeId) -> Option<&NodeView> {
+    snap.node(id).filter(|n| n.alive && n.is_head())
+}
+
+/// Where a head's parent chain ends.
+enum ChainEnd {
+    /// At this root (a head that is its own parent).
+    Root(NodeId),
+    /// Revisiting this head: a parent cycle.
+    Cycle(NodeId),
+    /// At this ancestor, which is not an alive head.
+    Broken(NodeId),
+}
+
+/// What one call's walks have learned about a head, by snapshot index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mark {
+    /// Not on the current walk, and not known to reach a root.
+    Unknown,
+    /// Passed by the walk from the `k`-th head.
+    OnWalk(usize),
+    /// Known to reach this root.
+    Reaches(NodeId),
+}
+
+/// Follows parent pointers from head `id` (the `walk`-th walk of this
+/// call) until a root, a revisit, a missing ancestor, or a head an earlier
+/// walk proved to reach a root. Only good outcomes are remembered: a
+/// successful walk marks its path `Reaches(root)`, so each head is walked
+/// past at most once on its way to the root, while a broken chain is
+/// walked again in full from every head that leads into it.
+fn chain_end(snap: &Snapshot, id: NodeId, walk: usize, marks: &mut [Mark]) -> ChainEnd {
+    let mut cur = id;
+    let end = loop {
+        let Some(h) = alive_head(snap, cur) else {
+            break ChainEnd::Broken(cur);
+        };
+        let mark = &mut marks[cur.raw() as usize];
+        match *mark {
+            Mark::Reaches(root) => break ChainEnd::Root(root),
+            Mark::OnWalk(k) if k == walk => break ChainEnd::Cycle(cur),
+            _ => *mark = Mark::OnWalk(walk),
+        }
+        let (_, parent, ..) = head_fields(h).expect("alive_head yields heads");
+        if parent == cur {
+            break ChainEnd::Root(cur);
+        }
+        cur = parent;
+    };
+    if let ChainEnd::Root(root) = end {
+        let mut cur = id;
+        while marks[cur.raw() as usize] != Mark::Reaches(root) {
+            marks[cur.raw() as usize] = Mark::Reaches(root);
+            let h = alive_head(snap, cur).expect("walked above");
+            cur = head_fields(h).expect("alive_head yields heads").1;
+        }
+    }
+    end
+}
+
 /// I₁.₂: the head graph is a tree rooted at the big node (or at its proxy
 /// / current root when the big node is away): exactly one root, every head
 /// reaches it by parent pointers, and hops are consistent along the way.
 #[must_use]
 pub fn check_head_graph_tree(snap: &Snapshot) -> Vec<Violation> {
     let mut out = Vec::new();
-    let heads: BTreeMap<NodeId, &NodeView> = snap.heads().map(|n| (n.id, n)).collect();
-    if heads.is_empty() {
+    if snap.heads().next().is_none() {
         return vec![Violation {
             kind: ViolationKind::HeadGraphNotTree,
             detail: "no heads at all".into(),
         }];
     }
-    let roots: Vec<NodeId> = heads
-        .values()
+    let roots: Vec<NodeId> = snap
+        .heads()
         .filter_map(|n| head_fields(n).filter(|(_, p, ..)| *p == n.id).map(|_| n.id))
         .collect();
     if roots.len() != 1 {
@@ -330,31 +436,14 @@ pub fn check_head_graph_tree(snap: &Snapshot) -> Vec<Violation> {
     }
     // Walk parent pointers from every head; must terminate at a root
     // without revisiting (cycle detection).
-    for (&id, view) in &heads {
-        let mut seen = BTreeSet::new();
-        let mut cur = id;
-        loop {
-            if !seen.insert(cur) {
-                out.push(Violation {
-                    kind: ViolationKind::HeadGraphNotTree,
-                    detail: format!("parent cycle through {cur}"),
-                });
-                break;
-            }
-            let Some(h) = heads.get(&cur) else {
-                out.push(Violation {
-                    kind: ViolationKind::HeadGraphNotTree,
-                    detail: format!("{id}'s ancestor {cur} is not an alive head"),
-                });
-                break;
-            };
-            let (_, parent, ..) = head_fields(h).expect("heads() yields heads");
-            if parent == cur {
-                break; // reached the root
-            }
-            cur = parent;
-        }
-        let _ = view;
+    let mut marks = vec![Mark::Unknown; snap.nodes.len()];
+    for (walk, n) in snap.heads().enumerate() {
+        let detail = match chain_end(snap, n.id, walk, &mut marks) {
+            ChainEnd::Root(_) => continue,
+            ChainEnd::Cycle(cur) => format!("parent cycle through {cur}"),
+            ChainEnd::Broken(cur) => format!("{}'s ancestor {cur} is not an alive head", n.id),
+        };
+        out.push(Violation { kind: ViolationKind::HeadGraphNotTree, detail });
     }
     out
 }
@@ -364,27 +453,14 @@ pub fn check_head_graph_tree(snap: &Snapshot) -> Vec<Violation> {
 /// head).
 #[must_use]
 pub fn head_roots(snap: &Snapshot) -> BTreeMap<NodeId, Option<NodeId>> {
-    let heads: BTreeMap<NodeId, &NodeView> = snap.heads().map(|n| (n.id, n)).collect();
-    let mut out = BTreeMap::new();
-    for &id in heads.keys() {
-        let mut seen = BTreeSet::new();
-        let mut cur = id;
-        let root = loop {
-            if !seen.insert(cur) {
-                break None; // cycle
-            }
-            let Some(h) = heads.get(&cur) else {
-                break None; // dead ancestor
-            };
-            let (_, parent, ..) = head_fields(h).expect("heads() yields heads");
-            if parent == cur {
-                break Some(cur);
-            }
-            cur = parent;
-        };
-        out.insert(id, root);
-    }
-    out
+    let mut marks = vec![Mark::Unknown; snap.nodes.len()];
+    snap.heads()
+        .enumerate()
+        .map(|(walk, n)| match chain_end(snap, n.id, walk, &mut marks) {
+            ChainEnd::Root(root) => (n.id, Some(root)),
+            ChainEnd::Cycle(_) | ChainEnd::Broken(_) => (n.id, None),
+        })
+        .collect()
 }
 
 /// Multi-big-node variant of I₁.₂ (the paper's Section 7 extension): the
@@ -418,13 +494,12 @@ pub fn check_head_graph_forest(snap: &Snapshot, expected_roots: usize) -> Vec<Vi
 #[must_use]
 pub fn check_head_graph_physical(snap: &Snapshot) -> Vec<Violation> {
     let mut out = Vec::new();
-    let heads: BTreeMap<NodeId, &NodeView> = snap.heads().map(|n| (n.id, n)).collect();
-    for (&id, view) in &heads {
-        let (_, parent, ..) = head_fields(view).expect("heads() yields heads");
+    for view in snap.heads() {
+        let (id, (_, parent, ..)) = (view.id, head_fields(view).expect("heads() yields heads"));
         if parent == id {
             continue;
         }
-        if let Some(p) = heads.get(&parent) {
+        if let Some(p) = alive_head(snap, parent) {
             let d = view.pos.distance(p.pos);
             if d > snap.max_range + EPS {
                 out.push(Violation {
@@ -606,10 +681,11 @@ pub fn check_best_head_with(snap: &Snapshot, inner_only: bool, idx: &SnapshotInd
 }
 
 /// F₄: every alive node physically connected to the big node is in a cell
-/// (head or associate). Connectivity reuses the index's alive-node grid.
+/// (head or associate). Connectivity is the index's
+/// [`connected_to_big`](SnapshotIndex::connected_to_big) mask.
 #[must_use]
 pub fn check_coverage_with(snap: &Snapshot, idx: &SnapshotIndex) -> Vec<Violation> {
-    let reachable = connectivity_mask(snap, idx);
+    let reachable = idx.connected_to_big(snap);
     let mut out = Vec::new();
     for (i, n) in snap.nodes.iter().enumerate() {
         if !reachable[i] {
@@ -659,28 +735,22 @@ pub fn check_all_with(snap: &Snapshot, strictness: Strictness, idx: &SnapshotInd
 }
 
 /// The set of alive nodes physically connected (multi-hop, links =
-/// `max_range`) to the big node.
-///
-/// Connectivity is computed as union-find over the alive-node grid's
-/// cells rather than a per-node BFS: nodes sharing a cell are within
-/// `max_range` by construction (cell diagonal = `max_range`), so each
-/// cell unions wholesale, and each pair of nearby cells needs at most one
-/// witnessing edge before the whole pair is settled. Union order never
-/// leaks into the result — components are a property of the edge set.
+/// `max_range`) to the big node: the index's
+/// [`connected_to_big`](SnapshotIndex::connected_to_big) mask as ids.
 #[must_use]
 pub fn physically_connected_to_big_with(snap: &Snapshot, idx: &SnapshotIndex) -> BTreeSet<NodeId> {
-    let mask = connectivity_mask(snap, idx);
-    let mut reachable = BTreeSet::new();
-    for (i, n) in snap.nodes.iter().enumerate() {
-        if mask[i] {
-            reachable.insert(n.id);
-        }
-    }
-    reachable
+    let mask = idx.connected_to_big(snap);
+    snap.nodes.iter().zip(mask).filter(|(_, &reached)| reached).map(|(n, _)| n.id).collect()
 }
 
-/// `mask[i]` = node `i` is alive and physically connected to the big node.
-/// All-false when the big node is dead or out of range of the snapshot.
+/// Computes [`SnapshotIndex::connected_to_big`].
+///
+/// Connectivity is union-find over the alive-node grid's cells rather
+/// than a per-node BFS: nodes sharing a cell are within `max_range` by
+/// construction (cell diagonal = `max_range`), so each cell unions
+/// wholesale, and each pair of nearby cells needs at most one witnessing
+/// edge before the whole pair is settled. Union order never leaks into
+/// the result — components are a property of the edge set.
 fn connectivity_mask(snap: &Snapshot, idx: &SnapshotIndex) -> Vec<bool> {
     let big_idx = snap.big.raw() as usize;
     if snap.nodes.get(big_idx).is_none_or(|b| !b.alive) {
@@ -917,12 +987,63 @@ pub mod naive {
         reachable
     }
 
+    /// Per-head walk with a `BTreeSet` of visited heads and a `BTreeMap`
+    /// lookup: the reference for [`check_head_graph_tree`](super::check_head_graph_tree)
+    /// and [`head_roots`](super::head_roots).
+    fn walk(heads: &BTreeMap<NodeId, &NodeView>, id: NodeId) -> Result<NodeId, Violation> {
+        let mut seen = BTreeSet::new();
+        let mut cur = id;
+        loop {
+            let broken = |detail| Err(Violation { kind: ViolationKind::HeadGraphNotTree, detail });
+            if !seen.insert(cur) {
+                return broken(format!("parent cycle through {cur}"));
+            }
+            let Some(h) = heads.get(&cur) else {
+                return broken(format!("{id}'s ancestor {cur} is not an alive head"));
+            };
+            let (_, parent, ..) = head_fields(h).expect("heads() yields heads");
+            if parent == cur {
+                return Ok(cur);
+            }
+            cur = parent;
+        }
+    }
+
+    /// Walk-per-head version of [`check_head_graph_tree`](super::check_head_graph_tree).
+    #[must_use]
+    pub fn check_head_graph_tree(snap: &Snapshot) -> Vec<Violation> {
+        let heads: BTreeMap<NodeId, &NodeView> = snap.heads().map(|n| (n.id, n)).collect();
+        if heads.is_empty() {
+            return vec![Violation { kind: ViolationKind::HeadGraphNotTree, detail: "no heads at all".into() }];
+        }
+        let roots: Vec<NodeId> = heads
+            .values()
+            .filter_map(|n| head_fields(n).filter(|(_, p, ..)| *p == n.id).map(|_| n.id))
+            .collect();
+        let mut out = Vec::new();
+        if roots.len() != 1 {
+            out.push(Violation {
+                kind: ViolationKind::HeadGraphNotTree,
+                detail: format!("expected exactly 1 root, found {roots:?}"),
+            });
+        }
+        out.extend(heads.keys().filter_map(|&id| walk(&heads, id).err()));
+        out
+    }
+
+    /// Walk-per-head version of [`head_roots`](super::head_roots).
+    #[must_use]
+    pub fn head_roots(snap: &Snapshot) -> BTreeMap<NodeId, Option<NodeId>> {
+        let heads: BTreeMap<NodeId, &NodeView> = snap.heads().map(|n| (n.id, n)).collect();
+        heads.keys().map(|&id| (id, walk(&heads, id).ok())).collect()
+    }
+
     /// [`check_all_with`](super::check_all_with) wired entirely through the naive
     /// geometric checks (the non-geometric checks are shared).
     #[must_use]
     pub fn check_all(snap: &Snapshot, strictness: Strictness) -> Vec<Violation> {
         let mut out = Vec::new();
-        out.extend(super::check_head_graph_tree(snap));
+        out.extend(check_head_graph_tree(snap));
         out.extend(super::check_head_graph_physical(snap));
         out.extend(check_neighbor_distances(snap));
         out.extend(super::check_children_counts(snap, strictness));
@@ -1324,6 +1445,7 @@ mod tests {
         assert_eq!(inc.inner, full.inner, "inner set diverges {ctx}");
         assert_eq!(inc.inner_mask, full.inner_mask, "inner mask diverges {ctx}");
         assert_eq!(inc.facts, full.facts, "facts diverge {ctx}");
+        assert_eq!(inc.connected_to_big(s), full.connected_to_big(s), "reachability mask diverges {ctx}");
         assert_eq!(grid_cells(&inc.alive), grid_cells(&full.alive), "alive grid diverges {ctx}");
         assert_eq!(
             grid_cells(&inc.head_pos),
@@ -1434,6 +1556,92 @@ mod tests {
         let mut idx = SnapshotIndex::build(&s);
         s.nodes.pop();
         idx.update(&s);
+    }
+
+    /// `update` refuses a snapshot of another network: a changed `r`,
+    /// `max_range` or big node would leave the grids — and the cached
+    /// reachability mask — describing the wrong field.
+    fn update_with(edit: impl FnOnce(&mut Snapshot)) {
+        let mut s = random_snapshot(7);
+        let mut idx = SnapshotIndex::build(&s);
+        edit(&mut s);
+        idx.update(&s);
+    }
+
+    #[test]
+    #[should_panic(expected = "same `r`")]
+    fn incremental_update_rejects_another_r() {
+        update_with(|s| s.r *= 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "same `max_range`")]
+    fn incremental_update_rejects_another_max_range() {
+        update_with(|s| s.max_range += 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "same `big`")]
+    fn incremental_update_rejects_another_big_node() {
+        update_with(|s| s.big = NodeId::new(1));
+    }
+
+    /// The mask is emptied by alive flips and alive moves only: a role
+    /// change keeps it, and a dead node's move keeps it.
+    #[test]
+    fn reachability_mask_is_kept_across_role_changes() {
+        let spacing = head_spacing(100.0);
+        let mut s = snap(vec![
+            head(0, Point::ORIGIN, Point::ORIGIN, 0, 0, vec![]),
+            assoc(1, Point::new(300.0, 0.0), 0),
+            assoc(2, Point::new(600.0, 0.0), 0),
+        ]);
+        s.nodes[2].alive = false;
+        let mut idx = SnapshotIndex::build(&s);
+        let _ = idx.connected_to_big(&s);
+        s.nodes[1].role = head(1, s.nodes[1].pos, Point::new(spacing, 0.0), 0, 1, vec![]).role;
+        s.nodes[2].pos = Point::new(700.0, 0.0);
+        idx.update(&s);
+        assert!(idx.reach.get().is_some(), "a role change and a dead move keep the mask");
+        s.nodes[1].pos = Point::new(310.0, 0.0);
+        idx.update(&s);
+        assert!(idx.reach.get().is_none(), "an alive move empties it");
+        assert_index_matches_rebuild(&s, &idx, "after an alive move");
+        s.nodes[2].alive = true;
+        idx.update(&s);
+        assert!(idx.reach.get().is_none(), "a revival empties it");
+        assert_eq!(idx.connected_to_big(&s), [true, true, true]);
+    }
+
+    /// Random forests with broken branches: most heads point at a lower
+    /// head (so long chains share ancestors and the walks' memo is hit),
+    /// a few at themselves, at themselves-via-a-cycle, or at a non-head.
+    #[test]
+    fn head_graph_checks_match_the_walk_per_head_reference() {
+        use rand::{Rng, SeedableRng};
+        let (mut good, mut broken) = (0usize, 0usize);
+        for seed in 0..200 {
+            let mut s = random_snapshot(seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7EE5);
+            let n = s.nodes.len() as u64;
+            for i in 0..s.nodes.len() {
+                let to = match rng.gen_range(0u32..20) {
+                    0 => i as u64,
+                    1 => rng.gen_range(0..n),
+                    _ if i > 0 => rng.gen_range(0..i as u64),
+                    _ => 0,
+                };
+                if let RoleView::Head { parent, .. } = &mut s.nodes[i].role {
+                    *parent = NodeId::new(to);
+                }
+            }
+            assert_eq!(check_head_graph_tree(&s), naive::check_head_graph_tree(&s), "tree at seed {seed}");
+            let roots = head_roots(&s);
+            assert_eq!(roots, naive::head_roots(&s), "roots at seed {seed}");
+            good += roots.values().filter(|r| r.is_some()).count();
+            broken += roots.values().filter(|r| r.is_none()).count();
+        }
+        assert!(good > 500 && broken > 500, "{good} good and {broken} broken chains");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! relationships each node maintains — mirroring what the paper's
 //! predicates quantify over.
 
+use std::collections::btree_map;
+
 use gs3_geometry::spiral::IccIcp;
 use gs3_geometry::Point;
 use gs3_sim::NodeId;
@@ -111,45 +113,120 @@ pub struct Snapshot {
     pub nodes: Vec<NodeView>,
 }
 
-/// Builds the externally visible [`RoleView`] and stored-id count from a
-/// node's internal role state.
-pub(crate) fn view_role(role: &Role) -> (RoleView, usize) {
-    match role {
-        Role::Bootup(b) => (RoleView::Bootup, b.head_offers.len() + b.assoc_offers.len()),
-        Role::Head(h) => {
-            let view = RoleView::Head {
-                il: h.il,
-                oil: h.oil,
-                icc_icp: h.icc_icp,
-                parent: h.parent,
-                hops: h.hops,
-                children: h.children.keys().copied().collect(),
-                associates: h.associates.keys().copied().collect(),
-                is_proxy: h.is_proxy,
-            };
-            // Parent + neighbors (children are a subset of neighbors by
-            // maintenance, but count the union defensively) + cell members.
-            let mut ids: std::collections::BTreeSet<NodeId> = h.neighbors.keys().copied().collect();
-            ids.extend(h.children.keys().copied());
-            ids.insert(h.parent);
-            let count = ids.len() + h.associates.len();
-            (view, count)
+/// Overwrites `*slot` with `value` when the two differ (`!=`); true when
+/// they did. The in-place refill is built from this, so a field that did
+/// not change is never written and a NaN field always reads as changed.
+pub(crate) fn put<T: PartialEq>(slot: &mut T, value: T) -> bool {
+    let changed = *slot != value;
+    if changed {
+        *slot = value;
+    }
+    changed
+}
+
+/// Overwrites `ids` with `keys` in place (allocating only to grow); true
+/// when the sequence differed.
+fn put_ids<'a, V: 'a>(ids: &mut Vec<NodeId>, keys: btree_map::Keys<'a, NodeId, V>) -> bool {
+    if ids.iter().eq(keys.clone()) {
+        return false;
+    }
+    ids.clear();
+    ids.extend(keys.copied());
+    true
+}
+
+/// How many distinct ids two ascending key sequences hold together.
+fn union_len<'a>(a: impl Iterator<Item = &'a NodeId>, b: impl Iterator<Item = &'a NodeId>) -> usize {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    let mut count = 0;
+    loop {
+        match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => {
+                let (x, y) = (**x, **y);
+                if x <= y {
+                    a.next();
+                }
+                if y <= x {
+                    b.next();
+                }
+            }
+            (Some(_), None) => {
+                a.next();
+            }
+            (None, Some(_)) => {
+                b.next();
+            }
+            (None, None) => return count,
         }
-        Role::Associate(a) => (
-            RoleView::Associate {
-                head: a.head,
-                cell_il: a.cell.il,
-                surrogate: a.surrogate,
-                // Candidacy is position-dependent; the harness patches this
-                // after it knows the node's position.
-                is_candidate: false,
-            },
-            1 + a.cell.candidates.len(),
-        ),
-        Role::BigAway(b) => (
-            RoleView::BigAway { proxy: b.proxy, mobile: b.mobile },
-            b.known_heads.len(),
-        ),
+        count += 1;
+    }
+}
+
+/// How many distinct peer identities a node's role state stores.
+fn ids_stored(role: &Role) -> usize {
+    match role {
+        Role::Bootup(b) => b.head_offers.len() + b.assoc_offers.len(),
+        // Parent + neighbors (children are a subset of neighbors by
+        // maintenance, but count the union defensively) + cell members.
+        Role::Head(h) => {
+            let links = union_len(h.neighbors.keys(), h.children.keys());
+            let parent_extra = !h.neighbors.contains_key(&h.parent) && !h.children.contains_key(&h.parent);
+            links + usize::from(parent_extra) + h.associates.len()
+        }
+        Role::Associate(a) => 1 + a.cell.candidates.len(),
+        Role::BigAway(b) => b.known_heads.len(),
+    }
+}
+
+/// The externally visible [`RoleView`] of a node at `pos`.
+fn role_view(role: &Role, pos: Point, r_t: f64) -> RoleView {
+    match role {
+        Role::Bootup(_) => RoleView::Bootup,
+        Role::Head(h) => RoleView::Head {
+            il: h.il,
+            oil: h.oil,
+            icc_icp: h.icc_icp,
+            parent: h.parent,
+            hops: h.hops,
+            children: h.children.keys().copied().collect(),
+            associates: h.associates.keys().copied().collect(),
+            is_proxy: h.is_proxy,
+        },
+        Role::Associate(a) => RoleView::Associate {
+            head: a.head,
+            cell_il: a.cell.il,
+            surrogate: a.surrogate,
+            is_candidate: !a.surrogate && pos.distance(a.cell.il) <= r_t,
+        },
+        Role::BigAway(b) => RoleView::BigAway { proxy: b.proxy, mobile: b.mobile },
+    }
+}
+
+impl NodeView {
+    /// Rewrites this view in place from one node's engine state; true when
+    /// any field changed. A head that stays a head keeps its `children` /
+    /// `associates` buffers, so a refill allocates only when one of them
+    /// grows or a node becomes a head.
+    pub(crate) fn refill(&mut self, id: NodeId, pos: Point, alive: bool, is_big: bool, role: &Role, r_t: f64) -> bool {
+        let mut changed = put(&mut self.id, id)
+            | put(&mut self.pos, pos)
+            | put(&mut self.alive, alive)
+            | put(&mut self.is_big, is_big)
+            | put(&mut self.ids_stored, ids_stored(role));
+        changed |= match (role, &mut self.role) {
+            (Role::Head(h), RoleView::Head { il, oil, icc_icp, parent, hops, children, associates, is_proxy }) => {
+                put(il, h.il)
+                    | put(oil, h.oil)
+                    | put(icc_icp, h.icc_icp)
+                    | put(parent, h.parent)
+                    | put(hops, h.hops)
+                    | put_ids(children, h.children.keys())
+                    | put_ids(associates, h.associates.keys())
+                    | put(is_proxy, h.is_proxy)
+            }
+            (role, slot) => put(slot, role_view(role, pos, r_t)),
+        };
+        changed
     }
 }
 

@@ -96,17 +96,29 @@ fn combined_adversity_heals_clean() {
     assert!(c.dropped_unicast() > 0, "unicast loss never fired");
 }
 
-/// The chaos oracle reads the network's incrementally kept view. At every
-/// poll, through crashes, corruption, a join and a big-node move, it must
-/// judge exactly what a fresh index of the same snapshot judges.
-#[test]
-fn the_chaos_oracle_agrees_with_a_fresh_index_at_every_poll() {
+/// A configured Mobile field and [`combined_plan`] plus a crash disk, a
+/// join, a big-node move and a second state corruption: every structural
+/// fault class against a field whose big node may move.
+fn mobile_field_and_plan() -> (gs3::core::Network, FaultPlan) {
     let mut net = builder(7).mode(Mode::Mobile).build().unwrap();
     net.run_to_fixpoint().unwrap();
     let plan = combined_plan()
         .at(SimDuration::from_secs(15), FaultKind::CrashDisk { center: Point::new(-40.0, -60.0), radius: 35.0 })
         .at(SimDuration::from_secs(25), FaultKind::Join { pos: Point::new(30.0, 30.0) })
-        .at(SimDuration::from_secs(30), FaultKind::MoveBig { to: Point::new(45.0, 0.0) });
+        .at(SimDuration::from_secs(30), FaultKind::MoveBig { to: Point::new(45.0, 0.0) })
+        .at(
+            SimDuration::from_secs(35),
+            FaultKind::CorruptState { near: Point::new(60.0, -40.0), corruption: Corruption::Parent },
+        );
+    (net, plan)
+}
+
+/// The chaos oracle reads the network's incrementally kept view. At every
+/// poll, through crashes, corruption, a join and a big-node move, it must
+/// judge exactly what a fresh index of the same snapshot judges.
+#[test]
+fn the_chaos_oracle_agrees_with_a_fresh_index_at_every_poll() {
+    let (mut net, plan) = mobile_field_and_plan();
     let opts = ChaosOptions::for_config(net.config());
     let (mut polls, mut dirty) = (0u32, 0u32);
     let rep = net.run_chaos_with(&plan, opts, |snap, idx| {
@@ -120,6 +132,22 @@ fn the_chaos_oracle_agrees_with_a_fresh_index_at_every_poll() {
     });
     assert_eq!(polls, rep.polls);
     assert!(0 < dirty && dirty < polls, "{dirty} of {polls} polls dirty: the comparison saw both verdicts");
+}
+
+/// The standard oracle reuses its verdict while the view is unchanged; a
+/// custom oracle judging every poll from a fresh index must produce the
+/// same report, field for field.
+#[test]
+fn the_standard_oracle_reports_what_a_fresh_index_reports() {
+    let (mut reused, plan) = mobile_field_and_plan();
+    let (mut fresh, _) = mobile_field_and_plan();
+    let opts = ChaosOptions::for_config(reused.config());
+    let a = reused.run_chaos_opts(&plan, opts.clone());
+    let b = fresh.run_chaos_with(&plan, opts, |snap, _| {
+        invariants::check_all_with(snap, Strictness::Dynamic, &SnapshotIndex::build(snap)).len()
+    });
+    assert_eq!(a, b);
+    assert!(a.max_violations > 0 && a.outcomes.len() == 9, "the plan ran and broke the structure");
 }
 
 /// Oracle polling is observation only: running the same plan with a
