@@ -146,7 +146,7 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap();
-        let _ = net.run_to_fixpoint().unwrap();
+        let _ = net.run_to_fixpoint();
         net
     }
 

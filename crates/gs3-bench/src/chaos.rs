@@ -137,7 +137,7 @@ fn run_chaos(sev: &Severity, churn: &Churn, seed: u64, reliable: bool) -> ChaosR
         b = b.reliability(ReliabilityConfig::on());
     }
     let mut net = b.build().expect("valid parameters");
-    net.run_to_fixpoint().expect("initial configuration converges");
+    net.run_to_fixpoint();
 
     let channel = FaultConfig {
         burst: sev.burst.clone(),

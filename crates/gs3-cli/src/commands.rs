@@ -240,7 +240,7 @@ fn configure(net: &mut Network) -> CliResult {
                 .run_until_quiescent(deadline)
                 .ok_or("static diffusion did not terminate")?;
         }
-        _ => match net.run_to_fixpoint()? {
+        _ => match net.run_to_fixpoint() {
             RunOutcome::Fixpoint { .. } => {}
             RunOutcome::TimedOut { at } => return Err(format!("not stable by {at}").into()),
         },

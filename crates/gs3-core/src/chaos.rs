@@ -26,7 +26,7 @@
 //!     .expected_nodes(400)
 //!     .seed(7)
 //!     .build()?;
-//! net.run_to_fixpoint()?;
+//! net.run_to_fixpoint();
 //! let plan = FaultPlan::new()
 //!     .at(SimDuration::from_secs(1), FaultKind::CrashRandom { count: 3 })
 //!     .at(SimDuration::from_secs(2), FaultKind::Join { pos: Point::new(50.0, 0.0) });
@@ -1114,7 +1114,7 @@ mod tests {
                 .seed(7)
                 .build()
                 .unwrap();
-            net.run_to_fixpoint().unwrap();
+            net.run_to_fixpoint();
             net
         };
         let channel = FaultConfig { burst: BurstLoss::bursty(0.02, 4.0), unicast_loss: 0.02, ..FaultConfig::none() };
@@ -1160,7 +1160,7 @@ mod tests {
     #[test]
     fn empty_plan_reports_clean_immediately() {
         let mut net = small_net(21);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let report = net.run_chaos(&FaultPlan::new());
         assert!(report.healed());
         assert!(report.outcomes.is_empty());
@@ -1171,7 +1171,7 @@ mod tests {
     #[test]
     fn crash_wave_heals_with_latency() {
         let mut net = small_net(22);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let plan = FaultPlan::new()
             .at(SimDuration::from_secs(1), FaultKind::CrashRandom { count: 5 });
         let report = net.run_chaos(&plan);
@@ -1193,7 +1193,7 @@ mod tests {
     #[test]
     fn jam_labels_resolve() {
         let mut net = small_net(23);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let plan = FaultPlan::new()
             .at(SimDuration::from_secs(1), FaultKind::StartJam {
                 label: 7,
@@ -1249,7 +1249,7 @@ mod tests {
     #[test]
     fn corrupt_state_picks_nearest_head() {
         let mut net = small_net(24);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let plan = FaultPlan::new().at(
             SimDuration::from_secs(1),
             FaultKind::CorruptState { near: Point::ORIGIN, corruption: Corruption::Parent },

@@ -4,10 +4,10 @@
 //!
 //! The channel faults a network runs under are *not* part of [`Gs3Config`]
 //! — they belong to the simulated radio, configured through
-//! [`gs3_sim::faults::FaultConfig`] (via `NetworkBuilder::fault_config`,
-//! `::burst_loss`, `::unicast_loss`, or a scheduled
-//! `FaultKind::SetChannel`). The burst-loss model is Gilbert–Elliott: a
-//! two-state Markov chain advanced once per delivery attempt, with
+//! [`gs3_sim::faults::FaultConfig`] (via `NetworkBuilder::fault_config`
+//! or a scheduled `FaultKind::SetChannel`). The burst-loss model is
+//! Gilbert–Elliott: a two-state Markov chain advanced once per delivery
+//! attempt, with
 //!
 //! * `p_enter` — probability of jumping from the lossless *good* state to
 //!   the *bad* state before an attempt (default `0.0`; the `gs3 chaos` CLI
@@ -294,6 +294,8 @@ pub enum ConfigError {
         /// The cell radius it was checked against.
         r: f64,
     },
+    /// A heartbeat period (the named field) must be non-zero.
+    ZeroHeartbeat(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -303,6 +305,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadTolerance { r_t, r } => {
                 write!(f, "radius tolerance {r_t} must be in (0, {r}]")
             }
+            ConfigError::ZeroHeartbeat(field) => write!(f, "{field} must be a non-zero period"),
         }
     }
 }
@@ -317,13 +320,16 @@ impl Gs3Config {
     ///
     /// Returns [`ConfigError`] when `r` or `r_t` is out of range.
     pub fn new(r: f64, r_t: f64) -> Result<Self, ConfigError> {
-        if !(r.is_finite() && r > 0.0) {
-            return Err(ConfigError::BadRadius(r));
-        }
-        if !(r_t.is_finite() && r_t > 0.0 && r_t <= r) {
-            return Err(ConfigError::BadTolerance { r_t, r });
-        }
-        Ok(Gs3Config {
+        let cfg = Gs3Config::unchecked(r, r_t);
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// [`Gs3Config::new`] without the check, for a default that is valid
+    /// by construction; whoever uses the result must still
+    /// [`validate`](Gs3Config::validate) it.
+    pub(crate) fn unchecked(r: f64, r_t: f64) -> Self {
+        Gs3Config {
             r,
             r_t,
             gr: Angle::ZERO,
@@ -337,7 +343,29 @@ impl Gs3Config {
             reliability: ReliabilityConfig::disabled(),
             congestion: CongestionConfig::disabled(),
             dataplane: DataplaneConfig::on(),
-        })
+        }
+    }
+
+    /// Checks the fields a network cannot run with: `r` positive and
+    /// finite, `0 < r_t ≤ r`, and both heartbeat periods non-zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (r, r_t) = (self.r, self.r_t);
+        if !(r.is_finite() && r > 0.0) {
+            return Err(ConfigError::BadRadius(r));
+        }
+        if !(r_t.is_finite() && r_t > 0.0 && r_t <= r) {
+            return Err(ConfigError::BadTolerance { r_t, r });
+        }
+        for (field, period) in [("intra_heartbeat", self.intra_heartbeat), ("inter_heartbeat", self.inter_heartbeat)] {
+            if period == SimDuration::ZERO {
+                return Err(ConfigError::ZeroHeartbeat(field));
+            }
+        }
+        Ok(())
     }
 
     /// The local-coordination radius `√3·R + 2·R_t` — the broadcast range
@@ -408,13 +436,6 @@ impl Gs3Config {
         self.mode = mode;
         self
     }
-
-    /// Sets the global reference direction.
-    #[must_use]
-    pub fn with_gr(mut self, gr: Angle) -> Self {
-        self.gr = gr;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -444,12 +465,8 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let c = Gs3Config::new(50.0, 5.0)
-            .unwrap()
-            .with_mode(Mode::Mobile)
-            .with_gr(Angle::from_degrees(30.0));
+        let c = Gs3Config::new(50.0, 5.0).unwrap().with_mode(Mode::Mobile);
         assert_eq!(c.mode, Mode::Mobile);
-        assert!((c.gr.degrees() - 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!   (it only picks a gap or duplicate counter); `DataState::ledger` (the
 //!   sink ledger: a handler reads only its admit/duplicate verdict, which
 //!   picks a counter to bump — the credit goes back either way — so its
-//!   windows and histogram never change a future event); `Network::inv`
-//!   (the incremental checker's cached snapshot and index, whose verdicts
-//!   equal a rebuild's);
+//!   windows and histogram never change a future event); `Network::view`
+//!   (the cached snapshot and index, whose verdicts equal a rebuild's) and
+//!   `Network::verdict` (the cached verdict on `view`);
 //! * scratch, empty between calls — `Network::scratch`,
 //!   `Engine::action_buf`, `Engine::recv_buf`, `Engine::grant_buf`.
 //!
@@ -228,7 +228,6 @@ impl Network {
     pub fn fingerprint(&self) -> u128 {
         let Network {
             eng,
-            big,
             bigs,
             cfg,
             rng,
@@ -239,7 +238,7 @@ impl Network {
         } = self;
         let now = eng.now();
         let mut h = Fnv128::new();
-        h.id(*big).each(bigs, |h, id| h.id(*id)).debug(&**cfg).opt(*budget, Fnv128::f64);
+        h.each(bigs, |h, id| h.id(*id)).debug(&**cfg).opt(*budget, Fnv128::f64);
         for word in rng.state_words() {
             h.u64(word);
         }
@@ -272,27 +271,27 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_and_pure() {
         let mut net = pinned_net(11);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let a = net.fingerprint();
         let b = net.fingerprint();
         assert_eq!(a, b, "computing a fingerprint must not perturb the state");
         // An identically-built twin lands on the same fingerprint.
         let mut twin = pinned_net(11);
-        twin.run_to_fixpoint().unwrap();
+        twin.run_to_fixpoint();
         assert_eq!(a, twin.fingerprint());
     }
 
     #[test]
     fn fingerprint_separates_different_states() {
         let mut net = pinned_net(11);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let configured = net.fingerprint();
 
         let fresh = pinned_net(11);
         assert_ne!(fresh.fingerprint(), configured, "bootup vs configured");
 
         let mut other_seed = pinned_net(12);
-        other_seed.run_to_fixpoint().unwrap();
+        other_seed.run_to_fixpoint();
         assert_ne!(
             other_seed.fingerprint(),
             configured,
@@ -313,7 +312,7 @@ mod tests {
     #[test]
     fn fingerprint_folds_congestion_and_data_plane_state() {
         let mut net = pinned_net(11);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let base = net.fingerprint();
         let victim = net.engine().alive_ids().find(|id| *id != net.big_id()).unwrap();
         let mut stretched = net.clone();
@@ -327,7 +326,7 @@ mod tests {
     #[test]
     fn fingerprint_folds_the_engine_outside_the_nodes() {
         let mut net = pinned_net(11);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let base = net.fingerprint();
         let mut jammed = net.clone();
         jammed.start_jam(Point::new(900.0, 900.0), 1.0);
@@ -346,7 +345,7 @@ mod tests {
         // holds at quiescence, which is exactly the normalization the
         // model checker needs for its terminal states.)
         let mut net = pinned_net(13);
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let mut later = net.clone();
         if !later.engine().is_quiescent() {
             // The protocol keeps heartbeating forever; a truly quiescent

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use gs3_geometry::{Point, Vec2};
 use gs3_sim::deploy::Deployment;
-use gs3_sim::faults::{BurstLoss, FaultConfig};
+use gs3_sim::faults::FaultConfig;
 use gs3_sim::fnv::Fnv64;
 use gs3_sim::radio::{EnergyModel, RadioModel};
 use gs3_sim::{Engine, NodeId, SimDuration, SimTime};
@@ -49,26 +49,19 @@ enum Density {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NetworkBuilder {
-    r: f64,
-    r_t: f64,
+    cfg: Gs3Config,
     area_radius: f64,
     density: Density,
     seed: u64,
-    mode: Mode,
     gaps: Vec<(Point, f64)>,
     position_noise: f64,
     radio: Option<RadioModel>,
     energy: Option<(EnergyModel, f64)>,
     big_pos: Point,
     extra_bigs: Vec<Point>,
-    config_override: Option<Gs3Config>,
     broadcast_loss: f64,
-    traffic_period: Option<SimDuration>,
     faults: FaultConfig,
-    reliability: Option<ReliabilityConfig>,
     contention: Option<ContentionConfig>,
-    congestion: Option<CongestionConfig>,
-    dataplane: Option<gs3_dataplane::DataplaneConfig>,
     flight_recorder: Option<usize>,
     explicit_nodes: Vec<Point>,
 }
@@ -76,26 +69,19 @@ pub struct NetworkBuilder {
 impl Default for NetworkBuilder {
     fn default() -> Self {
         NetworkBuilder {
-            r: 100.0,
-            r_t: 15.0,
+            cfg: Gs3Config::unchecked(100.0, 15.0),
             area_radius: 300.0,
             density: Density::Lambda(0.02),
             seed: 0,
-            mode: Mode::Dynamic,
             gaps: Vec::new(),
             position_noise: 0.0,
             radio: None,
             energy: None,
             big_pos: Point::ORIGIN,
             extra_bigs: Vec::new(),
-            config_override: None,
             broadcast_loss: 0.0,
-            traffic_period: None,
             faults: FaultConfig::none(),
-            reliability: None,
             contention: None,
-            congestion: None,
-            dataplane: None,
             flight_recorder: None,
             explicit_nodes: Vec::new(),
         }
@@ -113,14 +99,14 @@ impl NetworkBuilder {
     /// Sets the ideal cell radius `R`.
     #[must_use]
     pub fn ideal_radius(mut self, r: f64) -> Self {
-        self.r = r;
+        self.cfg.r = r;
         self
     }
 
     /// Sets the radius tolerance `R_t`.
     #[must_use]
     pub fn radius_tolerance(mut self, r_t: f64) -> Self {
-        self.r_t = r_t;
+        self.cfg.r_t = r_t;
         self
     }
 
@@ -159,7 +145,7 @@ impl NetworkBuilder {
     /// Sets the protocol variant.
     #[must_use]
     pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
+        self.cfg.mode = mode;
         self
     }
 
@@ -184,28 +170,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Sets the unicast loss probability (in `[0, 1)`) — breaks the
-    /// paper's reliable destination-aware transmission assumption.
-    /// Lost org replies, acks, and handshakes must be recovered by the
-    /// protocol's periodic timers.
-    #[must_use]
-    pub fn unicast_loss(mut self, loss: f64) -> Self {
-        self.faults.unicast_loss = loss;
-        self
-    }
-
-    /// Enables Gilbert–Elliott burst loss: the channel enters a total-loss
-    /// bad state with probability `p_enter` per delivery attempt and stays
-    /// there for bursts of `mean_burst` attempts on average (see
-    /// [`gs3_sim::faults::BurstLoss`]).
-    #[must_use]
-    pub fn burst_loss(mut self, p_enter: f64, mean_burst: f64) -> Self {
-        self.faults.burst = BurstLoss::bursty(p_enter, mean_burst);
-        self
-    }
-
-    /// Installs a full adversarial-channel configuration (overrides any
-    /// individual `unicast_loss` / `burst_loss` knobs set earlier).
+    /// Installs the adversarial-channel configuration (burst loss,
+    /// unicast loss, duplication, delay; see [`FaultConfig`]). Of repeated
+    /// calls, the last wins.
     #[must_use]
     pub fn fault_config(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
@@ -243,11 +210,14 @@ impl NetworkBuilder {
         self
     }
 
-    /// Uses a fully custom protocol configuration (overrides `r`, `r_t`,
-    /// and `mode` set on the builder).
+    /// Replaces the whole protocol configuration. It and the protocol
+    /// setters (`ideal_radius`, `radius_tolerance`, `mode`, `traffic`,
+    /// `reliability`, `congestion`, `dataplane`) write one configuration,
+    /// so the last call wins: a setter before `config` is overwritten, a
+    /// setter after it changes its one field. `build` validates the result.
     #[must_use]
     pub fn config(mut self, cfg: Gs3Config) -> Self {
-        self.config_override = Some(cfg);
+        self.cfg = cfg;
         self
     }
 
@@ -258,17 +228,16 @@ impl NetworkBuilder {
     /// frame is sent.
     #[must_use]
     pub fn traffic(mut self, period: SimDuration) -> Self {
-        self.traffic_period = Some(period);
+        self.cfg.report_period = period;
         self
     }
 
     /// Configures the control-plane reliability layer (acked
-    /// retransmission, adaptive failure detection, quarantine). Applied on
-    /// top of `config` overrides; the default is the inert
-    /// [`ReliabilityConfig::disabled`].
+    /// retransmission, adaptive failure detection, quarantine). The
+    /// default is the inert [`ReliabilityConfig::disabled`].
     #[must_use]
     pub fn reliability(mut self, rc: ReliabilityConfig) -> Self {
-        self.reliability = Some(rc);
+        self.cfg.reliability = rc;
         self
     }
 
@@ -284,22 +253,21 @@ impl NetworkBuilder {
 
     /// Configures congestion-adaptive graceful degradation (heartbeat
     /// stretching and broadcast suppression under observed MAC
-    /// contention). Applied on top of `config` overrides; the default is
-    /// the inert [`CongestionConfig::disabled`].
+    /// contention). The default is the inert
+    /// [`CongestionConfig::disabled`].
     #[must_use]
     pub fn congestion(mut self, cc: CongestionConfig) -> Self {
-        self.congestion = Some(cc);
+        self.cfg.congestion = cc;
         self
     }
 
     /// Tunes the convergecast data plane `traffic` runs on (queue bound,
-    /// credit window, stall recovery, frame MTU). Applied on top of
-    /// `config` overrides; the default is
+    /// credit window, stall recovery, frame MTU). The default is
     /// [`gs3_dataplane::DataplaneConfig::on`]. Sets no traffic going by
     /// itself.
     #[must_use]
     pub fn dataplane(mut self, dc: gs3_dataplane::DataplaneConfig) -> Self {
-        self.dataplane = Some(dc);
+        self.cfg.dataplane = dc;
         self
     }
 
@@ -329,24 +297,11 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when the geometric parameters are invalid.
+    /// Returns [`ConfigError`] when the protocol configuration fails
+    /// [`Gs3Config::validate`].
     pub fn build(self) -> Result<Network, ConfigError> {
-        let mut cfg = match self.config_override {
-            Some(c) => c,
-            None => Gs3Config::new(self.r, self.r_t)?.with_mode(self.mode),
-        };
-        if let Some(period) = self.traffic_period {
-            cfg.report_period = period;
-        }
-        if let Some(rc) = self.reliability {
-            cfg.reliability = rc;
-        }
-        if let Some(cc) = self.congestion {
-            cfg.congestion = cc;
-        }
-        if let Some(dc) = self.dataplane {
-            cfg.dataplane = dc;
-        }
+        self.cfg.validate()?;
+        let mut cfg = self.cfg;
         // With energy accounting on, heads retreat proactively while they
         // can still afford the handover chatter (head shift / cell shift
         // instead of abrupt death). ~40 coordination broadcasts of slack.
@@ -379,8 +334,7 @@ impl NetworkBuilder {
         // diffusion starts at t=0. As the gateway/access point it is
         // mains-powered: the energy budget applies to small nodes only.
         let cfg = Arc::new(cfg);
-        let big = eng.spawn(Gs3Node::big(Arc::clone(&cfg)), self.big_pos);
-        let mut bigs = vec![big];
+        let mut bigs = vec![eng.spawn(Gs3Node::big(Arc::clone(&cfg)), self.big_pos)];
         for pos in &self.extra_bigs {
             bigs.push(eng.spawn(Gs3Node::big(Arc::clone(&cfg)), *pos));
         }
@@ -408,7 +362,7 @@ impl NetworkBuilder {
             }
         }
 
-        Ok(Network { eng, big, bigs, cfg, rng, budget, scratch: Vec::new(), view: None, verdict: None })
+        Ok(Network { eng, bigs, cfg, rng, budget, scratch: Vec::new(), view: None, verdict: None })
     }
 }
 
@@ -438,7 +392,7 @@ pub enum RunOutcome {
 #[derive(Debug, Clone)]
 pub struct Network {
     pub(crate) eng: Engine<Gs3Node>,
-    pub(crate) big: NodeId,
+    /// Every big node, the primary first; never empty.
     pub(crate) bigs: Vec<NodeId>,
     /// The one configuration every node of this network shares.
     pub(crate) cfg: Arc<Gs3Config>,
@@ -476,7 +430,7 @@ impl Network {
     /// The (primary) big node's id.
     #[must_use]
     pub fn big_id(&self) -> NodeId {
-        self.big
+        self.bigs[0]
     }
 
     /// All big nodes' ids (the primary plus any extras).
@@ -538,22 +492,18 @@ impl Network {
 
     /// [`run_to_fixpoint_with`](Network::run_to_fixpoint_with) using
     /// defaults sized to the configuration (poll = one intra heartbeat,
-    /// 4 stable polls, deadline = now + 600 s).
-    ///
-    /// # Errors
-    ///
-    /// Returns the same outcome as `run_to_fixpoint_with`; the `Result`
-    /// never carries an error today but reserves the right to (kept for
-    /// API stability with the facade examples).
-    pub fn run_to_fixpoint(&mut self) -> Result<RunOutcome, ConfigError> {
+    /// stable for the detection window plus two polls, deadline = now +
+    /// 600 s).
+    pub fn run_to_fixpoint(&mut self) -> RunOutcome {
+        // Non-zero: `build` refuses a zero heartbeat.
         let poll = self.cfg.intra_heartbeat;
         // The stability window must exceed the failure-detection windows
         // (intra and inter timeouts, twice over), or a perturbation still
         // inside its silent detection phase would read as "stable".
         let detect = self.cfg.detection_window();
-        let polls = (detect.as_micros() / poll.as_micros().max(1)) as u32 + 2;
+        let polls = (detect.as_micros() / poll.as_micros()) as u32 + 2;
         let deadline = self.eng.now() + SimDuration::from_secs(600);
-        Ok(self.run_to_fixpoint_with(poll, polls, deadline))
+        self.run_to_fixpoint_with(poll, polls, deadline)
     }
 
     /// Extracts a full structural snapshot.
@@ -562,7 +512,7 @@ impl Network {
         let mut out = Snapshot {
             r: 0.0,
             r_t: 0.0,
-            big: self.big,
+            big: self.big_id(),
             max_range: 0.0,
             gr: self.cfg.gr,
             nodes: Vec::new(),
@@ -585,7 +535,7 @@ impl Network {
         let r_t = self.cfg.r_t;
         let mut changed = put(&mut out.r, self.cfg.r)
             | put(&mut out.r_t, r_t)
-            | put(&mut out.big, self.big)
+            | put(&mut out.big, self.big_id())
             | put(&mut out.max_range, self.eng.radio().max_range)
             | put(&mut out.gr, self.cfg.gr);
         let n = self.eng.node_count();
@@ -716,9 +666,9 @@ impl Network {
         let _ = self.eng.kill(id);
     }
 
-    /// Fail-stop every alive node within `radius` of `center` (a
+    /// Fail-stop every alive small node within `radius` of `center` (a
     /// contiguous perturbed area of diameter `2·radius`). Returns the
-    /// killed ids. The big node survives (killing the root is a different
+    /// killed ids. Every big node survives (killing a root is a different
     /// experiment).
     pub fn kill_disk(&mut self, center: Point, radius: f64) -> Vec<NodeId> {
         // Candidate collection goes through the spatial grid (cells
@@ -729,7 +679,7 @@ impl Network {
         let mut candidates = std::mem::take(&mut self.scratch);
         debug_assert!(candidates.is_empty());
         self.eng.alive_in_disk_into(center, radius, &mut candidates);
-        candidates.retain(|id| *id != self.big);
+        candidates.retain(|id| !self.bigs.contains(id));
         let victims = candidates.clone();
         for &id in &victims {
             let _ = self.eng.kill(id);
@@ -745,7 +695,7 @@ impl Network {
         // count-sized victim list is allocated per call.
         let mut alive = std::mem::take(&mut self.scratch);
         debug_assert!(alive.is_empty());
-        alive.extend(self.eng.alive_ids().filter(|id| *id != self.big));
+        alive.extend(self.eng.alive_ids().filter(|id| !self.bigs.contains(id)));
         let n = count.min(alive.len());
         let mut victims = Vec::with_capacity(n);
         for _ in 0..n {
@@ -771,7 +721,7 @@ impl Network {
 
     /// Moves the big node to an absolute position.
     pub fn move_big(&mut self, pos: Point) {
-        let _ = self.eng.set_position(self.big, pos);
+        let _ = self.eng.set_position(self.big_id(), pos);
     }
 
     /// State corruption: displaces a head's stored IL by `offset`,
@@ -832,7 +782,7 @@ impl Network {
     /// (None until the first delivery).
     #[must_use]
     pub fn sink_ledger(&self) -> Option<&gs3_dataplane::SinkLedger> {
-        self.eng.node(self.big).ok().and_then(|n| n.sink_ledger())
+        self.eng.node(self.big_id()).ok().and_then(|n| n.sink_ledger())
     }
 
     // ------------------------------------------------------------------
@@ -898,6 +848,76 @@ mod tests {
         assert!(NetworkBuilder::new().ideal_radius(-1.0).build().is_err());
     }
 
+    /// Each protocol setter writes its own field of the one configuration
+    /// and nothing else; with no setter, the configuration is `new`'s.
+    #[test]
+    fn each_protocol_setter_writes_one_field() {
+        let base = || Gs3Config::new(100.0, 15.0).unwrap();
+        let period = SimDuration::from_secs(5);
+        let dc = gs3_dataplane::DataplaneConfig { credit_window: 3, ..gs3_dataplane::DataplaneConfig::on() };
+        let cases = [
+            ("none", NetworkBuilder::new(), base()),
+            ("ideal_radius", NetworkBuilder::new().ideal_radius(120.0), Gs3Config { r: 120.0, ..base() }),
+            ("radius_tolerance", NetworkBuilder::new().radius_tolerance(10.0), Gs3Config { r_t: 10.0, ..base() }),
+            ("mode", NetworkBuilder::new().mode(Mode::Mobile), Gs3Config { mode: Mode::Mobile, ..base() }),
+            ("traffic", NetworkBuilder::new().traffic(period), Gs3Config { report_period: period, ..base() }),
+            (
+                "reliability",
+                NetworkBuilder::new().reliability(ReliabilityConfig::on()),
+                Gs3Config { reliability: ReliabilityConfig::on(), ..base() },
+            ),
+            (
+                "congestion",
+                NetworkBuilder::new().congestion(CongestionConfig::on()),
+                Gs3Config { congestion: CongestionConfig::on(), ..base() },
+            ),
+            ("dataplane", NetworkBuilder::new().dataplane(dc), Gs3Config { dataplane: dc, ..base() }),
+        ];
+        for (setter, builder, want) in cases {
+            assert_eq!(*builder.area_radius(50.0).build().unwrap().config(), want, "after {setter}");
+        }
+    }
+
+    /// `config` replaces the whole configuration, so of it and a protocol
+    /// setter the later call wins.
+    #[test]
+    fn the_last_config_call_wins() {
+        let mut c = Gs3Config::new(80.0, 18.0).unwrap().with_mode(Mode::Static);
+        c.intra_heartbeat = SimDuration::from_secs(10);
+        let period = SimDuration::from_secs(2);
+        let dc = gs3_dataplane::DataplaneConfig { queue_capacity: 7, ..gs3_dataplane::DataplaneConfig::on() };
+        let built = |b: NetworkBuilder| b.area_radius(50.0).build().unwrap().config().clone();
+        let want = Gs3Config { report_period: period, dataplane: dc, ..c.clone() };
+        assert_eq!(built(NetworkBuilder::new().config(c.clone()).traffic(period).dataplane(dc)), want);
+        assert_eq!(built(NetworkBuilder::new().traffic(period).mode(Mode::Mobile).config(c.clone())), c);
+    }
+
+    /// A handed-in configuration is held to the geometry `Gs3Config::new`
+    /// enforces.
+    #[test]
+    fn build_validates_a_handed_config() {
+        let base = Gs3Config::new(100.0, 15.0).unwrap();
+        let err = |c: Gs3Config| NetworkBuilder::new().area_radius(50.0).config(c).build().unwrap_err();
+        assert_eq!(err(Gs3Config { r: 80.0, r_t: 500.0, ..base.clone() }), ConfigError::BadTolerance { r_t: 500.0, r: 80.0 });
+        assert_eq!(err(Gs3Config { r: 0.0, ..base.clone() }), ConfigError::BadRadius(0.0));
+        assert_eq!(err(Gs3Config { r: -5.0, ..base.clone() }), ConfigError::BadRadius(-5.0));
+        assert!(matches!(err(Gs3Config { r: f64::NAN, ..base.clone() }), ConfigError::BadRadius(r) if r.is_nan()));
+        assert!(matches!(err(Gs3Config { r_t: f64::NAN, ..base }), ConfigError::BadTolerance { r_t, .. } if r_t.is_nan()));
+    }
+
+    /// A zero heartbeat period is refused at build, naming the field. Such
+    /// a network is never stepped.
+    #[test]
+    fn build_refuses_a_zero_heartbeat() {
+        let base = Gs3Config::new(100.0, 15.0).unwrap();
+        let err = |c: Gs3Config| NetworkBuilder::new().area_radius(50.0).config(c).build().unwrap_err();
+        let intra = err(Gs3Config { intra_heartbeat: SimDuration::ZERO, ..base.clone() });
+        assert_eq!(intra, ConfigError::ZeroHeartbeat("intra_heartbeat"));
+        assert!(intra.to_string().contains("intra_heartbeat"));
+        let inter = err(Gs3Config { inter_heartbeat: SimDuration::ZERO, ..base });
+        assert_eq!(inter, ConfigError::ZeroHeartbeat("inter_heartbeat"));
+    }
+
     /// The in-place refill through churn: after every step the buffer
     /// equals a fresh `snapshot()`, and the change flag is false exactly
     /// when the buffer's contents did not change — a head flipped to an
@@ -909,7 +929,7 @@ mod tests {
             NetworkBuilder::new().ideal_radius(40.0).radius_tolerance(14.0).area_radius(150.0).expected_nodes(nodes).seed(9)
         };
         let mut net = builder(200).build().unwrap();
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         // Taken from a larger network first: the refill truncates.
         let mut buf = builder(400).build().unwrap().snapshot();
         assert!(buf.nodes.len() > net.engine().node_count());
@@ -947,17 +967,32 @@ mod tests {
         step(&mut net, "twenty seconds of healing", true);
     }
 
+    /// Disk and random crashes kill small nodes only: with a second
+    /// gateway on the field, neither helper takes either big node.
     #[test]
     fn kill_disk_respects_big() {
-        let mut net = NetworkBuilder::new()
-            .area_radius(150.0)
-            .expected_nodes(200)
-            .seed(4)
-            .build()
-            .unwrap();
-        let victims = net.kill_disk(Point::ORIGIN, 50.0);
-        assert!(!victims.contains(&net.big_id()));
-        assert!(net.engine().is_alive(net.big_id()).unwrap());
+        let field = || {
+            NetworkBuilder::new()
+                .area_radius(150.0)
+                .expected_nodes(200)
+                .seed(4)
+                .with_extra_big(Point::new(80.0, 0.0))
+                .build()
+                .unwrap()
+        };
+        let mut net = field();
+        // Both big nodes lie 40 m from the centre.
+        let victims = net.kill_disk(Point::new(40.0, 0.0), 60.0);
+        assert!(!victims.is_empty());
+        for big in net.big_ids() {
+            assert!(!victims.contains(big), "{big} was killed");
+            assert!(net.engine().is_alive(*big).unwrap());
+        }
+        let mut net = field();
+        let alive = net.engine().alive_ids().count();
+        let victims = net.kill_random(alive);
+        assert_eq!(victims.len(), alive - 2, "every small node dies, no big one");
+        assert!(net.big_ids().iter().all(|big| net.engine().is_alive(*big).unwrap()));
     }
 
     #[test]

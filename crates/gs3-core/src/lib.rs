@@ -44,7 +44,7 @@
 //!     .expected_nodes(800)
 //!     .seed(7)
 //!     .build()?;
-//! let outcome = net.run_to_fixpoint()?;
+//! let outcome = net.run_to_fixpoint();
 //! assert!(matches!(outcome, RunOutcome::Fixpoint { .. }));
 //! let snap = net.snapshot();
 //! assert!(snap.heads().count() >= 7, "central cell plus first band");

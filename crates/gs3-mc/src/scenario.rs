@@ -225,7 +225,7 @@ impl Scenario {
             builder = builder.with_small_node(*pos);
         }
         let mut net = builder.build().expect("scenario geometry is valid");
-        let outcome = net.run_to_fixpoint().expect("pinned scenario configures");
+        let outcome = net.run_to_fixpoint();
         assert!(
             matches!(outcome, RunOutcome::Fixpoint { .. }),
             "scenario {} failed to reach a configuration fixpoint: {outcome:?}",

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(77)
         .energy(EnergyModel::normalized(160.0), 500.0)
         .build()?;
-    let _ = net.run_to_fixpoint()?;
+    let _ = net.run_to_fixpoint();
 
     let (snap0, idx0) = net.view();
     let initial_heads: Vec<_> = snap0.heads().map(|h| h.id).collect();

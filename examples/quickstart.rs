@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Self-configuration: the big node's diffusing computation.
-    match net.run_to_fixpoint()? {
+    match net.run_to_fixpoint() {
         RunOutcome::Fixpoint { at, .. } => println!("configured; structure stable at {at}"),
         RunOutcome::TimedOut { at } => return Err(format!("did not stabilize by {at}").into()),
     }

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expected_nodes(1400)
         .seed(13)
         .build()?;
-    let RunOutcome::Fixpoint { at, .. } = net.run_to_fixpoint()? else {
+    let RunOutcome::Fixpoint { at, .. } = net.run_to_fixpoint() else {
         return Err("initial configuration did not stabilize".into());
     };
     println!("configured {} cells at {at}\n", net.snapshot().heads().count());
@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Final verdict.
-    let _ = net.run_to_fixpoint()?;
+    let _ = net.run_to_fixpoint();
     let violations = net.check_invariants();
     match violations.first() {
         None => println!("\nfinal state: all invariants hold — every perturbation healed locally"),

@@ -26,7 +26,7 @@
 //!     .expected_nodes(500)
 //!     .seed(7)
 //!     .build()?;
-//! let outcome = net.run_to_fixpoint()?;
+//! let outcome = net.run_to_fixpoint();
 //! assert!(matches!(outcome, RunOutcome::Fixpoint { .. }));
 //! # Ok(())
 //! # }

@@ -67,7 +67,7 @@ fn configured() -> Network {
         .seed(11)
         .build()
         .unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     net
 }
 

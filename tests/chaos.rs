@@ -45,7 +45,7 @@ fn combined_plan() -> FaultPlan {
 
 fn chaos_run(seed: u64) -> (gs3::core::ChaosReport, u64) {
     let mut net = builder(seed).build().unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     let report = net.run_chaos(&combined_plan());
     let signature = net.structural_signature();
     (report, signature)
@@ -101,7 +101,7 @@ fn combined_adversity_heals_clean() {
 /// fault class against a field whose big node may move.
 fn mobile_field_and_plan() -> (gs3::core::Network, FaultPlan) {
     let mut net = builder(7).mode(Mode::Mobile).build().unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     let plan = combined_plan()
         .at(SimDuration::from_secs(15), FaultKind::CrashDisk { center: Point::new(-40.0, -60.0), radius: 35.0 })
         .at(SimDuration::from_secs(25), FaultKind::Join { pos: Point::new(30.0, 30.0) })
@@ -160,7 +160,7 @@ fn oracle_polling_does_not_perturb_the_run() {
     let horizon = SimDuration::from_secs(600);
     let run = |poll_ms: u64| {
         let mut net = builder(11).build().unwrap();
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let opts = ChaosOptions {
             poll: SimDuration::from_millis(poll_ms),
             settle: SimDuration::from_secs(300),
@@ -191,7 +191,7 @@ fn flight_recorder_is_digest_inert_and_episodes_reduce() {
             b = b.flight_recorder(200_000);
         }
         let mut net = b.build().unwrap();
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let rep = net.run_chaos(&combined_plan());
         let ring_len = net.engine().telemetry().recorder.len();
         (rep, ring_len)
@@ -247,7 +247,7 @@ fn disabled_reliability_layer_is_rng_inert() {
             b = b.reliability(rc);
         }
         let mut net = b.build().unwrap();
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let rep = net.run_chaos(&combined_plan());
         let sent = net.engine().trace().proto("reliable_sent");
         (rep, sent)
@@ -283,7 +283,7 @@ fn quarantined_head_serves_its_cell_and_drains_after_heal() {
         .reliability(ReliabilityConfig::on())
         .build()
         .unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
 
     // The victim: the serving head farthest from the big node — far
     // enough that no surviving head is within coordination range once the
@@ -414,7 +414,7 @@ fn quarantined_head_serves_its_cell_and_drains_after_heal() {
 /// handshakes all at risk) must still converge to a clean static structure.
 #[test]
 fn five_percent_unicast_loss_still_converges() {
-    let mut net = builder(51).unicast_loss(0.05).build().unwrap();
+    let mut net = builder(51).fault_config(FaultConfig { unicast_loss: 0.05, ..FaultConfig::none() }).build().unwrap();
     net.run_for(SimDuration::from_secs(240));
     let snap = net.snapshot();
     assert!(snap.heads().count() >= 7, "only {} heads formed", snap.heads().count());

@@ -44,7 +44,7 @@ fn disabled_contention_and_congestion_are_rng_inert() {
             b = b.contention(ContentionConfig::disabled()).congestion(CongestionConfig::disabled());
         }
         let mut net = b.build().unwrap();
-        net.run_to_fixpoint().unwrap();
+        net.run_to_fixpoint();
         let rep = net.run_chaos(&crash_plan());
         let t = net.engine().trace().clone();
         (rep, t)
@@ -72,7 +72,7 @@ fn disabled_contention_and_congestion_are_rng_inert() {
 #[test]
 fn contended_medium_collides_defers_and_still_heals() {
     let mut net = builder(11).contention(ContentionConfig::on()).build().unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     let rep = net.run_chaos(&crash_plan());
     assert!(rep.counters.mac_collisions() > 0, "a dense contended field must see collisions");
     assert!(rep.counters.mac_defers() > 0, "carrier sense must defer some transmissions");
@@ -141,7 +141,7 @@ fn all_layers_on_chaos_digest_is_pinned() {
         .congestion(CongestionConfig::on())
         .build()
         .unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     let channel = FaultConfig {
         burst: BurstLoss { p_enter: 0.02, p_exit: 0.25, loss_good: 0.0, loss_bad: 1.0 },
         unicast_loss: 0.02,
@@ -178,7 +178,7 @@ fn trace_since_is_end_minus_start_name_by_name() {
         .congestion(CongestionConfig::on())
         .build()
         .unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     let start = net.engine().trace().clone();
     let rep = net.run_chaos(&crash_plan());
     let end = net.engine().trace();

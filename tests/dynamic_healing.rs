@@ -19,7 +19,7 @@ fn settled(seed: u64) -> Network {
         .seed(seed)
         .build()
         .unwrap();
-    match net.run_to_fixpoint().unwrap() {
+    match net.run_to_fixpoint() {
         RunOutcome::Fixpoint { .. } => net,
         RunOutcome::TimedOut { at } => panic!("initial configuration timed out at {at}"),
     }
@@ -52,7 +52,7 @@ fn head_failure_is_healed_by_head_shift() {
     let (victim, il) = pick_inner_head(&net);
 
     net.kill(victim);
-    let outcome = net.run_to_fixpoint().unwrap();
+    let outcome = net.run_to_fixpoint();
     assert!(matches!(outcome, RunOutcome::Fixpoint { .. }), "healing must re-stabilize");
 
     // A successor head exists for the same cell (same IL within R_t).
@@ -115,7 +115,7 @@ fn joined_node_becomes_associate_of_nearest_head() {
     let mut net = settled(104);
     let (_, il) = pick_inner_head(&net);
     let newcomer = net.join_node(Point::new(il.x + 20.0, il.y + 10.0));
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
 
     let snap = net.snapshot();
     let view = snap.node(newcomer).unwrap();
@@ -140,7 +140,7 @@ fn join_near_cell_center_can_take_over_headship_eventually() {
     let mut net = settled(105);
     let (_, il) = pick_inner_head(&net);
     let newcomer = net.join_node(il);
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let snap = net.snapshot();
     match &snap.node(newcomer).unwrap().role {
         RoleView::Associate { is_candidate, .. } => {

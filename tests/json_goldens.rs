@@ -31,7 +31,7 @@ fn golden_run() -> (Trace, Network, ChaosReport) {
         .flight_recorder(50_000)
         .build()
         .unwrap();
-    net.run_to_fixpoint().unwrap();
+    net.run_to_fixpoint();
     let channel = FaultConfig {
         burst: BurstLoss::bursty(0.02, 4.0),
         unicast_loss: 0.05,

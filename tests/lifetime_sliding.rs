@@ -23,7 +23,7 @@ fn heads_rotate_under_energy_depletion() {
         .energy(EnergyModel::normalized(160.0), 600.0)
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let first_heads: Vec<_> = net.snapshot().heads().map(|h| h.id).collect();
     assert!(!first_heads.is_empty());
 
@@ -42,7 +42,7 @@ fn cell_shift_advances_the_intra_cell_spiral() {
         .energy(EnergyModel::normalized(160.0), 450.0)
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
 
     // Drain until candidate areas empty out and ILs start walking the
     // spiral.
@@ -68,7 +68,7 @@ fn maintained_structure_outlives_first_head_death() {
         .energy(EnergyModel::normalized(160.0), 500.0)
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let first_heads: Vec<_> = net.snapshot().heads().map(|h| h.id).collect();
 
     let mut first_death = None;
@@ -103,7 +103,7 @@ fn maintained_structure_outlives_first_head_death() {
 #[test]
 fn energy_disabled_structure_is_immortal() {
     let mut net = energy_builder(304).build().unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let sig = net.structural_signature();
     net.run_for(SimDuration::from_secs(600));
     assert_eq!(net.structural_signature(), sig, "no energy ⇒ no churn");

@@ -17,7 +17,7 @@ fn settled_mobile(seed: u64) -> Network {
         .seed(seed)
         .build()
         .unwrap();
-    match net.run_to_fixpoint().unwrap() {
+    match net.run_to_fixpoint() {
         RunOutcome::Fixpoint { .. } => net,
         RunOutcome::TimedOut { at } => panic!("initial configuration timed out at {at}"),
     }
@@ -101,7 +101,7 @@ fn big_move_impact_is_contained() {
         net.move_big(Point::new(to.x * f64::from(i) / 4.0, 0.0));
         net.run_for(SimDuration::from_secs(5));
     }
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let after = net.snapshot();
 
     let changed = gs3::analysis::locality::changed_head_edges(&before, &after);

@@ -26,7 +26,7 @@ fn two_gateways_partition_the_field() {
         .unwrap();
     let _ = second_big_pos;
     assert_eq!(net.big_ids().len(), 2);
-    let outcome = net.run_to_fixpoint().unwrap();
+    let outcome = net.run_to_fixpoint();
     assert!(matches!(outcome, RunOutcome::Fixpoint { .. }), "two diffusions must settle");
 
     let snap = net.snapshot();
@@ -85,7 +85,7 @@ fn nodes_join_the_structure_of_the_nearest_gateway() {
         .with_extra_big(Point::new(240.0, 0.0))
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let snap = net.snapshot();
     let roots = head_roots(&snap);
 

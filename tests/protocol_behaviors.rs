@@ -15,7 +15,7 @@ fn settled(seed: u64) -> Network {
         .seed(seed)
         .build()
         .unwrap();
-    assert!(matches!(net.run_to_fixpoint().unwrap(), RunOutcome::Fixpoint { .. }));
+    assert!(matches!(net.run_to_fixpoint(), RunOutcome::Fixpoint { .. }));
     net
 }
 
@@ -228,7 +228,7 @@ fn associate_switches_to_closer_head_after_reorganization() {
         .map(|h| h.id)
         .unwrap();
     net.kill(victim);
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let (snap, idx) = net.view();
     let best = gs3::core::invariants::check_best_head_with(snap, true, idx);
     assert!(best.is_empty(), "F3 must be restored: {:?}", best.first());

@@ -96,7 +96,7 @@ fn moderate_localization_noise_is_absorbed_by_the_tolerance() {
         .position_noise(3.0)
         .build()
         .unwrap();
-    let outcome = net.run_to_fixpoint().unwrap();
+    let outcome = net.run_to_fixpoint();
     assert!(matches!(outcome, RunOutcome::Fixpoint { .. }));
     let snap = net.snapshot();
     assert!(snap.heads().count() >= 7);

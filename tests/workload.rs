@@ -18,7 +18,7 @@ fn reports_flow_and_aggregate_up_the_tree() {
         .traffic(SimDuration::from_secs(2))
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let trace = net.engine().trace();
     let reports = trace.sent_of_kind("sensor_report");
     let batches = trace.sent_of_kind("data_batch");
@@ -44,7 +44,7 @@ fn traffic_makes_head_dissipation_dominant() {
         .energy(EnergyModel::normalized(160.0), 2000.0)
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     let snap = net.snapshot();
     let heads: Vec<_> = snap.heads().map(|h| h.id).collect();
 
@@ -87,7 +87,7 @@ fn stepping_down_heads_flush_buffered_reports() {
         .energy(EnergyModel::normalized(160.0), 600.0)
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     net.run_for(SimDuration::from_secs(600));
     let trace = net.engine().trace();
     assert!(
@@ -111,7 +111,7 @@ fn workload_survives_head_rotation() {
         .energy(EnergyModel::normalized(160.0), 600.0)
         .build()
         .unwrap();
-    let _ = net.run_to_fixpoint().unwrap();
+    let _ = net.run_to_fixpoint();
     net.run_for(SimDuration::from_secs(600));
     let trace = net.engine().trace();
     let reports = trace.sent_of_kind("sensor_report") + trace.sent_of_kind("data_batch");
