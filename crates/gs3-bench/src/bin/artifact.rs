@@ -11,6 +11,8 @@
 //! suite, an unknown option or a malformed thread count prints one
 //! `error: …` line and exits 2.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use gs3_bench::runner::default_threads;

@@ -16,6 +16,8 @@
 //!
 //! Exits non-zero when the deployment fails to configure or to heal.
 
+#![forbid(unsafe_code)]
+
 // gs3-lint: allow-file(d2) -- wall time per phase is what the probe reports; results (event counts, digests) never depend on it
 use std::process::ExitCode;
 use std::time::Instant;

@@ -28,6 +28,8 @@
 //! `error: …` line and exits 2 — an option the command does not read is
 //! `error: unknown option --x` — and an unknown command adds the help.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -296,6 +296,15 @@ pub enum ConfigError {
     },
     /// A heartbeat period (the named field) must be non-zero.
     ZeroHeartbeat(&'static str),
+    /// A scenario value (the named `NetworkBuilder` field) is out of
+    /// range: the deployment disk radius must be positive and finite, the
+    /// density λ non-negative and finite.
+    BadScenario {
+        /// The builder field.
+        field: &'static str,
+        /// Its offending value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -306,6 +315,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "radius tolerance {r_t} must be in (0, {r}]")
             }
             ConfigError::ZeroHeartbeat(field) => write!(f, "{field} must be a non-zero period"),
+            ConfigError::BadScenario { field, value } => write!(f, "scenario {field} {value} is out of range"),
         }
     }
 }

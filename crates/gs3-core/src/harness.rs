@@ -301,6 +301,19 @@ impl NetworkBuilder {
     /// [`Gs3Config::validate`].
     pub fn build(self) -> Result<Network, ConfigError> {
         self.cfg.validate()?;
+        // The deployment's expected count is λ·r²: a NaN, a negative or
+        // (for `expected_nodes`, which divides by r²) a zero is refused
+        // here rather than by the Poisson sampler's assert.
+        let lambda = match self.density {
+            Density::Lambda(lambda) => lambda,
+            Density::Nodes(n) => n as f64 / (self.area_radius * self.area_radius),
+        };
+        if !(self.area_radius.is_finite() && self.area_radius > 0.0) {
+            return Err(ConfigError::BadScenario { field: "area_radius", value: self.area_radius });
+        }
+        if !(lambda.is_finite() && lambda >= 0.0) {
+            return Err(ConfigError::BadScenario { field: "density", value: lambda });
+        }
         let mut cfg = self.cfg;
         // With energy accounting on, heads retreat proactively while they
         // can still afford the handover chatter (head shift / cell shift
@@ -344,10 +357,6 @@ impl NetworkBuilder {
             // `lambda` is the paper's λ (expected nodes per unit-radius
             // disk), which Deployment::disk takes directly: expected
             // count = λ·r².
-            let lambda = match self.density {
-                Density::Lambda(lambda) => lambda,
-                Density::Nodes(n) => n as f64 / (self.area_radius * self.area_radius),
-            };
             let mut deploy = Deployment::disk(self.area_radius, lambda)
                 .with_position_noise(self.position_noise);
             for (c, g) in &self.gaps {
@@ -916,6 +925,28 @@ mod tests {
         assert!(intra.to_string().contains("intra_heartbeat"));
         let inter = err(Gs3Config { inter_heartbeat: SimDuration::ZERO, ..base });
         assert_eq!(inter, ConfigError::ZeroHeartbeat("inter_heartbeat"));
+    }
+
+    /// A scenario value the deployment cannot sample from is refused at
+    /// build, naming the field, instead of panicking in the Poisson draw.
+    #[test]
+    fn build_refuses_a_nan_area_radius() {
+        let err = NetworkBuilder::new().area_radius(f64::NAN).build().unwrap_err();
+        assert!(matches!(err, ConfigError::BadScenario { field: "area_radius", value } if value.is_nan()));
+        assert!(err.to_string().contains("area_radius"));
+    }
+
+    #[test]
+    fn build_refuses_a_zero_area_radius_for_a_node_count() {
+        let err = NetworkBuilder::new().expected_nodes(100).area_radius(0.0).build().unwrap_err();
+        assert_eq!(err, ConfigError::BadScenario { field: "area_radius", value: 0.0 });
+    }
+
+    #[test]
+    fn build_refuses_a_negative_density() {
+        let err = NetworkBuilder::new().density(-1.0).build().unwrap_err();
+        assert_eq!(err, ConfigError::BadScenario { field: "density", value: -1.0 });
+        assert!(err.to_string().contains("density"));
     }
 
     /// The in-place refill through churn: after every step the buffer

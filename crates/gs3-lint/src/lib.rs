@@ -15,6 +15,8 @@
 //! the compiler already guarantees — exhaustive dispatch, `Send + Sync`
 //! engine state — is left to it (DESIGN.md §"Static analysis").
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod diag;
 pub mod lexer;
@@ -76,6 +78,7 @@ pub fn analyze_with(files: &[SourceFile], schema_check: SchemaCheck<'_>) -> Vec<
         rules::check_bans(&f.rel, &f.lexed.toks, &mut findings);
         rules::check_d3(&f.rel, &f.lexed.toks, &mut findings);
         rules::check_t1(&f.rel, &f.lexed.toks, &mut findings);
+        rules::check_u1(&f.rel, &f.lexed.toks, &mut findings);
     }
     rules::check_d4(files, &graph, &mut findings);
     rules::check_t3(files, &graph, &mut findings);

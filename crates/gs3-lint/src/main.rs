@@ -7,6 +7,8 @@
 //! cargo run -p gs3-lint -- --write-schema  # regenerate protocol.schema.json
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -11,6 +11,7 @@
 //! | `t3` | no dead protocol arms (over the call graph): every `Msg`/`Timer` variant a reachable `gs3-core` match arm names must be constructed by some reachable code |
 //! | `w1` | wire-schema pinning (in `schema.rs`): the `Msg`/`Timer`/`FaultKind` layouts must byte-match the committed `protocol.schema.json`; regenerate explicitly with `--write-schema` |
 //! | `a1` | no `Box`/`Rc`, `BTreeMap`/`BTreeSet`, `static` items or `thread_local!` in the simulator's per-event hot path — the million-node target needs dense arena columns indexed by `u32`, and engine state is owned fields passed explicitly |
+//! | `u1` | every library and binary crate root carries `#![forbid(unsafe_code)]` (gs3-sim's: `#![deny(unsafe_code)]`), and no `allow`/`warn`/`expect` of `unsafe_code` appears except on gs3-sim's `fn prefetch`, the engine's cache hint and the workspace's one `unsafe` block |
 //!
 //! `d1`, `d2`, `d5` and `a1` are rows of one banned-token table (`BANS`)
 //! checked in one pass. What no rule checks because the compiler does:
@@ -278,6 +279,66 @@ fn rhs_is_geometry(toks: &[Tok], start: usize) -> bool {
         steps += 1;
     }
     false
+}
+
+/// The one item allowed to lift `unsafe_code`: gs3-sim's cache prefetch
+/// hint (`engine/arena.rs`), the workspace's only `unsafe` block.
+const UNSAFE_HOME: (&str, &str) = ("crates/gs3-sim/src/", "prefetch");
+
+/// The lint level `rel` must set for `unsafe_code` at its top when it is
+/// a library or binary crate root — gs3-sim, which holds the one `unsafe`,
+/// denies (so the prefetch may allow) and every other crate forbids.
+fn root_level(rel: &str) -> Option<&'static str> {
+    let src = rel.strip_prefix("crates/").and_then(|r| r.split_once('/')).map_or(rel, |(_, r)| r);
+    let root = matches!(src, "src/lib.rs" | "src/main.rs")
+        || src.strip_prefix("src/bin/").is_some_and(|b| !b.contains('/'));
+    root.then_some(if rel == "crates/gs3-sim/src/lib.rs" { "deny" } else { "forbid" })
+}
+
+/// `u1`: every crate root carries `#![forbid(unsafe_code)]` (gs3-sim's
+/// `deny`), and no attribute lifts `unsafe_code` except on gs3-sim's
+/// `fn prefetch` — so `unsafe` cannot spread without this rule changing.
+pub fn check_u1(rel: &str, toks: &[Tok], findings: &mut Vec<Finding>) {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    if let Some(level) = root_level(rel) {
+        let want = ["#", "!", "[", level, "(", "unsafe_code", ")", "]"];
+        if !toks.windows(want.len()).any(|w| w.iter().zip(want).all(|(t, x)| t.text == x)) {
+            push(findings, "u1", rel, 1, format!("crate root lacks `#![{level}(unsafe_code)]`"));
+        }
+    }
+    for (i, t) in toks.iter().enumerate() {
+        let lifts = matches!(t.text.as_str(), "allow" | "warn" | "expect") && text(i + 1) == "(";
+        let Some(close) = lifts.then(|| matching_close(toks, i + 1)).flatten() else {
+            continue;
+        };
+        if !toks[i + 2..close].iter().any(|t| t.text == "unsafe_code") {
+            continue;
+        }
+        // The attribute's `[`, and the item after its `]` past any further
+        // attributes and a visibility. An inner `#![…]` lift is never home.
+        let open = (0..i).rev().find(|&j| text(j) == "[");
+        let outer = open.is_some_and(|j| text(j.wrapping_sub(1)) == "#");
+        let mut next = open.and_then(|j| matching_close(toks, j)).map_or(toks.len(), |c| c + 1);
+        while text(next) == "#" {
+            next = matching_close(toks, next + 1).map_or(toks.len(), |c| c + 1);
+        }
+        if text(next) == "pub" {
+            next += 1;
+            if text(next) == "(" {
+                next = matching_close(toks, next).map_or(toks.len(), |c| c + 1);
+            }
+        }
+        let home =
+            outer && rel.starts_with(UNSAFE_HOME.0) && text(next) == "fn" && text(next + 1) == UNSAFE_HOME.1;
+        if !home {
+            let msg = format!(
+                "`{}(unsafe_code)` outside gs3-sim's `fn prefetch` — that cache hint is the \
+                 workspace's one `unsafe`; everything else stays under `forbid(unsafe_code)`",
+                t.text
+            );
+            push(findings, "u1", rel, t.line, msg);
+        }
+    }
 }
 
 /// `t1`: no catch-all arm in a `gs3-core` match over `Msg`/`Timer`. With

@@ -9,13 +9,20 @@ use gs3_telemetry::NO_PEER;
 ///
 /// The split is by access temperature: `positions`/`alive`/`energy` are
 /// the *hot* columns — every dispatch and energy charge reads them, one
-/// node at a time, and packing them densely keeps those reads in cache
-/// instead of striding over the full protocol state. (A broadcast picks
-/// its receivers from the spatial grid, which carries its own copy of the
-/// alive nodes' positions, and does not come here.) `nodes` is the
+/// node at a time — and packing them densely keeps them at 25 bytes a
+/// node instead of striding over the full protocol state. (A broadcast
+/// picks its receivers from the spatial grid, which carries its own copy
+/// of the alive nodes' positions, and does not come here.) `nodes` is the
 /// *cold* column (the protocol state machine, by far the widest field),
 /// touched only when a callback actually runs. `pending_timers` sits in
 /// between: consulted on timer dispatch and set/cancel.
+///
+/// Dense is not cached. Consecutive events go to unrelated nodes, and at
+/// 50 000 nodes the columns hold ≈ 18 MB (15 of them `nodes`), far beyond
+/// a 2 MiB L2, so a dispatch's first read of its row misses in every
+/// column it touches. What hides those misses is the run loop: after each
+/// pop it hands the next event's target to [`Self::prefetch`], and the
+/// lines arrive while the current event dispatches (DESIGN.md §6.8).
 #[derive(Debug, Clone)]
 pub(super) struct Arena<N: Node> {
     /// Cold: the protocol state machines.
@@ -78,6 +85,55 @@ impl<N: Node> Arena<N> {
         self.energy_settled.push(now);
         idx
     }
+
+    /// Hints the lines a dispatch to row `idx` reads first into cache: all
+    /// of the node, and its entries in the columns beside it (the idle
+    /// clock only when `idle` drain is on). Reads nothing, changes nothing,
+    /// and checks no bound: a hint at any address is harmless.
+    #[inline]
+    pub(super) fn prefetch(&self, idx: usize, idle: bool) {
+        prefetch(self.nodes.as_ptr().wrapping_add(idx));
+        prefetch(self.alive.as_ptr().wrapping_add(idx));
+        prefetch(self.positions.as_ptr().wrapping_add(idx));
+        prefetch(self.energy.as_ptr().wrapping_add(idx));
+        prefetch(self.mac_events.as_ptr().wrapping_add(idx));
+        prefetch(self.pending_timers.as_ptr().wrapping_add(idx));
+        if idle {
+            prefetch(self.energy_settled.as_ptr().wrapping_add(idx));
+        }
+    }
+}
+
+/// Cache line width assumed by [`prefetch`].
+const LINE: usize = 64;
+
+/// Asks the CPU to start loading every cache line of the `T` at `value`
+/// into L1, without waiting for them. The workspace's one `unsafe`: no
+/// stable safe API performs a non-blocking load, and demand loads of the
+/// same lines (`std::hint::black_box`) measured slower than no hint at
+/// all. Sound for any address, since nothing is dereferenced. A no-op off
+/// `x86_64` and under Miri.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch<T>(value: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        use std::mem::{align_of, size_of};
+        let start = value.cast::<i8>();
+        // A probe every line from the first byte, the last one at the last
+        // byte: never more than a line apart, so each line the value spans
+        // gets one. The offsets are constants of `T`, so the loop unrolls
+        // to straight-line probes; a value no wider than its alignment
+        // sits in one line and gets one.
+        let last = if size_of::<T>() <= align_of::<T>() { 0 } else { size_of::<T>() - 1 };
+        for k in 0..last.div_ceil(LINE) + 1 {
+            // SAFETY: a prefetch never faults, reads no value into the program and changes no state.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add((k * LINE).min(last))) };
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = value;
 }
 
 impl<N: Node> Engine<N> {

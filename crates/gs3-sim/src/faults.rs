@@ -322,6 +322,7 @@ impl FaultState {
     /// Steps the Gilbert–Elliott chain for one delivery attempt and
     /// reports whether the attempt is lost to a burst. Draws no RNG when
     /// burst loss is off.
+    #[inline]
     pub fn burst_dropped<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
         if self.config.burst.is_off() {
             return false;
@@ -348,6 +349,7 @@ impl FaultState {
 
     /// The extra delay (possibly zero) added to this delivery. Draws no
     /// RNG when the delay knob is off.
+    #[inline]
     pub fn extra_delay<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SimDuration {
         if self.config.delay_prob <= 0.0 || self.config.delay_max.is_zero() {
             return SimDuration::ZERO;

@@ -382,6 +382,11 @@ pub struct EventQueue<E> {
     occupied: [u64; SLOTS / 64],
     /// Bit `w` set ⇔ `occupied[w] != 0`.
     summary: u64,
+    /// The least key in the wheel, meaningful only while `summary != 0`:
+    /// `link` lowers it, and a pop that empties its slot scans the bitmap
+    /// for the next one — the only scan, so a pop, a refused pop, a
+    /// [`Self::peek`] and a [`Self::peek_time`] each read it in O(1).
+    near_min: u64,
     links: Vec<Link<E>>,
     /// Head of the LIFO list of vacant elements.
     free: u32,
@@ -403,6 +408,7 @@ impl<E> EventQueue<E> {
             tails: vec![NIL; SLOTS],
             occupied: [0; SLOTS / 64],
             summary: 0,
+            near_min: u64::MAX,
             links: Vec::new(),
             free: NIL,
             far: RadixQueue::new(),
@@ -434,7 +440,8 @@ impl<E> EventQueue<E> {
 
     /// Appends an entry inside the window to its slot's list.
     fn link(&mut self, e: Entry<E>) {
-        let slot = (e.at.as_micros() & MASK) as usize;
+        let key = e.at.as_micros();
+        let slot = (key & MASK) as usize;
         if self.free == NIL {
             self.links.push(Link { entry: None, next: NIL });
             self.free = self.links.len() as u32 - 1;
@@ -444,6 +451,8 @@ impl<E> EventQueue<E> {
         self.links[i].entry = Some(e);
         let (w, bit) = (slot / 64, 1u64 << (slot % 64));
         if self.occupied[w] & bit == 0 {
+            // An empty wheel's `near_min` is stale, not an upper bound.
+            self.near_min = if self.summary == 0 { key } else { self.near_min.min(key) };
             self.occupied[w] |= bit;
             self.summary |= 1 << w;
             self.links[i].next = i as u32;
@@ -490,6 +499,7 @@ impl<E> EventQueue<E> {
             if self.occupied[slot / 64] == 0 {
                 self.summary &= !(1 << (slot / 64));
             }
+            self.near_min = self.scan();
         } else {
             self.links[tail].next = self.links[head].next;
         }
@@ -499,11 +509,9 @@ impl<E> EventQueue<E> {
         Some((e.at, e.payload))
     }
 
-    /// The firing time of the earliest event, if any. O(1): the first
-    /// occupied slot at or after `last`'s, wrapping round the wheel, else
-    /// the far tier's minimum.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// The key of the first occupied slot at or after `last`'s, wrapping
+    /// round the wheel; `u64::MAX` when the wheel is empty.
+    fn scan(&self) -> u64 {
         let at = (self.last & MASK) as usize;
         let (w, rest) = (at / 64, self.occupied[at / 64] & (!0 << (at % 64)));
         let slot = if rest != 0 {
@@ -515,9 +523,34 @@ impl<E> EventQueue<E> {
             let w = (if later != 0 { later } else { self.summary }).trailing_zeros() as usize;
             w * 64 + self.occupied[w].trailing_zeros() as usize
         } else {
-            return (!self.far.is_empty()).then_some(SimTime::from_micros(self.far_min));
+            return u64::MAX;
         };
-        Some(SimTime::from_micros(self.last + ((slot as u64).wrapping_sub(self.last) & MASK)))
+        self.last + ((slot as u64).wrapping_sub(self.last) & MASK)
+    }
+
+    /// The firing time of the earliest event, if any: the wheel's least
+    /// key, else the far tier's minimum. O(1), no scan.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        if self.summary != 0 {
+            Some(SimTime::from_micros(self.near_min))
+        } else {
+            (!self.far.is_empty()).then_some(SimTime::from_micros(self.far_min))
+        }
+    }
+
+    /// The entry the next pop returns, while it sits in the wheel: `None`
+    /// when the queue is empty or its earliest entry is still in the far
+    /// tier. O(1) — the head of the slot `near_min` names — so the engine
+    /// can look one event ahead after every pop (DESIGN.md §6.2).
+    #[must_use]
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        if self.summary == 0 {
+            return None;
+        }
+        let tail = self.tails[(self.near_min & MASK) as usize] as usize;
+        let e = self.links[self.links[tail].next as usize].entry.as_ref()?;
+        Some((e.at, &e.payload))
     }
 
     /// Number of pending events.
@@ -593,6 +626,12 @@ impl<E> HeapQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// The earliest event, if any, without removing it.
+    #[must_use]
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|e| (e.at, &e.payload))
+    }
+
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -660,6 +699,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(7), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
+        assert_eq!(q.peek(), Some((SimTime::from_micros(7), &())));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
@@ -741,11 +781,34 @@ mod tests {
         /// what the engine guarantees via its `now` clock).
         floor: u64,
         tag: u64,
+        /// Wheel peeks checked right after a refused deadline pop, and
+        /// right after a pop that moved far entries into the wheel.
+        peeks_after_refusal: u32,
+        peeks_after_migration: u32,
     }
 
     impl Mirror {
         fn new() -> Self {
-            Mirror { queue: EventQueue::new(), oracle: HeapQueue::new(), floor: 0, tag: 0 }
+            Mirror {
+                queue: EventQueue::new(),
+                oracle: HeapQueue::new(),
+                floor: 0,
+                tag: 0,
+                peeks_after_refusal: 0,
+                peeks_after_migration: 0,
+            }
+        }
+
+        /// `peek` names exactly the entry the next pop returns, and may
+        /// decline only while that entry is still in the far tier (the
+        /// wheel is empty). Returns whether it named one.
+        fn assert_peek(&self) -> bool {
+            assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
+            match self.queue.peek() {
+                Some(got) => assert_eq!(Some(got), self.oracle.peek(), "peek diverged from the next pop"),
+                None => assert!(near(self) == 0, "peek declined with {} entries in the wheel", near(self)),
+            }
+            self.queue.peek().is_some()
         }
 
         fn schedule(&mut self, at: u64) {
@@ -756,10 +819,12 @@ mod tests {
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_eq!(self.queue.peak_len(), self.oracle.peak_len());
             assert_reserved_bound(&self.queue.far);
+            self.assert_peek();
         }
 
         fn pop(&mut self) {
-            assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
+            self.assert_peek();
+            let far = self.queue.far.len();
             let a = self.queue.pop();
             let b = self.oracle.pop();
             assert_eq!(a, b, "pop order diverged");
@@ -768,6 +833,8 @@ mod tests {
             }
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_reserved_bound(&self.queue.far);
+            let migrated = self.queue.far.len() < far;
+            self.peeks_after_migration += u32::from(self.assert_peek() && migrated);
         }
 
         /// `pop_at_or_before` against the oracle's peek-then-pop. A
@@ -785,8 +852,8 @@ mod tests {
                 self.floor = at.as_micros();
             }
             assert_eq!(self.queue.len(), self.oracle.len());
-            assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
             assert_reserved_bound(&self.queue.far);
+            self.peeks_after_refusal += u32::from(self.assert_peek() && got.is_none());
         }
 
         /// `entries()` order is unspecified for both; canonicalized by
@@ -872,9 +939,16 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_randomized_interleaving() {
+        let (mut after_refusal, mut after_migration) = (0, 0);
         for seed in 0..20u64 {
-            Mirror::randomized(seed, 400).drain();
+            let mut m = Mirror::randomized(seed, 400);
+            m.drain();
+            after_refusal += m.peeks_after_refusal;
+            after_migration += m.peeks_after_migration;
         }
+        // Every step checks `peek`; these two are where a cached next key
+        // could go stale, so the interleaving must actually reach them.
+        assert!(after_refusal >= 20 && after_migration >= 20, "{after_refusal} / {after_migration}");
     }
 
     /// How many of the composed queue's entries sit in the wheel.

@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 // The README's library example compiles and runs as a doctest.
 #[doc = include_str!("../README.md")]
 #[cfg(doctest)]
