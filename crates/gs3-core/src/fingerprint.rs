@@ -22,7 +22,7 @@
 //! The `_` bindings are the whole exclusion list:
 //!
 //! * folded by another fold — `Engine::queue`, `Engine::flights` and
-//!   `Arena::pending_timers` through `pending_event_hashes` (each event's
+//!   `Arena::timers` through `pending_event_hashes` (each event's
 //!   rank, delay, target and payload, and a timer's liveness);
 //!   `Engine::grid`, an index over the alive nodes' positions;
 //!   `Gs3Node::cfg`, the network's one shared configuration, folded as

@@ -83,6 +83,16 @@ mod tests {
         assert!(bytes <= 48, "queue entry grew to {bytes} bytes");
     }
 
+    /// A node's pending timers: two inline in a 56-byte row, so a timer
+    /// event's id lookup reads the lines the run loop prefetched — and
+    /// the arena holds 56 bytes a node for them, where a `Vec` per node
+    /// held 129.
+    #[test]
+    fn timer_row_is_at_most_56_bytes() {
+        let bytes = gs3_sim::Engine::<crate::Gs3Node>::timer_row_bytes();
+        assert!(bytes <= 56, "timer row grew to {bytes} bytes");
+    }
+
     /// A node's protocol state without what its network shares (the
     /// configuration) or its cell shares (the head's `CellInfo`): the
     /// arena's cold column is this wide per node, 10⁶ times over.

@@ -1,5 +1,6 @@
 //! Per-node storage and the timer bookkeeping that lives in it.
 
+use super::timers::TimerTable;
 use super::*;
 use gs3_telemetry::NO_PEER;
 
@@ -14,8 +15,8 @@ use gs3_telemetry::NO_PEER;
 /// picks its receivers from the spatial grid, which carries its own copy
 /// of the alive nodes' positions, and does not come here.) `nodes` is the
 /// *cold* column (the protocol state machine, by far the widest field),
-/// touched only when a callback actually runs. `pending_timers` sits in
-/// between: consulted on timer dispatch and set/cancel.
+/// touched only when a callback actually runs. `timers` sits in between:
+/// consulted on timer dispatch and set/cancel, 56 bytes a node.
 ///
 /// Dense is not cached. Consecutive events go to unrelated nodes, and at
 /// 50 000 nodes the columns hold ≈ 18 MB (15 of them `nodes`), far beyond
@@ -33,12 +34,9 @@ pub(super) struct Arena<N: Node> {
     pub(super) alive: Vec<bool>,
     /// Hot: remaining energy.
     pub(super) energy: Vec<f64>,
-    /// Warm: live (id, payload) timer pairs, sorted by id (ids are handed
-    /// out in increasing order and removals preserve order). A timer event
-    /// whose id is absent here was cancelled — no separate cancelled-id
-    /// list to grow or drain: cancellation *is* removal, and the stale
-    /// queue entry identifies itself by absence when it fires.
-    pub(super) pending_timers: Vec<Vec<(u64, N::Timer)>>,
+    /// Warm: each node's live (id, payload) timer pairs, in a one-line
+    /// row. A timer event whose id is absent here was cancelled.
+    pub(super) timers: TimerTable<N::Timer>,
     /// The id the next armed timer gets; engine-wide and increasing.
     pub(super) next_timer_id: u64,
     /// Warm: per-node MAC contention events (deferrals, backoff-exhausted
@@ -60,7 +58,7 @@ impl<N: Node> Arena<N> {
             positions: Vec::new(),
             alive: Vec::new(),
             energy: Vec::new(),
-            pending_timers: Vec::new(),
+            timers: TimerTable::new(),
             next_timer_id: 0,
             mac_events: Vec::new(),
             energy_settled: Vec::new(),
@@ -80,7 +78,7 @@ impl<N: Node> Arena<N> {
         self.positions.push(position);
         self.alive.push(true);
         self.energy.push(energy);
-        self.pending_timers.push(Vec::new());
+        self.timers.push_row();
         self.mac_events.push(0);
         self.energy_settled.push(now);
         idx
@@ -97,7 +95,7 @@ impl<N: Node> Arena<N> {
         prefetch(self.positions.as_ptr().wrapping_add(idx));
         prefetch(self.energy.as_ptr().wrapping_add(idx));
         prefetch(self.mac_events.as_ptr().wrapping_add(idx));
-        prefetch(self.pending_timers.as_ptr().wrapping_add(idx));
+        prefetch(self.timers.row_ptr(idx));
         if idle {
             prefetch(self.energy_settled.as_ptr().wrapping_add(idx));
         }
@@ -142,20 +140,16 @@ impl<N: Node> Engine<N> {
     pub(super) fn arm_timer(&mut self, to: NodeId, after: SimDuration, timer: N::Timer) {
         let timer_id = self.arena.next_timer_id;
         self.arena.next_timer_id += 1;
-        // Ids are globally increasing, so a push keeps the list sorted.
-        self.arena.pending_timers[to.index()].push((timer_id, timer.clone()));
+        self.arena.timers.arm(to.index(), timer_id, timer.clone());
         self.queue.schedule(self.now + after, PendingEvent { to, kind: EventKind::Timer { timer_id, timer } });
     }
 
     /// A timer event fires: run the handler, unless it was cancelled.
     pub(super) fn fire_timer(&mut self, to: NodeId, timer_id: u64, timer: N::Timer) {
-        let timers = &mut self.arena.pending_timers[to.index()];
         // Absence means cancelled: this queue entry is stale.
-        let Ok(pos) = timers.binary_search_by_key(&timer_id, |(tid, _)| *tid) else {
+        if !self.arena.timers.take(to.index(), timer_id) {
             return;
-        };
-        // Vec::remove (not swap_remove) keeps the sort.
-        timers.remove(pos);
+        }
         self.trace.bump(Counter::TimersFired);
         self.record_event(EventClass::Timer, to, "timer", NO_PEER, None, timer_id);
         self.with_ctx(to, |node, ctx| node.on_timer(timer, ctx));
@@ -244,11 +238,97 @@ mod tests {
         eng.run_until(SimTime::from_micros(10_000_000));
         assert_eq!(eng.node(id).unwrap().ticks, 1000);
         assert_eq!(eng.node(id).unwrap().victims_fired, 1, "only the re-set victim fires");
-        let timers = &eng.arena.pending_timers[id.index()];
-        assert!(
-            timers.is_empty(),
-            "cancellation reclaims immediately; {} entries leaked",
-            timers.len()
-        );
+        let timers = &eng.arena.timers;
+        assert_eq!(timers.len(id.index()), 0, "cancellation reclaims immediately");
+        assert!(!timers.has_spill(id.index()), "no overflow list left attached");
+    }
+
+    /// Arms more equal timers than a row holds inline, cancels and
+    /// re-arms inside one callback, and takes forged timers from
+    /// `inject_timer` first, so they hold the inline slots: every path of
+    /// the row, checked by what fires and when.
+    #[derive(Debug, Default, Clone)]
+    struct Crowd {
+        fired: Vec<(u64, &'static str)>,
+    }
+
+    impl Node for Crowd {
+        type Msg = Hop;
+        type Timer = &'static str;
+        fn on_start(&mut self, ctx: &mut Context<'_, Hop, &'static str>) {
+            for ms in 1..=5 {
+                ctx.set_timer(SimDuration::from_millis(ms), "dup");
+            }
+            ctx.set_timer(SimDuration::from_millis(3), "keep");
+            ctx.set_timer(SimDuration::from_millis(4), "rearm");
+        }
+        fn on_message(&mut self, _: NodeId, _: Hop, _: &mut Context<'_, Hop, &'static str>) {}
+        fn on_timer(&mut self, t: &'static str, ctx: &mut Context<'_, Hop, &'static str>) {
+            self.fired.push((ctx.now().as_micros() / 1_000, t));
+            if t == "keep" {
+                // Both in one callback: the old "rearm" (due at 4 ms) is
+                // stale, the new one fires at 5 ms.
+                ctx.cancel_timers("rearm");
+                ctx.set_timer(SimDuration::from_millis(2), "rearm");
+            }
+        }
+    }
+
+    fn crowd() -> (Engine<Crowd>, NodeId) {
+        let mut eng = Engine::new(RadioModel::ideal(100.0), EnergyModel::disabled(), 1);
+        let id = eng.spawn(Crowd::default(), Point::ORIGIN);
+        for ms in [2, 6] {
+            eng.inject_timer(id, "forged", SimDuration::from_millis(ms)).unwrap();
+        }
+        (eng, id)
+    }
+
+    #[test]
+    fn cancel_by_value_reaches_timers_past_the_inline_row() {
+        let (mut eng, id) = crowd();
+        eng.run_until(SimTime::from_micros(1_500));
+        // 1 ms "dup" fired; four more, "keep", "rearm" and two forged are
+        // pending: eight, six of them in the overflow list.
+        assert_eq!(eng.arena.timers.len(id.index()), 8);
+        assert!(eng.arena.timers.has_spill(id.index()));
+        eng.node_mut(id).unwrap().fired.clear();
+        // Cancel every "dup" and one forged value from outside a callback
+        // the way a callback would: through the engine's own action path.
+        eng.with_ctx(id, |_, ctx| {
+            ctx.cancel_timers("dup");
+            ctx.cancel_timers("forged");
+        });
+        assert_eq!(eng.arena.timers.len(id.index()), 2, "only \"keep\" and \"rearm\" left");
+        eng.run_until(SimTime::from_micros(1_000_000));
+        assert_eq!(eng.node(id).unwrap().fired, vec![(3, "keep"), (5, "rearm")]);
+        assert_eq!(eng.arena.timers.len(id.index()), 0);
+        assert!(!eng.arena.timers.has_spill(id.index()), "the emptied overflow list is released");
+    }
+
+    #[test]
+    fn spilled_and_stale_timers_fire_in_order_and_fork_equal() {
+        let (mut eng, id) = crowd();
+        eng.run_until(SimTime::from_micros(3_500));
+        // "keep" has fired and made the 4 ms "rearm" stale: the queue holds
+        // live spilled timers, a stale one and forged ones.
+        let mut fork = eng.clone();
+        assert_eq!(fork.pending_event_hashes(), eng.pending_event_hashes());
+        assert_eq!(fork.arena.timers.len(id.index()), eng.arena.timers.len(id.index()));
+        eng.run_until(SimTime::from_micros(1_000_000));
+        fork.run_until(SimTime::from_micros(1_000_000));
+        let want = vec![
+            (1, "dup"),
+            (2, "forged"),
+            (2, "dup"),
+            (3, "dup"),
+            (3, "keep"),
+            (4, "dup"),
+            (5, "dup"),
+            (5, "rearm"),
+            (6, "forged"),
+        ];
+        assert_eq!(eng.node(id).unwrap().fired, want);
+        assert_eq!(fork.node(id).unwrap().fired, want);
+        assert_eq!(fork.trace().digest(), eng.trace().digest());
     }
 }

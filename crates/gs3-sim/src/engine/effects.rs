@@ -222,9 +222,7 @@ impl<N: Node> Engine<N> {
                 Action::SetTimer { after, timer } => self.arm_timer(id, after, timer),
                 // Removal is the whole cancellation: the queued event
                 // finds its id absent and drops itself when it fires.
-                Action::CancelTimers { timer } => {
-                    self.arena.pending_timers[id.index()].retain(|(_, t)| *t != timer);
-                }
+                Action::CancelTimers { timer } => self.arena.timers.cancel(id.index(), &timer),
                 Action::ReserveChannel { radius } => {
                     let pos = self.arena.positions[id.index()];
                     if self.channel.request(id, pos, radius) {

@@ -50,9 +50,7 @@ impl<N: Node> Engine<N> {
                         let _ = write!(h, "{:?}", t.msg);
                     }
                     EventKind::Timer { timer_id, timer } => {
-                        let live = self.arena.pending_timers.get(ev.to.index()).is_some_and(|t| {
-                            t.binary_search_by_key(timer_id, |(tid, _)| *tid).is_ok()
-                        });
+                        let live = self.arena.timers.contains(ev.to.index(), *timer_id);
                         h.bytes(&[2, u8::from(live)]);
                         let _ = write!(h, "{timer:?}");
                     }
@@ -90,8 +88,8 @@ impl<N: Node> Engine<N> {
                     positions,
                     alive,
                     energy,
-                    pending_timers: _, // each queued timer folds its liveness (pending_event_hashes)
-                    next_timer_id: _,  // history: timer ids are never folded
+                    timers: _,        // each queued timer folds its liveness (pending_event_hashes)
+                    next_timer_id: _, // history: timer ids are never folded
                     mac_events,
                     energy_settled,
                 },

@@ -37,6 +37,7 @@ mod flights;
 mod inspect;
 mod receive;
 mod send;
+mod timers;
 
 pub use effects::{Context, Node, Payload};
 
@@ -446,9 +447,7 @@ impl<N: Node> Engine<N> {
     /// in ascending id order, via the spatial grid (touches only the cells
     /// overlapping the disk, not the whole population).
     pub fn alive_in_disk_into(&self, center: Point, radius: f64, out: &mut Vec<NodeId>) {
-        let mut found = Vec::new();
-        self.grid.disk_into(center, radius, &mut found);
-        out.extend(found.iter().map(|&(h, _)| NodeId::from_index(h)));
+        self.grid.disk_map_into(center, radius, out, |h, _| NodeId::from_index(h), |id| id.index());
     }
 
     /// Number of alive nodes.
@@ -567,6 +566,13 @@ impl<N: Node> Engine<N> {
     #[must_use]
     pub const fn pending_event_bytes() -> usize {
         std::mem::size_of::<PendingEvent<N::Timer>>()
+    }
+
+    /// Width of one node's timer row in bytes: what the arena holds per
+    /// node for up to two pending timers, before any overflow.
+    #[must_use]
+    pub const fn timer_row_bytes() -> usize {
+        std::mem::size_of::<timers::TimerRow<N::Timer>>()
     }
 }
 

@@ -5,8 +5,9 @@
 //! replay).
 //!
 //! [`EventQueue`] is the engine's queue: a timing wheel of 1 µs slots for
-//! the next [`WINDOW`] ticks, where every message delivery lands, in front
-//! of [`RadixQueue`] for everything later (DESIGN.md §6.2).
+//! the next 3.6–4 ms, where every message delivery lands, then wheels of
+//! 512 µs and 32.8 ms slots for the next 16.8 s, where the timers land,
+//! in front of [`RadixQueue`] for everything later (DESIGN.md §6.2).
 //!
 //! [`RadixQueue`] is a radix heap keyed on the
 //! discrete µs tick clock. O(1) amortized per operation against the
@@ -348,50 +349,286 @@ impl<E> Default for RadixQueue<E> {
     }
 }
 
-/// Ticks the near tier covers: `[last, last + WINDOW)`. A delivery fires
-/// `BASE_LATENCY + 3 µs·⌊d⌋ + jitter` ≈ 2.0–3.6 ms after its send, so
-/// 4096 is the smallest power of two that takes them all, and the one
-/// that keeps what an engine fork copies at 16.5 KiB (DESIGN.md §6.2).
+/// Slots of the near tier, a timing wheel of 1 µs slots. A delivery fires
+/// `BASE_LATENCY + 3 µs·⌊d⌋ + jitter` ≈ 2.0–3.6 ms after its send, and
+/// every one of them must be a direct wheel insert, which needs
+/// `WINDOW − MID_SPAN ≥ 3 550` (DESIGN.md §6.2).
 pub const WINDOW: u64 = 4096;
 const SLOTS: usize = WINDOW as usize;
 const MASK: u64 = WINDOW - 1;
 
-/// One slab element: a queued entry linked into its slot's circular list,
-/// or a vacant element linked into the free list.
+/// Ticks one slot of the mid wheel spans.
+const MID_SPAN: u64 = 512;
+const _: () = assert!(WINDOW - MID_SPAN >= 3_550, "every delivery is a direct near-wheel insert");
+/// Slots of the mid wheel: it reaches 33–66 ms past the near wheel, up to
+/// a slot boundary of the far wheel.
+const MID_SLOTS: usize = 128;
+/// Ticks one slot of the far wheel spans.
+const FAR_SPAN: u64 = 32_768;
+/// Slots of the far wheel: it reaches 16.8 s past the mid wheel, which
+/// takes every heartbeat, watch and report timer of the benchmark
+/// workloads.
+const FAR_SLOTS: usize = 512;
+
+/// An element of a slab whose slot lists and free list thread through
+/// one `next` index.
+trait Linked {
+    fn next(&mut self) -> &mut u32;
+}
+
+/// One slab element of the near wheel: a queued entry linked into its
+/// slot's circular list, or a vacant element linked into the free list.
 #[derive(Debug, Clone)]
 struct Link<E> {
     entry: Option<Entry<E>>,
     next: u32,
 }
 
-/// The event queue the engine runs on: a timing wheel of 1 µs slots (the
-/// *near* tier, ticks `[last, last + WINDOW)`), each a FIFO list threaded
-/// through one index slab, in front of a [`RadixQueue`] (the *far* tier).
+impl<E> Linked for Link<E> {
+    fn next(&mut self) -> &mut u32 {
+        &mut self.next
+    }
+}
+
+/// Entries per bundle (384 B of engine entries).
+const BUNDLE: usize = 8;
+
+/// A run of up to `BUNDLE` consecutive cells of the [`Pool`], linked into
+/// one coarse slot's list in FIFO order — or, on the spare list, empty and
+/// waiting for the next slot that needs one.
+#[derive(Debug, Clone, Copy)]
+struct Bundle {
+    /// How many of the bundle's cells hold entries, from its first.
+    fill: u32,
+    next: u32,
+}
+
+impl Linked for Bundle {
+    fn next(&mut self) -> &mut u32 {
+        &mut self.next
+    }
+}
+
+/// What both coarse wheels' slot lists are made of: bundle `b` owns cells
+/// `b·BUNDLE .. (b + 1)·BUNDLE`, filled from the first. One allocation,
+/// not one per bundle.
+#[derive(Debug, Clone)]
+struct Pool<E> {
+    cells: Vec<Option<Entry<E>>>,
+    bundles: Vec<Bundle>,
+    /// Head of the LIFO list of spare bundles.
+    spare: u32,
+}
+
+impl<E> Pool<E> {
+    /// Appends `e` to the list whose last bundle is `tail` (`NIL`: a new
+    /// list); returns the bundle it opened when that one was full or absent.
+    fn append(&mut self, tail: u32, e: Entry<E>) -> Option<u32> {
+        if let Some(b) = self.bundles.get_mut(tail as usize).filter(|b| (b.fill as usize) < BUNDLE) {
+            self.cells[tail as usize * BUNDLE + b.fill as usize] = Some(e);
+            b.fill += 1;
+            return None;
+        }
+        if self.spare == NIL {
+            self.bundles.push(Bundle { fill: 0, next: NIL });
+            self.cells.extend(std::iter::repeat_with(|| None).take(BUNDLE));
+            self.spare = self.bundles.len() as u32 - 1;
+        }
+        let b = self.spare;
+        self.spare = self.bundles[b as usize].next;
+        self.cells[b as usize * BUNDLE] = Some(e);
+        self.bundles[b as usize].fill = 1;
+        Some(b)
+    }
+}
+
+/// The slot lists of one wheel: a ring of `64 · W` FIFO lists threaded
+/// through a slab, each circular, so the table stores only its tail (whose
+/// `next` is the head); and which slots hold anything — a bit per slot,
+/// and a bit per non-zero word of those.
+#[derive(Debug, Clone)]
+struct Ring<const W: usize> {
+    /// Per slot, the element at the tail of its list; meaningful only
+    /// where `words` says the slot is occupied.
+    tails: Vec<u32>,
+    words: [u64; W],
+    summary: u64,
+}
+
+impl<const W: usize> Ring<W> {
+    fn new() -> Self {
+        Ring { tails: vec![NIL; 64 * W], words: [0; W], summary: 0 }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.summary == 0
+    }
+
+    fn occupied(&self, s: usize) -> bool {
+        self.words[s / 64] & (1 << (s % 64)) != 0
+    }
+
+    /// Appends slab element `i` to slot `s`'s list; true when that opened
+    /// the slot.
+    fn append<L: Linked>(&mut self, links: &mut [L], s: usize, i: u32) -> bool {
+        let opened = !self.occupied(s);
+        if opened {
+            self.words[s / 64] |= 1 << (s % 64);
+            self.summary |= 1 << (s / 64);
+            *links[i as usize].next() = i;
+        } else {
+            let tail = self.tails[s] as usize;
+            *links[i as usize].next() = std::mem::replace(links[tail].next(), i);
+        }
+        self.tails[s] = i;
+        opened
+    }
+
+    /// Marks slot `s` empty.
+    fn clear(&mut self, s: usize) {
+        self.words[s / 64] &= !(1 << (s % 64));
+        if self.words[s / 64] == 0 {
+            self.summary &= !(1 << (s / 64));
+        }
+    }
+
+    /// Unlinks and returns slot `s`'s head; the second value says whether
+    /// that emptied the slot. Caller guarantees `s` is occupied.
+    fn pop_head<L: Linked>(&mut self, links: &mut [L], s: usize) -> (usize, bool) {
+        let tail = self.tails[s] as usize;
+        let head = *links[tail].next() as usize;
+        if head == tail {
+            self.clear(s);
+        } else {
+            *links[tail].next() = *links[head].next();
+        }
+        (head, head == tail)
+    }
+
+    /// The first occupied slot at or after `from`, wrapping round the
+    /// ring; `None` when the ring is empty.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let (w, rest) = (from / 64, self.words[from / 64] & (!0 << (from % 64)));
+        if rest != 0 {
+            return Some(w * 64 + rest.trailing_zeros() as usize);
+        }
+        // Later words first, then the wrap — which can end in word `w`'s
+        // bits below `from`'s.
+        let later = self.summary & (!0 << w << 1);
+        let w = (if later != 0 { later } else { self.summary }).trailing_zeros() as usize;
+        (w < W).then(|| w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+}
+
+/// A coarse wheel: `64 · W` slots of `SPAN` ticks each, every slot a FIFO
+/// list of bundles from the queue's [`Pool`].
+#[derive(Debug, Clone)]
+struct Coarse<const W: usize, const SPAN: u64> {
+    ring: Ring<W>,
+    /// Per slot, its least key's offset from the slot's first tick;
+    /// meaningful only where the slot is occupied.
+    mins: Vec<u16>,
+    /// The least key in the wheel, meaningful only while it is non-empty.
+    min: u64,
+}
+
+impl<const W: usize, const SPAN: u64> Coarse<W, SPAN> {
+    const SLOTS: usize = 64 * W;
+
+    fn new() -> Self {
+        const { assert!(SPAN <= 1 << 16, "a slot's key offsets fit in a u16") };
+        Coarse { ring: Ring::new(), mins: vec![0; Self::SLOTS], min: u64::MAX }
+    }
+
+    fn slot(key: u64) -> usize {
+        (key / SPAN) as usize % Self::SLOTS
+    }
+
+    /// Appends an entry keyed inside this wheel's range to its slot.
+    fn file<E>(&mut self, pool: &mut Pool<E>, e: Entry<E>) {
+        let key = e.at.as_micros();
+        let (s, offset) = (Self::slot(key), (key % SPAN) as u16);
+        self.min = if self.ring.is_empty() { key } else { self.min.min(key) };
+        let tail = if self.ring.occupied(s) {
+            self.mins[s] = self.mins[s].min(offset);
+            self.ring.tails[s]
+        } else {
+            self.mins[s] = offset;
+            NIL
+        };
+        if let Some(b) = pool.append(tail, e) {
+            self.ring.append(&mut pool.bundles, s, b);
+        }
+    }
+
+    /// Unlinks the lowest slot — the one `min` is in — and finds the next
+    /// slot's least key; returns the unlinked slot's first and last bundle.
+    fn take_lowest<E>(&mut self, pool: &Pool<E>) -> (u32, u32) {
+        let s = Self::slot(self.min);
+        let base = self.min - self.min % SPAN;
+        let tail = self.ring.tails[s];
+        self.ring.clear(s);
+        if let Some(t) = self.ring.first_from(s) {
+            // Ring order from `s` is tick order: the wheel spans no more
+            // than its own length.
+            let slots_on = (t + Self::SLOTS - s) % Self::SLOTS;
+            self.min = base + slots_on as u64 * SPAN + u64::from(self.mins[t]);
+        }
+        (pool.bundles[tail as usize].next, tail)
+    }
+}
+
+/// The tier edges for a given `last`, as distances past it: the near
+/// wheel holds `[last, last + d.0)`, the mid wheel up to `d.1`, the far
+/// wheel up to `d.2`, the heap the rest. Each edge is aligned to the next
+/// tier's slots, never moves back, and moves only when `last` enters a new
+/// `MID_SPAN`.
+fn edges(last: u64) -> (u64, u64, u64) {
+    let near = WINDOW - last % MID_SPAN;
+    // The near edge rounded down to a far-wheel slot (which may fall
+    // below `last`), plus the mid wheel's length; in `u128`, so that
+    // ticks near `u64::MAX` cannot overflow.
+    let edge = u128::from(last) + u128::from(near);
+    let mid = edge - edge % u128::from(FAR_SPAN) + u128::from(MID_SLOTS as u64 * MID_SPAN);
+    let mid = (mid - u128::from(last)) as u64;
+    (near, mid, mid + FAR_SLOTS as u64 * FAR_SPAN)
+}
+
+/// The event queue the engine runs on, in four tiers, each holding the
+/// ticks past the one before it:
 ///
-/// Pop order is exactly ascending `(at, seq)`, as for [`RadixQueue`]: a
-/// window tick maps to one slot, and a slot's list is in `seq` order,
-/// because whenever a pop advances `last` the far entries whose tick
-/// entered the window move to their slots, in the heap's order, before a
-/// direct insert for such a tick can happen.
+/// * the *near wheel*, [`WINDOW`] 1 µs slots, at least the next 3.6 ms —
+///   where every message delivery lands;
+/// * the *mid wheel*, `MID_SLOTS` slots of `MID_SPAN` ticks, up to 66 ms;
+/// * the *far wheel*, `FAR_SLOTS` slots of `FAR_SPAN` ticks, the next
+///   16.8 s — where the timers land;
+/// * a [`RadixQueue`] (the *heap*) for everything later.
+///
+/// A near slot is a FIFO list of entries threaded through one slab; a
+/// coarse slot is a FIFO list of bundles of `BUNDLE` consecutive cells of
+/// one pool, so emptying it reads memory in order. Pop order is exactly
+/// ascending `(at, seq)`, as for [`RadixQueue`]: a tick's tier is a
+/// function of the tick and `last` alone, and whenever a pop moves the
+/// tier edges the entries that cross one move, in the order they are
+/// stored, before a direct insert for their tick can happen (DESIGN.md
+/// §6.2).
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Per slot, the element at the tail of its circular list (whose
-    /// `next` is the head); meaningful only where `occupied` says so.
-    tails: Vec<u32>,
-    /// Bit `s` set ⇔ slot `s` holds an entry.
-    occupied: [u64; SLOTS / 64],
-    /// Bit `w` set ⇔ `occupied[w] != 0`.
-    summary: u64,
-    /// The least key in the wheel, meaningful only while `summary != 0`:
-    /// `link` lowers it, and a pop that empties its slot scans the bitmap
-    /// for the next one — the only scan, so a pop, a refused pop, a
-    /// [`Self::peek`] and a [`Self::peek_time`] each read it in O(1).
+    near: Ring<{ SLOTS / 64 }>,
+    /// The least key in the near wheel, meaningful only while it is
+    /// non-empty: `schedule` lowers it, and a pop that empties its slot
+    /// probes for the next one — the only probe, so a pop, a refused pop,
+    /// a [`Self::peek`] and a [`Self::peek_time`] each read it in O(1).
     near_min: u64,
     links: Vec<Link<E>>,
     /// Head of the LIFO list of vacant elements.
     free: u32,
+    mid: Coarse<{ MID_SLOTS / 64 }, MID_SPAN>,
+    far_wheel: Coarse<{ FAR_SLOTS / 64 }, FAR_SPAN>,
+    pool: Pool<E>,
     far: RadixQueue<E>,
-    /// The far tier's minimum key (`u64::MAX` when empty), ≥ `last + WINDOW`.
+    /// The heap's minimum key (`u64::MAX` when empty), at or past the far
+    /// wheel's edge.
     far_min: u64,
     /// The last popped key (µs ticks); all live keys are ≥ this.
     last: u64,
@@ -405,12 +642,13 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            tails: vec![NIL; SLOTS],
-            occupied: [0; SLOTS / 64],
-            summary: 0,
+            near: Ring::new(),
             near_min: u64::MAX,
             links: Vec::new(),
             free: NIL,
+            mid: Coarse::new(),
+            far_wheel: Coarse::new(),
+            pool: Pool { cells: Vec::new(), bundles: Vec::new(), spare: NIL },
             far: RadixQueue::new(),
             far_min: u64::MAX,
             last: 0,
@@ -428,50 +666,88 @@ impl<E> EventQueue<E> {
         assert!(key >= self.last, "monotone schedules only: {key} µs precedes the last pop at {} µs", self.last);
         let e = Entry { at, seq: self.next_seq, payload };
         self.next_seq += 1;
-        if key - self.last < WINDOW {
-            self.link(e);
-        } else {
-            self.far_min = self.far_min.min(key);
-            self.far.push(e);
-        }
+        self.file(e, edges(self.last));
         self.len += 1;
         self.peak = self.peak.max(self.len);
     }
 
-    /// Appends an entry inside the window to its slot's list.
-    fn link(&mut self, e: Entry<E>) {
+    /// Files an entry in the tier its key selects under `edges` (those of
+    /// the current `last`): a new entry, or one an edge has just passed.
+    fn file(&mut self, e: Entry<E>, (near, mid, far_wheel): (u64, u64, u64)) {
+        let delta = e.at.as_micros() - self.last;
+        if delta < near {
+            self.file_near(e);
+        } else if delta < mid {
+            self.mid.file(&mut self.pool, e);
+        } else if delta < far_wheel {
+            self.far_wheel.file(&mut self.pool, e);
+        } else {
+            self.far_min = self.far_min.min(e.at.as_micros());
+            self.far.push(e);
+        }
+    }
+
+    /// Appends an entry keyed below the near edge to its near slot.
+    fn file_near(&mut self, e: Entry<E>) {
         let key = e.at.as_micros();
-        let slot = (key & MASK) as usize;
         if self.free == NIL {
             self.links.push(Link { entry: None, next: NIL });
             self.free = self.links.len() as u32 - 1;
         }
-        let i = self.free as usize;
-        self.free = self.links[i].next;
-        self.links[i].entry = Some(e);
-        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-        if self.occupied[w] & bit == 0 {
+        let i = self.free;
+        self.free = self.links[i as usize].next;
+        self.links[i as usize].entry = Some(e);
+        let was_empty = self.near.is_empty();
+        if self.near.append(&mut self.links, (key & MASK) as usize, i) {
             // An empty wheel's `near_min` is stale, not an upper bound.
-            self.near_min = if self.summary == 0 { key } else { self.near_min.min(key) };
-            self.occupied[w] |= bit;
-            self.summary |= 1 << w;
-            self.links[i].next = i as u32;
-        } else {
-            let tail = self.tails[slot] as usize;
-            self.links[i].next = std::mem::replace(&mut self.links[tail].next, i as u32);
+            self.near_min = if was_empty { key } else { self.near_min.min(key) };
         }
-        self.tails[slot] = i as u32;
     }
 
-    /// Moves every far entry inside the window to its slot, in the heap's
-    /// `(at, seq)` order.
-    fn migrate(&mut self) {
-        let horizon = self.last.saturating_add(MASK);
-        loop {
-            match self.far.pop_entry(horizon) {
-                Ok(e) => self.link(e),
-                Err(min) => return self.far_min = min.unwrap_or(u64::MAX),
+    /// Called by a pop that moved `last` into a new `MID_SPAN`, lowest
+    /// tier first: the mid slots now below the near edge empty into the
+    /// near wheel, then the far-wheel slots now below the mid edge into the
+    /// tier their ticks now select, each slot in its stored order; then
+    /// the heap entries now inside the far edge, in the heap's `(at, seq)`
+    /// order.
+    fn advance(&mut self) {
+        let edges = edges(self.last);
+        while !self.mid.ring.is_empty() && self.mid.min - self.last < edges.0 {
+            let (head, tail) = self.mid.take_lowest(&self.pool);
+            self.refile(head, tail, edges);
+        }
+        while !self.far_wheel.ring.is_empty() && self.far_wheel.min - self.last < edges.1 {
+            let (head, tail) = self.far_wheel.take_lowest(&self.pool);
+            self.refile(head, tail, edges);
+        }
+        if self.far_min - self.last < edges.2 {
+            let horizon = self.last.saturating_add(edges.2 - 1);
+            loop {
+                match self.far.pop_entry(horizon) {
+                    Ok(e) => self.file(e, edges),
+                    Err(min) => return self.far_min = min.unwrap_or(u64::MAX),
+                }
             }
+        }
+    }
+
+    /// Files again, in order, every entry of the bundle list from `b` to
+    /// `tail`, which no slot links any more, putting each bundle on the
+    /// spare list once it is read.
+    fn refile(&mut self, mut b: u32, tail: u32, edges: (u64, u64, u64)) {
+        loop {
+            let Bundle { fill, next } = self.pool.bundles[b as usize];
+            let first = b as usize * BUNDLE;
+            for cell in first..first + fill as usize {
+                let e = self.pool.cells[cell].take().expect("a bundle's filled cells hold entries");
+                self.file(e, edges);
+            }
+            self.pool.bundles[b as usize] = Bundle { fill: 0, next: self.pool.spare };
+            self.pool.spare = b;
+            if b == tail {
+                return;
+            }
+            b = next;
         }
     }
 
@@ -486,22 +762,15 @@ impl<E> EventQueue<E> {
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let key = self.peek_time().filter(|&at| at <= deadline)?.as_micros();
         if key != self.last {
+            let moved_span = key / MID_SPAN != self.last / MID_SPAN;
             self.last = key;
-            if self.far_min - key < WINDOW {
-                self.migrate();
+            if moved_span {
+                self.advance();
             }
         }
-        let slot = (key & MASK) as usize;
-        let tail = self.tails[slot] as usize;
-        let head = self.links[tail].next as usize;
-        if head == tail {
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-            if self.occupied[slot / 64] == 0 {
-                self.summary &= !(1 << (slot / 64));
-            }
+        let (head, emptied) = self.near.pop_head(&mut self.links, (key & MASK) as usize);
+        if emptied {
             self.near_min = self.scan();
-        } else {
-            self.links[tail].next = self.links[head].next;
         }
         let e = self.links[head].entry.take().expect("an occupied slot's head holds an entry");
         self.links[head].next = std::mem::replace(&mut self.free, head as u32);
@@ -509,46 +778,44 @@ impl<E> EventQueue<E> {
         Some((e.at, e.payload))
     }
 
-    /// The key of the first occupied slot at or after `last`'s, wrapping
-    /// round the wheel; `u64::MAX` when the wheel is empty.
+    /// The key of the first occupied wheel slot at or after `last`'s,
+    /// wrapping round the wheel; `u64::MAX` when the wheel is empty.
     fn scan(&self) -> u64 {
-        let at = (self.last & MASK) as usize;
-        let (w, rest) = (at / 64, self.occupied[at / 64] & (!0 << (at % 64)));
-        let slot = if rest != 0 {
-            w * 64 + rest.trailing_zeros() as usize
-        } else if self.summary != 0 {
-            // Later words first, then the wrap — which can end in word `w`'s
-            // bits below `last`'s.
-            let later = self.summary & (!0 << w << 1);
-            let w = (if later != 0 { later } else { self.summary }).trailing_zeros() as usize;
-            w * 64 + self.occupied[w].trailing_zeros() as usize
-        } else {
-            return u64::MAX;
-        };
-        self.last + ((slot as u64).wrapping_sub(self.last) & MASK)
+        match self.near.first_from((self.last & MASK) as usize) {
+            Some(slot) => self.last + ((slot as u64).wrapping_sub(self.last) & MASK),
+            None => u64::MAX,
+        }
     }
 
-    /// The firing time of the earliest event, if any: the wheel's least
-    /// key, else the far tier's minimum. O(1), no scan.
+    /// The firing time of the earliest event, if any: the least key of the
+    /// lowest non-empty tier. O(1), no scan.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.summary != 0 {
-            Some(SimTime::from_micros(self.near_min))
+        let key = if !self.near.is_empty() {
+            self.near_min
+        } else if !self.mid.ring.is_empty() {
+            self.mid.min
+        } else if !self.far_wheel.ring.is_empty() {
+            self.far_wheel.min
+        } else if !self.far.is_empty() {
+            self.far_min
         } else {
-            (!self.far.is_empty()).then_some(SimTime::from_micros(self.far_min))
-        }
+            return None;
+        };
+        Some(SimTime::from_micros(key))
     }
 
-    /// The entry the next pop returns, while it sits in the wheel: `None`
-    /// when the queue is empty or its earliest entry is still in the far
-    /// tier. O(1) — the head of the slot `near_min` names — so the engine
-    /// can look one event ahead after every pop (DESIGN.md §6.2).
+    /// The entry the next pop returns, while it sits in the near wheel:
+    /// `None` when the queue is empty or its earliest entry is still in a
+    /// later tier. O(1) — the head of the slot `near_min` names —
+    /// so the engine can look one event ahead after every pop (DESIGN.md
+    /// §6.2).
     #[must_use]
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        if self.summary == 0 {
+        if self.near.is_empty() {
             return None;
         }
-        let tail = self.tails[(self.near_min & MASK) as usize] as usize;
+        let tail = self.near.tails[(self.near_min & MASK) as usize] as usize;
         let e = self.links[self.links[tail].next as usize].entry.as_ref()?;
         Some((e.at, &e.payload))
     }
@@ -577,7 +844,8 @@ impl<E> EventQueue<E> {
     /// checker's state fingerprint) sort by `(at, seq)` themselves.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
         let near = self.links.iter().filter_map(|l| l.entry.as_ref());
-        near.map(|e| (e.at, e.seq, &e.payload)).chain(self.far.entries())
+        let coarse = self.pool.cells.iter().flatten();
+        near.chain(coarse).map(|e| (e.at, e.seq, &e.payload)).chain(self.far.entries())
     }
 }
 
@@ -770,6 +1038,64 @@ mod tests {
         64 - far.last.leading_zeros()
     }
 
+    impl<const W: usize> Ring<W> {
+        /// The elements linked into the ring's lists, by walking them
+        /// (`next(i)` reads element `i`'s link).
+        fn members(&self, next: impl Fn(usize) -> u32) -> Vec<usize> {
+            let mut out = Vec::new();
+            for (w, &word) in self.words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let tail = self.tails[w * 64 + bits.trailing_zeros() as usize] as usize;
+                    let mut i = tail;
+                    loop {
+                        i = next(i) as usize;
+                        out.push(i);
+                        if i == tail {
+                            break;
+                        }
+                    }
+                    bits &= bits - 1;
+                }
+            }
+            out
+        }
+    }
+
+    impl<const W: usize, const SPAN: u64> Coarse<W, SPAN> {
+        /// The entries in the wheel's slot lists, checking that every
+        /// linked bundle holds some and that `fill` counts its cells.
+        fn count<E>(&self, pool: &Pool<E>) -> usize {
+            let bundles = self.ring.members(|b| pool.bundles[b].next);
+            let filled = |b: usize| pool.cells[b * BUNDLE..][..BUNDLE].iter().filter(|c| c.is_some()).count();
+            assert!(bundles.iter().all(|&b| pool.bundles[b].fill > 0), "a linked bundle holds entries");
+            assert!(bundles.iter().all(|&b| filled(b) == pool.bundles[b].fill as usize), "fill counts the cells");
+            bundles.iter().map(|&b| pool.bundles[b].fill as usize).sum()
+        }
+    }
+
+    /// How many entries each tier holds — near wheel, mid wheel, far
+    /// wheel, heap — by walking the wheels' slot lists.
+    fn tiers<E>(q: &EventQueue<E>) -> [usize; 4] {
+        let (mid, far_wheel) = (q.mid.count(&q.pool), q.far_wheel.count(&q.pool));
+        assert_eq!(mid + far_wheel, q.pool.cells.iter().flatten().count(), "no entry outside a linked bundle");
+        [q.near.members(|i| q.links[i].next).len(), mid, far_wheel, q.far.len()]
+    }
+
+    /// The tier a key `delta` past `last` is filed in, as an index into
+    /// [`tiers`].
+    fn tier_of(last: u64, delta: u64) -> usize {
+        let (near, mid, far_wheel) = edges(last);
+        usize::from(delta >= near) + usize::from(delta >= mid) + usize::from(delta >= far_wheel)
+    }
+
+    /// The distances past `last` that [`Mirror::randomized`] aims at: 1 µs
+    /// either side of each tier edge, and the edge itself.
+    fn edge_targets(last: u64) -> [u64; 9] {
+        let (near, mid, far_wheel) = edges(last);
+        [near - 1, near, near + 1, mid - 1, mid, mid + 1, far_wheel - 1, far_wheel, far_wheel + 1]
+    }
+
     /// Drives an [`EventQueue`] and the [`HeapQueue`] oracle through the
     /// same operation sequence, asserting identical observable behavior at
     /// every step.
@@ -781,10 +1107,16 @@ mod tests {
         /// what the engine guarantees via its `now` clock).
         floor: u64,
         tag: u64,
-        /// Wheel peeks checked right after a refused deadline pop, and
-        /// right after a pop that moved far entries into the wheel.
+        /// Near-wheel peeks checked right after a refused deadline pop, and
+        /// right after a pop that moved entries into the near wheel.
         peeks_after_refusal: u32,
         peeks_after_migration: u32,
+        /// Schedules that landed on each of [`edge_targets`].
+        edge_hits: [u32; 9],
+        /// Deadline pops refused one tick before a minimum in each tier.
+        refusals_by_tier: [u32; 4],
+        /// Pops that moved `last` past the far wheel's edge.
+        idle_jumps: u32,
     }
 
     impl Mirror {
@@ -796,12 +1128,15 @@ mod tests {
                 tag: 0,
                 peeks_after_refusal: 0,
                 peeks_after_migration: 0,
+                edge_hits: [0; 9],
+                refusals_by_tier: [0; 4],
+                idle_jumps: 0,
             }
         }
 
         /// `peek` names exactly the entry the next pop returns, and may
-        /// decline only while that entry is still in the far tier (the
-        /// wheel is empty). Returns whether it named one.
+        /// decline only while that entry is still in a later tier (the
+        /// near wheel is empty). Returns whether it named one.
         fn assert_peek(&self) -> bool {
             assert_eq!(self.queue.peek_time(), self.oracle.peek_time());
             match self.queue.peek() {
@@ -811,11 +1146,21 @@ mod tests {
             self.queue.peek().is_some()
         }
 
+        /// Schedules at `at` in both, and checks the entry went to the
+        /// tier its distance past `last` selects.
         fn schedule(&mut self, at: u64) {
             assert!(at >= self.floor);
+            let (before, delta) = (tiers(&self.queue), at - self.floor);
             self.tag += 1;
             self.queue.schedule(SimTime::from_micros(at), self.tag);
             self.oracle.schedule(SimTime::from_micros(at), self.tag);
+            let after = tiers(&self.queue);
+            let mut want = before;
+            want[tier_of(self.floor, delta)] += 1;
+            assert_eq!(after, want, "{delta} µs past {} filed in the wrong tier", self.floor);
+            for (hits, target) in self.edge_hits.iter_mut().zip(edge_targets(self.floor)) {
+                *hits += u32::from(delta == target);
+            }
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_eq!(self.queue.peak_len(), self.oracle.peak_len());
             assert_reserved_bound(&self.queue.far);
@@ -824,16 +1169,17 @@ mod tests {
 
         fn pop(&mut self) {
             self.assert_peek();
-            let far = self.queue.far.len();
+            let (near_before, last) = (near(self), self.queue.last);
             let a = self.queue.pop();
             let b = self.oracle.pop();
             assert_eq!(a, b, "pop order diverged");
             if let Some((at, _)) = a {
                 self.floor = at.as_micros();
+                self.idle_jumps += u32::from(self.floor - last > edges(last).2);
             }
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_reserved_bound(&self.queue.far);
-            let migrated = self.queue.far.len() < far;
+            let migrated = near(self) + 1 > near_before;
             self.peeks_after_migration += u32::from(self.assert_peek() && migrated);
         }
 
@@ -846,10 +1192,13 @@ mod tests {
                 Some(t) if t <= deadline => self.oracle.pop(),
                 _ => None,
             };
+            let min = self.oracle.peek_time().map(SimTime::as_micros);
             let got = self.queue.pop_at_or_before(deadline);
             assert_eq!(got, expected, "deadline pop diverged");
             if let Some((at, _)) = got {
                 self.floor = at.as_micros();
+            } else if let Some(min) = min.filter(|&m| m == deadline.as_micros() + 1) {
+                self.refusals_by_tier[tier_of(self.floor, min - self.floor)] += 1;
             }
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_reserved_bound(&self.queue.far);
@@ -880,18 +1229,21 @@ mod tests {
         /// A seeded interleaving of schedules, pops and deadline pops.
         /// Schedules are relative to the monotone floor the way the
         /// engine's are (`now + Δ`): same-instant bursts, the delivery
-        /// band, both sides of the window edge, timers, far-future jumps.
+        /// band, ±1 µs of every tier edge, timers in each coarse wheel and
+        /// past them, far-future jumps. Deadlines fall on both sides of
+        /// the minimum, and on the tick just before it.
         fn randomized(seed: u64, ops: usize) -> Self {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut m = Self::new();
             for _ in 0..ops {
                 if rng.gen_bool(0.6) || m.oracle.is_empty() {
-                    let delta = match rng.gen_range(0u32..12) {
+                    let delta = match rng.gen_range(0u32..14) {
                         0 => 0,
                         1..=3 => rng.gen_range(0u64..1_000),
                         4..=6 => rng.gen_range(2_000u64..3_600),
-                        7 => rng.gen_range(WINDOW - 2..WINDOW + 2),
-                        8 | 9 => rng.gen_range(0u64..10_000_000),
+                        7 | 8 => edge_targets(m.floor)[rng.gen_range(0usize..9)],
+                        9 => rng.gen_range(WINDOW..edges(m.floor).1 + 1_000),
+                        10 | 11 => rng.gen_range(0u64..2 * edges(m.floor).2),
                         _ => rng.gen_range(0u64..(1 << 45)),
                     };
                     let burst = if rng.gen_bool(0.2) { rng.gen_range(2usize..6) } else { 1 };
@@ -901,9 +1253,20 @@ mod tests {
                 } else if rng.gen_bool(0.5) {
                     m.pop();
                 } else {
-                    // Deadlines on both sides of the minimum, the floor
-                    // itself included.
-                    let deadline = m.floor + rng.gen_range(0u64..2_000);
+                    if rng.gen_bool(0.1) {
+                        // Idle until only timers past the mid wheel remain,
+                        // so the refusal below meets a minimum there.
+                        let due = |m: &Self| m.oracle.peek_time().map(SimTime::as_micros);
+                        while due(&m).is_some_and(|t| t - m.floor < edges(m.floor).1) {
+                            m.pop();
+                        }
+                    }
+                    let min = m.oracle.peek_time().map_or(m.floor, SimTime::as_micros);
+                    let deadline = match rng.gen_range(0u32..3) {
+                        0 => min.saturating_sub(1).max(m.floor),
+                        1 => min,
+                        _ => m.floor + rng.gen_range(0u64..2_000),
+                    };
                     m.pop_at_or_before(deadline);
                 }
             }
@@ -939,32 +1302,41 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_randomized_interleaving() {
-        let (mut after_refusal, mut after_migration) = (0, 0);
+        let (mut after_refusal, mut after_migration, mut jumps) = (0, 0, 0);
+        let (mut edges, mut refusals) = ([0; 9], [0; 4]);
         for seed in 0..20u64 {
             let mut m = Mirror::randomized(seed, 400);
             m.drain();
             after_refusal += m.peeks_after_refusal;
             after_migration += m.peeks_after_migration;
+            jumps += m.idle_jumps;
+            edges.iter_mut().zip(m.edge_hits).for_each(|(e, h)| *e += h);
+            refusals.iter_mut().zip(m.refusals_by_tier).for_each(|(r, h)| *r += h);
         }
-        // Every step checks `peek`; these two are where a cached next key
-        // could go stale, so the interleaving must actually reach them.
+        // Every step checks `peek`; these are where a cached next key could
+        // go stale or an edge be off by one, so the interleaving must
+        // actually reach each of them.
         assert!(after_refusal >= 20 && after_migration >= 20, "{after_refusal} / {after_migration}");
+        assert!(edges.iter().all(|&e| e > 0), "schedules on each tier edge: {edges:?}");
+        assert!(refusals.iter().all(|&r| r > 0), "refusals just before a minimum in each tier: {refusals:?}");
+        assert!(jumps > 0, "no pop jumped past the far wheel's edge");
     }
 
-    /// How many of the composed queue's entries sit in the wheel.
+    /// How many of the composed queue's entries sit in the near wheel.
     fn near(m: &Mirror) -> usize {
-        m.queue.len() - m.queue.far.len()
+        tiers(&m.queue)[0]
     }
 
     #[test]
     fn entries_match_oracle_as_sets_after_migrations() {
         let mut m = Mirror::randomized(11, 300);
-        assert!(near(&m) > 0 && !m.queue.far.is_empty(), "both tiers populated");
+        let [near, _, far_wheel, heap] = tiers(&m.queue);
+        assert!(near > 0 && far_wheel > 0 && heap > 0, "the near and far wheels and the heap populated");
         m.assert_same_entries();
-        // Walk far enough that timers have migrated into the wheel, and
-        // that the far tier has rebinned everything it holds.
+        // Walk far enough that timers have migrated into the near wheel,
+        // and that the heap has rebinned everything it holds.
         let top = top_bit(&m.queue.far);
-        for _ in 0..m.oracle.len() / 2 {
+        while top_bit(&m.queue.far) == top && !m.oracle.is_empty() {
             m.pop();
             m.assert_same_entries();
         }
@@ -977,7 +1349,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         let mut q = EventQueue::new();
         for i in 0..n {
-            q.schedule(SimTime::from_micros(rng.gen_range(1_000_000u64..30_000_000)), i);
+            q.schedule(SimTime::from_micros(rng.gen_range(edges(0).2..300_000_000)), i);
         }
         assert_eq!(q.far.len(), n);
         let (mut top, mut crossings) = (top_bit(&q.far), 0);
@@ -987,74 +1359,102 @@ mod tests {
             crossings += u32::from(top_bit(&q.far) > top);
             top = top_bit(&q.far);
         }
-        assert!(crossings >= 3, "timers 1–30 s out span 2^20 … 2^24 µs");
+        assert!(crossings >= 3, "timers 17–300 s out span 2^24 … 2^28 µs");
     }
 
     #[test]
-    fn window_edge_keys_land_in_their_tiers() {
+    fn tier_edge_keys_land_in_their_tiers() {
         let mut m = Mirror::new();
-        m.schedule(WINDOW - 1);
-        m.schedule(WINDOW);
-        assert_eq!((near(&m), m.queue.far.len()), (1, 1));
-        // The same two offsets from a non-zero `last` that is not a
-        // multiple of the wheel size, so the slots wrap.
-        m.schedule(1_000);
+        let (near, mid, far_wheel) = edges(0);
+        assert_eq!((near, mid, far_wheel), (WINDOW, 2 * FAR_SPAN, 2 * FAR_SPAN + FAR_SLOTS as u64 * FAR_SPAN));
+        for edge in [near, mid, far_wheel] {
+            m.schedule(edge - 1);
+            m.schedule(edge);
+        }
+        assert_eq!(tiers(&m.queue), [1, 2, 2, 1]);
+        // From a `last` inside its mid span the edges stay where they were.
+        m.schedule(100);
         m.pop();
-        m.schedule(1_000 + WINDOW - 1);
-        m.schedule(1_000 + WINDOW);
-        assert_eq!((near(&m), m.queue.far.len()), (3, 1), "tick 4096 migrated at the pop");
+        m.schedule(near - 1);
+        m.schedule(near);
+        assert_eq!(tiers(&m.queue), [2, 3, 2, 1]);
+        // Entering the next mid span moves the near edge by one: the mid
+        // slot that starts at `near` empties into the near wheel.
+        m.schedule(MID_SPAN);
+        m.pop();
+        assert_eq!(tiers(&m.queue), [4, 1, 2, 1]);
         m.drain();
     }
 
     #[test]
-    fn one_tick_fed_from_both_tiers_pops_far_entries_first() {
+    fn one_tick_fed_from_every_tier_pops_in_schedule_order() {
         let mut m = Mirror::new();
-        let t = 2 * WINDOW - 5;
+        let t = edges(0).2 + 5;
         m.schedule(t);
         m.schedule(t);
-        m.schedule(WINDOW);
-        assert_eq!(m.queue.far.len(), 3);
-        m.schedule(10);
+        assert_eq!(tiers(&m.queue), [0, 0, 0, 2]);
+        // The first `last` whose far edge passes `t`: both move to its
+        // far-wheel slot.
+        m.schedule(FAR_SPAN - WINDOW);
         m.pop();
-        m.pop(); // `last` = WINDOW: the window now reaches past `t`
-        assert_eq!(m.queue.far.len(), 0);
+        assert_eq!(tiers(&m.queue), [0, 0, 2, 0]);
+        m.schedule(t);
+        // The first `last` whose mid edge passes `t`: its far-wheel slot
+        // (and the popped key's own) empties, `t`'s into the mid wheel.
+        let l = t - t % FAR_SPAN - WINDOW;
+        m.schedule(l);
+        m.pop();
+        assert_eq!(tiers(&m.queue), [0, 3, 0, 0]);
+        m.schedule(t);
+        // A `last` whose near edge passes `t`: its mid slot empties.
+        m.schedule(t - 3_000);
+        m.pop();
+        assert_eq!(tiers(&m.queue), [4, 0, 0, 0]);
         m.schedule(t);
         m.schedule(t - 1);
         m.schedule(t);
-        m.drain(); // tags 1, 2 before 5, 7 at `t`, checked against the oracle
+        m.drain(); // tags 1, 2, then 4, 6, 9, 11 at `t`, checked against the oracle
     }
 
     #[test]
-    fn refused_deadline_pop_leaves_both_tiers_and_the_floor_alone() {
+    fn refused_deadline_pop_leaves_every_tier_and_the_floor_alone() {
         let mut m = Mirror::new();
         m.schedule(50);
         m.pop();
-        m.schedule(2_500);
-        m.schedule(60_000);
-        let before = format!("{:?}", m.queue);
-        m.pop_at_or_before(2_499);
-        assert_eq!(format!("{:?}", m.queue), before);
-        m.pop_at_or_before(2_500);
-        // Only the far tier holds anything now, and a refusal there must
-        // not pull `last` (or the heap's own) up to tick 60 000.
-        let before = format!("{:?}", m.queue);
-        m.pop_at_or_before(59_999);
-        assert_eq!(format!("{:?}", m.queue), before);
+        for at in [2_500, 20_000, 200_000, 50_000_000] {
+            m.schedule(at);
+        }
+        assert_eq!(tiers(&m.queue), [1, 1, 1, 1]);
+        // Each tier in turn holds the minimum; a refusal one tick before
+        // it must not pull `last` (or the heap's own) up to it.
+        for at in [2_500, 20_000, 200_000, 50_000_000] {
+            let before = format!("{:?}", m.queue);
+            m.pop_at_or_before(at - 1);
+            assert_eq!(format!("{:?}", m.queue), before);
+            m.schedule(m.floor);
+            m.pop();
+            m.pop_at_or_before(at);
+        }
+        assert_eq!(m.refusals_by_tier, [1; 4]);
         m.schedule(m.floor);
         m.schedule(m.floor + WINDOW);
         m.drain();
     }
 
     #[test]
-    fn idle_jump_far_beyond_the_window_with_only_far_entries() {
+    fn idle_jump_past_the_far_wheel_with_only_heap_entries() {
         let mut m = Mirror::new();
-        let base = 1_000 * WINDOW + 123;
-        for delta in [0, 0, 1, WINDOW - 1, WINDOW, 5 * WINDOW, 5 * WINDOW] {
+        let base = 60_000_123;
+        for delta in [0, 0, 1, WINDOW - 1, WINDOW, 40_000, 70_000, 1_000_000, 17_000_000, 20_000_000] {
             m.schedule(base + delta);
         }
-        assert_eq!(near(&m), 0);
+        assert_eq!(tiers(&m.queue), [0, 0, 0, 10]);
         m.pop();
-        assert_eq!((near(&m), m.queue.far.len()), (3, 3), "one jump fills the window");
+        assert_eq!(m.idle_jumps, 1);
+        // One jump refiles everything by the new edges: 3 717, 63 621 and
+        // 16 840 837 µs past `base`.
+        assert_eq!(edges(base), (3_717, 63_621, 16_840_837));
+        assert_eq!(tiers(&m.queue), [2, 3, 2, 2]);
         m.drain();
     }
 
@@ -1065,8 +1465,11 @@ mod tests {
         let partly = |&(_, tail): &(u32, u32)| tail != NIL && far.chunks[tail as usize].items.len() < CHUNK;
         assert!(far.ends.iter().filter(|e| partly(e)).count() >= 3, "partly filled chunks in three buckets");
         assert!(far.free != NIL, "a chunk on the free list");
+        let [near, _, far_wheel, _] = tiers(&a.queue);
+        assert!(near > 0 && far_wheel > 0, "entries in the near and far wheels");
         let mut b = a.clone();
         assert_eq!(b.queue.far.chunks[far.free as usize].items.capacity(), 0, "free chunks are not copied");
+        assert_eq!(tiers(&b.queue), tiers(&a.queue));
         a.schedule(a.floor + 3); // the copies share nothing
         b.schedule(b.floor + 3);
         while let Some(ev) = a.queue.pop() {

@@ -6,9 +6,10 @@
 use gs3_geometry::Point;
 
 /// One grid cell: handles and the point each was stored at, in two
-/// parallel columns. Handles stay contiguous for [`SpatialGrid::cell`];
-/// the points let [`SpatialGrid::disk_into`] filter by distance while it
-/// scans, without chasing every handle back into the owner's storage.
+/// parallel columns, ascending by handle. Handles stay contiguous for
+/// [`SpatialGrid::cell`]; the points let [`SpatialGrid::disk_into`] filter
+/// by distance while it scans, without chasing every handle back into the
+/// owner's storage, and the order makes each cell's hits an ascending run.
 #[derive(Debug, Clone)]
 struct Bucket {
     handles: Vec<usize>,
@@ -56,14 +57,21 @@ impl SpatialGrid {
         ((p.x / self.cell).floor() as i64, (p.y / self.cell).floor() as i64)
     }
 
-    /// Inserts `handle` at `p`.
+    /// Inserts `handle` at `p`, in handle order within its cell (an
+    /// append when handles arrive in increasing order, as spawns do).
     pub fn insert(&mut self, handle: usize, p: Point) {
         let b = self.cells.entry(self.key(p)).or_insert_with(|| Bucket {
             handles: Vec::with_capacity(BUCKET_CAPACITY),
             points: Vec::with_capacity(BUCKET_CAPACITY),
         });
-        b.handles.push(handle);
-        b.points.push(p);
+        if b.handles.last().is_none_or(|&last| last < handle) {
+            b.handles.push(handle);
+            b.points.push(p);
+        } else {
+            let i = b.handles.partition_point(|&h| h < handle);
+            b.handles.insert(i, handle);
+            b.points.insert(i, p);
+        }
         self.len += 1;
     }
 
@@ -72,8 +80,8 @@ impl SpatialGrid {
     pub fn remove(&mut self, handle: usize, p: Point) {
         let k = self.key(p);
         if let Some(b) = self.cells.get_mut(&k) {
-            if let Some(i) = b.handles.iter().position(|h| *h == handle) {
-                // Vec::remove (not swap_remove) keeps the stored order.
+            if let Ok(i) = b.handles.binary_search(&handle) {
+                // Vec::remove (not swap_remove) keeps the handle order.
                 b.handles.remove(i);
                 b.points.remove(i);
                 self.len -= 1;
@@ -91,7 +99,7 @@ impl SpatialGrid {
             self.remove(handle, old);
             self.insert(handle, new);
         } else if let Some(b) = self.cells.get_mut(&k) {
-            if let Some(i) = b.handles.iter().position(|h| *h == handle) {
+            if let Ok(i) = b.handles.binary_search(&handle) {
                 b.points[i] = new;
             }
         }
@@ -107,15 +115,32 @@ impl SpatialGrid {
     /// Appends `(handle, distance)` for every stored point within `radius`
     /// of `center` — exactly the handles with `!(distance > radius)`, each
     /// distance computed as `center.distance(point)` — in ascending handle
-    /// order. Cells are visited by coordinate, not hash order; the sort
-    /// (of the hits only) erases the order members were inserted in, which
-    /// depends on history.
+    /// order, whatever order the members were inserted in.
     pub fn disk_into(&self, center: Point, radius: f64, out: &mut Vec<(usize, f64)>) {
+        self.disk_map_into(center, radius, out, |h, d| (h, d), |&(h, _)| h);
+    }
+
+    /// [`Self::disk_into`] appending `hit(handle, distance)` instead, for a
+    /// `T` from which `handle` reads the handle back. Each cell's hits come
+    /// out ascending, since its members are stored that way; when the
+    /// cells' runs do not already follow one another in order, an LSD
+    /// radix pass per byte of the largest handle orders them: no
+    /// comparison sort.
+    pub(crate) fn disk_map_into<T: Copy>(
+        &self,
+        center: Point,
+        radius: f64,
+        out: &mut Vec<T>,
+        hit: impl Fn(usize, f64) -> T,
+        handle: impl Fn(&T) -> usize,
+    ) {
         let start = out.len();
         // A point this far out cannot round into the disk; skipping it
         // here spares the square root for two candidates in three.
         let surely_outside = radius * radius * (1.0 + 1e-9);
+        let (mut in_order, mut top) = (true, 0);
         self.for_each_bucket(center, radius, |b| {
+            let mid = out.len();
             for (&h, &p) in b.handles.iter().zip(&b.points) {
                 if center.distance_sq(p) > surely_outside {
                     continue;
@@ -124,10 +149,17 @@ impl SpatialGrid {
                 if d > radius {
                     continue;
                 }
-                out.push((h, d));
+                out.push(hit(h, d));
+            }
+            if let Some(last) = out.get(mid..).and_then(<[T]>::last) {
+                // A run's last hit is its largest.
+                in_order &= mid == start || handle(&out[mid - 1]) < handle(&out[mid]);
+                top = top.max(handle(last));
             }
         });
-        out[start..].sort_unstable_by_key(|&(h, _)| h);
+        if !in_order {
+            radix_sort(out, start, top, handle);
+        }
     }
 
     /// Visits the non-empty cells intersecting the bounding square of the
@@ -177,6 +209,41 @@ impl SpatialGrid {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
+
+/// Orders `out[start..]` by `key`, all of whose values are at most `top`:
+/// one stable counting pass per byte of `top`, skipping a byte every
+/// entry shares, ping-ponging with a second copy past the end.
+fn radix_sort<T: Copy>(out: &mut Vec<T>, start: usize, top: usize, key: impl Fn(&T) -> usize) {
+    let (end, n) = (out.len(), out.len() - start);
+    out.extend_from_within(start..end);
+    let (mut src, mut dst) = (start, end);
+    let mut shift = 0;
+    while shift < usize::BITS && top >> shift != 0 {
+        let digit = |t: &T| (key(t) >> shift) & 0xFF;
+        let mut at = [0usize; 256];
+        for t in &out[src..src + n] {
+            at[digit(t)] += 1;
+        }
+        if at.iter().all(|&c| c < n) {
+            let mut sum = dst;
+            for slot in &mut at {
+                sum += std::mem::replace(slot, sum);
+            }
+            for i in src..src + n {
+                let t = out[i];
+                let d = digit(&t);
+                out[at[d]] = t;
+                at[d] += 1;
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+        shift += 8;
+    }
+    if src != start {
+        out.copy_within(src..src + n, start);
+    }
+    out.truncate(end);
 }
 
 #[cfg(test)]
@@ -295,7 +362,7 @@ mod tests {
             let mut hits = Vec::new();
             for _ in 0..if cfg!(miri) { 200 } else { 2_000 } {
                 let h = rng.gen_range(0..shadow.len());
-                match (shadow[h], rng.gen_range(0u32..4)) {
+                match (shadow[h], rng.gen_range(0u32..5)) {
                     (None, _) => {
                         let p = anywhere(&mut rng);
                         grid.insert(h, p);
@@ -304,6 +371,16 @@ mod tests {
                     (Some(old), 0) => {
                         grid.remove(h, old);
                         shadow[h] = None;
+                    }
+                    (Some(old), 2) => {
+                        // Away to another cell and back, a few times: the
+                        // handle re-enters its first cell between members
+                        // inserted before and after it.
+                        for _ in 0..rng.gen_range(1u32..4) {
+                            let away = anywhere(&mut rng);
+                            grid.relocate(h, old, away);
+                            grid.relocate(h, away, old);
+                        }
                     }
                     (Some(old), 1) => {
                         // A nudge that mostly stays inside the 10 m cell.
@@ -321,6 +398,7 @@ mod tests {
                     }
                 }
                 assert_eq!(grid.len(), shadow.iter().flatten().count());
+                grid.for_each_cell(|_, members| assert!(members.is_sorted(), "cells stay ascending"));
 
                 let center = anywhere(&mut rng);
                 let radius = rng.gen_range(0.0f64..30.0);
@@ -338,6 +416,39 @@ mod tests {
                     assert_eq!(got.1.to_bits(), want.1.to_bits(), "distance of {}", got.0);
                 }
             }
+        }
+    }
+
+    /// Handles of one, two and three significant bytes, and three-byte
+    /// handles that share their top byte: the radix pass count, the
+    /// skipped byte and the copy back after an odd number of passes.
+    #[test]
+    fn disk_query_orders_wide_handles() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(3);
+        for (lo, hi) in [(0usize, 200usize), (0, 60_000), (0, 1 << 24), (5 << 16, 6 << 16)] {
+            let mut grid = SpatialGrid::new(10.0);
+            let mut all = Vec::new();
+            for _ in 0..300 {
+                let h = rng.gen_range(lo..hi);
+                let p = Point::new(rng.gen_range(-25.0..25.0), rng.gen_range(-25.0..25.0));
+                if all.iter().all(|&(o, _)| o != h) {
+                    grid.insert(h, p);
+                    all.push((h, p));
+                }
+            }
+            let mut hits = vec![(usize::MAX, -1.0)];
+            grid.disk_into(Point::ORIGIN, 30.0, &mut hits);
+            let mut want: Vec<(usize, f64)> = all
+                .iter()
+                .map(|&(h, p)| (h, Point::ORIGIN.distance(p)))
+                .filter(|&(_, d)| d <= 30.0)
+                .collect();
+            want.sort_unstable_by_key(|&(h, _)| h);
+            assert_eq!(hits[0], (usize::MAX, -1.0), "what was in the buffer stays");
+            assert_eq!(hits[1..], want[..], "handles in {lo}..{hi}");
         }
     }
 

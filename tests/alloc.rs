@@ -1,13 +1,17 @@
-//! Allocation guard for the oracle's hot path: polling an unchanged
-//! structure must not touch the heap. A counting global allocator tallies
-//! the calling thread's allocations around each poll.
+//! Allocation guards for two hot paths: polling an unchanged structure,
+//! and arming and firing timers in steady state, must not touch the heap.
+//! A counting global allocator tallies the calling thread's allocations
+//! around each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gs3::core::harness::{Network, NetworkBuilder};
 use gs3::core::Mode;
-use gs3::sim::SimDuration;
+use gs3::geometry::Point;
+use gs3::sim::radio::{EnergyModel, RadioModel};
+use gs3::sim::trace::Counter;
+use gs3::sim::{Context, Engine, Node, NodeId, Payload, SimDuration};
 
 struct Counting;
 
@@ -99,4 +103,60 @@ fn view_after_steady_state_running_allocates_nothing() {
         let _ = net.view();
     });
     assert_eq!(n, 0, "view after a steady-state run allocated {n} times");
+}
+
+#[derive(Clone, Debug)]
+struct Quiet;
+
+impl Payload for Quiet {}
+
+/// Keeps two timers pending, the timer row's inline capacity: a 5 ms
+/// tick that goes through the wheel, and a 2 s watch that goes through the
+/// coarse tier and that every tenth tick cancels and re-arms.
+#[derive(Debug, Default)]
+struct Ticker {
+    ticks: u64,
+}
+
+impl Node for Ticker {
+    type Msg = Quiet;
+    type Timer = bool;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Quiet, bool>) {
+        ctx.set_timer(SimDuration::from_millis(5), false);
+        ctx.set_timer(SimDuration::from_secs(2), true);
+    }
+
+    fn on_message(&mut self, _: NodeId, _: Quiet, _: &mut Context<'_, Quiet, bool>) {}
+
+    fn on_timer(&mut self, watch: bool, ctx: &mut Context<'_, Quiet, bool>) {
+        if watch {
+            ctx.set_timer(SimDuration::from_secs(2), true);
+            return;
+        }
+        self.ticks += 1;
+        if self.ticks % 10 == 0 {
+            ctx.cancel_timers(true);
+            ctx.set_timer(SimDuration::from_secs(2), true);
+        }
+        ctx.set_timer(SimDuration::from_millis(5), false);
+    }
+}
+
+/// Once the queue's slab and bundle pool have grown to the population,
+/// arming, cancelling and firing timers that fit in each node's row
+/// allocate nothing.
+#[test]
+fn steady_state_timers_within_the_row_allocate_nothing() {
+    let mut eng = Engine::new(RadioModel::ideal(100.0), EnergyModel::disabled(), 1);
+    for i in 0..50 {
+        eng.spawn(Ticker::default(), Point::new(f64::from(i), 0.0));
+    }
+    eng.run_for(SimDuration::from_secs(10));
+    let fired = eng.trace().get(Counter::TimersFired);
+    let n = allocations(|| {
+        eng.run_for(SimDuration::from_secs(10));
+    });
+    assert!(eng.trace().get(Counter::TimersFired) > fired + 50 * 1_900, "the timers kept firing");
+    assert_eq!(n, 0, "10 s of steady-state timers allocated {n} times");
 }
