@@ -57,16 +57,6 @@ impl StructureMetrics {
             self.nonideal_cells as f64 / self.populated_cells as f64
         }
     }
-
-    /// Mean gap-region diameter (0 when none exist).
-    #[must_use]
-    pub fn mean_gap_region_diameter(&self) -> f64 {
-        if self.gap_region_diameters.is_empty() {
-            0.0
-        } else {
-            self.gap_region_diameters.iter().sum::<f64>() / self.gap_region_diameters.len() as f64
-        }
-    }
 }
 
 /// Fraction of big-connected alive nodes that are in a cell. `idx` must
@@ -350,6 +340,5 @@ mod tests {
         let m = measure(&s, &SnapshotIndex::build(&s));
         assert_eq!(m.heads, 0);
         assert_eq!(m.nonideal_ratio(), 0.0);
-        assert_eq!(m.mean_gap_region_diameter(), 0.0);
     }
 }

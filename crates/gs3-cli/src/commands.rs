@@ -491,6 +491,9 @@ pub fn chaos(a: &Args) -> CliResult {
     };
 
     let runs: usize = a.num("runs", 1)?;
+    if runs == 0 {
+        return Err("option --runs needs at least 1 run, got 0".into());
+    }
     if runs > 1 {
         // Both describe one network; a multi-seed run has `runs` of them.
         for (key, given) in [("timeline", a.get("timeline").is_some()), ("map", a.flag("map"))] {

@@ -37,6 +37,15 @@ fn a_multi_seed_chaos_run_refuses_single_run_outputs() {
 }
 
 #[test]
+fn chaos_refuses_zero_runs() {
+    let line = "chaos --nodes 300 --area 160 --runs 0";
+    let out = gs3cli(line);
+    assert_eq!(out.status.code(), Some(1), "{line}");
+    assert!(out.stdout.is_empty(), "{line}: no network was built");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "error: option --runs needs at least 1 run, got 0\n");
+}
+
+#[test]
 fn watch_refuses_a_sample_period_that_rounds_to_zero() {
     for sample in ["0", "-1", "nan", "0.0000004"] {
         let line = format!("watch --nodes 60 --area 60 --duration 5 --sample {sample}");

@@ -596,13 +596,6 @@ impl ChaosReport {
         self.final_violations == 0 && self.outcomes.iter().all(|o| o.heal_latency.is_some())
     }
 
-    /// The worst per-fault healing latency (None when nothing healed or
-    /// nothing was injected).
-    #[must_use]
-    pub fn max_heal_latency(&self) -> Option<SimDuration> {
-        self.outcomes.iter().filter_map(|o| o.heal_latency).max()
-    }
-
     /// Serializes the report as a JSON object (stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -1243,7 +1236,6 @@ mod tests {
             )
         );
         assert!(!report.healed());
-        assert_eq!(report.max_heal_latency(), None);
     }
 
     #[test]

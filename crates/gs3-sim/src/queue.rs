@@ -7,14 +7,17 @@
 //! [`EventQueue`] is the engine's queue: a timing wheel of 1 µs slots for
 //! the next 3.6–4 ms, where every message delivery lands, then wheels of
 //! 512 µs and 32.8 ms slots for the next 16.8 s, where the timers land,
-//! in front of [`RadixQueue`] for everything later (DESIGN.md §6.2).
+//! in front of a radix heap for everything later (DESIGN.md §6.2).
 //!
-//! [`RadixQueue`] is a radix heap keyed on the
+//! [`RadixQueue`] is that radix heap on its own, keyed on the
 //! discrete µs tick clock. O(1) amortized per operation against the
 //! engine's *monotone* schedule pattern (every event is scheduled at
 //! `now + Δ`, never in the past), and cache-friendly — a bucket is a list of
-//! 64-entry chunks drawn from one recycled pool, not a pointer-chased heap,
+//! 8-entry bundles drawn from one recycled pool, not a pointer-chased heap,
 //! and not a ring per bucket that keeps its high-water mark for good.
+//!
+//! Every list of entries but a near-wheel slot's — a coarse-wheel slot, a
+//! radix bucket — is a list of bundles in a queue's one pool.
 //!
 //! `HeapQueue`, the original `BinaryHeap` implementation, is compiled for
 //! tests only, as the differential oracle the mirror property tests below
@@ -24,7 +27,6 @@
 use std::cmp::Ordering;
 #[cfg(test)]
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -61,37 +63,215 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+const NIL: u32 = u32::MAX; // end of an index-linked list
+
+/// Entries per bundle (384 B of engine entries): the most room one list
+/// holds beyond what is in it, at each end.
+const BUNDLE: usize = 8;
+
+/// A run of up to `BUNDLE` consecutive cells of the [`Pool`], linked into
+/// one list in FIFO order — or, on the spare list, empty and waiting for
+/// the next list that needs one.
+#[derive(Debug, Clone, Copy)]
+struct Bundle {
+    /// How many of the bundle's cells hold entries, from its first.
+    fill: u32,
+    next: u32,
+}
+
+/// What every list of entries but a near-wheel slot's is made of: bundle
+/// `b` owns cells `b·BUNDLE .. (b + 1)·BUNDLE`, filled from the first. One
+/// allocation, not one per bundle.
+#[derive(Debug, Clone)]
+struct Pool<E> {
+    cells: Vec<Option<Entry<E>>>,
+    bundles: Vec<Bundle>,
+    /// Head of the LIFO list of spare bundles.
+    spare: u32,
+}
+
+impl<E> Pool<E> {
+    fn new() -> Self {
+        Pool { cells: Vec::new(), bundles: Vec::new(), spare: NIL }
+    }
+
+    /// Appends `e` to the list whose last bundle is `tail` (`NIL`: a new
+    /// list); returns the bundle it opened when that one was full or absent.
+    fn append(&mut self, tail: u32, e: Entry<E>) -> Option<u32> {
+        if let Some(b) = self.bundles.get_mut(tail as usize).filter(|b| (b.fill as usize) < BUNDLE) {
+            self.cells[tail as usize * BUNDLE + b.fill as usize] = Some(e);
+            b.fill += 1;
+            return None;
+        }
+        if self.spare == NIL {
+            self.bundles.push(Bundle { fill: 0, next: NIL });
+            self.cells.extend(std::iter::repeat_with(|| None).take(BUNDLE));
+            self.spare = self.bundles.len() as u32 - 1;
+        }
+        let b = self.spare;
+        self.spare = self.bundles[b as usize].next;
+        self.cells[b as usize * BUNDLE] = Some(e);
+        self.bundles[b as usize].fill = 1;
+        Some(b)
+    }
+
+    /// Empties `list`, which has not been read from and which nothing links
+    /// any more, handing its entries in order to `file`; each bundle goes
+    /// back to the spare list once it has been read, so the lists `file`
+    /// appends to take it straight back. The one routine that empties a
+    /// list whole: a redistribution's bucket and a coarse slot.
+    fn drain(&mut self, list: List, mut file: impl FnMut(&mut Self, Entry<E>)) {
+        debug_assert_eq!(list.read, 0, "a drained list is whole");
+        let mut b = list.head;
+        while b != NIL {
+            let Bundle { fill, next } = self.bundles[b as usize];
+            let first = b as usize * BUNDLE;
+            for cell in first..first + fill as usize {
+                let e = self.cells[cell].take().expect("a bundle's filled cells hold entries");
+                file(self, e);
+            }
+            self.bundles[b as usize] = Bundle { fill: 0, next: self.spare };
+            self.spare = b;
+            b = if b == list.tail { NIL } else { next };
+        }
+    }
+}
+
+/// A FIFO list of bundles: a radix bucket, or a coarse slot's list once
+/// the slot has let go of it. Its first and last bundle (`NIL` when
+/// empty), and how many of the first one's cells have been read (only
+/// bucket 0 is read from the front).
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    read: u32,
+}
+
+impl List {
+    const EMPTY: List = List { head: NIL, tail: NIL, read: 0 };
+
+    /// Takes the first entry, `None` when the list is empty, and puts its
+    /// bundle on the spare list once that bundle has been read: how a pop
+    /// reads bucket 0, which may be appended to between pops.
+    fn pop<E>(&mut self, pool: &mut Pool<E>) -> Option<Entry<E>> {
+        let b = self.head;
+        let Bundle { fill, next } = *pool.bundles.get(b as usize)?;
+        let cell = b as usize * BUNDLE + self.read as usize;
+        let e = pool.cells[cell].take().expect("a bundle's filled cells hold entries");
+        self.read += 1;
+        if self.read == fill {
+            pool.bundles[b as usize] = Bundle { fill: 0, next: pool.spare };
+            pool.spare = b;
+            *self = if b == self.tail { List::EMPTY } else { List { head: next, read: 0, ..*self } };
+        }
+        Some(e)
+    }
+}
+
 /// One bucket per possible position of the highest bit differing from the
 /// last popped key (0 = no differing bit), for 64-bit µs tick keys.
 const BUCKETS: usize = 65;
 
-/// Entries per chunk (3 KiB of engine entries): the most room one bucket
-/// holds beyond what is in it.
-const CHUNK: usize = 64;
-
-const NIL: u32 = u32::MAX; // end of an index-linked list
-
-/// A run of one bucket's entries — or, on the free list, an empty buffer
-/// waiting for the next bucket that needs one.
-#[derive(Debug)]
-struct Chunk<E> {
-    /// At most `CHUNK` entries in FIFO order: a ring that is allocated
-    /// once and never grows. Empty exactly when the chunk is free.
-    items: VecDeque<Entry<E>>,
-    /// The next chunk of the same bucket, or of the free list.
-    next: u32,
+/// A radix heap's buckets and keys, over bundles of a [`Pool`] that its
+/// owner hands in: a [`RadixQueue`]'s own, or the one an [`EventQueue`]'s
+/// coarse wheels and heap share. The algorithm and its contracts are
+/// [`RadixQueue`]'s.
+#[derive(Debug, Clone)]
+struct Radix {
+    /// Bucket `b` holds the entries whose key differs from `last` first
+    /// at bit `b − 1` (bucket 0: key == `last`), in FIFO `seq` order.
+    buckets: [List; BUCKETS],
+    /// Bit `b − 1` set ⇔ bucket `b` ≥ 1 holds an entry.
+    nonempty: u64,
+    /// `mins[b]` is the least key in bucket `b` ≥ 1, `u64::MAX` when it is
+    /// empty; bucket 0's is `last`.
+    mins: [u64; BUCKETS],
+    /// The last popped key (µs ticks); all live keys are ≥ this.
+    last: u64,
+    len: usize,
 }
 
-impl<E: Clone> Clone for Chunk<E> {
-    fn clone(&self) -> Self {
-        // A free chunk's buffer is scratch, not state: the copy allocates
-        // its own if it ever opens the chunk.
-        let mut items = VecDeque::new();
-        if !self.items.is_empty() {
-            items.reserve_exact(CHUNK);
-            items.extend(self.items.iter().cloned());
+impl Radix {
+    fn new() -> Self {
+        Radix { buckets: [List::EMPTY; BUCKETS], nonempty: 0, mins: [u64::MAX; BUCKETS], last: 0, len: 0 }
+    }
+
+    /// The bucket a key belongs in relative to the current `last`.
+    fn bucket_of(&self, key: u64) -> usize {
+        let diff = key ^ self.last;
+        (64 - diff.leading_zeros()) as usize
+    }
+
+    /// Bucket `b`'s bit in `nonempty`; bucket 0 has none.
+    fn bit(b: usize) -> u64 {
+        if b == 0 { 0 } else { 1 << (b - 1) }
+    }
+
+    /// Files an entry that already carries its scheduling rank.
+    fn push<E>(&mut self, pool: &mut Pool<E>, e: Entry<E>) {
+        self.file(pool, e);
+        self.len += 1;
+    }
+
+    /// Appends an entry to the bucket its key selects.
+    fn file<E>(&mut self, pool: &mut Pool<E>, e: Entry<E>) {
+        let key = e.at.as_micros();
+        let b = self.bucket_of(key);
+        self.mins[b] = self.mins[b].min(key);
+        let list = &mut self.buckets[b];
+        if let Some(opened) = pool.append(list.tail, e) {
+            if list.tail == NIL {
+                list.head = opened;
+                self.nonempty |= Self::bit(b);
+            } else {
+                pool.bundles[list.tail as usize].next = opened;
+            }
+            list.tail = opened;
         }
-        Chunk { items, next: self.next }
+    }
+
+    /// The lowest non-empty bucket and the minimum key in it — the
+    /// queue's minimum. Caller guarantees `len > 0` and bucket 0 empty.
+    fn lowest(&self) -> (usize, u64) {
+        debug_assert!(self.nonempty != 0, "non-empty queue with empty bucket 0 has a higher bucket");
+        let i = self.nonempty.trailing_zeros() as usize + 1;
+        (i, self.mins[i])
+    }
+
+    /// Pulls bucket `i` forward: `last` becomes its minimum key `min` and
+    /// its entries rebin relative to that (the minimum itself landing in
+    /// bucket 0). `(i, min)` comes from [`Self::lowest`].
+    fn redistribute<E>(&mut self, pool: &mut Pool<E>, i: usize, min: u64) {
+        self.last = min;
+        let list = std::mem::replace(&mut self.buckets[i], List::EMPTY);
+        self.nonempty &= !Self::bit(i);
+        self.mins[i] = u64::MAX;
+        pool.drain(list, |pool, e| {
+            debug_assert!(self.bucket_of(e.at.as_micros()) < i, "redistribution strictly lowers bucket indices");
+            self.file(pool, e);
+        });
+    }
+
+    /// Removes the earliest entry unless its key exceeds `deadline`; a
+    /// refusal reports the minimum key (`None` when empty) and leaves the
+    /// queue as it was, `last` included.
+    fn pop_entry<E>(&mut self, pool: &mut Pool<E>, deadline: u64) -> Result<Entry<E>, Option<u64>> {
+        if self.len == 0 {
+            return Err(None);
+        }
+        if self.buckets[0].head == NIL {
+            let (i, min) = self.lowest();
+            if min > deadline {
+                return Err(Some(min));
+            }
+            self.redistribute(pool, i, min);
+        } else if self.last > deadline {
+            // Bucket 0 holds exactly the entries keyed `last`.
+            return Err(Some(self.last));
+        }
+        self.len -= 1;
+        Ok(self.buckets[0].pop(pool).expect("bucket 0 holds the minimum"))
     }
 }
 
@@ -111,17 +291,18 @@ impl<E: Clone> Clone for Chunk<E> {
 ///
 /// # Storage
 ///
-/// A bucket is a linked list of 64-entry chunks, and all 65 draw them from —
-/// and return them to — one arena with a LIFO free list. Whenever `last`
-/// is about to cross an odd multiple of 2^k, everything due in the next
-/// 2^k µs sits in bucket k + 1, so a growable ring per bucket would leave
-/// each high bucket holding room for most of the population for good
-/// (DESIGN.md §6.2); here redistribution frees each
-/// chunk as it drains it, the destination buckets take it straight back,
-/// and the slots linked into buckets never exceed `len + 65·CHUNK`: a
-/// non-empty bucket wastes less than one chunk at its tail, and bucket 0,
-/// the only one popped from, less than one more at its head (66 × 63
-/// slots in all).
+/// A bucket is a FIFO list of bundles of `BUNDLE` = 8 consecutive cells,
+/// and all 65 draw them from — and return them to — one pool with a LIFO
+/// spare list: the store an [`EventQueue`] shares between its coarse
+/// wheels and its own radix heap. Whenever `last` is about to cross an
+/// odd multiple of 2^k, everything due in the next 2^k µs sits in bucket
+/// k + 1, so a growable ring per bucket would leave each high bucket
+/// holding room for most of the population for good (DESIGN.md §6.2);
+/// here redistribution frees each bundle as it drains it, the destination
+/// buckets take it straight back, and the cells of the bundles linked into
+/// buckets never exceed `len + (occupied buckets + 1)·BUNDLE`: a non-empty
+/// bucket wastes less than one bundle at its tail, and bucket 0, the only
+/// one popped from, less than one more at its head.
 ///
 /// # Determinism contract
 ///
@@ -141,49 +322,16 @@ impl<E: Clone> Clone for Chunk<E> {
 /// causality violation loud instead of silently reordering replay.
 #[derive(Debug, Clone)]
 pub struct RadixQueue<E> {
-    /// Every chunk ever allocated, linked into a bucket or the free list.
-    chunks: Vec<Chunk<E>>,
-    /// Head of the LIFO list of free chunks.
-    free: u32,
-    /// `ends[b]` is bucket `b`'s first and last chunk (`NIL` when empty).
-    /// The bucket holds the entries whose key differs from `last` first at
-    /// bit `b − 1` (bucket 0: key == `last`), in FIFO `seq` order.
-    ends: [(u32, u32); BUCKETS],
-    /// Bit `b − 1` set ⇔ bucket `b` ≥ 1 holds an entry.
-    nonempty: u64,
-    /// `mins[b]` is the least key in bucket `b`; `u64::MAX` when empty.
-    mins: [u64; BUCKETS],
-    /// The last popped key (µs ticks); all live keys are ≥ this.
-    last: u64,
+    heap: Radix,
+    pool: Pool<E>,
     next_seq: u64,
-    len: usize,
 }
 
 impl<E> RadixQueue<E> {
     /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
-        RadixQueue {
-            chunks: Vec::new(),
-            free: NIL,
-            ends: [(NIL, NIL); BUCKETS],
-            nonempty: 0,
-            mins: [u64::MAX; BUCKETS],
-            last: 0,
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// The bucket a key belongs in relative to the current `last`.
-    fn bucket_of(&self, key: u64) -> usize {
-        let diff = key ^ self.last;
-        (64 - diff.leading_zeros()) as usize
-    }
-
-    /// Bucket `b`'s bit in `nonempty`; bucket 0 has none.
-    fn bit(b: usize) -> u64 {
-        if b == 0 { 0 } else { 1 << (b - 1) }
+        RadixQueue { heap: Radix::new(), pool: Pool::new(), next_seq: 0 }
     }
 
     /// Schedules `payload` to fire at `at`. Events scheduled for the same
@@ -196,150 +344,38 @@ impl<E> RadixQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let key = at.as_micros();
         assert!(
-            key >= self.last,
+            key >= self.heap.last,
             "radix queue requires monotone schedules: {key} µs is before the last pop at {} µs",
-            self.last
+            self.heap.last
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push(Entry { at, seq, payload });
-    }
-
-    /// Files an entry that already carries its scheduling rank.
-    fn push(&mut self, e: Entry<E>) {
-        self.file(e);
-        self.len += 1;
-    }
-
-    /// Appends an entry to the bucket its key selects.
-    fn file(&mut self, e: Entry<E>) {
-        let key = e.at.as_micros();
-        let b = self.bucket_of(key);
-        self.mins[b] = self.mins[b].min(key);
-        let tail = self.ends[b].1;
-        // `NIL` indexes no chunk, so one lookup covers the empty bucket too.
-        match self.chunks.get_mut(tail as usize) {
-            Some(chunk) if chunk.items.len() < CHUNK => chunk.items.push_back(e),
-            _ => self.file_in_new_chunk(b, e),
-        }
-    }
-
-    /// [`Self::file`] when bucket `b` is empty or its last chunk is full:
-    /// the entry opens a chunk, the last one freed if there is one. Out of
-    /// line even though a sparse queue takes it often: inlined, the
-    /// redistribution loop measured 4–9 % slower.
-    #[cold]
-    fn file_in_new_chunk(&mut self, b: usize, e: Entry<E>) {
-        if self.free == NIL {
-            self.chunks.push(Chunk { items: VecDeque::new(), next: NIL });
-            self.free = self.chunks.len() as u32 - 1;
-        }
-        let c = self.free;
-        let chunk = &mut self.chunks[c as usize];
-        self.free = std::mem::replace(&mut chunk.next, NIL);
-        chunk.items.reserve_exact(CHUNK); // a new chunk's, or a clone's, first use
-        chunk.items.push_back(e);
-        let tail = std::mem::replace(&mut self.ends[b].1, c);
-        if tail == NIL {
-            self.ends[b].0 = c;
-            self.nonempty |= Self::bit(b);
-        } else {
-            self.chunks[tail as usize].next = c;
-        }
-    }
-
-    /// Unlinks bucket `b`'s first chunk, which the caller has emptied, and
-    /// puts it on the free list.
-    fn release_head(&mut self, b: usize) {
-        let c = self.ends[b].0;
-        debug_assert!(self.chunks[c as usize].items.is_empty());
-        let next = std::mem::replace(&mut self.chunks[c as usize].next, self.free);
-        self.free = c;
-        if next == NIL {
-            self.ends[b] = (NIL, NIL);
-            self.nonempty &= !Self::bit(b);
-            self.mins[b] = u64::MAX;
-        } else {
-            self.ends[b].0 = next;
-        }
-    }
-
-    /// The lowest non-empty bucket and the minimum key in it — the
-    /// queue's minimum. Caller guarantees `len > 0` and bucket 0 empty.
-    fn lowest(&self) -> (usize, u64) {
-        debug_assert!(self.nonempty != 0, "non-empty queue with empty bucket 0 has a higher bucket");
-        let i = self.nonempty.trailing_zeros() as usize + 1;
-        (i, self.mins[i])
-    }
-
-    /// Pulls bucket `i` forward: `last` becomes its minimum key `min` and
-    /// its entries rebin relative to that (the minimum itself landing in
-    /// bucket 0). `(i, min)` comes from [`Self::lowest`].
-    fn redistribute(&mut self, i: usize, min: u64) {
-        self.last = min;
-        while self.ends[i].0 != NIL {
-            // One chunk at a time, freed before the next is touched, so
-            // the buckets it drains into reuse it.
-            let c = self.ends[i].0 as usize;
-            let mut items = std::mem::take(&mut self.chunks[c].items);
-            while let Some(e) = items.pop_front() {
-                debug_assert!(self.bucket_of(e.at.as_micros()) < i, "redistribution strictly lowers bucket indices");
-                self.file(e);
-            }
-            self.chunks[c].items = items;
-            self.release_head(i);
-        }
-    }
-
-    /// Removes the earliest entry unless its key exceeds `deadline`; a
-    /// refusal reports the minimum key (`None` when empty) and leaves the
-    /// queue as it was, `last` included.
-    fn pop_entry(&mut self, deadline: u64) -> Result<Entry<E>, Option<u64>> {
-        if self.len == 0 {
-            return Err(None);
-        }
-        if self.ends[0].0 == NIL {
-            let (i, min) = self.lowest();
-            if min > deadline {
-                return Err(Some(min));
-            }
-            self.redistribute(i, min);
-        } else if self.last > deadline {
-            // Bucket 0 holds exactly the entries keyed `last`.
-            return Err(Some(self.last));
-        }
-        self.len -= 1;
-        let items = &mut self.chunks[self.ends[0].0 as usize].items;
-        let e = items.pop_front().expect("bucket 0 holds the minimum");
-        if items.is_empty() {
-            self.release_head(0);
-        }
-        Ok(e)
+        self.heap.push(&mut self.pool, Entry { at, seq, payload });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry(u64::MAX).ok().map(|e| (e.at, e.payload))
+        self.heap.pop_entry(&mut self.pool, u64::MAX).ok().map(|e| (e.at, e.payload))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len
     }
 
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.len == 0
     }
 
     /// Visits every pending entry as `(fire time, scheduling seq, payload)`.
-    /// Iteration order is the arena's internal order — unspecified —
+    /// Iteration order is the pool's internal order — unspecified —
     /// so callers that need a canonical view (the model checker's state
     /// fingerprint) must sort by `(at, seq)` themselves.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.chunks.iter().flat_map(|c| &c.items).map(|e| (e.at, e.seq, &e.payload))
+        self.pool.cells.iter().flatten().map(|e| (e.at, e.seq, &e.payload))
     }
 }
 
@@ -390,55 +426,60 @@ impl<E> Linked for Link<E> {
     }
 }
 
-/// Entries per bundle (384 B of engine entries).
-const BUNDLE: usize = 8;
+/// The near wheel: [`WINDOW`] slots of one tick, each a FIFO list of
+/// entries threaded through one slab.
+#[derive(Debug, Clone)]
+struct Near<E> {
+    ring: Ring<{ SLOTS / 64 }>,
+    /// The least key in the wheel, meaningful only while it is non-empty:
+    /// `file` lowers it, and a pop that empties its slot probes for the
+    /// next one — the only probe, so a pop, a refused pop, an
+    /// [`EventQueue::peek`] and an [`EventQueue::peek_time`] each read it
+    /// in O(1).
+    min: u64,
+    links: Vec<Link<E>>,
+    /// Head of the LIFO list of vacant elements.
+    free: u32,
+}
 
-/// A run of up to `BUNDLE` consecutive cells of the [`Pool`], linked into
-/// one coarse slot's list in FIFO order — or, on the spare list, empty and
-/// waiting for the next slot that needs one.
-#[derive(Debug, Clone, Copy)]
-struct Bundle {
-    /// How many of the bundle's cells hold entries, from its first.
-    fill: u32,
-    next: u32,
+impl<E> Near<E> {
+    /// Appends an entry keyed below the near edge to its slot.
+    fn file(&mut self, e: Entry<E>) {
+        let key = e.at.as_micros();
+        if self.free == NIL {
+            self.links.push(Link { entry: None, next: NIL });
+            self.free = self.links.len() as u32 - 1;
+        }
+        let i = self.free;
+        self.free = self.links[i as usize].next;
+        self.links[i as usize].entry = Some(e);
+        let was_empty = self.ring.is_empty();
+        if self.ring.append(&mut self.links, (key & MASK) as usize, i) {
+            // An empty wheel's `min` is stale, not an upper bound.
+            self.min = if was_empty { key } else { self.min.min(key) };
+        }
+    }
+
+    /// Unlinks and returns the head of the slot of `key`, the last popped
+    /// key, which the caller guarantees is occupied; a pop that empties
+    /// the slot finds the first occupied one after it, wrapping round.
+    fn pop(&mut self, key: u64) -> Entry<E> {
+        let (head, emptied) = self.ring.pop_head(&mut self.links, (key & MASK) as usize);
+        if emptied {
+            self.min = match self.ring.first_from((key & MASK) as usize) {
+                Some(slot) => key + ((slot as u64).wrapping_sub(key) & MASK),
+                None => u64::MAX,
+            };
+        }
+        let e = self.links[head].entry.take().expect("an occupied slot's head holds an entry");
+        self.links[head].next = std::mem::replace(&mut self.free, head as u32);
+        e
+    }
 }
 
 impl Linked for Bundle {
     fn next(&mut self) -> &mut u32 {
         &mut self.next
-    }
-}
-
-/// What both coarse wheels' slot lists are made of: bundle `b` owns cells
-/// `b·BUNDLE .. (b + 1)·BUNDLE`, filled from the first. One allocation,
-/// not one per bundle.
-#[derive(Debug, Clone)]
-struct Pool<E> {
-    cells: Vec<Option<Entry<E>>>,
-    bundles: Vec<Bundle>,
-    /// Head of the LIFO list of spare bundles.
-    spare: u32,
-}
-
-impl<E> Pool<E> {
-    /// Appends `e` to the list whose last bundle is `tail` (`NIL`: a new
-    /// list); returns the bundle it opened when that one was full or absent.
-    fn append(&mut self, tail: u32, e: Entry<E>) -> Option<u32> {
-        if let Some(b) = self.bundles.get_mut(tail as usize).filter(|b| (b.fill as usize) < BUNDLE) {
-            self.cells[tail as usize * BUNDLE + b.fill as usize] = Some(e);
-            b.fill += 1;
-            return None;
-        }
-        if self.spare == NIL {
-            self.bundles.push(Bundle { fill: 0, next: NIL });
-            self.cells.extend(std::iter::repeat_with(|| None).take(BUNDLE));
-            self.spare = self.bundles.len() as u32 - 1;
-        }
-        let b = self.spare;
-        self.spare = self.bundles[b as usize].next;
-        self.cells[b as usize * BUNDLE] = Some(e);
-        self.bundles[b as usize].fill = 1;
-        Some(b)
     }
 }
 
@@ -562,8 +603,8 @@ impl<const W: usize, const SPAN: u64> Coarse<W, SPAN> {
     }
 
     /// Unlinks the lowest slot — the one `min` is in — and finds the next
-    /// slot's least key; returns the unlinked slot's first and last bundle.
-    fn take_lowest<E>(&mut self, pool: &Pool<E>) -> (u32, u32) {
+    /// slot's least key; returns the unlinked slot's list.
+    fn take_lowest<E>(&mut self, pool: &Pool<E>) -> List {
         let s = Self::slot(self.min);
         let base = self.min - self.min % SPAN;
         let tail = self.ring.tails[s];
@@ -574,7 +615,7 @@ impl<const W: usize, const SPAN: u64> Coarse<W, SPAN> {
             let slots_on = (t + Self::SLOTS - s) % Self::SLOTS;
             self.min = base + slots_on as u64 * SPAN + u64::from(self.mins[t]);
         }
-        (pool.bundles[tail as usize].next, tail)
+        List { head: pool.bundles[tail as usize].next, tail, read: 0 }
     }
 }
 
@@ -602,34 +643,28 @@ fn edges(last: u64) -> (u64, u64, u64) {
 /// * the *mid wheel*, `MID_SLOTS` slots of `MID_SPAN` ticks, up to 66 ms;
 /// * the *far wheel*, `FAR_SLOTS` slots of `FAR_SPAN` ticks, the next
 ///   16.8 s — where the timers land;
-/// * a [`RadixQueue`] (the *heap*) for everything later.
+/// * a radix heap (the *heap*, [`RadixQueue`]'s algorithm) for
+///   everything later.
 ///
 /// A near slot is a FIFO list of entries threaded through one slab; a
-/// coarse slot is a FIFO list of bundles of `BUNDLE` consecutive cells of
-/// one pool, so emptying it reads memory in order. Pop order is exactly
-/// ascending `(at, seq)`, as for [`RadixQueue`]: a tick's tier is a
-/// function of the tick and `last` alone, and whenever a pop moves the
-/// tier edges the entries that cross one move, in the order they are
-/// stored, before a direct insert for their tick can happen (DESIGN.md
-/// §6.2).
+/// coarse slot and a heap bucket are FIFO lists of bundles of `BUNDLE`
+/// consecutive cells of the queue's one pool, so emptying one reads
+/// memory in order. Pop order is exactly ascending `(at, seq)`, as for
+/// [`RadixQueue`]: a tick's tier is a function of the tick and `last`
+/// alone, and whenever a pop moves the tier edges the entries that cross
+/// one move, in the order they are stored, before a direct insert for
+/// their tick can happen (DESIGN.md §6.2).
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    near: Ring<{ SLOTS / 64 }>,
-    /// The least key in the near wheel, meaningful only while it is
-    /// non-empty: `schedule` lowers it, and a pop that empties its slot
-    /// probes for the next one — the only probe, so a pop, a refused pop,
-    /// a [`Self::peek`] and a [`Self::peek_time`] each read it in O(1).
-    near_min: u64,
-    links: Vec<Link<E>>,
-    /// Head of the LIFO list of vacant elements.
-    free: u32,
+    near: Near<E>,
     mid: Coarse<{ MID_SLOTS / 64 }, MID_SPAN>,
     far_wheel: Coarse<{ FAR_SLOTS / 64 }, FAR_SPAN>,
+    /// The store of the mid wheel's, the far wheel's and the heap's lists.
     pool: Pool<E>,
-    far: RadixQueue<E>,
+    heap: Radix,
     /// The heap's minimum key (`u64::MAX` when empty), at or past the far
     /// wheel's edge.
-    far_min: u64,
+    heap_min: u64,
     /// The last popped key (µs ticks); all live keys are ≥ this.
     last: u64,
     next_seq: u64,
@@ -642,15 +677,12 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            near: Ring::new(),
-            near_min: u64::MAX,
-            links: Vec::new(),
-            free: NIL,
+            near: Near { ring: Ring::new(), min: u64::MAX, links: Vec::new(), free: NIL },
             mid: Coarse::new(),
             far_wheel: Coarse::new(),
-            pool: Pool { cells: Vec::new(), bundles: Vec::new(), spare: NIL },
-            far: RadixQueue::new(),
-            far_min: u64::MAX,
+            pool: Pool::new(),
+            heap: Radix::new(),
+            heap_min: u64::MAX,
             last: 0,
             next_seq: 0,
             len: 0,
@@ -676,31 +708,14 @@ impl<E> EventQueue<E> {
     fn file(&mut self, e: Entry<E>, (near, mid, far_wheel): (u64, u64, u64)) {
         let delta = e.at.as_micros() - self.last;
         if delta < near {
-            self.file_near(e);
+            self.near.file(e);
         } else if delta < mid {
             self.mid.file(&mut self.pool, e);
         } else if delta < far_wheel {
             self.far_wheel.file(&mut self.pool, e);
         } else {
-            self.far_min = self.far_min.min(e.at.as_micros());
-            self.far.push(e);
-        }
-    }
-
-    /// Appends an entry keyed below the near edge to its near slot.
-    fn file_near(&mut self, e: Entry<E>) {
-        let key = e.at.as_micros();
-        if self.free == NIL {
-            self.links.push(Link { entry: None, next: NIL });
-            self.free = self.links.len() as u32 - 1;
-        }
-        let i = self.free;
-        self.free = self.links[i as usize].next;
-        self.links[i as usize].entry = Some(e);
-        let was_empty = self.near.is_empty();
-        if self.near.append(&mut self.links, (key & MASK) as usize, i) {
-            // An empty wheel's `near_min` is stale, not an upper bound.
-            self.near_min = if was_empty { key } else { self.near_min.min(key) };
+            self.heap_min = self.heap_min.min(e.at.as_micros());
+            self.heap.push(&mut self.pool, e);
         }
     }
 
@@ -713,42 +728,35 @@ impl<E> EventQueue<E> {
     fn advance(&mut self) {
         let edges = edges(self.last);
         while !self.mid.ring.is_empty() && self.mid.min - self.last < edges.0 {
-            let (head, tail) = self.mid.take_lowest(&self.pool);
-            self.refile(head, tail, edges);
+            let list = self.mid.take_lowest(&self.pool);
+            self.refile(list, edges);
         }
         while !self.far_wheel.ring.is_empty() && self.far_wheel.min - self.last < edges.1 {
-            let (head, tail) = self.far_wheel.take_lowest(&self.pool);
-            self.refile(head, tail, edges);
+            let list = self.far_wheel.take_lowest(&self.pool);
+            self.refile(list, edges);
         }
-        if self.far_min - self.last < edges.2 {
+        if self.heap_min - self.last < edges.2 {
             let horizon = self.last.saturating_add(edges.2 - 1);
             loop {
-                match self.far.pop_entry(horizon) {
+                match self.heap.pop_entry(&mut self.pool, horizon) {
                     Ok(e) => self.file(e, edges),
-                    Err(min) => return self.far_min = min.unwrap_or(u64::MAX),
+                    Err(min) => return self.heap_min = min.unwrap_or(u64::MAX),
                 }
             }
         }
     }
 
-    /// Files again, in order, every entry of the bundle list from `b` to
-    /// `tail`, which no slot links any more, putting each bundle on the
-    /// spare list once it is read.
-    fn refile(&mut self, mut b: u32, tail: u32, edges: (u64, u64, u64)) {
-        loop {
-            let Bundle { fill, next } = self.pool.bundles[b as usize];
-            let first = b as usize * BUNDLE;
-            for cell in first..first + fill as usize {
-                let e = self.pool.cells[cell].take().expect("a bundle's filled cells hold entries");
-                self.file(e, edges);
-            }
-            self.pool.bundles[b as usize] = Bundle { fill: 0, next: self.pool.spare };
-            self.pool.spare = b;
-            if b == tail {
-                return;
-            }
-            b = next;
-        }
+    /// Files again, in order, every entry of a coarse slot's list, which
+    /// no slot links any more: each in the near or the mid wheel, as its
+    /// tick now selects, since `advance` empties a slot only once the
+    /// edge below it has passed it.
+    fn refile(&mut self, list: List, (near_edge, mid_edge, _): (u64, u64, u64)) {
+        let (last, near, mid) = (self.last, &mut self.near, &mut self.mid);
+        self.pool.drain(list, |pool, e| {
+            let delta = e.at.as_micros() - last;
+            debug_assert!(delta < mid_edge, "a coarse slot empties into a lower tier");
+            if delta < near_edge { near.file(e) } else { mid.file(pool, e) }
+        });
     }
 
     /// Removes and returns the earliest event, if any.
@@ -768,37 +776,23 @@ impl<E> EventQueue<E> {
                 self.advance();
             }
         }
-        let (head, emptied) = self.near.pop_head(&mut self.links, (key & MASK) as usize);
-        if emptied {
-            self.near_min = self.scan();
-        }
-        let e = self.links[head].entry.take().expect("an occupied slot's head holds an entry");
-        self.links[head].next = std::mem::replace(&mut self.free, head as u32);
+        let e = self.near.pop(key);
         self.len -= 1;
         Some((e.at, e.payload))
-    }
-
-    /// The key of the first occupied wheel slot at or after `last`'s,
-    /// wrapping round the wheel; `u64::MAX` when the wheel is empty.
-    fn scan(&self) -> u64 {
-        match self.near.first_from((self.last & MASK) as usize) {
-            Some(slot) => self.last + ((slot as u64).wrapping_sub(self.last) & MASK),
-            None => u64::MAX,
-        }
     }
 
     /// The firing time of the earliest event, if any: the least key of the
     /// lowest non-empty tier. O(1), no scan.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let key = if !self.near.is_empty() {
-            self.near_min
+        let key = if !self.near.ring.is_empty() {
+            self.near.min
         } else if !self.mid.ring.is_empty() {
             self.mid.min
         } else if !self.far_wheel.ring.is_empty() {
             self.far_wheel.min
-        } else if !self.far.is_empty() {
-            self.far_min
+        } else if self.heap.len != 0 {
+            self.heap_min
         } else {
             return None;
         };
@@ -807,16 +801,17 @@ impl<E> EventQueue<E> {
 
     /// The entry the next pop returns, while it sits in the near wheel:
     /// `None` when the queue is empty or its earliest entry is still in a
-    /// later tier. O(1) — the head of the slot `near_min` names —
-    /// so the engine can look one event ahead after every pop (DESIGN.md
-    /// §6.2).
+    /// later tier. O(1) — the head of the slot of the near wheel's least
+    /// key — so the engine can look one event ahead after every pop
+    /// (DESIGN.md §6.2).
     #[must_use]
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        if self.near.is_empty() {
+        let near = &self.near;
+        if near.ring.is_empty() {
             return None;
         }
-        let tail = self.near.tails[(self.near_min & MASK) as usize] as usize;
-        let e = self.links[self.links[tail].next as usize].entry.as_ref()?;
+        let tail = near.ring.tails[(near.min & MASK) as usize] as usize;
+        let e = near.links[near.links[tail].next as usize].entry.as_ref()?;
         Some((e.at, &e.payload))
     }
 
@@ -843,9 +838,8 @@ impl<E> EventQueue<E> {
     /// in unspecified order: callers that need a canonical view (the model
     /// checker's state fingerprint) sort by `(at, seq)` themselves.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        let near = self.links.iter().filter_map(|l| l.entry.as_ref());
-        let coarse = self.pool.cells.iter().flatten();
-        near.chain(coarse).map(|e| (e.at, e.seq, &e.payload)).chain(self.far.entries())
+        let near = self.near.links.iter().filter_map(|l| l.entry.as_ref());
+        near.chain(self.pool.cells.iter().flatten()).map(|e| (e.at, e.seq, &e.payload))
     }
 }
 
@@ -937,6 +931,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -1022,20 +1017,84 @@ mod tests {
         assert_eq!(seen, vec![(3, 3), (7, 7), (12, 12), (1 << 40, 1 << 40)]);
     }
 
-    /// The far tier's storage bound: the slots of the chunks linked into
-    /// buckets (a free chunk is empty, a linked one never is) exceed what
-    /// is pending by less than a chunk per bucket.
-    fn assert_reserved_bound<E>(far: &RadixQueue<E>) {
-        let linked = far.chunks.iter().filter(|c| !c.items.is_empty());
-        let reserved: usize = linked.map(|c| c.items.capacity()).sum();
-        assert!(reserved <= far.len + BUCKETS * CHUNK, "{reserved} slots reserved for {} entries", far.len);
+    impl<E> Pool<E> {
+        /// The entries the pool holds.
+        fn held(&self) -> usize {
+            self.cells.iter().flatten().count()
+        }
+
+        /// The bundles on the spare list, by walking it; checking that each
+        /// is empty.
+        fn spares(&self) -> usize {
+            let (mut n, mut b) = (0, self.spare);
+            while b != NIL {
+                assert_eq!(self.bundles[b as usize].fill, 0, "a spare bundle is empty");
+                assert!(self.cells[b as usize * BUNDLE..][..BUNDLE].iter().all(Option::is_none));
+                (n, b) = (n + 1, self.bundles[b as usize].next);
+            }
+            n
+        }
+    }
+
+    /// The shared store's bound: the cells of the bundles linked into
+    /// `lists` occupied lists (every bundle not on the spare list) exceed
+    /// the entries in them by less than a bundle per list, plus one for
+    /// bucket 0's partly read head.
+    fn assert_pool_bound<E>(pool: &Pool<E>, lists: usize) {
+        let linked = (pool.bundles.len() - pool.spares()) * BUNDLE;
+        let held = pool.held();
+        assert!(linked <= held + (lists + 1) * BUNDLE, "{linked} cells linked into {lists} lists for {held} entries");
+    }
+
+    /// [`assert_pool_bound`] for an [`EventQueue`]'s one pool.
+    fn assert_reserved_bound<E>(q: &EventQueue<E>) {
+        assert_pool_bound(&q.pool, lists(q));
+    }
+
+    /// The lists an [`EventQueue`]'s pool holds: the heap's non-empty
+    /// buckets and the coarse wheels' occupied slots.
+    fn lists<E>(q: &EventQueue<E>) -> usize {
+        q.heap.open_buckets() + q.mid.ring.open_slots() + q.far_wheel.ring.open_slots()
     }
 
     /// The position of `last`'s highest set bit: it moves exactly when
     /// `last` crosses a 2^k boundary, the pop that finds every pending
     /// entry in one high bucket.
-    fn top_bit<E>(far: &RadixQueue<E>) -> u32 {
-        64 - far.last.leading_zeros()
+    fn top_bit(heap: &Radix) -> u32 {
+        64 - heap.last.leading_zeros()
+    }
+
+    impl Radix {
+        fn open_buckets(&self) -> usize {
+            self.nonempty.count_ones() as usize + usize::from(self.buckets[0].head != NIL)
+        }
+
+        /// The entries in the buckets, by walking their lists, checking
+        /// each bucket's bit, least key and every entry's bucket.
+        fn count<E>(&self, pool: &Pool<E>) -> usize {
+            let mut n = 0;
+            for (b, list) in self.buckets.iter().enumerate() {
+                if b > 0 {
+                    assert_eq!(self.nonempty & Radix::bit(b) != 0, list.head != NIL, "bucket {b}'s bit");
+                }
+                let (mut bundle, mut from, mut min) = (list.head, list.read as usize, u64::MAX);
+                while bundle != NIL {
+                    let Bundle { fill, next } = pool.bundles[bundle as usize];
+                    assert!(from < fill as usize, "a linked bundle holds unread entries");
+                    for cell in &pool.cells[bundle as usize * BUNDLE..][from..fill as usize] {
+                        let key = cell.as_ref().expect("filled cells hold entries").at.as_micros();
+                        assert_eq!(self.bucket_of(key), b, "{key} µs filed in bucket {b}");
+                        min = min.min(key);
+                        n += 1;
+                    }
+                    (bundle, from) = if bundle == list.tail { (NIL, 0) } else { (next, 0) };
+                }
+                if b > 0 {
+                    assert_eq!(self.mins[b], min, "bucket {b}'s least key");
+                }
+            }
+            n
+        }
     }
 
     impl<const W: usize> Ring<W> {
@@ -1060,6 +1119,10 @@ mod tests {
             }
             out
         }
+
+        fn open_slots(&self) -> usize {
+            self.words.iter().map(|w| w.count_ones() as usize).sum()
+        }
     }
 
     impl<const W: usize, const SPAN: u64> Coarse<W, SPAN> {
@@ -1077,9 +1140,10 @@ mod tests {
     /// How many entries each tier holds — near wheel, mid wheel, far
     /// wheel, heap — by walking the wheels' slot lists.
     fn tiers<E>(q: &EventQueue<E>) -> [usize; 4] {
-        let (mid, far_wheel) = (q.mid.count(&q.pool), q.far_wheel.count(&q.pool));
-        assert_eq!(mid + far_wheel, q.pool.cells.iter().flatten().count(), "no entry outside a linked bundle");
-        [q.near.members(|i| q.links[i].next).len(), mid, far_wheel, q.far.len()]
+        let (mid, far_wheel, heap) = (q.mid.count(&q.pool), q.far_wheel.count(&q.pool), q.heap.count(&q.pool));
+        assert_eq!(heap, q.heap.len);
+        assert_eq!(mid + far_wheel + heap, q.pool.held(), "no entry outside a linked bundle");
+        [q.near.ring.members(|i| q.near.links[i].next).len(), mid, far_wheel, heap]
     }
 
     /// The tier a key `delta` past `last` is filed in, as an index into
@@ -1163,7 +1227,7 @@ mod tests {
             }
             assert_eq!(self.queue.len(), self.oracle.len());
             assert_eq!(self.queue.peak_len(), self.oracle.peak_len());
-            assert_reserved_bound(&self.queue.far);
+            assert_reserved_bound(&self.queue);
             self.assert_peek();
         }
 
@@ -1178,7 +1242,7 @@ mod tests {
                 self.idle_jumps += u32::from(self.floor - last > edges(last).2);
             }
             assert_eq!(self.queue.len(), self.oracle.len());
-            assert_reserved_bound(&self.queue.far);
+            assert_reserved_bound(&self.queue);
             let migrated = near(self) + 1 > near_before;
             self.peeks_after_migration += u32::from(self.assert_peek() && migrated);
         }
@@ -1201,7 +1265,7 @@ mod tests {
                 self.refusals_by_tier[tier_of(self.floor, min - self.floor)] += 1;
             }
             assert_eq!(self.queue.len(), self.oracle.len());
-            assert_reserved_bound(&self.queue.far);
+            assert_reserved_bound(&self.queue);
             self.peeks_after_refusal += u32::from(self.assert_peek() && got.is_none());
         }
 
@@ -1335,12 +1399,12 @@ mod tests {
         m.assert_same_entries();
         // Walk far enough that timers have migrated into the near wheel,
         // and that the heap has rebinned everything it holds.
-        let top = top_bit(&m.queue.far);
-        while top_bit(&m.queue.far) == top && !m.oracle.is_empty() {
+        let top = top_bit(&m.queue.heap);
+        while top_bit(&m.queue.heap) == top && !m.oracle.is_empty() {
             m.pop();
             m.assert_same_entries();
         }
-        assert!(top_bit(&m.queue.far) > top && !m.queue.far.is_empty(), "crossed a 2^k boundary");
+        assert!(top_bit(&m.queue.heap) > top && m.queue.heap.len != 0, "crossed a 2^k boundary");
     }
 
     #[test]
@@ -1351,13 +1415,13 @@ mod tests {
         for i in 0..n {
             q.schedule(SimTime::from_micros(rng.gen_range(edges(0).2..300_000_000)), i);
         }
-        assert_eq!(q.far.len(), n);
-        let (mut top, mut crossings) = (top_bit(&q.far), 0);
+        assert_eq!(q.heap.len, n);
+        let (mut top, mut crossings) = (top_bit(&q.heap), 0);
         while q.len() > keep {
             q.pop();
-            assert_reserved_bound(&q.far);
-            crossings += u32::from(top_bit(&q.far) > top);
-            top = top_bit(&q.far);
+            assert_reserved_bound(&q);
+            crossings += u32::from(top_bit(&q.heap) > top);
+            top = top_bit(&q.heap);
         }
         assert!(crossings >= 3, "timers 17–300 s out span 2^24 … 2^28 µs");
     }
@@ -1461,14 +1525,13 @@ mod tests {
     #[test]
     fn clone_mid_run_pops_in_lock_step() {
         let mut a = Mirror::randomized(5, 300);
-        let far = &a.queue.far;
-        let partly = |&(_, tail): &(u32, u32)| tail != NIL && far.chunks[tail as usize].items.len() < CHUNK;
-        assert!(far.ends.iter().filter(|e| partly(e)).count() >= 3, "partly filled chunks in three buckets");
-        assert!(far.free != NIL, "a chunk on the free list");
+        let (pool, heap) = (&a.queue.pool, &a.queue.heap);
+        let partly = |l: &List| l.tail != NIL && (pool.bundles[l.tail as usize].fill as usize) < BUNDLE;
+        assert!(heap.buckets.iter().filter(|l| partly(l)).count() >= 3, "partly filled bundles in three buckets");
+        assert!(pool.spare != NIL, "a bundle on the spare list");
         let [near, _, far_wheel, _] = tiers(&a.queue);
         assert!(near > 0 && far_wheel > 0, "entries in the near and far wheels");
         let mut b = a.clone();
-        assert_eq!(b.queue.far.chunks[far.free as usize].items.capacity(), 0, "free chunks are not copied");
         assert_eq!(tiers(&b.queue), tiers(&a.queue));
         a.schedule(a.floor + 3); // the copies share nothing
         b.schedule(b.floor + 3);
@@ -1477,5 +1540,109 @@ mod tests {
             assert_eq!(Some(ev), a.oracle.pop());
         }
         assert_eq!(b.queue.pop(), None);
+    }
+
+    /// The standalone radix heap against the oracle: same-tick ties,
+    /// schedules at `last` while bucket 0's head bundle is partly read,
+    /// keys past 2^40, and a clone taken half-way that is handed the same
+    /// operations and pops in lockstep with the original.
+    #[test]
+    fn radix_matches_oracle_with_a_clone_in_lock_step() {
+        let (seeds, ops) = if cfg!(miri) { (2, 300) } else { (16, 4_000) };
+        let (mut mid_read, mut past_2_40, mut clones) = (0, 0, 0);
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut queues, mut oracle) = (vec![RadixQueue::new()], HeapQueue::new());
+            let (mut floor, mut tag) = (0u64, 0u64);
+            for op in 0..ops {
+                if op == ops / 2 {
+                    queues.push(queues[0].clone());
+                }
+                if rng.gen_bool(0.55) || oracle.is_empty() {
+                    let delta = match rng.gen_range(0u32..8) {
+                        0 | 1 => 0,
+                        2 | 3 => rng.gen_range(0u64..64),
+                        4 | 5 => rng.gen_range(0u64..5_000_000),
+                        _ => rng.gen_range((1u64 << 40)..(1 << 44)),
+                    };
+                    let burst = if rng.gen_bool(0.3) { rng.gen_range(2usize..6) } else { 1 };
+                    for _ in 0..burst {
+                        tag += 1;
+                        mid_read += u32::from(delta == 0 && queues[0].heap.buckets[0].read > 0);
+                        for q in &mut queues {
+                            q.schedule(SimTime::from_micros(floor + delta), tag);
+                        }
+                        oracle.schedule(SimTime::from_micros(floor + delta), tag);
+                    }
+                } else {
+                    let want = oracle.pop();
+                    for q in &mut queues {
+                        assert_eq!(q.pop(), want, "pop order diverged");
+                    }
+                    floor = want.expect("the oracle held an entry").0.as_micros();
+                    past_2_40 += u32::from(floor >= 1 << 40);
+                    clones += u32::from(queues.len() == 2);
+                }
+                for q in &queues {
+                    assert_eq!(q.len(), oracle.len());
+                    assert_eq!(q.heap.count(&q.pool), q.len());
+                    assert_pool_bound(&q.pool, q.heap.open_buckets());
+                }
+            }
+            let canon = |v: Vec<(SimTime, u64, &u64)>| {
+                let mut v: Vec<_> = v.into_iter().map(|(at, seq, &p)| (at, seq, p)).collect();
+                v.sort_unstable();
+                v
+            };
+            for q in &queues {
+                assert_eq!(canon(q.entries().collect()), canon(oracle.entries().collect()));
+            }
+            while let Some(want) = oracle.pop() {
+                for q in &mut queues {
+                    assert_eq!(q.pop(), Some(want));
+                }
+            }
+            assert!(queues.iter_mut().all(|q| q.pop().is_none() && q.is_empty()));
+        }
+        assert!(mid_read > 0, "no schedule at `last` met a partly read bucket 0");
+        assert!(past_2_40 > 0 && clones > 0, "{past_2_40} pops past 2^40, {clones} pops of the clone");
+    }
+
+    /// GS³'s boot burst: every node holds its first probe back 30–35 s,
+    /// so N timers start in the heap, and a 30 ms tick moves `last` along
+    /// until all of them have passed through the far wheel and fired. The
+    /// heap's bundles are the ones the far wheel fills, so the pool never
+    /// holds more cells than N plus a bundle per list open at once, plus
+    /// one. A pop can open and drain heap buckets that are empty again
+    /// when it returns, so every bucket counts as open.
+    #[test]
+    fn boot_burst_passes_through_one_pool() {
+        const TICK: u64 = 30_000;
+        let (n, from, spread): (u64, u64, u64) =
+            if cfg!(miri) { (300, edges(0).2, 1_000_000) } else { (50_000, 30_000_000, 5_000_000) };
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            q.schedule(SimTime::from_micros(from + rng.gen_range(0..spread)), i);
+        }
+        q.schedule(SimTime::from_micros(TICK), u64::MAX);
+        assert_eq!(q.heap.len as u64, n);
+        let (mut left, mut open, mut all_in_far_wheel) = (n, 0, false);
+        while left > 0 {
+            let (at, tag) = q.pop().expect("the tick is always pending");
+            if tag == u64::MAX {
+                q.schedule(at + SimDuration::from_micros(TICK), tag);
+            } else {
+                left -= 1;
+            }
+            open = open.max(q.mid.ring.open_slots() + q.far_wheel.ring.open_slots() + BUCKETS);
+            let cells = q.pool.cells.len();
+            // The tick sits in the mid wheel: one entry beyond the N.
+            assert!(cells <= (n as usize + 1) + (open + 1) * BUNDLE, "{cells} cells for {n} timers in {open} lists");
+            if !all_in_far_wheel && q.heap.len == 0 && left == n {
+                all_in_far_wheel = tiers(&q)[2] == n as usize;
+            }
+        }
+        assert!(all_in_far_wheel, "every timer was in the far wheel at once");
     }
 }

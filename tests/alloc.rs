@@ -1,7 +1,9 @@
-//! Allocation guards for two hot paths: polling an unchanged structure,
-//! and arming and firing timers in steady state, must not touch the heap.
-//! A counting global allocator tallies the calling thread's allocations
-//! around each.
+//! Allocation guards for three hot paths: polling an unchanged structure,
+//! arming and firing timers in steady state, and cycling entries through
+//! every tier of a warm event queue, must not touch the heap; and a new
+//! event queue, built once per network, allocates a pinned number of
+//! times. A counting global allocator tallies the calling thread's
+//! allocations around each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,9 +11,10 @@ use std::cell::Cell;
 use gs3::core::harness::{Network, NetworkBuilder};
 use gs3::core::Mode;
 use gs3::geometry::Point;
+use gs3::sim::queue::EventQueue;
 use gs3::sim::radio::{EnergyModel, RadioModel};
 use gs3::sim::trace::Counter;
-use gs3::sim::{Context, Engine, Node, NodeId, Payload, SimDuration};
+use gs3::sim::{Context, Engine, Node, NodeId, Payload, SimDuration, SimTime};
 
 struct Counting;
 
@@ -159,4 +162,41 @@ fn steady_state_timers_within_the_row_allocate_nothing() {
     });
     assert!(eng.trace().get(Counter::TimersFired) > fired + 50 * 1_900, "the timers kept firing");
     assert_eq!(n, 0, "10 s of steady-state timers allocated {n} times");
+}
+
+/// A new queue allocates its wheels' slot tables and nothing else: the
+/// near wheel's tails, and the mid and far wheels' tails and least-key
+/// offsets. Its one pool and the near wheel's slab start empty, so that a
+/// network's set-up pays for no entries before it schedules any.
+#[test]
+fn a_new_event_queue_allocates_only_its_slot_tables() {
+    let mut q = None;
+    let n = allocations(|| q = Some(EventQueue::<u64>::new()));
+    assert_eq!(n, 5, "EventQueue::new allocated {n} times");
+    assert!(q.is_some_and(|q| q.is_empty()));
+}
+
+/// Once the queue's slab and pool have grown to the population, a cycle
+/// that files entries in each tier — near wheel, mid wheel, far wheel,
+/// heap — and pops them all allocates nothing: every entry that leaves a
+/// list hands its room to the next.
+#[test]
+fn a_warm_event_queue_cycles_through_every_tier_without_allocating() {
+    let (mut q, mut now) = (EventQueue::new(), SimTime::ZERO);
+    let mut cycle = |q: &mut EventQueue<u64>| {
+        for (i, delta_us) in [1_000u64, 20_000, 1_000_000, 20_000_000].into_iter().enumerate() {
+            for k in 0..50 {
+                q.schedule(now + SimDuration::from_micros(delta_us + k), i as u64);
+            }
+        }
+        let mut popped = [0; 4];
+        while let Some((at, tier)) = q.pop() {
+            now = at;
+            popped[tier as usize] += 1;
+        }
+        assert_eq!(popped, [50; 4]);
+    };
+    cycle(&mut q);
+    let n = allocations(|| (0..4).for_each(|_| cycle(&mut q)));
+    assert_eq!(n, 0, "four warm cycles allocated {n} times");
 }
