@@ -11,8 +11,9 @@
 //!   (`…_radix`) on the bare `RadixQueue` behind it.
 //! * `trace/digest_fold` — the delivery digest (10 000 records per
 //!   iteration).
-//! * `trace/record_send` — the per-send counter bump, a string-keyed
-//!   `BTreeMap::entry` (10 000 sends per iteration over ten kinds).
+//! * `trace/record_send` — the per-send count as the engine makes it:
+//!   the kind's label id from the thread's address cache, then one row
+//!   increment (10 000 sends per iteration over ten kinds).
 //!
 //! Run with `cargo bench -p gs3-bench`. Reports median wall time per
 //! iteration over a fixed wall-time budget per benchmark.

@@ -343,17 +343,11 @@ impl NetworkBuilder {
             eng.set_recording(gs3_sim::telemetry::RecorderMode::Full { capacity });
         }
 
-        // The big node anchors the structure; spawn it first so the
-        // diffusion starts at t=0. As the gateway/access point it is
-        // mains-powered: the energy budget applies to small nodes only.
-        let cfg = Arc::new(cfg);
-        let mut bigs = vec![eng.spawn(Gs3Node::big(Arc::clone(&cfg)), self.big_pos)];
-        for pos in &self.extra_bigs {
-            bigs.push(eng.spawn(Gs3Node::big(Arc::clone(&cfg)), *pos));
-        }
-
+        // The deployment draws from a generator of its own, so it can be
+        // drawn before anything is spawned, and the engine sized once.
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if self.explicit_nodes.is_empty() {
+        let generated;
+        let smalls: &[Point] = if self.explicit_nodes.is_empty() {
             // `lambda` is the paper's λ (expected nodes per unit-radius
             // disk), which Deployment::disk takes directly: expected
             // count = λ·r².
@@ -362,13 +356,23 @@ impl NetworkBuilder {
             for (c, g) in &self.gaps {
                 deploy = deploy.with_gap(*c, *g);
             }
-            for pos in deploy.generate(&mut rng) {
-                eng.spawn_with_energy(Gs3Node::small(Arc::clone(&cfg)), pos, budget);
-            }
+            generated = deploy.generate(&mut rng);
+            &generated
         } else {
-            for pos in &self.explicit_nodes {
-                eng.spawn_with_energy(Gs3Node::small(Arc::clone(&cfg)), *pos, budget);
-            }
+            &self.explicit_nodes
+        };
+        eng.reserve(1 + self.extra_bigs.len() + smalls.len());
+
+        // The big node anchors the structure; spawn it first so the
+        // diffusion starts at t=0. As the gateway/access point it is
+        // mains-powered: the energy budget applies to small nodes only.
+        let cfg = Arc::new(cfg);
+        let mut bigs = vec![eng.spawn(Gs3Node::big(Arc::clone(&cfg)), self.big_pos)];
+        for pos in &self.extra_bigs {
+            bigs.push(eng.spawn(Gs3Node::big(Arc::clone(&cfg)), *pos));
+        }
+        for &pos in smalls {
+            eng.spawn_with_energy(Gs3Node::small(Arc::clone(&cfg)), pos, budget);
         }
 
         Ok(Network { eng, bigs, cfg, rng, budget, scratch: Vec::new(), view: None, verdict: None })

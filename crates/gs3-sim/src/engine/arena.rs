@@ -70,6 +70,17 @@ impl<N: Node> Arena<N> {
         self.nodes.len()
     }
 
+    /// Makes room for `additional` more rows in every column.
+    pub(super) fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.positions.reserve(additional);
+        self.alive.reserve(additional);
+        self.energy.reserve(additional);
+        self.timers.reserve(additional);
+        self.mac_events.reserve(additional);
+        self.energy_settled.reserve(additional);
+    }
+
     /// Appends one node's row across every column; returns its index.
     #[inline]
     pub(super) fn push(&mut self, node: N, position: Point, energy: f64, now: SimTime) -> usize {

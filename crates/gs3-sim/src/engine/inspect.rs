@@ -44,7 +44,9 @@ impl<N: Node> Engine<N> {
                     EventKind::Start => {
                         h.bytes(&[0]);
                     }
-                    EventKind::Deliver { flight } => {
+                    // The kind's label id is process-dependent; the
+                    // message's `Debug` text carries the kind.
+                    EventKind::Deliver { flight, kind: _ } => {
                         let t = self.flights.get(*flight);
                         h.bytes(&[1, u8::from(t.dest.is_directed())]).id(t.from);
                         let _ = write!(h, "{:?}", t.msg);
@@ -57,7 +59,7 @@ impl<N: Node> Engine<N> {
                     EventKind::ChannelGrant => {
                         h.bytes(&[3]);
                     }
-                    EventKind::Resend { flight, attempt } => {
+                    EventKind::Resend { flight, attempt, kind: _ } => {
                         let t = self.flights.get(*flight);
                         match t.dest {
                             Dest::Node(to) => h.bytes(&[4]).id(to),

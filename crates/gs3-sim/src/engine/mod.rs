@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use gs3_geometry::Point;
-use gs3_telemetry::{tag_episode, Event, EventClass, RecorderMode, Telemetry, NO_TAG};
+use gs3_telemetry::{tag_episode, EventClass, Label, RecorderMode, Record, Telemetry, NO_TAG};
 
 use crate::channel::ChannelManager;
 use crate::faults::{FaultConfig, FaultState};
@@ -48,21 +48,24 @@ use flights::{Dest, Flights, Transmission};
 #[derive(Debug, Clone)]
 enum EventKind<T> {
     Start,
-    /// One copy of the transmission `flight` arriving at the event target.
-    Deliver { flight: u32 },
+    /// One copy of the transmission `flight`, of message kind `kind`,
+    /// arriving at the event target. The kind rides every copy's entry —
+    /// room the `Timer` variant already takes — rather than the record,
+    /// which it would widen by 8 bytes.
+    Deliver { flight: u32, kind: Label },
     Timer { timer_id: u64, timer: T },
     ChannelGrant,
     /// A carrier-sense-deferred frame retrying after backoff (contention
     /// only). The event target is the sender; the frame, addressee
     /// included, waits in the slab under `flight`.
-    Resend { flight: u32, attempt: u32 },
+    Resend { flight: u32, attempt: u32, kind: Label },
 }
 
 impl<T> EventKind<T> {
     /// The transmission record this event holds a reference to, if any.
     fn flight(&self) -> Option<u32> {
         match *self {
-            EventKind::Deliver { flight } | EventKind::Resend { flight, .. } => Some(flight),
+            EventKind::Deliver { flight, .. } | EventKind::Resend { flight, .. } => Some(flight),
             EventKind::Start | EventKind::Timer { .. } | EventKind::ChannelGrant => None,
         }
     }
@@ -284,28 +287,38 @@ impl<N: Node> Engine<N> {
     }
 
     /// Counts one event of `class` at `node` and, only while the ring is
-    /// recording, builds and stores it. `tag` names its episode: a frame's
-    /// packed tag, or `None` for the one `node` is tainted by (looked up lazily).
+    /// recording, packs and stores it — a `kind` given by name is looked up
+    /// only then. `tag` names its episode: a frame's packed tag, or `None`
+    /// for the one `node` is tainted by (looked up lazily).
     #[inline]
     fn record_event(
         &mut self,
         class: EventClass,
         node: NodeId,
-        kind: &'static str,
+        kind: impl Into<Label>,
         peer: u64,
         tag: Option<u64>,
         data: u64,
     ) {
         let (t_us, episodes) = (self.now.as_micros(), &self.telemetry.episodes);
-        self.telemetry.recorder.record_with(class, || Event {
-            t_us,
-            node: node.raw(),
-            class,
-            kind,
-            peer,
-            episode: tag.map_or_else(|| episodes.episode_of(node.raw()), tag_episode),
-            data,
+        self.telemetry.recorder.record_with(class, || {
+            let episode = tag.map_or_else(|| episodes.episode_of(node.raw()), tag_episode);
+            Record::new(t_us, node.raw(), class, kind.into(), peer, episode, data)
         });
+    }
+
+    /// Makes room for `additional` more nodes: the arena's columns, their
+    /// timer rows, and the near-wheel slab their start events land in.
+    /// Spawning grows all of these by doubling anyway; a caller that knows
+    /// its population reserves it once instead. The room is rounded up to
+    /// the power of two that doubling would have reached, so a network
+    /// that later gains a few nodes keeps the headroom it always had
+    /// rather than reallocating every column at its first join.
+    pub fn reserve(&mut self, additional: usize) {
+        let len = self.arena.len();
+        let room = (len + additional).next_power_of_two() - len;
+        self.arena.reserve(room);
+        self.queue.reserve(room);
     }
 
     /// Spawns a node at `position`, booting immediately (its
@@ -360,6 +373,7 @@ impl<N: Node> Engine<N> {
         after: SimDuration,
     ) -> Result<(), EngineError> {
         self.check(to)?;
+        let kind = Label::of(msg.kind());
         let flight = self.flights.open(Transmission {
             from,
             msg,
@@ -368,7 +382,7 @@ impl<N: Node> Engine<N> {
             dest: Dest::Node(to),
             refs: 1,
         });
-        self.queue.schedule(self.now + after, PendingEvent { to, kind: EventKind::Deliver { flight } });
+        self.queue.schedule(self.now + after, PendingEvent { to, kind: EventKind::Deliver { flight, kind } });
         Ok(())
     }
 
@@ -505,10 +519,10 @@ impl<N: Node> Engine<N> {
         }
         match ev.kind {
             EventKind::Start => self.with_ctx(to, |node, ctx| node.on_start(ctx)),
-            EventKind::Deliver { flight } => self.receive(to, flight),
+            EventKind::Deliver { flight, kind } => self.receive(to, flight, kind),
             EventKind::Timer { timer_id, timer } => self.fire_timer(to, timer_id, timer),
             EventKind::ChannelGrant => self.with_ctx(to, |node, ctx| node.on_channel_granted(ctx)),
-            EventKind::Resend { flight, attempt } => self.resend(flight, attempt),
+            EventKind::Resend { flight, attempt, kind } => self.resend(flight, attempt, kind),
         }
     }
 
@@ -690,5 +704,28 @@ mod tests {
         let rec = &eng.telemetry().recorder;
         assert!(rec.len() <= 4);
         assert_eq!(rec.total(), rec.len() as u64 + rec.dropped());
+    }
+
+    /// A reserved population spawns without growing a column, the timer
+    /// rows or the near wheel's slab, and keeps the headroom doubling
+    /// would have left it: the join after it reallocates nothing either.
+    #[test]
+    fn reserve_makes_room_for_the_population_and_the_next_join() {
+        let mut eng = Engine::new(RadioModel::ideal(100.0), EnergyModel::disabled(), 1);
+        eng.reserve(401);
+        let room = |e: &Engine<Flood>| {
+            let a = &e.arena;
+            [a.nodes.capacity(), a.positions.capacity(), a.alive.capacity(), a.energy.capacity()]
+                .into_iter()
+                .chain([a.mac_events.capacity(), a.energy_settled.capacity(), a.timers.capacity()])
+                .chain([e.queue.near_capacity()])
+                .collect::<Vec<_>>()
+        };
+        let reserved = room(&eng);
+        assert!(reserved.iter().all(|&c| c >= 512), "{reserved:?}");
+        for i in 0..402 {
+            eng.spawn(Flood::default(), Point::new(f64::from(i), 0.0));
+        }
+        assert_eq!(room(&eng), reserved, "401 spawns and a join grew nothing");
     }
 }

@@ -43,16 +43,17 @@ impl<N: Node> Engine<N> {
 
     /// Records a frame corrupted on the air at `to`, by a medium-detected
     /// overlap (`tag`: the frame's episode) or a scripted collision (`None`).
-    pub(super) fn record_corrupted(&mut self, to: NodeId, from: NodeId, kind: &'static str, tag: Option<u64>) {
+    pub(super) fn record_corrupted(&mut self, to: NodeId, from: NodeId, kind: Label, tag: Option<u64>) {
         self.trace.bump(Counter::MacCollisions);
         self.arena.mac_events[to.index()] += 1;
         self.record_event(EventClass::MacCollision, to, kind, from.raw(), tag, 0);
     }
 
-    /// One copy of `flight` arrives at `to` (alive, idle drain settled).
-    pub(super) fn receive(&mut self, to: NodeId, flight: u32) {
+    /// One copy of `flight`, a frame of `kind`, arrives at `to` (alive,
+    /// idle drain settled).
+    pub(super) fn receive(&mut self, to: NodeId, flight: u32, kind: Label) {
         let t = self.flights.get(flight);
-        let (from, tag, tx, kind) = (t.from, t.tag, t.tx, t.msg.kind());
+        let (from, tag, tx) = (t.from, t.tag, t.tx);
         let directed = t.dest.is_directed();
         // Receiver-side collision detection catches what the sender's
         // carrier sense could not hear — hidden terminals included. One

@@ -10,36 +10,38 @@ use rand::Rng;
 use crate::faults::Fate;
 use crate::medium::SLOT;
 
-/// What the copies of one frame share (`fold`: the kind's digest table).
+/// What the copies of one frame share.
 struct Frame {
     flight: u32,
     from: NodeId,
     from_pos: Point,
-    kind: &'static str,
-    fold: usize,
+    kind: Label,
     directed: bool,
 }
 
 impl<N: Node> Engine<N> {
-    /// A node's `unicast`/`broadcast`: counted once, then tried as attempt 0.
+    /// A node's `unicast`/`broadcast`: its kind resolved to a label, counted
+    /// once, then tried as attempt 0.
     pub(super) fn send(&mut self, from: NodeId, dest: Dest, msg: N::Msg) {
+        let kind = Label::of(msg.kind());
         match dest {
-            Dest::Node(_) => self.trace.record_unicast(msg.kind()),
-            Dest::Disk(_) => self.trace.record_broadcast(msg.kind()),
+            Dest::Node(_) => self.trace.record_unicast(kind),
+            Dest::Disk(_) => self.trace.record_broadcast(kind),
         }
-        self.transmit(from, dest, msg, 0);
+        self.transmit(from, dest, msg, kind, 0);
     }
 
-    /// A parked frame's backoff ran out: it leaves the slab and tries again.
-    pub(super) fn resend(&mut self, flight: u32, attempt: u32) {
+    /// A parked frame of `kind` ran out its backoff: it leaves the slab
+    /// and tries again.
+    pub(super) fn resend(&mut self, flight: u32, attempt: u32, kind: Label) {
         let t = self.flights.release(flight).expect("a parked frame is held by its resend event only");
-        self.transmit(t.from, t.dest, t.msg, attempt);
+        self.transmit(t.from, t.dest, t.msg, kind, attempt);
     }
 
-    /// One transmission attempt (attempt 0 is the original send; higher
-    /// attempts are carrier-sense backoff retries and only occur while
-    /// contention is enabled).
-    fn transmit(&mut self, from: NodeId, dest: Dest, msg: N::Msg, attempt: u32) {
+    /// One transmission attempt of a frame of `kind` (attempt 0 is the
+    /// original send; higher attempts are carrier-sense backoff retries and
+    /// only occur while contention is enabled).
+    fn transmit(&mut self, from: NodeId, dest: Dest, msg: N::Msg, kind: Label, attempt: u32) {
         let from_pos = self.arena.positions[from.index()];
         // 1. Resolve the destination (a retry's target may have died since).
         let reach = match dest {
@@ -63,13 +65,12 @@ impl<N: Node> Engine<N> {
         };
         // 2. Carrier sense: defer while an audible transmission is on the
         // air. No RNG, events or counters while contention is disabled.
-        let kind = msg.kind();
         let mut t = Transmission { from, msg, tag: NO_TAG, tx: TxWindow::NONE, dest, refs: 1 };
         if self.contention.enabled {
             if self.medium.busy(self.now.as_micros(), from_pos) {
                 if let Some(at) = self.mac_defer(from, attempt) {
                     let flight = self.flights.open(t);
-                    let retry = EventKind::Resend { flight, attempt: attempt + 1 };
+                    let retry = EventKind::Resend { flight, attempt: attempt + 1, kind };
                     self.queue.schedule(at, PendingEvent { to: from, kind: retry });
                 }
                 return;
@@ -80,8 +81,7 @@ impl<N: Node> Engine<N> {
         // 3. Open the record (the sender holds it meanwhile), bill the episode.
         t.tag = self.episode_tag(from);
         let flight = self.flights.open(t);
-        let fold = self.kind_folds.get(kind);
-        let frame = Frame { flight, from, from_pos, kind, fold, directed: dest.is_directed() };
+        let frame = Frame { flight, from, from_pos, kind, directed: dest.is_directed() };
         // 4. Per receiver: the target, or every alive node in range but the
         // sender, ascending by id, with the distance its latency is drawn from.
         match dest {
@@ -210,10 +210,11 @@ impl<N: Node> Engine<N> {
                 latency = latency + extra;
             }
             let at = self.now + latency;
-            let kind = self.kind_folds.at(f.fold);
-            self.trace.record_scheduled_delivery(at.as_micros(), f.from.raw(), to.raw(), kind);
+            let fold = self.kind_folds.get(f.kind);
+            self.trace.record_scheduled_delivery(at.as_micros(), f.from.raw(), to.raw(), fold);
             self.flights.retain(f.flight);
-            self.queue.schedule(at, PendingEvent { to, kind: EventKind::Deliver { flight: f.flight } });
+            let copy = EventKind::Deliver { flight: f.flight, kind: f.kind };
+            self.queue.schedule(at, PendingEvent { to, kind: copy });
         }
     }
 }

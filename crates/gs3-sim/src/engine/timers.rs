@@ -49,6 +49,17 @@ impl<T: PartialEq> TimerTable<T> {
         TimerTable { rows: Vec::new(), spill: Vec::new(), free: Vec::new() }
     }
 
+    /// Makes room for `additional` more rows.
+    pub(super) fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
+    /// How many rows fit without growing.
+    #[cfg(test)]
+    pub(super) fn capacity(&self) -> usize {
+        self.rows.capacity()
+    }
+
     /// Appends an empty row for a new node.
     pub(super) fn push_row(&mut self) {
         self.rows.push(TimerRow { inline: [const { None }; INLINE], spill: NIL });

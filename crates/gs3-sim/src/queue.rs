@@ -690,6 +690,19 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Makes room in the near wheel's slab for `additional` more entries
+    /// than it holds now — what a burst due within the next tick, such as
+    /// a network's boot, files there.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.near.links.reserve(additional);
+    }
+
+    /// How many entries the near wheel's slab holds without growing.
+    #[cfg(test)]
+    pub(crate) fn near_capacity(&self) -> usize {
+        self.near.links.capacity()
+    }
+
     /// Schedules `payload` to fire at `at`. Events scheduled for the same
     /// instant fire in scheduling order. Panics when `at` precedes the last
     /// popped time, like [`RadixQueue::schedule`].

@@ -6,11 +6,15 @@
 //! coordination ⇒ per-perturbation message counts independent of network
 //! size), and every report of counts is a view of it
 //! ([`Trace::write_json`], [`Trace::since`]).
+//!
+//! Kinds and protocol counter names are counted by [`Label`] id, in rows
+//! indexed by it; every view names them, in name order, when it is built.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gs3_telemetry::json::JsonWriter;
+use gs3_telemetry::Label;
 
 use crate::fnv::Fnv64;
 
@@ -23,7 +27,6 @@ use crate::fnv::Fnv64;
 /// the low byte alone — one of 256 values, tabulated here once per kind.
 #[derive(Debug, Clone)]
 pub struct KindFold {
-    kind: &'static str,
     /// `P^kind.len()`, `P` the FNV prime.
     pow: u64,
     /// `from_low_byte[x]`: the byte-serial fold of `kind` started at `x`.
@@ -45,7 +48,7 @@ impl KindFold {
         for _ in kind.bytes() {
             pow.bytes(&[0]);
         }
-        KindFold { kind, pow: pow.finish(), from_low_byte: Arc::new(from_low_byte) }
+        KindFold { pow: pow.finish(), from_low_byte: Arc::new(from_low_byte) }
     }
 
     #[inline]
@@ -54,23 +57,31 @@ impl KindFold {
     }
 }
 
-/// The [`KindFold`]s of the kinds sent so far, each built on first use.
-/// Scratch the engine keeps beside its reusable buffers — derived from the
-/// kind strings alone, so it is no part of any run's state.
+/// The [`KindFold`]s of the kinds sent so far, by [`Label`] index, each
+/// built on first use. Scratch the engine keeps beside its reusable
+/// buffers — derived from the kind strings alone, so it is no part of any
+/// run's state.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct KindFolds(Vec<KindFold>);
+pub(crate) struct KindFolds(Vec<Option<KindFold>>);
 
 impl KindFolds {
-    /// The table for `kind`; looked up once per frame, not per copy.
-    pub(crate) fn get(&mut self, kind: &'static str) -> usize {
-        self.0.iter().position(|k| k.kind == kind).unwrap_or_else(|| {
-            self.0.push(KindFold::new(kind));
-            self.0.len() - 1
-        })
+    /// The table for `kind`, built on its first use.
+    #[inline]
+    pub(crate) fn get(&mut self, kind: Label) -> &KindFold {
+        let i = kind.index();
+        if self.0.get(i).is_none_or(Option::is_none) {
+            self.build(kind);
+        }
+        self.0[i].as_ref().expect("built above")
     }
 
-    pub(crate) fn at(&self, id: usize) -> &KindFold {
-        &self.0[id]
+    #[cold]
+    fn build(&mut self, kind: Label) {
+        let i = kind.index();
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(KindFold::new(kind.name()));
     }
 }
 
@@ -152,17 +163,76 @@ counters! {
     ScheduledDeliveries => "scheduled_deliveries",
 }
 
-/// Counters accumulated over a simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Counts by [`Label`] index; a zero, or an index past the end, is a
+/// label this row never counted. Ids are process-wide, so two rows index
+/// alike, and whatever id a name got, the rows of two traces agree
+/// exactly when their counts by name do.
+#[derive(Debug, Clone, Default)]
+struct Row(Vec<u64>);
+
+impl Row {
+    #[inline]
+    fn add(&mut self, label: Label, by: u64) {
+        match self.0.get_mut(label.index()) {
+            Some(n) => *n += by,
+            None => self.grow(label, by),
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, label: Label, by: u64) {
+        self.0.resize(label.index(), 0);
+        self.0.push(by);
+    }
+
+    fn get(&self, name: &str) -> u64 {
+        Label::find(name).and_then(|l| self.0.get(l.index()).copied()).unwrap_or(0)
+    }
+
+    /// The row without its trailing zeros.
+    fn counted(&self) -> &[u64] {
+        let end = self.0.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+        &self.0[..end]
+    }
+
+    /// What moved since `then`, the same row earlier.
+    fn since(&self, then: &Row) -> Row {
+        let then = |i: usize| then.0.get(i).copied().unwrap_or(0);
+        let mut d = Row(self.0.iter().enumerate().map(|(i, &n)| n.saturating_sub(then(i))).collect());
+        d.0.truncate(d.counted().len());
+        d
+    }
+
+    /// The counted labels by name, in name order.
+    fn named(&self) -> BTreeMap<&'static str, u64> {
+        let mut by_name = BTreeMap::new();
+        for (i, &n) in self.0.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            by_name.insert(Label::from_index(i).name(), n);
+        }
+        by_name
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        self.counted() == other.counted()
+    }
+}
+
+impl Eq for Row {}
+
+/// Counters accumulated over a simulation run. Equality, like every view,
+/// is by name: two traces are equal when their tables, their counts by
+/// kind and by protocol counter name, and their digests are.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Trace {
     /// The [`Counter`] table, indexed by variant.
     counts: [u64; Counter::COUNT],
     /// Transmissions (unicast + broadcast) by message kind.
-    per_kind_sent: BTreeMap<&'static str, u64>,
+    sent: Row,
     /// Protocol-level named counters bumped via [`crate::Context::count`]
     /// (e.g. the reliability layer's retransmit/dedup/give-up tallies).
-    /// Empty when no node records any; never holds a zero.
-    proto: BTreeMap<&'static str, u64>,
+    proto: Row,
     /// Running FNV-1a hash of every scheduled delivery
     /// (time, sender, receiver, kind).
     digest: u64,
@@ -170,12 +240,20 @@ pub struct Trace {
 
 impl Default for Trace {
     fn default() -> Self {
-        Trace {
-            counts: [0; Counter::COUNT],
-            per_kind_sent: BTreeMap::new(),
-            proto: BTreeMap::new(),
-            digest: Fnv64::new().finish(),
-        }
+        let (sent, proto) = (Row::default(), Row::default());
+        Trace { counts: [0; Counter::COUNT], sent, proto, digest: Fnv64::new().finish() }
+    }
+}
+
+/// By name, as the trace read when it kept its counts in name-keyed maps.
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trace")
+            .field("counts", &self.counts)
+            .field("per_kind_sent", &self.sent.named())
+            .field("proto", &self.proto.named())
+            .field("digest", &self.digest)
+            .finish()
     }
 }
 
@@ -188,15 +266,17 @@ impl Trace {
 
     /// Counts one unicast transmission of `kind` (the engine calls this
     /// once per send; public so the per-send cost can be benchmarked).
-    pub fn record_unicast(&mut self, kind: &'static str) {
+    #[inline]
+    pub fn record_unicast(&mut self, kind: impl Into<Label>) {
         self.bump(Counter::UnicastsSent);
-        *self.per_kind_sent.entry(kind).or_insert(0) += 1;
+        self.sent.add(kind.into(), 1);
     }
 
     /// Counts one broadcast transmission of `kind`, however many receive it.
-    pub fn record_broadcast(&mut self, kind: &'static str) {
+    #[inline]
+    pub fn record_broadcast(&mut self, kind: impl Into<Label>) {
         self.bump(Counter::BroadcastsSent);
-        *self.per_kind_sent.entry(kind).or_insert(0) += 1;
+        self.sent.add(kind.into(), 1);
     }
 
     /// Adds one to `counter`.
@@ -205,8 +285,8 @@ impl Trace {
         self.counts[counter as usize] += 1;
     }
 
-    pub(crate) fn record_proto(&mut self, name: &'static str, by: u64) {
-        *self.proto.entry(name).or_insert(0) += by;
+    pub(crate) fn record_proto(&mut self, name: impl Into<Label>, by: u64) {
+        self.proto.add(name.into(), by);
     }
 
     /// Folds one scheduled delivery into the digest: delivery time in
@@ -244,30 +324,19 @@ impl Trace {
     /// chain has no difference.
     #[must_use]
     pub fn since(&self, earlier: &Trace) -> Trace {
-        fn moved(
-            now: &BTreeMap<&'static str, u64>,
-            then: &BTreeMap<&'static str, u64>,
-        ) -> BTreeMap<&'static str, u64> {
-            now.iter()
-                .filter_map(|(&name, &n)| {
-                    let d = n.saturating_sub(then.get(name).copied().unwrap_or(0));
-                    (d > 0).then_some((name, d))
-                })
-                .collect()
-        }
         Trace {
             counts: std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i])),
-            per_kind_sent: moved(&self.per_kind_sent, &earlier.per_kind_sent),
-            proto: moved(&self.proto, &earlier.proto),
+            sent: self.sent.since(&earlier.sent),
+            proto: self.proto.since(&earlier.proto),
             digest: self.digest,
         }
     }
 
     /// Every counter by name: the [`Counter`] table in order, then the
-    /// protocol counters in name order.
+    /// protocol counters counted at all, in name order.
     pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         let table = Counter::ALL.into_iter().map(|c| (c.name(), self.get(c)));
-        table.chain(self.proto.iter().map(|(&name, &n)| (name, n)))
+        table.chain(self.proto.named())
     }
 
     /// Writes the trace as one JSON object: every [`Counter`] by name in
@@ -278,9 +347,9 @@ impl Trace {
             for c in Counter::ALL {
                 w.key(c.name()).u64(self.get(c));
             }
-            for (key, map) in [("sent_by_kind", &self.per_kind_sent), ("proto", &self.proto)] {
+            for (key, row) in [("sent_by_kind", &self.sent), ("proto", &self.proto)] {
                 w.key(key).object(|w| {
-                    for (name, &n) in map {
+                    for (name, n) in row.named() {
                         w.key(name).u64(n);
                     }
                 });
@@ -312,16 +381,17 @@ impl Trace {
         self.get(Counter::TimersFired)
     }
 
-    /// Transmissions (unicast + broadcast) by message kind.
+    /// Transmissions (unicast + broadcast) by message kind, of the kinds
+    /// sent at all.
     #[must_use]
-    pub fn sent_by_kind(&self) -> &BTreeMap<&'static str, u64> {
-        &self.per_kind_sent
+    pub fn sent_by_kind(&self) -> BTreeMap<&'static str, u64> {
+        self.sent.named()
     }
 
     /// Total transmissions of the given kind.
     #[must_use]
     pub fn sent_of_kind(&self, kind: &str) -> u64 {
-        self.per_kind_sent.get(kind).copied().unwrap_or(0)
+        self.sent.get(kind)
     }
 
     /// Total transmissions (unicast + broadcast).
@@ -375,7 +445,7 @@ impl Trace {
     /// Value of the named protocol counter (0 when never bumped).
     #[must_use]
     pub fn proto(&self, name: &str) -> u64 {
-        self.proto.get(name).copied().unwrap_or(0)
+        self.proto.get(name)
     }
 
     /// A stable FNV-1a hash of the full delivery sequence — every
@@ -495,12 +565,256 @@ mod tests {
         for step in 0..if cfg!(miri) { 500 } else { 20_000 } {
             let (at, from, to) = (word(&mut rng), word(&mut rng), word(&mut rng));
             let kind = KINDS[rng.gen_range(0..KINDS.len())];
-            let id = folds.get(kind);
-            fast.record_scheduled_delivery(at, from, to, folds.at(id));
+            fast.record_scheduled_delivery(at, from, to, folds.get(Label::of(kind)));
             slow.record_scheduled_delivery_bytewise(at, from, to, kind);
             assert_eq!(fast.digest(), slow.digest(), "step {step}: ({at:#x}, {from:#x}, {to:#x}, {kind:?})");
         }
         assert_eq!(fast, slow);
-        assert_eq!(folds.0.len(), KINDS.len(), "one table per kind, reused");
+        assert_eq!(folds.0.iter().flatten().count(), KINDS.len(), "one table per kind, reused");
+    }
+
+    /// The name-keyed maps the trace kept before it counted by label id:
+    /// the oracle its views, [`Trace::since`] and `==` are checked against.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Oracle {
+        sent: BTreeMap<&'static str, u64>,
+        proto: BTreeMap<&'static str, u64>,
+    }
+
+    impl Oracle {
+        fn add(&mut self, other: &Oracle) {
+            for (mine, theirs) in [(&mut self.sent, &other.sent), (&mut self.proto, &other.proto)] {
+                for (&name, &n) in theirs {
+                    *mine.entry(name).or_insert(0) += n;
+                }
+            }
+        }
+
+        /// What moved since `then`; names that did not move are absent.
+        fn since(&self, then: &Oracle) -> Oracle {
+            let moved = |now: &BTreeMap<&'static str, u64>, then: &BTreeMap<&'static str, u64>| {
+                now.iter()
+                    .map(|(&name, &n)| (name, n - then.get(name).copied().unwrap_or(0)))
+                    .filter(|&(_, d)| d > 0)
+                    .collect()
+            };
+            Oracle { sent: moved(&self.sent, &then.sent), proto: moved(&self.proto, &then.proto) }
+        }
+
+        /// The `sent_by_kind` and `proto` members of [`Trace::write_json`].
+        fn json(&self) -> String {
+            gs3_telemetry::json::to_string(|w| {
+                w.object(|w| {
+                    for (key, map) in [("sent_by_kind", &self.sent), ("proto", &self.proto)] {
+                        w.key(key).object(|w| {
+                            for (name, &n) in map {
+                                w.key(name).u64(n);
+                            }
+                        });
+                    }
+                });
+            })
+        }
+    }
+
+    /// Every view of `t` against `o`, by name.
+    fn assert_views(t: &Trace, o: &Oracle, at: &str) {
+        assert_eq!(t.sent_by_kind(), o.sent, "{at}: sent_by_kind");
+        let proto: BTreeMap<_, _> = t.named().skip(Counter::COUNT).collect();
+        assert_eq!(proto, o.proto, "{at}: named");
+        for name in o.sent.keys().chain(o.proto.keys()).chain(&["never_counted"]) {
+            let (sent, proto) = (o.sent.get(name).copied(), o.proto.get(name).copied());
+            assert_eq!(t.sent_of_kind(name), sent.unwrap_or(0), "{at}: sent_of_kind({name})");
+            assert_eq!(t.proto(name), proto.unwrap_or(0), "{at}: proto({name})");
+        }
+        let doc = gs3_telemetry::json::to_string(|w| t.write_json(w));
+        let maps = o.json();
+        assert!(doc.ends_with(&format!(",{}", &maps[1..])), "{at}: {doc} does not end in {maps}");
+    }
+
+    #[derive(Debug, Clone)]
+    struct Said(&'static str);
+
+    impl crate::Payload for Said {
+        fn kind(&self) -> &'static str {
+            self.0
+        }
+    }
+
+    /// Each 20 ms tick a [`Talker`] unicasts (to any id, the dead and the
+    /// unknown included) or broadcasts one of its kinds, and bumps one of
+    /// its counter names by 0–2; it answers a tenth of what it hears. It
+    /// logs in its own oracle what it asked the engine to count.
+    #[derive(Debug)]
+    struct Talker {
+        kinds: Vec<&'static str>,
+        names: Vec<&'static str>,
+        oracle: Oracle,
+    }
+
+    impl Talker {
+        fn say(&mut self, ctx: &mut crate::Context<'_, Said, ()>, to: Option<crate::NodeId>) {
+            use rand::Rng;
+            let kind = self.kinds[ctx.rng().gen_range(0..self.kinds.len())];
+            match to {
+                Some(to) => ctx.unicast(to, Said(kind)),
+                None => ctx.broadcast(60.0, Said(kind)),
+            }
+            *self.oracle.sent.entry(kind).or_insert(0) += 1;
+            let (name, by) = (self.names[ctx.rng().gen_range(0..self.names.len())], ctx.rng().gen_range(0..3));
+            if by == 1 && ctx.rng().gen_bool(0.5) {
+                ctx.count(name);
+            } else {
+                ctx.count_by(name, by);
+            }
+            if by > 0 {
+                *self.oracle.proto.entry(name).or_insert(0) += by;
+            }
+        }
+    }
+
+    impl crate::Node for Talker {
+        type Msg = Said;
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut crate::Context<'_, Said, ()>) {
+            ctx.set_timer(crate::SimDuration::from_millis(20), ());
+        }
+
+        fn on_message(&mut self, from: crate::NodeId, _: Said, ctx: &mut crate::Context<'_, Said, ()>) {
+            use rand::Rng;
+            if ctx.rng().gen_bool(0.1) {
+                self.say(ctx, Some(from));
+            }
+        }
+
+        fn on_timer(&mut self, (): (), ctx: &mut crate::Context<'_, Said, ()>) {
+            use rand::Rng;
+            let to = match ctx.rng().gen_range(0..3u32) {
+                0 => None,
+                _ => Some(crate::NodeId::new(ctx.rng().gen_range(0..70))),
+            };
+            self.say(ctx, to);
+            ctx.set_timer(crate::SimDuration::from_millis(20), ());
+        }
+    }
+
+    /// A chaos run at the engine's level — contention, a lossy,
+    /// duplicating, delaying channel, a jam, and crashes — whose nodes
+    /// count a dozen kinds (two of them also at a second, leaked address)
+    /// and eight protocol names. At every checkpoint each view of the
+    /// trace equals the oracle the nodes kept, `since` between any two
+    /// checkpoints equals the oracle's difference, and traces compare
+    /// equal exactly when their tables, digests and oracles do.
+    #[test]
+    fn views_since_and_eq_match_a_name_keyed_oracle_over_a_chaos_run() {
+        use crate::faults::{BurstLoss, FaultConfig};
+        use crate::radio::{EnergyModel, RadioModel};
+        use crate::{ContentionConfig, Engine, NodeId, SimDuration};
+        use gs3_geometry::Point;
+
+        const KINDS: [&str; 10] =
+            ["org", "org_reply", "head_set", "join", "beat", "a", "", "retreat", "x", "y"];
+        const NAMES: [&str; 8] =
+            ["reliable_sent", "reliable_acked", "data_queue_drops", "z", "m", "quarantine_entries", "q1", "q2"];
+        let leaked: Vec<&'static str> = ["org", "beat"].iter().map(|k| &*String::from(*k).leak()).collect();
+        let mut eng = Engine::new(RadioModel::ideal(60.0), EnergyModel::disabled(), 23);
+        eng.set_contention(ContentionConfig::on());
+        eng.set_fault_config(FaultConfig {
+            burst: BurstLoss::bursty(0.02, 4.0),
+            unicast_loss: 0.05,
+            duplicate: 0.03,
+            delay_prob: 0.05,
+            delay_max: SimDuration::from_millis(30),
+        });
+        for i in 0..60u32 {
+            let mut kinds = KINDS.to_vec();
+            if i % 2 == 1 {
+                kinds.extend(&leaked);
+            }
+            let talker = Talker { kinds, names: NAMES.to_vec(), oracle: Oracle::default() };
+            eng.spawn(talker, Point::new(f64::from(i % 8) * 25.0, f64::from(i / 8) * 25.0));
+        }
+        let oracle = |eng: &Engine<Talker>| {
+            let mut o = Oracle::default();
+            for id in eng.ids() {
+                o.add(&eng.node(id).unwrap().oracle);
+            }
+            o
+        };
+        let mut points = vec![(Trace::new(), Oracle::default())];
+        for step in 1..=if cfg!(miri) { 3 } else { 12 } {
+            match step {
+                3 => drop(eng.faults_mut().start_jam(Point::new(80.0, 80.0), 40.0)),
+                5 | 8 => {
+                    for id in (step..60).step_by(9) {
+                        eng.kill(NodeId::new(id as u64)).unwrap();
+                    }
+                }
+                _ => {}
+            }
+            eng.run_for(SimDuration::from_millis(250));
+            let (t, o) = (eng.trace().clone(), oracle(&eng));
+            assert_views(&t, &o, &format!("checkpoint {step}"));
+            points.push((t, o));
+        }
+        let end = &points.last().unwrap().0;
+        assert!(end.mac_collisions() > 0 && end.mac_defers() > 0, "contention bit");
+        assert!(end.dropped_by_burst() > 0 && end.dropped_by_jam() > 0, "the channel bit");
+        assert!(end.get(Counter::UnicastFailures) > 0, "the dead and the unknown were sent to");
+        assert_eq!(end.sent_by_kind().len(), KINDS.len(), "every kind sent, each under one name");
+        for (i, (a, oa)) in points.iter().enumerate() {
+            for (b, ob) in &points[i..] {
+                let d = b.since(a);
+                assert_views(&d, &ob.since(oa), &format!("since, checkpoint {i}"));
+                assert_eq!(d.counts, std::array::from_fn(|c| b.counts[c] - a.counts[c]));
+                assert_eq!(d.digest(), b.digest());
+                assert_eq!(a == b, a.counts == b.counts && a.digest == b.digest && oa == ob);
+            }
+            // Rows that end in zeros still compare by what they count.
+            assert_eq!(a.since(&Trace::new()), *a);
+            let nothing = a.since(a);
+            assert_eq!(nothing, Trace { digest: a.digest, ..Trace::new() });
+            assert_views(&nothing, &Oracle::default(), "since itself");
+        }
+    }
+
+    /// Names used first in reverse name order, and the same names in name
+    /// order, give the same views, in name order, and equal traces.
+    #[test]
+    fn first_use_order_changes_no_view() {
+        let names: Vec<&'static str> =
+            (0..6).map(|i| &*format!("first_use_{}", (b'a' + i) as char).leak()).collect();
+        let (mut late, mut early) = (Trace::new(), Trace::new());
+        for (n, &name) in names.iter().enumerate().rev() {
+            late.record_unicast(name);
+            late.record_proto(name, n as u64 + 1);
+        }
+        assert!(Label::of(names[5]) < Label::of(names[0]), "ids follow first use");
+        for (n, &name) in names.iter().enumerate() {
+            early.record_proto(name, n as u64 + 1);
+            early.record_unicast(name);
+        }
+        assert_eq!(late, early);
+        let view: Vec<(&str, u64)> = late.named().skip(Counter::COUNT).collect();
+        assert_eq!(view, names.iter().enumerate().map(|(n, &name)| (name, n as u64 + 1)).collect::<Vec<_>>());
+        assert!(late.sent_by_kind().keys().copied().eq(names.iter().copied()));
+        let json = |t: &Trace| gs3_telemetry::json::to_string(|w| t.write_json(w));
+        assert_eq!(json(&late), json(&early));
+        assert_eq!(format!("{late:?}"), format!("{early:?}"));
+    }
+
+    /// A kind reaching the trace at a second address counts under the
+    /// name it already has.
+    #[test]
+    fn a_kind_at_a_second_address_counts_under_its_name() {
+        let mut t = Trace::new();
+        t.record_unicast("second_address_kind");
+        t.record_broadcast(&*String::from("second_address_kind").leak());
+        t.record_proto("second_address_kind", 2);
+        t.record_proto(&*String::from("second_address_kind").leak(), 3);
+        assert_eq!(t.sent_of_kind("second_address_kind"), 2);
+        assert_eq!(t.sent_by_kind().len(), 1);
+        assert_eq!(t.proto("second_address_kind"), 5);
     }
 }

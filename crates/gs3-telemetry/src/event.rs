@@ -29,6 +29,10 @@ impl EventClass {
     /// Number of distinct classes (size of the per-class counter array).
     pub const COUNT: usize = 5;
 
+    /// Every class, in [`Self::index`] order.
+    pub const ALL: [EventClass; Self::COUNT] =
+        [Self::Delivery, Self::Timer, Self::Protocol, Self::MacDefer, Self::MacCollision];
+
     /// Dense index for per-class counter arrays.
     #[must_use]
     pub const fn index(self) -> usize {
@@ -58,6 +62,8 @@ impl EventClass {
 ///
 /// `kind` is a `&'static str` so recording never allocates; protocol
 /// handlers pass string literals ("head_elected", "quarantine_enter", …).
+/// The recorder's ring does not hold `Event`s: it packs each into a
+/// 32-byte [`crate::Record`] and decodes it back when read.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
     /// Simulation time in microseconds.
@@ -121,6 +127,9 @@ mod tests {
         assert_eq!(EventClass::MacDefer.index(), 3);
         assert_eq!(EventClass::MacCollision.index(), 4);
         assert_eq!(EventClass::MacCollision.index() + 1, EventClass::COUNT);
+        for (i, class) in EventClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Flight-recorder exporters: JSONL event dump and Chrome-trace
 //! (Perfetto-loadable) timeline.
 
+use std::borrow::Borrow;
+
 use crate::episode::Episode;
 use crate::event::Event;
 use crate::json::{self, JsonWriter};
 
-/// Export events as JSON Lines: one event object per line.
+/// Export events as JSON Lines: one event object per line. Takes events
+/// by value (a recorder's [`crate::FlightRecorder::events`]) or by
+/// reference.
 #[must_use]
-pub fn export_jsonl<'a>(events: impl Iterator<Item = &'a Event>) -> String {
+pub fn export_jsonl<E: Borrow<Event>>(events: impl Iterator<Item = E>) -> String {
     let mut out = String::new();
     for ev in events {
-        ev.write_json(&mut JsonWriter::new(&mut out));
+        ev.borrow().write_json(&mut JsonWriter::new(&mut out));
         out.push('\n');
     }
     out
@@ -22,10 +26,11 @@ pub fn export_jsonl<'a>(events: impl Iterator<Item = &'a Event>) -> String {
 /// its events as instants (`"ph":"i"`); episodes render as duration
 /// spans (`"ph":"X"`) on a separate process lane (`pid` 1, `tid` =
 /// episode id) so they never collide with node 0's event lane. Open
-/// episodes are drawn up to `end_us`.
+/// episodes are drawn up to `end_us`. Events come by value or by
+/// reference, as for [`export_jsonl`].
 #[must_use]
-pub fn export_chrome_trace<'a>(
-    events: impl Iterator<Item = &'a Event>,
+pub fn export_chrome_trace<E: Borrow<Event>>(
+    events: impl Iterator<Item = E>,
     episodes: &[Episode],
     end_us: u64,
 ) -> String {
@@ -33,6 +38,7 @@ pub fn export_chrome_trace<'a>(
         w.object(|w| {
             w.key("traceEvents").array(|w| {
                 for ev in events {
+                    let ev = ev.borrow();
                     w.object(|w| {
                         w.key("name").str(ev.kind);
                         w.key("ph").str("i");
@@ -129,7 +135,7 @@ mod tests {
     #[test]
     fn open_episode_spans_to_end() {
         assert_eq!(
-            export_chrome_trace([].iter(), &[episode(None)], 90),
+            export_chrome_trace(std::iter::empty::<Event>(), &[episode(None)], 90),
             r#"{"traceEvents":[{"name":"crash_random#1","ph":"X","ts":5,"dur":85,"pid":1,"tid":1,"cat":"episode","args":{"messages":4,"deliveries":3,"radius_m":12.2,"max_depth":2,"healed":false}}]}"#
         );
         assert_eq!(

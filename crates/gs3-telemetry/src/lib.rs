@@ -30,6 +30,7 @@ pub mod episode;
 pub mod event;
 pub mod export;
 pub mod json;
+pub mod label;
 pub mod metrics;
 pub mod recorder;
 
@@ -38,8 +39,9 @@ pub use episode::{
 };
 pub use event::{Event, EventClass, NO_PEER};
 pub use export::{export_chrome_trace, export_jsonl};
+pub use label::Label;
 pub use metrics::LogHistogram;
-pub use recorder::{FlightRecorder, RecorderMode};
+pub use recorder::{FlightRecorder, RecorderMode, Record};
 
 /// The telemetry bundle a simulation engine embeds: flight recorder and
 /// episode tracker, advanced together.

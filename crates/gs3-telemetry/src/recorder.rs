@@ -8,14 +8,88 @@
 //!   array increment per event.
 //! * [`RecorderMode::Full`]: additionally keeps the most recent
 //!   `capacity` structured [`Event`]s in a drop-oldest ring. Export
-//!   paths (`gs3 trace`, `gs3 chaos --timeline`) switch this on.
+//!   paths (`gs3 trace`, `gs3 chaos --timeline`) switch this on. The
+//!   ring stores each event as a 32-byte [`Record`] — its label a
+//!   [`Label`] id, its node ids `u32`s — and decodes it when read.
 //!
 //! Either way, recording is pure observation: no RNG, no scheduling, no
 //! feedback into the simulation.
 
 use std::collections::VecDeque;
 
-use crate::event::{Event, EventClass};
+use crate::event::{Event, EventClass, NO_PEER};
+use crate::label::Label;
+
+/// The flag bit of a [`Record`]'s class byte: the event has a peer.
+const HAS_PEER: u8 = 0x80;
+
+/// One ring entry: an [`Event`] packed into 32 bytes (a 56-byte `Event`
+/// carries its label as a fat pointer and its node ids as `u64`s). The
+/// peer's absence is a flag beside the class, so every `u32` id, the
+/// largest included, is a peer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Record {
+    t_us: u64,
+    data: u64,
+    node: u32,
+    /// Meaningful only when `class` has [`HAS_PEER`].
+    peer: u32,
+    episode: u32,
+    kind: Label,
+    /// [`EventClass::index`], plus [`HAS_PEER`].
+    class: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
+impl Record {
+    /// Packs one event; `kind` is its label's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node`, or a `peer` other than [`NO_PEER`], exceeds
+    /// `u32::MAX` (node ids never do: they are dense `u32` spawn ranks).
+    #[inline]
+    #[must_use]
+    pub fn new(
+        t_us: u64,
+        node: u64,
+        class: EventClass,
+        kind: Label,
+        peer: u64,
+        episode: u32,
+        data: u64,
+    ) -> Self {
+        let narrow = |id: u64| u32::try_from(id).expect("the recorder stores node ids as u32");
+        let (peer, flag) = if peer == NO_PEER { (0, 0) } else { (narrow(peer), HAS_PEER) };
+        Record { t_us, data, node: narrow(node), peer, episode, kind, class: class.index() as u8 | flag }
+    }
+
+    /// The event's class.
+    #[inline]
+    fn class(&self) -> EventClass {
+        EventClass::ALL[usize::from(self.class & !HAS_PEER)]
+    }
+
+    /// The event this record packs.
+    fn event(&self) -> Event {
+        Event {
+            t_us: self.t_us,
+            node: self.node.into(),
+            class: self.class(),
+            kind: self.kind.name(),
+            peer: if self.class & HAS_PEER == 0 { NO_PEER } else { self.peer.into() },
+            episode: self.episode,
+            data: self.data,
+        }
+    }
+}
+
+impl From<&Event> for Record {
+    fn from(ev: &Event) -> Self {
+        Record::new(ev.t_us, ev.node, ev.class, Label::of(ev.kind), ev.peer, ev.episode, ev.data)
+    }
+}
 
 /// Recording mode: cheap counters only, or full ring-buffer capture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +108,7 @@ pub enum RecorderMode {
 pub struct FlightRecorder {
     recording: bool,
     capacity: usize,
-    ring: VecDeque<Event>,
+    ring: VecDeque<Record>,
     total: u64,
     dropped: u64,
     per_class: [u64; EventClass::COUNT],
@@ -98,35 +172,37 @@ impl FlightRecorder {
     /// Record a full event (counts it too). In counters-only mode this
     /// degenerates to [`Self::count_only`].
     pub fn record(&mut self, ev: Event) {
-        self.total += 1;
-        self.per_class[ev.class.index()] += 1;
-        if !self.recording {
-            return;
+        self.record_with(ev.class, || Record::from(&ev));
+    }
+
+    /// Counts an event of `class` and, only when ring capture is on,
+    /// builds its record with `make` and stores it — so counters-only runs
+    /// never pay for packing one.
+    #[inline]
+    pub fn record_with(&mut self, class: EventClass, make: impl FnOnce() -> Record) {
+        self.count_only(class);
+        if self.recording {
+            let rec = make();
+            debug_assert_eq!(rec.class(), class);
+            self.store(rec);
         }
+    }
+
+    /// Appends `rec` to the ring, evicting the oldest record when full;
+    /// kept out of line so the counting path above stays small enough to
+    /// inline at every engine call site.
+    fn store(&mut self, rec: Record) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(ev);
+        self.ring.push_back(rec);
     }
 
-    /// Counts an event of `class` and, only when ring capture is on,
-    /// builds it with `make` and stores it — so counters-only runs never
-    /// pay for constructing an [`Event`].
-    #[inline]
-    pub fn record_with(&mut self, class: EventClass, make: impl FnOnce() -> Event) {
-        if self.recording {
-            let ev = make();
-            debug_assert_eq!(ev.class, class);
-            self.record(ev);
-        } else {
-            self.count_only(class);
-        }
-    }
-
-    /// Events currently held in the ring, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.ring.iter()
+    /// Events currently held in the ring, oldest first, each decoded from
+    /// its record.
+    pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        self.ring.iter().map(Record::event)
     }
 
     /// Total events observed (counted) since construction.
@@ -199,6 +275,35 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let ts: Vec<u64> = r.events().map(|e| e.t_us).collect();
         assert_eq!(ts, vec![2, 3, 4]);
+    }
+
+    /// What the 32-byte record cannot hold plainly reads back exactly: no
+    /// peer, the largest node id as node and as peer, episode 0 and the
+    /// largest data and time, in every class.
+    #[test]
+    fn records_round_trip_at_the_edges() {
+        let mut r = FlightRecorder::new();
+        r.set_mode(RecorderMode::Full { capacity: 64 });
+        let leaked: &'static str = String::from("x").leak();
+        let mut sent = Vec::new();
+        for class in EventClass::ALL {
+            for (node, peer) in [(0, NO_PEER), (u64::from(u32::MAX), u64::from(u32::MAX)), (7, 0)] {
+                for (episode, data) in [(0, u64::MAX), (u32::MAX, 0)] {
+                    let kind = if data == 0 { leaked } else { "x" };
+                    sent.push(Event { t_us: u64::MAX - data, node, class, kind, peer, episode, data });
+                }
+            }
+        }
+        for ev in &sent {
+            r.record(ev.clone());
+        }
+        assert!(r.events().eq(sent.iter().cloned()));
+    }
+
+    #[test]
+    #[should_panic(expected = "u32")]
+    fn a_node_id_past_u32_is_refused() {
+        let _ = Record::from(&Event { node: 1 << 32, ..ev(0) });
     }
 
     #[test]

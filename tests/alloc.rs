@@ -1,9 +1,10 @@
-//! Allocation guards for three hot paths: polling an unchanged structure,
-//! arming and firing timers in steady state, and cycling entries through
-//! every tier of a warm event queue, must not touch the heap; and a new
-//! event queue, built once per network, allocates a pinned number of
-//! times. A counting global allocator tallies the calling thread's
-//! allocations around each.
+//! Allocation guards for four hot paths: polling an unchanged structure,
+//! arming and firing timers in steady state, cycling entries through
+//! every tier of a warm event queue, and sending, counting and recording
+//! by label, must not touch the heap; and a new event queue and a new
+//! engine, built once per network, allocate a pinned number of times. A
+//! counting global allocator tallies the calling thread's allocations
+//! around each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +14,7 @@ use gs3::core::Mode;
 use gs3::geometry::Point;
 use gs3::sim::queue::EventQueue;
 use gs3::sim::radio::{EnergyModel, RadioModel};
+use gs3::sim::telemetry::RecorderMode;
 use gs3::sim::trace::Counter;
 use gs3::sim::{Context, Engine, Node, NodeId, Payload, SimDuration, SimTime};
 
@@ -199,4 +201,85 @@ fn a_warm_event_queue_cycles_through_every_tier_without_allocating() {
     cycle(&mut q);
     let n = allocations(|| (0..4).for_each(|_| cycle(&mut q)));
     assert_eq!(n, 0, "four warm cycles allocated {n} times");
+}
+
+/// A new engine allocates its queue's slot tables and nothing else, as
+/// before labels had ids: the trace's rows, the digest's fold tables and
+/// the label caches all fill on first use.
+#[test]
+fn a_new_engine_allocates_no_label_tables() {
+    let mut eng = None;
+    let (radio, energy) = (RadioModel::ideal(100.0), EnergyModel::disabled());
+    let n = allocations(|| eng = Some(Engine::<Ticker>::new(radio, energy, 1)));
+    assert_eq!(n, ENGINE_NEW_ALLOCATIONS, "Engine::new allocated {n} times");
+    assert!(eng.is_some_and(|e| e.trace().sent_by_kind().is_empty()));
+}
+
+/// What `Engine::new` allocated when the trace kept name-keyed maps: the
+/// five of [`a_new_event_queue_allocates_only_its_slot_tables`].
+const ENGINE_NEW_ALLOCATIONS: u64 = 5;
+
+#[derive(Clone, Debug)]
+struct Note(&'static str);
+
+impl Payload for Note {
+    fn kind(&self) -> &'static str {
+        self.0
+    }
+}
+
+/// Every 5 ms: a unicast to the next node and a broadcast, each of one
+/// of three kinds, two protocol counter bumps, and a recorder event; and
+/// a counter bump per message heard.
+#[derive(Debug, Default)]
+struct Talker {
+    ticks: u64,
+}
+
+impl Node for Talker {
+    type Msg = Note;
+    type Timer = ();
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Note, ()>) {
+        ctx.set_timer(SimDuration::from_millis(5), ());
+    }
+
+    fn on_message(&mut self, _: NodeId, _: Note, ctx: &mut Context<'_, Note, ()>) {
+        ctx.count("heard");
+    }
+
+    fn on_timer(&mut self, (): (), ctx: &mut Context<'_, Note, ()>) {
+        self.ticks += 1;
+        let kind = ["alpha", "beta", "gamma"][(self.ticks % 3) as usize];
+        ctx.unicast(NodeId::new((ctx.id().raw() + 1) % 20), Note(kind));
+        ctx.broadcast(30.0, Note(kind));
+        ctx.count("ticks");
+        ctx.count_by("tick_weight", 2);
+        ctx.event("tick", self.ticks);
+        ctx.set_timer(SimDuration::from_millis(5), ());
+    }
+}
+
+/// Once every label has its id and every row its length, sending,
+/// delivering, counting by kind and by protocol name, and recording into
+/// a wrapped ring allocate nothing.
+#[test]
+fn a_warm_send_count_and_record_cycle_allocates_nothing() {
+    let mut eng = Engine::new(RadioModel::ideal(100.0), EnergyModel::disabled(), 1);
+    eng.set_recording(RecorderMode::Full { capacity: 1_000 });
+    for i in 0..20 {
+        eng.spawn(Talker::default(), Point::new(f64::from(i) * 10.0, 0.0));
+    }
+    eng.run_for(SimDuration::from_secs(2));
+    let t = eng.trace();
+    let (sent, heard, recorded) = (t.total_sent(), t.proto("heard"), eng.telemetry().recorder.total());
+    let n = allocations(|| {
+        eng.run_for(SimDuration::from_secs(2));
+    });
+    let t = eng.trace();
+    assert!(t.total_sent() >= sent + 2 * 20 * 390 && t.proto("heard") > heard, "the nodes kept talking");
+    assert_eq!(t.sent_by_kind().len(), 3);
+    let rec = &eng.telemetry().recorder;
+    assert!(rec.total() > recorded + 20 * 390 && rec.dropped() > 0, "the ring kept recording, full");
+    assert_eq!(n, 0, "2 s of warm sends, counts and records allocated {n} times");
 }

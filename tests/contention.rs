@@ -188,7 +188,7 @@ fn trace_since_is_end_minus_start_name_by_name() {
         assert_eq!(delta.get(c), end.get(c) - start.get(c), "{c:?}");
     }
     let mut unmoved = 0;
-    for (kind, &n) in end.sent_by_kind() {
+    for (kind, n) in end.sent_by_kind() {
         let d = n - start.sent_of_kind(kind);
         assert_eq!(delta.sent_by_kind().get(kind).copied(), (d > 0).then_some(d), "kind {kind}");
         unmoved += usize::from(d == 0);

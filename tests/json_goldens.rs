@@ -4,16 +4,22 @@
 //! are populated. The fixture was captured before the emitters moved onto
 //! the shared `gs3_telemetry::json` writer and regenerated once, when the
 //! counters became one `counters` view of the trace; output bytes are the
-//! contract.
+//! contract. The same run's flight recorder is pinned too: its JSONL and
+//! Chrome-trace exports, captured while the ring still stored whole
+//! `Event`s, so a change to how the ring stores them must read back the
+//! same bytes.
 
 use gs3::core::harness::{Network, NetworkBuilder};
 use gs3::core::{ChaosReport, Corruption, DataplaneConfig, FaultKind, FaultPlan, ReliabilityConfig};
 use gs3::geometry::Point;
 use gs3::sim::faults::{BurstLoss, FaultConfig};
+use gs3::sim::telemetry::{export_chrome_trace, export_jsonl};
 use gs3::sim::trace::{Counter, Trace};
 use gs3::sim::{ContentionConfig, SimDuration};
 
 const CHAOS_REPORT: &str = include_str!("fixtures/json/chaos_report.json");
+const RECORDER_JSONL: &str = include_str!("fixtures/json/recorder.jsonl");
+const RECORDER_CHROME: &str = include_str!("fixtures/json/recorder_chrome.json");
 
 /// The golden's run: its trace when the chaos starts, the network after,
 /// and the report.
@@ -92,4 +98,34 @@ fn every_protocol_counter_reaches_chaos_json() {
     for (name, d) in moved {
         assert!(doc.contains(&format!("\"{name}\":{d}")), "{name} = {d} missing from {doc}");
     }
+}
+
+/// `doc` equals the multi-megabyte golden `want`; a mismatch names the
+/// first differing line instead of printing both documents.
+fn assert_same_bytes(what: &str, doc: &str, want: &str) {
+    if doc == want {
+        return;
+    }
+    let split = |s: &str| s.split_inclusive(['\n', '}']).map(str::to_string).collect::<Vec<_>>();
+    let (got, want) = (split(doc), split(want));
+    let at = got.iter().zip(&want).position(|(a, b)| a != b).unwrap_or(got.len().min(want.len()));
+    panic!(
+        "{what}: {} bytes, golden {}; first difference in piece {at}: {:?} vs {:?}",
+        doc.len(),
+        want.iter().map(String::len).sum::<usize>(),
+        got.get(at),
+        want.get(at),
+    );
+}
+
+/// The golden run fills the 50 000-event ring several times over; both
+/// exports of what it holds at the end match the goldens byte for byte.
+#[test]
+fn recorder_exports_are_byte_identical_to_the_goldens() {
+    let (_, net, _) = golden_run();
+    let tel = net.engine().telemetry();
+    assert_eq!((tel.recorder.len(), tel.recorder.dropped()), (50_000, 215_862), "the ring wrapped");
+    assert_same_bytes("export_jsonl", &export_jsonl(tel.recorder.events()), RECORDER_JSONL);
+    let chrome = export_chrome_trace(tel.recorder.events(), tel.episodes.episodes(), net.now().as_micros());
+    assert_same_bytes("export_chrome_trace", &chrome, RECORDER_CHROME);
 }
