@@ -183,9 +183,8 @@ fn fold_cong(h: &mut Fnv128, c: &CongestionState) {
     h.u64(*last_seen).u64(u64::from(*stretch_exp)).u64(u64::from(*quiet));
 }
 
-fn fold_data(h: &mut Fnv128, now: SimTime, d: &DataState) {
+fn fold_data(h: &mut Fnv128, now: SimTime, leaf_seq: u32, d: &DataState) {
     let DataState {
-        leaf_seq,
         next_seq,
         accum_born,
         queue,
@@ -193,7 +192,7 @@ fn fold_data(h: &mut Fnv128, now: SimTime, d: &DataState) {
         gate_parent,
         ledger: _, // the sink ledger: its verdict only picks a counter (module docs)
     } = d;
-    h.u64(*leaf_seq).u64(*next_seq).opt(*accum_born, |h, t| h.age(now, t));
+    h.u64(u64::from(leaf_seq)).u64(*next_seq).opt(*accum_born, |h, t| h.age(now, t));
     h.each(queue.iter(), |h, BatchEntry { from, origin, seq, count, born }| {
         h.id(*from).id(*origin).u64(*seq).u64(u64::from(*count)).age(now, *born)
     });
@@ -207,13 +206,16 @@ fn fold_node(h: &mut Fnv128, now: SimTime, node: &Gs3Node) {
         role,
         rel,
         cong,
+        leaf_seq,
         data,
     } = node;
     h.bool(*is_big);
     fold_role(h, now, role);
+    // An absent layer box reads as the layer's empty state, so a state
+    // folds the same whether or not its layer is boxed.
     fold_reliable(h, now, rel);
     fold_cong(h, cong);
-    fold_data(h, now, data);
+    fold_data(h, now, *leaf_seq, data);
 }
 
 impl Network {
@@ -319,7 +321,7 @@ mod tests {
         stretched.engine_mut().node_mut(victim).unwrap().cong.stretch_exp += 1;
         assert_ne!(stretched.fingerprint(), base, "stretch exponent");
         let mut sequenced = net.clone();
-        sequenced.engine_mut().node_mut(victim).unwrap().data.leaf_seq += 1;
+        sequenced.engine_mut().node_mut(victim).unwrap().leaf_seq += 1;
         assert_ne!(sequenced.fingerprint(), base, "leaf sequence number");
     }
 

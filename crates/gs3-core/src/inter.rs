@@ -93,8 +93,10 @@ impl Gs3Node {
         if parent_failed && !self_parent_corrupt && parent_silent <= timeout * 2 {
             early.push((h.parent, h.parent_last_heard + timeout * 2));
         }
+        // Only the adaptive detector suspects early, so a run with the
+        // reliability layer off never writes (nor boxes) its state here.
         for (peer, legacy_deadline) in early {
-            mark_suspected(rel, peer, legacy_deadline);
+            mark_suspected(rel.make_mut(), peer, legacy_deadline);
         }
         let mut deferred_seek: Option<(NodeId, Msg)> = None;
         let mut abandon = false;

@@ -482,7 +482,7 @@ impl Gs3Node {
             timeout,
         );
         if silent > adaptive && silent <= timeout {
-            crate::reliable::mark_suspected(&mut self.rel, head, a.last_heard + timeout);
+            crate::reliable::mark_suspected(self.rel.make_mut(), head, a.last_heard + timeout);
         }
         if silent > adaptive {
             if a.election_pending.is_none() {

@@ -12,6 +12,8 @@
 //! * big-node slide/move — `big.rs`
 //! * sensing workload — `workload.rs`
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use gs3_geometry::Point;
@@ -39,41 +41,92 @@ pub struct Gs3Node {
     pub(crate) role: Role,
     /// Reliability-layer state (sequence numbers, pending sends, dedup
     /// windows, failure detectors) — kept outside [`Role`] so it survives
-    /// role transitions.
-    pub(crate) rel: ReliableState,
+    /// role transitions, and boxed only when the layer is on.
+    pub(crate) rel: LayerBox<ReliableState>,
     /// Congestion-adaptation state (observation baseline and stretch
     /// exponent) — also role-independent.
     pub(crate) cong: crate::congestion::CongestionState,
+    /// As a leaf: sequence of the last sensor report sent. The one
+    /// data-plane field a leaf's report tick writes, kept in the row (in
+    /// what would be padding) so that the most frequent data-plane event
+    /// does not chase the box below.
+    pub(crate) leaf_seq: u32,
     /// Convergecast data-plane state (queues, credits, sequence spaces) —
-    /// role-independent and untouched in a run with no traffic.
-    pub(crate) data: DataState,
+    /// role-independent, and boxed only in a run with traffic.
+    pub(crate) data: LayerBox<DataState>,
+}
+
+/// A layer's per-node state, with the one empty state that every node of
+/// a network with the layer off reads.
+pub(crate) trait LayerState: Default + fmt::Debug + 'static {
+    /// The shared empty state: `Default::default()`, as a `static`.
+    fn empty() -> &'static Self;
+}
+
+/// Per-node state of an optional protocol layer. A network whose
+/// configuration turns the layer on boxes it on every node; one that does
+/// not keeps a null pointer per node, and every read sees the layer's
+/// shared [`LayerState::empty`] — so a node row holds only what every node
+/// uses (DESIGN.md §6.1).
+#[derive(Clone)]
+pub(crate) struct LayerBox<T>(Option<Box<T>>);
+
+impl<T: LayerState> LayerBox<T> {
+    /// Boxes an empty state if the layer is `on`.
+    fn new(on: bool) -> Self {
+        LayerBox(on.then(Box::default))
+    }
+
+    /// The state, for writing. A node of a layer-off network boxes an
+    /// empty state here on its first write — which no handler of such a
+    /// run makes (every write sits behind the layer's switch).
+    pub(crate) fn make_mut(&mut self) -> &mut T {
+        self.0.get_or_insert_with(Box::default)
+    }
+
+    /// Whether this node holds its own box.
+    #[cfg(test)]
+    pub(crate) fn is_boxed(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+impl<T: LayerState> Deref for LayerBox<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match &self.0 {
+            Some(state) => state,
+            None => T::empty(),
+        }
+    }
+}
+
+impl<T: LayerState> fmt::Debug for LayerBox<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl Gs3Node {
     /// Creates a small node.
     #[must_use]
     pub fn small(cfg: Arc<Gs3Config>) -> Self {
-        Gs3Node {
-            cfg,
-            is_big: false,
-            role: Role::bootup(),
-            rel: ReliableState::default(),
-            cong: Default::default(),
-            data: DataState::default(),
-        }
+        Gs3Node::new(cfg, false)
     }
 
     /// Creates the big node (initiator and root of the head graph).
     #[must_use]
     pub fn big(cfg: Arc<Gs3Config>) -> Self {
-        Gs3Node {
-            cfg,
-            is_big: true,
-            role: Role::bootup(),
-            rel: ReliableState::default(),
-            cong: Default::default(),
-            data: DataState::default(),
-        }
+        Gs3Node::new(cfg, true)
+    }
+
+    /// A node in bootup, holding a box for each layer `cfg` turns on:
+    /// reliability when it is enabled, the data plane when reports flow.
+    fn new(cfg: Arc<Gs3Config>, is_big: bool) -> Self {
+        let rel = LayerBox::new(cfg.reliability.enabled);
+        let data = LayerBox::new(!cfg.report_period.is_zero());
+        Gs3Node { cfg, is_big, role: Role::bootup(), rel, cong: Default::default(), leaf_seq: 0, data }
     }
 
     /// Whether this is the big node.
@@ -355,5 +408,79 @@ impl gs3_sim::Node for Gs3Node {
 
     fn on_channel_granted(&mut self, ctx: &mut Ctx<'_>) {
         self.on_org_channel_granted(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gs3_geometry::Point;
+    use gs3_sim::SimDuration;
+
+    use super::{DataState, LayerState, ReliableState};
+    use crate::harness::{Network, NetworkBuilder};
+    use crate::ReliabilityConfig;
+
+    /// A 400-node Dynamic field, configured by `layers`.
+    fn field(layers: impl FnOnce(NetworkBuilder) -> NetworkBuilder) -> Network {
+        let base = NetworkBuilder::new()
+            .ideal_radius(40.0)
+            .radius_tolerance(14.0)
+            .area_radius(200.0)
+            .expected_nodes(400)
+            .seed(11);
+        layers(base).build().unwrap()
+    }
+
+    /// How many alive nodes box their reliability and data-plane state.
+    fn boxes(net: &Network) -> (usize, usize) {
+        let eng = net.engine();
+        let nodes = || eng.alive_ids().map(|id| eng.node(id).unwrap());
+        (nodes().filter(|n| n.rel.is_boxed()).count(), nodes().filter(|n| n.data.is_boxed()).count())
+    }
+
+    /// Through configuration, a disk of failures (heads among them:
+    /// elections, parent seeks, child expiry), a join and the healing, a
+    /// layer that is on is boxed on every node, the joiner included, and
+    /// a layer that is off on none — no handler of a layer-off run writes
+    /// its state.
+    #[test]
+    fn boxes_follow_the_layer_switches() {
+        for (rel, traffic) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut net = field(|mut b| {
+                if rel {
+                    b = b.reliability(ReliabilityConfig::on());
+                }
+                if traffic {
+                    b = b.traffic(SimDuration::from_secs(5));
+                }
+                b
+            });
+            net.run_to_fixpoint();
+            assert!(!net.kill_disk(Point::new(60.0, 0.0), 45.0).is_empty());
+            let joiner = net.join_node(Point::new(-30.0, 20.0));
+            net.run_for(SimDuration::from_secs(120));
+            let n = net.engine().alive_ids().count();
+            let want = (if rel { n } else { 0 }, if traffic { n } else { 0 });
+            assert_eq!(boxes(&net), want, "reliability {rel}, traffic {traffic}");
+            let joiner = net.engine().node(joiner).unwrap();
+            assert_eq!((joiner.rel.is_boxed(), joiner.data.is_boxed()), (rel, traffic));
+        }
+    }
+
+    /// A state folds the same boxed or not: a fresh box holds exactly
+    /// the shared empty state.
+    #[test]
+    fn an_empty_box_fingerprints_as_no_box() {
+        let text = |s: &dyn std::fmt::Debug| format!("{s:?}");
+        assert_eq!(text(ReliableState::empty()), text(&ReliableState::default()));
+        assert_eq!(text(DataState::empty()), text(&DataState::default()));
+        let mut net = field(|b| b);
+        net.run_to_fixpoint();
+        let before = net.fingerprint();
+        let victim = net.engine().alive_ids().find(|id| *id != net.big_id()).unwrap();
+        let node = net.engine_mut().node_mut(victim).unwrap();
+        let _ = (node.rel.make_mut(), node.data.make_mut());
+        assert!(node.rel.is_boxed() && node.data.is_boxed());
+        assert_eq!(net.fingerprint(), before);
     }
 }

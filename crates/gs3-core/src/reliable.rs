@@ -36,7 +36,7 @@ use crate::config::{
     QUARANTINE_SEEK_LIMIT,
 };
 use crate::messages::Msg;
-use crate::node::{Ctx, Gs3Node};
+use crate::node::{Ctx, Gs3Node, LayerState};
 use crate::state::{HeadState, Role};
 use crate::timers::Timer;
 
@@ -128,6 +128,19 @@ pub(crate) struct ReliableState {
     pub suspected: BTreeMap<NodeId, SimTime>,
 }
 
+impl LayerState for ReliableState {
+    fn empty() -> &'static Self {
+        static EMPTY: ReliableState = ReliableState {
+            next_seq: 0,
+            pending: BTreeMap::new(),
+            seen: BTreeMap::new(),
+            detectors: BTreeMap::new(),
+            suspected: BTreeMap::new(),
+        };
+        &EMPTY
+    }
+}
+
 /// The adaptive per-peer suspicion timeout: `2·mean + k·dev` once the
 /// estimator is warm (≥ 4 samples), clamped to never exceed `legacy`.
 /// Falls back to `legacy` when the reliability layer is off or the peer is
@@ -199,9 +212,10 @@ impl Gs3Node {
             ctx.unicast(to, msg);
             return;
         }
-        self.rel.next_seq += 1;
-        let seq = self.rel.next_seq;
-        self.rel.pending.insert(seq, PendingSend { to, msg: msg.clone(), attempt: 0 });
+        let rel = self.rel.make_mut();
+        rel.next_seq += 1;
+        let seq = rel.next_seq;
+        rel.pending.insert(seq, PendingSend { to, msg: msg.clone(), attempt: 0 });
         ctx.unicast(to, Msg::Reliable { seq, inner: Box::new(msg) });
         ctx.count("reliable_sent");
         let rto = self.retransmit_after(ctx, 0);
@@ -229,7 +243,7 @@ impl Gs3Node {
         ctx: &mut Ctx<'_>,
     ) {
         ctx.unicast(from, Msg::DeliveryAck { seq });
-        let seen = self.rel.seen.entry(from).or_default();
+        let seen = self.rel.make_mut().seen.entry(from).or_default();
         if !seen.admit(seq, DEDUP_WINDOW as u64) {
             ctx.count("reliable_dedup_hits");
             return;
@@ -245,7 +259,7 @@ impl Gs3Node {
     /// its retransmission timer.
     pub(crate) fn on_delivery_ack(&mut self, from: NodeId, seq: u64, ctx: &mut Ctx<'_>) {
         if self.rel.pending.get(&seq).is_some_and(|p| p.to == from) {
-            self.rel.pending.remove(&seq);
+            self.rel.make_mut().pending.remove(&seq);
             ctx.cancel_timers(Timer::Retransmit { seq });
             ctx.count("reliable_acked");
         }
@@ -262,10 +276,11 @@ impl Gs3Node {
         if !self.cfg.reliability.enabled {
             return;
         }
-        let Some(p) = self.rel.pending.get_mut(&seq) else { return };
+        let pending = &mut self.rel.make_mut().pending;
+        let Some(p) = pending.get_mut(&seq) else { return };
         p.attempt += 1;
         if p.attempt > MAX_RETRIES {
-            let p = self.rel.pending.remove(&seq).expect("pending send present");
+            let p = pending.remove(&seq).expect("pending send present");
             ctx.count("reliable_give_ups");
             ctx.event("reliable_give_up", p.to.raw());
             self.on_reliable_give_up(p.to, p.msg, ctx);
@@ -333,28 +348,21 @@ impl Gs3Node {
             return;
         }
         let now = ctx.now();
-        if let Some(legacy_deadline) = self.rel.suspected.remove(&from) {
+        let rel = self.rel.make_mut();
+        if let Some(legacy_deadline) = rel.suspected.remove(&from) {
             if now < legacy_deadline {
                 ctx.count("detector_false_suspicions");
             }
         }
         let alpha = EWMA_ALPHA_NUM;
-        match self.rel.detectors.get_mut(&from) {
+        match rel.detectors.get_mut(&from) {
             None => {
-                self.rel
-                    .detectors
-                    .insert(from, Detector { last: now, mean_us: 0, dev_us: 0, samples: 0 });
-                if self.rel.detectors.len() > 128 {
+                rel.detectors.insert(from, Detector { last: now, mean_us: 0, dev_us: 0, samples: 0 });
+                if rel.detectors.len() > 128 {
                     // Opportunistic bound: forget peers not heard for the
                     // longest (mobile networks churn neighbor sets).
-                    let cutoff = self
-                        .rel
-                        .detectors
-                        .values()
-                        .map(|d| d.last)
-                        .min()
-                        .expect("nonempty");
-                    self.rel.detectors.retain(|_, d| d.last > cutoff);
+                    let cutoff = rel.detectors.values().map(|d| d.last).min().expect("nonempty");
+                    rel.detectors.retain(|_, d| d.last > cutoff);
                 }
             }
             Some(d) => {

@@ -19,6 +19,7 @@ use gs3_geometry::Point;
 use gs3_sim::{NodeId, SimTime};
 
 use crate::messages::CellInfo;
+use crate::node::LayerState;
 
 /// What a node currently is.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,12 +331,10 @@ impl BigAwayState {
 ///
 /// Lives *outside* [`Role`] so it survives role transitions (a head that
 /// retreats and is re-elected keeps its batch sequence space, which the
-/// sink's dedup depends on). Default-empty and untouched in a run with
-/// no traffic.
+/// sink's dedup depends on). Default-empty, and not even boxed in a run
+/// with no traffic.
 #[derive(Debug, Clone, Default)]
 pub struct DataState {
-    /// As a leaf: sequence of the last sensor report sent.
-    pub leaf_seq: u64,
     /// As a head: sequence of the last batch produced from the own cell.
     pub next_seq: u64,
     /// Production time of the oldest report accumulated since the last
@@ -354,6 +353,20 @@ pub struct DataState {
     /// On the big node only: the sink-side delivery ledger (boxed so the
     /// histogram never multiplies across a million-node arena).
     pub ledger: Option<Box<gs3_dataplane::SinkLedger>>,
+}
+
+impl LayerState for DataState {
+    fn empty() -> &'static Self {
+        static EMPTY: DataState = DataState {
+            next_seq: 0,
+            accum_born: None,
+            queue: gs3_dataplane::AggQueue::new(),
+            gate: gs3_dataplane::CreditGate::full(0),
+            gate_parent: None,
+            ledger: None,
+        };
+        &EMPTY
+    }
 }
 
 #[cfg(test)]

@@ -59,9 +59,9 @@ impl Gs3Node {
         let mut period = self.cong_stretch(self.cfg.report_period);
         match &mut self.role {
             Role::Associate(a) if !a.surrogate => {
-                self.data.leaf_seq += 1;
+                self.leaf_seq += 1;
                 ctx.count("data_reports_produced");
-                ctx.unicast(a.head, Msg::SensorReport { seq: self.data.leaf_seq });
+                ctx.unicast(a.head, Msg::SensorReport { seq: u64::from(self.leaf_seq) });
             }
             Role::Head(h) => {
                 // Fold the cell's accumulation (plus this cell's own
@@ -69,27 +69,27 @@ impl Gs3Node {
                 // queue upstream under the credit window.
                 let me = ctx.id();
                 let dp = self.cfg.dataplane;
+                let data = self.data.make_mut();
                 let count = h.pending_reports.saturating_add(1);
                 h.pending_reports = 0;
                 ctx.count("data_reports_produced");
-                let born = self.data.accum_born.take().unwrap_or(ctx.now());
-                self.data.next_seq += 1;
-                let entry =
-                    BatchEntry { from: me, origin: me, seq: self.data.next_seq, count, born };
+                let born = data.accum_born.take().unwrap_or(ctx.now());
+                data.next_seq += 1;
+                let entry = BatchEntry { from: me, origin: me, seq: data.next_seq, count, born };
                 if self.is_big {
                     // The root is its own sink: consume directly.
                     let latency = ctx.now().saturating_since(born).as_micros();
-                    let ledger = self.data.ledger.get_or_insert_with(Default::default);
+                    let ledger = data.ledger.get_or_insert_with(Default::default);
                     if ledger.consume(me, entry.seq, count, latency) {
                         ctx.count("data_batches_delivered");
                         ctx.count_by("data_reports_delivered", u64::from(count));
                     }
                 } else {
-                    Self::data_enqueue(&mut self.data, entry, dp.queue_capacity, me, ctx);
+                    Self::data_enqueue(data, entry, dp.queue_capacity, me, ctx);
                     let parent = h.parent;
                     if !h.quarantined
                         && parent != me
-                        && Self::data_drain(&mut self.data, parent, dp, me, true, ctx)
+                        && Self::data_drain(data, parent, dp, me, true, ctx)
                     {
                         // Starved: stretch the tick so production slows
                         // while the upstream path is saturated —
@@ -221,32 +221,32 @@ impl Gs3Node {
             return;
         };
         let me = ctx.id();
+        let data = self.data.make_mut();
         let parent = h.parent;
         let count = h.pending_reports;
         h.pending_reports = 0;
         if count > 0 {
-            let born = self.data.accum_born.take().unwrap_or(ctx.now());
-            self.data.next_seq += 1;
-            let entry =
-                BatchEntry { from: me, origin: me, seq: self.data.next_seq, count, born };
-            Self::data_enqueue(&mut self.data, entry, self.cfg.dataplane.queue_capacity, me, ctx);
+            let born = data.accum_born.take().unwrap_or(ctx.now());
+            data.next_seq += 1;
+            let entry = BatchEntry { from: me, origin: me, seq: data.next_seq, count, born };
+            Self::data_enqueue(data, entry, self.cfg.dataplane.queue_capacity, me, ctx);
         }
-        self.data.accum_born = None;
+        data.accum_born = None;
         if parent == me {
             // A root (big node or proxy) has no upstream; whatever is
             // still queued is lost with the role.
-            let lost = self.data.queue.queued_reports();
+            let lost = data.queue.queued_reports();
             if lost > 0 {
                 ctx.count("data_queue_drops");
                 ctx.count_by("data_reports_dropped", lost);
             }
-            self.data.queue.clear();
+            data.queue.clear();
             return;
         }
         let mut flushed = 0u64;
         let mtu = self.cfg.dataplane.max_frame_items.max(1);
-        while !self.data.queue.is_empty() {
-            flushed += Self::send_frame(&mut self.data, parent, mtu, me, ctx);
+        while !data.queue.is_empty() {
+            flushed += Self::send_frame(data, parent, mtu, me, ctx);
         }
         if flushed > 0 {
             ctx.count("reports_flushed");
@@ -268,9 +268,7 @@ impl Gs3Node {
             }
             Role::Head(h) => {
                 h.pending_reports = h.pending_reports.saturating_add(1);
-                if self.data.accum_born.is_none() {
-                    self.data.accum_born = Some(ctx.now());
-                }
+                self.data.make_mut().accum_born.get_or_insert(ctx.now());
                 if seq == 0 {
                     return;
                 }
@@ -321,7 +319,7 @@ impl Gs3Node {
         }
         if self.is_big {
             let now_us = ctx.now().as_micros();
-            let ledger = self.data.ledger.get_or_insert_with(Default::default);
+            let ledger = self.data.make_mut().ledger.get_or_insert_with(Default::default);
             for item in &items {
                 let latency = now_us.saturating_sub(item.born_us);
                 if ledger.consume(item.origin, item.seq, item.count, latency) {
@@ -331,6 +329,7 @@ impl Gs3Node {
             }
             ctx.unicast(from, Msg::DataCredit { grant: 1 });
         } else {
+            let data = self.data.make_mut();
             for item in items {
                 let entry = BatchEntry {
                     from,
@@ -339,13 +338,7 @@ impl Gs3Node {
                     count: item.count,
                     born: SimTime::from_micros(item.born_us),
                 };
-                Self::data_enqueue(
-                    &mut self.data,
-                    entry,
-                    self.cfg.dataplane.queue_capacity,
-                    me,
-                    ctx,
-                );
+                Self::data_enqueue(data, entry, self.cfg.dataplane.queue_capacity, me, ctx);
             }
             // Forward as soon as credits allow: relay throughput must
             // track batch arrival, not the report tick, or the inner
@@ -354,8 +347,7 @@ impl Gs3Node {
             if let Role::Head(h) = &self.role {
                 let (parent, quarantined) = (h.parent, h.quarantined);
                 if !quarantined && parent != me {
-                    let _ =
-                        Self::data_drain(&mut self.data, parent, self.cfg.dataplane, me, false, ctx);
+                    let _ = Self::data_drain(data, parent, self.cfg.dataplane, me, false, ctx);
                 }
             }
         }
@@ -367,14 +359,14 @@ impl Gs3Node {
             // Credits from a former parent (or any non-parent) are void —
             // the gate resets to a full window on re-parent anyway.
             if h.parent == from && self.data.gate_parent == Some(from) {
-                self.data.gate.grant(grant, self.cfg.dataplane.credit_window);
+                let data = self.data.make_mut();
+                data.gate.grant(grant, self.cfg.dataplane.credit_window);
                 // A returned credit is drain opportunity: keep the
                 // pipeline moving instead of waiting for the next tick.
                 let (parent, quarantined) = (h.parent, h.quarantined);
                 if !quarantined {
                     let me = ctx.id();
-                    let _ =
-                        Self::data_drain(&mut self.data, parent, self.cfg.dataplane, me, false, ctx);
+                    let _ = Self::data_drain(data, parent, self.cfg.dataplane, me, false, ctx);
                 }
             }
         }

@@ -52,8 +52,8 @@ pub struct AggQueue {
 impl AggQueue {
     /// An empty queue.
     #[must_use]
-    pub fn new() -> Self {
-        AggQueue::default()
+    pub const fn new() -> Self {
+        AggQueue { entries: VecDeque::new() }
     }
 
     /// Appends a batch, evicting the oldest when `capacity` is reached.
@@ -122,7 +122,7 @@ pub struct CreditGate {
 impl CreditGate {
     /// A gate holding a full `window` of credits.
     #[must_use]
-    pub fn full(window: u32) -> Self {
+    pub const fn full(window: u32) -> Self {
         CreditGate { credits: window, starved_ticks: 0 }
     }
 

@@ -19,11 +19,12 @@ use gs3_telemetry::NO_PEER;
 /// consulted on timer dispatch and set/cancel, 56 bytes a node.
 ///
 /// Dense is not cached. Consecutive events go to unrelated nodes, and at
-/// 50 000 nodes the columns hold ≈ 18 MB (15 of them `nodes`), far beyond
-/// a 2 MiB L2, so a dispatch's first read of its row misses in every
-/// column it touches. What hides those misses is the run loop: after each
-/// pop it hands the next event's target to [`Self::prefetch`], and the
-/// lines arrive while the current event dispatches (DESIGN.md §6.8).
+/// 50 000 nodes the columns hold ≈ 11 MB (6 of them `nodes`: gs3-core's
+/// node is 120 bytes, two or three lines), far beyond a 2 MiB L2, so a
+/// dispatch's first read of its row misses in every column it touches.
+/// What hides those misses is the run loop: after each pop it hands the
+/// next event's target to [`Self::prefetch`], and the lines arrive while
+/// the current event dispatches (DESIGN.md §6.8).
 #[derive(Debug, Clone)]
 pub(super) struct Arena<N: Node> {
     /// Cold: the protocol state machines.

@@ -1,8 +1,9 @@
 //! Allocation guards for four hot paths: polling an unchanged structure,
 //! arming and firing timers in steady state, cycling entries through
 //! every tier of a warm event queue, and sending, counting and recording
-//! by label, must not touch the heap; and a new event queue and a new
-//! engine, built once per network, allocate a pinned number of times. A
+//! by label, must not touch the heap; and a new event queue, a new
+//! engine and a new network allocate a pinned number of times — the
+//! network one box per node for each optional layer it turns on. A
 //! counting global allocator tallies the calling thread's allocations
 //! around each.
 
@@ -10,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gs3::core::harness::{Network, NetworkBuilder};
-use gs3::core::Mode;
+use gs3::core::{Mode, ReliabilityConfig};
 use gs3::geometry::Point;
 use gs3::sim::queue::EventQueue;
 use gs3::sim::radio::{EnergyModel, RadioModel};
@@ -65,17 +66,20 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// A configured Dynamic field: heads and associates keep beating.
-fn configured() -> Network {
-    let mut net = NetworkBuilder::new()
+/// A 400-node Dynamic field, before any event.
+fn field() -> NetworkBuilder {
+    NetworkBuilder::new()
         .mode(Mode::Dynamic)
         .ideal_radius(40.0)
         .radius_tolerance(14.0)
         .area_radius(200.0)
         .expected_nodes(400)
         .seed(11)
-        .build()
-        .unwrap();
+}
+
+/// A configured Dynamic field: heads and associates keep beating.
+fn configured() -> Network {
+    let mut net = field().build().unwrap();
     net.run_to_fixpoint();
     net
 }
@@ -109,6 +113,26 @@ fn view_after_steady_state_running_allocates_nothing() {
     });
     assert_eq!(n, 0, "view after a steady-state run allocated {n} times");
 }
+
+/// Building a field with no optional layer on allocates no more than
+/// when every node carried its reliability and data-plane state inline,
+/// and each layer that is on costs exactly one box per node.
+#[test]
+fn a_build_allocates_one_box_per_node_per_layer_that_is_on() {
+    let build = |b: NetworkBuilder| {
+        let mut net = None;
+        let n = allocations(|| net = Some(b.build().unwrap()));
+        (n, net.unwrap().engine().alive_ids().count() as u64)
+    };
+    let (off, nodes) = build(field());
+    assert!(off <= LAYER_OFF_BUILD_ALLOCATIONS, "a layer-off build allocated {off} times");
+    assert_eq!(build(field().reliability(ReliabilityConfig::on())), (off + nodes, nodes));
+    assert_eq!(build(field().traffic(SimDuration::from_secs(5))), (off + nodes, nodes));
+}
+
+/// What [`field`]'s build allocated when `Gs3Node` held its reliability
+/// and data-plane state inline.
+const LAYER_OFF_BUILD_ALLOCATIONS: u64 = 62;
 
 #[derive(Clone, Debug)]
 struct Quiet;
